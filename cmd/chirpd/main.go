@@ -56,8 +56,9 @@
 // it: requests are multiplexed out of order under a per-session credit
 // window. -window and -max-inflight cap the window the server grants
 // (tags and bytes in flight); -workers sizes the concurrent lane that
-// serves non-conflicting requests. Old lock-step v1 clients are served
-// unchanged.
+// serves non-conflicting requests. Old lock-step v1 clients speak the
+// same wire as ever and pass through the same pipeline, admission
+// control included, one request at a time.
 //
 // -metrics serves the server's telemetry over HTTP: Prometheus text
 // exposition at /metrics (JSON with ?format=json), expvar at

@@ -58,16 +58,7 @@ func testServer(t *testing.T) (*Server, *kernel.Kernel, *auth.CA) {
 
 func gsiClient(t *testing.T, srv *Server, ca *auth.CA, subject string) *Client {
 	t.Helper()
-	cred, err := ca.Issue(subject)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(srv.Addr(), []auth.Authenticator{&auth.GSIClient{Cred: cred}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
+	return gsiClientOpts(t, srv, ca, subject, ClientOptions{})
 }
 
 func TestWhoami(t *testing.T) {

@@ -20,9 +20,10 @@ import (
 
 // Client is one authenticated connection to a Chirp server. Methods
 // mirror the Unix-like protocol. A Client is safe for concurrent use by
-// any number of goroutines: an internal mutex serializes each complete
-// request/response exchange (including payload phases) on the wire, so
-// one connection can back a whole mount table or a pool of workers.
+// any number of goroutines: every exchange runs on the session engine
+// (muxSession), which multiplexes calls up to the negotiated window on
+// a v2 session and serializes them (window 1) on a v1 one, so one
+// connection can back a whole mount table or a pool of workers.
 //
 // The client is fault tolerant: each wire exchange runs under an
 // optional deadline, a dead connection is re-dialed and
@@ -33,10 +34,9 @@ import (
 // redials consume wall-clock time only — nothing here touches the
 // virtual clock, so instrumented retries charge zero virtual ticks.
 type Client struct {
-	mu     sync.Mutex // serializes v1 wire exchanges; guards conn, c, mux, proto, broken, closed
+	mu     sync.Mutex // guards conn, mux, proto, broken, closed
 	conn   net.Conn
-	c      *codec
-	mux    *muxSession // v2 session engine (nil on a v1 session)
+	mux    *muxSession // session engine for the live connection (nil when none)
 	proto  int         // negotiated protocol version for the current session
 	closed bool
 	broken bool // the transport failed; the next call redials
@@ -119,7 +119,6 @@ func (cl *Client) TraceSpans(id uint64) ([]obs.Span, error) {
 	_, body, _, err := cl.do(wireCall{
 		fields:   []string{"trace", obs.FormatTraceID(id)},
 		recvBody: true,
-		class:    classIdempotent,
 	})
 	if err != nil {
 		return nil, err
@@ -155,22 +154,12 @@ func (cl *Client) Close() error {
 		cl.conn.Close()
 		return nil
 	}
-	if cl.mux != nil {
-		// The farewell rides the writer loop as a tagged frame; closing
-		// the connection then unwinds both loops, which release the
-		// codec once neither is touching it.
-		qerr := cl.mux.sendQuit()
-		cerr := cl.conn.Close()
-		cl.mux, cl.c = nil, nil
-		if qerr != nil {
-			return qerr
-		}
-		return cerr
-	}
-	qerr := cl.c.writeLine("quit")
+	// The farewell rides the writer loop; closing the connection then
+	// unwinds both loops, which release the codec once neither is
+	// touching it.
+	qerr := cl.mux.sendQuit()
 	cerr := cl.conn.Close()
-	cl.c.release()
-	cl.c = nil
+	cl.mux = nil
 	if qerr != nil {
 		return qerr
 	}
@@ -204,10 +193,9 @@ func (cl *Client) connectLocked() error {
 		return fmt.Errorf("chirp: redial authenticated as %q, session was %q", ident, cl.ident)
 	}
 	c := newCodec(conn)
-	proto, window, maxBytes, traced, deadlined := ProtocolV1, 0, int64(0), false, false
+	f := lineFraming
 	if cl.opts.Protocol != ProtocolV1 {
-		proto, window, maxBytes, traced, deadlined, err = cl.negotiateVersion(c)
-		if err != nil {
+		if f, err = cl.negotiateVersion(c); err != nil {
 			conn.Close()
 			c.release()
 			cl.brk.Fail()
@@ -217,15 +205,10 @@ func (cl *Client) connectLocked() error {
 	if cl.opts.Timeout > 0 {
 		conn.SetDeadline(time.Time{})
 	}
-	cl.conn, cl.c, cl.broken, cl.ident, cl.proto = conn, c, false, ident, proto
-	if proto == ProtocolV2 {
-		cl.mux = newMuxSession(cl, conn, c, window, maxBytes, traced, deadlined)
-		cl.m.negWindow.Set(int64(window))
-		cl.m.negMaxBytes.Set(maxBytes)
-	} else {
-		cl.m.negWindow.Set(0)
-		cl.m.negMaxBytes.Set(0)
-	}
+	cl.conn, cl.broken, cl.ident, cl.proto = conn, false, ident, f.proto
+	cl.mux = newMuxSession(cl, conn, c, f)
+	cl.m.negWindow.Set(int64(f.window))
+	cl.m.negMaxBytes.Set(f.maxBytes)
 	if cl.dialed {
 		cl.m.redials.Inc()
 		if err := cl.replayAssertionsLocked(); err != nil {
@@ -243,13 +226,13 @@ func (cl *Client) connectLocked() error {
 // authenticated connection. The exchange itself is lock-step v1 — one
 // line out, one reply back — so a v1 server sees nothing unusual: it
 // answers the unknown "version" command with ENOSYS and the client
-// stays on the line protocol. A v2 server replies "ok 2 <window>
+// stays on the line framing (window 1). A v2 server replies "ok 2 <window>
 // <maxbytes> [caps...]" with its own caps; each side then uses the
 // minimum and all subsequent traffic is framed. When the client wants
 // request tracing (ClientOptions.Spans) it appends the trace capability
 // token; tracing activates only if the server echoes it back, so an
 // older v2 server silently leaves it off.
-func (cl *Client) negotiateVersion(c *codec) (proto, window int, maxBytes int64, traced, deadlined bool, err error) {
+func (cl *Client) negotiateVersion(c *codec) (framing, error) {
 	cl.sent.Add(1)
 	var caps []string
 	if cl.opts.Spans != nil {
@@ -259,74 +242,64 @@ func (cl *Client) negotiateVersion(c *codec) (proto, window int, maxBytes int64,
 		caps = append(caps, capDeadline)
 	}
 	if err := c.writeLine(versionFields(cl.opts.Window, cl.opts.MaxInflightBytes, caps...)...); err != nil {
-		return 0, 0, 0, false, false, err
+		return framing{}, err
 	}
 	line, err := c.readLine()
 	if err != nil {
-		return 0, 0, 0, false, false, err
+		return framing{}, err
 	}
 	parts, err := splitFields(line)
-	if err != nil || len(parts) == 0 {
-		return 0, 0, 0, false, false, fmt.Errorf("chirp: malformed version reply %q", line)
+	if err != nil || len(parts) == 0 || (parts[0] != "ok" && parts[0] != "err") {
+		return framing{}, fmt.Errorf("chirp: malformed version reply %q", line)
 	}
-	switch parts[0] {
-	case "ok":
-		v, w, b, echoed, err := parseVersionArgs(parts[1:])
-		if err != nil {
-			return 0, 0, 0, false, false, err
-		}
-		if v != ProtocolV2 {
-			return 0, 0, 0, false, false, fmt.Errorf("chirp: server negotiated unsupported protocol %d", v)
-		}
-		if w > cl.opts.Window {
-			w = cl.opts.Window
-		}
-		if b > cl.opts.MaxInflightBytes {
-			b = cl.opts.MaxInflightBytes
-		}
-		traced = cl.opts.Spans != nil && hasCap(echoed, capTrace)
-		deadlined = cl.opts.DeadlineBudget > 0 && hasCap(echoed, capDeadline)
-		return ProtocolV2, w, b, traced, deadlined, nil
-	case "err":
+	if parts[0] == "err" {
 		// An old (or v1-pinned) server treats "version" as an unknown
 		// command; that error reply is the fallback signal.
-		return ProtocolV1, 0, 0, false, false, nil
-	default:
-		return 0, 0, 0, false, false, fmt.Errorf("chirp: malformed version reply %q", line)
+		return lineFraming, nil
 	}
+	v, w, b, echoed, err := parseVersionArgs(parts[1:])
+	if err != nil {
+		return framing{}, err
+	}
+	if v != ProtocolV2 {
+		return framing{}, fmt.Errorf("chirp: server negotiated unsupported protocol %d", v)
+	}
+	if w > cl.opts.Window {
+		w = cl.opts.Window
+	}
+	if b > cl.opts.MaxInflightBytes {
+		b = cl.opts.MaxInflightBytes
+	}
+	return framing{
+		proto:     ProtocolV2,
+		window:    w,
+		maxBytes:  b,
+		traced:    cl.opts.Spans != nil && hasCap(echoed, capTrace),
+		deadlined: cl.opts.DeadlineBudget > 0 && hasCap(echoed, capDeadline),
+	}, nil
 }
 
 // ensureConnLocked makes sure a healthy authenticated connection is in
 // place, redialing if the previous one broke.
 func (cl *Client) ensureConnLocked() error {
-	if cl.c != nil && !cl.broken {
+	if cl.mux != nil && !cl.broken {
 		return nil
 	}
 	return cl.connectLocked()
 }
 
-// breakConnLocked marks the transport dead after a mid-exchange
-// failure; the next call redials. The dead connection's codec buffers
-// go back to the pools — a redial gets fresh ones.
+// breakConnLocked marks the transport dead; the next call redials. The
+// session engine owns the codec: fail() closes the connection, unwinds
+// both loops, and they release the buffers to the pools.
 func (cl *Client) breakConnLocked() {
 	cl.broken = true
 	if cl.mux != nil {
-		// The session engine owns the codec: fail() closes the
-		// connection, unwinds both loops, and they release the buffers.
 		cl.mux.fail(errors.New("chirp: connection broken"))
-		cl.mux, cl.c = nil, nil
-		return
-	}
-	if cl.conn != nil {
-		cl.conn.Close()
-	}
-	if cl.c != nil {
-		cl.c.release()
-		cl.c = nil
+		cl.mux = nil
 	}
 }
 
-// dropMux detaches a failed v2 session so the next call redials. The
+// dropMux detaches a failed session so the next call redials. The
 // session has already killed itself; this only clears the client's
 // reference (unless a concurrent redial already replaced it). It
 // reports whether this caller performed the detach — a multiplexed
@@ -338,7 +311,7 @@ func (cl *Client) dropMux(ms *muxSession) bool {
 	dropped := cl.mux == ms
 	if dropped {
 		cl.broken = true
-		cl.mux, cl.c = nil, nil
+		cl.mux = nil
 	}
 	cl.mu.Unlock()
 	return dropped
@@ -349,16 +322,10 @@ func (cl *Client) dropMux(ms *muxSession) bool {
 // connection).
 func (cl *Client) replayAssertionsLocked() error {
 	for _, blob := range cl.assertions {
-		c := wireCall{
+		_, _, err := cl.mux.roundTrip(wireCall{
 			fields:   []string{"assert", strconv.Itoa(len(blob))},
 			sendBody: blob,
-		}
-		var err error
-		if cl.mux != nil {
-			_, _, err = cl.mux.roundTrip(c)
-		} else {
-			_, _, err = cl.attemptLocked(c)
-		}
+		})
 		if err != nil {
 			return fmt.Errorf("chirp: replaying assertion after redial: %w", err)
 		}
@@ -371,68 +338,12 @@ func (cl *Client) replayAssertionsLocked() error {
 // wireCall describes one complete request/response exchange.
 type wireCall struct {
 	fields   []string
-	sendBody []byte    // counted payload written after the request line
-	recvBody bool      // reply carries a counted payload sized by reply[0]
+	sendBody []byte    // counted payload sent with the request
+	recvBody bool      // reply carries a counted payload (sized by reply[0] on v1)
 	recvInto []byte    // reply payload is read directly into this buffer instead
-	class    callClass // idempotency classification
+	noRetry  bool      // this call is not idempotent though its command usually is
 	trace    uint64    // request-tracing ID (0 untraced); only v2 traced sessions send it
 	deadline time.Time // logical-call deadline (zero = unbounded); v2 deadlined sessions send the remaining budget
-}
-
-// attemptLocked performs exactly one wire exchange under the per-call
-// deadline. A *RemoteError return means the server answered; any other
-// error is a transport failure.
-func (cl *Client) attemptLocked(c wireCall) ([]string, []byte, error) {
-	if cl.opts.Timeout > 0 {
-		if err := cl.conn.SetDeadline(time.Now().Add(cl.opts.Timeout)); err != nil {
-			return nil, nil, err
-		}
-		defer cl.conn.SetDeadline(time.Time{})
-	}
-	cl.sent.Add(1)
-	if err := cl.c.writeLine(c.fields...); err != nil {
-		return nil, nil, err
-	}
-	if c.sendBody != nil {
-		if err := cl.c.writePayload(c.sendBody); err != nil {
-			return nil, nil, err
-		}
-	}
-	resp, err := cl.response()
-	if err != nil {
-		return nil, nil, err
-	}
-	var body []byte
-	if c.recvBody || c.recvInto != nil {
-		if len(resp) < 1 {
-			return nil, nil, fmt.Errorf("chirp: reply missing payload length")
-		}
-		n, err := strconv.Atoi(resp[0])
-		if err != nil || n < 0 {
-			return nil, nil, fmt.Errorf("chirp: bad payload length %q", resp[0])
-		}
-		if c.recvInto != nil {
-			// Zero-copy receive: the payload lands in the caller's
-			// buffer, no scratch and no per-call allocation.
-			if n > len(c.recvInto) {
-				return nil, nil, fmt.Errorf("chirp: reply payload %d exceeds %d-byte buffer", n, len(c.recvInto))
-			}
-			if err := cl.c.readPayloadInto(c.recvInto[:n]); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			raw, err := cl.c.readPayload(n)
-			if err != nil {
-				return nil, nil, err
-			}
-			// The scratch alias must not escape cl.mu: callers consume
-			// body after the lock is dropped, racing the next
-			// exchange's reads. These paths (metrics, getacl) are rare,
-			// so the copy costs nothing that matters.
-			body = append([]byte(nil), raw...)
-		}
-	}
-	return resp, body, nil
 }
 
 // do runs one logical RPC: deadline per attempt, redial on a broken
@@ -507,98 +418,55 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 			continue
 		}
 		mux := cl.mux
-		var r []string
-		var b []byte
-		var aerr error
-		if mux != nil {
-			// v2: the exchange runs on the session engine without
-			// holding cl.mu, so independent calls multiplex freely.
-			cl.mu.Unlock()
-			r, b, aerr = mux.roundTrip(c)
-			if aerr == nil {
-				cl.brk.Success()
-				return r, b, retried, nil
-			}
-			var re *RemoteError
-			if errors.As(aerr, &re) {
-				// The server answered, so the session is healthy whatever
-				// the reply says.
-				cl.brk.Success()
-				if errors.Is(re.Err, ErrBusy) && !cl.opts.DisableRetries {
-					// EBUSY was rejected before anything executed, so a
-					// retry is safe for every call class. The server's
-					// retry-after hint floors the next backoff.
-					cl.m.busy.Inc()
-					busyHint = RetryAfterFromError(aerr)
-					lastErr = aerr
-					continue
-				}
-				if errors.Is(re.Err, ErrDeadline) {
-					cl.m.deadline.Inc()
-				}
-				return nil, nil, retried, aerr
-			}
-			if errors.Is(aerr, ErrDeadline) {
-				// The budget ran out client-side before the request was
-				// sent: the session is fine, the caller is just out of
-				// time.
-				cl.m.deadline.Inc()
-				return nil, nil, retried, aerr
-			}
-			if cl.dropMux(mux) {
-				cl.brk.Fail()
-			}
-			if errors.Is(aerr, errSessionLost) {
-				// The session died before this call reached the wire:
-				// nothing was sent, so even mutating calls may retry.
-				lastErr = aerr
-				if cl.closing.Load() {
-					return nil, nil, retried, ErrClientClosed
-				}
-				if cl.opts.DisableRetries {
-					return nil, nil, retried, aerr
-				}
-				continue
-			}
-		} else {
-			r, b, aerr = cl.attemptLocked(c)
-			if aerr == nil {
-				cl.brk.Success()
-				cl.mu.Unlock()
-				return r, b, retried, nil
-			}
-			var re *RemoteError
-			if errors.As(aerr, &re) {
-				// The server answered; error replies are final and healthy
-				// (except EBUSY, which invites a retry).
-				cl.brk.Success()
-				cl.mu.Unlock()
-				if errors.Is(re.Err, ErrBusy) && !cl.opts.DisableRetries {
-					cl.m.busy.Inc()
-					busyHint = RetryAfterFromError(aerr)
-					lastErr = aerr
-					continue
-				}
-				if errors.Is(re.Err, ErrDeadline) {
-					cl.m.deadline.Inc()
-				}
-				return nil, nil, retried, aerr
-			}
-			// Transport failure mid-exchange.
-			cl.breakConnLocked()
-			cl.mu.Unlock()
-			cl.brk.Fail()
+		cl.mu.Unlock()
+		// The exchange runs on the session engine without holding cl.mu,
+		// so independent calls multiplex up to the session's window.
+		r, b, aerr := mux.roundTrip(c)
+		if aerr == nil {
+			cl.brk.Success()
+			return r, b, retried, nil
 		}
 		lastErr = aerr
-		if cl.closing.Load() {
+		class, re := classOf(aerr)
+		switch {
+		case re != nil:
+			// The server answered, so the session is healthy whatever
+			// the reply says, and the reply is final — unless the
+			// request was refused before anything executed (EBUSY), which
+			// every call may retry; the server's retry-after hint floors
+			// the next backoff.
+			cl.brk.Success()
+			if class == classRetrySafe && !cl.opts.DisableRetries {
+				cl.m.busy.Inc()
+				busyHint = RetryAfterFromError(aerr)
+				continue
+			}
+			if re.Err == ErrDeadline {
+				cl.m.deadline.Inc()
+			}
+			return nil, nil, retried, aerr
+		case errors.Is(aerr, ErrDeadline):
+			// The budget ran out client-side before the request was
+			// sent: the session is fine, the caller is just out of time.
+			cl.m.deadline.Inc()
+			return nil, nil, retried, aerr
+		}
+		// Transport failure: the session is dead. Every in-flight call
+		// sees it; only the first observer counts it against the breaker.
+		if cl.dropMux(mux) {
+			cl.brk.Fail()
+		}
+		switch {
+		case cl.closing.Load():
 			// Close raced the call: its conn.Close is what killed the
 			// exchange, so report the closure rather than the fault.
 			return nil, nil, retried, ErrClientClosed
-		}
-		if cl.opts.DisableRetries {
+		case cl.opts.DisableRetries:
 			return nil, nil, retried, aerr
-		}
-		if c.class == classMutating {
+		case errors.Is(aerr, errSessionLost):
+			// The session died before this call reached the wire:
+			// nothing was sent, so even mutating calls may retry.
+		case c.noRetry || !commandByName[c.fields[0]].has(fIdempotent):
 			cl.m.unsafe.Inc()
 			return nil, nil, retried, fmt.Errorf("%w: %v", ErrRetryNotSafe, aerr)
 		}
@@ -606,51 +474,17 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 	return nil, nil, retried, lastErr
 }
 
-// rpc performs one exchange with no payload phases. It is mutating-
-// classified: test helpers poking raw commands get no blind retry.
+// rpc performs one exchange with no payload phases, for test helpers
+// poking raw commands.
 func (cl *Client) rpc(fields ...string) ([]string, error) {
-	r, _, _, err := cl.do(wireCall{fields: fields, class: classMutating})
+	r, _, _, err := cl.do(wireCall{fields: fields})
 	return r, err
 }
-
-// send is retained for the exchange engine: every request line reaches
-// the server's dispatch loop via attemptLocked, which counts it, so
-// RequestCount and the server's requests counter advance in lockstep on
-// a fault-free run.
 
 // RequestCount reports how many requests this client has sent (the
 // "quit" farewell excluded — the server never dispatches it; retried
 // exchanges count once per attempt, mirroring the server's dispatches).
 func (cl *Client) RequestCount() int64 { return cl.sent.Load() }
-
-func (cl *Client) response() ([]string, error) {
-	line, err := cl.c.readLine()
-	if err != nil {
-		return nil, err
-	}
-	parts, err := splitFields(line)
-	if err != nil {
-		return nil, err
-	}
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("chirp: empty reply")
-	}
-	switch parts[0] {
-	case "ok":
-		return parts[1:], nil
-	case "err":
-		name, msg := "EIO", "unknown"
-		if len(parts) > 1 {
-			name = parts[1]
-		}
-		if len(parts) > 2 {
-			msg = parts[2]
-		}
-		return nil, remoteError(name, msg)
-	default:
-		return nil, fmt.Errorf("chirp: malformed reply %q", line)
-	}
-}
 
 // compositeRetryable reports whether a whole-file operation should be
 // restarted from scratch: mid-transfer transport faults (surfaced as
@@ -715,7 +549,7 @@ type ServerStats struct {
 
 // Stats fetches the server's live counters.
 func (cl *Client) Stats() (ServerStats, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"stats"}, class: classIdempotent})
+	r, _, _, err := cl.do(wireCall{fields: []string{"stats"}})
 	if err != nil {
 		return ServerStats{}, err
 	}
@@ -759,7 +593,6 @@ func (cl *Client) WaitLSN(lsn uint64, timeout time.Duration) (uint64, error) {
 		fields: []string{"waitlsn",
 			strconv.FormatUint(lsn, 10),
 			strconv.FormatInt(timeout.Milliseconds(), 10)},
-		class: classIdempotent,
 	})
 	if err != nil {
 		return 0, err
@@ -773,7 +606,7 @@ func (cl *Client) WaitLSN(lsn uint64, timeout time.Duration) (uint64, error) {
 // Metrics fetches the server's full metric registry as Prometheus text
 // exposition.
 func (cl *Client) Metrics() (string, error) {
-	_, body, _, err := cl.do(wireCall{fields: []string{"metrics"}, recvBody: true, class: classIdempotent})
+	_, body, _, err := cl.do(wireCall{fields: []string{"metrics"}, recvBody: true})
 	if err != nil {
 		return "", err
 	}
@@ -782,7 +615,7 @@ func (cl *Client) Metrics() (string, error) {
 
 // Whoami asks the server which principal it recorded.
 func (cl *Client) Whoami() (identity.Principal, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"whoami"}, class: classIdempotent})
+	r, _, _, err := cl.do(wireCall{fields: []string{"whoami"}})
 	if err != nil {
 		return "", err
 	}
@@ -796,13 +629,9 @@ func (cl *Client) Whoami() (identity.Principal, error) {
 // transparently (a fresh descriptor on a fresh session is equivalent)
 // unless O_EXCL makes a lost-reply retry observable.
 func (cl *Client) Open(path string, flags int, mode uint32) (int, error) {
-	class := classIdempotent
-	if flags&kernel.OExcl != 0 {
-		class = classMutating
-	}
 	r, _, _, err := cl.do(wireCall{
-		fields: []string{"open", strconv.Itoa(flags), strconv.FormatUint(uint64(mode), 8), q(path)},
-		class:  class,
+		fields:  []string{"open", strconv.Itoa(flags), strconv.FormatUint(uint64(mode), 8), q(path)},
+		noRetry: flags&kernel.OExcl != 0,
 	})
 	if err != nil {
 		return 0, err
@@ -813,7 +642,7 @@ func (cl *Client) Open(path string, flags int, mode uint32) (int, error) {
 // CloseFD releases a remote descriptor. Descriptors are session state:
 // after a redial the old descriptor is gone, so no blind retry.
 func (cl *Client) CloseFD(fd int) error {
-	_, _, _, err := cl.do(wireCall{fields: []string{"close", strconv.Itoa(fd)}, class: classMutating})
+	_, _, _, err := cl.do(wireCall{fields: []string{"close", strconv.Itoa(fd)}})
 	return err
 }
 
@@ -825,7 +654,6 @@ func (cl *Client) Pread(fd int, buf []byte, off int64) (int, error) {
 	r, _, _, err := cl.do(wireCall{
 		fields:   []string{"pread", strconv.Itoa(fd), strconv.Itoa(len(buf)), strconv.FormatInt(off, 10)},
 		recvInto: buf,
-		class:    classMutating,
 	})
 	if err != nil {
 		return 0, err
@@ -840,7 +668,6 @@ func (cl *Client) Pwrite(fd int, buf []byte, off int64) (int, error) {
 	r, _, _, err := cl.do(wireCall{
 		fields:   []string{"pwrite", strconv.Itoa(fd), strconv.FormatInt(off, 10), strconv.Itoa(len(buf))},
 		sendBody: buf,
-		class:    classMutating,
 	})
 	if err != nil {
 		return 0, err
@@ -850,7 +677,7 @@ func (cl *Client) Pwrite(fd int, buf []byte, off int64) (int, error) {
 
 // FstatFD reports metadata for an open descriptor.
 func (cl *Client) FstatFD(fd int) (vfs.Stat, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"fstat", strconv.Itoa(fd)}, class: classMutating})
+	r, _, _, err := cl.do(wireCall{fields: []string{"fstat", strconv.Itoa(fd)}})
 	if err != nil {
 		return vfs.Stat{}, err
 	}
@@ -859,7 +686,7 @@ func (cl *Client) FstatFD(fd int) (vfs.Stat, error) {
 
 // Stat reports metadata for a path, following symlinks.
 func (cl *Client) Stat(path string) (vfs.Stat, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"stat", q(path)}, class: classIdempotent})
+	r, _, _, err := cl.do(wireCall{fields: []string{"stat", q(path)}})
 	if err != nil {
 		return vfs.Stat{}, err
 	}
@@ -868,7 +695,7 @@ func (cl *Client) Stat(path string) (vfs.Stat, error) {
 
 // Lstat reports metadata without following a final symlink.
 func (cl *Client) Lstat(path string) (vfs.Stat, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"lstat", q(path)}, class: classIdempotent})
+	r, _, _, err := cl.do(wireCall{fields: []string{"lstat", q(path)}})
 	if err != nil {
 		return vfs.Stat{}, err
 	}
@@ -877,7 +704,7 @@ func (cl *Client) Lstat(path string) (vfs.Stat, error) {
 
 // ReadDir lists a remote directory.
 func (cl *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"getdir", q(path)}, class: classIdempotent})
+	r, _, _, err := cl.do(wireCall{fields: []string{"getdir", q(path)}})
 	if err != nil {
 		return nil, err
 	}
@@ -906,7 +733,6 @@ func (cl *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
 func (cl *Client) Mkdir(path string, mode uint32) error {
 	_, _, retried, err := cl.do(wireCall{
 		fields: []string{"mkdir", strconv.FormatUint(uint64(mode), 8), q(path)},
-		class:  classIdempotent,
 	})
 	if retried && errors.Is(err, vfs.ErrExist) {
 		return nil
@@ -917,7 +743,7 @@ func (cl *Client) Mkdir(path string, mode uint32) error {
 // Rmdir removes an empty remote directory. ENOENT on a retried call
 // means an earlier attempt already removed it.
 func (cl *Client) Rmdir(path string) error {
-	_, _, retried, err := cl.do(wireCall{fields: []string{"rmdir", q(path)}, class: classIdempotent})
+	_, _, retried, err := cl.do(wireCall{fields: []string{"rmdir", q(path)}})
 	if retried && errors.Is(err, vfs.ErrNotExist) {
 		return nil
 	}
@@ -927,7 +753,7 @@ func (cl *Client) Rmdir(path string) error {
 // Unlink removes a remote file. ENOENT on a retried call means an
 // earlier attempt already removed it.
 func (cl *Client) Unlink(path string) error {
-	_, _, retried, err := cl.do(wireCall{fields: []string{"unlink", q(path)}, class: classIdempotent})
+	_, _, retried, err := cl.do(wireCall{fields: []string{"unlink", q(path)}})
 	if retried && errors.Is(err, vfs.ErrNotExist) {
 		return nil
 	}
@@ -938,25 +764,25 @@ func (cl *Client) Unlink(path string) error {
 // or moves a recreated file), so mid-exchange faults surface
 // ErrRetryNotSafe.
 func (cl *Client) Rename(oldPath, newPath string) error {
-	_, _, _, err := cl.do(wireCall{fields: []string{"rename", q(oldPath), q(newPath)}, class: classMutating})
+	_, _, _, err := cl.do(wireCall{fields: []string{"rename", q(oldPath), q(newPath)}})
 	return err
 }
 
 // Link creates a remote hard link.
 func (cl *Client) Link(oldPath, newPath string) error {
-	_, _, _, err := cl.do(wireCall{fields: []string{"link", q(oldPath), q(newPath)}, class: classMutating})
+	_, _, _, err := cl.do(wireCall{fields: []string{"link", q(oldPath), q(newPath)}})
 	return err
 }
 
 // Symlink creates a remote symbolic link.
 func (cl *Client) Symlink(target, linkPath string) error {
-	_, _, _, err := cl.do(wireCall{fields: []string{"symlink", q(target), q(linkPath)}, class: classMutating})
+	_, _, _, err := cl.do(wireCall{fields: []string{"symlink", q(target), q(linkPath)}})
 	return err
 }
 
 // Readlink reads a remote symlink target.
 func (cl *Client) Readlink(path string) (string, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"readlink", q(path)}, class: classIdempotent})
+	r, _, _, err := cl.do(wireCall{fields: []string{"readlink", q(path)}})
 	if err != nil {
 		return "", err
 	}
@@ -968,14 +794,13 @@ func (cl *Client) Readlink(path string) (string, error) {
 func (cl *Client) Truncate(path string, size int64) error {
 	_, _, _, err := cl.do(wireCall{
 		fields: []string{"truncate", q(path), strconv.FormatInt(size, 10)},
-		class:  classIdempotent,
 	})
 	return err
 }
 
 // GetACL fetches the ACL text protecting a remote directory.
 func (cl *Client) GetACL(path string) (string, error) {
-	_, body, _, err := cl.do(wireCall{fields: []string{"getacl", q(path)}, recvBody: true, class: classIdempotent})
+	_, body, _, err := cl.do(wireCall{fields: []string{"getacl", q(path)}, recvBody: true})
 	if err != nil {
 		return "", err
 	}
@@ -988,7 +813,6 @@ func (cl *Client) SetACL(path, aclText string) error {
 	_, _, _, err := cl.do(wireCall{
 		fields:   []string{"setacl", q(path), strconv.Itoa(len(aclText))},
 		sendBody: []byte(aclText),
-		class:    classIdempotent,
 	})
 	return err
 }
@@ -1002,7 +826,6 @@ func (cl *Client) PresentAssertion(encoded []byte) (string, error) {
 	r, _, _, err := cl.do(wireCall{
 		fields:   []string{"assert", strconv.Itoa(len(encoded))},
 		sendBody: encoded,
-		class:    classIdempotent,
 	})
 	if err != nil {
 		return "", err
@@ -1046,15 +869,15 @@ func (cl *Client) ExecToken(token, cwd, path string, args ...string) (ExecResult
 
 func (cl *Client) exec(token, cwd, path string, args []string) (ExecResult, error) {
 	fields := []string{"exec", q(cwd), q(path)}
-	class := classMutating
 	if token != "" {
+		// Tokened, the submission is idempotent: the server replays a
+		// retry instead of re-executing it.
 		fields = append([]string{"token", q(token)}, fields...)
-		class = classIdempotent
 	}
 	for _, a := range args {
 		fields = append(fields, q(a))
 	}
-	r, _, _, err := cl.do(wireCall{fields: fields, class: class})
+	r, _, _, err := cl.do(wireCall{fields: fields})
 	if err != nil {
 		return ExecResult{}, err
 	}
@@ -1075,23 +898,6 @@ func (cl *Client) exec(token, cwd, path string, args []string) (ExecResult, erro
 // transferChunk is the whole-file transfer granularity: one pread or
 // pwrite exchange per 64 KiB.
 const transferChunk = 65536
-
-// transferDepth is how many chunk calls PutFile/GetFile keep in flight
-// at once (ClientOptions.PipelineDepth; 1 means serial).
-func (cl *Client) transferDepth() int {
-	if cl.opts.PipelineDepth > 1 {
-		return cl.opts.PipelineDepth
-	}
-	return 1
-}
-
-// pipelined reports whether chunk transfers may overlap: a depth above
-// one and a live v2 session to multiplex them on.
-func (cl *Client) pipelined() bool {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.opts.PipelineDepth > 1 && cl.mux != nil
-}
 
 // PutFile stages a whole file onto the server in one call sequence.
 // The transfer is idempotent as a whole (O_TRUNC restarts it), so a
@@ -1157,31 +963,22 @@ func (cl *Client) GetFile(path string) ([]byte, error) {
 	return out, nil
 }
 
-// --- pipelined transfers ------------------------------------------------
+// --- chunked transfers ---------------------------------------------------
 
-// pwriteAll writes data to fd in transferChunk pieces. On a v2 session
-// with PipelineDepth > 1 the chunks are independent tagged Pwrite calls
-// issued by a small worker pool — the mux and its credit window do all
-// the flow control, no bespoke chunk-window code. Otherwise the chunks
-// go one exchange at a time. Errors report the earliest failed chunk.
-func (cl *Client) pwriteAll(fd int, data []byte) error {
-	nchunks := (len(data) + transferChunk - 1) / transferChunk
-	depth := cl.transferDepth()
-	if depth > nchunks {
-		depth = nchunks
+// eachChunk calls fn for chunk indexes [0, n), keeping up to
+// ClientOptions.PipelineDepth calls in flight — each an independent call
+// on the session engine, whose credit window does all the flow control
+// (a v1 session's window of 1 serializes them again). It stops issuing
+// chunks at the first error and reports the earliest failed chunk's.
+func (cl *Client) eachChunk(n int, fn func(i int) error) error {
+	depth := cl.opts.PipelineDepth
+	if depth > n {
+		depth = n
 	}
-	if depth <= 1 || !cl.pipelined() {
-		for off := 0; off < len(data); off += transferChunk {
-			end := off + transferChunk
-			if end > len(data) {
-				end = len(data)
-			}
-			n, err := cl.Pwrite(fd, data[off:end], int64(off))
-			if err != nil {
+	if depth <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
 				return err
-			}
-			if n != end-off {
-				return fmt.Errorf("chirp: short pwrite: %d of %d bytes", n, end-off)
 			}
 		}
 		return nil
@@ -1191,27 +988,17 @@ func (cl *Client) pwriteAll(fd int, data []byte) error {
 		stop atomic.Bool
 		wg   sync.WaitGroup
 	)
-	errs := make([]error, nchunks)
+	errs := make([]error, n)
 	for w := 0; w < depth; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
 				i := int(next.Add(1) - 1)
-				if i >= nchunks {
+				if i >= n {
 					return
 				}
-				off := i * transferChunk
-				end := off + transferChunk
-				if end > len(data) {
-					end = len(data)
-				}
-				n, err := cl.Pwrite(fd, data[off:end], int64(off))
-				if err == nil && n != end-off {
-					err = fmt.Errorf("chirp: short pwrite: %d of %d bytes", n, end-off)
-				}
-				if err != nil {
-					errs[i] = err
+				if errs[i] = fn(i); errs[i] != nil {
 					stop.Store(true)
 					return
 				}
@@ -1227,82 +1014,51 @@ func (cl *Client) pwriteAll(fd int, data []byte) error {
 	return nil
 }
 
+// chunkSpan is chunk i's byte range within a size-byte transfer.
+func chunkSpan(i int, size int64) (off, end int64) {
+	off = int64(i) * transferChunk
+	if end = off + transferChunk; end > size {
+		end = size
+	}
+	return off, end
+}
+
+// pwriteAll writes data to fd in transferChunk pieces.
+func (cl *Client) pwriteAll(fd int, data []byte) error {
+	size := int64(len(data))
+	return cl.eachChunk(int((size+transferChunk-1)/transferChunk), func(i int) error {
+		off, end := chunkSpan(i, size)
+		n, err := cl.Pwrite(fd, data[off:end], off)
+		if err == nil && int64(n) != end-off {
+			err = fmt.Errorf("chirp: short pwrite: %d of %d bytes", n, end-off)
+		}
+		return err
+	})
+}
+
 // preadAll fetches size bytes from the start of fd, each chunk's reply
 // payload read directly into its slot of the result (no intermediate
-// copies). On a v2 session with PipelineDepth > 1 the chunks are
-// independent tagged Pread calls running concurrently. A short read
-// means the file shrank after the stat: the result is truncated at the
-// earliest short chunk.
+// copies). A short read means the file shrank after the stat: the
+// result is truncated at the earliest short chunk (later chunks simply
+// read zero bytes, so no abort is needed).
 func (cl *Client) preadAll(fd int, size int64) ([]byte, error) {
 	out := make([]byte, size)
-	nchunks := int((size + transferChunk - 1) / transferChunk)
-	depth := cl.transferDepth()
-	if depth > nchunks {
-		depth = nchunks
-	}
-	if depth <= 1 || !cl.pipelined() {
-		var off int64
-		for off < size {
-			want := transferChunk
-			if int64(want) > size-off {
-				want = int(size - off)
-			}
-			n, err := cl.Pread(fd, out[off:off+int64(want)], off)
-			if err != nil {
-				return nil, err
-			}
-			off += int64(n)
-			if n < want {
-				return out[:off], nil
-			}
-		}
-		return out, nil
-	}
-	var (
-		next atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-	)
+	var mu sync.Mutex
 	shortEnd := size
-	errs := make([]error, nchunks)
-	for w := 0; w < depth; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1) - 1)
-				if i >= nchunks {
-					return
-				}
-				off := int64(i) * transferChunk
-				want := transferChunk
-				if int64(want) > size-off {
-					want = int(size - off)
-				}
-				n, err := cl.Pread(fd, out[off:off+int64(want)], off)
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				if n < want {
-					// The file shrank; later chunks simply read zero
-					// bytes, so no abort is needed.
-					mu.Lock()
-					if off+int64(n) < shortEnd {
-						shortEnd = off + int64(n)
-					}
-					mu.Unlock()
-				}
+	err := cl.eachChunk(int((size+transferChunk-1)/transferChunk), func(i int) error {
+		off, end := chunkSpan(i, size)
+		n, err := cl.Pread(fd, out[off:end], off)
+		if err == nil && int64(n) < end-off {
+			mu.Lock()
+			if off+int64(n) < shortEnd {
+				shortEnd = off + int64(n)
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			mu.Unlock()
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out[:shortEnd], nil
 }

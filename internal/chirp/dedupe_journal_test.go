@@ -84,85 +84,144 @@ func dedupeServer(t *testing.T, j DedupeJournal, seed map[string][]string, reg *
 // TestDedupeJournalReceivesTokenedReplies: every tokened reply reaches
 // the journal under the principal-scoped key.
 func TestDedupeJournalReceivesTokenedReplies(t *testing.T) {
-	j := newMemJournal()
-	srv, _ := dedupeServer(t, j, nil, nil, nil)
-	cl := adminClient(t, srv, ClientOptions{})
-	token := NewRequestToken()
-	if _, err := cl.ExecToken(token, "/", "/sim.exe"); err != nil {
-		t.Fatal(err)
-	}
-	got := j.snapshot()
-	key := dedupeKey("unix:admin", token)
-	reply, ok := got[key]
-	if !ok {
-		t.Fatalf("journal has no entry for %q: %v", key, got)
-	}
-	if len(reply) == 0 || reply[0] != "ok" {
-		t.Fatalf("journaled reply = %v", reply)
-	}
+	bothFramings(t, func(t *testing.T, proto int) {
+		j := newMemJournal()
+		srv, _ := dedupeServer(t, j, nil, nil, nil)
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		token := NewRequestToken()
+		if _, err := cl.ExecToken(token, "/", "/sim.exe"); err != nil {
+			t.Fatal(err)
+		}
+		got := j.snapshot()
+		key := dedupeKey("unix:admin", token)
+		reply, ok := got[key]
+		if !ok {
+			t.Fatalf("journal has no entry for %q: %v", key, got)
+		}
+		if len(reply) == 0 || reply[0] != "ok" {
+			t.Fatalf("journaled reply = %v", reply)
+		}
+	})
 }
 
 // TestDedupeSeedAnswersRetryWithoutExecution is the exactly-once story
 // across a restart: a retry of an already-journaled token against a
 // freshly seeded server replays the reply and never runs the program.
 func TestDedupeSeedAnswersRetryWithoutExecution(t *testing.T) {
-	j := newMemJournal()
-	srv1, execs1 := dedupeServer(t, j, nil, nil, nil)
-	cl1 := adminClient(t, srv1, ClientOptions{})
-	token := NewRequestToken()
-	res1, err := cl1.ExecToken(token, "/", "/sim.exe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if execs1.Load() != 1 {
-		t.Fatalf("first server ran sim %d times, want 1", execs1.Load())
-	}
+	bothFramings(t, func(t *testing.T, proto int) {
+		j := newMemJournal()
+		srv1, execs1 := dedupeServer(t, j, nil, nil, nil)
+		cl1 := adminClient(t, srv1, ClientOptions{Protocol: proto})
+		token := NewRequestToken()
+		res1, err := cl1.ExecToken(token, "/", "/sim.exe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if execs1.Load() != 1 {
+			t.Fatalf("first server ran sim %d times, want 1", execs1.Load())
+		}
 
-	// "Restart": a brand-new server seeded from the journal.
-	srv2, execs2 := dedupeServer(t, nil, j.snapshot(), nil, nil)
-	cl2 := adminClient(t, srv2, ClientOptions{})
-	res2, err := cl2.ExecToken(token, "/", "/sim.exe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if execs2.Load() != 0 {
-		t.Fatalf("retry re-executed on the recovered server %d times, want 0", execs2.Load())
-	}
-	if res2.Code != res1.Code {
-		t.Fatalf("replayed result %+v, original %+v", res2, res1)
-	}
+		// "Restart": a brand-new server seeded from the journal.
+		srv2, execs2 := dedupeServer(t, nil, j.snapshot(), nil, nil)
+		cl2 := adminClient(t, srv2, ClientOptions{Protocol: proto})
+		res2, err := cl2.ExecToken(token, "/", "/sim.exe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if execs2.Load() != 0 {
+			t.Fatalf("retry re-executed on the recovered server %d times, want 0", execs2.Load())
+		}
+		if res2.Code != res1.Code {
+			t.Fatalf("replayed result %+v, original %+v", res2, res1)
+		}
+	})
 }
 
 // TestDedupeJournalFailureDoesNotBlockReply: a failing journal degrades
 // durability (counted, logged), never availability.
 func TestDedupeJournalFailureDoesNotBlockReply(t *testing.T) {
-	j := newMemJournal()
-	j.failNext = true
-	reg := obs.NewRegistry()
-	var lines []string
-	var mu sync.Mutex
-	logf := func(format string, args ...any) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		j := newMemJournal()
+		j.failNext = true
+		reg := obs.NewRegistry()
+		var lines []string
+		var mu sync.Mutex
+		logf := func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			lines = append(lines, format)
+		}
+		srv, _ := dedupeServer(t, j, nil, reg, logf)
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		if _, err := cl.ExecToken(NewRequestToken(), "/", "/sim.exe"); err != nil {
+			t.Fatalf("reply must still be delivered: %v", err)
+		}
+		if got := reg.Counter(MetricDedupeJournalErrs).Value(); got != 1 {
+			t.Fatalf("journal error counter = %d, want 1", got)
+		}
 		mu.Lock()
 		defer mu.Unlock()
-		lines = append(lines, format)
-	}
-	srv, _ := dedupeServer(t, j, nil, reg, logf)
-	cl := adminClient(t, srv, ClientOptions{})
-	if _, err := cl.ExecToken(NewRequestToken(), "/", "/sim.exe"); err != nil {
-		t.Fatalf("reply must still be delivered: %v", err)
-	}
-	if got := reg.Counter(MetricDedupeJournalErrs).Value(); got != 1 {
-		t.Fatalf("journal error counter = %d, want 1", got)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, l := range lines {
-		if strings.Contains(l, "dedupe journal") {
-			found = true
+		found := false
+		for _, l := range lines {
+			if strings.Contains(l, "dedupe journal") {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Fatal("journal failure not logged")
-	}
+		if !found {
+			t.Fatal("journal failure not logged")
+		}
+	})
+}
+
+// callOrder is a fake Durability and DedupeJournal that records the
+// order the server calls them in.
+type callOrder struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+func (o *callOrder) record(call string) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.calls = append(o.calls, call)
+	return nil
+}
+
+func (o *callOrder) Barrier() error                      { return o.record("barrier") }
+func (o *callOrder) AppendDedupe(string, []string) error { return o.record("dedupe") }
+func (o *callOrder) take() (calls []string) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	calls, o.calls = o.calls, nil
+	return
+}
+
+// TestBarrierPrecedesDedupeAppend: a tokened mutation's own writes are
+// barriered durable before its reply is journaled. The dedupe append
+// waits only on its own key's WAL shard, so it cannot stand in for the
+// barrier; skipping the barrier acknowledged mutations a crash could
+// still lose.
+func TestBarrierPrecedesDedupeAppend(t *testing.T) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		var order callOrder
+		srv, execs := dedupeServer(t, &order, nil, nil, nil)
+		srv.opts.Durability = &order
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		if _, err := cl.ExecToken(NewRequestToken(), "/", "/sim.exe"); err != nil {
+			t.Fatal(err)
+		}
+		if got := order.take(); len(got) != 2 || got[0] != "barrier" || got[1] != "dedupe" {
+			t.Fatalf("tokened exec made the calls %v, want [barrier dedupe]", got)
+		}
+		// An untokened mutation barriers and journals nothing.
+		if _, err := cl.Exec("/", "/sim.exe"); err != nil {
+			t.Fatal(err)
+		}
+		if got := order.take(); len(got) != 1 || got[0] != "barrier" {
+			t.Fatalf("untokened exec made the calls %v, want [barrier]", got)
+		}
+		if execs.Load() != 2 {
+			t.Fatalf("sim ran %d times, want 2", execs.Load())
+		}
+	})
 }

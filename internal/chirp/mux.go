@@ -12,12 +12,12 @@ import (
 	"identitybox/internal/obs"
 )
 
-// errSessionLost is returned by submit when the v2 session died before
+// errSessionLost is returned by submit when the session died before
 // the call was handed to the writer: nothing reached the wire, so even
 // mutating calls may safely retry on a fresh session.
 var errSessionLost = errors.New("chirp: session lost before send")
 
-// muxCall is one tagged call in flight on a muxSession.
+// muxCall is one call in flight on a muxSession.
 type muxCall struct {
 	tag      uint64
 	fields   []string
@@ -45,24 +45,39 @@ type muxCall struct {
 	err  error // RemoteError (final) or transport/session failure
 }
 
-// muxSession is one negotiated v2 connection: a writer goroutine
-// batching tagged request frames into shared flushes, a reader
-// goroutine dispatching reply frames by tag, and a credit window
-// bounding tags and payload bytes in flight.
+// framing is what a connection negotiated: the protocol version and,
+// on v2, the credit window, byte budget and capabilities. The v1 line
+// framing negotiates nothing: its window is 1 (lock-step).
+type framing struct {
+	proto     int
+	window    int   // calls in flight at once
+	maxBytes  int64 // in-flight payload byte budget
+	traced    bool  // server echoed the trace capability
+	deadlined bool  // server echoed the deadline capability
+}
+
+// lineFraming is what a v1 session speaks.
+var lineFraming = framing{proto: ProtocolV1, window: 1}
+
+// muxSession is the client's one exchange engine, for either framing: a
+// writer goroutine batching requests into shared flushes, a reader
+// goroutine completing calls from replies, and a credit window bounding
+// calls and payload bytes in flight. On v2 requests and replies are
+// tagged frames and replies match by tag, in any order. On v1 they are
+// a line plus counted payload, the window is 1, and replies match in
+// FIFO order — the reader only reads while a call awaits its reply,
+// exactly the lock-step exchange an old server expects.
 //
 // Lock order: a goroutine holds at most one of cl.mu and ms.mu at a
 // time — the session never calls back into the client under its own
 // lock, and the client only reads session state via methods that take
 // ms.mu internally.
 type muxSession struct {
-	cl        *Client
-	conn      net.Conn
-	c         *codec // writer goroutine owns c.w, reader owns c.r and scratch
-	window    int
-	maxBytes  int64
-	traced    bool          // server echoed the trace capability
-	deadlined bool          // server echoed the deadline capability
-	spans     *obs.SpanRing // client-side span sink (ClientOptions.Spans)
+	framing
+	cl    *Client
+	conn  net.Conn
+	c     *codec        // writer goroutine owns c.w, reader owns c.r and scratch
+	spans *obs.SpanRing // client-side span sink (ClientOptions.Spans)
 
 	mu            sync.Mutex
 	cond          *sync.Cond // waits for credit-window space
@@ -75,24 +90,24 @@ type muxSession struct {
 
 	stalls atomic.Int64 // submits that waited for window space
 
-	sendq  chan *muxCall
-	closed chan struct{} // closed by fail(); stops the writer
-	wg     sync.WaitGroup
+	sendq    chan *muxCall
+	awaiting chan *muxCall // v1: calls on the wire, in the order their replies will come
+	closed   chan struct{} // closed by fail(); stops the writer
+	wg       sync.WaitGroup
 }
 
-func newMuxSession(cl *Client, conn net.Conn, c *codec, window int, maxBytes int64, traced, deadlined bool) *muxSession {
+func newMuxSession(cl *Client, conn net.Conn, c *codec, f framing) *muxSession {
 	ms := &muxSession{
-		cl:        cl,
-		conn:      conn,
-		c:         c,
-		window:    window,
-		maxBytes:  maxBytes,
-		traced:    traced,
-		deadlined: deadlined,
-		spans:     cl.opts.Spans,
-		pending:   make(map[uint64]*muxCall),
-		sendq:     make(chan *muxCall, window+1),
-		closed:    make(chan struct{}),
+		framing: f,
+		cl:      cl,
+		conn:    conn,
+		c:       c,
+		spans:   cl.opts.Spans,
+		pending: make(map[uint64]*muxCall),
+		// One beyond the window: the uncounted farewell.
+		sendq:    make(chan *muxCall, f.window+1),
+		awaiting: make(chan *muxCall, f.window+1),
+		closed:   make(chan struct{}),
 	}
 	ms.cond = sync.NewCond(&ms.mu)
 	ms.wg.Add(2)
@@ -133,7 +148,7 @@ func (ms *muxSession) fail(err error) {
 	}
 }
 
-// submit registers a tagged call, waiting for credit-window space (the
+// submit registers a call, waiting for credit-window space (the
 // ops window, plus the byte budget — though one call is always
 // admitted, whatever its size, so a single fat transfer never wedges).
 func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
@@ -204,10 +219,9 @@ func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
 	return call, nil
 }
 
-// roundTrip performs one synchronous exchange over the mux. The
-// per-call deadline keeps v1 semantics: a call that outlives
-// ClientOptions.Timeout kills the whole session (the v1 connection
-// deadline did exactly that), and the retry layer decides what to do.
+// roundTrip performs one synchronous exchange over the session. A call
+// that outlives ClientOptions.Timeout kills the whole session, and the
+// retry layer decides what to do.
 func (ms *muxSession) roundTrip(c wireCall) ([]string, []byte, error) {
 	call, err := ms.submit(c)
 	if err != nil {
@@ -304,7 +318,7 @@ func (ms *muxSession) sendQuit() error {
 // costs one syscall instead of one per call.
 func (ms *muxSession) writeLoop() {
 	defer ms.wg.Done()
-	var flushed []*muxCall
+	var flushed []*muxCall // calls with post-flush work (farewells; every v1 call)
 	var stamped []*muxCall // traced calls awaiting their flush stamp
 	for {
 		var call *muxCall
@@ -314,11 +328,11 @@ func (ms *muxSession) writeLoop() {
 			return
 		}
 		for call != nil {
-			if err := ms.c.queueFrame(call.tag, call.fields, call.sendBody); err != nil {
+			if err := ms.c.queueMessage(ms.proto == ProtocolV2, call.tag, call.fields, call.sendBody); err != nil {
 				ms.fail(err)
 				return
 			}
-			if call.written != nil {
+			if call.written != nil || ms.proto == ProtocolV1 {
 				flushed = append(flushed, call)
 			}
 			if call.trace != 0 {
@@ -342,32 +356,31 @@ func (ms *muxSession) writeLoop() {
 			stamped = stamped[:0]
 		}
 		for _, f := range flushed {
-			close(f.written)
+			if f.written != nil {
+				close(f.written)
+			}
+			if ms.proto == ProtocolV1 {
+				// Only now may the reader start on this call's reply: a
+				// v1 peer never sees a read race ahead of its request.
+				ms.awaiting <- f
+			}
 		}
 		flushed = flushed[:0]
 	}
 }
 
-// readLoop dispatches reply frames by tag. Any transport or protocol
-// fault kills the session: with framing there is no wire realignment to
-// attempt, the retry layer redials instead.
+// readLoop completes calls from replies. Any transport or protocol
+// fault kills the session: there is no wire realignment to attempt,
+// the retry layer redials instead.
 func (ms *muxSession) readLoop() {
 	defer ms.wg.Done()
 	for {
-		h, err := ms.c.readFrameHeader()
+		call, line, payloadLen, err := ms.nextReply()
 		if err != nil {
 			ms.fail(err)
 			return
 		}
-		ms.mu.Lock()
-		call := ms.pending[h.tag]
-		delete(ms.pending, h.tag)
-		ms.mu.Unlock()
-		if call == nil {
-			ms.fail(fmt.Errorf("chirp: protocol error: reply for unknown tag %d", h.tag))
-			return
-		}
-		resp, body, rerr, ferr := ms.readReply(call, h)
+		resp, body, rerr, ferr := ms.readReply(call, line, payloadLen)
 		if ferr != nil {
 			ms.fail(ferr)
 			call.err = ferr
@@ -388,46 +401,92 @@ func (ms *muxSession) readLoop() {
 	}
 }
 
-// readReply consumes one reply frame's line and payload for call.
+// nextReply is the reply side of the framing adapter: it claims the
+// call the next reply answers and reads that reply's line. v2 reads a
+// frame header and matches its tag; the header carries the payload
+// length. v1 waits for the oldest call on the wire, then reads a line;
+// payloadLen is -1 because the reply line itself announces the length.
+// The call is removed from pending, so fail() can no longer complete it.
+func (ms *muxSession) nextReply() (call *muxCall, line string, payloadLen int, err error) {
+	var tag uint64
+	if ms.proto == ProtocolV2 {
+		h, err := ms.c.readFrameHeader()
+		if err != nil {
+			return nil, "", 0, err
+		}
+		tag, payloadLen = h.tag, h.payloadLen
+		if line, err = ms.c.readFrameLine(h.lineLen); err != nil {
+			return nil, "", 0, err
+		}
+	} else {
+		select {
+		case call = <-ms.awaiting:
+		case <-ms.closed:
+			return nil, "", 0, errSessionLost
+		}
+		tag, payloadLen = call.tag, -1
+		if line, err = ms.c.readLine(); err != nil {
+			return nil, "", 0, err
+		}
+	}
+	ms.mu.Lock()
+	call = ms.pending[tag]
+	delete(ms.pending, tag)
+	ms.mu.Unlock()
+	if call == nil {
+		return nil, "", 0, fmt.Errorf("chirp: protocol error: reply for unknown tag %d", tag)
+	}
+	return call, line, payloadLen, nil
+}
+
+// readReply parses one reply line for call and consumes its payload.
 // rerr is the call's outcome (nil or a *RemoteError); ferr is a
 // transport or protocol fault that must kill the session.
-func (ms *muxSession) readReply(call *muxCall, h frameHeader) (resp []string, body []byte, rerr, ferr error) {
-	line, err := ms.c.readFrameLine(h.lineLen)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+func (ms *muxSession) readReply(call *muxCall, line string, payloadLen int) (resp []string, body []byte, rerr, ferr error) {
 	parts, err := splitFields(line)
 	if err != nil || len(parts) == 0 {
 		return nil, nil, nil, fmt.Errorf("chirp: malformed reply %q", line)
 	}
 	switch parts[0] {
 	case "ok":
-		if h.payloadLen > 0 && call.recvInto != nil {
-			if h.payloadLen > len(call.recvInto) {
-				return nil, nil, nil, fmt.Errorf("chirp: reply payload %d exceeds %d-byte buffer", h.payloadLen, len(call.recvInto))
+		if payloadLen < 0 {
+			if payloadLen = 0; call.wantBody || call.recvInto != nil {
+				if len(parts) < 2 {
+					return nil, nil, nil, fmt.Errorf("chirp: reply missing payload length")
+				}
+				if payloadLen, err = strconv.Atoi(parts[1]); err != nil || payloadLen < 0 {
+					return nil, nil, nil, fmt.Errorf("chirp: bad payload length %q", parts[1])
+				}
 			}
-			if err := ms.c.readPayloadInto(call.recvInto[:h.payloadLen]); err != nil {
+		}
+		if payloadLen > 0 && call.recvInto != nil {
+			// Zero-copy receive: the payload lands in the caller's
+			// buffer, no scratch and no per-call allocation.
+			if payloadLen > len(call.recvInto) {
+				return nil, nil, nil, fmt.Errorf("chirp: reply payload %d exceeds %d-byte buffer", payloadLen, len(call.recvInto))
+			}
+			if err := ms.c.readPayloadInto(call.recvInto[:payloadLen]); err != nil {
 				return nil, nil, nil, err
 			}
 			return parts[1:], nil, nil, nil
 		}
-		if h.payloadLen > 0 || call.wantBody {
-			raw, err := ms.c.readPayload(h.payloadLen)
+		if payloadLen > 0 || call.wantBody {
+			raw, err := ms.c.readPayload(payloadLen)
 			if err != nil {
 				return nil, nil, nil, err
 			}
 			if call.wantBody {
 				// The scratch alias must not escape the reader loop: the
-				// next frame's reads reuse it.
+				// next reply's reads reuse it.
 				body = append([]byte(nil), raw...)
 			}
 		}
 		return parts[1:], body, nil, nil
 	case "err":
-		// Error replies are line-only; drain any stray payload to stay
-		// aligned anyway.
-		if h.payloadLen > 0 {
-			if _, err := ms.c.readPayload(h.payloadLen); err != nil {
+		// Error replies are line-only; drain any stray frame payload to
+		// stay aligned anyway.
+		if payloadLen > 0 {
+			if _, err := ms.c.readPayload(payloadLen); err != nil {
 				return nil, nil, nil, err
 			}
 		}
@@ -445,7 +504,8 @@ func (ms *muxSession) readReply(call *muxCall, h frameHeader) (resp []string, bo
 }
 
 // WindowStats is a live snapshot of a client's negotiated v2 window
-// state (zero-valued on a v1 session).
+// state (zero-valued beyond Protocol on a v1 session, which negotiates
+// nothing).
 type WindowStats struct {
 	Protocol         int   // negotiated protocol version (1 or 2)
 	Window           int   // negotiated credit window (tags in flight)
@@ -470,7 +530,7 @@ func (cl *Client) WindowStats() WindowStats {
 	ms := cl.mux
 	proto := cl.proto
 	cl.mu.Unlock()
-	if ms == nil {
+	if ms == nil || ms.proto == ProtocolV1 {
 		return WindowStats{Protocol: proto}
 	}
 	ms.mu.Lock()

@@ -18,6 +18,36 @@ import (
 // against a v2 server untouched, and a v2 client falls back cleanly
 // when the server answers the version exchange like an old binary.
 func TestMuxNegotiationMatrix(t *testing.T) {
+	// Every client pin against every server cap: the session speaks the
+	// lower of the two, and a multi-chunk transfer plus a tokened exec
+	// behave the same whichever framing that turns out to be.
+	for _, c := range []struct{ client, server, want int }{
+		{ProtocolV1, ProtocolV1, ProtocolV1},
+		{ProtocolV1, ProtocolV2, ProtocolV1},
+		{ProtocolV2, ProtocolV1, ProtocolV1}, // ENOSYS fallback
+		{ProtocolV2, ProtocolV2, ProtocolV2},
+	} {
+		c := c
+		t.Run(fmt.Sprintf("client-v%d-server-v%d", c.client, c.server), func(t *testing.T) {
+			srv, k, _ := testServer(t)
+			registerSim(k)
+			srv.opts.MaxProtocol = c.server
+			cl := adminClient(t, srv, ClientOptions{Protocol: c.client, PipelineDepth: 4})
+			if got := cl.Protocol(); got != c.want {
+				t.Fatalf("Protocol() = %d, want %d", got, c.want)
+			}
+			data := patterned(2*transferChunk + 7)
+			if err := cl.PutFile("/blob", data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := cl.GetFile("/blob"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("round trip: %d bytes, %v", len(got), err)
+			}
+			if err := figure3Workflow(cl); err != nil {
+				t.Fatalf("Figure 3 workflow: %v", err)
+			}
+		})
+	}
 	t.Run("v2-v2-min-window", func(t *testing.T) {
 		srv, _, _ := testServer(t)
 		srv.opts.Window = 8
@@ -198,62 +228,64 @@ func TestMuxTransferConcurrentWithMetadata(t *testing.T) {
 	t.Logf("%d metadata calls overlapped the %d-chunk transfer", overlapped, 48)
 }
 
-// TestMuxChaosTokenedExactlyOnce drives tagged retries through seeded
-// mid-window connection resets: a windowed transfer is reset partway
+// TestMuxChaosTokenedExactlyOnce drives retries through seeded
+// mid-transfer connection resets: a windowed transfer is reset partway
 // through its in-flight chunks and restarts intact on a fresh session,
 // and a tokened exec whose request write is killed still runs exactly
 // once (dedupe on the retry path).
 func TestMuxChaosTokenedExactlyOnce(t *testing.T) {
-	srv, k, _ := testServer(t)
-	var execs atomic.Int64
-	k.RegisterProgram("cnt", func(p *kernel.Proc, _ []string) int {
-		execs.Add(1)
-		return 0
+	bothFramings(t, func(t *testing.T, proto int) {
+		srv, k, _ := testServer(t)
+		var execs atomic.Int64
+		k.RegisterProgram("cnt", func(p *kernel.Proc, _ []string) int {
+			execs.Add(1)
+			return 0
+		})
+		inj := faultnet.New(11,
+			faultnet.Rule{Conn: 1, Op: faultnet.OpWrite, AfterBytes: 150_000, Action: faultnet.Reset})
+		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
+			ClientOptions{Protocol: proto, PipelineDepth: 8, Dialer: inj.Dialer("tcp")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		if cl.Protocol() != proto {
+			t.Fatalf("chaos client speaks v%d, want v%d", cl.Protocol(), proto)
+		}
+		// 6 chunks: on v2 (window 8) the whole transfer is in flight when
+		// the 150KB write reset hits mid-window; on v1 it hits mid-transfer.
+		data := patterned(6 * transferChunk)
+		if err := cl.PutFile("/blob", data, 0o644); err != nil {
+			t.Fatalf("PutFile through mid-window reset: %v", err)
+		}
+		if inj.ConnCount() < 2 {
+			t.Fatalf("ConnCount = %d; the reset should have forced a redial", inj.ConnCount())
+		}
+		if err := cl.PutFile("/cnt.exe", kernel.ExecutableBytes("cnt"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		token := NewRequestToken()
+		inj.InjectOnce(faultnet.OpWrite, 0, faultnet.Reset, 0) // kill the tokened request's send
+		res, err := cl.ExecToken(token, "/", "/cnt.exe")
+		if err != nil || res.Code != 0 {
+			t.Fatalf("tokened exec under write fault = %+v, %v", res, err)
+		}
+		if n := execs.Load(); n != 1 {
+			t.Fatalf("tokened exec ran %d times through the reset, want exactly 1", n)
+		}
+		// An explicit duplicate replays the stored reply.
+		res2, err := cl.ExecToken(token, "/", "/cnt.exe")
+		if err != nil || res2 != res {
+			t.Fatalf("duplicate tokened exec = %+v, %v; want replay of %+v", res2, err, res)
+		}
+		if n := execs.Load(); n != 1 {
+			t.Fatalf("after duplicate: ran %d times, want 1", n)
+		}
+		got, err := cl.GetFile("/blob")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("readback after chaos: %d bytes, %v", len(got), err)
+		}
 	})
-	inj := faultnet.New(11,
-		faultnet.Rule{Conn: 1, Op: faultnet.OpWrite, AfterBytes: 150_000, Action: faultnet.Reset})
-	cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-		ClientOptions{PipelineDepth: 8, Dialer: inj.Dialer("tcp")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	if cl.Protocol() != ProtocolV2 {
-		t.Fatalf("chaos client should negotiate v2, got %d", cl.Protocol())
-	}
-	// 6 chunks with a window of 8: the whole transfer is in flight when
-	// the 150KB write reset hits mid-window.
-	data := patterned(6 * transferChunk)
-	if err := cl.PutFile("/blob", data, 0o644); err != nil {
-		t.Fatalf("PutFile through mid-window reset: %v", err)
-	}
-	if inj.ConnCount() < 2 {
-		t.Fatalf("ConnCount = %d; the reset should have forced a redial", inj.ConnCount())
-	}
-	if err := cl.PutFile("/cnt.exe", kernel.ExecutableBytes("cnt"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	token := NewRequestToken()
-	inj.InjectOnce(faultnet.OpWrite, 0, faultnet.Reset, 0) // kill the tokened request's send
-	res, err := cl.ExecToken(token, "/", "/cnt.exe")
-	if err != nil || res.Code != 0 {
-		t.Fatalf("tokened exec under write fault = %+v, %v", res, err)
-	}
-	if n := execs.Load(); n != 1 {
-		t.Fatalf("tokened exec ran %d times through the reset, want exactly 1", n)
-	}
-	// An explicit duplicate replays the stored reply over the v2 path.
-	res2, err := cl.ExecToken(token, "/", "/cnt.exe")
-	if err != nil || res2 != res {
-		t.Fatalf("duplicate tokened exec = %+v, %v; want replay of %+v", res2, err, res)
-	}
-	if n := execs.Load(); n != 1 {
-		t.Fatalf("after duplicate: ran %d times, want 1", n)
-	}
-	got, err := cl.GetFile("/blob")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("readback after chaos: %d bytes, %v", len(got), err)
-	}
 }
 
 // TestMuxStalledFrameTimesOut is the v2 mirror of the stalled-request
@@ -266,9 +298,9 @@ func TestMuxStalledFrameTimesOut(t *testing.T) {
 	// raw frame bytes can be written directly.
 	cl := adminClient(t, srv, ClientOptions{DisableRetries: true, Protocol: ProtocolV1})
 	cl.mu.Lock()
-	err := cl.c.writeLine(versionFields(4, 1<<20)...)
+	err := cl.mux.c.writeLine(versionFields(4, 1<<20)...)
 	if err == nil {
-		_, err = cl.c.readLine() // "ok 2 4 1048576"
+		_, err = cl.mux.c.readLine() // "ok 2 4 1048576"
 	}
 	cl.mu.Unlock()
 	if err != nil {

@@ -58,6 +58,10 @@ func stageWork(t *testing.T, cl *Client, dir, prog string) (string, string) {
 //
 // Set CHIRP_OVERLOAD_SOAK to a duration (e.g. 30s) to stretch the
 // saturation window for soak runs.
+//
+// v2 only: the flooders' tight budgets ride the deadline capability,
+// which the v1 framing cannot negotiate. TestV1FlooderShedLikeV2 covers
+// what admission does for a v1 peer.
 func TestOverloadGoodputFairnessAndShedding(t *testing.T) {
 	srv, k, ca := testServer(t)
 	reg := obs.NewRegistry()
@@ -247,88 +251,187 @@ func TestOverloadGoodputFairnessAndShedding(t *testing.T) {
 	}
 }
 
+// TestV1FlooderShedLikeV2: admission and fairness apply to a session
+// whatever framing it speaks. A flooder principal piles a dozen
+// sessions of exec traffic onto a two-slot server next to two
+// one-session victims; whether the flooder negotiates v2 or never sends
+// "version" at all, it is rejected EBUSY with a retry-after hint, every
+// victim keeps at least half a fair share of what executes, and
+// nothing that was rejected ever ran.
+func TestV1FlooderShedLikeV2(t *testing.T) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		srv, k, ca := testServer(t)
+		adm := admission.New(admission.Options{MaxQueue: 8, ExecSlots: 2, FairShare: 2})
+		srv.opts.Admission = adm
+		var executed atomic.Int64
+		k.RegisterProgram("work", func(p *kernel.Proc, args []string) int {
+			executed.Add(1)
+			time.Sleep(5 * time.Millisecond)
+			return 0
+		})
+
+		const victims, floodSessions = 2, 12
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		var successes, busy, hinted atomic.Int64
+		// run loops Exec on cl until stop, classifying each outcome.
+		run := func(cl *Client, dir, path string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, err := cl.Exec(dir, path)
+				switch {
+				case err == nil:
+					successes.Add(1)
+				case errors.Is(err, ErrBusy):
+					busy.Add(1)
+					if RetryAfterFromError(err) > 0 {
+						hinted.Add(1)
+					}
+					time.Sleep(500 * time.Microsecond)
+				default:
+					t.Errorf("exec: %v (want success or EBUSY)", err)
+					return
+				}
+			}
+		}
+		victimSubjects := make([]string, victims)
+		for i := range victimSubjects {
+			subject := fmt.Sprintf("/O=UnivNowhere/CN=Victim%d", i)
+			victimSubjects[i] = "globus:" + subject
+			cl := gsiClient(t, srv, ca, subject)
+			dir, path := stageWork(t, cl, fmt.Sprintf("/v%d", i), "work")
+			wg.Add(1)
+			go run(cl, dir, path)
+		}
+		const flooder = "/O=UnivNowhere/CN=Flood"
+		dir, path := stageWork(t, gsiClient(t, srv, ca, flooder), "/f", "work")
+		for s := 0; s < floodSessions; s++ {
+			cl := gsiClientOpts(t, srv, ca, flooder, ClientOptions{Protocol: proto, DisableRetries: true})
+			if cl.Protocol() != proto {
+				t.Fatalf("flooder session speaks v%d, want v%d", cl.Protocol(), proto)
+			}
+			wg.Add(1)
+			go run(cl, dir, path)
+		}
+
+		time.Sleep(100 * time.Millisecond) // let the flood fill the queue
+		before := adm.Stats().Completions
+		time.Sleep(400 * time.Millisecond)
+		after := adm.Stats().Completions
+		close(stop)
+		wg.Wait()
+
+		if busy.Load() == 0 || adm.Stats().Busy == 0 {
+			t.Fatalf("the flooder was never rejected EBUSY (client saw %d, controller %d): its sessions bypass admission", busy.Load(), adm.Stats().Busy)
+		}
+		if hinted.Load() != busy.Load() {
+			t.Errorf("%d of %d EBUSY rejections carried a retry-after hint, want all", hinted.Load(), busy.Load())
+		}
+		if got, want := executed.Load(), successes.Load(); got != want {
+			t.Errorf("handler executions = %d, successful replies = %d; rejected work must never execute", got, want)
+		}
+		var total int64
+		for name, n := range after {
+			total += n - before[name]
+		}
+		for _, subj := range victimSubjects {
+			if delta, min := after[subj]-before[subj], total/(2*(victims+1)); delta < min {
+				t.Errorf("%s completed %d of %d under the flood, below half its fair share %d", subj, delta, total, min)
+			}
+		}
+	})
+}
+
 // TestBusyRetryAfterHintHonored: a client whose call is rejected EBUSY
 // retries with the server's retry-after hint as a backoff floor and
 // succeeds once capacity frees up — without tripping the breaker.
 func TestBusyRetryAfterHintHonored(t *testing.T) {
-	srv, k, ca := testServer(t)
-	adm := admission.New(admission.Options{MaxQueue: 1, ExecSlots: 1, FairShare: 100})
-	srv.opts.Admission = adm
-	k.RegisterProgram("block", func(p *kernel.Proc, args []string) int {
-		time.Sleep(250 * time.Millisecond)
-		return 0
-	})
+	bothFramings(t, func(t *testing.T, proto int) {
+		srv, k, ca := testServer(t)
+		adm := admission.New(admission.Options{MaxQueue: 1, ExecSlots: 1, FairShare: 100})
+		srv.opts.Admission = adm
+		k.RegisterProgram("block", func(p *kernel.Proc, args []string) int {
+			time.Sleep(250 * time.Millisecond)
+			return 0
+		})
 
-	blocker := gsiClient(t, srv, ca, "/O=UnivNowhere/CN=Blocker")
-	bdir, bpath := stageWork(t, blocker, "/blk", "block")
-	// A second blocker principal fills the light-principal overflow
-	// headroom (hard bound 2x MaxQueue), so the patient's admit is a
-	// genuine EBUSY rejection rather than an overflow seat.
-	blocker2 := gsiClient(t, srv, ca, "/O=UnivNowhere/CN=Blocker2")
-	b2dir, b2path := stageWork(t, blocker2, "/blk2", "block")
-	// Stage the patient's files before the slot is hogged: staging
-	// traffic is admission-controlled too.
-	var sleeps []time.Duration
-	var mu sync.Mutex
-	cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Patient", ClientOptions{
-		MaxRetries: 8,
-		Sleep: func(d time.Duration) {
-			mu.Lock()
-			sleeps = append(sleeps, d)
-			mu.Unlock()
-			time.Sleep(d)
-		},
-	})
-	dir, path := stageWork(t, cl, "/pat", "block")
-	// Prime the service-time estimate so the busy hint is meaningful.
-	if _, err := blocker.Exec(bdir, bpath); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 2)
-	go func() {
-		_, err := blocker.Exec(bdir, bpath)
-		done <- err
-	}()
-	waitFor(t, "blocker to hold the exec slot", func() bool { return adm.Stats().ExecBusy == 1 })
-	go func() {
-		_, err := blocker2.Exec(b2dir, b2path)
-		done <- err
-	}()
-	waitFor(t, "second blocker to fill the overflow seat", func() bool { return adm.Stats().Queued == 2 })
+		blocker := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Blocker", ClientOptions{Protocol: proto})
+		bdir, bpath := stageWork(t, blocker, "/blk", "block")
+		// A second blocker principal fills the light-principal overflow
+		// headroom (hard bound 2x MaxQueue), so the patient's admit is a
+		// genuine EBUSY rejection rather than an overflow seat.
+		blocker2 := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Blocker2", ClientOptions{Protocol: proto})
+		b2dir, b2path := stageWork(t, blocker2, "/blk2", "block")
+		// Stage the patient's files before the slot is hogged: staging
+		// traffic is admission-controlled too.
+		var sleeps []time.Duration
+		var mu sync.Mutex
+		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Patient", ClientOptions{
+			Protocol:   proto,
+			MaxRetries: 8,
+			Sleep: func(d time.Duration) {
+				mu.Lock()
+				sleeps = append(sleeps, d)
+				mu.Unlock()
+				time.Sleep(d)
+			},
+		})
+		dir, path := stageWork(t, cl, "/pat", "block")
+		// Prime the service-time estimate so the busy hint is meaningful.
+		if _, err := blocker.Exec(bdir, bpath); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 2)
+		go func() {
+			_, err := blocker.Exec(bdir, bpath)
+			done <- err
+		}()
+		waitFor(t, "blocker to hold the exec slot", func() bool { return adm.Stats().ExecBusy == 1 })
+		go func() {
+			_, err := blocker2.Exec(b2dir, b2path)
+			done <- err
+		}()
+		waitFor(t, "second blocker to fill the overflow seat", func() bool { return adm.Stats().Queued == 2 })
 
-	if _, err := cl.Exec(dir, path); err != nil {
-		t.Fatalf("exec after EBUSY retries = %v, want success", err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatalf("blocker exec = %v", err)
+		if _, err := cl.Exec(dir, path); err != nil {
+			t.Fatalf("exec after EBUSY retries = %v, want success", err)
 		}
-	}
-	if got := cl.LocalMetrics().Counter(MetricClientBusy).Value(); got == 0 {
-		t.Fatal("busy counter never advanced; the call was not rejected EBUSY")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sleeps) == 0 {
-		t.Fatal("no backoff sleeps recorded")
-	}
-	// The EWMA-primed hint (roughly the 250ms service time) floors the
-	// first backoff far above the 50ms RetryBase schedule.
-	var longest time.Duration
-	for _, d := range sleeps {
-		if d > longest {
-			longest = d
+		for i := 0; i < 2; i++ {
+			if err := <-done; err != nil {
+				t.Fatalf("blocker exec = %v", err)
+			}
 		}
-	}
-	if longest < 100*time.Millisecond {
-		t.Fatalf("longest backoff %v; the retry-after hint (~250ms+) never floored the schedule", longest)
-	}
+		if got := cl.LocalMetrics().Counter(MetricClientBusy).Value(); got == 0 {
+			t.Fatal("busy counter never advanced; the call was not rejected EBUSY")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(sleeps) == 0 {
+			t.Fatal("no backoff sleeps recorded")
+		}
+		// The EWMA-primed hint (roughly the 250ms service time) floors the
+		// first backoff far above the 50ms RetryBase schedule.
+		var longest time.Duration
+		for _, d := range sleeps {
+			if d > longest {
+				longest = d
+			}
+		}
+		if longest < 100*time.Millisecond {
+			t.Fatalf("longest backoff %v; the retry-after hint (~250ms+) never floored the schedule", longest)
+		}
+	})
 }
 
 // TestDeadlineShedAtDispatchNeverExecutes: a budgeted request queued
 // behind a slot hog is shed with EDEADLINE when its budget expires in
 // the dispatch queue — before its handler runs, and well before the hog
-// finishes.
+// finishes. v2 only: the budget rides the deadline capability.
 func TestDeadlineShedAtDispatchNeverExecutes(t *testing.T) {
 	srv, k, ca := testServer(t)
 	adm := admission.New(admission.Options{MaxQueue: 8, ExecSlots: 1})
@@ -383,7 +486,8 @@ func TestDeadlineShedAtDispatchNeverExecutes(t *testing.T) {
 // TestSeverWakesParkedReader (the acquireSlot teardown fix): with the
 // session's credit window full of slow execs, the reader goroutine is
 // parked in acquireSlot. Close must wake it and drop the queued work
-// instead of executing the whole backlog toward a dead socket.
+// instead of executing the whole backlog toward a dead socket. v2 only:
+// a v1 session's window is 1, so its reader never parks on it.
 func TestSeverWakesParkedReader(t *testing.T) {
 	srv, k, ca := testServer(t)
 	srv.opts.Window = 4
@@ -435,7 +539,8 @@ func TestSeverWakesParkedReader(t *testing.T) {
 // a graceful drain racing a client that has the credit window pinned
 // full must finish the admitted work, unwind the reader without
 // executing the backlog, and come back well inside the drain budget —
-// with an idle second session nudged out rather than severed.
+// with an idle second session nudged out rather than severed. v2 only,
+// like TestSeverWakesParkedReader.
 func TestDrainCompletesUnderBackpressure(t *testing.T) {
 	srv, k, ca := testServer(t)
 	srv.opts.Window = 2
@@ -483,49 +588,60 @@ func TestDrainCompletesUnderBackpressure(t *testing.T) {
 // wire deadline instead of pinning server resources, while a healthy
 // session on the same server stays fully served throughout.
 func TestSlowLorisSeveredNotServed(t *testing.T) {
-	srv, _, _ := testServer(t)
-	srv.opts.RequestTimeout = 100 * time.Millisecond
+	bothFramings(t, func(t *testing.T, proto int) {
+		srv, _, _ := testServer(t)
+		srv.opts.RequestTimeout = 100 * time.Millisecond
 
-	healthy := adminClient(t, srv, ClientOptions{})
-	if _, err := healthy.Whoami(); err != nil {
-		t.Fatal(err)
-	}
-
-	inj := faultnet.New(1)
-	slow := adminClient(t, srv, ClientOptions{DisableRetries: true, Dialer: inj.Dialer("tcp")})
-	if _, err := slow.Whoami(); err != nil {
-		t.Fatal(err) // handshake and negotiation run at full speed
-	}
-	// From here the connection trickles one byte per 5ms tick: the next
-	// request's frame cannot arrive inside the 100ms request deadline.
-	inj.InjectOnce(faultnet.OpWrite, 0, faultnet.Trickle, 5*time.Millisecond)
-	lorisErr := make(chan error, 1)
-	go func() {
-		err := slow.PutFile("/loris.dat", make([]byte, 2<<10), 0o644)
-		lorisErr <- err
-	}()
-
-	// The healthy session must not feel the loris: every probe during
-	// the attack completes promptly.
-	deadline := time.Now().Add(400 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		s := time.Now()
+		healthy := adminClient(t, srv, ClientOptions{Protocol: proto})
 		if _, err := healthy.Whoami(); err != nil {
-			t.Fatalf("healthy whoami during slow-loris: %v", err)
+			t.Fatal(err)
 		}
-		if d := time.Since(s); d > time.Second {
-			t.Fatalf("healthy whoami took %v during slow-loris", d)
+
+		inj := faultnet.New(1)
+		slow := adminClient(t, srv, ClientOptions{Protocol: proto, DisableRetries: true, Dialer: inj.Dialer("tcp")})
+		if _, err := slow.Whoami(); err != nil {
+			t.Fatal(err) // handshake and negotiation run at full speed
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	select {
-	case err := <-lorisErr:
-		if err == nil {
-			t.Fatal("trickled request succeeded; the wire deadline should have severed it")
+		// From here one write trickles at a byte per 5ms tick, so that
+		// request cannot arrive inside the 100ms request deadline. On v2
+		// the deadline runs from the frame header, so the very next frame
+		// (PutFile's open) is cut. v1 has no header to anchor on — the
+		// deadline runs from the command line's arrival — so the trickle
+		// skips the payload-less open and lands on the pwrite, whose 2 KiB
+		// payload cannot follow its line in time.
+		skip := 0
+		if proto == ProtocolV1 {
+			skip = 1
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("slow-loris call never returned after the server severed it")
-	}
+		inj.InjectOnce(faultnet.OpWrite, skip, faultnet.Trickle, 5*time.Millisecond)
+		lorisErr := make(chan error, 1)
+		go func() {
+			err := slow.PutFile("/loris.dat", make([]byte, 2<<10), 0o644)
+			lorisErr <- err
+		}()
+
+		// The healthy session must not feel the loris: every probe during
+		// the attack completes promptly.
+		deadline := time.Now().Add(400 * time.Millisecond)
+		for time.Now().Before(deadline) {
+			s := time.Now()
+			if _, err := healthy.Whoami(); err != nil {
+				t.Fatalf("healthy whoami during slow-loris: %v", err)
+			}
+			if d := time.Since(s); d > time.Second {
+				t.Fatalf("healthy whoami took %v during slow-loris", d)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		select {
+		case err := <-lorisErr:
+			if err == nil {
+				t.Fatal("trickled request succeeded; the wire deadline should have severed it")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("slow-loris call never returned after the server severed it")
+		}
+	})
 }
 
 // TestDedupeTableByteBound (byte-bounded dedupe): the table evicts by

@@ -221,7 +221,10 @@ func TestCodecPooledPathZeroAlloc(t *testing.T) {
 		if _, err := c.readPayload(transferChunk); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.writePayload(payload); err != nil {
+		if err := c.queuePayload(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.flush(); err != nil {
 			t.Fatal(err)
 		}
 	})

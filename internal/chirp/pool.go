@@ -23,9 +23,8 @@ const wireBufSize = 32 << 10
 // grown buffers instead of allocating per call.
 type payloadScratch struct{ buf []byte }
 
-// bytes returns an n-byte view of the scratch, growing it if needed —
-// the same hit/miss accounting as codec.scratchBuf, for holders that
-// use a pooled scratch without a codec (v2 server workers).
+// bytes returns an n-byte view of the scratch, growing it if needed and
+// counting the hit or miss. The view is only valid until the next call.
 func (ps *payloadScratch) bytes(n int) []byte {
 	if cap(ps.buf) >= n {
 		poolHits.Add(1)
@@ -47,5 +46,5 @@ var (
 
 // Pool effectiveness counters, process-wide: a hit serves a payload
 // from a codec's existing scratch capacity, a miss had to grow it.
-// Servers mirror them into their registries (see session.reply).
+// Servers mirror them into their registries (see session.recordReply).
 var poolHits, poolMisses atomic.Int64

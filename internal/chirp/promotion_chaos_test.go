@@ -147,67 +147,72 @@ func TestPromotionChaosMatrix(t *testing.T) {
 	for _, k := range kills {
 		k := k
 		t.Run(fmt.Sprintf("kill-after-group-%d", k), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed + k))
-			cat := leaseCatalog(t)
-			primary := startReplMember(t, "vol", cat.Addr(), "")
-			follower := startReplMember(t, "vol", cat.Addr(), primary.addr)
-			pollUntil(t, 2*time.Second, "follower subscription", func() bool { return primary.pub.Subscribers() == 1 })
-			// Jitter the crash 0–2ms past the boundary so repeated runs
-			// land in different spots of the post-commit window, then arm
-			// it at the k-th workflow group (setup's own groups excluded).
-			primary.killDelay.Store(int64(time.Duration(rng.Intn(2_000_001))))
-			primary.armKill(k)
+			// The client speaks either framing; the guarantees are the server's.
+			bothFramings(t, func(t *testing.T, proto int) {
+				rng := rand.New(rand.NewSource(seed + k))
+				cat := leaseCatalog(t)
+				primary := startReplMember(t, "vol", cat.Addr(), "")
+				follower := startReplMember(t, "vol", cat.Addr(), primary.addr)
+				pollUntil(t, 2*time.Second, "follower subscription", func() bool { return primary.pub.Subscribers() == 1 })
+				// Jitter the crash 0–2ms past the boundary so repeated runs
+				// land in different spots of the post-commit window, then arm
+				// it at the k-th workflow group (setup's own groups excluded).
+				primary.killDelay.Store(int64(time.Duration(rng.Intn(2_000_001))))
+				primary.armKill(k)
 
-			token := NewRequestToken()
-			cl := adminClient(t, primary.srv, fastChaosOpts())
-			acked, err := replWorkflow(cl, token)
-			if err != nil {
-				t.Logf("workflow lost the primary at step %d: %v", acked, err)
-			}
-			// The workflow can outrun a late boundary; the matrix still
-			// wants a dead primary. kill is idempotent.
-			primary.kill()
-			pollUntil(t, 10*replTTL, "follower promotion", func() bool { return follower.role() == replica.RolePrimary })
-
-			// Every mutation the dead primary acked must already be on the
-			// promoted follower, before any retry runs.
-			fcl := adminClient(t, follower.srv, ClientOptions{})
-			ackChecks := []struct {
-				path string
-				want string // "" = existence only
-			}{
-				{"/work", ""},
-				{"/work/sim.exe", ""},
-				{"/work/input.dat", "signal data"},
-				{"/work/out.dat", "SIGNAL DATA"},
-			}
-			for i, c := range ackChecks {
-				if acked < i+1 {
-					break
+				token := NewRequestToken()
+				opts := fastChaosOpts()
+				opts.Protocol = proto
+				cl := adminClient(t, primary.srv, opts)
+				acked, err := replWorkflow(cl, token)
+				if err != nil {
+					t.Logf("workflow lost the primary at step %d: %v", acked, err)
 				}
-				if c.want == "" {
-					if _, err := fcl.Stat(c.path); err != nil {
-						t.Fatalf("acked step %d lost across failover: %s: %v", i, c.path, err)
+				// The workflow can outrun a late boundary; the matrix still
+				// wants a dead primary. kill is idempotent.
+				primary.kill()
+				pollUntil(t, 10*replTTL, "follower promotion", func() bool { return follower.role() == replica.RolePrimary })
+
+				// Every mutation the dead primary acked must already be on the
+				// promoted follower, before any retry runs.
+				fcl := adminClient(t, follower.srv, ClientOptions{Protocol: proto})
+				ackChecks := []struct {
+					path string
+					want string // "" = existence only
+				}{
+					{"/work", ""},
+					{"/work/sim.exe", ""},
+					{"/work/input.dat", "signal data"},
+					{"/work/out.dat", "SIGNAL DATA"},
+				}
+				for i, c := range ackChecks {
+					if acked < i+1 {
+						break
 					}
-				} else if data, err := fcl.GetFile(c.path); err != nil || string(data) != c.want {
-					t.Fatalf("acked step %d lost across failover: %s = %q, %v", i, c.path, data, err)
+					if c.want == "" {
+						if _, err := fcl.Stat(c.path); err != nil {
+							t.Fatalf("acked step %d lost across failover: %s: %v", i, c.path, err)
+						}
+					} else if data, err := fcl.GetFile(c.path); err != nil || string(data) != c.want {
+						t.Fatalf("acked step %d lost across failover: %s = %q, %v", i, c.path, data, err)
+					}
 				}
-			}
-			execAcked := acked >= 4
+				execAcked := acked >= 4
 
-			// The client retries the whole workflow against the promoted
-			// follower with the same request token.
-			if acked2, err := replWorkflow(fcl, token); err != nil || acked2 != 5 {
-				t.Fatalf("retry on the promoted follower died at step %d: %v", acked2, err)
-			}
-			if execAcked && follower.execs.Load() != 0 {
-				t.Fatalf("acked exec ran again on the promoted follower (%d times)", follower.execs.Load())
-			}
-			pExecs, fExecs := primary.execs.Load(), follower.execs.Load()
-			if pExecs+fExecs < 1 {
-				t.Fatal("sim never executed anywhere")
-			}
-			t.Logf("acked %d/5 steps before the kill; execs primary=%d follower=%d", acked, pExecs, fExecs)
+				// The client retries the whole workflow against the promoted
+				// follower with the same request token.
+				if acked2, err := replWorkflow(fcl, token); err != nil || acked2 != 5 {
+					t.Fatalf("retry on the promoted follower died at step %d: %v", acked2, err)
+				}
+				if execAcked && follower.execs.Load() != 0 {
+					t.Fatalf("acked exec ran again on the promoted follower (%d times)", follower.execs.Load())
+				}
+				pExecs, fExecs := primary.execs.Load(), follower.execs.Load()
+				if pExecs+fExecs < 1 {
+					t.Fatal("sim never executed anywhere")
+				}
+				t.Logf("acked %d/5 steps before the kill; execs primary=%d follower=%d", acked, pExecs, fExecs)
+			})
 		})
 	}
 }

@@ -25,24 +25,51 @@ import (
 	"identitybox/internal/vfs"
 )
 
-// errno names carried on the wire, mapped to the kernel/vfs sentinels.
-var errnoByName = map[string]error{
-	"ENOENT":      vfs.ErrNotExist,
-	"EEXIST":      vfs.ErrExist,
-	"EPERM":       vfs.ErrPermission,
-	"EISDIR":      vfs.ErrIsDir,
-	"ENOTDIR":     vfs.ErrNotDir,
-	"ENOTEMPTY":   vfs.ErrNotEmpty,
-	"EINVAL":      vfs.ErrInvalid,
-	"ELOOP":       vfs.ErrLoop,
-	"EXDEV":       vfs.ErrCrossDevice,
-	"EBADF":       kernel.ErrBadFD,
-	"ENOSYS":      kernel.ErrNoSys,
-	"ESRCH":       kernel.ErrSearch,
-	"EIO":         errors.New("input/output error"),
-	"ENOTPRIMARY": ErrNotPrimary,
-	"EDEADLINE":   ErrDeadline,
-	"EBUSY":       ErrBusy,
+// errClass says what a client may do after an error.
+type errClass int
+
+const (
+	// classFinal: the server's answer; repeating the call cannot change it.
+	classFinal errClass = iota
+	// classRetrySafe: refused before anything executed, so every call —
+	// idempotent or not — may be re-sent.
+	classRetrySafe
+	// classRedirect: refused by a replica that is not the primary; the
+	// message names the server to re-target (PrimaryFromError).
+	classRedirect
+	// classTransient: no server answer at all (dial error, reset,
+	// timeout, open breaker) — a candidate for retry or failover. No
+	// wire errno has this class; classOf reports it for everything that
+	// is not a RemoteError.
+	classTransient
+)
+
+// errnoTable is the one place wire errno names, the sentinels they map
+// to, and the client's reaction to them meet: nameForError encodes from
+// it, remoteError decodes through it, and the retry ladder acts on the
+// class. Order matters only to nameForError (first match wins); EIO,
+// the catch-all, has a sentinel nothing else wraps.
+var errnoTable = []struct {
+	name  string
+	err   error
+	class errClass
+}{
+	{"ENOENT", vfs.ErrNotExist, classFinal},
+	{"EEXIST", vfs.ErrExist, classFinal},
+	{"EPERM", vfs.ErrPermission, classFinal},
+	{"EISDIR", vfs.ErrIsDir, classFinal},
+	{"ENOTDIR", vfs.ErrNotDir, classFinal},
+	{"ENOTEMPTY", vfs.ErrNotEmpty, classFinal},
+	{"EINVAL", vfs.ErrInvalid, classFinal},
+	{"ELOOP", vfs.ErrLoop, classFinal},
+	{"EXDEV", vfs.ErrCrossDevice, classFinal},
+	{"EBADF", kernel.ErrBadFD, classFinal},
+	{"ESRCH", kernel.ErrSearch, classFinal},
+	{"ENOSYS", kernel.ErrNoSys, classFinal},
+	{"ENOTPRIMARY", ErrNotPrimary, classRedirect},
+	{"EDEADLINE", ErrDeadline, classFinal},
+	{"EBUSY", ErrBusy, classRetrySafe},
+	{"EIO", errors.New("input/output error"), classFinal},
 }
 
 // ErrNotPrimary means a mutating command reached a replica that does
@@ -70,7 +97,7 @@ const retryAfterMarker = "retry after "
 // EBUSY reply, or 0 when the error carries none.
 func RetryAfterFromError(err error) time.Duration {
 	var re *RemoteError
-	if !errors.As(err, &re) || !errors.Is(re.Err, ErrBusy) {
+	if !errors.As(err, &re) || re.Err != ErrBusy {
 		return 0
 	}
 	i := strings.LastIndex(re.Message, retryAfterMarker)
@@ -87,40 +114,12 @@ func RetryAfterFromError(err error) time.Duration {
 
 // nameForError picks the wire name for an error.
 func nameForError(err error) string {
-	switch {
-	case errors.Is(err, vfs.ErrNotExist):
-		return "ENOENT"
-	case errors.Is(err, vfs.ErrExist):
-		return "EEXIST"
-	case errors.Is(err, vfs.ErrPermission):
-		return "EPERM"
-	case errors.Is(err, vfs.ErrIsDir):
-		return "EISDIR"
-	case errors.Is(err, vfs.ErrNotDir):
-		return "ENOTDIR"
-	case errors.Is(err, vfs.ErrNotEmpty):
-		return "ENOTEMPTY"
-	case errors.Is(err, vfs.ErrInvalid):
-		return "EINVAL"
-	case errors.Is(err, vfs.ErrLoop):
-		return "ELOOP"
-	case errors.Is(err, vfs.ErrCrossDevice):
-		return "EXDEV"
-	case errors.Is(err, kernel.ErrBadFD):
-		return "EBADF"
-	case errors.Is(err, kernel.ErrSearch):
-		return "ESRCH"
-	case errors.Is(err, kernel.ErrNoSys):
-		return "ENOSYS"
-	case errors.Is(err, ErrNotPrimary):
-		return "ENOTPRIMARY"
-	case errors.Is(err, ErrDeadline):
-		return "EDEADLINE"
-	case errors.Is(err, ErrBusy):
-		return "EBUSY"
-	default:
-		return "EIO"
+	for _, e := range errnoTable {
+		if errors.Is(err, e.err) {
+			return e.name
+		}
 	}
+	return "EIO"
 }
 
 // RemoteError is an error reported by a Chirp server.
@@ -128,6 +127,7 @@ type RemoteError struct {
 	Name    string // wire errno name
 	Message string
 	Err     error // mapped sentinel
+	class   errClass
 }
 
 func (e *RemoteError) Error() string {
@@ -137,12 +137,168 @@ func (e *RemoteError) Error() string {
 // Unwrap lets errors.Is match the sentinel (e.g. vfs.ErrPermission).
 func (e *RemoteError) Unwrap() error { return e.Err }
 
+// remoteError decodes an error reply; names this binary does not know
+// map to EIO's sentinel and class.
 func remoteError(name, msg string) *RemoteError {
-	err, ok := errnoByName[name]
-	if !ok {
-		err = errnoByName["EIO"]
+	entry := errnoTable[len(errnoTable)-1]
+	for _, e := range errnoTable {
+		if e.name == name {
+			entry = e
+			break
+		}
 	}
-	return &RemoteError{Name: name, Message: msg, Err: err}
+	return &RemoteError{Name: name, Message: msg, Err: entry.err, class: entry.class}
+}
+
+// classOf reports an error's class, and the server's reply when the
+// error is one.
+func classOf(err error) (errClass, *RemoteError) {
+	var re *RemoteError
+	if errors.As(err, &re) {
+		return re.class, re
+	}
+	return classTransient, nil
+}
+
+// cmdFlags are the per-command facts every layer reads from the one
+// command table.
+type cmdFlags uint8
+
+const (
+	// fMutating: can change durable state — refused on a non-primary
+	// replica, and its reply waits for the durability barrier. open is
+	// included because O_CREAT/O_TRUNC create or truncate, exec because
+	// staged programs write output files.
+	fMutating cmdFlags = 1 << iota
+	// fTokenable: may ride inside `token <id>` — a non-idempotent
+	// mutation with a line-only reply. Session-state commands (open,
+	// close) are excluded — a replayed descriptor number would point
+	// into a different session — as are payload-reply commands, whose
+	// body the dedupe table does not capture.
+	fTokenable
+	// fOrdered: runs on the session's single ordered lane, preserving
+	// submission order where operations can conflict — descriptor-table
+	// changes, namespace mutations, ACL and grant changes. Everything
+	// else (reads, stats, and pwrite, whose offsets the client already
+	// owns) runs on the concurrent pool, so a slow transfer cannot
+	// head-of-line block metadata traffic.
+	fOrdered
+	// fControl: admitted on the exempt class — liveness probes,
+	// observability and the replication control plane. Shedding these
+	// under overload would make saturation look like failure (a lease
+	// heartbeat timing out triggers failover, a shed replsub stalls a
+	// follower), so they bypass the admit queue and the fair scheduler.
+	fControl
+	// fIdempotent: the client re-sends it transparently after a
+	// transport fault. Without it (descriptor-bound calls, rename, link,
+	// symlink, untokened exec) the fault surfaces ErrRetryNotSafe: the
+	// request may or may not have been applied.
+	fIdempotent
+	// fVarArgs: nargs is a minimum, not an exact count.
+	fVarArgs
+)
+
+// cmdSpec is one row of the command table.
+type cmdSpec struct {
+	name  string
+	nargs int // argument count (exact, or the minimum with fVarArgs)
+	flags cmdFlags
+	// A command with payloadMax > 0 carries a counted request payload
+	// whose length is announced by argument payloadArg and may not
+	// exceed payloadMax.
+	payloadArg int
+	payloadMax int
+	idx        int // position in commandTable (per-server counter slot)
+}
+
+func (c *cmdSpec) has(f cmdFlags) bool { return c != nil && c.flags&f != 0 }
+
+// argsOK reports whether args has the shape the row declares.
+func (c *cmdSpec) argsOK(args []string) bool {
+	return len(args) == c.nargs || (c.flags&fVarArgs != 0 && len(args) > c.nargs)
+}
+
+// payloadLen reports the payload length a request line announces, when
+// the line is well formed enough to announce one. The v1 framing reads
+// (or, past payloadMax, discards) exactly that many bytes after the
+// line; a malformed line announces nothing and nothing is consumed.
+func (c *cmdSpec) payloadLen(args []string) (n int, ok bool) {
+	if c == nil || c.payloadMax == 0 || !c.argsOK(args) {
+		return 0, false
+	}
+	n, err := strconv.Atoi(args[c.payloadArg])
+	return n, err == nil && n >= 0
+}
+
+// refusal checks a request's shape against its row — argument count,
+// announced payload length within the limit and equal to what the
+// framing delivered — and returns the EINVAL message for a bad one.
+func (c *cmdSpec) refusal(args []string, payload []byte) string {
+	if c == nil {
+		return "" // unknown command: the handler answers ENOSYS
+	}
+	if !c.argsOK(args) {
+		return fmt.Sprintf("%s wants %d args", c.name, c.nargs)
+	}
+	if c.payloadMax == 0 {
+		return ""
+	}
+	if n, ok := c.payloadLen(args); !ok || n > c.payloadMax {
+		return c.name + ": bad payload length"
+	} else if n != len(payload) {
+		return c.name + ": payload length mismatch"
+	}
+	return ""
+}
+
+const aclPayloadMax = 1 << 20
+
+// commandTable declares every command once. Server lane routing,
+// payload reading, admission class, role gating, the durability
+// barrier, dedupe eligibility and the client's retry class all read it;
+// nothing else knows a command's shape.
+var commandTable = []cmdSpec{
+	{name: "whoami", flags: fControl | fIdempotent | fVarArgs},
+	{name: "stats", flags: fControl | fIdempotent | fVarArgs},
+	{name: "metrics", flags: fControl | fIdempotent | fVarArgs},
+	{name: "trace", nargs: 1, flags: fControl | fIdempotent},
+	{name: "waitlsn", nargs: 2, flags: fControl | fIdempotent},
+	{name: "version", flags: fControl | fVarArgs},
+	// `token <id> <cmd> ...` wraps a tokenable command; it is ordered so
+	// the dedupe lookup and store cannot race a concurrent duplicate, and
+	// idempotent because the server replays instead of re-executing.
+	{name: "token", nargs: 2, flags: fOrdered | fIdempotent | fVarArgs},
+	{name: "replsub", nargs: 1, flags: fControl | fOrdered}, // registration must not race itself
+	{name: "replack", nargs: 1, flags: fControl},
+	{name: "assert", nargs: 1, flags: fControl | fOrdered | fIdempotent, payloadArg: 0, payloadMax: aclPayloadMax},
+	{name: "open", nargs: 3, flags: fMutating | fOrdered | fIdempotent},
+	{name: "close", nargs: 1, flags: fOrdered},
+	{name: "pread", nargs: 3},
+	{name: "pwrite", nargs: 3, flags: fMutating | fTokenable, payloadArg: 2, payloadMax: MaxPayload},
+	{name: "fstat", nargs: 1},
+	{name: "stat", nargs: 1, flags: fIdempotent},
+	{name: "lstat", nargs: 1, flags: fIdempotent},
+	{name: "getdir", nargs: 1, flags: fIdempotent},
+	{name: "readlink", nargs: 1, flags: fIdempotent},
+	{name: "getacl", nargs: 1, flags: fIdempotent},
+	{name: "mkdir", nargs: 2, flags: fMutating | fTokenable | fOrdered | fIdempotent},
+	{name: "rmdir", nargs: 1, flags: fMutating | fTokenable | fOrdered | fIdempotent},
+	{name: "unlink", nargs: 1, flags: fMutating | fTokenable | fOrdered | fIdempotent},
+	{name: "truncate", nargs: 2, flags: fMutating | fTokenable | fOrdered | fIdempotent},
+	{name: "setacl", nargs: 2, flags: fMutating | fTokenable | fOrdered | fIdempotent, payloadArg: 1, payloadMax: aclPayloadMax},
+	{name: "rename", nargs: 2, flags: fMutating | fTokenable | fOrdered},
+	{name: "link", nargs: 2, flags: fMutating | fTokenable | fOrdered},
+	{name: "symlink", nargs: 2, flags: fMutating | fTokenable | fOrdered},
+	{name: "exec", nargs: 2, flags: fMutating | fTokenable | fOrdered | fVarArgs},
+}
+
+var commandByName = make(map[string]*cmdSpec, len(commandTable))
+
+func init() {
+	for i := range commandTable {
+		commandTable[i].idx = i
+		commandByName[commandTable[i].name] = &commandTable[i]
+	}
 }
 
 // codec frames protocol lines and counted payloads over a transport.
@@ -217,18 +373,24 @@ func (c *codec) readLine() (string, error) {
 	return strings.TrimRight(s, "\r\n"), nil
 }
 
-// queuePayload buffers a counted binary payload without flushing.
+// queuePayload buffers the counted binary payload that follows a line,
+// without flushing.
 func (c *codec) queuePayload(data []byte) error {
 	_, err := c.w.Write(data)
 	return err
 }
 
-// writePayload sends a counted binary payload after a line.
-func (c *codec) writePayload(data []byte) error {
-	if err := c.queuePayload(data); err != nil {
+// queueMessage buffers one request or reply — line fields plus optional
+// counted payload — in either framing: a tagged frame, or the v1 line
+// followed by its payload (the tag is implicit there).
+func (c *codec) queueMessage(framed bool, tag uint64, fields []string, payload []byte) error {
+	if framed {
+		return c.queueFrame(tag, fields, payload)
+	}
+	if err := c.queueLine(fields...); err != nil || payload == nil {
 		return err
 	}
-	return c.w.Flush()
+	return c.queuePayload(payload)
 }
 
 // flush pushes everything queued to the transport.
@@ -237,16 +399,7 @@ func (c *codec) flush() error { return c.w.Flush() }
 // scratchBuf returns an n-byte slice of the codec's reusable payload
 // scratch, growing it if needed. The slice is only valid until the next
 // scratchBuf/readPayload call on this codec.
-func (c *codec) scratchBuf(n int) []byte {
-	s := c.scratch
-	if cap(s.buf) >= n {
-		poolHits.Add(1)
-	} else {
-		poolMisses.Add(1)
-		s.buf = make([]byte, n)
-	}
-	return s.buf[:n]
-}
+func (c *codec) scratchBuf(n int) []byte { return c.scratch.bytes(n) }
 
 // readPayload receives exactly n payload bytes into the codec's scratch
 // buffer. A length outside [0, MaxPayload] is a protocol error: the

@@ -99,8 +99,9 @@ type ClientOptions struct {
 	Timeout time.Duration
 	// MaxRetries is how many times a failed exchange is retried beyond
 	// the first attempt (default 3). Only transport failures are
-	// retried, and only for idempotent or tokened calls; error replies
-	// from the server are always final.
+	// retried, and only for calls the command table marks idempotent
+	// (tokened ones included); error replies from the server are final,
+	// except EBUSY, which was refused before anything ran.
 	MaxRetries int
 	// DisableRetries turns the retry/redial machinery off entirely: the
 	// first transport failure surfaces to the caller, as the pre-fault-
@@ -133,14 +134,14 @@ type ClientOptions struct {
 	// PipelineDepth, when > 1, lets GetFile and PutFile keep that many
 	// chunk requests in flight on the session at once instead of waiting
 	// out a round trip per chunk (on a v2 session each chunk is an
-	// independently tagged call; on a v1 session transfers fall back to
-	// one exchange at a time). A transport failure mid-transfer breaks
+	// independently tagged call; a v1 session's window of 1 serializes
+	// them again). A transport failure mid-transfer breaks
 	// the connection and surfaces ErrRetryNotSafe so the whole transfer
 	// restarts, exactly like the serial path. 0 or 1 means one request
 	// at a time.
 	PipelineDepth int
-	// Protocol pins the wire protocol: ProtocolV1 forces the lock-step
-	// line protocol, ProtocolV2 (or 0, the default) negotiates tagged
+	// Protocol pins the wire framing: ProtocolV1 forces the lock-step
+	// line framing, ProtocolV2 (or 0, the default) negotiates tagged
 	// async multiplexing and falls back to v1 when the server answers
 	// the version exchange with ENOSYS (an old server treats it as an
 	// unknown command).
@@ -217,23 +218,6 @@ func (o *ClientOptions) withDefaults() {
 	}
 }
 
-// callClass is the idempotency classification of one RPC, deciding what
-// the retry layer may do when the connection dies mid-exchange.
-type callClass int
-
-const (
-	// classIdempotent calls (whoami, stat, lstat, getdir, readlink,
-	// getacl, setacl, mkdir, rmdir, unlink, truncate, open, assert, and
-	// any tokened request) are re-sent transparently after a redial.
-	classIdempotent callClass = iota
-	// classMutating calls (pwrite/pread/fstat/close on a session-bound
-	// descriptor, exec without a token, rename, link, symlink) surface
-	// ErrRetryNotSafe instead: the request may or may not have been
-	// applied, and blind re-execution could double-apply it or target a
-	// descriptor that died with the session.
-	classMutating
-)
-
 // clientMetrics caches the client's counter handles.
 type clientMetrics struct {
 	reg            *obs.Registry
@@ -257,8 +241,8 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 	reg.Help(MetricClientTagsInFlight, "Tagged calls currently awaiting replies.")
 	reg.Help(MetricClientWindowStalls, "Submits that waited for credit-window space.")
 	reg.Help(MetricClientInflightBytes, "Request+reply payload bytes currently in flight.")
-	reg.Help(MetricClientWindow, "Negotiated v2 credit window (0 before negotiation or on v1).")
-	reg.Help(MetricClientMaxBytes, "Negotiated v2 in-flight byte budget (0 before negotiation or on v1).")
+	reg.Help(MetricClientWindow, "Credit window of the current session (1 on the v1 line framing).")
+	reg.Help(MetricClientMaxBytes, "Negotiated v2 in-flight byte budget (0 on the v1 line framing).")
 	reg.Help(MetricClientRequestLatency, "Client-observed tagged-call latency, submit to reply, in microseconds.")
 	reg.Help(MetricClientBusy, "EBUSY overload rejections received (retried with the server's retry-after hint).")
 	reg.Help(MetricClientDeadlineExpired, "Calls abandoned because the deadline budget ran out (server shed or client-side).")
@@ -333,6 +317,6 @@ func isTransient(err error) bool {
 	if err == nil {
 		return false
 	}
-	var re *RemoteError
-	return !errors.As(err, &re)
+	class, _ := classOf(err)
+	return class == classTransient
 }

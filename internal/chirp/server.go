@@ -216,6 +216,7 @@ const (
 // srvMetrics caches the server's metric handles.
 type srvMetrics struct {
 	reg           *obs.Registry
+	requests      []*obs.Counter // per command, indexed by cmdSpec.idx
 	errors        *obs.Counter
 	sessions      *obs.Counter
 	rxBytes       *obs.Counter
@@ -257,8 +258,13 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 	reg.Help(MetricBackpressureStalls, "Frames that waited for credit-window space before dispatch.")
 	reg.Help(MetricWindowOccupancy, "Window occupancy observed at each v2 frame admission.")
 	reg.Help(MetricV2Sessions, "Sessions that negotiated protocol v2 since start.")
-	reg.Help(MetricRequestLatency, "Traced request latency, frame arrival to reply flushed, in microseconds.")
+	reg.Help(MetricRequestLatency, "Request latency, arrival to reply flushed, in microseconds (traced requests leave exemplars).")
+	requests := make([]*obs.Counter, len(commandTable))
+	for i, c := range commandTable {
+		requests[i] = reg.Counter(obs.With(MetricRequests, "cmd", c.name))
+	}
 	return &srvMetrics{
+		requests:      requests,
 		reg:           reg,
 		errors:        reg.Counter(MetricErrors),
 		sessions:      reg.Counter(MetricSessions),
@@ -426,8 +432,25 @@ func (s *Server) Addr() string {
 // lets in-flight RPCs finish, use Shutdown.
 func (s *Server) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
+	already := s.severAll()
+	var err error
+	if s.ln != nil && !already {
+		err = s.ln.Close()
+	}
+	s.wg.Wait()
+	return err
+}
+
+// severAll marks the server closed and cuts every live session,
+// reporting whether the server was closed already. Every session is
+// marked severed before any connection is closed: a severed session
+// writes no more replies, so one connection going away (a follower's
+// ship stream, say, whose loss degrades the semi-sync barrier to local
+// durability) can never let another session acknowledge work in the
+// gap before its own connection closes.
+func (s *Server) severAll() (already bool) {
 	s.mu.Lock()
-	already := s.closed
+	already = s.closed
 	s.closed = true
 	conns := make(map[net.Conn]*connState, len(s.conns))
 	for c, st := range s.conns {
@@ -436,16 +459,13 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	// Sever outside s.mu: the abort hook takes the session slot mutex,
 	// which workers hold while consulting server state.
-	for c, st := range conns {
+	for _, st := range conns {
 		st.sever()
+	}
+	for c := range conns {
 		c.Close()
 	}
-	var err error
-	if s.ln != nil && !already {
-		err = s.ln.Close()
-	}
-	s.wg.Wait()
-	return err
+	return already
 }
 
 // Shutdown drains the server gracefully: it stops accepting new
@@ -487,17 +507,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	case <-time.After(timeout):
 		severed = true
 	}
-	s.mu.Lock()
-	s.closed = true
-	conns := make(map[net.Conn]*connState, len(s.conns))
-	for c, st := range s.conns {
-		conns[c] = st
-	}
-	s.mu.Unlock()
-	for c, st := range conns {
-		st.sever()
-		c.Close()
-	}
+	s.severAll()
 	s.wg.Wait()
 	if severed {
 		return fmt.Errorf("chirp: drain timed out after %v; severed remaining sessions", timeout)
@@ -507,11 +517,11 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 
 // connState is the server's per-connection bookkeeping shared with the
 // drain path: busy is true while a request is being dispatched, and
-// abort (set once a session upgrades to v2) wakes waiters parked on
-// the session's credit window when the server severs the connection.
+// abort (set once the connection has authenticated into a session)
+// marks the session severed when the server cuts the connection.
 type connState struct {
 	busy  atomic.Bool
-	abort atomic.Value // func(), set by v2 sessions
+	abort atomic.Value // func()
 }
 
 // sever calls the session's abort hook, if one is registered.
@@ -647,12 +657,13 @@ func (s *Server) acceptLoop() {
 
 // session is one authenticated connection.
 //
-// On a v1 session everything is owned by the single connection
-// goroutine. A session that upgrades to v2 becomes concurrent: the
-// reader goroutine owns the codec's read side, workers share the write
-// side under writeMu, and the descriptor table and CAS grants get their
-// own RWMutexes. Lock order: fdMu and grantsMu are leaves (nothing else
-// is acquired under them); writeMu is taken only around one frame's
+// The connection goroutine is the session's reader. On a v1 session it
+// also runs each request inline (the framing's window is 1), so it owns
+// everything. A session that upgrades to v2 becomes concurrent: the
+// reader owns the codec's read side, workers share the write side under
+// writeMu, and the descriptor table and CAS grants get their own
+// RWMutexes. Lock order: fdMu and grantsMu are leaves (nothing else is
+// acquired under them); writeMu is taken only around one reply's
 // queue+flush and never with another session lock held.
 type session struct {
 	s     *Server
@@ -672,18 +683,11 @@ type session struct {
 	grantsMu sync.RWMutex
 	grants   []auth.Grant
 
-	// pendingDedupe, when non-empty, is the dedupe key the next reply is
-	// stored under (v1 lock-step path only; the v2 path threads the key
-	// through per-request state instead).
-	pendingDedupe string
-	// needBarrier marks the in-flight request as mutating: its reply
-	// must wait for the durability barrier before hitting the wire (v1
-	// path only, as above).
-	needBarrier bool
-
-	// upgraded is set by a successful version exchange; the session loop
-	// switches to the v2 frame loop after the ok reply goes out.
-	upgraded *v2Conf
+	// v2 is the framing the session speaks: nil is the v1 line framing,
+	// non-nil the tagged frames a successful version exchange negotiated.
+	// The reader sets it before starting the lanes, so workers (and the
+	// replication pusher) read it without a lock.
+	v2 *v2Conf
 
 	// v2 credit-window state: slotMu/slotCond gate frame admission so at
 	// most window requests are in flight per session. stopping is set
@@ -693,15 +697,12 @@ type session struct {
 	slotMu   sync.Mutex
 	slotCond *sync.Cond
 	inflight int
-	stopping bool
+	stopping atomic.Bool
 
-	writeMu sync.Mutex // serializes v2 reply frames on the shared codec
+	writeMu sync.Mutex // serializes replies on the shared codec
 
-	// replOK records that this session negotiated the repl capability
-	// (written before the v2 workers start, read-only after). replSub is
-	// the session's live replication subscription; pushWG tracks its
-	// pusher goroutine so the codec is not released under it.
-	replOK  bool
+	// replSub is the session's live replication subscription; pushWG
+	// tracks its pusher goroutine so the codec is not released under it.
 	replMu  sync.Mutex
 	replSub *replica.Subscription
 	pushWG  sync.WaitGroup
@@ -796,6 +797,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 		nextFD: 1,
 	}
 	sess.slotCond = sync.NewCond(&sess.slotMu)
+	st.abort.Store(func() { sess.abort() })
 	sess.log.printf("session for %s from %s", ident, remoteHost)
 	sess.loop()
 	sess.closeReplSub()
@@ -822,174 +824,455 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
+// request is one parsed request on its way through the pipeline,
+// whichever framing carried it. The payload is request-owned (freshly
+// allocated by the reader), so workers never share buffers.
+type request struct {
+	tag      uint64   // frame tag; 0 on v1, where replies match by order
+	spec     *cmdSpec // the command's table row (nil: unknown command)
+	cmd      string   // the command, unwrapped from any token prefix
+	args     []string
+	token    string // idempotency token the request came wrapped in
+	ordered  bool   // runs on the ordered lane
+	payload  []byte
+	trace    uint64    // request-tracing ID (0 untraced)
+	deadline time.Time // budget anchored at arrival (zero: none)
+	arrived  time.Time // when the request was read off the wire
+	ticket   *admission.Ticket
+	bad      string // why the reader refuses it (EINVAL), if it does
+}
+
+// loop is the session's reader, the same for both framings: it pulls
+// one request at a time through the framing adapter (readRequest),
+// counts it, passes it through admission, and hands it to the one
+// pipeline (serve) — inline on a v1 session, whose window is 1, or on
+// the worker lanes once a version exchange has upgraded the session to
+// tagged frames, where the credit window applies backpressure by simply
+// not reading the next frame.
 func (sess *session) loop() {
-	for {
-		if sess.s.isDraining() {
-			return // finish in-flight work, accept no more requests
+	var ln lanes
+	defer ln.close() // all replies flushed before the codec is released
+	for !sess.s.isDraining() && sess.step(&ln) {
+	}
+}
+
+// step reads and dispatches one request; false ends the session.
+func (sess *session) step(ln *lanes) bool {
+	s := sess.s
+	req, err := sess.readRequest()
+	if err != nil {
+		return false // connection closed (or drain nudge expired the read)
+	}
+	if sess.v2 == nil {
+		// A v1 session is busy from the line's arrival until its reply;
+		// v2 sessions track busy by window occupancy (acquireSlot).
+		defer sess.state.busy.Store(false)
+	}
+	if req.cmd == "quit" && req.bad == "" {
+		ln.close() // every pending reply precedes the farewell ack
+		sess.reply(req.tag, okres())
+		return false
+	}
+	if req.cmd != "" {
+		s.requests.Add(1)
+		sess.reqs++
+		if req.spec != nil {
+			s.metrics.requests[req.spec.idx].Inc()
+		} else {
+			s.metrics.reg.Counter(obs.With(MetricRequests, "cmd", req.cmd)).Inc()
 		}
-		line, err := sess.c.readLine()
-		if err != nil {
-			return // connection closed (or drain nudge expired the read)
+		sess.log.printf("req=%d tag=%d %s: %s %v", sess.reqs, req.tag, sess.ident, req.cmd, req.args)
+	}
+	if req.bad != "" {
+		return sess.reply(req.tag, sess.failf(vfs.ErrInvalid, req.bad)) == nil
+	}
+	if req.cmd == "version" && sess.v2 == nil {
+		return sess.serveVersion(req.args, ln) == nil
+	}
+	// Admission: the overload controller sheds expired work and rejects
+	// over a bounded queue here, before the request consumes a window
+	// slot or a worker. Control-plane commands ride the exempt class
+	// (nil ticket) so overload can never choke lease heartbeats or
+	// replication traffic.
+	if adm := s.opts.Admission; adm != nil {
+		class := admission.Normal
+		if req.spec.has(fControl) {
+			class = admission.Control
+		}
+		tk, aerr := adm.Admit(sess.ident.String(), class, len(req.payload), req.deadline)
+		if aerr != nil {
+			return sess.reply(req.tag, sess.admissionRefusal(aerr)) == nil
+		}
+		req.ticket = tk
+	}
+	if sess.v2 == nil {
+		sess.serve(req, sess.c.scratch)
+		return true
+	}
+	if !sess.acquireSlot(sess.v2.window) {
+		req.ticket.Done()
+		return false // server severing this session: stop reading
+	}
+	if req.ordered {
+		ln.ordered <- req
+	} else {
+		ln.pool <- req
+	}
+	return true
+}
+
+// readRequest is the framing adapter: it reads the next request off the
+// wire in whichever framing the session speaks and parses it against
+// the command table. v1: a line, then the counted payload the table
+// says the line announces; no tag, no prefixes. v2: one tagged frame
+// carrying line and payload, the line optionally led by the negotiated
+// "trace <id>" and "deadline <ms>" prefixes. RequestTimeout bounds what
+// is read after the first bytes (the line, or the frame header) have
+// arrived, so a peer that announces a payload and stalls cannot pin
+// the session. A request the reader refuses comes back with bad set;
+// an error means the session is over.
+func (sess *session) readRequest() (req request, err error) {
+	var line string
+	v2 := sess.v2
+	if v2 == nil {
+		if line, err = sess.c.readLine(); err != nil {
+			return req, err
 		}
 		sess.state.busy.Store(true)
-		err = sess.serveOne(line)
-		sess.state.busy.Store(false)
+	} else {
+		h, err := sess.c.readFrameHeader()
 		if err != nil {
-			return // transport error
+			return req, err
 		}
-		if up := sess.upgraded; up != nil {
-			// The version exchange succeeded lock-step; everything from
-			// here on is tagged frames.
-			sess.upgraded = nil
-			sess.loopV2(up)
-			return
+		req.tag = h.tag
+		sess.boundRead(true)
+		if line, err = sess.c.readFrameLine(h.lineLen); err != nil {
+			return req, err
 		}
-	}
-}
-
-// serveOne handles one request line under the per-request deadline,
-// which bounds the remaining wire I/O of the exchange (payload read and
-// reply write) once the command line has arrived.
-func (sess *session) serveOne(line string) error {
-	if rt := sess.s.opts.RequestTimeout; rt > 0 {
-		if err := sess.conn.SetDeadline(time.Now().Add(rt)); err != nil {
-			sess.log.printf("setting request deadline: %v", err)
-		}
-		defer func() {
-			if err := sess.conn.SetDeadline(time.Time{}); err != nil {
-				sess.log.printf("clearing request deadline: %v", err)
+		if h.payloadLen > 0 {
+			req.payload = make([]byte, h.payloadLen)
+			if err := sess.c.readPayloadInto(req.payload); err != nil {
+				return req, err
 			}
-		}()
+		}
+		sess.boundRead(false)
 	}
-	fields, err := splitFields(line)
-	if err != nil || len(fields) == 0 {
-		return sess.fail(vfs.ErrInvalid, "malformed request")
+	req.arrived = time.Now()
+	fields, perr := splitFields(line)
+	if perr != nil || len(fields) == 0 {
+		req.bad = "malformed request"
+		return req, nil
 	}
-	if fields[0] == "quit" {
-		sess.c.writeLine("ok")
-		return errQuit
+	// Prefixes need at least 3 fields, so a bare "trace <id>" line stays
+	// the trace-fetch RPC and a malformed bare line is never mistaken
+	// for a prefix. They are stripped here: everything downstream sees
+	// the plain line.
+	if v2 != nil && v2.traced && len(fields) >= 3 && fields[0] == capTrace {
+		if id, perr := obs.ParseTraceID(fields[1]); perr == nil && id != 0 {
+			req.trace, fields = id, fields[2:]
+		}
 	}
-	if fields[0] == "version" {
-		return sess.serveVersion(fields[1:])
+	if v2 != nil && v2.deadlined && len(fields) >= 3 && fields[0] == capDeadline {
+		if ms, perr := strconv.ParseUint(fields[1], 10, 32); perr == nil {
+			req.deadline = req.arrived.Add(time.Duration(ms) * time.Millisecond)
+			fields = fields[2:]
+		}
 	}
-	return sess.dispatch(fields)
+	req.cmd, req.args = fields[0], fields[1:]
+	req.spec = commandByName[req.cmd]
+	req.ordered = req.spec.has(fOrdered)
+	if req.cmd == "token" {
+		// `token <id> <cmd> ...`: the inner command is what is counted,
+		// admitted and executed; the token keys its reply for replay.
+		if len(req.args) < 2 {
+			req.bad = "token wants a token and a command"
+			return req, nil
+		}
+		req.token, req.cmd, req.args = req.args[0], req.args[1], req.args[2:]
+		if req.spec = commandByName[req.cmd]; !req.spec.has(fTokenable) {
+			req.bad = "command not tokenable: " + req.cmd
+		}
+	}
+	if n, ok := req.spec.payloadLen(req.args); ok && v2 == nil {
+		// Consume exactly what the line announces so the wire stays
+		// aligned whatever becomes of the request; a length over the
+		// command's limit is discarded unbuffered and refused by serve.
+		sess.boundRead(true)
+		if n > req.spec.payloadMax {
+			_, err = sess.c.r.Discard(n)
+		} else {
+			req.payload = make([]byte, n)
+			err = sess.c.readPayloadInto(req.payload)
+		}
+		if err != nil {
+			return req, err // transport failure mid-payload
+		}
+		sess.boundRead(false)
+	}
+	return req, nil
 }
 
-// serveVersion answers the protocol negotiation a v2 client opens with.
-// The exchange is lock-step: one counted request, one reply. A server
-// pinned to v1 answers ENOSYS exactly as an old binary (which has no
-// "version" case at all) would, and the client falls back.
-func (sess *session) serveVersion(args []string) error {
+// boundRead arms (or clears) the per-request read deadline.
+func (sess *session) boundRead(on bool) {
+	rt := sess.s.opts.RequestTimeout
+	if rt <= 0 {
+		return
+	}
+	var t time.Time
+	if on {
+		t = time.Now().Add(rt)
+	}
+	if err := sess.conn.SetReadDeadline(t); err != nil {
+		sess.log.printf("request read deadline: %v", err)
+	}
+}
+
+// serveVersion answers the protocol negotiation a v2 client opens with,
+// and on success switches the session to tagged frames. The exchange
+// itself is v1: one line, one reply. A server pinned to v1 answers
+// ENOSYS exactly as an old binary (which has no "version" command at
+// all) would, and the client falls back.
+func (sess *session) serveVersion(args []string, ln *lanes) error {
 	s := sess.s
-	s.requests.Add(1)
-	sess.reqs++
-	s.metrics.reg.Counter(obs.With(MetricRequests, "cmd", "version")).Inc()
-	sess.log.printf("req=%d %s: version %v", sess.reqs, sess.ident, args)
 	if s.maxProtocol() < ProtocolV2 {
-		return sess.fail(kernel.ErrNoSys, "unknown command version")
+		return sess.reply(0, sess.failf(kernel.ErrNoSys, "unknown command version"))
 	}
 	v, w, b, caps, err := parseVersionArgs(args)
 	if err != nil || v < ProtocolV2 {
-		return sess.fail(vfs.ErrInvalid, "bad version exchange")
+		return sess.reply(0, sess.failf(vfs.ErrInvalid, "bad version exchange"))
 	}
-	window := s.window()
-	if w < window {
-		window = w
+	conf := &v2Conf{window: s.window(), maxBytes: s.maxInflightBytes()}
+	if w < conf.window {
+		conf.window = w
 	}
-	maxBytes := s.maxInflightBytes()
-	if b < maxBytes {
-		maxBytes = b
+	if b < conf.maxBytes {
+		conf.maxBytes = b
 	}
 	// Capability tokens: echoed only when both sides support them, so a
 	// client never sends trace context to a server that cannot strip it.
-	traced := s.opts.Spans != nil && hasCap(caps, capTrace)
-	repl := s.opts.Repl != nil && hasCap(caps, capRepl)
-	deadlined := s.opts.Admission != nil && hasCap(caps, capDeadline)
-	okFields := []string{strconv.Itoa(ProtocolV2), strconv.Itoa(window), strconv.FormatInt(maxBytes, 10)}
-	if traced {
+	conf.traced = s.opts.Spans != nil && hasCap(caps, capTrace)
+	conf.repl = s.opts.Repl != nil && hasCap(caps, capRepl)
+	conf.deadlined = s.opts.Admission != nil && hasCap(caps, capDeadline)
+	okFields := []string{strconv.Itoa(ProtocolV2), strconv.Itoa(conf.window), strconv.FormatInt(conf.maxBytes, 10)}
+	if conf.traced {
 		okFields = append(okFields, capTrace)
 	}
-	if repl {
+	if conf.repl {
 		okFields = append(okFields, capRepl)
 	}
-	if deadlined {
+	if conf.deadlined {
 		okFields = append(okFields, capDeadline)
 	}
-	if err := sess.ok(okFields...); err != nil {
+	if err := sess.reply(0, okres(okFields...)); err != nil {
 		return err
 	}
-	sess.upgraded = &v2Conf{window: window, maxBytes: maxBytes, traced: traced, repl: repl, deadlined: deadlined}
+	// The ok went out as a line; everything from here on is tagged frames.
+	sess.v2 = conf
+	s.metrics.v2Sessions.Inc()
+	sess.log.printf("upgraded to protocol 2 (window=%d maxbytes=%d traced=%v)", conf.window, conf.maxBytes, conf.traced)
+	ln.start(sess, conf.window, s.workers())
 	return nil
 }
 
-// errQuit signals an orderly client farewell out of the session loop.
-var errQuit = errors.New("chirp: session quit")
+var errSevered = errors.New("chirp: session severed")
 
-// reply writes a reply line, first recording it in the dedupe table —
-// and the dedupe journal, when one is configured — when a tokened
-// request is in flight. The journal write happens before the reply
-// reaches the wire: once the client can see the answer, it is durable,
-// so a retry after a server crash replays instead of re-executing.
-//
-// Mutating commands (needBarrier) additionally wait for the durability
-// barrier before the line hits the wire: the mutation is committed in
-// memory, but the acknowledgement must not outrun the log. The dedupe
-// journal append barriers on its own entry, which subsumes the explicit
-// barrier when both are configured.
-func (sess *session) reply(fields []string) error {
-	key, barrier := sess.pendingDedupe, sess.needBarrier
-	sess.pendingDedupe, sess.needBarrier = "", false
-	sess.finishReply(fields, key, barrier)
-	return sess.c.writeLine(fields...)
+// lanes are a v2 session's executors: an ordered lane (one goroutine,
+// FIFO) runs conflicting commands in submission order while a small
+// pool runs the rest concurrently.
+type lanes struct {
+	ordered, pool chan request
+	wg            sync.WaitGroup
+	once          sync.Once
 }
 
-// finishReply performs the pre-wire bookkeeping shared by both
-// protocol paths: the durability barrier for mutating requests, the
-// pool-counter mirror, and dedupe recording for tokened requests. The
-// journal write happens before the reply reaches the wire — once the
-// client can see the answer, it is durable.
-func (sess *session) finishReply(fields []string, dedupeKey string, barrier bool) {
-	if barrier {
-		sess.barrierBeforeReply(dedupeKey, false)
+func (ln *lanes) start(sess *session, window, workers int) {
+	ln.ordered = make(chan request, window)
+	ln.pool = make(chan request, window)
+	ln.wg.Add(1 + workers)
+	go sess.worker(ln, ln.ordered)
+	for i := 0; i < workers; i++ {
+		go sess.worker(ln, ln.pool)
 	}
-	sess.recordReply(fields, dedupeKey)
+}
+
+// close stops the lanes and waits for every queued reply to flush. It
+// is a no-op on a session that never upgraded.
+func (ln *lanes) close() {
+	ln.once.Do(func() {
+		if ln.ordered != nil {
+			close(ln.ordered)
+			close(ln.pool)
+			ln.wg.Wait()
+		}
+	})
+}
+
+func (sess *session) worker(ln *lanes, ch <-chan request) {
+	defer ln.wg.Done()
+	sc := scratchPool.Get().(*payloadScratch)
+	defer scratchPool.Put(sc)
+	for req := range ch {
+		if sess.isStopping() {
+			// Severed: the socket is gone, no reply can reach the
+			// client — drop queued work instead of executing it.
+			req.ticket.Done()
+		} else {
+			sess.serve(req, sc)
+		}
+		sess.releaseSlot()
+	}
 }
 
 // tracedDurability is the optional extension of the Durability barrier
-// a tracing server probes for: internal/durable's Store implements it,
-// reporting how long the caller waited and the covering commit group's
-// write+fsync latency, so a trace can show WAL time explicitly.
+// the server probes for: internal/durable's Store implements it,
+// reporting the covering commit group's write+fsync latency, so a trace
+// can show WAL time explicitly.
 type tracedDurability interface {
 	BarrierTraced() (wait, commit time.Duration, err error)
 }
 
-// barrierBeforeReply runs the durability barrier for a mutating reply,
-// unless a dedupe-journal append subsumes it: a tokened reply about to
-// be journaled waits on its own dedupe entry, appended after this
-// request's mutations — that wait covers them, so the explicit barrier
-// would only double it. With traced set it prefers the timing-aware
-// barrier, reporting the wait and the covering group's commit latency.
-func (sess *session) barrierBeforeReply(dedupeKey string, traced bool) (wait, commit time.Duration) {
-	journaled := dedupeKey != "" && sess.s.opts.DedupeJournal != nil
-	d := sess.s.opts.Durability
-	if d == nil || journaled {
-		return 0, 0
-	}
-	var err error
-	if td, ok := d.(tracedDurability); ok && traced {
-		wait, commit, err = td.BarrierTraced()
-	} else {
-		err = d.Barrier()
-	}
-	if err != nil {
-		sess.s.metrics.barrierErrs.Inc()
-		sess.log.printf("commit barrier failed (durability degraded): %v", err)
-	}
-	return wait, commit
+// stamps are the pipeline's wall-clock marks. Taking them allocates
+// nothing, so every request does; only a traced one turns them into a
+// span. Virtual time is never touched.
+type stamps struct {
+	handler, handled, barriered time.Time // zero when the stage never ran
+	commitLat                   time.Duration
 }
 
-// recordReply is the non-barrier half of the pre-wire bookkeeping: the
-// pool-counter mirror and dedupe recording for tokened requests.
+// serve is the one request pipeline, run for every admitted request of
+// either framing: execute produces the reply, serve delivers it and
+// accounts for it. sc is the caller's payload scratch, reused for pread
+// bodies (the reply is flushed before the scratch is reused).
+func (sess *session) serve(req request, sc *payloadScratch) {
+	s := sess.s
+	// The admission ticket is released when the reply (or shed) is on
+	// the wire, whatever path the request took; Done on a nil ticket
+	// (admission off, or an exempt control command) is a no-op.
+	defer req.ticket.Done()
+	var st stamps
+	res := sess.execute(&req, sc, &st)
+	replyStart := time.Now()
+	sess.reply(req.tag, res)
+	now := time.Now()
+	if res.after != nil {
+		res.after()
+	}
+	total := now.Sub(req.arrived)
+	s.metrics.requestLat.ObserveExemplar(float64(total.Microseconds()), req.trace)
+	if req.trace == 0 {
+		return
+	}
+	sp := obs.Span{
+		Trace:  req.trace,
+		TraceS: obs.FormatTraceID(req.trace),
+		ID:     s.opts.Spans.NextSpanID(),
+		Name:   "server",
+		Cmd:    req.cmd,
+		Start:  req.arrived,
+		Dur:    total,
+	}
+	if len(res.fields) > 0 && res.fields[0] == "err" {
+		sp.Err = strings.Join(res.fields[1:], " ")
+	}
+	if st.handler.IsZero() { // answered before the handler: all queue
+		st.handler, st.handled = replyStart, replyStart
+	}
+	queueWait, handlerDur := st.handler.Sub(req.arrived), st.handled.Sub(st.handler)
+	sp.Phase("lane.queue", 0, queueWait)
+	sp.Phase("handler", queueWait, handlerDur)
+	if !st.barriered.IsZero() {
+		off, wait := queueWait+handlerDur, st.barriered.Sub(st.handled)
+		sp.Phase("barrier.wait", off, wait)
+		if st.commitLat > 0 {
+			// The covering group's write+fsync finished when the barrier
+			// released, so the phase ends at the barrier's end; it may
+			// start before the barrier did (the group was already under
+			// way), clamped to the span.
+			gOff := off + wait - st.commitLat
+			if gOff < 0 {
+				gOff = 0
+			}
+			sp.Phase("wal.group", gOff, st.commitLat)
+		}
+	}
+	sp.Phase("reply", replyStart.Sub(req.arrived), now.Sub(replyStart))
+	s.opts.Spans.Record(sp)
+	if tl := s.opts.TraceLog; tl != nil && total >= s.opts.TraceSlow {
+		if err := tl.RecordValue(sp); err != nil {
+			sess.log.printf("slow-request log: %v", err)
+		}
+	}
+}
+
+// execute takes one request from shape check to recorded reply: table
+// check → token/dedupe replay → role gate → fair execution slot →
+// handler → durability barrier → dedupe record.
+func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres {
+	s := sess.s
+	if msg := req.spec.refusal(req.args, req.payload); msg != "" {
+		return sess.failf(vfs.ErrInvalid, msg)
+	}
+	// A tokened request already answered for this principal is replayed
+	// without re-executing: a lost reply does not become a second
+	// execution. The ordered lane keeps the lookup and the later store
+	// from racing a concurrent duplicate on the same session.
+	var dk string
+	if req.token != "" {
+		dk = dedupeKey(sess.ident.String(), req.token)
+		if stored, hit := s.dedupe.lookup(dk); hit {
+			s.metrics.dedupeHits.Inc()
+			sess.log.printf("tag=%d %s: %s (token %s) replayed from dedupe", req.tag, sess.ident, req.cmd, req.token)
+			return hres{fields: stored}
+		}
+	}
+	if rr := sess.roleRefusal(req); rr != nil {
+		// Not the primary: refuse without touching dedupe — the retry
+		// belongs to whichever server holds the lease, not this table.
+		return *rr
+	}
+	// Dispatch hop: wait for a fair execution slot, shedding with
+	// EDEADLINE if the budget runs out in the queue — the handler (and
+	// any WAL work) never runs for shed requests.
+	if err := req.ticket.Acquire(); err != nil {
+		return sess.failf(fmt.Errorf("%w awaiting dispatch", ErrDeadline), "")
+	}
+	st.handler = time.Now()
+	res := sess.handle(req.cmd, req.args, req.payload, sc, req.trace)
+	st.handled = time.Now()
+	if d := s.opts.Durability; d != nil && req.spec.has(fMutating) {
+		if dk == "" && req.ticket.ExpiredAtBarrier() {
+			// Barrier hop: the op executed but its budget is gone, so
+			// answer EDEADLINE instead of parking on the WAL —
+			// applied-but-unacknowledged, exactly a client timeout's
+			// semantics. Tokened requests are exempt: their reply must
+			// be recorded for exactly-once replay, never a shed.
+			return sess.failf(fmt.Errorf("%w before durability barrier", ErrDeadline), "")
+		}
+		// The acknowledgement must not outrun the log: wait until every
+		// shard this request wrote is durable. This holds for tokened
+		// requests too — the dedupe journal append below waits only on
+		// its own key's shard.
+		var err error
+		if td, ok := d.(tracedDurability); ok {
+			_, st.commitLat, err = td.BarrierTraced()
+		} else {
+			err = d.Barrier()
+		}
+		if err != nil {
+			s.metrics.barrierErrs.Inc()
+			sess.log.printf("commit barrier failed (durability degraded): %v", err)
+		}
+		st.barriered = time.Now()
+	}
+	sess.recordReply(res.fields, dk)
+	return res
+}
+
+// recordReply is the pre-wire bookkeeping: the pool-counter mirror, and
+// for a tokened request the dedupe table and journal. The journal write
+// happens before the reply reaches the wire — once the client can see
+// the answer, it is durable, so a retry after a server crash replays
+// instead of re-executing.
 func (sess *session) recordReply(fields []string, dedupeKey string) {
 	sess.s.metrics.poolHits.Set(poolHits.Load())
 	sess.s.metrics.poolMisses.Set(poolMisses.Load())
@@ -1007,13 +1290,39 @@ func (sess *session) recordReply(fields []string, dedupeKey string) {
 	}
 }
 
+// reply writes one reply in the session's framing — a tagged frame on
+// v2, a line then its counted payload on v1 — under writeMu, so
+// concurrent workers and the replication pusher interleave whole
+// replies, and under the per-request write deadline.
+func (sess *session) reply(tag uint64, res hres) error {
+	if sess.isStopping() {
+		return errSevered // see severAll: a severed session acknowledges nothing
+	}
+	sess.writeMu.Lock()
+	defer sess.writeMu.Unlock()
+	if rt := sess.s.opts.RequestTimeout; rt > 0 {
+		if err := sess.conn.SetWriteDeadline(time.Now().Add(rt)); err != nil {
+			sess.log.printf("setting reply deadline: %v", err)
+		}
+		defer func() {
+			if err := sess.conn.SetWriteDeadline(time.Time{}); err != nil {
+				sess.log.printf("clearing reply deadline: %v", err)
+			}
+		}()
+	}
+	if err := sess.c.queueMessage(sess.v2 != nil, tag, res.fields, res.body); err != nil {
+		return err
+	}
+	return sess.c.flush()
+}
+
 // hres is one handled request's outcome: a complete reply line
 // (starting "ok" or "err") plus an optional counted payload. The
-// handler produces it; the protocol paths deliver it (v1 as a line +
-// payload, v2 as a tagged frame).
+// handler produces it; reply delivers it in the session's framing.
 type hres struct {
 	fields []string
 	body   []byte
+	after  func() // run once the reply is on the wire (replsub's pusher)
 }
 
 // okres builds a success result.
@@ -1032,32 +1341,22 @@ func (sess *session) failf(err error, context string) hres {
 	return hres{fields: []string{"err", nameForError(err), q(msg)}}
 }
 
-// ok sends a success reply (v1 path).
-func (sess *session) ok(fields ...string) error {
-	return sess.reply(append([]string{"ok"}, fields...))
-}
-
-// fail sends an error reply (v1 path).
-func (sess *session) fail(err error, context string) error {
-	return sess.reply(sess.failf(err, context).fields)
-}
-
 // roleRefusal reports the refusal for a mutating command when this
 // server is not the primary replica (a follower, or a fenced former
 // primary), nil when the command may proceed. The error message names
 // the current primary so a failover-aware client can re-target; this
 // check is the server half of epoch fencing — a deposed primary
 // answers every write with it, no matter how stale its own view is.
-func (sess *session) roleRefusal(cmd string, args []string) *hres {
+func (sess *session) roleRefusal(req *request) *hres {
 	rs := sess.s.opts.Role
-	if rs == nil || !mutatingCmds[cmd] {
+	if rs == nil || !req.spec.has(fMutating) {
 		return nil
 	}
-	if cmd == "open" && len(args) >= 1 {
+	if req.cmd == "open" {
 		// A read-only open without create/truncate mutates nothing, and
 		// followers must serve it: bounded-staleness reads (waitlsn +
 		// get) are the whole point of read replicas.
-		if flags, err := strconv.Atoi(args[0]); err == nil &&
+		if flags, err := strconv.Atoi(req.args[0]); err == nil &&
 			flags&3 == kernel.ORdonly && flags&(kernel.OCreat|kernel.OTrunc) == 0 {
 			return nil
 		}
@@ -1078,8 +1377,8 @@ func (sess *session) roleRefusal(cmd string, args []string) *hres {
 // ENOTPRIMARY refusal, or "" when the error is something else (or the
 // refusing server did not know the holder).
 func PrimaryFromError(err error) string {
-	var re *RemoteError
-	if !errors.As(err, &re) || !errors.Is(err, ErrNotPrimary) {
+	cls, re := classOf(err)
+	if cls != classRedirect {
 		return ""
 	}
 	const marker = "primary is "
@@ -1102,198 +1401,18 @@ func (s *Server) SessionCount() int64 { return s.sessions.Load() }
 // started.
 func (s *Server) ErrorCount() int64 { return s.errors.Load() }
 
-// mutatingCmds lists the commands that can change durable state; their
-// replies wait on the durability barrier (see session.reply). open is
-// included because OCreat/OTrunc create or truncate, exec because
-// staged programs write output files.
-var mutatingCmds = map[string]bool{
-	"open":     true,
-	"pwrite":   true,
-	"mkdir":    true,
-	"rmdir":    true,
-	"unlink":   true,
-	"rename":   true,
-	"link":     true,
-	"symlink":  true,
-	"truncate": true,
-	"setacl":   true,
-	"exec":     true,
-}
-
-// tokenable lists the commands a request token may wrap: non-idempotent
-// mutations with line-only replies. Session-state commands (open,
-// close) are excluded — a replayed descriptor number would point into a
-// different session — as are payload-reply commands, whose body is not
-// captured by the dedupe table.
-var tokenable = map[string]bool{
-	"exec":     true,
-	"rename":   true,
-	"link":     true,
-	"symlink":  true,
-	"mkdir":    true,
-	"rmdir":    true,
-	"unlink":   true,
-	"truncate": true,
-	"pwrite":   true,
-	"setacl":   true,
-}
-
-// consumeRequestPayload reads (and discards) the counted payload that
-// accompanies cmd's request line, so a dedupe-hit replay leaves the
-// wire aligned for the next request.
-func (sess *session) consumeRequestPayload(cmd string, args []string) error {
-	var idx int
-	switch cmd {
-	case "pwrite":
-		idx = 2
-	case "setacl":
-		idx = 1
-	default:
-		return nil
-	}
-	if len(args) <= idx {
-		return nil
-	}
-	n, err := strconv.Atoi(args[idx])
-	if err != nil || n < 0 || n > MaxPayload {
-		return nil
-	}
-	_, err = sess.c.readPayload(n)
-	return err
-}
-
-// dispatchTokened handles `token <id> <cmd> ...`: if the (principal,
-// token) pair was already answered, the stored reply is replayed
-// without re-executing the command; otherwise the inner command runs
-// and its reply is recorded. This is what makes retrying a
-// non-idempotent request safe: a lost reply does not become a second
-// execution.
-func (sess *session) dispatchTokened(args []string) error {
-	s := sess.s
-	if len(args) < 2 {
-		s.requests.Add(1)
-		sess.reqs++
-		s.metrics.reg.Counter(obs.With(MetricRequests, "cmd", "token")).Inc()
-		return sess.fail(vfs.ErrInvalid, "token wants a token and a command")
-	}
-	token, inner := args[0], args[1:]
-	cmd := inner[0]
-	if !tokenable[cmd] {
-		s.requests.Add(1)
-		sess.reqs++
-		s.metrics.reg.Counter(obs.With(MetricRequests, "cmd", cmd)).Inc()
-		return sess.fail(vfs.ErrInvalid, "command not tokenable: "+cmd)
-	}
-	key := dedupeKey(sess.ident.String(), token)
-	if stored, hit := s.dedupe.lookup(key); hit {
-		s.requests.Add(1)
-		sess.reqs++
-		s.metrics.reg.Counter(obs.With(MetricRequests, "cmd", cmd)).Inc()
-		s.metrics.dedupeHits.Inc()
-		if err := sess.consumeRequestPayload(cmd, inner[1:]); err != nil {
-			return err
-		}
-		sess.log.printf("req=%d %s: %s (token %s) replayed from dedupe", sess.reqs, sess.ident, cmd, token)
-		return sess.c.writeLine(stored...)
-	}
-	sess.pendingDedupe = key
-	err := sess.dispatch(inner)
-	sess.pendingDedupe = "" // cleared by reply(); re-clear on transport error
-	return err
-}
-
-func (sess *session) dispatch(fields []string) error {
-	cmd, args := fields[0], fields[1:]
-	s := sess.s
-	if cmd == "token" {
-		return sess.dispatchTokened(args)
-	}
-	s.requests.Add(1)
-	sess.reqs++
-	s.metrics.reg.Counter(obs.With(MetricRequests, "cmd", cmd)).Inc()
-	sess.log.printf("req=%d %s: %s %v", sess.reqs, sess.ident, cmd, args)
-	if s.opts.Durability != nil && mutatingCmds[cmd] {
-		sess.needBarrier = true
-	}
-	var payload []byte
-	if n, ok := requestPayloadSpec(cmd, args); ok {
-		// The request announces a counted payload and the line is well
-		// formed enough to say how long; read it before dispatch, as the
-		// lock-step protocol always has. A malformed line reads nothing
-		// and the handler fails it, leaving the wire where v1 left it.
-		data, err := sess.c.readPayload(n)
-		if err != nil {
-			return err // transport failure mid-payload
-		}
-		payload = data
-	}
-	if rr := sess.roleRefusal(cmd, args); rr != nil {
-		// Not the primary: refuse after the payload is consumed (wire
-		// stays aligned) and without touching dedupe — the retry belongs
-		// to whichever server holds the lease, not this table.
-		sess.pendingDedupe, sess.needBarrier = "", false
-		return sess.reply(rr.fields)
-	}
-	res := sess.handle(cmd, args, payload, sess.c.scratchBuf, 0)
-	if err := sess.reply(res.fields); err != nil {
-		return err
-	}
-	if res.body != nil {
-		return sess.c.writePayload(res.body)
-	}
-	return nil
-}
-
-// requestPayloadSpec reports the counted request payload cmd's line
-// announces, when the line is well-formed enough to announce one. A
-// malformed line (wrong arg count, out-of-range length) reports none:
-// the handler fails it without any payload having been consumed,
-// exactly as the v1 dispatch ordered its checks.
-func requestPayloadSpec(cmd string, args []string) (n int, ok bool) {
-	switch cmd {
-	case "pwrite": // pwrite <fd> <off> <len>
-		if len(args) != 3 {
-			return 0, false
-		}
-		n, _ := strconv.Atoi(args[2])
-		if n < 0 || n > MaxPayload {
-			return 0, false
-		}
-		return n, true
-	case "setacl": // setacl <path> <len>
-		if len(args) != 2 {
-			return 0, false
-		}
-		n, err := strconv.Atoi(args[1])
-		if err != nil || n < 0 || n > 1<<20 {
-			return 0, false
-		}
-		return n, true
-	case "assert": // assert <len>
-		if len(args) != 1 {
-			return 0, false
-		}
-		n, err := strconv.Atoi(args[0])
-		if err != nil || n < 0 || n > 1<<20 {
-			return 0, false
-		}
-		return n, true
-	}
-	return 0, false
-}
-
-// handle executes one request and produces its reply. It is shared by
-// the v1 lock-step path and the v2 worker lanes, so it touches no wire
-// state: the request payload arrives pre-read, and pread reply bodies
-// are built in the buf the caller supplies (codec scratch for v1, a
-// per-worker pooled scratch for v2). Session state goes through the
-// fdMu/grantsMu accessors, making concurrent v2 execution safe.
+// handle executes one request and produces its reply. It touches no
+// wire state — the request payload arrives pre-read, and pread reply
+// bodies are built in the scratch the caller supplies — and execute has
+// already checked the argument count and payload length against the
+// command table, so cases index args freely. Session state goes through
+// the fdMu/grantsMu accessors, making concurrent v2 execution safe.
 //
 // trace is the request's trace ID (zero when untraced); mutating
 // commands stamp it onto the journal mutations they emit so a trace
 // can be followed into the WAL group-commit pipeline. A zero-trace
 // view is the plain FS, so untraced behavior is unchanged.
-func (sess *session) handle(cmd string, args []string, payload []byte, buf func(int) []byte, trace uint64) hres {
+func (sess *session) handle(cmd string, args []string, payload []byte, sc *payloadScratch, trace uint64) hres {
 	s := sess.s
 	tfs := s.fs.Traced(trace)
 	switch cmd {
@@ -1328,9 +1447,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return okres(fields...)
 
 	case "waitlsn": // waitlsn <lsn> <timeoutms>: bounded-staleness read barrier
-		if len(args) != 2 {
-			return sess.failf(vfs.ErrInvalid, "waitlsn wants lsn and timeout")
-		}
 		lsn, err1 := strconv.ParseUint(args[0], 10, 64)
 		ms, err2 := strconv.ParseInt(args[1], 10, 64)
 		if err1 != nil || err2 != nil || ms < 0 {
@@ -1351,9 +1467,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return hres{fields: []string{"ok", strconv.Itoa(len(text))}, body: []byte(text)}
 
 	case "trace": // trace <id>: server-side spans for one trace, as JSON
-		if len(args) != 1 {
-			return sess.failf(vfs.ErrInvalid, "trace wants a trace id")
-		}
 		id, err := obs.ParseTraceID(args[0])
 		if err != nil || id == 0 {
 			return sess.failf(vfs.ErrInvalid, "bad trace id")
@@ -1366,10 +1479,13 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		}
 		return hres{fields: []string{"ok", strconv.Itoa(len(data))}, body: data}
 
+	case "replsub":
+		return sess.replSubscribe(args[0])
+
+	case "replack":
+		return sess.replAck(args[0])
+
 	case "open": // open <flags> <mode> <path>
-		if len(args) != 3 {
-			return sess.failf(vfs.ErrInvalid, "open wants 3 args")
-		}
 		flags, err1 := strconv.Atoi(args[0])
 		mode, err2 := strconv.ParseUint(args[1], 8, 32)
 		if err1 != nil || err2 != nil {
@@ -1392,9 +1508,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return okres()
 
 	case "pread": // pread <fd> <len> <off>
-		if len(args) != 3 {
-			return sess.failf(vfs.ErrInvalid, "pread wants 3 args")
-		}
 		fd, _ := strconv.Atoi(args[0])
 		n, _ := strconv.Atoi(args[1])
 		off, _ := strconv.ParseInt(args[2], 10, 64)
@@ -1407,26 +1520,16 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		}
 		// Pooled scratch: the payload is written to the wire before the
 		// caller's scratch is reused.
-		b := buf(n)
+		b := sc.bytes(n)
 		rn, err := d.h.ReadAt(b, off)
 		if err != nil {
 			return sess.failf(err, "pread")
 		}
 		return hres{fields: []string{"ok", strconv.Itoa(rn)}, body: b[:rn]}
 
-	case "pwrite": // pwrite <fd> <off> <len> + payload
-		if len(args) != 3 {
-			return sess.failf(vfs.ErrInvalid, "pwrite wants 3 args")
-		}
+	case "pwrite": // pwrite <fd> <off> <len> + payload (len checked against the table)
 		fd, _ := strconv.Atoi(args[0])
 		off, _ := strconv.ParseInt(args[1], 10, 64)
-		n, _ := strconv.Atoi(args[2])
-		if n < 0 || n > MaxPayload {
-			return sess.failf(vfs.ErrInvalid, "pwrite size")
-		}
-		if len(payload) != n {
-			return sess.failf(vfs.ErrInvalid, "pwrite payload length mismatch")
-		}
 		d, ok := sess.lookupFD(fd)
 		if !ok {
 			return sess.failf(kernel.ErrBadFD, "pwrite")
@@ -1449,9 +1552,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return okres(statFields(d.h.Stat())...)
 
 	case "stat", "lstat":
-		if len(args) != 1 {
-			return sess.failf(vfs.ErrInvalid, "stat wants a path")
-		}
 		if err := sess.checkF(args[0], acl.List); err != nil {
 			return sess.failf(err, "stat")
 		}
@@ -1483,9 +1583,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return okres(out...)
 
 	case "mkdir": // mkdir <mode> <path>
-		if len(args) != 2 {
-			return sess.failf(vfs.ErrInvalid, "mkdir wants 2 args")
-		}
 		mode, err := strconv.ParseUint(args[0], 8, 32)
 		if err != nil {
 			return sess.failf(vfs.ErrInvalid, "bad mode")
@@ -1522,9 +1619,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return okres()
 
 	case "rename":
-		if len(args) != 2 {
-			return sess.failf(vfs.ErrInvalid, "rename wants 2 args")
-		}
 		if err := sess.checkACLFileWrite(args[0]); err != nil {
 			return sess.failf(err, "rename")
 		}
@@ -1537,9 +1631,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return okres()
 
 	case "link": // link <old> <new>: refuse links to unreadable files
-		if len(args) != 2 {
-			return sess.failf(vfs.ErrInvalid, "link wants 2 args")
-		}
 		if err := sess.checkF(args[0], acl.Read); err != nil {
 			return sess.failf(err, "link")
 		}
@@ -1552,9 +1643,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return okres()
 
 	case "symlink": // symlink <target> <link>
-		if len(args) != 2 {
-			return sess.failf(vfs.ErrInvalid, "symlink wants 2 args")
-		}
 		if err := sess.checkACLFileWrite(args[1]); err != nil {
 			return sess.failf(err, "symlink")
 		}
@@ -1574,9 +1662,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return okres(q(t))
 
 	case "truncate": // truncate <path> <size>
-		if len(args) != 2 {
-			return sess.failf(vfs.ErrInvalid, "truncate wants 2 args")
-		}
 		size, err := strconv.ParseInt(args[1], 10, 64)
 		if err != nil {
 			return sess.failf(vfs.ErrInvalid, "bad size")
@@ -1601,16 +1686,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return hres{fields: []string{"ok", strconv.Itoa(len(text))}, body: []byte(text)}
 
 	case "setacl": // setacl <path> <len> + payload
-		if len(args) != 2 {
-			return sess.failf(vfs.ErrInvalid, "setacl wants 2 args")
-		}
-		n, err := strconv.Atoi(args[1])
-		if err != nil || n < 0 || n > 1<<20 {
-			return sess.failf(vfs.ErrInvalid, "bad length")
-		}
-		if len(payload) != n {
-			return sess.failf(vfs.ErrInvalid, "setacl payload length mismatch")
-		}
 		if err := sess.checkD(args[0], acl.Admin); err != nil {
 			return sess.failf(err, "setacl")
 		}
@@ -1624,16 +1699,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return okres()
 
 	case "assert": // assert <len> + JSON assertion payload
-		if len(args) != 1 {
-			return sess.failf(vfs.ErrInvalid, "assert wants a length")
-		}
-		n, err := strconv.Atoi(args[0])
-		if err != nil || n < 0 || n > 1<<20 {
-			return sess.failf(vfs.ErrInvalid, "bad length")
-		}
-		if len(payload) != n {
-			return sess.failf(vfs.ErrInvalid, "assert payload length mismatch")
-		}
 		community, err := sess.present(payload)
 		if err != nil {
 			return sess.failf(vfs.ErrPermission, err.Error())
@@ -1641,9 +1706,6 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 		return okres(q(community))
 
 	case "exec": // exec <cwd> <path> [args...]
-		if len(args) < 2 {
-			return sess.failf(vfs.ErrInvalid, "exec wants cwd and path")
-		}
 		code, runtime, err := sess.exec(args[0], args[1], args[2:])
 		if err != nil {
 			return sess.failf(err, "exec")
@@ -1655,227 +1717,10 @@ func (sess *session) handle(cmd string, args []string, payload []byte, buf func(
 	}
 }
 
-// open authorizes and opens a file for the session.
-// --- v2 tagged frame loop ----------------------------------------------
-
-// orderedCmds lists the commands the v2 dispatcher serializes on one
-// lane per session, preserving submission order where operations can
-// conflict: descriptor-table changes (open/close), namespace mutations,
-// ACL and grant changes, and tokened requests (dedupe lookup/store must
-// not race a concurrent duplicate). Everything else — reads, stats, and
-// pwrite, whose offsets the client already owns — runs on the
-// concurrent worker pool, so a slow transfer cannot head-of-line block
-// metadata traffic.
-var orderedCmds = map[string]bool{
-	"open":     true,
-	"close":    true,
-	"mkdir":    true,
-	"rmdir":    true,
-	"unlink":   true,
-	"rename":   true,
-	"link":     true,
-	"symlink":  true,
-	"truncate": true,
-	"setacl":   true,
-	"assert":   true,
-	"exec":     true,
-	"token":    true,
-	"replsub":  true, // subscription registration must not race itself
-}
-
-// muxJob is one tagged request handed from the v2 reader to a worker
-// lane. The payload is request-owned (freshly allocated by the reader),
-// so workers never share buffers. trace and arrived are set only for
-// requests that carried trace context on a traced session.
-type muxJob struct {
-	tag     uint64
-	cmd     string
-	args    []string
-	payload []byte
-	trace   uint64            // request-tracing ID (0 untraced)
-	arrived time.Time         // when the frame was read off the wire (traced only)
-	ticket  *admission.Ticket // admission pass (nil: admission off or exempt class)
-}
-
-// loopV2 is the tagged-frame session loop a successful version exchange
-// switches into. The connection goroutine becomes the frame reader; an
-// ordered lane (one goroutine, FIFO) executes conflicting commands in
-// submission order while a small pool runs the rest concurrently. The
-// credit window (acquireSlot) bounds requests in flight per session,
-// applying backpressure by simply not reading the next frame.
-func (sess *session) loopV2(conf *v2Conf) {
-	s := sess.s
-	window, maxBytes := conf.window, conf.maxBytes
-	sess.replOK = conf.repl // workers start below: safely published
-	sess.state.abort.Store(func() { sess.abort() })
-	s.metrics.v2Sessions.Inc()
-	sess.log.printf("upgraded to protocol 2 (window=%d maxbytes=%d traced=%v)", window, maxBytes, conf.traced)
-	ordered := make(chan muxJob, window)
-	pool := make(chan muxJob, window)
-	var wg sync.WaitGroup
-	worker := func(ch <-chan muxJob) {
-		defer wg.Done()
-		sc := scratchPool.Get().(*payloadScratch)
-		defer scratchPool.Put(sc)
-		for j := range ch {
-			if sess.isStopping() {
-				// Severed: the socket is gone, no reply can reach the
-				// client — drop queued work instead of executing it.
-				j.ticket.Done()
-				sess.releaseSlot()
-				continue
-			}
-			sess.serveTagged(j, sc)
-			sess.releaseSlot()
-		}
-	}
-	wg.Add(1)
-	go worker(ordered)
-	for i := 0; i < s.workers(); i++ {
-		wg.Add(1)
-		go worker(pool)
-	}
-	var closeOnce sync.Once
-	closeLanes := func() {
-		closeOnce.Do(func() {
-			close(ordered)
-			close(pool)
-			wg.Wait() // all replies flushed before the codec is released
-		})
-	}
-	defer closeLanes()
-	for {
-		if s.isDraining() {
-			return // finish in-flight work, accept no more requests
-		}
-		h, err := sess.c.readFrameHeader()
-		if err != nil {
-			return // connection closed (or drain nudge expired the read)
-		}
-		// The per-request deadline bounds the rest of this frame's wire
-		// I/O once its header has arrived, exactly as v1 bounded the
-		// exchange once the command line arrived.
-		if rt := s.opts.RequestTimeout; rt > 0 {
-			if derr := sess.conn.SetReadDeadline(time.Now().Add(rt)); derr != nil {
-				sess.log.printf("setting request deadline: %v", derr)
-			}
-		}
-		line, err := sess.c.readFrameLine(h.lineLen)
-		if err != nil {
-			return
-		}
-		var payload []byte
-		if h.payloadLen > 0 {
-			payload = make([]byte, h.payloadLen)
-			if err := sess.c.readPayloadInto(payload); err != nil {
-				return
-			}
-		}
-		if rt := s.opts.RequestTimeout; rt > 0 {
-			if derr := sess.conn.SetReadDeadline(time.Time{}); derr != nil {
-				sess.log.printf("clearing request deadline: %v", derr)
-			}
-		}
-		fields, err := splitFields(line)
-		if err != nil || len(fields) == 0 {
-			if werr := sess.failTagged(h.tag, vfs.ErrInvalid, "malformed request"); werr != nil {
-				return
-			}
-			continue
-		}
-		// A traced session's frames may lead with "trace <hexid>" before
-		// the command; strip it here so every downstream consumer — lane
-		// routing, dedupe, the handler — sees the plain line. A bare
-		// 2-field "trace <hexid>" line is the trace-fetch RPC, not a
-		// prefix, so prefixes need at least 3 fields.
-		var trace uint64
-		var arrived time.Time
-		if conf.traced && len(fields) >= 3 && fields[0] == "trace" {
-			if id, perr := obs.ParseTraceID(fields[1]); perr == nil && id != 0 {
-				trace = id
-				fields = fields[2:]
-				arrived = time.Now()
-			}
-		}
-		// A deadlined session's frames may lead with "deadline <ms>"
-		// (after any trace prefix): the remaining budget in
-		// milliseconds, anchored here at frame arrival. Like the trace
-		// prefix, it needs at least 3 fields so a malformed bare line
-		// cannot be mistaken for one.
-		var deadline time.Time
-		if conf.deadlined && len(fields) >= 3 && fields[0] == capDeadline {
-			if ms, perr := strconv.ParseUint(fields[1], 10, 32); perr == nil {
-				deadline = time.Now().Add(time.Duration(ms) * time.Millisecond)
-				fields = fields[2:]
-			}
-		}
-		cmd := fields[0]
-		if cmd == "quit" {
-			closeLanes() // every pending reply precedes the farewell ack
-			sess.writeFrame(h.tag, []string{"ok"}, nil)
-			return
-		}
-		s.requests.Add(1)
-		sess.reqs++
-		mcmd := cmd
-		if cmd == "token" && len(fields) >= 3 {
-			mcmd = fields[2] // count the inner command, as v1 does
-		}
-		s.metrics.reg.Counter(obs.With(MetricRequests, "cmd", mcmd)).Inc()
-		sess.log.printf("req=%d tag=%d %s: %s %v", sess.reqs, h.tag, sess.ident, cmd, fields[1:])
-		// Lane-queue admission: the overload controller sheds expired
-		// work and rejects over a bounded queue here, before the
-		// request consumes a window slot or a worker. Control-plane
-		// commands ride the exempt class (nil ticket) so overload can
-		// never choke lease heartbeats or replication traffic.
-		var ticket *admission.Ticket
-		if adm := s.opts.Admission; adm != nil {
-			class := admission.Normal
-			if controlCmds[mcmd] {
-				class = admission.Control
-			}
-			tk, aerr := adm.Admit(sess.ident.String(), class, len(payload), deadline)
-			if aerr != nil {
-				if werr := sess.failAdmission(h.tag, aerr); werr != nil {
-					return
-				}
-				continue
-			}
-			ticket = tk
-		}
-		if !sess.acquireSlot(window) {
-			ticket.Done()
-			return // server severing this session: stop reading
-		}
-		lane := pool
-		if orderedCmds[cmd] {
-			lane = ordered
-		}
-		lane <- muxJob{tag: h.tag, cmd: cmd, args: fields[1:], payload: payload, trace: trace, arrived: arrived, ticket: ticket}
-	}
-}
-
-// controlCmds are the commands admitted on the exempt priority class:
-// liveness probes, observability, and the replication control plane.
-// Shedding any of these under overload would make saturation look like
-// failure — a lease heartbeat probe timing out triggers failover, a
-// shed replsub stalls a follower — so they bypass the admit queue and
-// the fairness scheduler entirely.
-var controlCmds = map[string]bool{
-	"whoami":  true,
-	"stats":   true,
-	"metrics": true,
-	"trace":   true,
-	"waitlsn": true,
-	"replsub": true,
-	"replack": true,
-	"assert":  true,
-}
-
-// failAdmission writes the typed rejection for an admission failure:
+// admissionRefusal builds the typed rejection for an admission failure:
 // EBUSY with the controller's retry-after hint, or EDEADLINE for a
 // budget already expired at admit.
-func (sess *session) failAdmission(tag uint64, aerr error) error {
+func (sess *session) admissionRefusal(aerr error) hres {
 	var be *admission.BusyError
 	if errors.As(aerr, &be) {
 		ms := be.RetryAfter.Milliseconds()
@@ -1884,243 +1729,74 @@ func (sess *session) failAdmission(tag uint64, aerr error) error {
 		}
 		// The hint rides in the error text (failf sends err.Error() as
 		// the wire message); RetryAfterFromError parses it back out.
-		return sess.failTagged(tag, fmt.Errorf("%w; %s%dms", ErrBusy, retryAfterMarker, ms), "")
+		return sess.failf(fmt.Errorf("%w; %s%dms", ErrBusy, retryAfterMarker, ms), "")
 	}
-	return sess.failTagged(tag, fmt.Errorf("%w before admit", ErrDeadline), "")
+	return sess.failf(fmt.Errorf("%w before admit", ErrDeadline), "")
 }
 
-// serveTagged executes one tagged request on a worker lane and writes
-// its reply frame. sc is the worker's pooled payload scratch, reused
-// for pread bodies (the frame is flushed before the scratch is reused).
-func (sess *session) serveTagged(j muxJob, sc *payloadScratch) {
-	s := sess.s
-	// The admission ticket is released when the reply (or shed) is
-	// decided, whatever path this request takes; Done on a nil ticket
-	// (admission off, or an exempt control command) is a no-op.
-	defer j.ticket.Done()
-	cmd, args := j.cmd, j.args
-	switch cmd {
-	case "replsub":
-		sess.serveReplSub(j)
-		return
-	case "replack":
-		sess.serveReplAck(j)
-		return
-	}
-	var dk string
-	if cmd == "token" {
-		if len(args) < 2 {
-			sess.failTagged(j.tag, vfs.ErrInvalid, "token wants a token and a command")
-			return
-		}
-		token, inner := args[0], args[1:]
-		cmd, args = inner[0], inner[1:]
-		if !tokenable[cmd] {
-			sess.failTagged(j.tag, vfs.ErrInvalid, "command not tokenable: "+cmd)
-			return
-		}
-		key := dedupeKey(sess.ident.String(), token)
-		if stored, hit := s.dedupe.lookup(key); hit {
-			s.metrics.dedupeHits.Inc()
-			sess.log.printf("tag=%d %s: %s (token %s) replayed from dedupe", j.tag, sess.ident, cmd, token)
-			sess.writeFrame(j.tag, stored, nil)
-			return
-		}
-		dk = key
-	}
-	if rr := sess.roleRefusal(cmd, args); rr != nil {
-		// Not the primary: refuse without touching dedupe — the retry
-		// belongs to whichever server holds the lease, not this table.
-		sess.writeFrame(j.tag, rr.fields, nil)
-		return
-	}
-	// Worker-dispatch admission hop: wait for a fair execution slot,
-	// shedding with EDEADLINE if the budget runs out in the queue —
-	// the handler (and any WAL work) never runs for shed requests.
-	if err := j.ticket.Acquire(); err != nil {
-		sess.failTagged(j.tag, fmt.Errorf("%w awaiting dispatch", ErrDeadline), "")
-		return
-	}
-	barrier := s.opts.Durability != nil && mutatingCmds[cmd]
-	if j.trace == 0 {
-		res := sess.handle(cmd, args, j.payload, sc.bytes, 0)
-		if barrier && dk == "" && j.ticket.ExpiredAtBarrier() {
-			// Durability-barrier hop: the op executed but its budget is
-			// gone, so answer EDEADLINE instead of parking on the WAL —
-			// applied-but-unacknowledged, exactly a client timeout's
-			// semantics. Tokened requests are exempt: their reply must
-			// be recorded for exactly-once replay, never a shed.
-			res = sess.failf(fmt.Errorf("%w before durability barrier", ErrDeadline), "")
-			barrier = false
-		}
-		sess.finishReply(res.fields, dk, barrier)
-		sess.writeFrame(j.tag, res.fields, res.body)
-		return
-	}
-
-	// Traced path: the same steps with wall-clock phase timings around
-	// each, producing one "server" span covering frame arrival → reply
-	// flushed. Virtual time is never touched.
-	handlerStart := time.Now()
-	res := sess.handle(cmd, args, j.payload, sc.bytes, j.trace)
-	handlerDur := time.Since(handlerStart)
-	if barrier && dk == "" && j.ticket.ExpiredAtBarrier() {
-		res = sess.failf(fmt.Errorf("%w before durability barrier", ErrDeadline), "")
-		barrier = false
-	}
-	var barrierWait, commitLat time.Duration
-	if barrier {
-		barrierWait, commitLat = sess.barrierBeforeReply(dk, true)
-	}
-	sess.recordReply(res.fields, dk)
-	replyStart := time.Now()
-	sess.writeFrame(j.tag, res.fields, res.body)
-	now := time.Now()
-	total := now.Sub(j.arrived)
-	s.metrics.requestLat.ObserveExemplar(float64(total.Microseconds()), j.trace)
-
-	sp := obs.Span{
-		Trace:  j.trace,
-		TraceS: obs.FormatTraceID(j.trace),
-		ID:     s.opts.Spans.NextSpanID(),
-		Name:   "server",
-		Cmd:    cmd,
-		Start:  j.arrived,
-		Dur:    total,
-	}
-	if len(res.fields) > 0 && res.fields[0] == "err" {
-		sp.Err = strings.Join(res.fields[1:], " ")
-	}
-	queueWait := handlerStart.Sub(j.arrived)
-	sp.Phase("lane.queue", 0, queueWait)
-	sp.Phase("handler", queueWait, handlerDur)
-	if barrier {
-		off := queueWait + handlerDur
-		sp.Phase("barrier.wait", off, barrierWait)
-		if commitLat > 0 {
-			// The covering group's write+fsync finished when the barrier
-			// released, so the phase ends at the barrier's end; it may
-			// start before the barrier did (the group was already under
-			// way), clamped to the span.
-			gOff := off + barrierWait - commitLat
-			if gOff < 0 {
-				gOff = 0
-			}
-			sp.Phase("wal.group", gOff, commitLat)
-		}
-	}
-	sp.Phase("reply", replyStart.Sub(j.arrived), now.Sub(replyStart))
-	s.opts.Spans.Record(sp)
-
-	if tl := s.opts.TraceLog; tl != nil && total >= s.opts.TraceSlow {
-		if err := tl.RecordValue(sp); err != nil {
-			sess.log.printf("slow-request log: %v", err)
-		}
-	}
-}
-
-// writeFrame sends one tagged reply frame, serialized on writeMu so
-// concurrent workers interleave whole frames, never partial ones.
-func (sess *session) writeFrame(tag uint64, fields []string, body []byte) error {
-	sess.writeMu.Lock()
-	defer sess.writeMu.Unlock()
-	if rt := sess.s.opts.RequestTimeout; rt > 0 {
-		if err := sess.conn.SetWriteDeadline(time.Now().Add(rt)); err != nil {
-			sess.log.printf("setting reply deadline: %v", err)
-		}
-		defer func() {
-			if err := sess.conn.SetWriteDeadline(time.Time{}); err != nil {
-				sess.log.printf("clearing reply deadline: %v", err)
-			}
-		}()
-	}
-	if err := sess.c.queueFrame(tag, fields, body); err != nil {
-		return err
-	}
-	return sess.c.flush()
-}
-
-// failTagged writes a counted error reply frame for tag.
-func (sess *session) failTagged(tag uint64, err error, context string) error {
-	res := sess.failf(err, context)
-	return sess.writeFrame(tag, res.fields, nil)
-}
-
-// serveReplSub handles `replsub <fromLSN>`: it registers the session
+// replSubscribe handles `replsub <fromLSN>`: it registers the session
 // as a replication follower and answers with its catch-up — either the
 // WAL tail past fromLSN ("ok tail <epoch> <first> <last> <records>
 // <len>" plus the frames) or, when compaction already dropped that
 // history, a full snapshot ("ok snap <epoch> <lsn> <len>" plus the
-// blob). From then on every committed group is pushed to the session
-// as a replPushTag frame until the session ends or the subscriber
-// falls too far behind (a "replgap" push tells it to resubscribe).
-// Runs on the ordered lane so a session cannot race two registrations.
-func (sess *session) serveReplSub(j muxJob) {
-	s := sess.s
-	pub := s.opts.Repl
-	if pub == nil || !sess.replOK {
-		sess.failTagged(j.tag, kernel.ErrNoSys, "replication not negotiated")
-		return
+// blob). Once that reply is on the wire every committed group is pushed
+// to the session as a replPushTag frame until the session ends or the
+// subscriber falls too far behind (a "replgap" push tells it to
+// resubscribe). Runs on the ordered lane so a session cannot race two
+// registrations.
+func (sess *session) replSubscribe(arg string) hres {
+	pub := sess.s.opts.Repl
+	if pub == nil || sess.v2 == nil || !sess.v2.repl {
+		return sess.failf(kernel.ErrNoSys, "replication not negotiated")
 	}
-	if len(j.args) != 1 {
-		sess.failTagged(j.tag, vfs.ErrInvalid, "replsub wants a start lsn")
-		return
-	}
-	from, err := strconv.ParseUint(j.args[0], 10, 64)
+	from, err := strconv.ParseUint(arg, 10, 64)
 	if err != nil {
-		sess.failTagged(j.tag, vfs.ErrInvalid, "bad replsub lsn")
-		return
+		return sess.failf(vfs.ErrInvalid, "bad replsub lsn")
 	}
 	sess.replMu.Lock()
+	defer sess.replMu.Unlock()
 	if sess.replSub != nil {
-		sess.replMu.Unlock()
-		sess.failTagged(j.tag, vfs.ErrInvalid, "session already subscribed")
-		return
+		return sess.failf(vfs.ErrInvalid, "session already subscribed")
 	}
 	sub, catchup, snap, snapLSN, err := pub.Subscribe(from)
 	if err != nil {
-		sess.replMu.Unlock()
-		sess.failTagged(j.tag, err, "replsub")
-		return
+		return sess.failf(err, "replsub")
 	}
 	sess.replSub = sub
-	sess.replMu.Unlock()
 	sess.log.printf("replication subscriber from lsn %d (%s)", from, sess.ident)
 	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	res := okres("tail", u(pub.Epoch()), "0", "0", "0", "0")
 	switch {
 	case snap != nil:
-		sess.writeFrame(j.tag, []string{"ok", "snap", u(pub.Epoch()), u(snapLSN), strconv.Itoa(len(snap))}, snap)
+		res = okres("snap", u(pub.Epoch()), u(snapLSN), strconv.Itoa(len(snap)))
+		res.body = snap
 	case catchup != nil:
-		sess.writeFrame(j.tag, []string{"ok", "tail", u(catchup.Epoch), u(catchup.First), u(catchup.Last),
-			strconv.Itoa(catchup.Records), strconv.Itoa(len(catchup.Frames))}, catchup.Frames)
-	default:
-		sess.writeFrame(j.tag, []string{"ok", "tail", u(pub.Epoch()), "0", "0", "0", "0"}, nil)
+		res = okres("tail", u(catchup.Epoch), u(catchup.First), u(catchup.Last),
+			strconv.Itoa(catchup.Records), strconv.Itoa(len(catchup.Frames)))
+		res.body = catchup.Frames
 	}
-	sess.pushWG.Add(1)
-	go sess.replPush(sub)
+	res.after = func() {
+		sess.pushWG.Add(1)
+		go sess.replPush(sub)
+	}
+	return res
 }
 
-// serveReplAck handles `replack <lsn>`: the follower's applied horizon,
+// replAck handles `replack <lsn>`: the follower's applied horizon,
 // which releases the primary's semi-sync barriers at or below it.
-func (sess *session) serveReplAck(j muxJob) {
-	if len(j.args) != 1 {
-		sess.failTagged(j.tag, vfs.ErrInvalid, "replack wants an lsn")
-		return
-	}
-	lsn, err := strconv.ParseUint(j.args[0], 10, 64)
+func (sess *session) replAck(arg string) hres {
+	lsn, err := strconv.ParseUint(arg, 10, 64)
 	if err != nil {
-		sess.failTagged(j.tag, vfs.ErrInvalid, "bad replack lsn")
-		return
+		return sess.failf(vfs.ErrInvalid, "bad replack lsn")
 	}
 	sess.replMu.Lock()
 	sub := sess.replSub
 	sess.replMu.Unlock()
 	if sub == nil {
-		sess.failTagged(j.tag, vfs.ErrInvalid, "no replication subscription")
-		return
+		return sess.failf(vfs.ErrInvalid, "no replication subscription")
 	}
 	sub.Ack(lsn)
-	sess.writeFrame(j.tag, []string{"ok"}, nil)
+	return okres()
 }
 
 // replPush streams the subscription's batches to the session as pushed
@@ -2134,12 +1810,12 @@ func (sess *session) replPush(sub *replica.Subscription) {
 	for b := range sub.C {
 		fields := []string{"replpush", u(b.Epoch), u(b.First), u(b.Last),
 			strconv.Itoa(b.Records), strconv.Itoa(len(b.Frames))}
-		if err := sess.writeFrame(replPushTag, fields, b.Frames); err != nil {
+		if err := sess.reply(replPushTag, hres{fields: fields, body: b.Frames}); err != nil {
 			sub.Close()
 			return
 		}
 	}
-	sess.writeFrame(replPushTag, []string{"replgap"}, nil)
+	sess.reply(replPushTag, hres{fields: []string{"replgap"}})
 }
 
 // acquireSlot blocks until the session's credit window has room, then
@@ -2147,11 +1823,11 @@ func (sess *session) replPush(sub *replica.Subscription) {
 // the backpressure: the next frame is not read until a slot frees.
 func (sess *session) acquireSlot(window int) bool {
 	sess.slotMu.Lock()
-	for sess.inflight >= window && !sess.stopping {
+	for sess.inflight >= window && !sess.stopping.Load() {
 		sess.s.metrics.bpStalls.Inc()
 		sess.slotCond.Wait()
 	}
-	if sess.stopping {
+	if sess.stopping.Load() {
 		sess.slotMu.Unlock()
 		return false
 	}
@@ -2165,25 +1841,22 @@ func (sess *session) acquireSlot(window int) bool {
 	return true
 }
 
-// abort marks the session severed: it wakes a frame reader parked on
-// the credit window (acquireSlot returns false) and makes the lane
-// workers drop queued jobs. Called by Close and by Shutdown's sever
-// path; without it a reader parked behind a window full of slow work
-// would hold its connection goroutine — and therefore Close — hostage
-// until every queued job had executed toward the already-dead socket.
+// abort marks the session severed: it silences reply, wakes a frame
+// reader parked on the credit window (acquireSlot returns false) and
+// makes the lane workers drop queued jobs. Called by Close and by
+// Shutdown's sever path; without it a reader parked behind a window
+// full of slow work would hold its connection goroutine — and
+// therefore Close — hostage until every queued job had executed toward
+// the already-dead socket.
 func (sess *session) abort() {
 	sess.slotMu.Lock()
-	sess.stopping = true
+	sess.stopping.Store(true)
 	sess.slotCond.Broadcast()
 	sess.slotMu.Unlock()
 }
 
 // isStopping reports whether abort has severed this session.
-func (sess *session) isStopping() bool {
-	sess.slotMu.Lock()
-	defer sess.slotMu.Unlock()
-	return sess.stopping
-}
+func (sess *session) isStopping() bool { return sess.stopping.Load() }
 
 // releaseSlot returns a worker's slot after its reply is on the wire.
 // When the last in-flight request completes during a drain, the blocked
@@ -2209,6 +1882,7 @@ func (sess *session) releaseSlot() {
 	}
 }
 
+// open authorizes and opens a file for the session.
 func (sess *session) open(path string, flags int, mode uint32, trace uint64) (int, error) {
 	s := sess.s
 	var classes []acl.Rights

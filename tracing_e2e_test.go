@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"identitybox/internal/acl"
 	"identitybox/internal/auth"
@@ -137,9 +138,22 @@ func TestTracingEndToEnd(t *testing.T) {
 		}
 		traces = append(traces, id)
 
-		server, err := cl.TraceSpans(id)
-		if err != nil {
-			t.Fatalf("%s: fetching spans: %v", step.name, err)
+		// A server span is recorded once the reply it times has been
+		// flushed, a wal.commit span once the group's waiters are
+		// released — both moments after the client may already hold the
+		// reply, so a fetch on its heels can precede them. Poll.
+		var server []obs.Span
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			if server, err = cl.TraceSpans(id); err != nil {
+				t.Fatalf("%s: fetching spans: %v", step.name, err)
+			}
+			names := make(map[string]bool)
+			for _, s := range server {
+				names[s.Name] = true
+			}
+			if names["server"] && names["wal.commit"] || time.Now().After(deadline) {
+				break
+			}
 		}
 		var serverSpans, walSpans int
 		var sawBarrier, sawGroup bool
