@@ -211,6 +211,12 @@ const (
 	MetricRxBytes  = "chirp_rx_bytes_total"
 	MetricTxBytes  = "chirp_tx_bytes_total"
 	MetricConns    = "chirp_open_conns"
+
+	// ACL directory lookups, and how many of them had to parse an ACL
+	// file because no parse of that file version was memoised: the
+	// ratio is the policy check's miss rate.
+	MetricACLChecks = "chirp_acl_checks_total"
+	MetricACLParses = "chirp_acl_parses_total"
 )
 
 // srvMetrics caches the server's metric handles.
@@ -236,6 +242,8 @@ type srvMetrics struct {
 	occupancy     *obs.Histogram
 	v2Sessions    *obs.Counter
 	requestLat    *obs.Histogram
+	aclChecks     *obs.Counter
+	aclParses     *obs.Counter
 }
 
 func newSrvMetrics(reg *obs.Registry) *srvMetrics {
@@ -259,6 +267,8 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 	reg.Help(MetricWindowOccupancy, "Window occupancy observed at each v2 frame admission.")
 	reg.Help(MetricV2Sessions, "Sessions that negotiated protocol v2 since start.")
 	reg.Help(MetricRequestLatency, "Request latency, arrival to reply flushed, in microseconds (traced requests leave exemplars).")
+	reg.Help(MetricACLChecks, "Effective-ACL lookups made by permission checks, getacl and mkdir.")
+	reg.Help(MetricACLParses, "ACL files parsed (lookups that found no memoised parse of the file's current version).")
 	requests := make([]*obs.Counter, len(commandTable))
 	for i, c := range commandTable {
 		requests[i] = reg.Counter(obs.With(MetricRequests, "cmd", c.name))
@@ -285,6 +295,8 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 		occupancy:     reg.Histogram(MetricWindowOccupancy, []float64{1, 2, 4, 8, 16, 32, 64}),
 		v2Sessions:    reg.Counter(MetricV2Sessions),
 		requestLat:    reg.Histogram(MetricRequestLatency, requestLatencyBuckets()),
+		aclChecks:     reg.Counter(MetricACLChecks),
+		aclParses:     reg.Counter(MetricACLParses),
 	}
 }
 
@@ -339,9 +351,10 @@ type Server struct {
 	stop     chan struct{} // closed once, when Close or Shutdown begins
 	stopOnce sync.Once
 
-	log     logger
-	metrics *srvMetrics
-	dedupe  *dedupeTable
+	log      logger
+	metrics  *srvMetrics
+	dedupe   *dedupeTable
+	parseACL func(data []byte) any // bound once, so aclFor makes no per-call closure
 
 	requests atomic.Int64 // requests dispatched, across all sessions
 	sessions atomic.Int64 // authenticated sessions accepted, lifetime
@@ -367,6 +380,7 @@ func NewServer(k *kernel.Kernel, opts ServerOptions) (*Server, error) {
 		reg = obs.NewRegistry()
 	}
 	s.metrics = newSrvMetrics(reg)
+	s.parseACL = s.parseACLVersion
 	if _, size := s.dedupe.stats(); size > 0 {
 		s.syncDedupeMetrics()
 	}
@@ -1682,8 +1696,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		if err != nil {
 			return sess.failf(err, "getacl")
 		}
-		text := a.String()
-		return hres{fields: []string{"ok", strconv.Itoa(len(text))}, body: []byte(text)}
+		return hres{fields: []string{"ok", strconv.Itoa(len(a.text))}, body: []byte(a.text)}
 
 	case "setacl": // setacl <path> <len> + payload
 		if err := sess.checkD(args[0], acl.Admin); err != nil {
@@ -2016,10 +2029,11 @@ func (sess *session) checkACLFileWrite(path string) error {
 func (sess *session) mkdir(path string, mode uint32, trace uint64) error {
 	s := sess.s
 	parent := vfs.Dir(path)
-	a, err := s.aclFor(parent)
+	av, err := s.aclFor(parent)
 	if err != nil {
 		return err
 	}
+	a := av.acl
 	rights, reserve := a.Lookup(sess.ident)
 	var childACL *acl.ACL
 	switch {
@@ -2076,25 +2090,54 @@ func (sess *session) exec(cwd, path string, args []string) (code int, runtimeSec
 
 // --- server-side ACL checks ---------------------------------------------
 
+// aclVersion is one content version of an ACL file, parsed: what
+// vfs.Memo keeps on the file's inode. It is shared by every check that
+// finds that version, so it is immutable — callers Clone before editing.
+type aclVersion struct {
+	acl  *acl.ACL
+	text string // acl.String(), the body getacl replies with
+}
+
+// emptyACL grants nothing: a malformed ACL file (fail closed) or no ACL
+// file anywhere up to the root.
+var emptyACL = &aclVersion{acl: &acl.ACL{}}
+
+// parseACLVersion is the vfs.Memo derive step, run once per ACL file
+// version.
+func (s *Server) parseACLVersion(data []byte) any {
+	s.metrics.aclParses.Inc()
+	raw := string(data)
+	a, err := acl.Parse(raw)
+	if err != nil {
+		return emptyACL
+	}
+	text := a.String()
+	if text == raw {
+		text = raw // a canonical file: keep the one copy the patterns already point into
+	}
+	return &aclVersion{acl: a, text: text}
+}
+
 // aclFor finds the effective ACL for dir: its own ACL file, or the
 // nearest ancestor's (Chirp's space is fully virtual: ACLs exist from
-// the root down, and mkdir always installs one).
-func (s *Server) aclFor(dir string) (*acl.ACL, error) {
+// the root down, and mkdir always installs one). The parse is memoised
+// on the ACL file's inode and validated against its mtime on every
+// call, so whoever rewrote the file — setacl, a boxed program, the
+// replication apply loop, recovery — is honoured by the next check.
+func (s *Server) aclFor(dir string) (*aclVersion, error) {
+	s.metrics.aclChecks.Inc()
 	dir = vfs.Clean(dir)
 	for {
-		data, err := s.fs.ReadFile(vfs.Join(dir, acl.FileName))
+		path := vfs.Join(dir, acl.FileName)
+		v, err := s.fs.Memo(path, s.parseACL)
 		if err == nil {
-			a, perr := acl.Parse(string(data))
-			if perr != nil {
-				return &acl.ACL{}, nil // fail closed on malformed ACLs
-			}
-			return a, nil
+			return v.(*aclVersion), nil
 		}
 		if !errors.Is(err, vfs.ErrNotExist) {
-			return nil, err
+			return nil, &vfs.PathError{Op: "read", Path: path, Err: err}
 		}
 		if dir == "/" {
-			return &acl.ACL{}, nil // no ACL anywhere: grant nothing
+			return emptyACL, nil
 		}
 		dir = vfs.Dir(dir)
 	}
@@ -2131,7 +2174,7 @@ func (s *Server) checkFile(ident identity.Principal, path string, want acl.Right
 	if err != nil {
 		return err
 	}
-	if !a.Allows(ident, want) {
+	if !a.acl.Allows(ident, want) {
 		return vfs.ErrPermission
 	}
 	return nil
@@ -2143,7 +2186,7 @@ func (s *Server) checkFileNoFollow(ident identity.Principal, path string, want a
 	if err != nil {
 		return err
 	}
-	if !a.Allows(ident, want) {
+	if !a.acl.Allows(ident, want) {
 		return vfs.ErrPermission
 	}
 	return nil
@@ -2155,7 +2198,7 @@ func (s *Server) checkDir(ident identity.Principal, dir string, want acl.Rights)
 	if err != nil {
 		return err
 	}
-	if !a.Allows(ident, want) {
+	if !a.acl.Allows(ident, want) {
 		return vfs.ErrPermission
 	}
 	return nil

@@ -59,7 +59,10 @@ func TestStatsMatchClientTallies(t *testing.T) {
 		t.Errorf("name = %q", st.Name)
 	}
 
-	// A second stats call advances the dispatch count in lockstep.
+	// A second stats call advances the dispatch count in lockstep. The
+	// server counts a reply's bytes once its write returns, which the
+	// client's next request can race: wait for the first reply's count.
+	waitFor(t, "the first stats reply to be counted", func() bool { return srv.txBytes.Load() > st.TxBytes })
 	st2, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -172,6 +172,12 @@ func TestRequestLatencyCoversEveryRequest(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// The histogram is observed once the reply is flushed, which the
+		// client can race: wait for the last observation, then insist on
+		// the exact count.
+		waitFor(t, "the last latency observation", func() bool {
+			return srv.metrics.requestLat.Count()-before >= calls
+		})
 		if got := srv.metrics.requestLat.Count() - before; got != calls {
 			t.Fatalf("%s observed %d of %d untraced requests", MetricRequestLatency, got, calls)
 		}

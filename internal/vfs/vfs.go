@@ -103,6 +103,13 @@ func nextIno() uint64 { return inoCounter.Add(1) }
 //   - children, nlink: namespace state, guarded by FS.treeMu;
 //   - mode, owner, group, data: guarded by this inode's mu;
 //   - mtime: updated and read atomically (writers may hold either lock).
+//     Invariant: every writer of data publishes a fresh tick of the FS
+//     clock to mtime before it releases mu. Ticks are never reused and
+//     neither are inode numbers, so under mu (shared or exclusive) the
+//     pair (inode, mtime) names one content version exactly;
+//   - memo: a value derived from data, stamped with the mtime it was
+//     derived at; written and read atomically, valid only while the
+//     stamp equals mtime (see FS.Memo). Dies with the inode.
 //
 // Callers outside this package must treat inodes as opaque except
 // through FS methods and the Stat result.
@@ -121,6 +128,14 @@ type Inode struct {
 	children map[string]*Inode // guarded by FS.treeMu
 
 	mtime atomic.Int64 // virtual timestamp, monotonic event counter
+	memo  atomic.Pointer[memoEntry]
+}
+
+// memoEntry is one value derived from an inode's data at content
+// version mtime.
+type memoEntry struct {
+	mtime int64
+	val   any
 }
 
 // Stat is the metadata snapshot returned by stat-family calls.
@@ -212,32 +227,72 @@ func SplitPath(path string) []string {
 	return out
 }
 
+// isCanonical reports whether path is already in the form Clean
+// produces: rooted, no empty, "." or ".." component, no trailing slash
+// (other than the root itself). One scan, no allocation — the fast
+// path that lets Clean, Dir, Base and resolve hand back the argument or
+// a substring of it; SplitPath stays the definition for everything else.
+func isCanonical(path string) bool {
+	if len(path) == 0 || path[0] != '/' {
+		return false
+	}
+	return len(path) == 1 || cleanComponents(path[1:])
+}
+
+// cleanComponents reports whether rel is one or more components, none
+// of them empty, "." or "..", separated by single slashes.
+func cleanComponents(rel string) bool {
+	start := 0
+	for i := 0; i <= len(rel); i++ {
+		if i < len(rel) && rel[i] != '/' {
+			continue
+		}
+		switch rel[start:i] {
+		case "", ".", "..":
+			return false
+		}
+		start = i + 1
+	}
+	return true
+}
+
 // Clean returns the canonical absolute form of path.
 func Clean(path string) string {
+	if isCanonical(path) {
+		return path
+	}
 	return "/" + strings.Join(SplitPath(path), "/")
 }
 
 // Join joins path elements with slashes and cleans the result.
 func Join(elem ...string) string {
+	if len(elem) == 2 && isCanonical(elem[0]) && cleanComponents(elem[1]) {
+		// A canonical directory plus clean relative components: one
+		// concatenation, nothing to re-split.
+		if elem[0] == "/" {
+			return "/" + elem[1]
+		}
+		return elem[0] + "/" + elem[1]
+	}
 	return Clean(strings.Join(elem, "/"))
 }
 
 // Dir returns the parent directory of path ("/" for the root).
 func Dir(path string) string {
-	parts := SplitPath(path)
-	if len(parts) == 0 {
-		return "/"
+	path = Clean(path)
+	if i := strings.LastIndexByte(path, '/'); i > 0 {
+		return path[:i]
 	}
-	return "/" + strings.Join(parts[:len(parts)-1], "/")
+	return "/"
 }
 
 // Base returns the final component of path ("/" for the root).
 func Base(path string) string {
-	parts := SplitPath(path)
-	if len(parts) == 0 {
-		return "/"
+	path = Clean(path)
+	if path == "/" {
+		return path
 	}
-	return parts[len(parts)-1]
+	return path[strings.LastIndexByte(path, '/')+1:]
 }
 
 // resolve walks the path and returns the target inode. When followLast
@@ -245,46 +300,57 @@ func Base(path string) string {
 // It also returns the parent directory inode and the final component
 // name (empty for the root). Callers hold fs.treeMu (shared or
 // exclusive).
+//
+// The path is cleaned lexically first (".." is resolved before any
+// symlink is followed, as SplitPath defines) and then walked by index:
+// components are substrings of the cleaned path, so a symlink-free
+// lookup of a canonical path allocates nothing.
 func (fs *FS) resolve(path string, followLast bool, depth int) (node, parent *Inode, base string, err error) {
 	if depth > maxSymlinks {
 		return nil, nil, "", ErrLoop
 	}
-	parts := SplitPath(path)
+	path = Clean(path)
+	if path == "/" {
+		return fs.root, nil, "", nil
+	}
 	cur := fs.root
 	var par *Inode
-	for i, comp := range parts {
+	var comp string
+	for start := 1; start < len(path); {
+		end := start
+		for end < len(path) && path[end] != '/' {
+			end++
+		}
+		comp = path[start:end]
+		last := end == len(path)
 		if cur.ftype != TypeDir {
 			return nil, nil, "", ErrNotDir
 		}
 		child, ok := cur.children[comp]
 		if !ok {
-			if i == len(parts)-1 {
+			if last {
 				// Parent exists; target missing. Report the parent so
 				// create-style operations can proceed.
 				return nil, cur, comp, ErrNotExist
 			}
 			return nil, nil, "", ErrNotExist
 		}
-		last := i == len(parts)-1
 		if child.ftype == TypeSymlink && (!last || followLast) {
-			rest := strings.Join(parts[i+1:], "/")
 			targ := child.target
 			if !strings.HasPrefix(targ, "/") {
 				// Relative symlink: resolve against the link's directory.
-				targ = "/" + strings.Join(parts[:i], "/") + "/" + targ
+				targ = path[:start] + targ
 			}
-			if rest != "" {
-				targ = targ + "/" + rest
+			if !last {
+				targ = targ + path[end:]
 			}
 			return fs.resolve(targ, followLast, depth+1)
 		}
 		par = cur
 		cur = child
+		start = end + 1
 	}
-	if len(parts) == 0 {
-		return fs.root, nil, "", nil
-	}
-	return cur, par, parts[len(parts)-1], nil
+	return cur, par, comp, nil
 }
 
 // resolveShared resolves path to an existing inode under the shared
@@ -376,8 +442,8 @@ func (fs *FS) create(path string, mode uint32, owner string, trace uint64) (Stat
 		}
 		n.mu.Lock()
 		n.data = n.data[:0]
-		n.mu.Unlock()
 		n.mtime.Store(fs.tick())
+		n.mu.Unlock()
 		fs.record(Mutation{Op: MutCreate, Path: path, Mode: mode, Owner: owner, Trace: trace})
 		return fs.statOf(n, n.nlink), nil
 	case errors.Is(err, ErrNotExist) && parent != nil:
@@ -769,8 +835,8 @@ func (fs *FS) chmod(path string, mode uint32, trace uint64) error {
 	}
 	n.mu.Lock()
 	n.mode = mode & 0o7777
-	n.mu.Unlock()
 	n.mtime.Store(fs.tick())
+	n.mu.Unlock()
 	fs.record(Mutation{Op: MutChmod, Path: path, Mode: mode, Trace: trace})
 	return nil
 }
@@ -791,8 +857,8 @@ func (fs *FS) chown(path, owner, group string, trace uint64) error {
 	if group != "" {
 		n.group = group
 	}
-	n.mu.Unlock()
 	n.mtime.Store(fs.tick())
+	n.mu.Unlock()
 	fs.record(Mutation{Op: MutChown, Path: path, Owner: owner, Group: group, Trace: trace})
 	return nil
 }
@@ -825,6 +891,35 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return append([]byte(nil), n.data...), nil
+}
+
+// Memo returns a value derived from the contents of the file at path,
+// deriving it once per content version (readers that miss together each
+// derive; their values are interchangeable). The value lives on the
+// file's inode stamped with the mtime it was derived at, and is handed
+// back only while that stamp is still the inode's mtime — it is
+// validated on every call, never invalidated, so every writer is
+// honoured (handles, replay, snapshot load, a rename or a hard link of
+// the file) without any of them knowing the memo exists. derive runs
+// under the inode's read lock: it must not retain data or call back
+// into the FS. All callers naming one file must pass the same derive.
+// Errors are the bare sentinels.
+func (fs *FS) Memo(path string, derive func(data []byte) any) (any, error) {
+	n, err := fs.resolveShared(path, true)
+	if err != nil {
+		return nil, err
+	}
+	if n.ftype == TypeDir {
+		return nil, ErrIsDir
+	}
+	if m := n.memo.Load(); m != nil && m.mtime == n.mtime.Load() {
+		return m.val, nil
+	}
+	n.mu.RLock()
+	m := &memoEntry{mtime: n.mtime.Load(), val: derive(n.data)}
+	n.mu.RUnlock()
+	n.memo.Store(m)
+	return m.val, nil
 }
 
 // Size reports the length of a file in bytes.
