@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/rsa"
 	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -454,20 +453,12 @@ func TestSplitFields(t *testing.T) {
 
 func TestStatRoundTripWire(t *testing.T) {
 	st := vfs.Stat{Ino: 7, Type: vfs.TypeSymlink, Mode: 0o644, Owner: "alice", Group: "staff", Nlink: 2, Size: 1234, Mtime: 99}
-	fields := statFields(st)
-	// Simulate the wire: join and re-split.
-	line := ""
-	for i, f := range fields {
-		if i > 0 {
-			line += " "
-		}
-		line += f
-	}
-	parts, err := splitFields(line)
+	// Simulate the wire: encode behind "ok" and re-split.
+	parts, err := splitFields(string(new(lineBuf).start("ok").stat(st).b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := parseStat(parts)
+	got, err := parseStat(parts[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,13 +479,11 @@ func TestStatWireRoundTripProperty(t *testing.T) {
 			Size:  size & 0x7fffffff,
 			Mtime: mtime & 0x7fffffff,
 		}
-		fields := statFields(st)
-		line := strings.Join(fields, " ")
-		parts, err := splitFields(line)
+		parts, err := splitFields(string(new(lineBuf).start("ok").stat(st).b))
 		if err != nil {
 			return false
 		}
-		got, err := parseStat(parts)
+		got, err := parseStat(parts[1:])
 		return err == nil && got == st
 	}
 	if err := quick.Check(f, nil); err != nil {

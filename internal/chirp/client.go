@@ -116,10 +116,7 @@ func (cl *Client) SetTrace(id uint64) { cl.forcedTrace.Store(id) }
 // decoded; an empty slice means the server retained nothing for that ID
 // (expired from its ring, or never traced).
 func (cl *Client) TraceSpans(id uint64) ([]obs.Span, error) {
-	_, body, _, err := cl.do(wireCall{
-		fields:   []string{"trace", obs.FormatTraceID(id)},
-		recvBody: true,
-	})
+	_, body, _, err := cl.do(wireCall{line: newLine("trace").str(obs.FormatTraceID(id)), recvBody: true})
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +238,7 @@ func (cl *Client) negotiateVersion(c *codec) (framing, error) {
 	if cl.opts.DeadlineBudget > 0 {
 		caps = append(caps, capDeadline)
 	}
-	if err := c.writeLine(versionFields(cl.opts.Window, cl.opts.MaxInflightBytes, caps...)...); err != nil {
+	if err := c.writeLine(versionLine(cl.opts.Window, cl.opts.MaxInflightBytes, caps...)); err != nil {
 		return framing{}, err
 	}
 	line, err := c.readLine()
@@ -322,8 +319,10 @@ func (cl *Client) dropMux(ms *muxSession) bool {
 // connection).
 func (cl *Client) replayAssertionsLocked() error {
 	for _, blob := range cl.assertions {
+		// A line of its own, left to the collector: do's recycling rules
+		// do not apply outside do.
 		_, _, err := cl.mux.roundTrip(wireCall{
-			fields:   []string{"assert", strconv.Itoa(len(blob))},
+			line:     new(lineBuf).start("assert").int(int64(len(blob))),
 			sendBody: blob,
 		})
 		if err != nil {
@@ -337,7 +336,7 @@ func (cl *Client) replayAssertionsLocked() error {
 
 // wireCall describes one complete request/response exchange.
 type wireCall struct {
-	fields   []string
+	line     *lineBuf  // the encoded request line, from newLine: do owns it for every attempt and recycles it
 	sendBody []byte    // counted payload sent with the request
 	recvBody bool      // reply carries a counted payload (sized by reply[0] on v1)
 	recvInto []byte    // reply payload is read directly into this buffer instead
@@ -352,6 +351,16 @@ type wireCall struct {
 // retried mkdir/unlink outcomes (EEXIST/ENOENT after a lost reply mean
 // the earlier attempt won).
 func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err error) {
+	// The line goes back to the pool when the call is over — unless an
+	// attempt died with its session, whose writer may still be reading
+	// the bytes: re-sends only read them too, but the next owner would
+	// write.
+	lineIdle := true
+	defer func() {
+		if lineIdle {
+			linePool.Put(c.line)
+		}
+	}()
 	// Stamp a trace ID once per logical call, so every retry of the same
 	// request shows up under one trace. The ID only reaches the wire on
 	// a session that negotiated the trace capability.
@@ -453,6 +462,7 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 		}
 		// Transport failure: the session is dead. Every in-flight call
 		// sees it; only the first observer counts it against the breaker.
+		lineIdle = false
 		if cl.dropMux(mux) {
 			cl.brk.Fail()
 		}
@@ -466,7 +476,7 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 		case errors.Is(aerr, errSessionLost):
 			// The session died before this call reached the wire:
 			// nothing was sent, so even mutating calls may retry.
-		case c.noRetry || !commandByName[c.fields[0]].has(fIdempotent):
+		case c.noRetry || !commandByName[string(c.line.cmd())].has(fIdempotent):
 			cl.m.unsafe.Inc()
 			return nil, nil, retried, fmt.Errorf("%w: %v", ErrRetryNotSafe, aerr)
 		}
@@ -474,12 +484,9 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 	return nil, nil, retried, lastErr
 }
 
-// rpc performs one exchange with no payload phases, for test helpers
-// poking raw commands.
-func (cl *Client) rpc(fields ...string) ([]string, error) {
-	r, _, _, err := cl.do(wireCall{fields: fields})
-	return r, err
-}
+// newLine starts a request line in a pooled buffer; Client.do returns
+// the buffer to the pool.
+func newLine(cmd string) *lineBuf { return linePool.Get().(*lineBuf).start(cmd) }
 
 // RequestCount reports how many requests this client has sent (the
 // "quit" farewell excluded — the server never dispatches it; retried
@@ -549,7 +556,7 @@ type ServerStats struct {
 
 // Stats fetches the server's live counters.
 func (cl *Client) Stats() (ServerStats, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"stats"}})
+	r, _, _, err := cl.do(wireCall{line: newLine("stats")})
 	if err != nil {
 		return ServerStats{}, err
 	}
@@ -589,11 +596,7 @@ func (cl *Client) Stats() (ServerStats, error) {
 // until replication catches up. Returns the server's applied LSN at
 // release. A standalone server answers immediately.
 func (cl *Client) WaitLSN(lsn uint64, timeout time.Duration) (uint64, error) {
-	r, _, _, err := cl.do(wireCall{
-		fields: []string{"waitlsn",
-			strconv.FormatUint(lsn, 10),
-			strconv.FormatInt(timeout.Milliseconds(), 10)},
-	})
+	r, _, _, err := cl.do(wireCall{line: newLine("waitlsn").uint(lsn).int(timeout.Milliseconds())})
 	if err != nil {
 		return 0, err
 	}
@@ -606,7 +609,7 @@ func (cl *Client) WaitLSN(lsn uint64, timeout time.Duration) (uint64, error) {
 // Metrics fetches the server's full metric registry as Prometheus text
 // exposition.
 func (cl *Client) Metrics() (string, error) {
-	_, body, _, err := cl.do(wireCall{fields: []string{"metrics"}, recvBody: true})
+	_, body, _, err := cl.do(wireCall{line: newLine("metrics"), recvBody: true})
 	if err != nil {
 		return "", err
 	}
@@ -615,7 +618,7 @@ func (cl *Client) Metrics() (string, error) {
 
 // Whoami asks the server which principal it recorded.
 func (cl *Client) Whoami() (identity.Principal, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"whoami"}})
+	r, _, _, err := cl.do(wireCall{line: newLine("whoami")})
 	if err != nil {
 		return "", err
 	}
@@ -630,7 +633,7 @@ func (cl *Client) Whoami() (identity.Principal, error) {
 // unless O_EXCL makes a lost-reply retry observable.
 func (cl *Client) Open(path string, flags int, mode uint32) (int, error) {
 	r, _, _, err := cl.do(wireCall{
-		fields:  []string{"open", strconv.Itoa(flags), strconv.FormatUint(uint64(mode), 8), q(path)},
+		line:    newLine("open").int(int64(flags)).oct(mode).quoted(path),
 		noRetry: flags&kernel.OExcl != 0,
 	})
 	if err != nil {
@@ -642,7 +645,7 @@ func (cl *Client) Open(path string, flags int, mode uint32) (int, error) {
 // CloseFD releases a remote descriptor. Descriptors are session state:
 // after a redial the old descriptor is gone, so no blind retry.
 func (cl *Client) CloseFD(fd int) error {
-	_, _, _, err := cl.do(wireCall{fields: []string{"close", strconv.Itoa(fd)}})
+	_, _, _, err := cl.do(wireCall{line: newLine("close").int(int64(fd))})
 	return err
 }
 
@@ -652,7 +655,7 @@ func (cl *Client) CloseFD(fd int) error {
 // instead).
 func (cl *Client) Pread(fd int, buf []byte, off int64) (int, error) {
 	r, _, _, err := cl.do(wireCall{
-		fields:   []string{"pread", strconv.Itoa(fd), strconv.Itoa(len(buf)), strconv.FormatInt(off, 10)},
+		line:     newLine("pread").int(int64(fd)).int(int64(len(buf))).int(off),
 		recvInto: buf,
 	})
 	if err != nil {
@@ -666,7 +669,7 @@ func (cl *Client) Pread(fd int, buf []byte, off int64) (int, error) {
 // transfer instead).
 func (cl *Client) Pwrite(fd int, buf []byte, off int64) (int, error) {
 	r, _, _, err := cl.do(wireCall{
-		fields:   []string{"pwrite", strconv.Itoa(fd), strconv.FormatInt(off, 10), strconv.Itoa(len(buf))},
+		line:     newLine("pwrite").int(int64(fd)).int(off).int(int64(len(buf))),
 		sendBody: buf,
 	})
 	if err != nil {
@@ -677,7 +680,7 @@ func (cl *Client) Pwrite(fd int, buf []byte, off int64) (int, error) {
 
 // FstatFD reports metadata for an open descriptor.
 func (cl *Client) FstatFD(fd int) (vfs.Stat, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"fstat", strconv.Itoa(fd)}})
+	r, _, _, err := cl.do(wireCall{line: newLine("fstat").int(int64(fd))})
 	if err != nil {
 		return vfs.Stat{}, err
 	}
@@ -686,7 +689,7 @@ func (cl *Client) FstatFD(fd int) (vfs.Stat, error) {
 
 // Stat reports metadata for a path, following symlinks.
 func (cl *Client) Stat(path string) (vfs.Stat, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"stat", q(path)}})
+	r, _, _, err := cl.do(wireCall{line: newLine("stat").quoted(path)})
 	if err != nil {
 		return vfs.Stat{}, err
 	}
@@ -695,7 +698,7 @@ func (cl *Client) Stat(path string) (vfs.Stat, error) {
 
 // Lstat reports metadata without following a final symlink.
 func (cl *Client) Lstat(path string) (vfs.Stat, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"lstat", q(path)}})
+	r, _, _, err := cl.do(wireCall{line: newLine("lstat").quoted(path)})
 	if err != nil {
 		return vfs.Stat{}, err
 	}
@@ -704,7 +707,7 @@ func (cl *Client) Lstat(path string) (vfs.Stat, error) {
 
 // ReadDir lists a remote directory.
 func (cl *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"getdir", q(path)}})
+	r, _, _, err := cl.do(wireCall{line: newLine("getdir").quoted(path)})
 	if err != nil {
 		return nil, err
 	}
@@ -731,9 +734,7 @@ func (cl *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
 // retried call means an earlier attempt's lost reply — the directory is
 // there, so the call reports success.
 func (cl *Client) Mkdir(path string, mode uint32) error {
-	_, _, retried, err := cl.do(wireCall{
-		fields: []string{"mkdir", strconv.FormatUint(uint64(mode), 8), q(path)},
-	})
+	_, _, retried, err := cl.do(wireCall{line: newLine("mkdir").oct(mode).quoted(path)})
 	if retried && errors.Is(err, vfs.ErrExist) {
 		return nil
 	}
@@ -743,7 +744,7 @@ func (cl *Client) Mkdir(path string, mode uint32) error {
 // Rmdir removes an empty remote directory. ENOENT on a retried call
 // means an earlier attempt already removed it.
 func (cl *Client) Rmdir(path string) error {
-	_, _, retried, err := cl.do(wireCall{fields: []string{"rmdir", q(path)}})
+	_, _, retried, err := cl.do(wireCall{line: newLine("rmdir").quoted(path)})
 	if retried && errors.Is(err, vfs.ErrNotExist) {
 		return nil
 	}
@@ -753,7 +754,7 @@ func (cl *Client) Rmdir(path string) error {
 // Unlink removes a remote file. ENOENT on a retried call means an
 // earlier attempt already removed it.
 func (cl *Client) Unlink(path string) error {
-	_, _, retried, err := cl.do(wireCall{fields: []string{"unlink", q(path)}})
+	_, _, retried, err := cl.do(wireCall{line: newLine("unlink").quoted(path)})
 	if retried && errors.Is(err, vfs.ErrNotExist) {
 		return nil
 	}
@@ -764,25 +765,25 @@ func (cl *Client) Unlink(path string) error {
 // or moves a recreated file), so mid-exchange faults surface
 // ErrRetryNotSafe.
 func (cl *Client) Rename(oldPath, newPath string) error {
-	_, _, _, err := cl.do(wireCall{fields: []string{"rename", q(oldPath), q(newPath)}})
+	_, _, _, err := cl.do(wireCall{line: newLine("rename").quoted(oldPath).quoted(newPath)})
 	return err
 }
 
 // Link creates a remote hard link.
 func (cl *Client) Link(oldPath, newPath string) error {
-	_, _, _, err := cl.do(wireCall{fields: []string{"link", q(oldPath), q(newPath)}})
+	_, _, _, err := cl.do(wireCall{line: newLine("link").quoted(oldPath).quoted(newPath)})
 	return err
 }
 
 // Symlink creates a remote symbolic link.
 func (cl *Client) Symlink(target, linkPath string) error {
-	_, _, _, err := cl.do(wireCall{fields: []string{"symlink", q(target), q(linkPath)}})
+	_, _, _, err := cl.do(wireCall{line: newLine("symlink").quoted(target).quoted(linkPath)})
 	return err
 }
 
 // Readlink reads a remote symlink target.
 func (cl *Client) Readlink(path string) (string, error) {
-	r, _, _, err := cl.do(wireCall{fields: []string{"readlink", q(path)}})
+	r, _, _, err := cl.do(wireCall{line: newLine("readlink").quoted(path)})
 	if err != nil {
 		return "", err
 	}
@@ -792,15 +793,13 @@ func (cl *Client) Readlink(path string) (string, error) {
 // Truncate sets a remote file's size (idempotent: truncating to the
 // same size twice is harmless).
 func (cl *Client) Truncate(path string, size int64) error {
-	_, _, _, err := cl.do(wireCall{
-		fields: []string{"truncate", q(path), strconv.FormatInt(size, 10)},
-	})
+	_, _, _, err := cl.do(wireCall{line: newLine("truncate").quoted(path).int(size)})
 	return err
 }
 
 // GetACL fetches the ACL text protecting a remote directory.
 func (cl *Client) GetACL(path string) (string, error) {
-	_, body, _, err := cl.do(wireCall{fields: []string{"getacl", q(path)}, recvBody: true})
+	_, body, _, err := cl.do(wireCall{line: newLine("getacl").quoted(path), recvBody: true})
 	if err != nil {
 		return "", err
 	}
@@ -811,7 +810,7 @@ func (cl *Client) GetACL(path string) (string, error) {
 // A right). Idempotent: replaying the same replacement converges.
 func (cl *Client) SetACL(path, aclText string) error {
 	_, _, _, err := cl.do(wireCall{
-		fields:   []string{"setacl", q(path), strconv.Itoa(len(aclText))},
+		line:     newLine("setacl").quoted(path).int(int64(len(aclText))),
 		sendBody: []byte(aclText),
 	})
 	return err
@@ -824,7 +823,7 @@ func (cl *Client) SetACL(path, aclText string) error {
 // server acknowledged.
 func (cl *Client) PresentAssertion(encoded []byte) (string, error) {
 	r, _, _, err := cl.do(wireCall{
-		fields:   []string{"assert", strconv.Itoa(len(encoded))},
+		line:     newLine("assert").int(int64(len(encoded))),
 		sendBody: encoded,
 	})
 	if err != nil {
@@ -868,16 +867,17 @@ func (cl *Client) ExecToken(token, cwd, path string, args ...string) (ExecResult
 }
 
 func (cl *Client) exec(token, cwd, path string, args []string) (ExecResult, error) {
-	fields := []string{"exec", q(cwd), q(path)}
+	line := newLine("exec")
 	if token != "" {
 		// Tokened, the submission is idempotent: the server replays a
 		// retry instead of re-executing it.
-		fields = append([]string{"token", q(token)}, fields...)
+		line.start("token").quoted(token).str("exec")
 	}
+	line.quoted(cwd).quoted(path)
 	for _, a := range args {
-		fields = append(fields, q(a))
+		line.quoted(a)
 	}
-	r, _, _, err := cl.do(wireCall{fields: fields})
+	r, _, _, err := cl.do(wireCall{line: line})
 	if err != nil {
 		return ExecResult{}, err
 	}

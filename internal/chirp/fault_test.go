@@ -578,7 +578,7 @@ func TestFaultStalledRequestTimesOut(t *testing.T) {
 	cl := adminClient(t, srv, ClientOptions{DisableRetries: true, Protocol: ProtocolV1})
 	// Announce a pwrite payload of 100 bytes and send nothing.
 	cl.mu.Lock()
-	err := cl.mux.c.writeLine("pwrite", "1", "0", "100")
+	err := cl.mux.c.writeLine([]byte("pwrite 1 0 100"))
 	cl.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // Protocol versions. Version 1 is the paper's lock-step line protocol:
@@ -78,55 +77,38 @@ func parseFrameHeader(b []byte) (frameHeader, error) {
 	return h, nil
 }
 
-// queueFrame buffers one tagged frame — header, space-joined line
-// fields, payload — without flushing, so a pipelining writer can pack
-// several frames into one wire write. The fields are written directly
-// into the bufio writer: no intermediate line allocation.
-func (c *codec) queueFrame(tag uint64, fields []string, payload []byte) error {
-	lineLen := 0
-	for i, f := range fields {
-		if strings.ContainsAny(f, "\n\r") {
-			return fmt.Errorf("chirp: embedded newline in %q", f)
-		}
-		if i > 0 {
-			lineLen++
-		}
-		lineLen += len(f)
+// queueFrame buffers one tagged frame — header, line (prefix first, when
+// the client stamped one), payload — without flushing, so a pipelining
+// writer can pack several frames into one wire write. The bytes go
+// straight into the bufio writer: no intermediate line allocation.
+func (c *codec) queueFrame(tag uint64, prefix, line, payload []byte) error {
+	if err := checkLine(prefix, line); err != nil {
+		return err
 	}
+	lineLen := len(prefix) + len(line)
 	if lineLen < 1 || lineLen > MaxLine {
 		return fmt.Errorf("chirp: frame line length %d outside [1, %d]", lineLen, MaxLine)
 	}
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("chirp: frame payload %d exceeds %d", len(payload), MaxPayload)
 	}
-	var hdr [frameHeaderSize]byte
-	putFrameHeader(hdr[:], tag, lineLen, len(payload))
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for i, f := range fields {
-		if i > 0 {
-			if err := c.w.WriteByte(' '); err != nil {
-				return err
-			}
-		}
-		if _, err := c.w.WriteString(f); err != nil {
+	putFrameHeader(c.whdr[:], tag, lineLen, len(payload))
+	for _, part := range [...][]byte{c.whdr[:], prefix, line, payload} {
+		if _, err := c.w.Write(part); err != nil {
 			return err
 		}
 	}
-	_, err := c.w.Write(payload)
-	return err
+	return nil
 }
 
 // readFrameHeader reads and validates the next frame header. Callers
 // must then consume exactly lineLen line bytes and payloadLen payload
 // bytes to stay aligned.
 func (c *codec) readFrameHeader() (frameHeader, error) {
-	var b [frameHeaderSize]byte
-	if _, err := io.ReadFull(c.r, b[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.rhdr[:]); err != nil {
 		return frameHeader{}, err
 	}
-	return parseFrameHeader(b[:])
+	return parseFrameHeader(c.rhdr[:])
 }
 
 // readFrameLine consumes a frame's line bytes (already validated to fit
@@ -169,14 +151,17 @@ const capRepl = "repl"
 // small positive integers; the top-bit tag can never collide with one.
 const replPushTag = uint64(1) << 63
 
-// versionFields builds the v1-style negotiation line a v2 client sends
-// as its first request: "version 2 <window> <maxbytes> [caps...]". A v1
+// versionLine builds the v1-style negotiation line a v2 client sends as
+// its first request: "version 2 <window> <maxbytes> [caps...]". A v1
 // server answers it with ENOSYS like any unknown command, which is the
 // fallback signal. Capability tokens ride after the byte budget; peers
 // ignore tokens they do not recognize.
-func versionFields(window int, maxBytes int64, caps ...string) []string {
-	fields := []string{"version", strconv.Itoa(ProtocolV2), strconv.Itoa(window), strconv.FormatInt(maxBytes, 10)}
-	return append(fields, caps...)
+func versionLine(window int, maxBytes int64, caps ...string) []byte {
+	l := new(lineBuf).start("version").int(ProtocolV2).int(int64(window)).int(maxBytes)
+	for _, c := range caps {
+		l.str(c)
+	}
+	return l.b
 }
 
 // parseVersionArgs parses the peer's half of the negotiation — the

@@ -64,17 +64,23 @@ func TestQueueFrameValidation(t *testing.T) {
 	var buf bytes.Buffer
 	c := newCodec(&buf)
 	defer c.release()
-	if err := c.queueFrame(1, []string{"bad\nline"}, nil); err == nil {
+	if err := c.queueFrame(1, nil, []byte("bad\nline"), nil); err == nil {
 		t.Error("embedded newline accepted")
 	}
-	if err := c.queueFrame(1, nil, nil); err == nil {
+	if err := c.queueFrame(1, []byte("deadline 5\r "), []byte("stat"), nil); err == nil {
+		t.Error("embedded newline in the prefix accepted")
+	}
+	if err := c.queueFrame(1, nil, nil, nil); err == nil {
 		t.Error("empty line accepted")
 	}
-	if err := c.queueFrame(1, []string{strings.Repeat("x", MaxLine+1)}, nil); err == nil {
-		t.Error("oversized line accepted")
+	if err := c.queueFrame(1, []byte("x"), bytes.Repeat([]byte("x"), MaxLine), nil); err == nil {
+		t.Error("oversized prefix+line accepted")
 	}
-	if err := c.queueFrame(1, []string{"ok"}, make([]byte, MaxPayload+1)); err == nil {
+	if err := c.queueFrame(1, nil, []byte("ok"), make([]byte, MaxPayload+1)); err == nil {
 		t.Error("oversized payload accepted")
+	}
+	if c.w.Buffered() != 0 {
+		t.Errorf("refused frames left %d bytes queued", c.w.Buffered())
 	}
 }
 
@@ -84,10 +90,10 @@ func TestFrameWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := newCodec(&buf)
 	defer w.release()
-	if err := w.queueFrame(7, []string{"pwrite", "1", "0", "5"}, []byte("hello")); err != nil {
+	if err := w.queueFrame(7, []byte("deadline 9 "), []byte("pwrite 1 0 5"), []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.queueFrame(8, []string{"whoami"}, nil); err != nil {
+	if err := w.queueFrame(8, nil, []byte("whoami"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.flush(); err != nil {
@@ -100,7 +106,7 @@ func TestFrameWireRoundTrip(t *testing.T) {
 		t.Fatalf("frame 1 header = %+v, %v", h, err)
 	}
 	line, err := r.readFrameLine(h.lineLen)
-	if err != nil || line != "pwrite 1 0 5" {
+	if err != nil || line != "deadline 9 pwrite 1 0 5" {
 		t.Fatalf("frame 1 line = %q, %v", line, err)
 	}
 	body, err := r.readPayload(h.payloadLen)
@@ -125,7 +131,7 @@ func FuzzFrameDecode(f *testing.F) {
 	// A valid frame, a truncated one, and hostile headers seed the corpus.
 	var valid bytes.Buffer
 	c := newCodec(&valid)
-	c.queueFrame(3, []string{"stat", "/etc"}, []byte("body"))
+	c.queueFrame(3, nil, []byte("stat /etc"), []byte("body"))
 	c.flush()
 	c.release()
 	f.Add(valid.Bytes())

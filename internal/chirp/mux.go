@@ -17,10 +17,18 @@ import (
 // mutating calls may safely retry on a fresh session.
 var errSessionLost = errors.New("chirp: session lost before send")
 
-// muxCall is one call in flight on a muxSession.
+// muxCall is one call in flight on a muxSession. Calls are pooled: done
+// is a reusable 1-buffered channel and completion is one send on it, by
+// the reader (a reply arrived) or by fail (the session died) — whichever
+// removed the call from pending. Only the goroutine that received that
+// completion may put the call back (recycle), and only a replied,
+// untraced one: after a reply nothing else still holds the call, whereas
+// a dead session's writer may, and so may the flush stamp of a traced one.
 type muxCall struct {
 	tag      uint64
-	fields   []string
+	pre      []byte   // per-attempt "trace <id> deadline <ms> " prefix, in prefix
+	prefix   [64]byte // room for both prefixes at their longest
+	line     *lineBuf // the request line: the caller's buffer, only read here
 	sendBody []byte
 	recvInto []byte // reply payload lands here (zero-copy) when set
 	wantBody bool   // reply payload is copied out into body
@@ -28,14 +36,13 @@ type muxCall struct {
 	bytes    int64  // the call's charge against the byte budget
 
 	written chan struct{} // closed by the writer after flush (farewells)
-	done    chan struct{} // closed exactly once on completion
+	done    chan struct{} // receives exactly one completion per use
 
 	// Request-tracing state. start and stall are written in submit
 	// before the call is shared; writtenNanos is stamped by the writer
 	// goroutine after the frame's flush and read by the submitter after
 	// done, so it is atomic (zero means the stamp never landed).
 	trace        uint64
-	cmd          string
 	start        time.Time
 	stall        time.Duration
 	writtenNanos atomic.Int64
@@ -43,6 +50,16 @@ type muxCall struct {
 	resp []string
 	body []byte
 	err  error // RemoteError (final) or transport/session failure
+}
+
+var callPool = sync.Pool{New: func() any { return &muxCall{done: make(chan struct{}, 1)} }}
+
+// recycle returns a completed call to the pool when nothing else can
+// still be holding it (see muxCall).
+func (call *muxCall) recycle() {
+	if _, replied := call.err.(*RemoteError); (call.err == nil || replied) && call.trace == 0 {
+		callPool.Put(call)
+	}
 }
 
 // framing is what a connection negotiated: the protocol version and,
@@ -144,7 +161,7 @@ func (ms *muxSession) fail(err error) {
 	ms.cl.m.inflightBytes.Set(0)
 	for _, call := range pending {
 		call.err = err
-		close(call.done)
+		call.done <- struct{}{}
 	}
 }
 
@@ -163,20 +180,18 @@ func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
 	if trace != 0 {
 		start = time.Now()
 	}
-	fields := c.fields
+	// The remaining budget is stamped ahead of the line, per attempt, so
+	// the server can shed the call at any hop once it expires: a re-send
+	// rewrites this prefix and never the line.
+	var budgetMS int64
 	if ms.deadlined && !c.deadline.IsZero() {
-		// Stamp the remaining budget on the request line so the server can
-		// shed the call at any hop once it expires. Rounded up: a sub-
-		// millisecond remainder must not serialize as "deadline 0".
 		remaining := time.Until(c.deadline)
 		if remaining <= 0 {
 			return nil, fmt.Errorf("%w before send", ErrDeadline)
 		}
-		budgetMS := (remaining + time.Millisecond - 1) / time.Millisecond
-		fields = append([]string{capDeadline, strconv.FormatInt(int64(budgetMS), 10)}, fields...)
-	}
-	if trace != 0 {
-		fields = append([]string{"trace", obs.FormatTraceID(trace)}, fields...)
+		// Rounded up: a sub-millisecond remainder must not serialize as
+		// "deadline 0".
+		budgetMS = int64((remaining + time.Millisecond - 1) / time.Millisecond)
 	}
 	est := int64(len(c.sendBody)+len(c.recvInto)) + 256
 	ms.mu.Lock()
@@ -192,18 +207,25 @@ func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
 		return nil, fmt.Errorf("%w: %v", errSessionLost, err)
 	}
 	ms.nextTag++
-	call := &muxCall{
+	call := callPool.Get().(*muxCall)
+	*call = muxCall{
 		tag:      ms.nextTag,
-		fields:   fields,
+		line:     c.line,
 		sendBody: c.sendBody,
 		recvInto: c.recvInto,
 		wantBody: c.recvBody,
 		counted:  true,
 		bytes:    est,
 		trace:    trace,
-		cmd:      c.fields[0],
 		start:    start,
-		done:     make(chan struct{}),
+		done:     call.done,
+	}
+	call.pre = call.prefix[:0]
+	if trace != 0 {
+		call.pre = append(append(append(call.pre, "trace "...), obs.FormatTraceID(trace)...), ' ')
+	}
+	if budgetMS > 0 {
+		call.pre = append(strconv.AppendInt(append(call.pre, "deadline "...), budgetMS, 10), ' ')
 	}
 	if trace != 0 {
 		call.stall = time.Since(start)
@@ -242,10 +264,9 @@ func (ms *muxSession) roundTrip(c wireCall) ([]string, []byte, error) {
 	if call.trace != 0 {
 		ms.observeCall(call)
 	}
-	if call.err != nil {
-		return nil, nil, call.err
-	}
-	return call.resp, call.body, nil
+	resp, body, err := call.resp, call.body, call.err
+	call.recycle()
+	return resp, body, err
 }
 
 // observeCall records a completed traced call: its latency lands in the
@@ -263,7 +284,7 @@ func (ms *muxSession) observeCall(call *muxCall) {
 		Trace: call.trace,
 		ID:    ms.spans.NextSpanID(),
 		Name:  "client",
-		Cmd:   call.cmd,
+		Cmd:   string(call.line.cmd()),
 		Start: call.start,
 		Dur:   dur,
 	}
@@ -294,11 +315,11 @@ func (ms *muxSession) sendQuit() error {
 		return err
 	}
 	ms.nextTag++
-	call := &muxCall{
+	call := &muxCall{ // not pooled: sendQuit may stop waiting before the reply completes it
 		tag:     ms.nextTag,
-		fields:  []string{"quit"},
+		line:    &lineBuf{b: []byte("quit")},
 		written: make(chan struct{}),
-		done:    make(chan struct{}),
+		done:    make(chan struct{}, 1),
 	}
 	// Registered so the server's ok reply is not an unknown tag, but
 	// uncounted: the farewell takes no credit-window space.
@@ -328,14 +349,18 @@ func (ms *muxSession) writeLoop() {
 			return
 		}
 		for call != nil {
-			if err := ms.c.queueMessage(ms.proto == ProtocolV2, call.tag, call.fields, call.sendBody); err != nil {
+			// Everything the writer needs of the call is read before its
+			// bytes can reach the wire: once they have, a reply may complete
+			// the call and its waiter recycle it.
+			afterFlush, traced := call.written != nil || ms.proto == ProtocolV1, call.trace != 0
+			if err := ms.c.queueMessage(ms.proto == ProtocolV2, call.tag, call.pre, call.line.b, call.sendBody); err != nil {
 				ms.fail(err)
 				return
 			}
-			if call.written != nil || ms.proto == ProtocolV1 {
+			if afterFlush {
 				flushed = append(flushed, call)
 			}
-			if call.trace != 0 {
+			if traced {
 				stamped = append(stamped, call)
 			}
 			select {
@@ -384,7 +409,7 @@ func (ms *muxSession) readLoop() {
 		if ferr != nil {
 			ms.fail(ferr)
 			call.err = ferr
-			close(call.done)
+			call.done <- struct{}{}
 			return
 		}
 		if call.counted {
@@ -397,7 +422,7 @@ func (ms *muxSession) readLoop() {
 			ms.mu.Unlock()
 		}
 		call.resp, call.body, call.err = resp, body, rerr
-		close(call.done)
+		call.done <- struct{}{}
 	}
 }
 

@@ -298,7 +298,7 @@ func TestMuxStalledFrameTimesOut(t *testing.T) {
 	// raw frame bytes can be written directly.
 	cl := adminClient(t, srv, ClientOptions{DisableRetries: true, Protocol: ProtocolV1})
 	cl.mu.Lock()
-	err := cl.mux.c.writeLine(versionFields(4, 1<<20)...)
+	err := cl.mux.c.writeLine(versionLine(4, 1<<20))
 	if err == nil {
 		_, err = cl.mux.c.readLine() // "ok 2 4 1048576"
 	}

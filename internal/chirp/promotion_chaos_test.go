@@ -127,6 +127,15 @@ func TestPromotionChaosMatrix(t *testing.T) {
 		t.Fatal("discovery run shipped no commit groups")
 	}
 	t.Logf("clean workflow ships %d commit groups", groups)
+	// The count is not quite fixed: one request's records now and then
+	// land in two groups (this workflow ships 7 or 8), and every kill run
+	// coalesces on its own schedule anyway. The matrix covers the larger
+	// count, so it is the same matrix every time; a boundary a run never
+	// reaches becomes a kill after the workflow, which the body allows for.
+	const mostGroups = 8
+	if groups < mostGroups {
+		groups = mostGroups
+	}
 
 	kills := make([]int64, 0, groups)
 	if testing.Short() {

@@ -14,6 +14,7 @@ package chirp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -302,14 +303,18 @@ func init() {
 }
 
 // codec frames protocol lines and counted payloads over a transport.
-// Its bufio halves and payload scratch come from process-wide pools;
-// call release when the transport is done with to recycle them. A codec
-// is single-goroutine (the session loop, or the client under its wire
-// mutex), so the scratch needs no locking.
+// Its bufio halves and scratch come from process-wide pools; call
+// release when the transport is done with to recycle them. The read half
+// (r, rhdr, scratch) and the write half (w, whdr) each belong to one
+// goroutine at a time — the session loop and whoever holds its write
+// mutex, or the client's reader and writer loops — so neither locks.
 type codec struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
 	scratch *payloadScratch
+	// Frame headers are staged here rather than on the stack: a stack
+	// array handed to bufio escapes through its io.Reader/io.Writer.
+	rhdr, whdr [frameHeaderSize]byte
 }
 
 func newCodec(rw io.ReadWriter) *codec {
@@ -339,27 +344,93 @@ func (c *codec) release() {
 	}
 }
 
+// lineBuf builds one protocol line in place: space-separated tokens
+// appended into a buffer its owner reuses from line to line, so encoding
+// allocates nothing. A line is valid until its owner starts the next
+// one; whoever keeps it longer copies it (DESIGN.md §16 has the table of
+// owners).
+type lineBuf struct{ b []byte }
+
+// maxPooledLine bounds what a reused line buffer may pin: one grown past
+// it (a big getdir) is dropped at its next use instead of kept.
+const maxPooledLine = 4 << 10
+
+// start begins a new line with a bare token.
+func (l *lineBuf) start(tok string) *lineBuf {
+	if cap(l.b) > maxPooledLine {
+		l.b = nil
+	}
+	l.b = append(l.b[:0], tok...)
+	return l
+}
+
+// str appends a token verbatim: a keyword, or a field already in wire form.
+func (l *lineBuf) str(tok string) *lineBuf {
+	l.b = append(append(l.b, ' '), tok...)
+	return l
+}
+
+func (l *lineBuf) int(v int64) *lineBuf {
+	l.b = strconv.AppendInt(append(l.b, ' '), v, 10)
+	return l
+}
+
+func (l *lineBuf) uint(v uint64) *lineBuf {
+	l.b = strconv.AppendUint(append(l.b, ' '), v, 10)
+	return l
+}
+
+func (l *lineBuf) oct(v uint32) *lineBuf {
+	l.b = strconv.AppendUint(append(l.b, ' '), uint64(v), 8)
+	return l
+}
+
+// quoted appends a Go-quoted field: a path, a name, a message.
+func (l *lineBuf) quoted(s string) *lineBuf {
+	l.b = strconv.AppendQuote(append(l.b, ' '), s)
+	return l
+}
+
+// stat appends a stat in wire form (parseStat reads it back).
+func (l *lineBuf) stat(st vfs.Stat) *lineBuf {
+	return l.uint(st.Ino).int(int64(st.Type)).oct(st.Mode).quoted(st.Owner).quoted(st.Group).
+		int(int64(st.Nlink)).int(st.Size).int(st.Mtime)
+}
+
+// cmd is the line's first token.
+func (l *lineBuf) cmd() []byte {
+	if i := bytes.IndexByte(l.b, ' '); i >= 0 {
+		return l.b[:i]
+	}
+	return l.b
+}
+
+// checkLine refuses line bytes carrying a raw newline, which would end a
+// v1 line early and is never legitimate: fields that may hold one are
+// quoted.
+func checkLine(parts ...[]byte) error {
+	for _, p := range parts {
+		if bytes.ContainsAny(p, "\n\r") {
+			return fmt.Errorf("chirp: embedded newline in %q", p)
+		}
+	}
+	return nil
+}
+
 // queueLine buffers a protocol line without flushing, so a pipelining
 // caller can push several exchanges into one wire write.
-func (c *codec) queueLine(fields ...string) error {
-	for i, f := range fields {
-		if strings.ContainsAny(f, "\n\r") {
-			return fmt.Errorf("chirp: embedded newline in %q", f)
-		}
-		if i > 0 {
-			if err := c.w.WriteByte(' '); err != nil {
-				return err
-			}
-		}
-		if _, err := c.w.WriteString(f); err != nil {
-			return err
-		}
+func (c *codec) queueLine(line []byte) error {
+	if err := checkLine(line); err != nil {
+		return err
+	}
+	if _, err := c.w.Write(line); err != nil {
+		return err
 	}
 	return c.w.WriteByte('\n')
 }
 
-func (c *codec) writeLine(fields ...string) error {
-	if err := c.queueLine(fields...); err != nil {
+func (c *codec) writeLine(line []byte) error {
+	if err := c.queueLine(line); err != nil {
 		return err
 	}
 	return c.w.Flush()
@@ -373,24 +444,19 @@ func (c *codec) readLine() (string, error) {
 	return strings.TrimRight(s, "\r\n"), nil
 }
 
-// queuePayload buffers the counted binary payload that follows a line,
-// without flushing.
-func (c *codec) queuePayload(data []byte) error {
-	_, err := c.w.Write(data)
-	return err
-}
-
-// queueMessage buffers one request or reply — line fields plus optional
-// counted payload — in either framing: a tagged frame, or the v1 line
-// followed by its payload (the tag is implicit there).
-func (c *codec) queueMessage(framed bool, tag uint64, fields []string, payload []byte) error {
+// queueMessage buffers one request or reply — a line (the client's
+// per-attempt prefix ahead of it, if any) plus optional counted payload —
+// in either framing: a tagged frame, or the v1 line followed by its
+// payload (the tag is implicit there, and v1 negotiates no prefix).
+func (c *codec) queueMessage(framed bool, tag uint64, prefix, line, payload []byte) error {
 	if framed {
-		return c.queueFrame(tag, fields, payload)
+		return c.queueFrame(tag, prefix, line, payload)
 	}
-	if err := c.queueLine(fields...); err != nil || payload == nil {
+	if err := c.queueLine(line); err != nil || payload == nil {
 		return err
 	}
-	return c.queuePayload(payload)
+	_, err := c.w.Write(payload)
+	return err
 }
 
 // flush pushes everything queued to the transport.
@@ -428,67 +494,68 @@ func (c *codec) readPayloadInto(dst []byte) error {
 // q quotes a path for the wire.
 func q(path string) string { return strconv.Quote(path) }
 
-// splitFields tokenizes a protocol line, honoring Go-quoted fields.
-func splitFields(line string) ([]string, error) {
-	var out []string
-	i := 0
-	for i < len(line) {
-		for i < len(line) && line[i] == ' ' {
-			i++
+// scanToken finds the token at or after line[i]: line[start:end], empty
+// once the line is spent. A token that opens with a quote runs to its
+// closing quote (escapes honoured); any other runs to the next space.
+func scanToken(line string, i int) (start, end int, err error) {
+	for i < len(line) && line[i] == ' ' {
+		i++
+	}
+	if i == len(line) || line[i] != '"' {
+		if j := strings.IndexByte(line[i:], ' '); j >= 0 {
+			return i, i + j, nil
 		}
-		if i >= len(line) {
+		return i, len(line), nil
+	}
+	for j := i + 1; j < len(line); j++ {
+		switch line[j] {
+		case '\\':
+			j++
+		case '"':
+			return i, j + 1, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("chirp: unterminated quote in %q", line)
+}
+
+// splitFields tokenizes a protocol line, honoring Go-quoted fields.
+func splitFields(line string) ([]string, error) { return tokenize(line, true) }
+
+// tokenize splits a line into its tokens — unquoted, or raw exactly as
+// they sit on the wire — counting them first so the one slice it
+// allocates is exactly sized (unquoting a field without escapes
+// allocates nothing: the field is a substring of the line).
+func tokenize(line string, unquote bool) ([]string, error) {
+	n := 0
+	for i := 0; ; n++ {
+		start, end, err := scanToken(line, i)
+		if err != nil {
+			return nil, err
+		}
+		if start == end {
 			break
 		}
-		if line[i] == '"' {
-			// Find the end of the quoted token (handling escapes).
-			j := i + 1
-			for j < len(line) {
-				if line[j] == '\\' {
-					j += 2
-					continue
-				}
-				if line[j] == '"' {
-					break
-				}
-				j++
-			}
-			if j >= len(line) {
-				return nil, fmt.Errorf("chirp: unterminated quote in %q", line)
-			}
-			tok, err := strconv.Unquote(line[i : j+1])
+		i = end
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]string, n)
+	for k, i := 0, 0; k < n; k++ {
+		start, end, _ := scanToken(line, i)
+		out[k], i = line[start:end], end
+		if unquote && line[start] == '"' {
+			tok, err := strconv.Unquote(out[k])
 			if err != nil {
 				return nil, fmt.Errorf("chirp: bad quoting in %q: %v", line, err)
 			}
-			out = append(out, tok)
-			i = j + 1
-			continue
+			out[k] = tok
 		}
-		j := strings.IndexByte(line[i:], ' ')
-		if j < 0 {
-			out = append(out, line[i:])
-			break
-		}
-		out = append(out, line[i:i+j])
-		i += j
 	}
 	return out, nil
 }
 
-// statFields serializes a stat for the wire.
-func statFields(st vfs.Stat) []string {
-	return []string{
-		strconv.FormatUint(st.Ino, 10),
-		strconv.Itoa(int(st.Type)),
-		strconv.FormatUint(uint64(st.Mode), 8),
-		q(st.Owner),
-		q(st.Group),
-		strconv.Itoa(st.Nlink),
-		strconv.FormatInt(st.Size, 10),
-		strconv.FormatInt(st.Mtime, 10),
-	}
-}
-
-// parseStat deserializes statFields output.
+// parseStat deserializes lineBuf.stat output.
 func parseStat(fields []string) (vfs.Stat, error) {
 	if len(fields) != 8 {
 		return vfs.Stat{}, fmt.Errorf("chirp: bad stat reply (%d fields)", len(fields))

@@ -44,8 +44,9 @@ type ReplicaSession struct {
 	SnapLSN uint64
 	Epoch   uint64
 
-	mu      sync.Mutex // guards nextTag and write interleaving (Ack vs Close)
+	mu      sync.Mutex // guards nextTag, line and write interleaving (Ack vs Close)
 	nextTag uint64
+	line    lineBuf // the request being sent
 	closed  bool
 
 	catchup *replica.Batch // WAL-tail catch-up, delivered by the first Next
@@ -76,7 +77,7 @@ func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeou
 		return nil, err
 	}
 	// Version exchange, lock-step like any v2 client, demanding repl.
-	if err := c.writeLine(versionFields(DefaultWindow, DefaultMaxInflightBytes, capRepl)...); err != nil {
+	if err := c.writeLine(versionLine(DefaultWindow, DefaultMaxInflightBytes, capRepl)); err != nil {
 		return fail(err)
 	}
 	line, err := c.readLine()
@@ -96,7 +97,7 @@ func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeou
 	}
 	rs := &ReplicaSession{conn: conn, c: c, nextTag: 1}
 	// Subscribe and decode the catch-up reply.
-	if err := rs.writeFrameLocked(rs.takeTag(), []string{"replsub", strconv.FormatUint(fromLSN, 10)}, nil); err != nil {
+	if err := rs.send("replsub", fromLSN); err != nil {
 		return fail(err)
 	}
 	h, fields, err := rs.readFrame()
@@ -139,23 +140,17 @@ func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeou
 	return rs, nil
 }
 
-// takeTag allocates the next request tag.
-func (rs *ReplicaSession) takeTag() uint64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	tag := rs.nextTag
-	rs.nextTag++
-	return tag
-}
-
-// writeFrameLocked queues and flushes one frame under the write mutex.
-func (rs *ReplicaSession) writeFrameLocked(tag uint64, fields []string, body []byte) error {
+// send writes "<cmd> <arg>" as one frame under the next request tag,
+// flushed, under the write mutex.
+func (rs *ReplicaSession) send(cmd string, arg uint64) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if rs.closed {
 		return errors.New("chirp: replica session closed")
 	}
-	if err := rs.c.queueFrame(tag, fields, body); err != nil {
+	tag := rs.nextTag
+	rs.nextTag++
+	if err := rs.c.queueFrame(tag, nil, rs.line.start(cmd).uint(arg).b, nil); err != nil {
 		return err
 	}
 	return rs.c.flush()
@@ -237,7 +232,7 @@ func (rs *ReplicaSession) Next() (replica.Batch, error) {
 // server's ok reply is skipped by the Next loop; Ack itself does not
 // wait for it, so the apply loop never stalls on its own bookkeeping.
 func (rs *ReplicaSession) Ack(lsn uint64) error {
-	return rs.writeFrameLocked(rs.takeTag(), []string{"replack", strconv.FormatUint(lsn, 10)}, nil)
+	return rs.send("replack", lsn)
 }
 
 // Close tears the session down (replica.Stream).

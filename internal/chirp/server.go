@@ -1,6 +1,7 @@
 package chirp
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -185,6 +186,10 @@ type logger struct {
 	prefix string
 }
 
+// on reports whether lines go anywhere. Per-request call sites check it
+// first, so a server without a sink does not box a line's arguments.
+func (l logger) on() bool { return l.sink != nil }
+
 func (l logger) printf(format string, args ...any) {
 	if l.sink == nil {
 		return
@@ -223,6 +228,7 @@ const (
 type srvMetrics struct {
 	reg           *obs.Registry
 	requests      []*obs.Counter // per command, indexed by cmdSpec.idx
+	unknownCmd    *obs.Counter   // every name the table does not know, as one series
 	errors        *obs.Counter
 	sessions      *obs.Counter
 	rxBytes       *obs.Counter
@@ -235,8 +241,6 @@ type srvMetrics struct {
 	dedupeJErrs   *obs.Counter
 	draining      *obs.Gauge
 	barrierErrs   *obs.Counter
-	poolHits      *obs.Gauge
-	poolMisses    *obs.Gauge
 	tagsInFlight  *obs.Gauge
 	bpStalls      *obs.Counter
 	occupancy     *obs.Histogram
@@ -273,8 +277,11 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 	for i, c := range commandTable {
 		requests[i] = reg.Counter(obs.With(MetricRequests, "cmd", c.name))
 	}
+	reg.GaugeFunc(MetricPayloadPoolHits, poolHits.Load)
+	reg.GaugeFunc(MetricPayloadPoolMisses, poolMisses.Load)
 	return &srvMetrics{
 		requests:      requests,
+		unknownCmd:    reg.Counter(obs.With(MetricRequests, "cmd", "unknown")),
 		reg:           reg,
 		errors:        reg.Counter(MetricErrors),
 		sessions:      reg.Counter(MetricSessions),
@@ -288,8 +295,6 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 		dedupeJErrs:   reg.Counter(MetricDedupeJournalErrs),
 		draining:      reg.Gauge(MetricDraining),
 		barrierErrs:   reg.Counter(MetricBarrierErrs),
-		poolHits:      reg.Gauge(MetricPayloadPoolHits),
-		poolMisses:    reg.Gauge(MetricPayloadPoolMisses),
 		tagsInFlight:  reg.Gauge(MetricTagsInFlight),
 		bpStalls:      reg.Counter(MetricBackpressureStalls),
 		occupancy:     reg.Histogram(MetricWindowOccupancy, []float64{1, 2, 4, 8, 16, 32, 64}),
@@ -873,6 +878,9 @@ func (sess *session) loop() {
 // step reads and dispatches one request; false ends the session.
 func (sess *session) step(ln *lanes) bool {
 	s := sess.s
+	// The reader's own replies (farewell, refusals, the version exchange)
+	// are built in the codec's scratch, which on v2 only the reader uses.
+	sc := sess.c.scratch
 	req, err := sess.readRequest()
 	if err != nil {
 		return false // connection closed (or drain nudge expired the read)
@@ -884,7 +892,7 @@ func (sess *session) step(ln *lanes) bool {
 	}
 	if req.cmd == "quit" && req.bad == "" {
 		ln.close() // every pending reply precedes the farewell ack
-		sess.reply(req.tag, okres())
+		sess.reply(req.tag, hres{line: sc.ok()})
 		return false
 	}
 	if req.cmd != "" {
@@ -893,12 +901,16 @@ func (sess *session) step(ln *lanes) bool {
 		if req.spec != nil {
 			s.metrics.requests[req.spec.idx].Inc()
 		} else {
-			s.metrics.reg.Counter(obs.With(MetricRequests, "cmd", req.cmd)).Inc()
+			// One series for every unknown name: a peer must not be able
+			// to mint registry entries by inventing commands.
+			s.metrics.unknownCmd.Inc()
 		}
-		sess.log.printf("req=%d tag=%d %s: %s %v", sess.reqs, req.tag, sess.ident, req.cmd, req.args)
+		if sess.log.on() {
+			sess.log.printf("req=%d tag=%d %s: %s %v", sess.reqs, req.tag, sess.ident, req.cmd, req.args)
+		}
 	}
 	if req.bad != "" {
-		return sess.reply(req.tag, sess.failf(vfs.ErrInvalid, req.bad)) == nil
+		return sess.reply(req.tag, sess.failf(sc, vfs.ErrInvalid, req.bad)) == nil
 	}
 	if req.cmd == "version" && sess.v2 == nil {
 		return sess.serveVersion(req.args, ln) == nil
@@ -915,12 +927,12 @@ func (sess *session) step(ln *lanes) bool {
 		}
 		tk, aerr := adm.Admit(sess.ident.String(), class, len(req.payload), req.deadline)
 		if aerr != nil {
-			return sess.reply(req.tag, sess.admissionRefusal(aerr)) == nil
+			return sess.reply(req.tag, sess.admissionRefusal(sc, aerr)) == nil
 		}
 		req.ticket = tk
 	}
 	if sess.v2 == nil {
-		sess.serve(req, sess.c.scratch)
+		sess.serve(req, sc)
 		return true
 	}
 	if !sess.acquireSlot(sess.v2.window) {
@@ -1047,13 +1059,13 @@ func (sess *session) boundRead(on bool) {
 // ENOSYS exactly as an old binary (which has no "version" command at
 // all) would, and the client falls back.
 func (sess *session) serveVersion(args []string, ln *lanes) error {
-	s := sess.s
+	s, sc := sess.s, sess.c.scratch
 	if s.maxProtocol() < ProtocolV2 {
-		return sess.reply(0, sess.failf(kernel.ErrNoSys, "unknown command version"))
+		return sess.reply(0, sess.failf(sc, kernel.ErrNoSys, "unknown command version"))
 	}
 	v, w, b, caps, err := parseVersionArgs(args)
 	if err != nil || v < ProtocolV2 {
-		return sess.reply(0, sess.failf(vfs.ErrInvalid, "bad version exchange"))
+		return sess.reply(0, sess.failf(sc, vfs.ErrInvalid, "bad version exchange"))
 	}
 	conf := &v2Conf{window: s.window(), maxBytes: s.maxInflightBytes()}
 	if w < conf.window {
@@ -1067,17 +1079,17 @@ func (sess *session) serveVersion(args []string, ln *lanes) error {
 	conf.traced = s.opts.Spans != nil && hasCap(caps, capTrace)
 	conf.repl = s.opts.Repl != nil && hasCap(caps, capRepl)
 	conf.deadlined = s.opts.Admission != nil && hasCap(caps, capDeadline)
-	okFields := []string{strconv.Itoa(ProtocolV2), strconv.Itoa(conf.window), strconv.FormatInt(conf.maxBytes, 10)}
+	ok := sc.ok().int(ProtocolV2).int(int64(conf.window)).int(conf.maxBytes)
 	if conf.traced {
-		okFields = append(okFields, capTrace)
+		ok.str(capTrace)
 	}
 	if conf.repl {
-		okFields = append(okFields, capRepl)
+		ok.str(capRepl)
 	}
 	if conf.deadlined {
-		okFields = append(okFields, capDeadline)
+		ok.str(capDeadline)
 	}
-	if err := sess.reply(0, okres(okFields...)); err != nil {
+	if err := sess.reply(0, hres{line: ok}); err != nil {
 		return err
 	}
 	// The ok went out as a line; everything from here on is tagged frames.
@@ -1155,8 +1167,9 @@ type stamps struct {
 
 // serve is the one request pipeline, run for every admitted request of
 // either framing: execute produces the reply, serve delivers it and
-// accounts for it. sc is the caller's payload scratch, reused for pread
-// bodies (the reply is flushed before the scratch is reused).
+// accounts for it. sc is the caller's scratch: the reply line and a
+// pread body are built in it, and it is reused only for the caller's
+// next request, after this reply is flushed.
 func (sess *session) serve(req request, sc *payloadScratch) {
 	s := sess.s
 	// The admission ticket is released when the reply (or shed) is on
@@ -1185,8 +1198,8 @@ func (sess *session) serve(req request, sc *payloadScratch) {
 		Start:  req.arrived,
 		Dur:    total,
 	}
-	if len(res.fields) > 0 && res.fields[0] == "err" {
-		sp.Err = strings.Join(res.fields[1:], " ")
+	if rest, isErr := bytes.CutPrefix(res.line.b, []byte("err ")); isErr {
+		sp.Err = string(rest)
 	}
 	if st.handler.IsZero() { // answered before the handler: all queue
 		st.handler, st.handled = replyStart, replyStart
@@ -1224,7 +1237,7 @@ func (sess *session) serve(req request, sc *payloadScratch) {
 func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres {
 	s := sess.s
 	if msg := req.spec.refusal(req.args, req.payload); msg != "" {
-		return sess.failf(vfs.ErrInvalid, msg)
+		return sess.failf(sc, vfs.ErrInvalid, msg)
 	}
 	// A tokened request already answered for this principal is replayed
 	// without re-executing: a lost reply does not become a second
@@ -1233,13 +1246,19 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 	var dk string
 	if req.token != "" {
 		dk = dedupeKey(sess.ident.String(), req.token)
-		if stored, hit := s.dedupe.lookup(dk); hit {
+		if stored, hit := s.dedupe.lookup(dk); hit && len(stored) > 0 {
 			s.metrics.dedupeHits.Inc()
-			sess.log.printf("tag=%d %s: %s (token %s) replayed from dedupe", req.tag, sess.ident, req.cmd, req.token)
-			return hres{fields: stored}
+			if sess.log.on() {
+				sess.log.printf("tag=%d %s: %s (token %s) replayed from dedupe", req.tag, sess.ident, req.cmd, req.token)
+			}
+			replay := sc.line.start(stored[0])
+			for _, tok := range stored[1:] {
+				replay.str(tok)
+			}
+			return hres{line: replay}
 		}
 	}
-	if rr := sess.roleRefusal(req); rr != nil {
+	if rr := sess.roleRefusal(req, sc); rr != nil {
 		// Not the primary: refuse without touching dedupe — the retry
 		// belongs to whichever server holds the lease, not this table.
 		return *rr
@@ -1248,7 +1267,7 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 	// EDEADLINE if the budget runs out in the queue — the handler (and
 	// any WAL work) never runs for shed requests.
 	if err := req.ticket.Acquire(); err != nil {
-		return sess.failf(fmt.Errorf("%w awaiting dispatch", ErrDeadline), "")
+		return sess.failf(sc, fmt.Errorf("%w awaiting dispatch", ErrDeadline), "")
 	}
 	st.handler = time.Now()
 	res := sess.handle(req.cmd, req.args, req.payload, sc, req.trace)
@@ -1260,7 +1279,7 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 			// applied-but-unacknowledged, exactly a client timeout's
 			// semantics. Tokened requests are exempt: their reply must
 			// be recorded for exactly-once replay, never a shed.
-			return sess.failf(fmt.Errorf("%w before durability barrier", ErrDeadline), "")
+			return sess.failf(sc, fmt.Errorf("%w before durability barrier", ErrDeadline), "")
 		}
 		// The acknowledgement must not outrun the log: wait until every
 		// shard this request wrote is durable. This holds for tokened
@@ -1278,30 +1297,29 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 		}
 		st.barriered = time.Now()
 	}
-	sess.recordReply(res.fields, dk)
+	if dk != "" {
+		sess.recordReply(res.line.b, dk)
+	}
 	return res
 }
 
-// recordReply is the pre-wire bookkeeping: the pool-counter mirror, and
-// for a tokened request the dedupe table and journal. The journal write
-// happens before the reply reaches the wire — once the client can see
-// the answer, it is durable, so a retry after a server crash replays
-// instead of re-executing.
-func (sess *session) recordReply(fields []string, dedupeKey string) {
-	sess.s.metrics.poolHits.Set(poolHits.Load())
-	sess.s.metrics.poolMisses.Set(poolMisses.Load())
-	if dedupeKey != "" {
-		if evicted := sess.s.dedupe.store(dedupeKey, fields); evicted > 0 {
-			sess.s.metrics.dedupeEvicts.Add(int64(evicted))
-		}
-		if j := sess.s.opts.DedupeJournal; j != nil {
-			if err := j.AppendDedupe(dedupeKey, fields); err != nil {
-				sess.s.metrics.dedupeJErrs.Inc()
-				sess.log.printf("dedupe journal append failed: %v", err)
-			}
-		}
-		sess.s.syncDedupeMetrics()
+// recordReply is a tokened request's pre-wire bookkeeping: its reply,
+// as the line's raw tokens, goes into the dedupe table and journal. The
+// journal write happens before the reply reaches the wire — once the
+// client can see the answer, it is durable, so a retry after a server
+// crash replays instead of re-executing.
+func (sess *session) recordReply(line []byte, dedupeKey string) {
+	fields, _ := tokenize(string(line), false) // a handler's own line: well formed
+	if evicted := sess.s.dedupe.store(dedupeKey, fields); evicted > 0 {
+		sess.s.metrics.dedupeEvicts.Add(int64(evicted))
 	}
+	if j := sess.s.opts.DedupeJournal; j != nil {
+		if err := j.AppendDedupe(dedupeKey, fields); err != nil {
+			sess.s.metrics.dedupeJErrs.Inc()
+			sess.log.printf("dedupe journal append failed: %v", err)
+		}
+	}
+	sess.s.syncDedupeMetrics()
 }
 
 // reply writes one reply in the session's framing — a tagged frame on
@@ -1324,35 +1342,31 @@ func (sess *session) reply(tag uint64, res hres) error {
 			}
 		}()
 	}
-	if err := sess.c.queueMessage(sess.v2 != nil, tag, res.fields, res.body); err != nil {
+	if err := sess.c.queueMessage(sess.v2 != nil, tag, nil, res.line.b, res.body); err != nil {
 		return err
 	}
 	return sess.c.flush()
 }
 
 // hres is one handled request's outcome: a complete reply line
-// (starting "ok" or "err") plus an optional counted payload. The
-// handler produces it; reply delivers it in the session's framing.
+// (starting "ok" or "err"), encoded in the scratch of whoever handled
+// it, plus an optional counted payload. The handler produces it; reply
+// delivers it in the session's framing.
 type hres struct {
-	fields []string
-	body   []byte
-	after  func() // run once the reply is on the wire (replsub's pusher)
+	line  *lineBuf
+	body  []byte
+	after func() // run once the reply is on the wire (replsub's pusher)
 }
 
-// okres builds a success result.
-func okres(fields ...string) hres {
-	return hres{fields: append([]string{"ok"}, fields...)}
-}
-
-// failf builds an error result, counting it.
-func (sess *session) failf(err error, context string) hres {
+// failf builds an error result in sc, counting it.
+func (sess *session) failf(sc *payloadScratch, err error, context string) hres {
 	msg := context
 	if err != nil {
 		msg = err.Error()
 	}
 	sess.s.errors.Add(1)
 	sess.s.metrics.errors.Inc()
-	return hres{fields: []string{"err", nameForError(err), q(msg)}}
+	return hres{line: sc.line.start("err").str(nameForError(err)).quoted(msg)}
 }
 
 // roleRefusal reports the refusal for a mutating command when this
@@ -1361,7 +1375,7 @@ func (sess *session) failf(err error, context string) hres {
 // the current primary so a failover-aware client can re-target; this
 // check is the server half of epoch fencing — a deposed primary
 // answers every write with it, no matter how stale its own view is.
-func (sess *session) roleRefusal(req *request) *hres {
+func (sess *session) roleRefusal(req *request, sc *payloadScratch) *hres {
 	rs := sess.s.opts.Role
 	if rs == nil || !req.spec.has(fMutating) {
 		return nil
@@ -1383,7 +1397,7 @@ func (sess *session) roleRefusal(req *request) *hres {
 	if p := rs.PrimaryAddr(); p != "" {
 		err = fmt.Errorf("%w (%s); primary is %s", ErrNotPrimary, role, p)
 	}
-	res := sess.failf(err, "not primary")
+	res := sess.failf(sc, err, "not primary")
 	return &res
 }
 
@@ -1431,95 +1445,84 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 	tfs := s.fs.Traced(trace)
 	switch cmd {
 	case "whoami":
-		return okres(q(sess.ident.String()))
+		return hres{line: sc.ok().quoted(sess.ident.String())}
 
 	case "stats": // server-side counters for this session and globally
 		s.mu.Lock()
 		conns := len(s.conns)
 		s.mu.Unlock()
-		fields := []string{
-			strconv.Itoa(conns),
-			strconv.Itoa(sess.fdCount()),
-			strconv.Itoa(sess.grantCount()),
-			q(s.opts.Name),
-			strconv.FormatInt(s.requests.Load(), 10),
-			strconv.FormatInt(s.errors.Load(), 10),
-			strconv.FormatInt(s.sessions.Load(), 10),
-			strconv.FormatInt(s.rxBytes.Load(), 10),
-			strconv.FormatInt(s.txBytes.Load(), 10),
-		}
+		ok := sc.ok().int(int64(conns)).int(int64(sess.fdCount())).int(int64(sess.grantCount())).
+			quoted(s.opts.Name).int(s.requests.Load()).int(s.errors.Load()).int(s.sessions.Load()).
+			int(s.rxBytes.Load()).int(s.txBytes.Load())
 		// Replication-aware servers append role, epoch and applied LSN;
 		// old clients that expect exactly nine fields never see them
 		// because a nil Role keeps the classic shape.
 		if rs := s.opts.Role; rs != nil {
 			role, epoch := rs.Role()
-			fields = append(fields,
-				q(role),
-				strconv.FormatUint(epoch, 10),
-				strconv.FormatUint(rs.AppliedLSN(), 10))
+			ok.quoted(role).uint(epoch).uint(rs.AppliedLSN())
 		}
-		return okres(fields...)
+		return hres{line: ok}
 
 	case "waitlsn": // waitlsn <lsn> <timeoutms>: bounded-staleness read barrier
 		lsn, err1 := strconv.ParseUint(args[0], 10, 64)
 		ms, err2 := strconv.ParseInt(args[1], 10, 64)
 		if err1 != nil || err2 != nil || ms < 0 {
-			return sess.failf(vfs.ErrInvalid, "bad waitlsn args")
+			return sess.failf(sc, vfs.ErrInvalid, "bad waitlsn args")
 		}
 		rs := s.opts.Role
 		if rs == nil {
 			// A standalone server's state is always authoritative.
-			return okres("0")
+			return hres{line: sc.ok().int(0)}
 		}
 		if err := rs.WaitApplied(lsn, time.Duration(ms)*time.Millisecond); err != nil {
-			return sess.failf(err, "waitlsn")
+			return sess.failf(sc, err, "waitlsn")
 		}
-		return okres(strconv.FormatUint(rs.AppliedLSN(), 10))
+		return hres{line: sc.ok().uint(rs.AppliedLSN())}
 
 	case "metrics": // full registry as a counted text-exposition payload
 		text := s.metrics.reg.Text()
-		return hres{fields: []string{"ok", strconv.Itoa(len(text))}, body: []byte(text)}
+		return hres{line: sc.ok().int(int64(len(text))), body: []byte(text)}
 
 	case "trace": // trace <id>: server-side spans for one trace, as JSON
 		id, err := obs.ParseTraceID(args[0])
 		if err != nil || id == 0 {
-			return sess.failf(vfs.ErrInvalid, "bad trace id")
+			return sess.failf(sc, vfs.ErrInvalid, "bad trace id")
 		}
 		// A nil ring (tracing not enabled) yields no spans, same as an
 		// unknown ID: an empty JSON array, not an error.
 		data, err := json.Marshal(s.opts.Spans.Trace(id))
 		if err != nil {
-			return sess.failf(vfs.ErrInvalid, "trace encode")
+			return sess.failf(sc, vfs.ErrInvalid, "trace encode")
 		}
-		return hres{fields: []string{"ok", strconv.Itoa(len(data))}, body: data}
+		return hres{line: sc.ok().int(int64(len(data))), body: data}
 
 	case "replsub":
-		return sess.replSubscribe(args[0])
+		return sess.replSubscribe(sc, args[0])
 
 	case "replack":
-		return sess.replAck(args[0])
+		return sess.replAck(sc, args[0])
 
 	case "open": // open <flags> <mode> <path>
 		flags, err1 := strconv.Atoi(args[0])
 		mode, err2 := strconv.ParseUint(args[1], 8, 32)
 		if err1 != nil || err2 != nil {
-			return sess.failf(vfs.ErrInvalid, "bad open args")
+			return sess.failf(sc, vfs.ErrInvalid, "bad open args")
 		}
 		fd, err := sess.open(args[2], flags, uint32(mode), trace)
 		if err != nil {
-			return sess.failf(err, "open")
+			return sess.failf(sc, err, "open")
 		}
-		return okres(strconv.Itoa(fd))
+		return hres{line: sc.ok().int(int64(fd))}
 
 	case "close":
 		fd, err := strconv.Atoi(args[0])
 		if err != nil {
-			return sess.failf(vfs.ErrInvalid, "bad fd")
+			return sess.failf(sc, vfs.ErrInvalid, "bad fd")
 		}
 		if !sess.removeFD(fd) {
-			return sess.failf(kernel.ErrBadFD, "close")
+			return sess.failf(sc, kernel.ErrBadFD, "close")
 		}
-		return okres()
+		return hres{line: sc.ok()}
 
 	case "pread": // pread <fd> <len> <off>
 		fd, _ := strconv.Atoi(args[0])
@@ -1527,47 +1530,47 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		off, _ := strconv.ParseInt(args[2], 10, 64)
 		d, ok := sess.lookupFD(fd)
 		if !ok {
-			return sess.failf(kernel.ErrBadFD, "pread")
+			return sess.failf(sc, kernel.ErrBadFD, "pread")
 		}
 		if n < 0 || n > MaxPayload {
-			return sess.failf(vfs.ErrInvalid, "pread size")
+			return sess.failf(sc, vfs.ErrInvalid, "pread size")
 		}
 		// Pooled scratch: the payload is written to the wire before the
 		// caller's scratch is reused.
 		b := sc.bytes(n)
 		rn, err := d.h.ReadAt(b, off)
 		if err != nil {
-			return sess.failf(err, "pread")
+			return sess.failf(sc, err, "pread")
 		}
-		return hres{fields: []string{"ok", strconv.Itoa(rn)}, body: b[:rn]}
+		return hres{line: sc.ok().int(int64(rn)), body: b[:rn]}
 
 	case "pwrite": // pwrite <fd> <off> <len> + payload (len checked against the table)
 		fd, _ := strconv.Atoi(args[0])
 		off, _ := strconv.ParseInt(args[1], 10, 64)
 		d, ok := sess.lookupFD(fd)
 		if !ok {
-			return sess.failf(kernel.ErrBadFD, "pwrite")
+			return sess.failf(sc, kernel.ErrBadFD, "pwrite")
 		}
 		if d.flags&3 == kernel.ORdonly {
-			return sess.failf(kernel.ErrBadFD, "fd not writable")
+			return sess.failf(sc, kernel.ErrBadFD, "fd not writable")
 		}
 		wn, err := d.h.WriteAtTraced(payload, off, trace)
 		if err != nil {
-			return sess.failf(err, "pwrite")
+			return sess.failf(sc, err, "pwrite")
 		}
-		return okres(strconv.Itoa(wn))
+		return hres{line: sc.ok().int(int64(wn))}
 
 	case "fstat":
 		fd, _ := strconv.Atoi(args[0])
 		d, ok := sess.lookupFD(fd)
 		if !ok {
-			return sess.failf(kernel.ErrBadFD, "fstat")
+			return sess.failf(sc, kernel.ErrBadFD, "fstat")
 		}
-		return okres(statFields(d.h.Stat())...)
+		return hres{line: sc.ok().stat(d.h.Stat())}
 
 	case "stat", "lstat":
 		if err := sess.checkF(args[0], acl.List); err != nil {
-			return sess.failf(err, "stat")
+			return sess.failf(sc, err, "stat")
 		}
 		var st vfs.Stat
 		var err error
@@ -1577,163 +1580,162 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 			st, err = s.fs.Lstat(args[0])
 		}
 		if err != nil {
-			return sess.failf(err, "stat")
+			return sess.failf(sc, err, "stat")
 		}
-		return okres(statFields(st)...)
+		return hres{line: sc.ok().stat(st)}
 
 	case "getdir":
 		if err := sess.checkD(args[0], acl.List); err != nil {
-			return sess.failf(err, "getdir")
+			return sess.failf(sc, err, "getdir")
 		}
 		ents, err := s.fs.ReadDir(args[0])
 		if err != nil {
-			return sess.failf(err, "getdir")
+			return sess.failf(sc, err, "getdir")
 		}
-		out := make([]string, 0, 2*len(ents)+1)
-		out = append(out, strconv.Itoa(len(ents)))
+		ok := sc.ok().int(int64(len(ents)))
 		for _, e := range ents {
-			out = append(out, q(e.Name), strconv.Itoa(int(e.Type)))
+			ok.quoted(e.Name).int(int64(e.Type))
 		}
-		return okres(out...)
+		return hres{line: ok}
 
 	case "mkdir": // mkdir <mode> <path>
 		mode, err := strconv.ParseUint(args[0], 8, 32)
 		if err != nil {
-			return sess.failf(vfs.ErrInvalid, "bad mode")
+			return sess.failf(sc, vfs.ErrInvalid, "bad mode")
 		}
 		if err := sess.mkdir(args[1], uint32(mode), trace); err != nil {
-			return sess.failf(err, "mkdir")
+			return sess.failf(sc, err, "mkdir")
 		}
-		return okres()
+		return hres{line: sc.ok()}
 
 	case "rmdir":
 		if err := sess.checkF(args[0], acl.Write); err != nil {
-			return sess.failf(err, "rmdir")
+			return sess.failf(sc, err, "rmdir")
 		}
 		// A directory holding only its ACL file counts as empty: the
 		// ACL is removed with the directory.
 		if ents, lerr := s.fs.ReadDir(args[0]); lerr == nil &&
 			len(ents) == 1 && ents[0].Name == acl.FileName {
 			if uerr := tfs.Unlink(vfs.Join(args[0], acl.FileName)); uerr != nil {
-				return sess.failf(uerr, "rmdir")
+				return sess.failf(sc, uerr, "rmdir")
 			}
 		}
 		if err := tfs.Rmdir(args[0]); err != nil {
-			return sess.failf(err, "rmdir")
+			return sess.failf(sc, err, "rmdir")
 		}
-		return okres()
+		return hres{line: sc.ok()}
 
 	case "unlink":
 		if err := sess.checkACLFileWrite(args[0]); err != nil {
-			return sess.failf(err, "unlink")
+			return sess.failf(sc, err, "unlink")
 		}
 		if err := tfs.Unlink(args[0]); err != nil {
-			return sess.failf(err, "unlink")
+			return sess.failf(sc, err, "unlink")
 		}
-		return okres()
+		return hres{line: sc.ok()}
 
 	case "rename":
 		if err := sess.checkACLFileWrite(args[0]); err != nil {
-			return sess.failf(err, "rename")
+			return sess.failf(sc, err, "rename")
 		}
 		if err := sess.checkACLFileWrite(args[1]); err != nil {
-			return sess.failf(err, "rename")
+			return sess.failf(sc, err, "rename")
 		}
 		if err := tfs.Rename(args[0], args[1]); err != nil {
-			return sess.failf(err, "rename")
+			return sess.failf(sc, err, "rename")
 		}
-		return okres()
+		return hres{line: sc.ok()}
 
 	case "link": // link <old> <new>: refuse links to unreadable files
 		if err := sess.checkF(args[0], acl.Read); err != nil {
-			return sess.failf(err, "link")
+			return sess.failf(sc, err, "link")
 		}
 		if err := sess.checkACLFileWrite(args[1]); err != nil {
-			return sess.failf(err, "link")
+			return sess.failf(sc, err, "link")
 		}
 		if err := tfs.Link(args[0], args[1]); err != nil {
-			return sess.failf(err, "link")
+			return sess.failf(sc, err, "link")
 		}
-		return okres()
+		return hres{line: sc.ok()}
 
 	case "symlink": // symlink <target> <link>
 		if err := sess.checkACLFileWrite(args[1]); err != nil {
-			return sess.failf(err, "symlink")
+			return sess.failf(sc, err, "symlink")
 		}
 		if err := tfs.Symlink(args[0], args[1], s.opts.Owner); err != nil {
-			return sess.failf(err, "symlink")
+			return sess.failf(sc, err, "symlink")
 		}
-		return okres()
+		return hres{line: sc.ok()}
 
 	case "readlink":
 		if err := s.checkFileNoFollow(sess.ident, args[0], acl.List); err != nil {
-			return sess.failf(err, "readlink")
+			return sess.failf(sc, err, "readlink")
 		}
 		t, err := s.fs.Readlink(args[0])
 		if err != nil {
-			return sess.failf(err, "readlink")
+			return sess.failf(sc, err, "readlink")
 		}
-		return okres(q(t))
+		return hres{line: sc.ok().quoted(t)}
 
 	case "truncate": // truncate <path> <size>
 		size, err := strconv.ParseInt(args[1], 10, 64)
 		if err != nil {
-			return sess.failf(vfs.ErrInvalid, "bad size")
+			return sess.failf(sc, vfs.ErrInvalid, "bad size")
 		}
 		if err := sess.checkF(args[0], acl.Write); err != nil {
-			return sess.failf(err, "truncate")
+			return sess.failf(sc, err, "truncate")
 		}
 		if err := tfs.Truncate(args[0], size); err != nil {
-			return sess.failf(err, "truncate")
+			return sess.failf(sc, err, "truncate")
 		}
-		return okres()
+		return hres{line: sc.ok()}
 
 	case "getacl":
 		if err := sess.checkD(args[0], acl.List); err != nil {
-			return sess.failf(err, "getacl")
+			return sess.failf(sc, err, "getacl")
 		}
 		a, err := s.aclFor(args[0])
 		if err != nil {
-			return sess.failf(err, "getacl")
+			return sess.failf(sc, err, "getacl")
 		}
-		return hres{fields: []string{"ok", strconv.Itoa(len(a.text))}, body: []byte(a.text)}
+		return hres{line: sc.ok().int(int64(len(a.text))), body: []byte(a.text)}
 
 	case "setacl": // setacl <path> <len> + payload
 		if err := sess.checkD(args[0], acl.Admin); err != nil {
-			return sess.failf(err, "setacl")
+			return sess.failf(sc, err, "setacl")
 		}
 		if _, err := acl.Parse(string(payload)); err != nil {
-			return sess.failf(vfs.ErrInvalid, "malformed ACL")
+			return sess.failf(sc, vfs.ErrInvalid, "malformed ACL")
 		}
 		aclPath := vfs.Join(args[0], acl.FileName)
 		if err := tfs.WriteFile(aclPath, payload, 0o644, s.opts.Owner); err != nil {
-			return sess.failf(err, "setacl")
+			return sess.failf(sc, err, "setacl")
 		}
-		return okres()
+		return hres{line: sc.ok()}
 
 	case "assert": // assert <len> + JSON assertion payload
 		community, err := sess.present(payload)
 		if err != nil {
-			return sess.failf(vfs.ErrPermission, err.Error())
+			return sess.failf(sc, vfs.ErrPermission, err.Error())
 		}
-		return okres(q(community))
+		return hres{line: sc.ok().quoted(community)}
 
 	case "exec": // exec <cwd> <path> [args...]
 		code, runtime, err := sess.exec(args[0], args[1], args[2:])
 		if err != nil {
-			return sess.failf(err, "exec")
+			return sess.failf(sc, err, "exec")
 		}
-		return okres(strconv.Itoa(code), strconv.FormatFloat(runtime, 'f', -1, 64))
+		return hres{line: sc.ok().int(int64(code)).str(strconv.FormatFloat(runtime, 'f', -1, 64))}
 
 	default:
-		return sess.failf(kernel.ErrNoSys, "unknown command "+cmd)
+		return sess.failf(sc, kernel.ErrNoSys, "unknown command "+cmd)
 	}
 }
 
 // admissionRefusal builds the typed rejection for an admission failure:
 // EBUSY with the controller's retry-after hint, or EDEADLINE for a
 // budget already expired at admit.
-func (sess *session) admissionRefusal(aerr error) hres {
+func (sess *session) admissionRefusal(sc *payloadScratch, aerr error) hres {
 	var be *admission.BusyError
 	if errors.As(aerr, &be) {
 		ms := be.RetryAfter.Milliseconds()
@@ -1742,9 +1744,9 @@ func (sess *session) admissionRefusal(aerr error) hres {
 		}
 		// The hint rides in the error text (failf sends err.Error() as
 		// the wire message); RetryAfterFromError parses it back out.
-		return sess.failf(fmt.Errorf("%w; %s%dms", ErrBusy, retryAfterMarker, ms), "")
+		return sess.failf(sc, fmt.Errorf("%w; %s%dms", ErrBusy, retryAfterMarker, ms), "")
 	}
-	return sess.failf(fmt.Errorf("%w before admit", ErrDeadline), "")
+	return sess.failf(sc, fmt.Errorf("%w before admit", ErrDeadline), "")
 }
 
 // replSubscribe handles `replsub <fromLSN>`: it registers the session
@@ -1757,59 +1759,59 @@ func (sess *session) admissionRefusal(aerr error) hres {
 // subscriber falls too far behind (a "replgap" push tells it to
 // resubscribe). Runs on the ordered lane so a session cannot race two
 // registrations.
-func (sess *session) replSubscribe(arg string) hres {
+func (sess *session) replSubscribe(sc *payloadScratch, arg string) hres {
 	pub := sess.s.opts.Repl
 	if pub == nil || sess.v2 == nil || !sess.v2.repl {
-		return sess.failf(kernel.ErrNoSys, "replication not negotiated")
+		return sess.failf(sc, kernel.ErrNoSys, "replication not negotiated")
 	}
 	from, err := strconv.ParseUint(arg, 10, 64)
 	if err != nil {
-		return sess.failf(vfs.ErrInvalid, "bad replsub lsn")
+		return sess.failf(sc, vfs.ErrInvalid, "bad replsub lsn")
 	}
 	sess.replMu.Lock()
 	defer sess.replMu.Unlock()
 	if sess.replSub != nil {
-		return sess.failf(vfs.ErrInvalid, "session already subscribed")
+		return sess.failf(sc, vfs.ErrInvalid, "session already subscribed")
 	}
 	sub, catchup, snap, snapLSN, err := pub.Subscribe(from)
 	if err != nil {
-		return sess.failf(err, "replsub")
+		return sess.failf(sc, err, "replsub")
 	}
 	sess.replSub = sub
 	sess.log.printf("replication subscriber from lsn %d (%s)", from, sess.ident)
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	res := okres("tail", u(pub.Epoch()), "0", "0", "0", "0")
-	switch {
-	case snap != nil:
-		res = okres("snap", u(pub.Epoch()), u(snapLSN), strconv.Itoa(len(snap)))
-		res.body = snap
-	case catchup != nil:
-		res = okres("tail", u(catchup.Epoch), u(catchup.First), u(catchup.Last),
-			strconv.Itoa(catchup.Records), strconv.Itoa(len(catchup.Frames)))
-		res.body = catchup.Frames
-	}
-	res.after = func() {
+	res := hres{after: func() {
 		sess.pushWG.Add(1)
 		go sess.replPush(sub)
+	}}
+	switch {
+	case snap != nil:
+		res.line = sc.ok().str("snap").uint(pub.Epoch()).uint(snapLSN).int(int64(len(snap)))
+		res.body = snap
+	case catchup != nil:
+		res.line = sc.ok().str("tail").uint(catchup.Epoch).uint(catchup.First).uint(catchup.Last).
+			int(int64(catchup.Records)).int(int64(len(catchup.Frames)))
+		res.body = catchup.Frames
+	default:
+		res.line = sc.ok().str("tail").uint(pub.Epoch()).int(0).int(0).int(0).int(0)
 	}
 	return res
 }
 
 // replAck handles `replack <lsn>`: the follower's applied horizon,
 // which releases the primary's semi-sync barriers at or below it.
-func (sess *session) replAck(arg string) hres {
+func (sess *session) replAck(sc *payloadScratch, arg string) hres {
 	lsn, err := strconv.ParseUint(arg, 10, 64)
 	if err != nil {
-		return sess.failf(vfs.ErrInvalid, "bad replack lsn")
+		return sess.failf(sc, vfs.ErrInvalid, "bad replack lsn")
 	}
 	sess.replMu.Lock()
 	sub := sess.replSub
 	sess.replMu.Unlock()
 	if sub == nil {
-		return sess.failf(vfs.ErrInvalid, "no replication subscription")
+		return sess.failf(sc, vfs.ErrInvalid, "no replication subscription")
 	}
 	sub.Ack(lsn)
-	return okres()
+	return hres{line: sc.ok()}
 }
 
 // replPush streams the subscription's batches to the session as pushed
@@ -1819,16 +1821,16 @@ func (sess *session) replAck(arg string) hres {
 // just ends (the transport is going away with it).
 func (sess *session) replPush(sub *replica.Subscription) {
 	defer sess.pushWG.Done()
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	var line lineBuf // the pusher's own: it runs beside the lanes
 	for b := range sub.C {
-		fields := []string{"replpush", u(b.Epoch), u(b.First), u(b.Last),
-			strconv.Itoa(b.Records), strconv.Itoa(len(b.Frames))}
-		if err := sess.reply(replPushTag, hres{fields: fields, body: b.Frames}); err != nil {
+		line.start("replpush").uint(b.Epoch).uint(b.First).uint(b.Last).
+			int(int64(b.Records)).int(int64(len(b.Frames)))
+		if err := sess.reply(replPushTag, hres{line: &line, body: b.Frames}); err != nil {
 			sub.Close()
 			return
 		}
 	}
-	sess.reply(replPushTag, hres{fields: []string{"replgap"}})
+	sess.reply(replPushTag, hres{line: line.start("replgap")})
 }
 
 // acquireSlot blocks until the session's credit window has room, then
@@ -2128,13 +2130,12 @@ func (s *Server) aclFor(dir string) (*aclVersion, error) {
 	s.metrics.aclChecks.Inc()
 	dir = vfs.Clean(dir)
 	for {
-		path := vfs.Join(dir, acl.FileName)
-		v, err := s.fs.Memo(path, s.parseACL)
+		v, err := s.fs.MemoIn(dir, acl.FileName, s.parseACL)
 		if err == nil {
 			return v.(*aclVersion), nil
 		}
 		if !errors.Is(err, vfs.ErrNotExist) {
-			return nil, &vfs.PathError{Op: "read", Path: path, Err: err}
+			return nil, &vfs.PathError{Op: "read", Path: vfs.Join(dir, acl.FileName), Err: err}
 		}
 		if dir == "/" {
 			return emptyACL, nil

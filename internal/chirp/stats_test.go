@@ -132,6 +132,13 @@ func TestMetricsRPC(t *testing.T) {
 	if got := srv.Metrics().Counter(obs.With(MetricRequests, "cmd", "mkdir")).Value(); got != 1 {
 		t.Errorf("registry mkdir count = %d", got)
 	}
+	// The pool gauges sample the process-wide counters when read; no
+	// reply has to pass for them to be current.
+	before := srv.Metrics().Gauge(MetricPayloadPoolHits).Value()
+	new(payloadScratch).bytes(0)
+	if after := srv.Metrics().Gauge(MetricPayloadPoolHits).Value(); after <= before {
+		t.Errorf("%s read %d, then %d after a pool hit", MetricPayloadPoolHits, before, after)
+	}
 }
 
 // TestSharedRegistryAcrossServers checks the get-or-create semantics:

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
+	"identitybox/internal/kernel"
+	"identitybox/internal/obs"
 	"identitybox/internal/vfs"
 )
 
@@ -75,12 +78,57 @@ func TestCommandTableRows(t *testing.T) {
 	}
 }
 
+// TestUnknownCommandsShareOneSeries: a peer that invents command names
+// gets ENOSYS for each, and all of them are counted under one series —
+// it used to mint a registry series, and a /metrics line, per name.
+func TestUnknownCommandsShareOneSeries(t *testing.T) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		srv, _, _ := testServer(t)
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto, DisableRetries: true})
+		if _, err := cl.Whoami(); err != nil {
+			t.Fatal(err)
+		}
+		before := len(srv.Metrics().Snapshot().Counters)
+		for i := 0; i < 1000; i++ {
+			if _, err := cl.rpc(fmt.Sprintf("bogus-%d", i), "1"); !errors.Is(err, kernel.ErrNoSys) {
+				t.Fatalf("bogus-%d = %v, want ENOSYS", i, err)
+			}
+		}
+		snap := srv.Metrics().Snapshot()
+		if grew := len(snap.Counters) - before; grew != 0 {
+			t.Errorf("1000 unknown commands added %d counter series", grew)
+		}
+		if got := snap.Counters[obs.With(MetricRequests, "cmd", "unknown")]; got != 1000 {
+			t.Errorf(`chirp_requests_total{cmd="unknown"} = %d, want 1000`, got)
+		}
+		if text, err := cl.Metrics(); err != nil || strings.Contains(text, "bogus") {
+			t.Errorf("metrics exposition names a client-chosen command (err %v)", err)
+		}
+	})
+}
+
+// rawLine builds a request line from tokens already in wire form.
+func rawLine(fields ...string) *lineBuf {
+	l := newLine(fields[0])
+	for _, f := range fields[1:] {
+		l.str(f)
+	}
+	return l
+}
+
+// rpc performs one exchange with no payload phases, for tests poking raw
+// commands.
+func (cl *Client) rpc(fields ...string) ([]string, error) {
+	r, _, _, err := cl.do(wireCall{line: rawLine(fields...)})
+	return r, err
+}
+
 // rawCall sends one raw request on cl and returns the server's reply
 // error, failing the test if the exchange cost a redial: the point of
 // every caller is that the session survives.
 func rawCall(t *testing.T, cl *Client, body []byte, fields ...string) *RemoteError {
 	t.Helper()
-	_, _, _, err := cl.do(wireCall{fields: fields, sendBody: body})
+	_, _, _, err := cl.do(wireCall{line: rawLine(fields...), sendBody: body})
 	var re *RemoteError
 	if err != nil && !errors.As(err, &re) {
 		t.Fatalf("%v: transport failure %v, want a server reply", fields, err)

@@ -138,6 +138,12 @@ func TestMemoFollowsTheInode(t *testing.T) {
 		if derives != wantDerives {
 			t.Fatalf("Memo(%s): %d derives so far, want %d", path, derives, wantDerives)
 		}
+		// MemoIn reaches the same inode through its directory.
+		got, err = fs.MemoIn(Dir(path), Base(path), derive)
+		if err != nil || got.(string) != want || derives != wantDerives {
+			t.Fatalf("MemoIn(%s, %s) = %v, %v after %d derives; want %q after %d",
+				Dir(path), Base(path), got, err, derives, want, wantDerives)
+		}
 	}
 	must := func(err error) {
 		t.Helper()
@@ -163,11 +169,25 @@ func TestMemoFollowsTheInode(t *testing.T) {
 	must(fs.WriteFile("/e/f", []byte("two"), 0o644, "root")) // same name, same bytes, new inode
 	memo("/e/f", "two", 3)
 	memo("/g", "two", 3)
-	if _, err := fs.Memo("/e", derive); err != ErrIsDir {
-		t.Fatalf("Memo of a directory = %v, want ErrIsDir", err)
-	}
-	if _, err := fs.Memo("/e/missing", derive); err != ErrNotExist {
-		t.Fatalf("Memo of a missing file = %v, want ErrNotExist", err)
+	must(fs.Symlink("f", "/e/link", "root")) // a symlinked entry is followed, relative to its directory
+	memo("/s/link", "two", 3)
+	must(fs.Symlink("nowhere", "/e/dangling", "root"))
+	for _, c := range []struct {
+		dir, name string
+		want      error
+	}{
+		{"/", "e", ErrIsDir},
+		{"/e", "missing", ErrNotExist},
+		{"/e", "dangling", ErrNotExist},
+		{"/missing", "f", ErrNotExist},
+		{"/g", "f", ErrNotDir},
+	} {
+		if _, err := fs.Memo(Join(c.dir, c.name), derive); err != c.want {
+			t.Errorf("Memo(%s) = %v, want %v", Join(c.dir, c.name), err, c.want)
+		}
+		if _, err := fs.MemoIn(c.dir, c.name, derive); err != c.want {
+			t.Errorf("MemoIn(%s, %s) = %v, want %v", c.dir, c.name, err, c.want)
+		}
 	}
 }
 
@@ -349,6 +369,7 @@ func TestPathWalkAllocatesNothing(t *testing.T) {
 		{"Dir", func() { sink += len(Dir(path)) }},
 		{"Base", func() { sink += len(Base(path)) }},
 		{"Memo hit", func() { v, _ := fs.Memo(path, derive); sink += v.(int) }},
+		{"MemoIn hit", func() { v, _ := fs.MemoIn("/a/b/c", "f", derive); sink += v.(int) }},
 	} {
 		c.fn() // warm: the first Memo call is the miss
 		if got := testing.AllocsPerRun(100, c.fn); got != 0 {

@@ -909,6 +909,38 @@ func (fs *FS) Memo(path string, derive func(data []byte) any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	return n.memoise(derive)
+}
+
+// MemoIn is Memo(Join(dir, name), derive) for a caller that holds the
+// directory and the entry name apart — the per-directory ACL file,
+// looked up on every permission check — found through the directory's
+// inode instead of a path built for the purpose.
+func (fs *FS) MemoIn(dir, name string, derive func(data []byte) any) (any, error) {
+	fs.treeMu.RLock()
+	n, _, _, err := fs.resolve(dir, true, 0)
+	if err == nil {
+		switch child := n.children[name]; {
+		case n.ftype != TypeDir:
+			err = ErrNotDir
+		case child == nil:
+			err = ErrNotExist
+		case child.ftype == TypeSymlink: // rare: let the path walk follow it
+			n, _, _, err = fs.resolve(Join(dir, name), true, 0)
+		default:
+			n = child
+		}
+	}
+	fs.treeMu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	return n.memoise(derive)
+}
+
+// memoise returns the inode's memoised value for its current content
+// version, deriving and storing it when there is none.
+func (n *Inode) memoise(derive func(data []byte) any) (any, error) {
 	if n.ftype == TypeDir {
 		return nil, ErrIsDir
 	}
