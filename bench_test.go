@@ -139,41 +139,6 @@ func BenchmarkFig5bApps(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationACLCache compares a stat-heavy boxed workload with
-// and without the parsed-ACL cache.
-func BenchmarkAblationACLCache(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"no-cache", core.Options{AuditLimit: 16}},
-		{"cache", core.Options{AuditLimit: 16, EnableACLCache: true}},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			m, _ := workload.MicroByName("stat")
-			var boxed float64
-			for i := 0; i < b.N; i++ {
-				w, err := harness.NewWorld()
-				if err != nil {
-					b.Fatal(err)
-				}
-				box, err := core.New(w.K, "dthain", harness.BenchIdentity, cfg.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				boxed, err = workload.MeasureMicro(m, func(prog kernel.Program) kernel.ExitStatus {
-					return box.RunAt(workload.BenchRoot, prog)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(boxed, "vus/stat")
-		})
-	}
-}
-
 // BenchmarkAblationChannelVsPeekPoke compares bulk 8 kB reads through
 // the I/O channel against word-at-a-time peek/poke: the reason the
 // channel exists (Figure 4b).

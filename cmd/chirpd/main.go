@@ -6,12 +6,10 @@
 //
 //	chirpd [-addr host:port] [-owner name] [-root-acl "pattern rights;..."]
 //	       [-catalog addr] [-name label] [-state dir] [-metrics host:port]
-//	       [-compact-every d] [-fsync n] [-commit-window d] [-commit-batch n]
-//	       [-wal-shards n] [-wal-segment-bytes n]
+//	       [-compact-every d] [-fsync n] [-wal-shards n]
 //	       [-replicate] [-replica-of addr] [-lease-ttl d]
-//	       [-req-timeout d] [-drain d] [-window n] [-max-inflight bytes]
-//	       [-workers n] [-trace-spans n] [-trace-log file] [-trace-slow d]
-//	       [-v]
+//	       [-req-timeout d] [-drain d] [-admit-queue n]
+//	       [-trace-spans n] [-trace-log file] [-trace-slow d] [-v]
 //
 // -state names a durable state directory: every mutation is journaled
 // to a checksummed write-ahead log (fsynced per -fsync) and compacted
@@ -19,16 +17,14 @@
 // kill -9 at any byte of the log — recovers to the exact pre-crash
 // state, tokened-request dedupe table included. Without -state the
 // volume is volatile. Log appends are group-committed: concurrent
-// mutations coalesce into one write and one fsync per group
-// (-commit-window bounds how long a group waits for company,
-// -commit-batch how many records it may hold), and a mutating request
-// is acknowledged on the wire only after its group is durable. The log
-// is written as bounded, checksummed segments rotated at
-// -wal-segment-bytes and pruned once a snapshot (and every follower)
-// has passed them, and the commit pipeline is sharded per top-level
-// subtree (-wal-shards committers; a global LSN keeps total commit
-// order), so writers under independent subtrees never serialize on one
-// fsync queue and recovery replays shards in parallel.
+// mutations coalesce into one write and one fsync per group, and a
+// mutating request is acknowledged on the wire only after its group is
+// durable. The log is written as bounded, checksummed segments, pruned
+// once a snapshot (and every follower) has passed them, and the commit
+// pipeline is sharded per top-level subtree (-wal-shards committers; a
+// global LSN keeps total commit order), so writers under independent
+// subtrees never serialize on one fsync queue and recovery replays
+// shards in parallel.
 //
 // -replicate turns a stateful server into a replica-set member: every
 // committed WAL group is published to subscribed followers, mutating
@@ -54,11 +50,15 @@
 //
 // Sessions negotiate the v2 tagged protocol when the client supports
 // it: requests are multiplexed out of order under a per-session credit
-// window. -window and -max-inflight cap the window the server grants
-// (tags and bytes in flight); -workers sizes the concurrent lane that
-// serves non-conflicting requests. Old lock-step v1 clients speak the
-// same wire as ever and pass through the same pipeline, admission
-// control included, one request at a time.
+// window, non-conflicting ones served by a concurrent lane. Old
+// lock-step v1 clients speak the same wire as ever and pass through the
+// same pipeline, admission control included, one request at a time.
+//
+// -admit-queue turns on overload protection: requests are admitted
+// against a queue of that depth and a payload byte budget (EBUSY with a
+// retry-after hint beyond either), scheduled onto execution slots
+// fairly per principal, and shed with EDEADLINE once a client-supplied
+// deadline budget expires.
 //
 // -metrics serves the server's telemetry over HTTP: Prometheus text
 // exposition at /metrics (JSON with ?format=json), expvar at
@@ -117,10 +117,7 @@ func main() {
 	state := flag.String("state", "", "durable state directory (WAL + snapshots); empty: volatile volume")
 	compactEvery := flag.Duration("compact-every", time.Minute, "snapshot compaction interval with -state (0: compact only at shutdown)")
 	fsyncEvery := flag.Int("fsync", 1, "fsync the WAL every N records with -state (1: every record; 0: never, the OS decides)")
-	commitWindow := flag.Duration("commit-window", 0, "group-commit coalescing window with -state (0: the built-in default; negative: flush eagerly)")
-	commitBatch := flag.Int("commit-batch", 0, "max records per commit group with -state (0: the built-in default)")
 	walShards := flag.Int("wal-shards", 8, "commit-pipeline shards, one committer per top-level subtree hash bucket with -state (1: the single-shard pipeline)")
-	walSegmentBytes := flag.Int64("wal-segment-bytes", 0, "rotate WAL segments at this size with -state (0: the built-in default)")
 	replicate := flag.Bool("replicate", false, "publish the WAL to followers and contend for the write lease (needs -state)")
 	replicaOf := flag.String("replica-of", "", "start as a follower streaming from this primary (implies -replicate)")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "write-lease term; failover completes within roughly one TTL")
@@ -130,14 +127,7 @@ func main() {
 	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond, "log traced requests at least this slow to -trace-log (0: log every traced request)")
 	reqTimeout := flag.Duration("req-timeout", 30*time.Second, "per-request wire deadline after the command line arrives (0: none)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain budget before severing sessions")
-	window := flag.Int("window", 0, "per-session v2 credit window, tags in flight (0: the built-in default)")
-	maxInflight := flag.Int64("max-inflight", 0, "per-session v2 in-flight byte budget (0: the built-in default)")
-	workers := flag.Int("workers", 0, "concurrent-lane workers per v2 session (0: the built-in default)")
 	admitQueue := flag.Int("admit-queue", 0, "bounded admit-queue depth for overload protection (0: admission control off)")
-	admitBytes := flag.Int64("admit-bytes", 0, "queued request payload byte budget with -admit-queue (0: the built-in default)")
-	execSlots := flag.Int("exec-slots", 0, "concurrent execution slots with -admit-queue (0: the built-in default)")
-	fairShare := flag.Float64("fair-share", 0, "per-principal fair-share multiplier with -admit-queue (0: the built-in default)")
-	dedupeBytes := flag.Int64("dedupe-bytes", 0, "request-dedupe table byte bound (0: the built-in default)")
 	verbose := flag.Bool("v", false, "log every request")
 	flag.Parse()
 
@@ -183,16 +173,13 @@ func main() {
 			syncN = -1
 		}
 		dopts := durable.Options{
-			Owner:        *owner,
-			SyncEveryN:   syncN,
-			CommitWindow: *commitWindow,
-			CommitBatch:  *commitBatch,
-			Metrics:      reg,
-			Spans:        spans,
-			Logf:         log.Printf,
-			ReplicaMode:  *replicaOf != "",
-			Shards:       *walShards,
-			SegmentBytes: *walSegmentBytes,
+			Owner:       *owner,
+			SyncEveryN:  syncN,
+			Metrics:     reg,
+			Spans:       spans,
+			Logf:        log.Printf,
+			ReplicaMode: *replicaOf != "",
+			Shards:      *walShards,
 		}
 		if pub != nil {
 			dopts.OnShip = pub.Ship
@@ -299,22 +286,12 @@ func main() {
 			auth.MethodUnix:     &auth.UnixVerifier{},
 			auth.MethodHostname: &auth.HostnameVerifier{},
 		},
-		RequestTimeout:   *reqTimeout,
-		Window:           *window,
-		MaxInflightBytes: *maxInflight,
-		Workers:          *workers,
-		Spans:            spans,
-		TraceSlow:        *traceSlow,
-		DedupeMaxBytes:   *dedupeBytes,
+		RequestTimeout: *reqTimeout,
+		Spans:          spans,
+		TraceSlow:      *traceSlow,
 	}
 	if *admitQueue > 0 {
-		opts.Admission = admission.New(admission.Options{
-			MaxQueue:  *admitQueue,
-			MaxBytes:  *admitBytes,
-			ExecSlots: *execSlots,
-			FairShare: *fairShare,
-			Metrics:   reg,
-		})
+		opts.Admission = admission.New(admission.Options{MaxQueue: *admitQueue, Metrics: reg})
 	}
 	var slowLog *core.JSONLSink
 	if *traceLog != "" && spans != nil {

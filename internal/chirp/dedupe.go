@@ -32,12 +32,20 @@ type dedupeEntry struct {
 	size  int64
 }
 
+// The server's table bounds.
+const (
+	dedupeTableEntries = 1024
+	dedupeTableBytes   = 8 << 20
+)
+
+// newDedupeTable returns a table with the given bounds; zero or
+// negative means the server's.
 func newDedupeTable(capacity int, maxBytes int64) *dedupeTable {
 	if capacity <= 0 {
-		capacity = 1024
+		capacity = dedupeTableEntries
 	}
 	if maxBytes <= 0 {
-		maxBytes = 8 << 20
+		maxBytes = dedupeTableBytes
 	}
 	return &dedupeTable{cap: capacity, maxBytes: maxBytes, entries: make(map[string]dedupeEntry)}
 }

@@ -65,14 +65,6 @@ type ServerOptions struct {
 	// that announces a payload and stalls cannot pin a session
 	// goroutine. Zero means no per-request deadline.
 	RequestTimeout time.Duration
-	// DedupeCapacity bounds the idempotency-token dedupe table (default
-	// 1024 entries, FIFO eviction).
-	DedupeCapacity int
-	// DedupeMaxBytes bounds the dedupe table's memory footprint
-	// (default 8 MiB): large tokened replies under principal churn
-	// evict oldest-first once the budget is reached, tracked by the
-	// chirp_dedupe_bytes gauge and eviction counter.
-	DedupeMaxBytes int64
 	// Admission, when set, turns on overload protection: every normal
 	// request is admitted against a bounded queue (EBUSY with a
 	// retry-after hint once depth or the byte budget is exceeded),
@@ -376,7 +368,7 @@ func NewServer(k *kernel.Kernel, opts ServerOptions) (*Server, error) {
 	}
 	s := &Server{k: k, fs: k.FS(), opts: opts, conns: make(map[net.Conn]*connState), stop: make(chan struct{})}
 	s.log = logger{sink: opts.Logf}
-	s.dedupe = newDedupeTable(opts.DedupeCapacity, opts.DedupeMaxBytes)
+	s.dedupe = newDedupeTable(dedupeTableEntries, dedupeTableBytes)
 	for key, reply := range opts.DedupeSeed {
 		s.dedupe.store(key, reply)
 	}

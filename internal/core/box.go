@@ -48,14 +48,8 @@ import (
 
 // Options tune a Box. The zero value gives the paper's configuration.
 type Options struct {
-	HomeBase   string // parent of visitor home dirs; default /tmp/boxhome
-	ShadowDir  string // where passwd shadows live; default /tmp/.box
-	PasswdPath string // the passwd file to shadow; default /etc/passwd
-
-	// EnableACLCache caches parsed ACLs by directory, invalidated on
-	// ACL writes through this box. Off by default (the faithful
-	// configuration); the ablation benchmarks turn it on.
-	EnableACLCache bool
+	HomeBase  string // parent of visitor home dirs; default /tmp/boxhome
+	ShadowDir string // where passwd shadows live; default /tmp/.box
 
 	// DisablePolicy turns off identity/ACL checks, leaving only the
 	// interposition mechanism: the "sandbox with no reference monitor"
@@ -70,9 +64,6 @@ type Options struct {
 	// AuditLimit bounds the in-memory audit log (default 10000 records;
 	// older records are dropped).
 	AuditLimit int
-
-	// ChannelSize sets the I/O channel capacity (default 1 MiB).
-	ChannelSize int
 
 	// MaxOpenFiles bounds each boxed process's descriptor table (0
 	// means unlimited). The identity is attached to *all* kernel
@@ -103,15 +94,15 @@ type Options struct {
 	AuditSink AuditSink
 }
 
+// passwdPath is the account database the box shadows (rewritePath).
+const passwdPath = "/etc/passwd"
+
 func (o *Options) fillDefaults() {
 	if o.HomeBase == "" {
 		o.HomeBase = "/tmp/boxhome"
 	}
 	if o.ShadowDir == "" {
 		o.ShadowDir = "/tmp/.box"
-	}
-	if o.PasswdPath == "" {
-		o.PasswdPath = "/etc/passwd"
 	}
 	if o.AuditLimit == 0 {
 		o.AuditLimit = 10000
@@ -132,10 +123,9 @@ type AuditRecord struct {
 
 // Stats counts policy activity inside a box.
 type Stats struct {
-	Syscalls           int64 // syscalls trapped
-	ACLChecks          int64 // ACL evaluations performed
-	Denials            int64 // accesses denied
-	CacheInvalidations int64 // ACL cache entries invalidated
+	Syscalls  int64 // syscalls trapped
+	ACLChecks int64 // ACL evaluations performed
+	Denials   int64 // accesses denied
 }
 
 // Box is an identity-box supervisor. One Box contains any number of
@@ -156,15 +146,12 @@ type Box struct {
 	home         string // visitor's fresh home directory
 	shadowPasswd string // private passwd copy path
 
-	// Independent shared structures get independent locks, so concurrent
-	// boxed processes (and concurrent boxes sharing one kernel) contend
-	// only where they actually share state. ACL decisions take the
-	// read-mostly aclMu fast path; stats are lock-free atomics.
+	// Concurrent boxed processes (and concurrent boxes sharing one
+	// kernel) contend only where they actually share state: procMu
+	// guards the process table, ACL decisions read the file system
+	// afresh every time, and stats are lock-free atomics.
 	procMu sync.Mutex // guards procs
 	procs  map[*kernel.Proc]*procState
-
-	aclMu    sync.RWMutex // guards aclCache (read-mostly)
-	aclCache map[string]*acl.ACL
 
 	// sink receives audit records as they are produced; an AuditRing by
 	// default. The sink serializes internally, so no box-level lock.
@@ -176,10 +163,9 @@ type Box struct {
 	metrics *boxMetrics
 	trace   *obs.Trace
 
-	statSyscalls   atomic.Int64
-	statACLChecks  atomic.Int64
-	statDenials    atomic.Int64
-	statCacheInval atomic.Int64
+	statSyscalls  atomic.Int64
+	statACLChecks atomic.Int64
+	statDenials   atomic.Int64
 }
 
 type procState struct {
@@ -224,18 +210,17 @@ func New(k *kernel.Kernel, account string, ident identity.Principal, opts Option
 	}
 	opts.fillDefaults()
 	b := &Box{
-		k:        k,
-		ident:    ident,
-		account:  account,
-		model:    k.Model(),
-		mounts:   &parrot.MountTable{},
-		channel:  trap.NewChannel(opts.ChannelSize),
-		opts:     opts,
-		procs:    make(map[*kernel.Proc]*procState),
-		aclCache: make(map[string]*acl.ACL),
-		reg:      opts.Metrics,
-		trace:    opts.Trace,
-		sink:     opts.AuditSink,
+		k:       k,
+		ident:   ident,
+		account: account,
+		model:   k.Model(),
+		mounts:  &parrot.MountTable{},
+		channel: trap.NewChannel(trap.DefaultChannelBytes),
+		opts:    opts,
+		procs:   make(map[*kernel.Proc]*procState),
+		reg:     opts.Metrics,
+		trace:   opts.Trace,
+		sink:    opts.AuditSink,
 	}
 	if b.reg == nil {
 		b.reg = obs.NewRegistry()
@@ -280,7 +265,7 @@ func (b *Box) setupPasswdShadow() error {
 	if err := fs.MkdirAll(b.opts.ShadowDir, 0o755, b.account); err != nil {
 		return err
 	}
-	orig, err := fs.ReadFile(b.opts.PasswdPath)
+	orig, err := fs.ReadFile(passwdPath)
 	if err != nil {
 		orig = nil // no passwd file on this host; shadow starts fresh
 	}
@@ -346,10 +331,9 @@ func (b *Box) RunAt(cwd string, prog kernel.Program, args ...string) kernel.Exit
 // Stats returns a snapshot of policy counters.
 func (b *Box) Stats() Stats {
 	return Stats{
-		Syscalls:           b.statSyscalls.Load(),
-		ACLChecks:          b.statACLChecks.Load(),
-		Denials:            b.statDenials.Load(),
-		CacheInvalidations: b.statCacheInval.Load(),
+		Syscalls:  b.statSyscalls.Load(),
+		ACLChecks: b.statACLChecks.Load(),
+		Denials:   b.statDenials.Load(),
 	}
 }
 

@@ -682,18 +682,52 @@ func TestACLCacheCoherence(t *testing.T) {
 	a.Set("Freddy", acl.All, acl.None)
 	fs.WriteFile("/c/"+acl.FileName, []byte(a.String()), 0o644, "dthain")
 
-	b := newBox(t, k, "Freddy", Options{EnableACLCache: true})
+	b := newBox(t, k, "Freddy", Options{})
 	b.Run(func(p *kernel.Proc, _ []string) int {
 		if err := p.WriteFile("/c/f", []byte("x"), 0o644); err != nil {
 			t.Fatalf("first write: %v", err)
 		}
-		// Revoke own rights through the box; the cache must not keep
-		// the old grant alive.
+		// Revoke own rights through the box; nothing may keep the old
+		// grant alive.
 		if err := p.SetACL("/c", "SomebodyElse rl\n"); err != nil {
 			t.Fatalf("setacl: %v", err)
 		}
 		if _, err := p.Open("/c/f", kernel.OWronly, 0); !errors.Is(err, vfs.ErrPermission) {
 			t.Errorf("write after revocation = %v, want denied (stale cache?)", err)
+		}
+		return 0
+	})
+}
+
+// TestRevocationByAnotherBoxSeenAtNextOpen: two visitors' boxes share
+// one kernel; Fred revokes George's right while George's process is
+// running, and George's very next open is denied. A per-box memory of
+// parsed ACLs could not promise this — only writes through the same box
+// would ever have reached it.
+func TestRevocationByAnotherBoxSeenAtNextOpen(t *testing.T) {
+	k := newWorld(t)
+	fs := k.FS()
+	fs.MkdirAll("/shared", 0o700, "dthain")
+	a := &acl.ACL{}
+	a.Set("Fred", acl.All, acl.None)
+	a.Set("George", acl.Read|acl.List, acl.None)
+	fs.WriteFile("/shared/"+acl.FileName, []byte(a.String()), 0o644, "dthain")
+	fs.WriteFile("/shared/data", []byte("x"), 0o644, "dthain")
+
+	fredBox := newBox(t, k, "Fred", Options{})
+	georgeBox := newBox(t, k, "George", Options{})
+	georgeBox.Run(func(p *kernel.Proc, _ []string) int {
+		if _, err := p.ReadFile("/shared/data"); err != nil {
+			t.Fatalf("read while granted: %v", err)
+		}
+		fredBox.Run(func(fp *kernel.Proc, _ []string) int {
+			if err := fp.SetACL("/shared", "Fred rwlax\n"); err != nil {
+				t.Errorf("fred's setacl: %v", err)
+			}
+			return 0
+		})
+		if _, err := p.Open("/shared/data", kernel.ORdonly, 0); !errors.Is(err, vfs.ErrPermission) {
+			t.Errorf("open after another box's revocation = %v, want denied", err)
 		}
 		return 0
 	})

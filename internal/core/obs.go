@@ -90,7 +90,6 @@ const (
 	MetricSyscalls      = "box_syscalls_total"
 	MetricACLChecks     = "box_acl_checks_total"
 	MetricDenials       = "box_denials_total"
-	MetricCacheInval    = "box_acl_cache_invalidations_total"
 	MetricAuditDropped  = "box_audit_evicted_total"
 	MetricLatencyFamily = "box_syscall_latency_us"
 )
@@ -98,24 +97,21 @@ const (
 // boxMetrics caches the box's metric handles so the per-syscall hot
 // path never takes the registry lock.
 type boxMetrics struct {
-	syscalls   *obs.Counter
-	aclChecks  *obs.Counter
-	denials    *obs.Counter
-	cacheInval *obs.Counter
-	latency    [classCount]*obs.Histogram
+	syscalls  *obs.Counter
+	aclChecks *obs.Counter
+	denials   *obs.Counter
+	latency   [classCount]*obs.Histogram
 }
 
 func newBoxMetrics(reg *obs.Registry) *boxMetrics {
 	reg.Help(MetricSyscalls, "System calls trapped by the identity box.")
 	reg.Help(MetricACLChecks, "ACL evaluations performed by the box's reference monitor.")
 	reg.Help(MetricDenials, "Accesses denied by the box.")
-	reg.Help(MetricCacheInval, "ACL cache entries invalidated after writes and renames.")
 	reg.Help(MetricLatencyFamily, "Full cost of one trapped call in virtual microseconds, by Figure 5(a) class.")
 	m := &boxMetrics{
-		syscalls:   reg.Counter(MetricSyscalls),
-		aclChecks:  reg.Counter(MetricACLChecks),
-		denials:    reg.Counter(MetricDenials),
-		cacheInval: reg.Counter(MetricCacheInval),
+		syscalls:  reg.Counter(MetricSyscalls),
+		aclChecks: reg.Counter(MetricACLChecks),
+		denials:   reg.Counter(MetricDenials),
 	}
 	for c := sysClass(0); c < classCount; c++ {
 		m.latency[c] = reg.Histogram(obs.With(MetricLatencyFamily, "class", c.String()), obs.LatencyBuckets())

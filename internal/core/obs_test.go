@@ -253,55 +253,3 @@ func TestFanoutSinkFeedsRingAndStream(t *testing.T) {
 		t.Fatalf("stream has %d lines, ring %d records", got, len(audit))
 	}
 }
-
-// --- rename cache invalidation -------------------------------------------
-
-// TestRenameInvalidatesOnlyMovedSubtree is the regression test for the
-// old behaviour of dropping the entire ACL cache on any rename: moving
-// one subtree must evict exactly the cached decisions under its old
-// and new names, leaving unrelated directories warm.
-func TestRenameInvalidatesOnlyMovedSubtree(t *testing.T) {
-	k := newWorld(t)
-	b := newBox(t, k, "Freddy", Options{EnableACLCache: true})
-	st := b.Run(func(p *kernel.Proc, _ []string) int {
-		if err := p.Mkdir("sub", 0o755); err != nil {
-			return 1
-		}
-		if err := p.Mkdir("other", 0o755); err != nil {
-			return 2
-		}
-		// Populate the cache with decisions inside both subtrees.
-		if err := p.WriteFile("sub/f", []byte("x"), 0o644); err != nil {
-			return 3
-		}
-		if err := p.WriteFile("other/f", []byte("x"), 0o644); err != nil {
-			return 4
-		}
-		if err := p.Rename("sub", "sub2"); err != nil {
-			return 5
-		}
-		return 0
-	})
-	if st.Code != 0 {
-		t.Fatalf("exit %d", st.Code)
-	}
-	home := b.Home()
-	cached := func(dir string) bool {
-		b.aclMu.RLock()
-		defer b.aclMu.RUnlock()
-		_, ok := b.aclCache[dir]
-		return ok
-	}
-	if cached(home + "/sub") {
-		t.Error("moved subtree still cached under its old name")
-	}
-	if !cached(home + "/other") {
-		t.Error("unrelated subtree was evicted by the rename")
-	}
-	if !cached(home) {
-		t.Error("the parent directory's own ACL should stay cached")
-	}
-	if b.Stats().CacheInvalidations == 0 {
-		t.Error("no cache invalidations counted")
-	}
-}

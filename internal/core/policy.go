@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"strings"
 
 	"identitybox/internal/acl"
 	"identitybox/internal/kernel"
@@ -57,7 +56,7 @@ func (a access) unixBit() uint32 {
 // rewritePath applies the /etc/passwd redirection: inside the box, the
 // account database appears to contain the visiting identity.
 func (b *Box) rewritePath(path string) string {
-	if path == b.opts.PasswdPath {
+	if path == passwdPath {
 		return b.shadowPasswd
 	}
 	return path
@@ -103,24 +102,12 @@ func (b *Box) resolveFinal(p *kernel.Proc, path string) string {
 	return cur
 }
 
-// loadACL fetches and parses the ACL protecting dir, using the cache
-// when enabled. A missing ACL file yields (nil, nil): the caller falls
-// back to nobody semantics.
-//
-// The cache hit path takes only a shared lock, so any number of
-// concurrent checkers (boxed processes, Chirp exec boxes) resolve
-// cached decisions without serializing; misses fill the cache under
-// the write lock. Cached decisions are parsed once and shared — ACL
-// values are immutable after Parse.
+// loadACL fetches and parses the ACL protecting dir. A missing ACL
+// file yields (nil, nil): the caller falls back to nobody semantics.
+// Nothing is remembered between checks: another box on the same
+// kernel, or a Chirp setacl behind this one, may rewrite the file at
+// any time, and the next check must see it.
 func (b *Box) loadACL(p *kernel.Proc, dir string) (*acl.ACL, error) {
-	if b.opts.EnableACLCache {
-		b.aclMu.RLock()
-		a, ok := b.aclCache[dir]
-		b.aclMu.RUnlock()
-		if ok {
-			return a, nil
-		}
-	}
 	d, rel, err := b.driverFor(dir)
 	if err != nil {
 		return nil, err
@@ -128,11 +115,6 @@ func (b *Box) loadACL(p *kernel.Proc, dir string) (*acl.ACL, error) {
 	data, err := d.ReadFileSmall(p, vfs.Join(rel, acl.FileName))
 	if err != nil {
 		if errors.Is(err, vfs.ErrNotExist) {
-			if b.opts.EnableACLCache {
-				b.aclMu.Lock()
-				b.aclCache[dir] = nil
-				b.aclMu.Unlock()
-			}
 			return nil, nil
 		}
 		return nil, err
@@ -142,55 +124,7 @@ func (b *Box) loadACL(p *kernel.Proc, dir string) (*acl.ACL, error) {
 		// A malformed ACL is treated as granting nothing: fail closed.
 		return &acl.ACL{}, nil
 	}
-	if b.opts.EnableACLCache {
-		b.aclMu.Lock()
-		b.aclCache[dir] = a
-		b.aclMu.Unlock()
-	}
 	return a, nil
-}
-
-// invalidateACL drops a cached ACL after the box writes one.
-func (b *Box) invalidateACL(dir string) {
-	if !b.opts.EnableACLCache {
-		return
-	}
-	b.aclMu.Lock()
-	_, cached := b.aclCache[dir]
-	delete(b.aclCache, dir)
-	b.aclMu.Unlock()
-	if cached {
-		b.statCacheInval.Add(1)
-		b.metrics.cacheInval.Inc()
-	}
-}
-
-// invalidateACLPrefix drops cached ACLs for dir and every directory
-// below it, returning how many entries went. Rename uses it so moving
-// a subtree evicts exactly that subtree's cached decisions.
-func (b *Box) invalidateACLPrefix(dir string) int {
-	if !b.opts.EnableACLCache {
-		return 0
-	}
-	clean := vfs.Clean(dir)
-	prefix := clean + "/"
-	if clean == "/" {
-		prefix = "/"
-	}
-	b.aclMu.Lock()
-	n := 0
-	for k := range b.aclCache {
-		if k == clean || strings.HasPrefix(k, prefix) {
-			delete(b.aclCache, k)
-			n++
-		}
-	}
-	b.aclMu.Unlock()
-	if n > 0 {
-		b.statCacheInval.Add(int64(n))
-		b.metrics.cacheInval.Add(int64(n))
-	}
-	return n
 }
 
 // noteACLCheck charges one reference-monitor evaluation and observes

@@ -220,11 +220,7 @@ func (b *Box) syscallEntry(p *kernel.Proc, f *kernel.Frame, st *procState) kerne
 					return uerr
 				}
 			}
-			err := d.d.Rmdir(p, d.rel)
-			if err == nil {
-				b.invalidateACL(f.Path)
-			}
-			return err
+			return d.d.Rmdir(p, d.rel)
 		})
 
 	case kernel.SysUnlink:
@@ -688,7 +684,6 @@ func (b *Box) entryMkdir(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 			f.SetError(err)
 			return kernel.ActionNullify
 		}
-		b.invalidateACL(path)
 	}
 	f.SetResult(0)
 	return kernel.ActionNullify
@@ -799,17 +794,6 @@ func (b *Box) entryRename(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
-	// Directory trees may have moved: invalidate cached ACLs at and
-	// under both endpoints, not the whole cache — unrelated directories
-	// keep their entries. Renaming an ACL file itself changes the
-	// policy of its containing directory, so invalidate that too.
-	for _, pth := range []string{oldPath, newPath} {
-		clean := vfs.Clean(pth)
-		if vfs.Base(clean) == acl.FileName {
-			b.invalidateACL(vfs.Dir(clean))
-		}
-		b.invalidateACLPrefix(clean)
-	}
 	f.SetResult(0)
 	return kernel.ActionNullify
 }
@@ -877,7 +861,6 @@ func (b *Box) entrySetACL(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
-	b.invalidateACL(path)
 	f.SetResult(0)
 	return kernel.ActionNullify
 }

@@ -287,7 +287,7 @@ func TestKillAtEveryWALOffset(t *testing.T) {
 		if err := os.MkdirAll(stateDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(stateDir, durable.WALName), wal[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(stateDir, "wal.c01.s00.000000.seg"), wal[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := durable.Open(stateDir, durable.Options{Owner: "owner"})

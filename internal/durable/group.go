@@ -105,12 +105,12 @@ type groupState struct {
 	done     chan struct{} // closed when the committer goroutine exits
 }
 
-// StartGroupCommit switches the WAL from synchronous appends to the
-// group-commit pipeline and spawns the committer goroutine. Call it
-// once, before the WAL is shared between goroutines. The sync policy
-// carries over at group granularity: SyncEveryN==1 fsyncs every group
-// (appends are durable when WaitDurable returns), k>1 every k records,
-// 0 never (WaitDurable then only confirms the write was issued).
+// StartGroupCommit spawns the committer goroutine, after which the WAL
+// accepts Append. Call it once, before the WAL is shared between
+// goroutines. The sync policy applies at group granularity:
+// SyncEveryN==1 fsyncs every group (appends are durable when
+// WaitDurable returns), k>1 every k records, 0 never (WaitDurable then
+// only confirms the write was issued).
 func (w *WAL) StartGroupCommit(cfg GroupConfig) {
 	if w.gc != nil {
 		panic("durable: StartGroupCommit called twice")
@@ -332,8 +332,8 @@ func (w *WAL) commitGroup(g *groupState) bool {
 }
 
 // WaitDurable blocks until the record with the given LSN is durable per
-// the sync policy, or the pipeline has degraded. In synchronous mode it
-// just reports the sticky error: Append already committed inline.
+// the sync policy, or the pipeline has degraded. On a follower it just
+// reports the sticky error: AppendFrames already committed inline.
 //
 // The durable horizon is checked before the sticky error so a record
 // that made it to disk reports success even if a later group failed.

@@ -40,16 +40,12 @@ const (
 )
 
 // recVersion is the record-format version written into every record. A
-// reader rejects versions it does not understand (treated as a torn
-// tail, truncating the log there), so the format can evolve. Version 2
-// added a flags byte after the type; version-1 records (pre-segment
-// logs) decode without one.
-const (
-	recVersion       = 2
-	legacyRecVersion = 1
-)
+// reader rejects any other version (treated as a torn tail, truncating
+// the log there), so the format can evolve. Version 2 is version 1
+// plus a flags byte after the type.
+const recVersion = 2
 
-// Record flag bits (version 2+).
+// Record flag bits.
 const (
 	// FlagCrossShard marks a record that spans two journal shards (a
 	// rename or link whose paths live in different top-level subtrees).
@@ -73,7 +69,7 @@ const frameHeaderLen = 8
 type Record struct {
 	LSN   uint64
 	Type  uint8 // vfs.MutOp value, or DedupeType
-	Flags uint8 // FlagCrossShard et al (version 2+)
+	Flags uint8 // FlagCrossShard et al
 
 	// Mut holds the mutation for types 1..11. Data is an owned copy.
 	Mut vfs.Mutation
@@ -216,13 +212,10 @@ func decodeBody(body []byte) (Record, error) {
 	r := bodyReader{b: body}
 	ver := r.byte()
 	typ := r.byte()
-	if r.err || (ver != recVersion && ver != legacyRecVersion) {
+	if r.err || ver != recVersion {
 		return Record{}, fmt.Errorf("%w: version %d", ErrTorn, ver)
 	}
-	rec := Record{Type: typ}
-	if ver >= 2 {
-		rec.Flags = r.byte()
-	}
+	rec := Record{Type: typ, Flags: r.byte()}
 	rec.LSN = r.uvarint()
 	switch {
 	case rec.IsMutation():

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"identitybox/internal/vfs"
 )
 
 // BenchmarkRecovery measures cold-start cost against history length,
@@ -13,7 +15,8 @@ import (
 // chain and scale with history; the snap rows carry the same histories
 // compacted down to a fixed 50-record delta, so their cost must track
 // the delta, not the history — the whole point of pruning segments
-// below the snapshot LSN.
+// below the snapshot LSN. Those rows are single-shard; the shards=8
+// rows (benchRecoveryShards) compare the two replay strategies.
 func BenchmarkRecovery(b *testing.B) {
 	const delta = 50
 	payload := []byte(strings.Repeat("r", 256))
@@ -64,6 +67,91 @@ func BenchmarkRecovery(b *testing.B) {
 				b.ReportMetric(float64(replayed), "replayed/op")
 			})
 		}
+	}
+	benchRecoveryShards(b)
+}
+
+// benchRecoveryShards is the ablation behind keeping two replay
+// strategies: the same 8-shard history (64 subtrees, a cross-shard
+// rename every 50 writes) recovered by one worker per shard chain
+// (one-era) and by the LSN-sorted merge (mixed-era). The mixed-era
+// directory differs by a single record written under another shard
+// count first, so recoverLog chooses the merge from what it finds on
+// disk, exactly as in production; the rows check that it did.
+func benchRecoveryShards(b *testing.B) {
+	const (
+		shards   = 8
+		subtrees = 64
+		history  = 4000
+	)
+	payload := []byte(strings.Repeat("r", 256))
+	open := func(dir string, opts Options) *Store {
+		opts.Owner = "alice"
+		s, err := Open(dir, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	for _, era := range []string{"one-era", "mixed-era"} {
+		b.Run(fmt.Sprintf("shards=%d/%s", shards, era), func(b *testing.B) {
+			dir := b.TempDir()
+			if era == "mixed-era" {
+				s := open(dir, Options{Shards: 1})
+				if err := s.FS().Mkdir("/era1", 0o755, "alice"); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s := open(dir, Options{Shards: shards})
+			tree := func(i int) string { return fmt.Sprintf("/t%d", i%subtrees) }
+			for i := 0; i < subtrees; i++ {
+				if err := s.FS().Mkdir(tree(i), 0o755, "alice"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < history; i++ {
+				path := fmt.Sprintf("%s/f%d", tree(i), i/subtrees%8)
+				if err := s.FS().WriteFile(path, payload, 0o644, "alice"); err != nil {
+					b.Fatal(err)
+				}
+				if i%50 == 49 {
+					to := i + 1
+					for vfs.ShardOf(tree(to), shards) == vfs.ShardOf(tree(i), shards) {
+						to++
+					}
+					if err := s.FS().Rename(path, fmt.Sprintf("%s/moved%d", tree(to), i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			var ri RecoveryInfo
+			var merged bool
+			logf := func(format string, _ ...any) {
+				merged = merged || strings.Contains(format, "sequential replay")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := open(dir, Options{Shards: shards, Logf: logf})
+				ri = s.Recovery()
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				removeEmptySegments(b, dir)
+				b.StartTimer()
+			}
+			if merged != (era == "mixed-era") {
+				b.Fatalf("sorted-merge replay chosen = %v in the %s row", merged, era)
+			}
+			b.ReportMetric(float64(ri.Replayed), "replayed/op")
+			b.ReportMetric(float64(ri.Unapplied), "unapplied/op")
+		})
 	}
 }
 

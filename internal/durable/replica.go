@@ -1,11 +1,8 @@
 package durable
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"identitybox/internal/vfs"
@@ -185,22 +182,10 @@ func (s *Store) ReplSnapshot() (blob []byte, lsn, epoch uint64, err error) {
 	err = s.fs.Quiesce(func() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		for _, w := range s.wals {
-			w.Barrier()
-		}
-		lsn = s.alloc.Load()
 		epoch = s.epoch
-		var img bytes.Buffer
-		if err := s.fs.Save(&img); err != nil {
-			return fmt.Errorf("durable: serializing tree: %w", err)
-		}
-		snap := snapFile{Version: snapFileVersion, LSN: lsn, Epoch: s.epoch, Dedupe: s.dedupe, FS: img.Bytes()}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-			return fmt.Errorf("durable: encoding snapshot: %w", err)
-		}
-		blob = buf.Bytes()
-		return nil
+		var err error
+		blob, lsn, err = s.encodeSnapshotLocked()
+		return err
 	})
 	return blob, lsn, epoch, err
 }
@@ -218,19 +203,12 @@ func (s *Store) LoadReplicaSnapshot(blob []byte) error {
 	if !s.replica {
 		return ErrNotReplica
 	}
-	var snap snapFile
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
-		return fmt.Errorf("durable: decoding replica snapshot: %w", err)
-	}
-	if snap.Version != snapFileVersion {
-		return fmt.Errorf("durable: unsupported replica snapshot version %d", snap.Version)
+	snap, fs, err := decodeSnapshot(blob)
+	if err != nil {
+		return err
 	}
 	if snap.Epoch < s.epoch {
 		return fmt.Errorf("%w: snapshot epoch %d, follower epoch %d", ErrStaleEpoch, snap.Epoch, s.epoch)
-	}
-	fs, err := vfs.Load(bytes.NewReader(snap.FS))
-	if err != nil {
-		return fmt.Errorf("durable: replica snapshot image: %w", err)
 	}
 	if err := s.publishSnapshotLocked(blob, snap.LSN); err != nil {
 		return err
@@ -274,27 +252,11 @@ func (s *Store) WALTailSince(lsn uint64) (frames []byte, first, last uint64, rec
 	for _, w := range s.wals {
 		w.Barrier()
 	}
-	segs, err := scanSegments(s.dir)
+	files, err := readSegments(s.dir)
 	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("durable: scanning log: %w", err)
+		return nil, 0, 0, 0, err
 	}
-	var recs []Record
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg.path)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				continue // pruned between scan and read
-			}
-			return nil, 0, 0, 0, fmt.Errorf("durable: reading %s: %w", seg.path, err)
-		}
-		fileRecs, _, _ := DecodeAll(data)
-		for _, rec := range fileRecs {
-			if rec.LSN > lsn {
-				recs = append(recs, rec)
-			}
-		}
-	}
-	sortDedupeByLSN(&recs)
+	recs, _ := mergeByLSN(files, lsn)
 	if len(recs) == 0 {
 		if lsn >= s.alloc.Load() {
 			return nil, 0, 0, 0, nil // follower is fully caught up
@@ -332,12 +294,10 @@ func (s *Store) Promote(epoch uint64) error {
 		return fmt.Errorf("%w: promotion epoch %d not past follower epoch %d", ErrStaleEpoch, epoch, s.epoch)
 	}
 	s.replica = false
-	if !s.opts.DisableGroupCommit {
-		cfg := s.gcCfg
-		cfg.OnShip = s.wireShip(cfg.OnShip, s.alloc.Load()+1)
-		for _, w := range s.wals {
-			w.StartGroupCommit(cfg)
-		}
+	cfg := s.gcCfg
+	cfg.OnShip = s.wireShip(cfg.OnShip, s.alloc.Load()+1)
+	for _, w := range s.wals {
+		w.StartGroupCommit(cfg)
 	}
 	// Promotion satisfies any parked freshness demand: the local state
 	// is authoritative now.

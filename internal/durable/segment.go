@@ -23,9 +23,7 @@ import (
 // If a restart changes -wal-shards, old-era and new-era segments
 // coexist until the next compaction prunes the old era; recovery
 // detects the mixed eras and falls back to a fully sequential merged
-// replay, which is always correct. The legacy single file ("wal.log",
-// pre-segmentation) reads as era count 1, shard 0, sequence -1 so old
-// state dirs upgrade in place.
+// replay, which is always correct.
 
 // segmentFileName names one WAL segment.
 func segmentFileName(shards, shard, seq int) string {
@@ -37,7 +35,7 @@ type segmentRef struct {
 	path   string
 	shards int // era's journal shard count
 	shard  int
-	seq    int // -1 for the legacy wal.log
+	seq    int
 }
 
 // parseSegmentName decodes a segment file name produced by
@@ -73,9 +71,10 @@ func parseSegmentName(name string) (shards, shard, seq int, ok bool) {
 	return shards, shard, seq, true
 }
 
-// scanSegments lists every WAL log file in dir — the legacy wal.log
-// (if present) plus all segments — sorted by (era count, shard, seq),
-// which within one era orders each shard's chain by ascending LSN.
+// scanSegments lists every WAL segment in dir sorted by (era count,
+// shard, seq), which within one era orders each shard's chain by
+// ascending LSN. A single-file log from before segments is refused by
+// name: skipping it would silently drop the history it holds.
 func scanSegments(dir string) ([]segmentRef, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -87,9 +86,8 @@ func scanSegments(dir string) ([]segmentRef, error) {
 			continue
 		}
 		name := e.Name()
-		if name == WALName {
-			segs = append(segs, segmentRef{path: filepath.Join(dir, name), shards: 1, shard: 0, seq: -1})
-			continue
+		if name == legacyLogName {
+			return nil, fmt.Errorf("%s is a single-file log from before segmented WALs, which this version cannot read", filepath.Join(dir, name))
 		}
 		if shards, shard, seq, ok := parseSegmentName(name); ok {
 			segs = append(segs, segmentRef{path: filepath.Join(dir, name), shards: shards, shard: shard, seq: seq})
@@ -133,36 +131,12 @@ func LogBytes(dir string) ([]byte, error) {
 // log files and returns them sorted by LSN with cross-shard duplicates
 // collapsed. Torn tails are skipped, not errors. Exported for tests.
 func ReadLogRecords(dir string) ([]Record, error) {
-	segs, err := scanSegments(dir)
+	files, err := readSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	var all []Record
-	for _, seg := range segs {
-		b, err := os.ReadFile(seg.path)
-		if err != nil {
-			return nil, err
-		}
-		recs, _, _ := DecodeAll(b)
-		all = append(all, recs...)
-	}
-	sortDedupeByLSN(&all)
-	return all, nil
-}
-
-// sortDedupeByLSN sorts records by LSN and collapses equal-LSN
-// duplicates (the two copies of a cross-shard record).
-func sortDedupeByLSN(recs *[]Record) {
-	rs := *recs
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].LSN < rs[j].LSN })
-	out := rs[:0]
-	for _, r := range rs {
-		if len(out) > 0 && out[len(out)-1].LSN == r.LSN {
-			continue
-		}
-		out = append(out, r)
-	}
-	*recs = out
+	recs, _ := mergeByLSN(files, 0)
+	return recs, nil
 }
 
 // TailSegmentPath reports the path of the active (highest-sequence)

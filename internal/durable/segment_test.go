@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ func TestParseSegmentName(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{
-		WALName, SnapshotName, "wal.c01.s00.seg", "wal.c00.s00.000000.seg",
+		legacyLogName, SnapshotName, "wal.c01.s00.seg", "wal.c00.s00.000000.seg",
 		"wal.c02.s02.000000.seg", "wal.c01.s00.000000.tmp", "wal.cxx.s00.000000.seg",
 		"wal.c01.s-1.000000.seg", "wal.c01.s00.00000x.seg",
 	} {
@@ -111,7 +112,7 @@ func TestCompactionPrunesSegments(t *testing.T) {
 	if got := reg.Gauge(MetricWALSegments).Value(); got != 1 {
 		t.Fatalf("segments gauge %d, want 1", got)
 	}
-	if got := reg.Gauge(MetricWALLiveBytes).Value(); got != 0 {
+	if got := reg.Gauge(MetricWALSize).Value(); got != 0 {
 		t.Fatalf("live-bytes gauge %d, want 0", got)
 	}
 	// On disk: exactly one (fresh, empty) segment plus the snapshot.
@@ -121,7 +122,7 @@ func TestCompactionPrunesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if _, _, _, ok := parseSegmentName(e.Name()); ok || e.Name() == WALName {
+		if _, _, _, ok := parseSegmentName(e.Name()); ok {
 			segFiles = append(segFiles, e.Name())
 		}
 	}
@@ -370,31 +371,34 @@ func TestHalfCommittedCrossRecordApplied(t *testing.T) {
 	}
 }
 
-// TestLegacyWALUpgraded: a pre-segmentation state directory (a single
-// wal.log) recovers unchanged, new appends land in era-tagged segments,
-// and the first compaction prunes the legacy file away.
-func TestLegacyWALUpgraded(t *testing.T) {
+// TestLegacyWALRefused: a state directory from before segmented logs (a
+// single wal.log) is refused by name rather than opened without its
+// history, and the file is left exactly as it was found.
+func TestLegacyWALRefused(t *testing.T) {
 	dir := t.TempDir()
-	var legacy []byte
-	legacy = EncodeRecord(legacy, Record{LSN: 1, Type: uint8(vfs.MutMkdir), Mut: vfs.Mutation{Op: vfs.MutMkdir, Path: "/old", Mode: 0o755, Owner: "alice"}})
-	legacy = EncodeRecord(legacy, Record{LSN: 2, Type: uint8(vfs.MutCreate), Mut: vfs.Mutation{Op: vfs.MutCreate, Path: "/old/f", Mode: 0o644, Owner: "alice"}})
-	if err := os.WriteFile(filepath.Join(dir, WALName), legacy, 0o644); err != nil {
+	path := filepath.Join(dir, legacyLogName)
+	legacy := EncodeRecord(nil, Record{LSN: 1, Type: uint8(vfs.MutMkdir), Mut: vfs.Mutation{Op: vfs.MutMkdir, Path: "/old", Mode: 0o755, Owner: "alice"}})
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	s := openStore(t, dir, Options{Shards: 4, Owner: "alice"})
-	defer s.Close()
-	if !s.FS().Exists("/old/f") {
-		t.Fatal("legacy wal.log not replayed")
+	s, err := Open(dir, Options{Shards: 4, Owner: "alice"})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a state directory holding wal.log")
 	}
-	if err := s.FS().Mkdir("/new", 0o755, "alice"); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("refusal does not name the file: %v", err)
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	if _, err := ReadLogRecords(dir); err == nil {
+		t.Fatal("ReadLogRecords skipped wal.log silently")
 	}
-	if _, err := os.Stat(filepath.Join(dir, WALName)); !os.IsNotExist(err) {
-		t.Fatal("legacy wal.log survived compaction")
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, legacy) {
+		t.Fatalf("wal.log changed by the refused Open: %v", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("refused Open left files behind: %v %v", ents, err)
 	}
 }
 

@@ -38,26 +38,17 @@ func newShipSeq(next uint64, sink func(first, last uint64, records int, frames [
 	return &shipSeq{next: next, buf: make(map[uint64][]byte), sink: sink}
 }
 
+// frameFlagsOff is the offset of a frame's flags byte: past the header
+// and the body's version and type bytes. The LSN follows it.
+const frameFlagsOff = frameHeaderLen + 2
+
 // frameLSNFlags peeks one frame's LSN and flags without a full decode.
-// flagsOff is the byte offset of the flags field within frame (-1 for
-// a version-1 record, which has none).
-func frameLSNFlags(frame []byte) (lsn uint64, flags uint8, flagsOff int, ok bool) {
-	body := frame[frameHeaderLen:]
-	if len(body) < 3 {
-		return 0, 0, 0, false
+func frameLSNFlags(frame []byte) (lsn uint64, flags uint8, ok bool) {
+	if len(frame) <= frameFlagsOff {
+		return 0, 0, false
 	}
-	off := 2 // version, type
-	flagsOff = -1
-	if body[0] >= 2 {
-		flagsOff = frameHeaderLen + off
-		flags = body[off]
-		off++
-	}
-	lsn, n := binary.Uvarint(body[off:])
-	if n <= 0 {
-		return 0, 0, 0, false
-	}
-	return lsn, flags, flagsOff, true
+	lsn, n := binary.Uvarint(frame[frameFlagsOff+1:])
+	return lsn, frame[frameFlagsOff], n > 0
 }
 
 // ingest accepts one committed group's frames (any shard), buffers the
@@ -74,7 +65,7 @@ func (s *shipSeq) ingest(frames []byte) {
 		}
 		frame := frames[off:end]
 		off = end
-		lsn, flags, flagsOff, ok := frameLSNFlags(frame)
+		lsn, flags, ok := frameLSNFlags(frame)
 		if !ok || lsn < s.next {
 			continue // malformed (cannot happen) or duplicate cross copy
 		}
@@ -83,7 +74,7 @@ func (s *shipSeq) ingest(frames []byte) {
 		}
 		cp := append([]byte(nil), frame...)
 		if flags&FlagCrossShard != 0 {
-			cp[flagsOff] &^= FlagCrossShard
+			cp[frameFlagsOff] &^= FlagCrossShard
 			binary.LittleEndian.PutUint32(cp[4:8], crc32.ChecksumIEEE(cp[frameHeaderLen:]))
 		}
 		s.buf[lsn] = cp

@@ -15,14 +15,13 @@ import (
 	"identitybox/internal/vfs"
 )
 
-// File names inside a state directory. WALName is the legacy
-// single-file log (pre-segmentation); a store now writes bounded
-// segments (see segment.go) but still reads and upgrades a wal.log in
-// place.
+// File names inside a state directory, next to the log segments (see
+// segment.go). legacyLogName is the single-file log of the format
+// before segments, which Open refuses rather than misreads.
 const (
-	WALName      = "wal.log"
-	SnapshotName = "snapshot.img"
-	snapshotTmp  = "snapshot.tmp"
+	SnapshotName  = "snapshot.img"
+	snapshotTmp   = "snapshot.tmp"
+	legacyLogName = "wal.log"
 )
 
 // DefaultSegmentBytes is the segment rotation threshold when
@@ -36,7 +35,6 @@ const (
 	MetricWALFsyncs      = "durable_wal_fsyncs_total"
 	MetricWALAppendErrs  = "durable_wal_append_errors_total"
 	MetricWALSize        = "durable_wal_size_bytes"
-	MetricWALLiveBytes   = "durable_wal_bytes"
 	MetricWALSegments    = "durable_wal_segments"
 	MetricSegsPruned     = "durable_segments_pruned_total"
 	MetricReplayRecords  = "durable_replay_records_total"
@@ -63,8 +61,8 @@ type Options struct {
 	// state directory holds no snapshot and no log).
 	Owner string
 	// SyncEveryN is the fsync cadence: 1 (the default) syncs after every
-	// record — every commit group, with group commit on — k>1 every k
-	// records, and a negative value never syncs.
+	// commit group, k>1 every k records, and a negative value never
+	// syncs.
 	SyncEveryN int
 	// Shards is the number of commit-pipeline shards: journal shard
 	// locks, WAL segment chains and committer goroutines. Mutations in
@@ -89,10 +87,6 @@ type Options struct {
 	// CommitBatch flushes a group as soon as it reaches this many
 	// records regardless of the window. 0 uses DefaultCommitBatch.
 	CommitBatch int
-	// DisableGroupCommit falls back to the synchronous WAL: every
-	// mutation writes and fsyncs inline under the journal lock. The
-	// pre-pipeline behavior, kept for baseline benchmarks and tests.
-	DisableGroupCommit bool
 	// Metrics, when set, receives the store's counters and gauges.
 	Metrics *obs.Registry
 	// Spans, when set, receives one "wal.commit" span per committed
@@ -115,15 +109,14 @@ type Options struct {
 	// group's raw frames for replication fan-out (see
 	// GroupConfig.OnShip). On a sharded store the groups pass through a
 	// resequencer first, so OnShip always sees contiguous LSN runs in
-	// order. Requires the group-commit pipeline; ignored with
-	// DisableGroupCommit. On a replica it takes effect at Promote.
+	// order. On a replica it takes effect at Promote.
 	OnShip func(first, last uint64, records int, frames []byte)
 }
 
 // RecoveryInfo describes what Open found and did.
 type RecoveryInfo struct {
 	SnapshotLSN    uint64 // LSN the loaded snapshot covers (0: none)
-	Segments       int    // log files found (segments plus any legacy wal.log)
+	Segments       int    // log segment files found
 	Replayed       int    // WAL records applied
 	Skipped        int    // records at or below the snapshot LSN
 	Unapplied      int    // records whose replay failed (should be 0)
@@ -145,7 +138,6 @@ type storeMetrics struct {
 	fsyncs      *obs.Counter
 	appendErrs  *obs.Counter
 	walSize     *obs.Gauge
-	walLive     *obs.Gauge
 	walSegments *obs.Gauge
 	segsPruned  *obs.Counter
 	replayed    *obs.Counter
@@ -165,7 +157,6 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	reg.Help(MetricWALFsyncs, "fsync calls issued for the write-ahead log.")
 	reg.Help(MetricWALAppendErrs, "Append or sync failures (durability degraded until the next compaction).")
 	reg.Help(MetricWALSize, "Current write-ahead log length in bytes.")
-	reg.Help(MetricWALLiveBytes, "Live write-ahead log bytes across all segments.")
 	reg.Help(MetricWALSegments, "Live write-ahead log segment files (sealed plus active).")
 	reg.Help(MetricSegsPruned, "WAL segments pruned after snapshot compaction.")
 	reg.Help(MetricReplayRecords, "WAL records applied during recoveries.")
@@ -183,7 +174,6 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		fsyncs:      reg.Counter(MetricWALFsyncs),
 		appendErrs:  reg.Counter(MetricWALAppendErrs),
 		walSize:     reg.Gauge(MetricWALSize),
-		walLive:     reg.Gauge(MetricWALLiveBytes),
 		walSegments: reg.Gauge(MetricWALSegments),
 		segsPruned:  reg.Counter(MetricSegsPruned),
 		replayed:    reg.Counter(MetricReplayRecords),
@@ -264,7 +254,7 @@ type Store struct {
 	replica     bool
 	lastApplied uint64
 	appliedCh   chan struct{}
-	gcCfg       GroupConfig // saved for Promote (replica mode defers StartGroupCommit)
+	gcCfg       GroupConfig // saved for Promote (a replica defers StartGroupCommit)
 
 	metrics  *storeMetrics
 	recovery RecoveryInfo
@@ -358,7 +348,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.metrics.records.Add(int64(recs))
 		s.metrics.bytes.Add(int64(n))
 		s.metrics.walSize.Add(int64(n))
-		s.metrics.walLive.Add(int64(n))
 	}
 	onSync := func() { s.metrics.fsyncs.Inc() }
 	s.wals = make([]*WAL, s.shards)
@@ -383,50 +372,48 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	syncDir(dir)
 
-	if !opts.DisableGroupCommit {
-		window := opts.CommitWindow
-		switch {
-		case window == 0:
-			window = DefaultCommitWindow
-		case window < 0:
-			window = 0
-		}
-		cfg := GroupConfig{
-			Window:   window,
-			MaxBatch: opts.CommitBatch,
-			OnGroup: func(records, _ int, latency time.Duration) {
-				s.lastCommitLat.Store(int64(latency))
-				s.metrics.groups.Inc()
-				s.metrics.groupRecs.Observe(float64(records))
-				s.metrics.commitLat.Observe(float64(latency.Microseconds()))
-			},
-			OnError: func(err error) {
-				s.metrics.appendErrs.Inc()
-				s.logf("durable: wal append failed, durability degraded until compaction: %v", err)
-			},
-			OnShip: opts.OnShip,
-		}
-		if spans := opts.Spans; spans != nil {
-			cfg.OnTraceCommit = func(trace, lsn uint64, queued, commit time.Duration) {
-				sp := obs.Span{
-					Trace: trace,
-					ID:    spans.NextSpanID(),
-					Name:  "wal.commit",
-					Cmd:   fmt.Sprintf("lsn %d", lsn),
-					Start: time.Now().Add(-(queued + commit)),
-					Dur:   queued + commit,
-				}
-				sp.Phase("queue", 0, queued)
-				sp.Phase("write+fsync", queued, commit)
-				spans.Record(sp)
+	window := opts.CommitWindow
+	switch {
+	case window == 0:
+		window = DefaultCommitWindow
+	case window < 0:
+		window = 0
+	}
+	cfg := GroupConfig{
+		Window:   window,
+		MaxBatch: opts.CommitBatch,
+		OnGroup: func(records, _ int, latency time.Duration) {
+			s.lastCommitLat.Store(int64(latency))
+			s.metrics.groups.Inc()
+			s.metrics.groupRecs.Observe(float64(records))
+			s.metrics.commitLat.Observe(float64(latency.Microseconds()))
+		},
+		OnError: func(err error) {
+			s.metrics.appendErrs.Inc()
+			s.logf("durable: wal append failed, durability degraded until compaction: %v", err)
+		},
+		OnShip: opts.OnShip,
+	}
+	if spans := opts.Spans; spans != nil {
+		cfg.OnTraceCommit = func(trace, lsn uint64, queued, commit time.Duration) {
+			sp := obs.Span{
+				Trace: trace,
+				ID:    spans.NextSpanID(),
+				Name:  "wal.commit",
+				Cmd:   fmt.Sprintf("lsn %d", lsn),
+				Start: time.Now().Add(-(queued + commit)),
+				Dur:   queued + commit,
 			}
+			sp.Phase("queue", 0, queued)
+			sp.Phase("write+fsync", queued, commit)
+			spans.Record(sp)
 		}
-		s.gcCfg = cfg
-		if !s.replica {
-			cfg.OnShip = s.wireShip(cfg.OnShip, nextLSN)
-			for _, w := range s.wals {
-				w.StartGroupCommit(cfg)
-			}
+	}
+	s.gcCfg = cfg
+	if !s.replica {
+		cfg.OnShip = s.wireShip(cfg.OnShip, nextLSN)
+		for _, w := range s.wals {
+			w.StartGroupCommit(cfg)
 		}
 	}
 	var liveBytes int64
@@ -437,7 +424,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	segCount := len(s.sealed) + s.shards
 	s.sealMu.Unlock()
 	s.metrics.walSize.Set(liveBytes)
-	s.metrics.walLive.Set(liveBytes)
 	s.metrics.walSegments.Set(int64(segCount))
 	s.metrics.recoveries.Inc()
 	s.recovery.DedupeEntries = len(s.dedupe)
@@ -483,16 +469,9 @@ func (s *Store) loadSnapshot() (*vfs.FS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: reading snapshot: %w", err)
 	}
-	var snap snapFile
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("durable: decoding snapshot: %w", err)
-	}
-	if snap.Version != snapFileVersion {
-		return nil, fmt.Errorf("durable: unsupported snapshot version %d", snap.Version)
-	}
-	fs, err := vfs.Load(bytes.NewReader(snap.FS))
+	snap, fs, err := decodeSnapshot(data)
 	if err != nil {
-		return nil, fmt.Errorf("durable: snapshot image: %w", err)
+		return nil, err
 	}
 	for k, v := range snap.Dedupe {
 		s.dedupe[k] = v
@@ -563,9 +542,9 @@ func (s *Store) BarrierTraced() (wait, commitLat time.Duration, err error) {
 // the shard WAL owning the mutation's subtree. Called with the
 // mutation's journal shard lock(s) held, so each shard's records land
 // in commit order; no store-wide lock is taken, which is what lets
-// disjoint subtrees commit in parallel. With group commit on, this
-// only encodes the record into the shard's queue — no disk I/O under
-// the journal lock. Append failures are absorbed (the in-memory state
+// disjoint subtrees commit in parallel. This only encodes the record
+// into the shard's queue — no disk I/O under the journal lock. Append
+// failures are absorbed (the in-memory state
 // is already committed): they flip the shard's sticky error and
 // surface through Err/Barrier and the log.
 //
@@ -690,26 +669,11 @@ func (s *Store) Compact() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 
-		// Quiesce + s.mu exclude every append source, so these barriers
-		// are final: once they return the committers are provably idle
-		// and the active segments can be sealed underneath them. A
-		// degraded shard returns an error here — ignored, because the
-		// snapshot about to be taken captures everything its log lost.
-		for _, w := range s.wals {
-			w.Barrier()
+		blob, lsn, err := s.encodeSnapshotLocked()
+		if err != nil {
+			return err
 		}
-
-		lsn := s.alloc.Load() // appends are excluded by s.mu + quiesce
-		var img bytes.Buffer
-		if err := s.fs.Save(&img); err != nil {
-			return fmt.Errorf("durable: serializing tree: %w", err)
-		}
-		snap := snapFile{Version: snapFileVersion, LSN: lsn, Epoch: s.epoch, Dedupe: s.dedupe, FS: img.Bytes()}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-			return fmt.Errorf("durable: encoding snapshot: %w", err)
-		}
-		if err := s.publishSnapshotLocked(buf.Bytes(), lsn); err != nil {
+		if err := s.publishSnapshotLocked(blob, lsn); err != nil {
 			return err
 		}
 		for _, w := range s.wals {
@@ -726,6 +690,48 @@ func (s *Store) Compact() error {
 		s.metrics.compactions.Inc()
 		return nil
 	})
+}
+
+// encodeSnapshotLocked serializes the tree and dedupe table bound to
+// the LSN and epoch they cover: the image Compact publishes and
+// ReplSnapshot ships. The caller holds the quiesce and s.mu, which
+// exclude every append source, so the barriers here are final: once
+// they return the committers are provably idle (and the active
+// segments can be sealed underneath them). A degraded shard returns an
+// error from its barrier — ignored, because the image captures
+// everything its log lost.
+func (s *Store) encodeSnapshotLocked() (blob []byte, lsn uint64, err error) {
+	for _, w := range s.wals {
+		w.Barrier()
+	}
+	lsn = s.alloc.Load()
+	var img bytes.Buffer
+	if err := s.fs.Save(&img); err != nil {
+		return nil, 0, fmt.Errorf("durable: serializing tree: %w", err)
+	}
+	snap := snapFile{Version: snapFileVersion, LSN: lsn, Epoch: s.epoch, Dedupe: s.dedupe, FS: img.Bytes()}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+		return nil, 0, fmt.Errorf("durable: encoding snapshot: %w", err)
+	}
+	return buf.Bytes(), lsn, nil
+}
+
+// decodeSnapshot parses and version-checks an encodeSnapshotLocked
+// image and rebuilds its file system.
+func decodeSnapshot(blob []byte) (snapFile, *vfs.FS, error) {
+	var snap snapFile
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
+		return snap, nil, fmt.Errorf("durable: decoding snapshot: %w", err)
+	}
+	if snap.Version != snapFileVersion {
+		return snap, nil, fmt.Errorf("durable: unsupported snapshot version %d", snap.Version)
+	}
+	fs, err := vfs.Load(bytes.NewReader(snap.FS))
+	if err != nil {
+		return snap, nil, fmt.Errorf("durable: snapshot image: %w", err)
+	}
+	return snap, fs, nil
 }
 
 // pruneLocked removes sealed segments whose records are all covered by
@@ -753,7 +759,6 @@ func (s *Store) pruneLocked() {
 		}
 		s.metrics.segsPruned.Inc()
 		s.metrics.walSize.Add(-seg.size)
-		s.metrics.walLive.Add(-seg.size)
 		s.metrics.walSegments.Dec()
 	}
 	s.sealed = kept

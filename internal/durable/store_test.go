@@ -181,8 +181,9 @@ func TestCrashBetweenSnapshotAndWALReset(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Put the pre-compaction log back: snapshot.img now covers all of it.
-	if err := os.WriteFile(filepath.Join(dir, WALName), staleLog, 0o644); err != nil {
+	// Put the pre-compaction log back, as the segment the compaction
+	// pruned: snapshot.img now covers all of it.
+	if err := os.WriteFile(filepath.Join(dir, segmentFileName(1, 0, 0)), staleLog, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

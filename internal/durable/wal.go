@@ -12,9 +12,9 @@ import (
 
 // File is the slice of an append-only log file the WAL writer needs.
 // *os.File satisfies it; faultdisk wraps one to inject storage faults.
-// In group-commit mode the committer goroutine may issue a Write while
-// another goroutine issues a Sync, so implementations must tolerate
-// concurrent calls (*os.File and faultdisk.File both do).
+// The committer goroutine may issue a Write while another goroutine
+// issues a Sync, so implementations must tolerate concurrent calls
+// (*os.File and faultdisk.File both do).
 type File interface {
 	io.Writer
 	Sync() error
@@ -22,23 +22,22 @@ type File interface {
 }
 
 // WAL appends framed records to a log. It is safe for concurrent use
-// and runs in one of two modes:
+// and is in exactly one of two states:
 //
-//   - Synchronous (the default): Append frames, writes and syncs the
-//     record inline, under the WAL lock. Durable when Append returns.
-//   - Group commit (after StartGroupCommit): Append encodes the record
-//     into an in-memory queue under a short lock and returns; a
-//     dedicated committer goroutine coalesces queued frames into one
-//     write + one fsync per group. Callers that need durability park
-//     on WaitDurable or Barrier.
+//   - Primary (after StartGroupCommit): Append encodes the record into
+//     an in-memory queue under a short lock and returns; a dedicated
+//     committer goroutine coalesces queued frames into one write + one
+//     fsync per group. Callers that need durability park on
+//     WaitDurable or Barrier.
+//   - Follower (no committer, until Promote starts one): the log
+//     receives commit groups a primary already formed, through
+//     AppendFrames, written and synced inline. Append is an error.
 //
 // A WAL is one shard of a store's commit pipeline: records draw their
 // LSNs from a shared atomic allocator (so the total order spans
-// shards) but queue, commit and fsync independently per shard. With a
-// rotator attached the log is a chain of bounded segment files,
-// rotated once the active segment reaches the configured size; without
-// one (NewWAL) it is a single file, the pre-segment behavior tests
-// still exercise.
+// shards) but queue, commit and fsync independently per shard. The log
+// is a chain of bounded segment files, rotated once the active segment
+// reaches the rotator's size limit.
 //
 // Either way the first write or sync error is sticky: the WAL stops
 // accepting appends and reports the error from then on, because a log
@@ -54,10 +53,9 @@ type WAL struct {
 	lastLSN uint64 // last LSN appended to THIS shard's log
 	size    int64  // active segment length in bytes
 	pending int    // records written since the last sync
-	// syncEveryN: 1 syncs after every record (or, in group mode, every
-	// group — the only settings with no loss window), k>1 syncs every k
-	// records, 0 never syncs (the OS decides when bytes reach the
-	// platter).
+	// syncEveryN: 1 syncs after every commit group (the only setting
+	// with no loss window), k>1 syncs every k records, 0 never syncs
+	// (the OS decides when bytes reach the platter).
 	syncEveryN int
 	err        error
 	// lost is the lowest LSN this shard accepted but then dropped to a
@@ -66,23 +64,13 @@ type WAL struct {
 	// compaction covers it.
 	lost uint64
 
-	// scratch is the synchronous-mode frame encode buffer, reused
-	// across appends under mu so the framer does not allocate per
-	// record.
-	scratch []byte
-	// lastFrameLen/lastSynced carry writeSyncLocked's results (frame
-	// bytes written; whether it fsynced) to the callers that emit the
-	// observer hooks after unlocking. Guarded by mu.
-	lastFrameLen int
-	lastSynced   bool
-
 	// observers, optional. Emitted after mu is released so a slow sink
 	// cannot extend the commit critical section.
 	onAppend func(records, bytes int)
 	onSync   func()
 
-	rot *rotator    // nil: single-file WAL, never rotates
-	gc  *groupState // non-nil once StartGroupCommit has been called
+	rot *rotator
+	gc  *groupState // the committer's state; nil on a follower
 }
 
 // rotator carries a shard WAL's segment-chain state. Guarded by WAL.mu.
@@ -99,16 +87,6 @@ type rotator struct {
 	onSeal func(path string, lastLSN uint64, size int64)
 }
 
-// NewWAL wraps an open log file positioned at its end, as a
-// single-file, self-allocating WAL (its own LSN counter, no segment
-// rotation). nextLSN is the LSN the next appended record receives;
-// size is the file's current length (for the size gauge).
-func NewWAL(f File, nextLSN uint64, size int64, syncEveryN int) *WAL {
-	alloc := new(atomic.Uint64)
-	alloc.Store(nextLSN - 1)
-	return &WAL{f: f, alloc: alloc, lastLSN: nextLSN - 1, size: size, syncEveryN: syncEveryN}
-}
-
 // newShardWAL wraps the active segment file of one store shard,
 // drawing LSNs from the store's shared allocator and rotating through
 // rot's segment chain.
@@ -119,48 +97,44 @@ func newShardWAL(f File, alloc *atomic.Uint64, syncEveryN int, rot *rotator) *WA
 // ErrWALClosed is reported by appends after Close.
 var ErrWALClosed = errors.New("durable: wal closed")
 
-// Append frames rec (assigning it the next LSN from the shared
-// allocator) and commits it per the WAL's mode: written and synced
-// inline in synchronous mode, queued for the committer in group-commit
-// mode. It returns the assigned LSN.
+// errNoCommitter is reported by appends to a follower's WAL: its only
+// writer is the replicated stream, until Promote starts the committer.
+var errNoCommitter = errors.New("durable: append to a wal with no committer (a follower before Promote)")
+
+// appendableLocked reports why w cannot take an append: its sticky
+// error, or being a follower's log. Caller holds mu.
+func (w *WAL) appendableLocked() error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.gc == nil {
+		return errNoCommitter
+	}
+	return nil
+}
+
+// Append assigns rec the next LSN from the shared allocator and queues
+// it for the committer. It returns the assigned LSN; the record is
+// durable once WaitDurable(lsn) returns nil.
 func (w *WAL) Append(rec Record) (uint64, error) {
 	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
+	if err := w.appendableLocked(); err != nil {
 		w.mu.Unlock()
 		return 0, err
 	}
 	rec.LSN = w.alloc.Add(1)
 	w.lastLSN = rec.LSN
-	if g := w.gc; g != nil {
-		w.enqueueLocked(g, rec)
-		full := g.queued >= g.maxBatch || g.queued >= g.lastGroup
-		w.mu.Unlock()
-		g.wake(full)
-		return rec.LSN, nil
-	}
-
-	// Synchronous mode: frame, write and sync inline.
-	if err := w.writeSyncLocked(rec); err != nil {
-		w.mu.Unlock()
-		return 0, err
-	}
-	nb := w.lastFrameLen
-	synced := w.lastSynced
-	onAppend, onSync := w.onAppend, w.onSync
-	w.maybeRotateLocked()
+	g := w.gc
+	full := w.enqueueLocked(g, rec)
 	w.mu.Unlock()
-	if onAppend != nil {
-		onAppend(1, nb)
-	}
-	if synced && onSync != nil {
-		onSync()
-	}
+	g.wake(full)
 	return rec.LSN, nil
 }
 
-// enqueueLocked queues one record for the committer. Caller holds mu.
-func (w *WAL) enqueueLocked(g *groupState, rec Record) {
+// enqueueLocked queues one record for the committer and reports
+// whether the queue is now full enough to cut a batch window short.
+// Caller holds mu.
+func (w *WAL) enqueueLocked(g *groupState, rec Record) (full bool) {
 	if g.queued == 0 {
 		g.firstQueued = rec.LSN
 	}
@@ -170,38 +144,7 @@ func (w *WAL) enqueueLocked(g *groupState, rec Record) {
 	if g.onTraceCommit != nil && rec.Mut.Trace != 0 {
 		g.traced = append(g.traced, tracedRec{trace: rec.Mut.Trace, lsn: rec.LSN, enq: time.Now()})
 	}
-}
-
-// writeSyncLocked frames, writes and (per policy) syncs one record
-// inline. On failure the sticky error is set and rec.LSN recorded as
-// lost. Caller holds mu; results land in lastFrameLen/lastSynced.
-func (w *WAL) writeSyncLocked(rec Record) error {
-	w.scratch = EncodeRecord(w.scratch[:0], rec)
-	frame := w.scratch
-	nb := len(frame)
-	n, err := w.f.Write(frame)
-	w.size += int64(n)
-	if err == nil && n < nb {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		w.err = err
-		w.noteLostLocked(rec.LSN)
-		return err
-	}
-	w.pending++
-	w.lastSynced = false
-	if w.syncEveryN > 0 && w.pending >= w.syncEveryN {
-		if err := w.f.Sync(); err != nil {
-			w.err = err
-			w.noteLostLocked(rec.LSN)
-			return err
-		}
-		w.pending = 0
-		w.lastSynced = true
-	}
-	w.lastFrameLen = nb
-	return nil
+	return g.queued >= g.maxBatch || g.queued >= g.lastGroup
 }
 
 // noteLostLocked records the lowest LSN dropped to a degradation.
@@ -216,26 +159,21 @@ func (w *WAL) noteLostLocked(lsn uint64) {
 // in canonical (increasing-index) order and already holds both
 // journal-shard locks; both WAL locks are taken here in the same order
 // so allocation and enqueueing are atomic with respect to each shard's
-// other appends. In group-commit mode the caller must then WaitDurable
-// the returned LSN on BOTH shards before releasing the journal locks —
-// that synchronous commit is what guarantees no later record in either
-// shard exists until the cross record is durable everywhere (see
-// DESIGN.md §15). In synchronous mode both copies are durable on
-// return.
+// other appends. The caller must then WaitDurable the returned LSN on
+// BOTH shards before releasing the journal locks — that synchronous
+// commit is what guarantees no later record in either shard exists
+// until the cross record is durable everywhere (see DESIGN.md §15).
 func appendCross(lo, hi *WAL, rec Record) (uint64, error) {
 	if lo == hi {
 		return lo.Append(rec)
 	}
 	lo.mu.Lock()
 	hi.mu.Lock()
-	if lo.err != nil {
-		err := lo.err
-		hi.mu.Unlock()
-		lo.mu.Unlock()
-		return 0, err
+	err := lo.appendableLocked()
+	if err == nil {
+		err = hi.appendableLocked()
 	}
-	if hi.err != nil {
-		err := hi.err
+	if err != nil {
 		hi.mu.Unlock()
 		lo.mu.Unlock()
 		return 0, err
@@ -245,54 +183,16 @@ func appendCross(lo, hi *WAL, rec Record) (uint64, error) {
 	lo.lastLSN = rec.LSN
 	hi.lastLSN = rec.LSN
 
-	if lo.gc != nil || hi.gc != nil {
-		// Group mode: enqueue in both shards; the trace (if any) is
-		// attributed once, on the lower shard.
-		lo.enqueueLocked(lo.gc, rec)
-		hiRec := rec
-		hiRec.Mut.Trace = 0
-		hi.enqueueLocked(hi.gc, hiRec)
-		loFull := lo.gc.queued >= lo.gc.maxBatch || lo.gc.queued >= lo.gc.lastGroup
-		hiFull := hi.gc.queued >= hi.gc.maxBatch || hi.gc.queued >= hi.gc.lastGroup
-		hi.mu.Unlock()
-		lo.mu.Unlock()
-		lo.gc.wake(loFull)
-		hi.gc.wake(hiFull)
-		return rec.LSN, nil
-	}
-
-	// Synchronous mode: commit inline on both shards, lower first.
-	var firstErr error
-	var emit [2]func()
-	for i, w := range [2]*WAL{lo, hi} {
-		if err := w.writeSyncLocked(rec); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		nb, synced := w.lastFrameLen, w.lastSynced
-		onAppend, onSync := w.onAppend, w.onSync
-		w.maybeRotateLocked()
-		emit[i] = func() {
-			if onAppend != nil {
-				onAppend(1, nb)
-			}
-			if synced && onSync != nil {
-				onSync()
-			}
-		}
-	}
+	// Enqueue in both shards; the trace (if any) is attributed once, on
+	// the lower shard.
+	loFull := lo.enqueueLocked(lo.gc, rec)
+	hiRec := rec
+	hiRec.Mut.Trace = 0
+	hiFull := hi.enqueueLocked(hi.gc, hiRec)
 	hi.mu.Unlock()
 	lo.mu.Unlock()
-	for _, fn := range emit {
-		if fn != nil {
-			fn()
-		}
-	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
+	lo.gc.wake(loFull)
+	hi.gc.wake(hiFull)
 	return rec.LSN, nil
 }
 
@@ -301,10 +201,9 @@ func appendCross(lo, hi *WAL, rec Record) (uint64, error) {
 // LSN cursor to lastLSN+1. The frames carry the primary's LSNs, so the
 // follower's log is byte-for-byte a prefix-preserving copy of the
 // primary's history and promotion continues the same sequence. Only
-// valid in synchronous mode (a replica never runs the group-commit
-// pipeline; its groups were formed on the primary). The batch syncs
-// per the sync policy, counting one pending record per replicated
-// record.
+// valid on a follower (a replica never runs the group-commit pipeline;
+// its groups were formed on the primary). The batch syncs per the sync
+// policy, counting one pending record per replicated record.
 func (w *WAL) AppendFrames(frames []byte, lastLSN uint64, records int) error {
 	w.mu.Lock()
 	if w.gc != nil {
@@ -353,18 +252,6 @@ func (w *WAL) AppendFrames(frames []byte, lastLSN uint64, records int) error {
 	return nil
 }
 
-// DurableLSN reports the highest LSN known durable per the sync policy:
-// the group-commit horizon, or (synchronous mode) the last appended
-// record, which was committed inline.
-func (w *WAL) DurableLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.gc != nil {
-		return w.gc.durable
-	}
-	return w.lastLSN
-}
-
 // pendingFloor reports the lowest LSN this shard has accepted but not
 // yet made durable — queued, in-flight, or lost to a degradation — or
 // 0 when everything accepted is durable. The store's global durable
@@ -383,8 +270,8 @@ func (w *WAL) pendingFloor() uint64 {
 	return floor
 }
 
-// Sync forces outstanding records to stable storage. In group-commit
-// mode it first waits for the pipeline to drain.
+// Sync forces outstanding records to stable storage, first waiting for
+// the commit pipeline (if running) to drain.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	if w.gc != nil {
@@ -423,22 +310,8 @@ func (w *WAL) syncPendingLocked() (synced bool, err error) {
 	return true, nil
 }
 
-// NextLSN reports the LSN the next append (to any shard sharing this
-// WAL's allocator) will receive.
-func (w *WAL) NextLSN() uint64 {
-	return w.alloc.Load() + 1
-}
-
-// LastLSN reports the last LSN appended to this shard's log.
-func (w *WAL) LastLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastLSN
-}
-
-// Size reports the active segment's length in bytes. In group-commit
-// mode it counts committed groups only; Barrier first for an exact
-// figure.
+// Size reports the active segment's length in bytes. It counts
+// committed groups only; Barrier first for an exact figure.
 func (w *WAL) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -487,12 +360,12 @@ func (w *WAL) Close() error {
 
 // maybeRotateLocked seals the active segment and opens the next one
 // once the active segment reached the rotation limit. Called with mu
-// held at a point where no write is in flight (synchronous appends
-// hold mu across the write; in group mode only the committer writes,
-// and it rotates between groups). Rotation is rare — once per
-// segment-size bytes — so the file operations run under mu.
+// held at a point where no write is in flight (AppendFrames holds mu
+// across its write; otherwise only the committer writes, and it
+// rotates between groups). Rotation is rare — once per segment-size
+// bytes — so the file operations run under mu.
 func (w *WAL) maybeRotateLocked() {
-	if w.rot == nil || w.err != nil || w.size < w.rot.limit {
+	if w.err != nil || w.size < w.rot.limit {
 		return
 	}
 	w.rotateLocked()
@@ -543,9 +416,6 @@ func (w *WAL) rotateLocked() {
 func (w *WAL) resetForCompact() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.rot == nil {
-		return nil
-	}
 	if w.err != nil || w.size > 0 {
 		hadErr := w.err
 		w.err = nil // allow the rotate; restored on failure below

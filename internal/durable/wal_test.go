@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"identitybox/internal/vfs"
@@ -141,28 +143,44 @@ func TestOversizedLengthPrefixRejected(t *testing.T) {
 	}
 }
 
+// newTestWAL wraps f as a one-file shard WAL with its own LSN
+// allocator and a rotation limit no test reaches. It is a follower's
+// log until the test calls StartGroupCommit.
+func newTestWAL(f File) *WAL {
+	return newShardWAL(f, new(atomic.Uint64), 1, &rotator{limit: math.MaxInt64})
+}
+
 func TestWALAppendAssignsLSNsAndSyncs(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
+	path := filepath.Join(dir, "wal")
 	f, err := defaultOpenAppend(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWAL(f, 1, 0, 1)
-	var syncs int
-	w.onSync = func() { syncs++ }
+	w := newTestWAL(f)
+	mk := Record{Type: uint8(vfs.MutMkdir),
+		Mut: vfs.Mutation{Op: vfs.MutMkdir, Path: "/d", Mode: 0o755, Owner: "o"}}
+	if _, err := w.Append(mk); !errors.Is(err, errNoCommitter) {
+		t.Fatalf("append with no committer = %v, want errNoCommitter", err)
+	}
+	var syncs atomic.Int64
+	w.onSync = func() { syncs.Add(1) }
+	w.StartGroupCommit(GroupConfig{})
 	for i := 0; i < 5; i++ {
-		lsn, err := w.Append(Record{Type: uint8(vfs.MutMkdir),
-			Mut: vfs.Mutation{Op: vfs.MutMkdir, Path: "/d", Mode: 0o755, Owner: "o"}})
+		lsn, err := w.Append(mk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if lsn != uint64(i+1) {
 			t.Fatalf("lsn = %d, want %d", lsn, i+1)
 		}
+		// Waiting out each record makes it a group of its own.
+		if err := w.WaitDurable(lsn); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if syncs != 5 {
-		t.Fatalf("syncs = %d, want 5 (policy: every record)", syncs)
+	if got := syncs.Load(); got != 5 {
+		t.Fatalf("syncs = %d, want 5 (policy: every group)", got)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -197,16 +215,26 @@ func (f *failingFile) Sync() error  { return nil }
 func (f *failingFile) Close() error { return nil }
 
 func TestWALStickyError(t *testing.T) {
-	w := NewWAL(&failingFile{failAfter: 2}, 1, 0, 1)
+	w := newTestWAL(&failingFile{failAfter: 2})
+	w.StartGroupCommit(GroupConfig{})
+	defer w.Close()
 	mk := Record{Type: uint8(vfs.MutMkdir), Mut: vfs.Mutation{Op: vfs.MutMkdir, Path: "/d"}}
-	if _, err := w.Append(mk); err != nil {
+	// One group per record, so the third record is the third write.
+	commit := func() error {
+		lsn, err := w.Append(mk)
+		if err != nil {
+			return err
+		}
+		return w.WaitDurable(lsn)
+	}
+	if err := commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(mk); err != nil {
+	if err := commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(mk); err == nil {
-		t.Fatal("append past the failure succeeded")
+	if err := commit(); err == nil {
+		t.Fatal("commit past the failure succeeded")
 	}
 	if w.Err() == nil {
 		t.Fatal("sticky error not reported")

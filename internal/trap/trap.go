@@ -74,15 +74,15 @@ type Channel struct {
 	buf []byte
 }
 
-// DefaultChannelSize is the channel buffer size: comfortably bigger than
+// DefaultChannelBytes is the channel buffer size: comfortably bigger than
 // the largest single transfer in the evaluation (8 kB reads/writes).
-const DefaultChannelSize = 1 << 20
+const DefaultChannelBytes = 1 << 20
 
 // NewChannel allocates an I/O channel of the given size (0 means
-// DefaultChannelSize).
+// DefaultChannelBytes).
 func NewChannel(size int) *Channel {
 	if size <= 0 {
-		size = DefaultChannelSize
+		size = DefaultChannelBytes
 	}
 	return &Channel{buf: make([]byte, size)}
 }

@@ -80,7 +80,7 @@ func TestPokePeekBytesChargeAndCopy(t *testing.T) {
 
 func TestChannelDefaults(t *testing.T) {
 	c := NewChannel(0)
-	if c.Size() != DefaultChannelSize {
+	if c.Size() != DefaultChannelBytes {
 		t.Fatalf("default size = %d", c.Size())
 	}
 	c2 := NewChannel(4096)
