@@ -54,9 +54,9 @@ func coherenceFixture(t *testing.T, proto int) (srv *Server, k *kernel.Kernel, a
 	return srv, k, admin, bob
 }
 
-// readChecks runs the three read-side checks the issue names — stat
-// (checkFile), open (checkFile through the open path) and getacl
-// (checkDir + the memoised text) — against dir/f as cl, and fails
+// readChecks runs the three read-side checks — stat and open (the ACL
+// of the file's directory) and getacl (the directory's own ACL, plus
+// the memoised text) — against dir/f as cl, and fails
 // unless every one is allowed, or every one refused with EPERM.
 func readChecks(t *testing.T, cl *Client, dir string, allowed bool, wantACL string) {
 	t.Helper()

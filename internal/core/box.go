@@ -169,6 +169,7 @@ type Box struct {
 }
 
 type procState struct {
+	src     boxSource // the process's view for policy checks
 	fds     map[int]*boxFD
 	nextFD  int
 	pending *pendingWrite
@@ -377,7 +378,7 @@ func (b *Box) state(p *kernel.Proc) *procState {
 	defer b.procMu.Unlock()
 	st, ok := b.procs[p]
 	if !ok {
-		st = &procState{fds: make(map[int]*boxFD), nextFD: 3}
+		st = &procState{src: boxSource{b, p}, fds: make(map[int]*boxFD), nextFD: 3}
 		b.procs[p] = st
 	}
 	return st

@@ -140,6 +140,35 @@ func TestNobodyFallbackSemantics(t *testing.T) {
 		}
 		return 0
 	})
+
+	// What nobody owns answers to its owner bits, whichever system call
+	// asks. (The supervisor here is root, so the host's own check on the
+	// supervising account never decides.)
+	k.FS().Mkdir("/var", 0o755, kernel.RootAccount)
+	k.FS().Mkdir("/var/nobody", 0o700, "nobody")
+	k.FS().WriteFile("/var/nobody/f", []byte("x"), 0o600, "nobody")
+	rb, err := New(k, kernel.RootAccount, "Freddy", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb.Run(func(p *kernel.Proc, _ []string) int {
+		if _, err := p.ReadFile("/var/nobody/f"); err != nil {
+			t.Errorf("read nobody's 0600 file = %v", err)
+		}
+		if _, err := p.ReadDir("/var/nobody"); err != nil {
+			t.Errorf("list nobody's 0700 dir = %v", err)
+		}
+		if err := p.Chdir("/var/nobody"); err != nil {
+			t.Errorf("chdir into nobody's 0700 dir = %v", err)
+		}
+		if err := p.Mkdir("/var/nobody/sub", 0o755); err != nil {
+			t.Errorf("mkdir in nobody's 0700 dir = %v", err)
+		}
+		if err := p.Unlink("/var/nobody/f"); err != nil {
+			t.Errorf("unlink nobody's 0600 file = %v", err)
+		}
+		return 0
+	})
 }
 
 func TestACLOverridesUnixInsideBox(t *testing.T) {
@@ -324,6 +353,22 @@ func TestACLFileNeedsAdminToEdit(t *testing.T) {
 		if err := p.SetACL("/d", "Freddy rwlax\n"); !errors.Is(err, vfs.ErrPermission) {
 			t.Errorf("setacl without a = %v, want denied", err)
 		}
+		// The route does not matter: truncation, a symlink to the file
+		// (Freddy may make one; it leads nowhere new) and a rename onto
+		// it all need a as well.
+		if err := p.Truncate("/d/"+acl.FileName, 0); !errors.Is(err, vfs.ErrPermission) {
+			t.Errorf("truncate ACL file = %v, want denied", err)
+		}
+		if err := p.Symlink(acl.FileName, "/d/alias"); err != nil {
+			t.Errorf("symlink in /d = %v", err)
+		}
+		if _, err := p.Open("/d/alias", kernel.OWronly, 0); !errors.Is(err, vfs.ErrPermission) {
+			t.Errorf("open ACL file for write through a symlink = %v, want denied", err)
+		}
+		p.WriteFile("/d/other", []byte("Freddy rwlax\n"), 0o644)
+		if err := p.Rename("/d/other", "/d/"+acl.FileName); !errors.Is(err, vfs.ErrPermission) {
+			t.Errorf("rename onto ACL file = %v, want denied", err)
+		}
 		// Reading it is fine (l right).
 		if _, err := p.GetACL("/d"); err != nil {
 			t.Errorf("getacl with l = %v", err)
@@ -338,6 +383,8 @@ func TestACLFileNeedsAdminToEdit(t *testing.T) {
 
 func TestHardLinkToInaccessibleFileRefused(t *testing.T) {
 	k := newWorld(t)
+	k.FS().MkdirAll("/d", 0o755, "dthain")
+	k.FS().WriteFile("/d/"+acl.FileName, []byte("Freddy rwlx\n"), 0o644, "dthain")
 	b := newBox(t, k, "Freddy", Options{})
 	b.Run(func(p *kernel.Proc, _ []string) int {
 		// No ACL can be checked through a hard link, so the box refuses
@@ -345,6 +392,14 @@ func TestHardLinkToInaccessibleFileRefused(t *testing.T) {
 		err := p.Link("/home/dthain/secret", vfs.Join(b.Home(), "stolen"))
 		if !errors.Is(err, vfs.ErrPermission) {
 			t.Errorf("hard link to secret = %v, want denied", err)
+		}
+		// Nor one to an ACL file Freddy may read but not edit: through
+		// the new name, plain w would rewrite it.
+		if err := p.Link("/d/"+acl.FileName, "/d/y"); !errors.Is(err, vfs.ErrPermission) {
+			t.Errorf("hard link to ACL file with rwlx = %v, want denied", err)
+		}
+		if err := p.Link("/d/"+acl.FileName, vfs.Join(b.Home(), "y")); !errors.Is(err, vfs.ErrPermission) {
+			t.Errorf("hard link to ACL file into home = %v, want denied", err)
 		}
 		// Links to accessible files are fine.
 		p.WriteFile("mine", []byte("x"), 0o644)

@@ -5,6 +5,7 @@ import (
 	"identitybox/internal/kernel"
 	"identitybox/internal/obs"
 	"identitybox/internal/parrot"
+	"identitybox/internal/policy"
 	"identitybox/internal/trap"
 	"identitybox/internal/vfs"
 )
@@ -14,82 +15,6 @@ import (
 // delegation to a driver and nullified, rewritten to move bulk data
 // through the I/O channel, or (for process-local calls like getpid)
 // allowed through natively.
-
-// checkDirAccess authorizes an operation governed by the ACL of dirPath
-// itself (listing it, reading or editing its ACL), as opposed to
-// checkAccess which consults the ACL of the containing directory.
-func (b *Box) checkDirAccess(p *kernel.Proc, dirPath string, class access) error {
-	if b.opts.DisablePolicy {
-		return nil
-	}
-	b.noteACLCheck(p, dirPath)
-	final := b.resolveFinal(p, dirPath)
-	a, err := b.loadACL(p, final)
-	if err != nil {
-		return err
-	}
-	if a != nil {
-		if a.Allows(b.ident, class.right()) {
-			return nil
-		}
-		return &vfs.PathError{Op: "box", Path: dirPath, Err: vfs.ErrPermission}
-	}
-	d, rel, err := b.driverFor(final)
-	if err != nil {
-		return err
-	}
-	st, err := d.Stat(p, rel)
-	if err != nil {
-		return err
-	}
-	if st.Mode&7&class.unixBit() == class.unixBit() {
-		return nil
-	}
-	return &vfs.PathError{Op: "box", Path: dirPath, Err: vfs.ErrPermission}
-}
-
-// checkNoFollow is checkAccess without symlink resolution, for calls
-// that operate on the link itself (readlink, rename, unlink).
-func (b *Box) checkNoFollow(p *kernel.Proc, path string, class access) error {
-	if b.opts.DisablePolicy {
-		return nil
-	}
-	b.noteACLCheck(p, path)
-	clean := vfs.Clean(path)
-	if vfs.Base(clean) == acl.FileName && class != accessList && class != accessRead {
-		class = accessAdmin
-	}
-	dir := vfs.Dir(clean)
-	a, err := b.loadACL(p, dir)
-	if err != nil {
-		return err
-	}
-	if a != nil {
-		if a.Allows(b.ident, class.right()) {
-			return nil
-		}
-		return &vfs.PathError{Op: "box", Path: path, Err: vfs.ErrPermission}
-	}
-	d, rel, err := b.driverFor(clean)
-	if err != nil {
-		return err
-	}
-	st, serr := d.Lstat(p, rel)
-	if serr != nil {
-		dd, drel, derr := b.driverFor(dir)
-		if derr != nil {
-			return derr
-		}
-		st, serr = dd.Stat(p, drel)
-		if serr != nil {
-			return serr
-		}
-	}
-	if st.Mode&7&class.unixBit() == class.unixBit() {
-		return nil
-	}
-	return &vfs.PathError{Op: "box", Path: path, Err: vfs.ErrPermission}
-}
 
 // SyscallEntry implements kernel.Tracer. The wrapper records the
 // observation state for this call — entry clock reading, Figure 5(a)
@@ -211,7 +136,7 @@ func (b *Box) syscallEntry(p *kernel.Proc, f *kernel.Frame, st *procState) kerne
 		return b.entryMkdir(p, f)
 
 	case kernel.SysRmdir:
-		return b.entryPathOp(p, f, accessWrite, false, func(d driverOp) error {
+		return b.entryPathOp(p, f, acl.Write, policy.NoFollow, func(d driverOp) error {
 			// A directory holding only its ACL file counts as empty:
 			// the ACL is removed with the directory, as Chirp does.
 			if ents, lerr := d.d.ReadDir(p, d.rel); lerr == nil &&
@@ -230,7 +155,7 @@ func (b *Box) syscallEntry(p *kernel.Proc, f *kernel.Frame, st *procState) kerne
 		return b.entryLink(p, f)
 
 	case kernel.SysSymlink:
-		return b.entryPathOp(p, f, accessWrite, false, func(d driverOp) error {
+		return b.entryPathOp(p, f, acl.Write, policy.NoFollow, func(d driverOp) error {
 			return d.d.Symlink(p, f.Path2, d.rel)
 		})
 
@@ -241,12 +166,12 @@ func (b *Box) syscallEntry(p *kernel.Proc, f *kernel.Frame, st *procState) kerne
 		return b.entryRename(p, f)
 
 	case kernel.SysChmod:
-		return b.entryPathOp(p, f, accessWrite, true, func(d driverOp) error {
+		return b.entryPathOp(p, f, acl.Write, policy.Follow, func(d driverOp) error {
 			return d.d.Chmod(p, d.rel, f.Mode)
 		})
 
 	case kernel.SysTruncate:
-		return b.entryPathOp(p, f, accessWrite, true, func(d driverOp) error {
+		return b.entryPathOp(p, f, acl.Write, policy.Follow, func(d driverOp) error {
 			return d.d.Truncate(p, d.rel, f.Off)
 		})
 
@@ -263,11 +188,11 @@ func (b *Box) syscallEntry(p *kernel.Proc, f *kernel.Frame, st *procState) kerne
 		// The visitor needs both the read and execute rights on the
 		// program (and the kernel will re-check the supervisor's own
 		// Unix x bit natively).
-		if err := b.checkAccess(p, f.Path, accessRead); err != nil {
+		if err := b.check(p, f.Path, acl.Read, policy.Follow); err != nil {
 			f.SetError(err)
 			return kernel.ActionNullify
 		}
-		if err := b.checkAccess(p, f.Path, accessExec); err != nil {
+		if err := b.check(p, f.Path, acl.Execute, policy.Follow); err != nil {
 			f.SetError(err)
 			return kernel.ActionNullify
 		}
@@ -331,15 +256,9 @@ type kernelDriver = interface {
 
 // entryPathOp factors the common pattern: rewrite, authorize, resolve
 // the driver, run the operation, nullify.
-func (b *Box) entryPathOp(p *kernel.Proc, f *kernel.Frame, class access, follow bool, op func(driverOp) error) kernel.EntryAction {
+func (b *Box) entryPathOp(p *kernel.Proc, f *kernel.Frame, want acl.Rights, how policy.How, op func(driverOp) error) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	var err error
-	if follow {
-		err = b.checkAccess(p, path, class)
-	} else {
-		err = b.checkNoFollow(p, path, class)
-	}
-	if err != nil {
+	if err := b.check(p, path, want, how); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
@@ -358,7 +277,7 @@ func (b *Box) entryPathOp(p *kernel.Proc, f *kernel.Frame, class access, follow 
 
 func (b *Box) entryChdir(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	if err := b.checkDirAccess(p, path, accessList); err != nil {
+	if err := b.check(p, path, acl.List, policy.Dir); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
@@ -383,7 +302,7 @@ func (b *Box) entryChdir(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 
 func (b *Box) entryStat(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	if err := b.checkAccess(p, path, accessList); err != nil {
+	if err := b.check(p, path, acl.List, policy.Follow); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
@@ -410,24 +329,24 @@ func (b *Box) entryStat(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 
 func (b *Box) entryAccess(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	classes := []access{}
-	if f.Flags&kernel.AccessR != 0 {
-		classes = append(classes, accessRead)
+	// One check per class asked for, read then write then execute; a
+	// bare existence probe (F_OK) takes List.
+	var err error
+	if f.Flags&(kernel.AccessR|kernel.AccessW|kernel.AccessX) == 0 {
+		err = b.check(p, path, acl.List, policy.Follow)
 	}
-	if f.Flags&kernel.AccessW != 0 {
-		classes = append(classes, accessWrite)
+	if err == nil && f.Flags&kernel.AccessR != 0 {
+		err = b.check(p, path, acl.Read, policy.Follow)
 	}
-	if f.Flags&kernel.AccessX != 0 {
-		classes = append(classes, accessExec)
+	if err == nil && f.Flags&kernel.AccessW != 0 {
+		err = b.check(p, path, acl.Write, policy.Follow)
 	}
-	if len(classes) == 0 {
-		classes = append(classes, accessList)
+	if err == nil && f.Flags&kernel.AccessX != 0 {
+		err = b.check(p, path, acl.Execute, policy.Follow)
 	}
-	for _, c := range classes {
-		if err := b.checkAccess(p, path, c); err != nil {
-			f.SetError(err)
-			return kernel.ActionNullify
-		}
+	if err != nil {
+		f.SetError(err)
+		return kernel.ActionNullify
 	}
 	// Verify existence through the driver.
 	d, rel, err := b.driverFor(path)
@@ -445,23 +364,23 @@ func (b *Box) entryAccess(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 
 func (b *Box) entryOpen(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	var classes []access
-	switch f.Flags & 3 {
-	case kernel.ORdonly:
-		classes = []access{accessRead}
-	case kernel.OWronly:
-		classes = []access{accessWrite}
-	case kernel.ORdwr:
-		classes = []access{accessRead, accessWrite}
+	// Read, then write, then the directory write a create implies — each
+	// its own evaluation, charged as such, even when O_CREAT repeats the
+	// write an O_WRONLY open already passed.
+	var err error
+	acc := f.Flags & 3
+	if acc == kernel.ORdonly || acc == kernel.ORdwr {
+		err = b.check(p, path, acl.Read, policy.Follow)
 	}
-	if f.Flags&kernel.OCreat != 0 {
-		classes = append(classes, accessWrite)
+	if err == nil && (acc == kernel.OWronly || acc == kernel.ORdwr) {
+		err = b.check(p, path, acl.Write, policy.Follow)
 	}
-	for _, c := range classes {
-		if err := b.checkAccess(p, path, c); err != nil {
-			f.SetError(err)
-			return kernel.ActionNullify
-		}
+	if err == nil && f.Flags&kernel.OCreat != 0 {
+		err = b.check(p, path, acl.Write, policy.Follow)
+	}
+	if err != nil {
+		f.SetError(err)
+		return kernel.ActionNullify
 	}
 	d, rel, err := b.driverFor(path)
 	if err != nil {
@@ -691,7 +610,7 @@ func (b *Box) entryMkdir(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 
 func (b *Box) entryUnlink(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	if err := b.checkNoFollow(p, path, accessWrite); err != nil {
+	if err := b.check(p, path, acl.Write, policy.NoFollow); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
@@ -712,12 +631,13 @@ func (b *Box) entryLink(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 	oldPath := b.rewritePath(f.Path)
 	newPath := b.rewritePath(f.Path2)
 	// No ACL can be checked through a hard link after creation, so the
-	// box refuses links to files the visitor cannot read now.
-	if err := b.checkAccess(p, oldPath, accessRead); err != nil {
+	// box refuses links to files the visitor cannot read now — and to
+	// ACL files the visitor may not edit (policy.LinkOld).
+	if err := b.check(p, oldPath, acl.Read, policy.LinkOld); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
-	if err := b.checkAccess(p, newPath, accessWrite); err != nil {
+	if err := b.check(p, newPath, acl.Write, policy.NoFollow); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
@@ -745,7 +665,7 @@ func (b *Box) entryLink(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 
 func (b *Box) entryReadlink(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	if err := b.checkNoFollow(p, path, accessList); err != nil {
+	if err := b.check(p, path, acl.List, policy.NoFollow); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
@@ -768,11 +688,11 @@ func (b *Box) entryReadlink(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction 
 func (b *Box) entryRename(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 	oldPath := b.rewritePath(f.Path)
 	newPath := b.rewritePath(f.Path2)
-	if err := b.checkNoFollow(p, oldPath, accessWrite); err != nil {
+	if err := b.check(p, oldPath, acl.Write, policy.NoFollow); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
-	if err := b.checkNoFollow(p, newPath, accessWrite); err != nil {
+	if err := b.check(p, newPath, acl.Write, policy.NoFollow); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
@@ -800,7 +720,7 @@ func (b *Box) entryRename(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 
 func (b *Box) entryGetdents(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	if err := b.checkDirAccess(p, path, accessList); err != nil {
+	if err := b.check(p, path, acl.List, policy.Dir); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
@@ -822,7 +742,7 @@ func (b *Box) entryGetdents(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction 
 
 func (b *Box) entryGetACL(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	if err := b.checkDirAccess(p, path, accessList); err != nil {
+	if err := b.check(p, path, acl.List, policy.Dir); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
@@ -844,7 +764,7 @@ func (b *Box) entryGetACL(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 
 func (b *Box) entrySetACL(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	if err := b.checkDirAccess(p, path, accessAdmin); err != nil {
+	if err := b.check(p, path, acl.Admin, policy.Dir); err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
