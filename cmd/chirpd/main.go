@@ -6,7 +6,7 @@
 //
 //	chirpd [-addr host:port] [-owner name] [-root-acl "pattern rights;..."]
 //	       [-catalog addr] [-name label] [-state dir] [-metrics host:port]
-//	       [-compact-every d] [-fsync n] [-wal-shards n]
+//	       [-compact-every d] [-fsync 0|1] [-wal-shards n]
 //	       [-replicate] [-replica-of addr] [-lease-ttl d]
 //	       [-req-timeout d] [-drain d] [-admit-queue n]
 //	       [-trace-spans n] [-trace-log file] [-trace-slow d] [-v]
@@ -92,7 +92,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"identitybox/internal/acl"
@@ -116,7 +115,7 @@ func main() {
 	name := flag.String("name", "", "advertised server name")
 	state := flag.String("state", "", "durable state directory (WAL + snapshots); empty: volatile volume")
 	compactEvery := flag.Duration("compact-every", time.Minute, "snapshot compaction interval with -state (0: compact only at shutdown)")
-	fsyncEvery := flag.Int("fsync", 1, "fsync the WAL every N records with -state (1: every record; 0: never, the OS decides)")
+	fsyncEvery := flag.Int("fsync", 1, "WAL fsync policy with -state, 0 or 1 (1: fsync every commit group; 0: never, the OS decides)")
 	walShards := flag.Int("wal-shards", 8, "commit-pipeline shards, one committer per top-level subtree hash bucket with -state (1: the single-shard pipeline)")
 	replicate := flag.Bool("replicate", false, "publish the WAL to followers and contend for the write lease (needs -state)")
 	replicaOf := flag.String("replica-of", "", "start as a follower streaming from this primary (implies -replicate)")
@@ -158,6 +157,9 @@ func main() {
 	if *leaseTTL <= 0 {
 		*leaseTTL = 3 * time.Second
 	}
+	if *fsyncEvery != 0 && *fsyncEvery != 1 {
+		log.Fatalf("chirpd: -fsync takes 0 or 1, not %d", *fsyncEvery)
+	}
 
 	// The publisher exists before the store so the group-commit pipeline
 	// can ship into it from its first group; Bind below closes the loop.
@@ -169,8 +171,8 @@ func main() {
 	var store *durable.Store
 	if *state != "" {
 		syncN := *fsyncEvery
-		if syncN <= 0 {
-			syncN = -1
+		if syncN == 0 {
+			syncN = -1 // never
 		}
 		dopts := durable.Options{
 			Owner:       *owner,
@@ -226,10 +228,8 @@ func main() {
 
 	// The replication node runs this server's role: lease renewal as a
 	// primary, stream-apply and election as a follower. It is created
-	// before the server (whose options point at it) but can only reseed
-	// the server's dedupe table once the server exists, hence srvSlot.
+	// before the server, whose options point at it.
 	var node *replica.Node
-	var srvSlot atomic.Pointer[chirp.Server]
 	if *replicate {
 		dial := func(target string, fromLSN uint64) (replica.Stream, error) {
 			if s := firstStream; s != nil {
@@ -259,12 +259,6 @@ func main() {
 			Publisher:   pub,
 			PrimaryAddr: *replicaOf,
 			Dial:        dial,
-			OnPromote: func(epoch uint64) {
-				if s := srvSlot.Load(); s != nil {
-					s.ReseedDedupe(store.DedupeEntries())
-				}
-				log.Printf("chirpd: *** PROMOTED: now the primary for %q at epoch %d (applied lsn %d) ***", *name, epoch, store.AppliedLSN())
-			},
 			OnFenced: func(epoch uint64, holder string) {
 				log.Printf("chirpd: *** FENCED at epoch %d: lease held by %s; refusing writes (restart with -replica-of %s to rejoin) ***", epoch, holder, holder)
 			},
@@ -304,8 +298,8 @@ func main() {
 		opts.TraceLog = slowLog
 	}
 	if store != nil {
+		// The store is the dedupe table: retries replay what it recovered.
 		opts.DedupeJournal = store
-		opts.DedupeSeed = store.DedupeEntries()
 		// Mutating replies wait for their commit group: an acknowledged
 		// op is on disk before the client hears "ok".
 		opts.Durability = store
@@ -335,7 +329,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srvSlot.Store(srv)
 	if err := srv.Listen(*addr); err != nil {
 		log.Fatal(err)
 	}

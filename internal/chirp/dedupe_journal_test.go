@@ -36,6 +36,13 @@ func (j *memJournal) AppendDedupe(key string, reply []string) error {
 	return nil
 }
 
+func (j *memJournal) LookupDedupe(key string) ([]string, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	reply, ok := j.entries[key]
+	return reply, ok
+}
+
 func (j *memJournal) snapshot() map[string][]string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -174,7 +181,8 @@ func TestDedupeJournalFailureDoesNotBlockReply(t *testing.T) {
 }
 
 // callOrder is a fake Durability and DedupeJournal that records the
-// order the server calls them in.
+// order the server calls them in; lookups always miss and are not
+// recorded.
 type callOrder struct {
 	mu    sync.Mutex
 	calls []string
@@ -187,8 +195,9 @@ func (o *callOrder) record(call string) error {
 	return nil
 }
 
-func (o *callOrder) Barrier() error                      { return o.record("barrier") }
-func (o *callOrder) AppendDedupe(string, []string) error { return o.record("dedupe") }
+func (o *callOrder) Barrier() error                       { return o.record("barrier") }
+func (o *callOrder) AppendDedupe(string, []string) error  { return o.record("dedupe") }
+func (o *callOrder) LookupDedupe(string) ([]string, bool) { return nil, false }
 func (o *callOrder) take() (calls []string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 	"identitybox/internal/core"
 	"identitybox/internal/faultnet"
 	"identitybox/internal/kernel"
+	"identitybox/internal/obs"
 	"identitybox/internal/vclock"
 	"identitybox/internal/vfs"
 )
@@ -429,22 +430,23 @@ func TestRetryCloseAfterFault(t *testing.T) {
 }
 
 func TestRetryDedupeTableBounded(t *testing.T) {
-	tbl := newDedupeTable(4, 0)
+	m := newSrvMetrics(obs.NewRegistry())
+	tbl := newDedupeTable(4, 0, m)
 	for i := 0; i < 6; i++ {
-		tbl.store(dedupeKey("u", string(rune('a'+i))), []string{"ok", "1"})
+		tbl.AppendDedupe(dedupeKey("u", string(rune('a'+i))), []string{"ok", "1"})
 	}
-	if _, size := tbl.stats(); size != 4 {
+	if size := m.dedupeEntries.Value(); size != 4 {
 		t.Fatalf("table size = %d, want cap 4", size)
 	}
 	// The two oldest were evicted; the newest survive.
-	if _, hit := tbl.lookup(dedupeKey("u", "a")); hit {
+	if _, hit := tbl.LookupDedupe(dedupeKey("u", "a")); hit {
 		t.Fatal("oldest entry should have been evicted")
 	}
-	if _, hit := tbl.lookup(dedupeKey("u", "f")); !hit {
+	if _, hit := tbl.LookupDedupe(dedupeKey("u", "f")); !hit {
 		t.Fatal("newest entry should be present")
 	}
 	// Keys are principal-scoped: another principal's token misses.
-	if _, hit := tbl.lookup(dedupeKey("v", "f")); hit {
+	if _, hit := tbl.LookupDedupe(dedupeKey("v", "f")); hit {
 		t.Fatal("token must not cross principals")
 	}
 }

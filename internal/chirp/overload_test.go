@@ -651,34 +651,36 @@ func TestSlowLorisSeveredNotServed(t *testing.T) {
 func TestDedupeTableByteBound(t *testing.T) {
 	fat := []string{"ok", strings.Repeat("x", 100)}
 	perEntry := entrySize(dedupeKey("u", "t0"), fat)
-	tbl := newDedupeTable(100, 2*perEntry)
+	m := newSrvMetrics(obs.NewRegistry())
+	tbl := newDedupeTable(100, 2*perEntry, m)
 	for i := 0; i < 4; i++ {
-		tbl.store(dedupeKey("u", fmt.Sprintf("t%d", i)), fat)
+		tbl.AppendDedupe(dedupeKey("u", fmt.Sprintf("t%d", i)), fat)
 	}
-	if _, size := tbl.stats(); size != 2 {
+	if size := m.dedupeEntries.Value(); size != 2 {
 		t.Fatalf("entries = %d, want 2 (byte bound, not entry cap, governs)", size)
 	}
-	if _, hit := tbl.lookup(dedupeKey("u", "t0")); hit {
+	if _, hit := tbl.LookupDedupe(dedupeKey("u", "t0")); hit {
 		t.Fatal("oldest entry survived byte-bound eviction")
 	}
-	if _, hit := tbl.lookup(dedupeKey("u", "t3")); !hit {
+	if _, hit := tbl.LookupDedupe(dedupeKey("u", "t3")); !hit {
 		t.Fatal("newest entry missing")
 	}
-	bytes, evictions := tbl.byteStats()
-	if bytes > 2*perEntry || bytes <= 0 {
+	if bytes := m.dedupeBytes.Value(); bytes > 2*perEntry || bytes <= 0 {
 		t.Fatalf("footprint = %d bytes, want (0, %d]", bytes, 2*perEntry)
 	}
-	if evictions != 2 {
+	if evictions := m.dedupeEvicts.Value(); evictions != 2 {
 		t.Fatalf("evictions = %d, want 2", evictions)
 	}
 
 	// A single entry larger than the whole budget is still stored:
 	// dropping it would re-execute a retried mutation.
-	tiny := newDedupeTable(100, 8)
-	if n := tiny.store(dedupeKey("u", "big"), fat); n != 0 {
+	mt := newSrvMetrics(obs.NewRegistry())
+	tiny := newDedupeTable(100, 8, mt)
+	tiny.AppendDedupe(dedupeKey("u", "big"), fat)
+	if n := mt.dedupeEvicts.Value(); n != 0 {
 		t.Fatalf("evicted %d from an empty table", n)
 	}
-	if _, hit := tiny.lookup(dedupeKey("u", "big")); !hit {
+	if _, hit := tiny.LookupDedupe(dedupeKey("u", "big")); !hit {
 		t.Fatal("oversized entry must survive until the next store")
 	}
 }
@@ -688,8 +690,7 @@ func TestDedupeTableByteBound(t *testing.T) {
 func TestDedupeByteMetricsExposed(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, _ := testServerWithRegistry(t, reg)
-	srv.dedupe.store(dedupeKey("u", "t"), []string{"ok", "1"})
-	srv.syncDedupeMetrics()
+	srv.dedupe.AppendDedupe(dedupeKey("u", "t"), []string{"ok", "1"})
 	text := reg.Text()
 	if !strings.Contains(text, MetricDedupeBytes) {
 		t.Fatalf("exposition missing %s:\n%s", MetricDedupeBytes, text)

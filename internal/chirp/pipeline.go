@@ -117,7 +117,7 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 	var dk string
 	if req.token != "" {
 		dk = dedupeKey(sess.ident.String(), req.token)
-		if stored, hit := s.dedupe.lookup(dk); hit && len(stored) > 0 {
+		if stored, hit := s.dedupe.LookupDedupe(dk); hit && len(stored) > 0 {
 			s.metrics.dedupeHits.Inc()
 			if sess.log.on() {
 				sess.log.printf("tag=%d %s: %s (token %s) replayed from dedupe", req.tag, sess.ident, req.cmd, req.token)
@@ -175,22 +175,16 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 }
 
 // recordReply is a tokened request's pre-wire bookkeeping: its reply,
-// as the line's raw tokens, goes into the dedupe table and journal. The
-// journal write happens before the reply reaches the wire — once the
-// client can see the answer, it is durable, so a retry after a server
-// crash replays instead of re-executing.
+// as the line's raw tokens, goes into the dedupe table. The append
+// happens before the reply reaches the wire — once the client can see
+// the answer, a journaled table has it durable, so a retry after a
+// server crash replays instead of re-executing.
 func (sess *session) recordReply(line []byte, dedupeKey string) {
 	fields, _ := tokenize(string(line), false) // a handler's own line: well formed
-	if evicted := sess.s.dedupe.store(dedupeKey, fields); evicted > 0 {
-		sess.s.metrics.dedupeEvicts.Add(int64(evicted))
+	if err := sess.s.dedupe.AppendDedupe(dedupeKey, fields); err != nil {
+		sess.s.metrics.dedupeJErrs.Inc()
+		sess.log.printf("dedupe journal append failed: %v", err)
 	}
-	if j := sess.s.opts.DedupeJournal; j != nil {
-		if err := j.AppendDedupe(dedupeKey, fields); err != nil {
-			sess.s.metrics.dedupeJErrs.Inc()
-			sess.log.printf("dedupe journal append failed: %v", err)
-		}
-	}
-	sess.s.syncDedupeMetrics()
 }
 
 // reply writes one reply in the session's framing — a tagged frame on

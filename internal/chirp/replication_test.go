@@ -136,7 +136,6 @@ func startReplMember(t *testing.T, name, catalogAddr, replicaOf string) *replMem
 	})
 
 	m.addr = freePort(t)
-	var srvSlot atomic.Pointer[Server]
 	dial := func(target string, fromLSN uint64) (replica.Stream, error) {
 		if s := firstStream; s != nil {
 			firstStream = nil
@@ -162,12 +161,7 @@ func startReplMember(t *testing.T, name, catalogAddr, replicaOf string) *replMem
 		Publisher:   m.pub,
 		PrimaryAddr: replicaOf,
 		Dial:        dial,
-		OnPromote: func(epoch uint64) {
-			if s := srvSlot.Load(); s != nil {
-				s.ReseedDedupe(store.DedupeEntries())
-			}
-		},
-		Metrics: m.reg,
+		Metrics:     m.reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,13 +185,11 @@ func startReplMember(t *testing.T, name, catalogAddr, replicaOf string) *replMem
 		Role:           node,
 		Durability:     node,
 		DedupeJournal:  node,
-		DedupeSeed:     store.DedupeEntries(),
 		Metrics:        m.reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvSlot.Store(srv)
 	m.srv = srv
 	if err := srv.Listen(m.addr); err != nil {
 		t.Fatal(err)

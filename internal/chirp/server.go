@@ -70,15 +70,18 @@ type ServerOptions struct {
 	// echoes the "deadline" capability to v2 clients that request it.
 	// Nil keeps admission off and the hot path unchanged.
 	Admission *admission.Controller
-	// DedupeJournal, when set, receives every tokened reply as it is
-	// recorded, so the dedupe table survives a server restart and a
-	// retried mutation stays exactly-once across the crash. Journal
-	// failures degrade durability, never availability: the reply is
-	// still sent and the error only counted and logged.
+	// DedupeJournal, when set, is the server's one dedupe table: it
+	// answers every tokened retry and records every tokened reply, so a
+	// retried mutation stays exactly-once across a restart (and, when
+	// it replicates, across a promotion). Journal failures degrade
+	// durability, never availability: the reply is still sent and the
+	// error only counted and logged. Nil keeps a bounded in-memory table
+	// (1 024 entries / 8 MiB) that dies with the process.
 	DedupeJournal DedupeJournal
-	// DedupeSeed pre-populates the dedupe table, normally with the
-	// entries a durable store recovered. Keys are principal+token as
-	// produced by the journal; values are the stored reply fields.
+	// DedupeSeed pre-populates the in-memory table of a server with no
+	// DedupeJournal; it is ignored when a journal is configured, since
+	// the journal is the table. Keys are principal+token as produced by
+	// a journal; values are the stored reply fields.
 	DedupeSeed map[string][]string
 	// Durability, when set, is barriered before the reply to any
 	// mutating command reaches the wire: with a group-commit store this
@@ -157,10 +160,14 @@ type RoleSource interface {
 	PrimaryAddr() string
 }
 
-// DedupeJournal persists tokened replies across restarts. The durable
-// store implements it; the server stays ignorant of how entries reach
-// stable storage.
+// DedupeJournal is the table that decides whether a tokened request
+// was already answered: LookupDedupe returns the reply recorded under a
+// principal+token key, AppendDedupe records one before it reaches the
+// wire. The durable store implements it (journaled, recovered at Open,
+// applied on followers from the replicated log); the server stays
+// ignorant of how entries reach stable storage.
 type DedupeJournal interface {
+	LookupDedupe(key string) ([]string, bool)
 	AppendDedupe(key string, reply []string) error
 }
 
@@ -244,9 +251,9 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 	reg.Help(MetricTxBytes, "Bytes sent on client connections.")
 	reg.Help(MetricConns, "Connections currently tracked.")
 	reg.Help(MetricDedupeHits, "Tokened retries answered from the dedupe table.")
-	reg.Help(MetricDedupeEntries, "Replies currently held in the dedupe table.")
-	reg.Help(MetricDedupeBytes, "Approximate bytes held by the dedupe table.")
-	reg.Help(MetricDedupeEvictions, "Dedupe entries evicted by the entry or byte bound.")
+	reg.Help(MetricDedupeEntries, "Replies held in the in-memory dedupe table (0 when a DedupeJournal is the table).")
+	reg.Help(MetricDedupeBytes, "Approximate bytes held by the in-memory dedupe table (0 when a DedupeJournal is the table).")
+	reg.Help(MetricDedupeEvictions, "In-memory dedupe entries evicted by the entry or byte bound.")
 	reg.Help(MetricDedupeJournalErrs, "Tokened replies that failed to persist to the dedupe journal.")
 	reg.Help(MetricDraining, "1 while the server is draining for shutdown.")
 	reg.Help(MetricBarrierErrs, "Commit barriers that failed before a mutating reply (durability degraded).")
@@ -344,7 +351,7 @@ type Server struct {
 
 	log      logger
 	metrics  *srvMetrics
-	dedupe   *dedupeTable
+	dedupe   DedupeJournal         // opts.DedupeJournal, or a volatile server's dedupeTable
 	parseACL func(data []byte) any // bound once, so aclFor makes no per-call closure
 	src      source                // the server as internal/policy reads it
 
@@ -363,10 +370,6 @@ func NewServer(k *kernel.Kernel, opts ServerOptions) (*Server, error) {
 	}
 	s := &Server{k: k, fs: k.FS(), opts: opts, conns: make(map[net.Conn]*connState), stop: make(chan struct{})}
 	s.log = logger{sink: opts.Logf}
-	s.dedupe = newDedupeTable(dedupeTableEntries, dedupeTableBytes)
-	for key, reply := range opts.DedupeSeed {
-		s.dedupe.store(key, reply)
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -374,8 +377,13 @@ func NewServer(k *kernel.Kernel, opts ServerOptions) (*Server, error) {
 	s.metrics = newSrvMetrics(reg)
 	s.parseACL = s.parseACLVersion
 	s.src = source{s.fs, s}
-	if _, size := s.dedupe.stats(); size > 0 {
-		s.syncDedupeMetrics()
+	s.dedupe = opts.DedupeJournal
+	if s.dedupe == nil {
+		tbl := newDedupeTable(dedupeTableEntries, dedupeTableBytes, s.metrics)
+		for key, reply := range opts.DedupeSeed {
+			tbl.AppendDedupe(key, reply)
+		}
+		s.dedupe = tbl
 	}
 	if opts.RootACL != nil && !s.fs.Exists("/"+acl.FileName) {
 		if err := s.fs.WriteFile("/"+acl.FileName, []byte(opts.RootACL.String()), 0o644, opts.Owner); err != nil {
@@ -578,30 +586,6 @@ func (s *Server) SendHeartbeat() error {
 	}
 	_, err = fmt.Fprintln(conn, line)
 	return err
-}
-
-// ReseedDedupe folds entries — the dedupe journal a durable store
-// recovered — into the live dedupe table. A promoted follower calls it
-// so tokened retries the old primary already answered replay here
-// instead of re-executing: the journal replicated with the WAL, so the
-// table converges on exactly the replies the old primary acknowledged.
-func (s *Server) ReseedDedupe(entries map[string][]string) {
-	for key, reply := range entries {
-		s.dedupe.store(key, reply)
-	}
-	if _, size := s.dedupe.stats(); size > 0 {
-		s.syncDedupeMetrics()
-	}
-}
-
-// syncDedupeMetrics mirrors the dedupe table's size gauges. The
-// eviction counter is advanced at each store by its return value, not
-// here, so it stays monotonic under concurrent sessions.
-func (s *Server) syncDedupeMetrics() {
-	_, size := s.dedupe.stats()
-	bytes, _ := s.dedupe.byteStats()
-	s.metrics.dedupeEntries.Set(int64(size))
-	s.metrics.dedupeBytes.Set(bytes)
 }
 
 // countingConn wraps a client connection so every wire byte — including

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"sync"
+
+	"identitybox/internal/obs"
 )
 
 // AuditSink receives every audit record the box produces, as it is
@@ -25,62 +27,28 @@ type AuditSnapshotter interface {
 	Snapshot() []AuditRecord
 }
 
-// AuditRing is a fixed-capacity in-memory audit sink. Unlike the old
-// slice-shift buffer it is a true ring: eviction is O(1) and the
-// backing array never grows or retains evicted records.
-type AuditRing struct {
-	mu      sync.Mutex
-	buf     []AuditRecord
-	next    int // slot for the next record
-	full    bool
-	dropped int64
-}
+// AuditRing is a fixed-capacity in-memory audit sink: eviction is O(1)
+// and the backing array never grows or retains evicted records. It is
+// an obs.Ring itself rather than a wrapper around one, because every
+// exec builds a box and so a ring: one allocation fewer per exec.
+type AuditRing obs.Ring[AuditRecord]
 
 // NewAuditRing creates a ring holding up to capacity records
 // (minimum 1).
 func NewAuditRing(capacity int) *AuditRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &AuditRing{buf: make([]AuditRecord, capacity)}
+	return (*AuditRing)(obs.NewRing[AuditRecord](capacity))
 }
+
+func (r *AuditRing) ring() *obs.Ring[AuditRecord] { return (*obs.Ring[AuditRecord])(r) }
 
 // Record implements AuditSink.
-func (r *AuditRing) Record(rec AuditRecord) {
-	r.mu.Lock()
-	if r.full {
-		r.dropped++
-	}
-	r.buf[r.next] = rec
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
+func (r *AuditRing) Record(rec AuditRecord) { r.ring().Push(rec) }
 
 // Snapshot returns the retained records, oldest first.
-func (r *AuditRing) Snapshot() []AuditRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		out := make([]AuditRecord, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]AuditRecord, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
+func (r *AuditRing) Snapshot() []AuditRecord { return r.ring().Snapshot() }
 
 // Dropped reports how many records have been evicted to make room.
-func (r *AuditRing) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
+func (r *AuditRing) Dropped() int64 { return r.ring().Dropped() }
 
 // ErrSinkClosed reports a record that arrived after Close: the line was
 // dropped, not written.

@@ -90,7 +90,6 @@ const (
 	MetricSyscalls      = "box_syscalls_total"
 	MetricACLChecks     = "box_acl_checks_total"
 	MetricDenials       = "box_denials_total"
-	MetricAuditDropped  = "box_audit_evicted_total"
 	MetricLatencyFamily = "box_syscall_latency_us"
 )
 

@@ -53,7 +53,6 @@ func startDurableServerOpts(t *testing.T, dir string, opts durable.Options) (*ch
 		RootACL:       rootACL,
 		Verifiers:     map[auth.Method]auth.Verifier{auth.MethodUnix: &auth.UnixVerifier{}},
 		DedupeJournal: store,
-		DedupeSeed:    store.DedupeEntries(),
 		Durability:    store,
 	})
 	if err != nil {

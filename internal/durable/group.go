@@ -107,10 +107,9 @@ type groupState struct {
 
 // StartGroupCommit spawns the committer goroutine, after which the WAL
 // accepts Append. Call it once, before the WAL is shared between
-// goroutines. The sync policy applies at group granularity:
-// SyncEveryN==1 fsyncs every group (appends are durable when
-// WaitDurable returns), k>1 every k records, 0 never (WaitDurable then
-// only confirms the write was issued).
+// goroutines. The sync policy applies at group granularity: a WAL that
+// syncs each group makes appends durable when WaitDurable returns; one
+// that never syncs only confirms the write was issued.
 func (w *WAL) StartGroupCommit(cfg GroupConfig) {
 	if w.gc != nil {
 		panic("durable: StartGroupCommit called twice")
@@ -251,10 +250,9 @@ func (w *WAL) commitGroup(g *groupState) bool {
 
 	w.mu.Lock()
 	w.size += int64(n)
-	needSync := false
+	needSync := err == nil && w.syncEach
 	if err == nil {
-		w.pending += count
-		needSync = w.syncEveryN > 0 && w.pending >= w.syncEveryN
+		w.dirty = true
 	}
 	if needSync {
 		w.mu.Unlock()
@@ -283,7 +281,7 @@ func (w *WAL) commitGroup(g *groupState) bool {
 		g.advanceLocked()
 	} else {
 		if needSync {
-			w.pending = 0
+			w.dirty = false
 			synced = true
 		}
 		if g.durable < last {

@@ -60,9 +60,10 @@ type Options struct {
 	// Owner owns the root of a freshly initialized file system (when the
 	// state directory holds no snapshot and no log).
 	Owner string
-	// SyncEveryN is the fsync cadence: 1 (the default) syncs after every
-	// commit group, k>1 every k records, and a negative value never
-	// syncs.
+	// SyncEveryN is the fsync policy: 1 (the default, also meant by 0)
+	// syncs after every commit group, and a negative value never syncs.
+	// Open rejects values above 1: syncing every k records would let a
+	// barrier acknowledge records that are not on disk.
 	SyncEveryN int
 	// Shards is the number of commit-pipeline shards: journal shard
 	// locks, WAL segment chains and committer goroutines. Mutations in
@@ -279,8 +280,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.Owner == "" {
 		opts.Owner = "chirp"
 	}
-	if opts.SyncEveryN == 0 {
-		opts.SyncEveryN = 1
+	if opts.SyncEveryN > 1 {
+		return nil, fmt.Errorf("durable: SyncEveryN %d unsupported (1: fsync every commit group; negative: never)", opts.SyncEveryN)
 	}
 	if opts.Shards < 1 {
 		opts.Shards = 1
@@ -340,10 +341,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		nextLSN = s.snapLSN + 1
 	}
 	s.alloc.Store(nextLSN - 1)
-	syncN := opts.SyncEveryN
-	if syncN < 0 {
-		syncN = 0
-	}
+	syncEach := opts.SyncEveryN >= 0
 	onAppend := func(recs, n int) {
 		s.metrics.records.Add(int64(recs))
 		s.metrics.bytes.Add(int64(n))
@@ -365,7 +363,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("durable: opening wal segment: %w", err)
 		}
-		w := newShardWAL(f, &s.alloc, syncN, rot)
+		w := newShardWAL(f, &s.alloc, syncEach, rot)
 		w.onAppend = onAppend
 		w.onSync = onSync
 		s.wals[j] = w
@@ -589,15 +587,15 @@ func (s *Store) RecordMutation(m vfs.Mutation) {
 	}
 }
 
-// AppendDedupe persists one tokened reply so a retry after a restart is
-// answered from the table instead of re-executed. Key is the server's
-// opaque principal+token key. It returns only once the entry is durable
-// per the sync policy: the caller sends the reply on the wire after
-// this, so a crash can never have acknowledged what the log lost. The
-// append itself happens under s.mu — which is what keeps it ordered
-// against compaction's log reset — but the durability wait happens
-// outside, so concurrent mutators are not serialized behind this
-// entry's group fsync.
+// AppendDedupe persists one tokened reply so a retry — even after a
+// restart — is answered by LookupDedupe instead of re-executed. Key is
+// the server's opaque principal+token key. It returns only once the
+// entry is durable per the sync policy: the caller sends the reply on
+// the wire after this, so a crash can never have acknowledged what the
+// log lost. The append itself happens under s.mu — which is what keeps
+// it ordered against compaction's log reset — but the durability wait
+// happens outside, so concurrent mutators are not serialized behind
+// this entry's group fsync.
 func (s *Store) AppendDedupe(key string, reply []string) error {
 	w := s.wals[vfs.ShardOfKey(key, s.shards)]
 	s.mu.Lock()
@@ -611,8 +609,20 @@ func (s *Store) AppendDedupe(key string, reply []string) error {
 	return w.WaitDurable(lsn)
 }
 
+// LookupDedupe returns the reply recorded for key, so the store itself
+// answers tokened retries: its table is current on every path that
+// fills it — AppendDedupe, recovery replay, snapshot load and, on a
+// follower, ApplyReplicated. The returned slice is shared and must not
+// be modified.
+func (s *Store) LookupDedupe(key string) ([]string, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	reply, ok := s.dedupe[key]
+	return reply, ok
+}
+
 // DedupeEntries returns a copy of the recovered (and since appended)
-// dedupe table, for seeding a server's in-memory table.
+// dedupe table.
 func (s *Store) DedupeEntries() map[string][]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

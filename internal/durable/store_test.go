@@ -310,6 +310,28 @@ func TestDedupePersistence(t *testing.T) {
 	if len(got) != 2 || got["unix:bob\x00tok-2"][0] != "err" {
 		t.Fatalf("dedupe table after compaction = %v", got)
 	}
+	if reply, ok := s3.LookupDedupe("unix:alice\x00tok-1"); !ok || reply[1] != "42" {
+		t.Fatalf("LookupDedupe after compaction = %v, %v", reply, ok)
+	}
+	if _, ok := s3.LookupDedupe("unix:bob\x00tok-1"); ok {
+		t.Fatal("LookupDedupe answered a key never recorded")
+	}
+}
+
+// TestOpenRejectsSyncEveryNAboveOne: syncing every k > 1 records would
+// let a barrier acknowledge records that are not on disk, so Open
+// refuses it by value; 0 (the default), 1 and "never" still open.
+func TestOpenRejectsSyncEveryNAboveOne(t *testing.T) {
+	_, err := Open(t.TempDir(), Options{SyncEveryN: 4})
+	if err == nil || !strings.Contains(err.Error(), "SyncEveryN 4") {
+		t.Fatalf("Open with SyncEveryN 4 = %v, want an error naming the value", err)
+	}
+	for _, n := range []int{0, 1, -1} {
+		s := openStore(t, t.TempDir(), Options{SyncEveryN: n})
+		if err := s.Close(); err != nil {
+			t.Fatalf("SyncEveryN %d: close: %v", n, err)
+		}
+	}
 }
 
 // TestMetricsWiring: the store's counters move when it journals,

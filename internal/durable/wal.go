@@ -52,12 +52,13 @@ type WAL struct {
 	alloc   *atomic.Uint64
 	lastLSN uint64 // last LSN appended to THIS shard's log
 	size    int64  // active segment length in bytes
-	pending int    // records written since the last sync
-	// syncEveryN: 1 syncs after every commit group (the only setting
-	// with no loss window), k>1 syncs every k records, 0 never syncs
-	// (the OS decides when bytes reach the platter).
-	syncEveryN int
-	err        error
+	// syncEach fsyncs after every commit group — the only setting with
+	// no loss window; false never syncs a group (the OS decides when
+	// bytes reach the platter). dirty marks bytes written since the last
+	// fsync, which Close and rotation still sync.
+	syncEach bool
+	dirty    bool
+	err      error
 	// lost is the lowest LSN this shard accepted but then dropped to a
 	// degradation (failed write, dropped queue); 0 when none. It pins
 	// the store's global durable horizon below the hole until
@@ -90,8 +91,8 @@ type rotator struct {
 // newShardWAL wraps the active segment file of one store shard,
 // drawing LSNs from the store's shared allocator and rotating through
 // rot's segment chain.
-func newShardWAL(f File, alloc *atomic.Uint64, syncEveryN int, rot *rotator) *WAL {
-	return &WAL{f: f, alloc: alloc, lastLSN: alloc.Load(), syncEveryN: syncEveryN, rot: rot}
+func newShardWAL(f File, alloc *atomic.Uint64, syncEach bool, rot *rotator) *WAL {
+	return &WAL{f: f, alloc: alloc, lastLSN: alloc.Load(), syncEach: syncEach, rot: rot}
 }
 
 // ErrWALClosed is reported by appends after Close.
@@ -203,7 +204,7 @@ func appendCross(lo, hi *WAL, rec Record) (uint64, error) {
 // primary's history and promotion continues the same sequence. Only
 // valid on a follower (a replica never runs the group-commit pipeline;
 // its groups were formed on the primary). The batch syncs per the sync
-// policy, counting one pending record per replicated record.
+// policy.
 func (w *WAL) AppendFrames(frames []byte, lastLSN uint64, records int) error {
 	w.mu.Lock()
 	if w.gc != nil {
@@ -228,18 +229,17 @@ func (w *WAL) AppendFrames(frames []byte, lastLSN uint64, records int) error {
 	}
 	w.alloc.Store(lastLSN)
 	w.lastLSN = lastLSN
-	w.pending += records
-	synced := false
-	if w.syncEveryN > 0 && w.pending >= w.syncEveryN {
+	w.dirty = true
+	if w.syncEach {
 		if err := w.f.Sync(); err != nil {
 			w.err = err
 			w.noteLostLocked(lastLSN - uint64(records) + 1)
 			w.mu.Unlock()
 			return err
 		}
-		w.pending = 0
-		synced = true
+		w.dirty = false
 	}
+	synced := w.syncEach
 	onAppend, onSync := w.onAppend, w.onSync
 	w.maybeRotateLocked()
 	w.mu.Unlock()
@@ -270,43 +270,18 @@ func (w *WAL) pendingFloor() uint64 {
 	return floor
 }
 
-// Sync forces outstanding records to stable storage, first waiting for
-// the commit pipeline (if running) to drain.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	if w.gc != nil {
-		target := w.lastLSN
-		w.mu.Unlock()
-		if err := w.WaitDurable(target); err != nil {
-			return err
-		}
-		w.mu.Lock()
-	}
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	synced, err := w.syncPendingLocked()
-	onSync := w.onSync
-	w.mu.Unlock()
-	if synced && onSync != nil {
-		onSync()
-	}
-	return err
-}
-
-// syncPendingLocked fsyncs if records are pending. The caller holds mu
-// and emits the onSync hook after unlocking when synced is true.
-func (w *WAL) syncPendingLocked() (synced bool, err error) {
-	if w.pending == 0 {
+// syncDirtyLocked fsyncs if bytes were written since the last sync. The
+// caller holds mu and emits the onSync hook after unlocking when synced
+// is true.
+func (w *WAL) syncDirtyLocked() (synced bool, err error) {
+	if !w.dirty {
 		return false, nil
 	}
 	if err := w.f.Sync(); err != nil {
 		w.err = err
 		return false, err
 	}
-	w.pending = 0
+	w.dirty = false
 	return true, nil
 }
 
@@ -345,7 +320,7 @@ func (w *WAL) Close() error {
 		w.mu.Unlock()
 		return err
 	}
-	synced, err := w.syncPendingLocked()
+	synced, err := w.syncDirtyLocked()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
@@ -378,12 +353,8 @@ func (w *WAL) maybeRotateLocked() {
 // (sticky error) rather than continuing into an uncertain chain.
 func (w *WAL) rotateLocked() {
 	rot := w.rot
-	if w.pending > 0 {
-		if err := w.f.Sync(); err != nil {
-			w.err = err
-			return
-		}
-		w.pending = 0
+	if _, err := w.syncDirtyLocked(); err != nil {
+		return
 	}
 	next := rot.seq + 1
 	path := filepath.Join(rot.dir, segmentFileName(rot.shards, rot.shard, next))

@@ -147,7 +147,7 @@ func TestOversizedLengthPrefixRejected(t *testing.T) {
 // allocator and a rotation limit no test reaches. It is a follower's
 // log until the test calls StartGroupCommit.
 func newTestWAL(f File) *WAL {
-	return newShardWAL(f, new(atomic.Uint64), 1, &rotator{limit: math.MaxInt64})
+	return newShardWAL(f, new(atomic.Uint64), true, &rotator{limit: math.MaxInt64})
 }
 
 func TestWALAppendAssignsLSNsAndSyncs(t *testing.T) {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -52,12 +51,8 @@ func (s *Span) Phase(name string, off, dur time.Duration) *Span {
 // evicted first. A nil *SpanRing is a valid no-op recorder, so call
 // sites need no guards — the disabled path is one nil check.
 type SpanRing struct {
-	mu      sync.Mutex
-	buf     []Span
-	next    int
-	full    bool
-	dropped int64
-	ids     atomic.Uint64 // span-ID allocator
+	spans *Ring[Span]
+	ids   atomic.Uint64 // span-ID allocator
 }
 
 // NewSpanRing creates a ring holding up to capacity completed spans
@@ -66,7 +61,7 @@ func NewSpanRing(capacity int) *SpanRing {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &SpanRing{buf: make([]Span, capacity)}
+	return &SpanRing{spans: NewRing[Span](capacity)}
 }
 
 // NextSpanID allocates a process-unique span ID. Nil-safe: a nil ring
@@ -88,17 +83,7 @@ func (r *SpanRing) Record(s Span) {
 		return
 	}
 	s.TraceS = FormatTraceID(s.Trace)
-	r.mu.Lock()
-	if r.full {
-		r.dropped++
-	}
-	r.buf[r.next] = s
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
+	r.spans.Push(s)
 }
 
 // Spans returns the retained spans, oldest first. Nil-safe (empty).
@@ -106,17 +91,7 @@ func (r *SpanRing) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		out := make([]Span, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return r.spans.Snapshot()
 }
 
 // Trace returns the retained spans carrying the given trace ID, oldest
@@ -139,12 +114,7 @@ func (r *SpanRing) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
+	return r.spans.Len()
 }
 
 // Dropped reports how many spans were evicted to make room. Nil-safe.
@@ -152,9 +122,7 @@ func (r *SpanRing) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
+	return r.spans.Dropped()
 }
 
 // --- trace IDs ----------------------------------------------------------

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -59,7 +58,7 @@ func (ph Phase) String() string {
 
 // Event is one phase occurrence during one trapped system call.
 type Event struct {
-	Seq   uint64  // emission order, monotone per Trace
+	Seq   uint64  // emission order, monotone per Trace (numbered by Events)
 	At    float64 // process virtual clock at emission, in ticks (µs)
 	PID   int
 	Sys   string // syscall name ("" for events emitted outside a frame)
@@ -85,11 +84,7 @@ func (e Event) String() string {
 // per-phase totals are kept forever. All methods are safe on a nil
 // *Trace, so instrumented code needs no enabled-checks.
 type Trace struct {
-	mu     sync.Mutex
-	seq    uint64
-	ring   []Event
-	next   int
-	full   bool
+	events *Ring[Event]
 	counts [phaseCount]atomic.Int64
 }
 
@@ -103,7 +98,7 @@ func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Trace{ring: make([]Event, capacity)}
+	return &Trace{events: NewRing[Event](capacity)}
 }
 
 // Emit records one event. Emit on a nil Trace is a no-op.
@@ -114,33 +109,19 @@ func (t *Trace) Emit(e Event) {
 	if int(e.Phase) < int(phaseCount) {
 		t.counts[e.Phase].Add(1)
 	}
-	t.mu.Lock()
-	t.seq++
-	e.Seq = t.seq
-	t.ring[t.next] = e
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.full = true
-	}
-	t.mu.Unlock()
+	t.events.Push(e)
 }
 
-// Events returns the retained events, oldest first.
+// Events returns the retained events, oldest first, each numbered with
+// its emission sequence (1 for the first event ever emitted).
 func (t *Trace) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.full {
-		out := make([]Event, t.next)
-		copy(out, t.ring[:t.next])
-		return out
+	out, first := t.events.snapshot()
+	for i := range out {
+		out[i].Seq = first + uint64(i)
 	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
 	return out
 }
 
@@ -158,10 +139,5 @@ func (t *Trace) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.full {
-		return len(t.ring)
-	}
-	return t.next
+	return t.events.Len()
 }

@@ -39,14 +39,8 @@ type Config struct {
 	// applied LSN. Required for followers (chirp.DialReplica wrapped to
 	// this shape); nil on a solo primary.
 	Dial func(addr string, fromLSN uint64) (Stream, error)
-	// OnPromote, when set, runs after a successful promotion (the store
-	// already accepts writes under the new epoch): the server reseeds
-	// its dedupe table from the replicated journal here.
-	OnPromote func(epoch uint64)
 	// OnFenced, when set, runs when a lease denial fences this primary.
 	OnFenced func(epoch uint64, holder string)
-	// SyncTimeout bounds the semi-sync wait in Barrier/AppendDedupe
-	// (the publisher's own timeout; recorded here only for docs).
 	// Logf receives one line per role transition and stream fault.
 	Logf func(format string, args ...any)
 	// Metrics, when set, receives the node's gauges and counters.
@@ -191,6 +185,14 @@ func (n *Node) BarrierTraced() (wait, commit time.Duration, err error) {
 	}
 	err = n.cfg.Publisher.WaitShipped(n.cfg.Store.DurableLSN())
 	return time.Since(start), commit, err
+}
+
+// LookupDedupe implements the chirp server's DedupeJournal hook by
+// asking the store, whose table a follower keeps current as it applies
+// the replicated log: a retry reaching a follower, or the node once
+// promoted, replays what the primary recorded.
+func (n *Node) LookupDedupe(key string) ([]string, bool) {
+	return n.cfg.Store.LookupDedupe(key)
 }
 
 // AppendDedupe implements the chirp server's DedupeJournal hook: the
@@ -363,10 +365,9 @@ func (n *Node) streamFrom(addr string) {
 
 // standForElection claims the lease once. A grant promotes this node:
 // the store starts accepting writes under the new epoch (continuing
-// the primary's LSN sequence), the publisher stamps the new term, and
-// OnPromote lets the server reseed its dedupe table. A denial names
-// the winner, which becomes the new upstream. Reports whether this
-// node is now the primary.
+// the primary's LSN sequence) and the publisher stamps the new term.
+// A denial names the winner, which becomes the new upstream. Reports
+// whether this node is now the primary.
 func (n *Node) standForElection() bool {
 	if n.lease == nil {
 		return false
@@ -402,8 +403,5 @@ func (n *Node) standForElection() bool {
 	n.mu.Unlock()
 	n.promotions.Inc()
 	n.logf("replica: promoted to primary at epoch %d (applied lsn %d)", res.Epoch, n.cfg.Store.AppliedLSN())
-	if n.cfg.OnPromote != nil {
-		n.cfg.OnPromote(res.Epoch)
-	}
 	return true
 }

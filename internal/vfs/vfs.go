@@ -47,19 +47,6 @@ func (t FileType) String() string {
 	}
 }
 
-// Mode bits follow the Unix convention (owner/group/other rwx).
-const (
-	ModeOwnerRead  = 0o400
-	ModeOwnerWrite = 0o200
-	ModeOwnerExec  = 0o100
-	ModeGroupRead  = 0o040
-	ModeGroupWrite = 0o020
-	ModeGroupExec  = 0o010
-	ModeOtherRead  = 0o004
-	ModeOtherWrite = 0o002
-	ModeOtherExec  = 0o001
-)
-
 // Sentinel errors, in the spirit of errno.
 var (
 	ErrNotExist    = errors.New("no such file or directory")
