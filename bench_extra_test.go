@@ -210,7 +210,7 @@ func BenchmarkChirpWireThroughput(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			opts := chirp.ClientOptions{PipelineDepth: v.depth}
+			opts := chirp.ClientOptions{Window: v.depth}
 			if v.latency > 0 {
 				inj := faultnet.New(1, faultnet.Rule{
 					Op: faultnet.OpWrite, Action: faultnet.Latency, Delay: v.latency})

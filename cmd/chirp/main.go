@@ -41,8 +41,8 @@
 // hostname method is used.
 //
 // Fault tolerance: -timeout bounds each wire exchange, -retries caps
-// transparent retries of idempotent calls (0 disables the retry and
-// redial machinery entirely).
+// transparent retries of idempotent calls (0: none, so the first
+// transport failure surfaces).
 //
 // Protocol: v2 tagged multiplexing is negotiated by default. -window
 // and -max-inflight request smaller credit-window caps (the server's
@@ -70,7 +70,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9094", "server address")
 	user := flag.String("user", "", "unix user to authenticate as (empty: hostname method)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-call deadline on each wire exchange (0: none)")
-	retries := flag.Int("retries", 3, "max transparent retries for idempotent calls (0: disable retries)")
+	retries := flag.Int("retries", 3, "max transparent retries for idempotent calls (0: none)")
 	window := flag.Int("window", 0, "requested v2 credit window, tags in flight (0: the built-in default)")
 	maxInflight := flag.Int64("max-inflight", 0, "requested v2 in-flight byte budget (0: the built-in default)")
 	proto := flag.Int("proto", 0, "pin the protocol version (1: classic lock-step; 0: negotiate)")
@@ -92,7 +92,7 @@ func main() {
 		Window: *window, MaxInflightBytes: *maxInflight, Protocol: *proto,
 		DeadlineBudget: *deadlineBudget}
 	if *retries <= 0 {
-		opts.DisableRetries = true
+		opts.MaxRetries = -1 // the library reads 0 as its default
 	}
 	if args[0] == "trace" {
 		// Only the trace subcommand asks for the trace capability: the

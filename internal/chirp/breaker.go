@@ -38,7 +38,8 @@ func (s BreakerState) String() string {
 // probe through. A probe success closes it; a probe failure re-opens
 // it. It feeds the client's obs registry (state gauge, opens counter)
 // and is consulted by the catalog-failover driver to route reads away
-// from a dead primary.
+// from a dead primary — and, through Allow's cooloff, back to it once
+// it recovers.
 type Breaker struct {
 	mu        sync.Mutex
 	state     BreakerState
@@ -46,7 +47,6 @@ type Breaker struct {
 	threshold int
 	cooloff   time.Duration
 	openedAt  time.Time
-	now       func() time.Time
 
 	opens    *obs.Counter
 	stateGge *obs.Gauge
@@ -58,7 +58,6 @@ func newBreaker(threshold int, cooloff time.Duration, reg *obs.Registry) *Breake
 	return &Breaker{
 		threshold: threshold,
 		cooloff:   cooloff,
-		now:       time.Now,
 		opens:     reg.Counter(MetricClientBreakerOpens),
 		stateGge:  reg.Gauge(MetricClientBreakerState),
 	}
@@ -74,7 +73,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed, BreakerHalfOpen:
 		return true
 	default: // open
-		if b.now().Sub(b.openedAt) < b.cooloff {
+		if time.Since(b.openedAt) < b.cooloff {
 			return false
 		}
 		b.setLocked(BreakerHalfOpen)
@@ -101,7 +100,7 @@ func (b *Breaker) Fail() {
 	defer b.mu.Unlock()
 	b.failures++
 	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.failures >= b.threshold) {
-		b.openedAt = b.now()
+		b.openedAt = time.Now()
 		b.setLocked(BreakerOpen)
 	}
 }

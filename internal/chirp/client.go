@@ -80,7 +80,7 @@ func DialOpts(addr string, auths []auth.Authenticator, opts ClientOptions) (*Cli
 		opts:  opts,
 		brk:   newBreaker(opts.BreakerThreshold, opts.BreakerCooloff, opts.Metrics),
 		m:     newClientMetrics(opts.Metrics),
-		rng:   mrand.New(mrand.NewSource(opts.Seed)),
+		rng:   mrand.New(mrand.NewSource(1)),
 	}
 	cl.mu.Lock()
 	err := cl.connectLocked()
@@ -374,10 +374,7 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 	if cl.opts.DeadlineBudget > 0 && c.deadline.IsZero() {
 		c.deadline = time.Now().Add(cl.opts.DeadlineBudget)
 	}
-	attempts := 1
-	if !cl.opts.DisableRetries {
-		attempts += cl.opts.MaxRetries
-	}
+	attempts := 1 + cl.opts.MaxRetries
 	var lastErr error
 	// busyHint is the server's EBUSY retry-after hint, consumed as a
 	// floor on the next backoff sleep.
@@ -421,9 +418,6 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 			// Nothing was sent, so even mutating calls may retry a
 			// failed redial.
 			lastErr = err
-			if cl.opts.DisableRetries {
-				return nil, nil, retried, err
-			}
 			continue
 		}
 		mux := cl.mux
@@ -445,7 +439,7 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 			// every call may retry; the server's retry-after hint floors
 			// the next backoff.
 			cl.brk.Success()
-			if class == classRetrySafe && !cl.opts.DisableRetries {
+			if class == classRetrySafe {
 				cl.m.busy.Inc()
 				busyHint = RetryAfterFromError(aerr)
 				continue
@@ -471,8 +465,6 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 			// Close raced the call: its conn.Close is what killed the
 			// exchange, so report the closure rather than the fault.
 			return nil, nil, retried, ErrClientClosed
-		case cl.opts.DisableRetries:
-			return nil, nil, retried, aerr
 		case errors.Is(aerr, errSessionLost):
 			// The session died before this call reached the wire:
 			// nothing was sent, so even mutating calls may retry.
@@ -493,24 +485,13 @@ func newLine(cmd string) *lineBuf { return linePool.Get().(*lineBuf).start(cmd) 
 // exchanges count once per attempt, mirroring the server's dispatches).
 func (cl *Client) RequestCount() int64 { return cl.sent.Load() }
 
-// compositeRetryable reports whether a whole-file operation should be
-// restarted from scratch: mid-transfer transport faults (surfaced as
-// ErrRetryNotSafe on descriptor ops) and EBADF from a descriptor that
-// died with a redialed session both qualify.
-func (cl *Client) compositeRetryable(err error) bool {
-	if cl.opts.DisableRetries {
-		return false
-	}
-	return errors.Is(err, ErrRetryNotSafe) || errors.Is(err, kernel.ErrBadFD)
-}
-
 // composite restarts a multi-RPC operation (PutFile, GetFile) that is
 // idempotent as a whole even though its descriptor-level steps are not.
+// Mid-transfer transport faults (surfaced as ErrRetryNotSafe on
+// descriptor ops) and EBADF from a descriptor that died with a redialed
+// session both restart it from scratch.
 func (cl *Client) composite(op func() error) error {
-	attempts := 1
-	if !cl.opts.DisableRetries {
-		attempts += cl.opts.MaxRetries
-	}
+	attempts := 1 + cl.opts.MaxRetries
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
@@ -523,7 +504,7 @@ func (cl *Client) composite(op func() error) error {
 		if cl.closing.Load() {
 			return ErrClientClosed
 		}
-		if err = op(); err == nil || !cl.compositeRetryable(err) {
+		if err = op(); !errors.Is(err, ErrRetryNotSafe) && !errors.Is(err, kernel.ErrBadFD) {
 			return err
 		}
 	}
@@ -902,8 +883,8 @@ const transferChunk = 65536
 // PutFile stages a whole file onto the server in one call sequence.
 // The transfer is idempotent as a whole (O_TRUNC restarts it), so a
 // connection dying mid-transfer restarts the sequence on a fresh
-// session rather than surfacing the descriptor fault. With
-// PipelineDepth > 1 the chunk writes are pipelined.
+// session rather than surfacing the descriptor fault. The chunk writes
+// keep up to the session's window in flight.
 func (cl *Client) PutFile(path string, data []byte, mode uint32) error {
 	return cl.composite(func() error {
 		fd, err := cl.Open(path, kernel.OWronly|kernel.OCreat|kernel.OTrunc, mode)
@@ -919,8 +900,8 @@ func (cl *Client) PutFile(path string, data []byte, mode uint32) error {
 }
 
 // GetFile fetches a whole remote file, restarting the read sequence if
-// the connection dies mid-transfer. With PipelineDepth > 1 the chunk
-// reads are pipelined.
+// the connection dies mid-transfer. The chunk reads keep up to the
+// session's window in flight.
 func (cl *Client) GetFile(path string) ([]byte, error) {
 	var out []byte
 	err := cl.composite(func() error {
@@ -965,16 +946,20 @@ func (cl *Client) GetFile(path string) ([]byte, error) {
 
 // --- chunked transfers ---------------------------------------------------
 
-// eachChunk calls fn for chunk indexes [0, n), keeping up to
-// ClientOptions.PipelineDepth calls in flight — each an independent call
-// on the session engine, whose credit window does all the flow control
-// (a v1 session's window of 1 serializes them again). It stops issuing
-// chunks at the first error and reports the earliest failed chunk's.
+// eachChunk calls fn for chunk indexes [0, n), keeping min(window, n)
+// calls in flight, where window is the current session's negotiated
+// credit window — each an independent call on the session engine, whose
+// credit window does all the flow control. A v1 session (window 1) and
+// a one-chunk transfer run the serial loop and spawn no goroutine. It
+// stops issuing chunks at the first error and reports the earliest
+// failed chunk's.
 func (cl *Client) eachChunk(n int, fn func(i int) error) error {
-	depth := cl.opts.PipelineDepth
-	if depth > n {
-		depth = n
+	depth := 1
+	cl.mu.Lock()
+	if cl.mux != nil {
+		depth = min(cl.mux.window, n)
 	}
+	cl.mu.Unlock()
 	if depth <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {

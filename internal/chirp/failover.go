@@ -3,19 +3,12 @@ package chirp
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"identitybox/internal/kernel"
-	"identitybox/internal/obs"
 	"identitybox/internal/parrot"
 	"identitybox/internal/vfs"
 )
-
-// MetricFailoverReprobes counts background re-probes of breaker-tripped
-// replicas (see FailoverDriver.StartReprobe).
-const MetricFailoverReprobes = "chirp_failover_reprobe_total"
 
 // FailoverDriver serves one catalog name from a replica set: catalog
 // entries sharing a name are taken as replicas of the same export.
@@ -24,9 +17,14 @@ const MetricFailoverReprobes = "chirp_failover_reprobe_total"
 // transport level (remote error replies are final — a replica would
 // just repeat them). Writes go to whichever member currently holds the
 // write lease: the primary index moves when a server answers
-// ENOTPRIMARY naming its successor, or when the catalog watch sees the
-// lease change hands. Writes still never fan out — a mutation lands on
-// exactly one member or degrades with the typed ErrDegraded.
+// ENOTPRIMARY naming its successor, or when a write finds the primary's
+// breaker open and a healthy member reports the primary role. Writes
+// still never fan out — a mutation lands on exactly one member or
+// degrades with the typed ErrDegraded.
+//
+// Routing is lazy: every decision is taken on the calling goroutine,
+// and the driver starts none. A tripped member rejoins reads through
+// its own breaker's cooloff, which readmits it as a half-open probe.
 type FailoverDriver struct {
 	drivers []*Driver    // catalog-preferred order; index 0 is the initial primary
 	note    func(string) // optional failover-event sink (core audit)
@@ -35,148 +33,31 @@ type FailoverDriver struct {
 	// lease. Reads start their preference scan here too, so a promoted
 	// follower also becomes the freshest read target.
 	primaryIdx atomic.Int32
-
-	catalogAddr string
-	name        string // replica-set name in the catalog ("" disables the watch)
-
-	reprobes *obs.Counter
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
 }
 
-// FailoverOptions configure a FailoverDriver beyond its member list.
-type FailoverOptions struct {
-	// Note, when non-nil, receives one line per failover decision
-	// (wired to the box's audit trail by MountAll).
-	Note func(string)
-	// Name is the replica-set name in the catalog; with CatalogAddr it
-	// enables StartCatalogWatch to follow lease changes.
-	Name string
-	// CatalogAddr is the catalog's TCP query endpoint.
-	CatalogAddr string
-	// Metrics receives the driver's counters (nil keeps them private).
-	Metrics *obs.Registry
-}
-
-// NewFailoverDriver builds a failover driver over a replica set,
-// primary first, with no catalog awareness — the compatibility
-// constructor; see NewFailoverDriverOpts.
+// NewFailoverDriver builds a failover driver over a replica set in
+// catalog-preferred order (index 0 the presumed primary). note, when
+// non-nil, receives one line per failover decision (MountAll wires it
+// to the box's audit trail).
 func NewFailoverDriver(drivers []*Driver, note func(string)) *FailoverDriver {
-	return NewFailoverDriverOpts(drivers, FailoverOptions{Note: note})
-}
-
-// NewFailoverDriverOpts builds a failover driver over a replica set in
-// catalog-preferred order (index 0 the presumed primary).
-func NewFailoverDriverOpts(drivers []*Driver, opts FailoverOptions) *FailoverDriver {
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	reg.Help(MetricFailoverReprobes, "Background re-probes of breaker-tripped replicas.")
-	return &FailoverDriver{
-		drivers:     drivers,
-		note:        opts.Note,
-		catalogAddr: opts.CatalogAddr,
-		name:        opts.Name,
-		reprobes:    reg.Counter(MetricFailoverReprobes),
-		stop:        make(chan struct{}),
-	}
+	return &FailoverDriver{drivers: drivers, note: note}
 }
 
 // Primary exposes the current primary's driver (tests, tools).
 func (f *FailoverDriver) Primary() *Driver { return f.drivers[f.primaryIdx.Load()] }
 
-// setPrimaryAddr points the write path at the member advertising addr,
-// reporting whether a member matched.
-func (f *FailoverDriver) setPrimaryAddr(addr, why string) bool {
+// setPrimaryAddr points the write path at the member advertising addr
+// (an ENOTPRIMARY redirect), reporting whether a member matched.
+func (f *FailoverDriver) setPrimaryAddr(addr string) bool {
 	for i, d := range f.drivers {
 		if d.Client().Addr() == addr {
 			if f.primaryIdx.Swap(int32(i)) != int32(i) {
-				f.notef("chirp failover: primary is now %s (%s)", addr, why)
+				f.notef("chirp failover: primary is now %s (redirect)", addr)
 			}
 			return true
 		}
 	}
 	return false
-}
-
-// Stop ends the background catalog watch and re-probe loops.
-func (f *FailoverDriver) Stop() {
-	f.stopOnce.Do(func() { close(f.stop) })
-	f.wg.Wait()
-}
-
-// StartCatalogWatch polls the catalog every interval and re-points the
-// write path at whichever replica-set member reports the primary role,
-// so writes follow the lease even when no write has yet been told
-// ENOTPRIMARY. Needs Name and a catalog address (the option or the
-// argument); returns false when either is missing.
-func (f *FailoverDriver) StartCatalogWatch(catalogAddr string, interval time.Duration) bool {
-	if catalogAddr == "" {
-		catalogAddr = f.catalogAddr
-	}
-	if catalogAddr == "" || f.name == "" || interval <= 0 {
-		return false
-	}
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-f.stop:
-				return
-			case <-t.C:
-				entries, err := QueryCatalog(catalogAddr)
-				if err != nil {
-					continue
-				}
-				for _, e := range entries {
-					if e.Name == f.name && e.Role == "primary" {
-						f.setPrimaryAddr(e.Addr, "catalog")
-						break
-					}
-				}
-			}
-		}
-	}()
-	return true
-}
-
-// StartReprobe probes breaker-tripped members every interval with a
-// cheap whoami, so a replica that recovered rejoins the read
-// preference order without waiting for live traffic to trip over it.
-// Each probe is counted in chirp_failover_reprobe_total.
-func (f *FailoverDriver) StartReprobe(interval time.Duration) bool {
-	if interval <= 0 {
-		return false
-	}
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-f.stop:
-				return
-			case <-t.C:
-				for _, d := range f.drivers {
-					if d.Client().Breaker().State() != BreakerOpen {
-						continue
-					}
-					f.reprobes.Inc()
-					if _, err := d.Client().Whoami(); err == nil {
-						f.notef("chirp failover: %s recovered (reprobe)", d.Client().Addr())
-					}
-				}
-			}
-		}
-	}()
-	return true
 }
 
 func (f *FailoverDriver) notef(format string, args ...any) {
@@ -185,41 +66,33 @@ func (f *FailoverDriver) notef(format string, args ...any) {
 	}
 }
 
-// readDriver runs op against the first usable replica, starting the
-// preference scan at the current primary: open-breaker drivers are
-// skipped (unless every breaker is open, when the primary is probed
-// anyway rather than failing without trying), and transport failures
-// advance to the next replica.
-func (f *FailoverDriver) readDriver(what string, op func(d *Driver) error) error {
-	var lastErr error
-	tried := 0
+// readVia runs read against the first usable replica, starting the
+// preference scan at the current primary. A member is usable when its
+// breaker's Allow admits the call — closed, or open past its cooloff,
+// which readmits it as the half-open probe — and transport failures
+// advance to the next member. When every breaker refuses, the read
+// fails with ErrBreakerOpen without touching the wire.
+func readVia[T any](f *FailoverDriver, what string, read func(d *Driver) (T, error)) (T, error) {
+	var zero T
+	lastErr := ErrBreakerOpen
 	start := int(f.primaryIdx.Load())
-	for n := 0; n < len(f.drivers); n++ {
+	for n := range len(f.drivers) {
 		i := (start + n) % len(f.drivers)
 		d := f.drivers[i]
-		if d.Client().Breaker().State() == BreakerOpen {
+		if !d.Client().Breaker().Allow() {
 			continue
 		}
-		tried++
-		err := op(d)
+		v, err := read(d)
 		if err == nil || !isTransient(err) {
 			if i != start {
 				f.notef("chirp failover: %s served by replica %s", what, d.Client().Addr())
 			}
-			return err
+			return v, err
 		}
 		f.notef("chirp failover: %s failed on %s: %v", what, d.Client().Addr(), err)
 		lastErr = err
 	}
-	if tried == 0 {
-		// Every breaker is open. Probe the primary rather than reporting
-		// staleness forever: Allow() readmits traffic after the cooloff.
-		if f.Primary().Client().Breaker().Allow() {
-			return op(f.Primary())
-		}
-		return ErrBreakerOpen
-	}
-	return lastErr
+	return zero, lastErr
 }
 
 // writeDriver runs op against the lease holder, degrading with
@@ -229,11 +102,11 @@ func (f *FailoverDriver) readDriver(what string, op func(d *Driver) error) error
 // never fan out: a mutation lands on one member or not at all.
 func (f *FailoverDriver) writeDriver(op func(d *Driver) error) error {
 	primary := f.Primary()
-	if primary.Client().Breaker().State() == BreakerOpen && !primary.Client().Breaker().Allow() {
+	if !primary.Client().Breaker().Allow() {
 		// Before declaring degradation, let another member claim the
 		// write: after a failover the old primary's breaker is open but
 		// the promoted follower is healthy.
-		if redirected := f.promoteHealthyLocked(); redirected != nil {
+		if redirected := f.probePrimary(); redirected != nil {
 			primary = redirected
 		} else {
 			f.notef("chirp failover: write degraded, primary %s breaker open", primary.Client().Addr())
@@ -242,7 +115,7 @@ func (f *FailoverDriver) writeDriver(op func(d *Driver) error) error {
 	}
 	err := op(primary)
 	if errors.Is(err, ErrNotPrimary) {
-		if addr := PrimaryFromError(err); addr != "" && f.setPrimaryAddr(addr, "redirect") {
+		if addr := PrimaryFromError(err); addr != "" && f.setPrimaryAddr(addr) {
 			next := f.Primary()
 			if rerr := op(next); !isTransient(rerr) && !errors.Is(rerr, ErrNotPrimary) {
 				return rerr
@@ -260,12 +133,12 @@ func (f *FailoverDriver) writeDriver(op func(d *Driver) error) error {
 	return err
 }
 
-// promoteHealthyLocked scans for a member with a closed breaker whose
-// server explicitly reports the primary role, re-pointing the write
-// path at it. Members of a role-less replica set never qualify —
-// without a lease protocol, writing to a replica would fork the set's
-// state, so those keep the classic writes-never-fail-over behavior.
-func (f *FailoverDriver) promoteHealthyLocked() *Driver {
+// probePrimary scans for a member with a closed breaker whose server
+// explicitly reports the primary role, re-pointing the write path at
+// it. Members of a role-less replica set never qualify — without a
+// lease protocol, writing to a replica would fork the set's state, so
+// those keep the classic writes-never-fail-over behavior.
+func (f *FailoverDriver) probePrimary() *Driver {
 	for i, d := range f.drivers {
 		if d.Client().Breaker().State() == BreakerOpen {
 			continue
@@ -285,19 +158,15 @@ func (f *FailoverDriver) promoteHealthyLocked() *Driver {
 // Open implements parrot.Driver. Read-only opens may fail over;
 // anything that can mutate (write access, create, truncate) is a write.
 func (f *FailoverDriver) Open(p *kernel.Proc, path string, flags int, mode uint32) (parrot.File, error) {
+	if flags&3 == kernel.ORdonly && flags&(kernel.OCreat|kernel.OTrunc) == 0 {
+		return readVia(f, "open "+path, func(d *Driver) (parrot.File, error) { return d.Open(p, path, flags, mode) })
+	}
 	var file parrot.File
-	op := func(d *Driver) error {
+	err := f.writeDriver(func(d *Driver) error {
 		var err error
 		file, err = d.Open(p, path, flags, mode)
 		return err
-	}
-	readOnly := flags&3 == kernel.ORdonly && flags&(kernel.OCreat|kernel.OTrunc) == 0
-	var err error
-	if readOnly {
-		err = f.readDriver("open "+path, op)
-	} else {
-		err = f.writeDriver(op)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -306,57 +175,27 @@ func (f *FailoverDriver) Open(p *kernel.Proc, path string, flags int, mode uint3
 
 // Stat implements parrot.Driver.
 func (f *FailoverDriver) Stat(p *kernel.Proc, path string) (vfs.Stat, error) {
-	var st vfs.Stat
-	err := f.readDriver("stat "+path, func(d *Driver) error {
-		var err error
-		st, err = d.Stat(p, path)
-		return err
-	})
-	return st, err
+	return readVia(f, "stat "+path, func(d *Driver) (vfs.Stat, error) { return d.Stat(p, path) })
 }
 
 // Lstat implements parrot.Driver.
 func (f *FailoverDriver) Lstat(p *kernel.Proc, path string) (vfs.Stat, error) {
-	var st vfs.Stat
-	err := f.readDriver("lstat "+path, func(d *Driver) error {
-		var err error
-		st, err = d.Lstat(p, path)
-		return err
-	})
-	return st, err
+	return readVia(f, "lstat "+path, func(d *Driver) (vfs.Stat, error) { return d.Lstat(p, path) })
 }
 
 // Readlink implements parrot.Driver.
 func (f *FailoverDriver) Readlink(p *kernel.Proc, path string) (string, error) {
-	var t string
-	err := f.readDriver("readlink "+path, func(d *Driver) error {
-		var err error
-		t, err = d.Readlink(p, path)
-		return err
-	})
-	return t, err
+	return readVia(f, "readlink "+path, func(d *Driver) (string, error) { return d.Readlink(p, path) })
 }
 
 // ReadDir implements parrot.Driver.
 func (f *FailoverDriver) ReadDir(p *kernel.Proc, path string) ([]vfs.DirEntry, error) {
-	var ents []vfs.DirEntry
-	err := f.readDriver("readdir "+path, func(d *Driver) error {
-		var err error
-		ents, err = d.ReadDir(p, path)
-		return err
-	})
-	return ents, err
+	return readVia(f, "readdir "+path, func(d *Driver) ([]vfs.DirEntry, error) { return d.ReadDir(p, path) })
 }
 
 // ReadFileSmall implements parrot.Driver.
 func (f *FailoverDriver) ReadFileSmall(p *kernel.Proc, path string) ([]byte, error) {
-	var data []byte
-	err := f.readDriver("read "+path, func(d *Driver) error {
-		var err error
-		data, err = d.ReadFileSmall(p, path)
-		return err
-	})
-	return data, err
+	return readVia(f, "read "+path, func(d *Driver) ([]byte, error) { return d.ReadFileSmall(p, path) })
 }
 
 // Mkdir implements parrot.Driver.

@@ -184,7 +184,7 @@ func TestFigure3UnderFaults(t *testing.T) {
 			registerSim(k)
 			inj := chaosSchedule()
 			cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-				ClientOptions{Dialer: inj.Dialer("tcp"), DisableRetries: true, Protocol: proto})
+				ClientOptions{Dialer: inj.Dialer("tcp"), MaxRetries: -1, Protocol: proto})
 			if err != nil {
 				return // even the dial may die; that also demonstrates the point
 			}
@@ -526,6 +526,58 @@ func TestFailoverReadsToReplica(t *testing.T) {
 	})
 }
 
+// TestFailoverReadRejoinsAfterCooloff: a primary whose breaker tripped
+// rejoins reads once the cooloff elapses, with no background loop — the
+// MountAll path starts none. The read after the cooloff is the breaker's
+// half-open probe; it lands on the primary and closes the breaker.
+func TestFailoverReadRejoinsAfterCooloff(t *testing.T) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		const cooloff = 50 * time.Millisecond
+		srv1, _, _ := testServer(t)
+		srv2, _, _ := testServer(t)
+		opts := ClientOptions{Protocol: proto, BreakerThreshold: 1, BreakerCooloff: cooloff}
+		c1 := adminClient(t, srv1, opts)
+		c2 := adminClient(t, srv2, opts)
+		for cl, tag := range map[*Client]string{c1: "from-primary", c2: "from-replica"} {
+			if err := cl.Mkdir("/pub", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.PutFile("/pub/data", []byte(tag), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fd := NewFailoverDriver(
+			[]*Driver{NewDriver(c1, vclock.Default()), NewDriver(c2, vclock.Default())}, nil)
+		box, err := core.New(kernel.New(vfs.New("dthain"), vclock.Default()), "dthain", "unix:admin", core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func() string {
+			var data []byte
+			var rerr error
+			box.Run(func(p *kernel.Proc, _ []string) int {
+				data, rerr = fd.ReadFileSmall(p, "/pub/data")
+				return 0
+			})
+			if rerr != nil {
+				t.Fatalf("read through the failover driver: %v", rerr)
+			}
+			return string(data)
+		}
+		c1.Breaker().Fail() // one failure trips a threshold-1 breaker
+		if got := read(); got != "from-replica" {
+			t.Fatalf("read with the primary's breaker open = %q, want from-replica", got)
+		}
+		time.Sleep(cooloff + 20*time.Millisecond)
+		if got := read(); got != "from-primary" {
+			t.Fatalf("read after the cooloff = %q, want the primary to rejoin", got)
+		}
+		if st := c1.Breaker().State(); st != BreakerClosed {
+			t.Fatalf("primary breaker after the probe = %v, want closed", st)
+		}
+	})
+}
+
 // TestFaultServerDrainFinishesInflight starts a slow exec, then drains:
 // the in-flight job completes and new connections are refused.
 func TestFaultServerDrainFinishesInflight(t *testing.T) {
@@ -535,7 +587,7 @@ func TestFaultServerDrainFinishesInflight(t *testing.T) {
 			time.Sleep(150 * time.Millisecond)
 			return 0
 		})
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, DisableRetries: true})
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1})
 		if err := cl.PutFile("/slow.exe", kernel.ExecutableBytes("slow"), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -577,7 +629,7 @@ func TestFaultServerDrainFinishesInflight(t *testing.T) {
 func TestFaultStalledRequestTimesOut(t *testing.T) {
 	srv, _, _ := testServer(t)
 	srv.opts.RequestTimeout = 100 * time.Millisecond
-	cl := adminClient(t, srv, ClientOptions{DisableRetries: true, Protocol: ProtocolV1})
+	cl := adminClient(t, srv, ClientOptions{MaxRetries: -1, Protocol: ProtocolV1})
 	// Announce a pwrite payload of 100 bytes and send nothing.
 	cl.mu.Lock()
 	err := cl.mux.c.writeLine([]byte("pwrite 1 0 100"))

@@ -105,7 +105,7 @@ func TestGoldenWireTranscript(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := &wireRecorder{}
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, DisableRetries: true, Dialer: rec.dial})
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1, Dialer: rec.dial})
 		must := func(err error) {
 			t.Helper()
 			if err != nil {

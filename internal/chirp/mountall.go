@@ -55,14 +55,7 @@ func MountAll(box *core.Box, catalogAddr string, auths []auth.Authenticator, mod
 			box.Mount("/chirp/"+name, replicas[0])
 			continue
 		}
-		// The driver knows its catalog name and address, so a caller that
-		// keeps a handle can StartCatalogWatch/StartReprobe; MountAll
-		// itself starts no background loops (it returns no stop handle).
-		box.Mount("/chirp/"+name, NewFailoverDriverOpts(replicas, FailoverOptions{
-			Note:        box.Note,
-			Name:        name,
-			CatalogAddr: catalogAddr,
-		}))
+		box.Mount("/chirp/"+name, NewFailoverDriver(replicas, box.Note))
 	}
 	return clients, nil
 }

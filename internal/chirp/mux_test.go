@@ -32,7 +32,7 @@ func TestMuxNegotiationMatrix(t *testing.T) {
 			srv, k, _ := testServer(t)
 			registerSim(k)
 			srv.opts.MaxProtocol = c.server
-			cl := adminClient(t, srv, ClientOptions{Protocol: c.client, PipelineDepth: 4})
+			cl := adminClient(t, srv, ClientOptions{Protocol: c.client, Window: 4})
 			if got := cl.Protocol(); got != c.want {
 				t.Fatalf("Protocol() = %d, want %d", got, c.want)
 			}
@@ -110,7 +110,7 @@ func TestMuxNegotiationMatrix(t *testing.T) {
 		// A v1 client reads what a v2 client wrote, and vice versa.
 		srv, _, _ := testServer(t)
 		v1 := adminClient(t, srv, ClientOptions{Protocol: ProtocolV1})
-		v2 := adminClient(t, srv, ClientOptions{PipelineDepth: 4})
+		v2 := adminClient(t, srv, ClientOptions{Window: 4})
 		data := patterned(3 * transferChunk)
 		if err := v2.PutFile("/x", data, 0o644); err != nil {
 			t.Fatal(err)
@@ -197,7 +197,7 @@ func TestMuxSlowOpDoesNotBlockMetadata(t *testing.T) {
 // mixed-workload shape the per-session lanes exist for.
 func TestMuxTransferConcurrentWithMetadata(t *testing.T) {
 	srv, _, _ := testServer(t)
-	cl := adminClient(t, srv, ClientOptions{PipelineDepth: 8})
+	cl := adminClient(t, srv, ClientOptions{Window: 8})
 	data := patterned(48 * transferChunk) // 3 MiB: enough chunks to overlap
 	var putDone atomic.Bool
 	done := make(chan error, 1)
@@ -244,7 +244,7 @@ func TestMuxChaosTokenedExactlyOnce(t *testing.T) {
 		inj := faultnet.New(11,
 			faultnet.Rule{Conn: 1, Op: faultnet.OpWrite, AfterBytes: 150_000, Action: faultnet.Reset})
 		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-			ClientOptions{Protocol: proto, PipelineDepth: 8, Dialer: inj.Dialer("tcp")})
+			ClientOptions{Protocol: proto, Window: 8, Dialer: inj.Dialer("tcp")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestMuxStalledFrameTimesOut(t *testing.T) {
 	srv.opts.RequestTimeout = 100 * time.Millisecond
 	// A v1-pinned client keeps the codec caller-owned; upgrade by hand so
 	// raw frame bytes can be written directly.
-	cl := adminClient(t, srv, ClientOptions{DisableRetries: true, Protocol: ProtocolV1})
+	cl := adminClient(t, srv, ClientOptions{MaxRetries: -1, Protocol: ProtocolV1})
 	cl.mu.Lock()
 	err := cl.mux.c.writeLine(versionLine(4, 1<<20))
 	if err == nil {
@@ -360,7 +360,7 @@ func TestMuxBackpressureBoundsInflight(t *testing.T) {
 // writer/worker locking.
 func TestMuxConcurrentStress(t *testing.T) {
 	srv, _, _ := testServer(t)
-	cl := adminClient(t, srv, ClientOptions{PipelineDepth: 4})
+	cl := adminClient(t, srv, ClientOptions{Window: 4})
 	seed := patterned(2*transferChunk + 17)
 	if err := cl.PutFile("/seed", seed, 0o644); err != nil {
 		t.Fatal(err)

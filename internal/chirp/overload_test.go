@@ -138,7 +138,7 @@ func TestOverloadGoodputFairnessAndShedding(t *testing.T) {
 		// goroutines spread across sessions to keep the offered load high.
 		for s := 0; s < 2; s++ {
 			cl := gsiClientOpts(t, srv, ca, subject,
-				ClientOptions{DeadlineBudget: 25 * time.Millisecond, DisableRetries: true})
+				ClientOptions{DeadlineBudget: 25 * time.Millisecond, MaxRetries: -1})
 			for g := 0; g < 16; g++ {
 				wg.Add(1)
 				go func() {
@@ -311,7 +311,7 @@ func TestV1FlooderShedLikeV2(t *testing.T) {
 		const flooder = "/O=UnivNowhere/CN=Flood"
 		dir, path := stageWork(t, gsiClient(t, srv, ca, flooder), "/f", "work")
 		for s := 0; s < floodSessions; s++ {
-			cl := gsiClientOpts(t, srv, ca, flooder, ClientOptions{Protocol: proto, DisableRetries: true})
+			cl := gsiClientOpts(t, srv, ca, flooder, ClientOptions{Protocol: proto, MaxRetries: -1})
 			if cl.Protocol() != proto {
 				t.Fatalf("flooder session speaks v%d, want v%d", cl.Protocol(), proto)
 			}
@@ -450,7 +450,7 @@ func TestDeadlineShedAtDispatchNeverExecutes(t *testing.T) {
 	bdir, bpath := stageWork(t, blocker, "/hog", "block")
 	// Stage before the slot is hogged: staging waits on the same slot.
 	cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Budgeted",
-		ClientOptions{DeadlineBudget: 60 * time.Millisecond, DisableRetries: true})
+		ClientOptions{DeadlineBudget: 60 * time.Millisecond, MaxRetries: -1})
 	stager := gsiClient(t, srv, ca, "/O=UnivNowhere/CN=Budgeted")
 	dir, path := stageWork(t, stager, "/bud", "never")
 	done := make(chan error, 1)
@@ -598,7 +598,7 @@ func TestSlowLorisSeveredNotServed(t *testing.T) {
 		}
 
 		inj := faultnet.New(1)
-		slow := adminClient(t, srv, ClientOptions{Protocol: proto, DisableRetries: true, Dialer: inj.Dialer("tcp")})
+		slow := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1, Dialer: inj.Dialer("tcp")})
 		if _, err := slow.Whoami(); err != nil {
 			t.Fatal(err) // handshake and negotiation run at full speed
 		}

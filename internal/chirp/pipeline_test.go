@@ -17,7 +17,7 @@ import (
 func pipelinedClient(t *testing.T, srv *Server, depth int) *Client {
 	t.Helper()
 	cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-		ClientOptions{PipelineDepth: depth})
+		ClientOptions{Window: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPipelinedTransferUnderFaults(t *testing.T) {
 		srv, _, _ := testServer(t)
 		inj := faultnet.New(1, faultnet.Rule{Conn: 1, Op: faultnet.OpWrite, AfterBytes: 150_000, Action: faultnet.Reset})
 		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-			ClientOptions{PipelineDepth: 8, Dialer: inj.Dialer("tcp")})
+			ClientOptions{Window: 8, Dialer: inj.Dialer("tcp")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestPipelinedTransferUnderFaults(t *testing.T) {
 		srv, _, _ := testServer(t)
 		inj := faultnet.New(1, faultnet.Rule{Conn: 1, Op: faultnet.OpRead, AfterBytes: 150_000, Action: faultnet.Reset})
 		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-			ClientOptions{PipelineDepth: 8, Dialer: inj.Dialer("tcp")})
+			ClientOptions{Window: 8, Dialer: inj.Dialer("tcp")})
 		if err != nil {
 			t.Fatal(err)
 		}

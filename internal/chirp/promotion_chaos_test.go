@@ -13,7 +13,6 @@ import (
 	"identitybox/internal/auth"
 	"identitybox/internal/core"
 	"identitybox/internal/kernel"
-	"identitybox/internal/obs"
 	"identitybox/internal/replica"
 	"identitybox/internal/vclock"
 	"identitybox/internal/vfs"
@@ -226,10 +225,10 @@ func TestPromotionChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestFailoverDriverDegradedClears: with a catalog watch and reprobe
-// running, a boxed application's writes stop returning ErrDegraded as
-// soon as the lease moves — the driver re-points at the promoted
-// follower without any manual intervention.
+// TestFailoverDriverDegradedClears: with no background loop, a boxed
+// application's writes stop returning ErrDegraded as soon as the lease
+// moves — the write path's role probe re-points the driver at the
+// promoted follower without any manual intervention.
 func TestFailoverDriverDegradedClears(t *testing.T) {
 	cat := leaseCatalog(t)
 	primary := startReplMember(t, "vol", cat.Addr(), "")
@@ -239,18 +238,8 @@ func TestFailoverDriverDegradedClears(t *testing.T) {
 	fast := ClientOptions{MaxRetries: 1, BreakerThreshold: 1, BreakerCooloff: time.Hour, Sleep: func(time.Duration) {}}
 	c1 := adminClient(t, primary.srv, fast)
 	c2 := adminClient(t, follower.srv, fast)
-	reg := obs.NewRegistry()
-	fd := NewFailoverDriverOpts(
-		[]*Driver{NewDriver(c1, vclock.Default()), NewDriver(c2, vclock.Default())},
-		FailoverOptions{Name: "vol", CatalogAddr: cat.Addr(), Metrics: reg},
-	)
-	defer fd.Stop()
-	if !fd.StartCatalogWatch("", 25*time.Millisecond) {
-		t.Fatal("catalog watch refused to start")
-	}
-	if !fd.StartReprobe(25 * time.Millisecond) {
-		t.Fatal("reprobe refused to start")
-	}
+	fd := NewFailoverDriver(
+		[]*Driver{NewDriver(c1, vclock.Default()), NewDriver(c2, vclock.Default())}, nil)
 
 	clientFS := vfs.New("dthain")
 	clientK := kernel.New(clientFS, vclock.Default())
@@ -291,7 +280,7 @@ func TestFailoverDriverDegradedClears(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Logf("ErrDegraded cleared %v after the primary kill (lease ttl %v)", cleared, replTTL)
+	t.Logf("ErrDegraded cleared %v after the primary kill (lease ttl %v; ≈108ms with the old background loops)", cleared, replTTL)
 	if follower.role() != replica.RolePrimary {
 		t.Fatalf("write cleared but the follower is %s", follower.role())
 	}
@@ -300,10 +289,6 @@ func TestFailoverDriverDegradedClears(t *testing.T) {
 	if data, err := fcl.GetFile("/after.txt"); err != nil || string(data) != "payload" {
 		t.Fatalf("cleared write missing on the new primary: %q, %v", data, err)
 	}
-	// The dead member's open breaker is being reprobed in the background.
-	pollUntil(t, 2*time.Second, "background reprobe", func() bool {
-		return reg.Counter(MetricFailoverReprobes).Value() >= 1
-	})
 }
 
 // TestMountAllReplicatedV2Pipelining: MountAll over a replicated

@@ -89,72 +89,64 @@ const (
 )
 
 // ClientOptions tune the client's fault-tolerance layer. The zero value
-// gives sensible production defaults: retries enabled, no per-call
-// deadline, a 5-failure breaker with a one-second cooloff.
+// gives sensible production defaults: three retries, no per-call
+// deadline, a 5-failure breaker with a one-second cooloff. Each field
+// names its non-test caller, or says it is a test seam.
 type ClientOptions struct {
 	// Timeout bounds each wire exchange (one request/response, payload
 	// phases included) with a connection deadline. Zero means no
 	// deadline. Redial and re-authentication are bounded by the same
-	// timeout.
+	// timeout. Set by cmd/chirp -timeout.
 	Timeout time.Duration
 	// MaxRetries is how many times a failed exchange is retried beyond
-	// the first attempt (default 3). Only transport failures are
-	// retried, and only for calls the command table marks idempotent
+	// the first attempt: zero means the default of 3, a negative value
+	// means none (the first failure surfaces). Only transport failures
+	// are retried, and only for calls the command table marks idempotent
 	// (tokened ones included); error replies from the server are final,
-	// except EBUSY, which was refused before anything ran.
+	// except EBUSY, which was refused before anything ran. Set by
+	// cmd/chirp -retries.
 	MaxRetries int
-	// DisableRetries turns the retry/redial machinery off entirely: the
-	// first transport failure surfaces to the caller, as the pre-fault-
-	// tolerance client behaved.
-	DisableRetries bool
 	// RetryBase is the first backoff delay (default 50ms). Retry n
-	// sleeps min(RetryBase<<n, RetryMax), half fixed and half seeded
-	// jitter.
+	// sleeps min(RetryBase<<n, RetryMax), half fixed and half jitter from
+	// a generator seeded with 1. Test seam.
 	RetryBase time.Duration
-	// RetryMax caps the backoff (default 2s).
+	// RetryMax caps the backoff (default 2s). Test seam.
 	RetryMax time.Duration
-	// Seed makes the backoff jitter deterministic (default 1).
-	Seed int64
 	// BreakerThreshold is the consecutive transport failures that open
-	// the circuit breaker (default 5).
+	// the circuit breaker (default 5). Test seam.
 	BreakerThreshold int
 	// BreakerCooloff is how long the breaker stays open before letting
-	// a probe through (default 1s).
+	// a probe through (default 1s). Test seam.
 	BreakerCooloff time.Duration
 	// Metrics, when set, receives the client's retry/redial/breaker
 	// counters. When nil the client keeps a private registry, reachable
-	// via LocalMetrics.
+	// via LocalMetrics. Set by benchmark/cluster.go.
 	Metrics *obs.Registry
-	// Dialer replaces net.Dial("tcp", addr) — the hook fault-injection
-	// tests (and exotic transports) use.
+	// Dialer replaces net.Dial("tcp", addr): benchmark/cluster.go counts
+	// wire bytes through it, and the fault-injection tests use it.
 	Dialer func(addr string) (net.Conn, error)
 	// Sleep replaces time.Sleep for backoff waits, letting tests record
-	// the schedule instead of waiting it out.
+	// the schedule instead of waiting it out. Test seam, until one clock
+	// replaces the serving path's separate time hooks.
 	Sleep func(time.Duration)
-	// PipelineDepth, when > 1, lets GetFile and PutFile keep that many
-	// chunk requests in flight on the session at once instead of waiting
-	// out a round trip per chunk (on a v2 session each chunk is an
-	// independently tagged call; a v1 session's window of 1 serializes
-	// them again). A transport failure mid-transfer breaks
-	// the connection and surfaces ErrRetryNotSafe so the whole transfer
-	// restarts, exactly like the serial path. 0 or 1 means one request
-	// at a time.
-	PipelineDepth int
 	// Protocol pins the wire framing: ProtocolV1 forces the lock-step
 	// line framing, ProtocolV2 (or 0, the default) negotiates tagged
 	// async multiplexing and falls back to v1 when the server answers
 	// the version exchange with ENOSYS (an old server treats it as an
-	// unknown command).
+	// unknown command). Set by cmd/chirp -proto.
 	Protocol int
 	// Window is the credit window this client advertises during v2
 	// negotiation: the most tags it will keep in flight on one session
 	// (default DefaultWindow). The server advertises its own cap and the
-	// minimum wins.
+	// minimum wins. The negotiated window is also the transfer depth:
+	// GetFile and PutFile keep that many chunk calls in flight. Set by
+	// cmd/chirp -window.
 	Window int
 	// MaxInflightBytes bounds the request+reply payload bytes in flight
 	// on a v2 session (default DefaultMaxInflightBytes), so a deep
 	// window of fat transfers cannot buffer unbounded memory. At least
-	// one call is always admitted, whatever its size.
+	// one call is always admitted, whatever its size. Set by cmd/chirp
+	// -max-inflight.
 	MaxInflightBytes int64
 	// Spans, when set, turns on request tracing: the client requests the
 	// trace capability during v2 negotiation, stamps every tagged call
@@ -162,7 +154,8 @@ type ClientOptions struct {
 	// submit-stall, write, and await phases) into this ring. Nil (the
 	// default) keeps the wire format and the hot path exactly as before;
 	// tracing never activates on a v1 session or against a server that
-	// does not echo the capability.
+	// does not echo the capability. Set by cmd/chirp trace and
+	// benchmark/cluster.go.
 	Spans *obs.SpanRing
 	// DeadlineBudget, when > 0, bounds each logical call (all retries and
 	// backoff sleeps included) by a wall-clock budget. The client requests
@@ -174,23 +167,25 @@ type ClientOptions struct {
 	// sleeps past the deadline and fails fast with ErrDeadline once it
 	// expires. Against an old server (no capability echo) requests carry
 	// no deadline on the wire but the client-side budget still applies.
-	// Zero (the default) keeps calls unbounded, exactly as before.
+	// Zero (the default) keeps calls unbounded, exactly as before. Set by
+	// cmd/chirp -deadline-budget and benchmark/cluster.go.
 	DeadlineBudget time.Duration
 }
 
-// withDefaults fills zero fields in place.
+// withDefaults fills zero fields in place; a negative MaxRetries
+// becomes 0, so attempts are always 1 + MaxRetries.
 func (o *ClientOptions) withDefaults() {
-	if o.MaxRetries == 0 {
+	switch {
+	case o.MaxRetries == 0:
 		o.MaxRetries = 3
+	case o.MaxRetries < 0:
+		o.MaxRetries = 0
 	}
 	if o.RetryBase == 0 {
 		o.RetryBase = 50 * time.Millisecond
 	}
 	if o.RetryMax == 0 {
 		o.RetryMax = 2 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 5

@@ -84,7 +84,7 @@ func TestCommandTableRows(t *testing.T) {
 func TestUnknownCommandsShareOneSeries(t *testing.T) {
 	bothFramings(t, func(t *testing.T, proto int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, DisableRetries: true})
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1})
 		if _, err := cl.Whoami(); err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func rawCall(t *testing.T, cl *Client, body []byte, fields ...string) *RemoteErr
 func TestCommandTablePayloadLimits(t *testing.T) {
 	bothFramings(t, func(t *testing.T, proto int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, DisableRetries: true})
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1})
 		for i := range commandTable {
 			c := &commandTable[i]
 			if c.payloadMax == 0 {
@@ -193,7 +193,7 @@ func TestCommandTablePayloadLimits(t *testing.T) {
 func TestCommandTableArgCounts(t *testing.T) {
 	bothFramings(t, func(t *testing.T, proto int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, DisableRetries: true})
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1})
 		for i := range commandTable {
 			c := &commandTable[i]
 			if c.nargs == 0 {
