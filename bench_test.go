@@ -5,7 +5,7 @@
 //	BenchmarkFig4TrapRoundTrip — Figure 4, one trapped call's mechanism
 //	BenchmarkFig5aMicro/...  — Figure 5(a), per-syscall latency
 //	BenchmarkFig5bApps/...   — Figure 5(b), application overhead
-//	BenchmarkAblation...     — design-choice ablations (DESIGN.md §4)
+//	BenchmarkAblation...     — design-choice ablations (DESIGN.md §2)
 //
 // Simulated results are reported as custom metrics (vus = virtual
 // microseconds; overhead%), while ns/op measures the simulator itself.

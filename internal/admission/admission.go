@@ -71,8 +71,6 @@ type Options struct {
 	// principals (only enforced once the queue is at least half
 	// full). Default 2.0.
 	FairShare float64
-	// Clock overrides time.Now for tests.
-	Clock func() time.Time
 	// Metrics, when set, receives shed/busy counters, queue gauges
 	// and the slot-wait histogram.
 	Metrics *obs.Registry
@@ -134,7 +132,6 @@ var ticketPool = sync.Pool{New: func() any { return new(Ticket) }}
 // safe for concurrent use.
 type Controller struct {
 	opts Options
-	now  func() time.Time
 
 	mu          sync.Mutex
 	queued      int
@@ -173,12 +170,8 @@ func New(opts Options) *Controller {
 	}
 	c := &Controller{
 		opts:  opts,
-		now:   opts.Clock,
 		prins: make(map[string]*principal),
 		svc:   obs.NewEWMA(0.2),
-	}
-	if c.now == nil {
-		c.now = time.Now
 	}
 	if r := opts.Metrics; r != nil {
 		r.Help(MetricShed, "requests shed with EDEADLINE, by hop")
@@ -215,7 +208,7 @@ func (c *Controller) Admit(prin string, class Class, bytes int, deadline time.Ti
 		}
 		return nil, nil
 	}
-	now := c.now()
+	now := time.Now()
 	c.mu.Lock()
 	if !deadline.IsZero() && now.After(deadline) {
 		c.shedAdmit++
@@ -335,7 +328,7 @@ func (t *Ticket) Acquire() error {
 	}
 	c := t.c
 	c.mu.Lock()
-	now := c.now()
+	now := time.Now()
 	if !t.deadline.IsZero() && now.After(t.deadline) {
 		c.shedDispatch++
 		c.mu.Unlock()
@@ -397,7 +390,7 @@ func (t *Ticket) Acquire() error {
 // finishWait records a successful grant delivered through a waiter.
 func (t *Ticket) finishWait(enq time.Time) {
 	c := t.c
-	now := c.now()
+	now := time.Now()
 	c.mu.Lock()
 	t.granted = true
 	t.grantAt = now
@@ -452,7 +445,7 @@ func (t *Ticket) ExpiredAtBarrier() bool {
 	if t == nil || t.deadline.IsZero() {
 		return false
 	}
-	if !t.c.now().After(t.deadline) {
+	if !time.Now().After(t.deadline) {
 		return false
 	}
 	t.c.mu.Lock()
@@ -491,7 +484,7 @@ func (t *Ticket) Done() {
 	if t.granted {
 		c.execBusy--
 		p.completed++
-		c.svc.Observe(float64(c.now().Sub(t.grantAt)))
+		c.svc.Observe(float64(time.Since(t.grantAt)))
 		c.dispatchLocked()
 	}
 	p.queued--

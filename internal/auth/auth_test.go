@@ -121,12 +121,8 @@ func TestKerberosRoundTrip(t *testing.T) {
 func TestKerberosExpiredTicket(t *testing.T) {
 	kdc := NewKDC("R")
 	key, _ := kdc.RegisterService("svc")
-	tk, _ := kdc.Grant("u@r", "svc", time.Hour)
-	verifier := &KerberosVerifier{
-		Service:    "svc",
-		ServiceKey: key,
-		Now:        func() time.Time { return time.Now().Add(2 * time.Hour) },
-	}
+	tk, _ := kdc.Grant("u@r", "svc", -time.Hour) // expired an hour ago
+	verifier := &KerberosVerifier{Service: "svc", ServiceKey: key}
 	_, _, _, serr := negotiate(t,
 		[]Authenticator{&KerberosClient{Ticket: tk}},
 		map[Method]Verifier{MethodKerberos: verifier}, "x")

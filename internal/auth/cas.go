@@ -71,7 +71,6 @@ type CAS struct {
 	Name    string
 	key     *rsa.PrivateKey
 	members map[identity.Principal]casMember
-	now     func() time.Time
 }
 
 type casMember struct {
@@ -85,14 +84,11 @@ func NewCAS(name string) (*CAS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CAS{Name: name, key: key, members: make(map[identity.Principal]casMember), now: time.Now}, nil
+	return &CAS{Name: name, key: key, members: make(map[identity.Principal]casMember)}, nil
 }
 
 // PublicKey returns the verification key resource providers install.
 func (c *CAS) PublicKey() *rsa.PublicKey { return &c.key.PublicKey }
-
-// SetClock overrides the clock (tests).
-func (c *CAS) SetClock(now func() time.Time) { c.now = now }
 
 // AddMember enrolls a principal in a community with the given grants.
 func (c *CAS) AddMember(p identity.Principal, community string, grants []Grant) {
@@ -117,7 +113,7 @@ func (c *CAS) Issue(p identity.Principal, ttl time.Duration) (*Assertion, error)
 		Subject:   p,
 		Community: m.community,
 		Grants:    grants,
-		Expiry:    c.now().Add(ttl).Unix(),
+		Expiry:    time.Now().Add(ttl).Unix(),
 	}
 	digest, err := a.digest()
 	if err != nil {
@@ -134,8 +130,6 @@ func (c *CAS) Issue(p identity.Principal, ttl time.Duration) (*Assertion, error)
 type CASVerifier struct {
 	// Trusted maps CAS name to verification key.
 	Trusted map[string]*rsa.PublicKey
-	// Now is an injectable clock; defaults to time.Now.
-	Now func() time.Time
 }
 
 // Verify checks the assertion's signature, issuer trust, and expiry.
@@ -151,11 +145,7 @@ func (v *CASVerifier) Verify(a *Assertion) error {
 	if err := rsa.VerifyPKCS1v15(key, crypto.SHA256, digest, a.Sig); err != nil {
 		return fmt.Errorf("%w: bad CAS signature", ErrRejected)
 	}
-	now := v.Now
-	if now == nil {
-		now = time.Now
-	}
-	if now().Unix() > a.Expiry {
+	if time.Now().Unix() > a.Expiry {
 		return fmt.Errorf("%w: assertion expired", ErrRejected)
 	}
 	return nil

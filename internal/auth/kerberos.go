@@ -38,12 +38,11 @@ func ticketMAC(serviceKey []byte, user, service string, expiry int64, session []
 type KDC struct {
 	Realm       string
 	serviceKeys map[string][]byte
-	now         func() time.Time
 }
 
 // NewKDC creates a KDC for a realm.
 func NewKDC(realm string) *KDC {
-	return &KDC{Realm: realm, serviceKeys: make(map[string][]byte), now: time.Now}
+	return &KDC{Realm: realm, serviceKeys: make(map[string][]byte)}
 }
 
 // RegisterService creates (or replaces) a service key and returns it;
@@ -67,7 +66,7 @@ func (k *KDC) Grant(user, service string, ttl time.Duration) (*Ticket, error) {
 	if _, err := rand.Read(session); err != nil {
 		return nil, err
 	}
-	expiry := k.now().Add(ttl).Unix()
+	expiry := time.Now().Add(ttl).Unix()
 	return &Ticket{
 		User:       user,
 		Service:    service,
@@ -76,9 +75,6 @@ func (k *KDC) Grant(user, service string, ttl time.Duration) (*Ticket, error) {
 		MAC:        ticketMAC(key, user, service, expiry, session),
 	}, nil
 }
-
-// SetClock overrides the KDC clock (tests).
-func (k *KDC) SetClock(now func() time.Time) { k.now = now }
 
 // KerberosClient authenticates with a ticket.
 type KerberosClient struct {
@@ -114,7 +110,6 @@ func (kc *KerberosClient) Prove(c *Conn) (p identity.Principal, err error) {
 type KerberosVerifier struct {
 	Service    string
 	ServiceKey []byte
-	Now        func() time.Time // injectable clock; defaults to time.Now
 }
 
 // Method implements Verifier.
@@ -149,11 +144,7 @@ func (kv *KerberosVerifier) Verify(c *Conn, _ string) (identity.Principal, error
 	if !hmac.Equal(mac, ticketMAC(kv.ServiceKey, user, service, expiry, session)) {
 		return "", fmt.Errorf("%w: forged ticket", ErrRejected)
 	}
-	now := kv.Now
-	if now == nil {
-		now = time.Now
-	}
-	if now().Unix() > expiry {
+	if time.Now().Unix() > expiry {
 		return "", fmt.Errorf("%w: ticket expired", ErrRejected)
 	}
 	// Challenge: prove possession of the session key.

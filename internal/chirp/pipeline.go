@@ -94,12 +94,14 @@ func (sess *session) serve(req request, sc *payloadScratch) {
 		}
 	}
 	sp.Phase("reply", replyStart.Sub(req.arrived), now.Sub(replyStart))
-	s.opts.Spans.Record(sp)
+	// Log before publishing to the ring: a span a client can fetch by
+	// trace ID is then already in the slow-request log.
 	if tl := s.opts.TraceLog; tl != nil && total >= s.opts.TraceSlow {
 		if err := tl.RecordValue(sp); err != nil {
 			sess.log.printf("slow-request log: %v", err)
 		}
 	}
+	s.opts.Spans.Record(sp)
 }
 
 // execute takes one request from shape check to recorded reply: table

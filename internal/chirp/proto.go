@@ -347,7 +347,7 @@ func (c *codec) release() {
 // lineBuf builds one protocol line in place: space-separated tokens
 // appended into a buffer its owner reuses from line to line, so encoding
 // allocates nothing. A line is valid until its owner starts the next
-// one; whoever keeps it longer copies it (DESIGN.md §16 has the table of
+// one; whoever keeps it longer copies it (DESIGN.md §6 has the table of
 // owners).
 type lineBuf struct{ b []byte }
 

@@ -126,8 +126,7 @@ type ClientOptions struct {
 	// wire bytes through it, and the fault-injection tests use it.
 	Dialer func(addr string) (net.Conn, error)
 	// Sleep replaces time.Sleep for backoff waits, letting tests record
-	// the schedule instead of waiting it out. Test seam, until one clock
-	// replaces the serving path's separate time hooks.
+	// the schedule instead of waiting it out. Test seam.
 	Sleep func(time.Duration)
 	// Protocol pins the wire framing: ProtocolV1 forces the lock-step
 	// line framing, ProtocolV2 (or 0, the default) negotiates tagged

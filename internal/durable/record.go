@@ -50,9 +50,9 @@ const (
 	// FlagCrossShard marks a record that spans two journal shards (a
 	// rename or link whose paths live in different top-level subtrees).
 	// The record is appended to both shards' logs under the same LSN;
-	// recovery applies it once, and treats a copy whose partner never
-	// reached disk as uncommitted (see the cross-shard commit protocol
-	// in DESIGN.md §15).
+	// recovery applies it once, including a copy whose partner never
+	// reached disk, since either copy carries the whole mutation (see
+	// the cross-shard commit protocol in DESIGN.md §3).
 	FlagCrossShard uint8 = 1 << 0
 )
 

@@ -550,7 +550,7 @@ func (s *Store) BarrierTraced() (wait, commitLat time.Duration, err error) {
 // cross-shard commit: the record is appended to both shards' logs
 // under one LSN and — still inside both journal locks — waited durable
 // on both, so no later record in either shard can exist unless the
-// cross record survives recovery (see DESIGN.md §15).
+// cross record survives recovery (see DESIGN.md §3).
 func (s *Store) RecordMutation(m vfs.Mutation) {
 	rec := Record{Type: uint8(m.Op), Mut: m}
 	if m.Op == vfs.MutRename || m.Op == vfs.MutLink {

@@ -163,7 +163,7 @@ func (w *WAL) noteLostLocked(lsn uint64) {
 // other appends. The caller must then WaitDurable the returned LSN on
 // BOTH shards before releasing the journal locks — that synchronous
 // commit is what guarantees no later record in either shard exists
-// until the cross record is durable everywhere (see DESIGN.md §15).
+// until the cross record is durable everywhere (see DESIGN.md §3).
 func appendCross(lo, hi *WAL, rec Record) (uint64, error) {
 	if lo == hi {
 		return lo.Append(rec)

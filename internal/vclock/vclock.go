@@ -113,7 +113,7 @@ type CostModel struct {
 }
 
 // Default returns the cost model calibrated against the paper's
-// evaluation hardware. See DESIGN.md §4 for the calibration targets.
+// evaluation hardware. See DESIGN.md §2 for the calibration targets.
 func Default() CostModel {
 	return CostModel{
 		SyscallFixed: 0.30,

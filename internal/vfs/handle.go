@@ -54,7 +54,7 @@ func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt writes p at off, extending the file (zero-filled) as needed.
 // A journaled write is attributed to the handle's open-time path; see
-// the durability notes in DESIGN.md §9 for the rename-while-open caveat.
+// the journal notes in DESIGN.md §3 for the rename-while-open caveat.
 func (h *Handle) WriteAt(p []byte, off int64) (int, error) {
 	return h.writeAt(p, off, 0)
 }

@@ -9,7 +9,7 @@
 // lock covers path resolution and the directory tree, while file
 // contents and mutable metadata are guarded per inode, so independent
 // requests — a read of one file, a write of another, a stat of a third —
-// proceed in parallel. See DESIGN.md §6 for the locking hierarchy.
+// proceed in parallel. See DESIGN.md §5 for the locking hierarchy.
 //
 // Access control is intentionally split: the VFS enforces nothing by
 // itself. Unix-permission checks and ACL checks are made by the callers

@@ -130,7 +130,7 @@ func (a App) Scaled(f float64) App {
 }
 
 // Apps returns the six applications, in the order of Figure 5(b), with
-// mixes calibrated against the default cost model (see DESIGN.md §4).
+// mixes calibrated against the default cost model (see DESIGN.md §2).
 func Apps() []App {
 	return []App{
 		{
