@@ -50,7 +50,7 @@
 //
 // Sessions negotiate the v2 tagged protocol when the client supports
 // it: requests are multiplexed out of order under a per-session credit
-// window, non-conflicting ones served by a concurrent lane. Old
+// window and served by a per-session pool of workers. Old
 // lock-step v1 clients speak the same wire as ever and pass through the
 // same pipeline, admission control included, one request at a time.
 //

@@ -90,7 +90,7 @@ func (fx aliasFixture) verify(cl *Client, fd int) error {
 // TestReplyBuffersNeverShared is the test of buffer reuse on the wire
 // path, whose failure mode is a well-formed reply to someone else's
 // request. Sixteen callers pipeline stat, getdir, pread, getacl and a
-// failing stat through one session — one lane worker and eight, both
+// failing stat through one session — one worker and eight, both
 // framings — and every reply must be the caller's own: reply lines are
 // encoded in per-worker buffers, request lines in pooled ones, calls are
 // recycled, and none of it may be visible.

@@ -234,3 +234,55 @@ func TestBarrierPrecedesDedupeAppend(t *testing.T) {
 		}
 	})
 }
+
+// TestReadOnlyOpenSkipsBarrier: an open whose flags are read-only
+// without create or truncate changes nothing, so its reply waits for no
+// durability barrier. An open that may create or truncate, and any
+// other mutation, still barriers once.
+func TestReadOnlyOpenSkipsBarrier(t *testing.T) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		srv, k, _ := testServer(t)
+		if err := k.FS().WriteFile("/f", []byte("x"), 0o644, "chirpowner"); err != nil {
+			t.Fatal(err)
+		}
+		var order callOrder
+		srv.opts.Durability = &order
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		barriers := func() (n int) {
+			for _, c := range order.take() {
+				if c == "barrier" {
+					n++
+				}
+			}
+			return n
+		}
+		barriers()
+		for _, c := range []struct {
+			name  string
+			flags int
+			want  int
+		}{
+			{"O_RDONLY", kernel.ORdonly, 0},
+			{"O_RDONLY|O_CREAT", kernel.ORdonly | kernel.OCreat, 1},
+			{"O_WRONLY|O_TRUNC", kernel.OWronly | kernel.OTrunc, 1},
+		} {
+			fd, err := cl.Open("/f", c.flags, 0o644)
+			if err != nil {
+				t.Fatalf("open %s: %v", c.name, err)
+			}
+			if got := barriers(); got != c.want {
+				t.Errorf("open %s made %d barriers, want %d", c.name, got, c.want)
+			}
+			if err := cl.CloseFD(fd); err != nil {
+				t.Fatal(err)
+			}
+			barriers()
+		}
+		if err := cl.Mkdir("/d", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if got := barriers(); got != 1 {
+			t.Errorf("mkdir made %d barriers, want 1", got)
+		}
+	})
+}

@@ -332,8 +332,8 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 // blob). Once that reply is on the wire every committed group is pushed
 // to the session as a replPushTag frame until the session ends or the
 // subscriber falls too far behind (a "replgap" push tells it to
-// resubscribe). Runs on the ordered lane so a session cannot race two
-// registrations.
+// resubscribe). A second registration on the session, concurrent or
+// not, is refused under replMu.
 func (sess *session) replSubscribe(sc *payloadScratch, arg string) hres {
 	pub := sess.s.opts.Repl
 	if pub == nil || sess.v2 == nil || !sess.v2.repl {
@@ -396,7 +396,7 @@ func (sess *session) replAck(sc *payloadScratch, arg string) hres {
 // just ends (the transport is going away with it).
 func (sess *session) replPush(sub *replica.Subscription) {
 	defer sess.pushWG.Done()
-	var line lineBuf // the pusher's own: it runs beside the lanes
+	var line lineBuf // the pusher's own: it runs beside the workers
 	for b := range sub.C {
 		line.start("replpush").uint(b.Epoch).uint(b.First).uint(b.Last).
 			int(int64(b.Records)).int(int64(len(b.Frames)))

@@ -10,6 +10,7 @@ import (
 
 	"identitybox/internal/auth"
 	"identitybox/internal/faultnet"
+	"identitybox/internal/identity"
 	"identitybox/internal/kernel"
 )
 
@@ -127,11 +128,11 @@ func TestMuxNegotiationMatrix(t *testing.T) {
 	})
 }
 
-// TestMuxSlowOpDoesNotBlockMetadata parks an exec on the server's
-// ordered lane behind a gate, then proves the same session still
-// answers metadata and read traffic: the pool lane is not head-of-line
-// blocked by a slow conflicting operation. On the v1 lock-step protocol
-// every one of these calls would be stuck behind the exec.
+// TestMuxSlowOpDoesNotBlockMetadata parks an exec on one of the
+// session's workers behind a gate, then proves the same session still
+// answers metadata and read traffic: the other workers are not
+// head-of-line blocked by a slow operation. On the v1 lock-step
+// protocol every one of these calls would be stuck behind the exec.
 func TestMuxSlowOpDoesNotBlockMetadata(t *testing.T) {
 	srv, k, _ := testServer(t)
 	release := make(chan struct{})
@@ -149,8 +150,8 @@ func TestMuxSlowOpDoesNotBlockMetadata(t *testing.T) {
 	if err := cl.PutFile("/gate.exe", kernel.ExecutableBytes("gate"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// open/close are conflicting ops and would queue behind the exec on
-	// the ordered lane, so grab the fd before parking it.
+	// Grab the fd before parking the exec, so the pread below needs no
+	// open of its own while the gate holds.
 	fd, err := cl.Open("/gate.exe", 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +161,7 @@ func TestMuxSlowOpDoesNotBlockMetadata(t *testing.T) {
 		_, err := cl.Exec("/", "/gate.exe")
 		done <- err
 	}()
-	<-started // the exec now occupies the ordered lane
+	<-started // the exec now occupies a worker
 	for i := 0; i < 5; i++ {
 		if _, err := cl.Whoami(); err != nil {
 			t.Fatalf("whoami while exec in flight: %v", err)
@@ -194,7 +195,7 @@ func TestMuxSlowOpDoesNotBlockMetadata(t *testing.T) {
 // TestMuxTransferConcurrentWithMetadata overlaps a windowed multi-chunk
 // PutFile with metadata calls on the same session and requires the
 // metadata to complete while the transfer is still in flight — the
-// mixed-workload shape the per-session lanes exist for.
+// mixed-workload shape the per-session worker pool exists for.
 func TestMuxTransferConcurrentWithMetadata(t *testing.T) {
 	srv, _, _ := testServer(t)
 	cl := adminClient(t, srv, ClientOptions{Window: 8})
@@ -419,4 +420,122 @@ func TestMuxConcurrentStress(t *testing.T) {
 	if got, err := cl.GetFile("/seed"); err != nil || !bytes.Equal(got, seed) {
 		t.Fatalf("seed file corrupted by stress: %d bytes, %v", len(got), err)
 	}
+}
+
+// overlapBarrier is a Durability whose Barrier holds each caller until
+// want callers are inside at once, or a timeout passes, and records the
+// peak number inside: how many barrier waits overlapped.
+type overlapBarrier struct {
+	want int
+	full chan struct{}
+	once sync.Once
+
+	mu           sync.Mutex
+	inside, peak int
+}
+
+func (o *overlapBarrier) Barrier() error {
+	o.mu.Lock()
+	o.inside++
+	o.peak = max(o.peak, o.inside)
+	if o.inside >= o.want {
+		o.once.Do(func() { close(o.full) })
+	}
+	o.mu.Unlock()
+	select {
+	case <-o.full:
+	case <-time.After(2 * time.Second):
+	}
+	o.mu.Lock()
+	o.inside--
+	o.mu.Unlock()
+	return nil
+}
+
+// TestMuxSessionBarriersOverlap: three callers sharing one v2 session
+// each issue a mutation — mkdir, rename, setacl — and all three wait on
+// the durability barrier at once. A session serving its mutations one
+// at a time would let only one caller inside the barrier.
+func TestMuxSessionBarriersOverlap(t *testing.T) {
+	srv, k, _ := testServer(t)
+	fs := k.FS()
+	if err := fs.WriteFile("/old", []byte("x"), 0o644, "chirpowner"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.MkdirAll("/acl", 0o755, "chirpowner"); err != nil {
+		t.Fatal(err)
+	}
+	dur := &overlapBarrier{want: 3, full: make(chan struct{})}
+	srv.opts.Durability = dur
+	cl := adminClient(t, srv, ClientOptions{})
+	if cl.Protocol() != ProtocolV2 {
+		t.Fatalf("client speaks v%d, want v2", cl.Protocol())
+	}
+	ops := []func() error{
+		func() error { return cl.Mkdir("/dir", 0o755) },
+		func() error { return cl.Rename("/old", "/new") },
+		func() error { return cl.SetACL("/acl", "unix:admin rwlax\n") },
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(ops))
+	for i, op := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = op()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	dur.mu.Lock()
+	peak := dur.peak
+	dur.mu.Unlock()
+	if peak != 3 {
+		t.Fatalf("peak barrier waiters on one session = %d, want 3", peak)
+	}
+}
+
+// TestMuxConcurrentExecsOnePrincipal runs execs of one principal
+// concurrently on one v2 session, the race-detector target for boxes
+// made while others run. Each box is made while the others write in the
+// same home, whose ACL grants the principal its rights: a box that
+// rewrote the home ACL could show a running one the ACL truncated and
+// refuse its write (TestBoxScaffoldingWrittenOnce pins that it does not).
+func TestMuxConcurrentExecsOnePrincipal(t *testing.T) {
+	srv, k, _ := testServer(t)
+	k.RegisterProgram("touch", func(p *kernel.Proc, args []string) int {
+		for i := 0; i < 500; i++ {
+			if err := p.WriteFile(args[0], []byte("x"), 0o644); err != nil {
+				return 1
+			}
+		}
+		return 0
+	})
+	cl := adminClient(t, srv, ClientOptions{})
+	if err := cl.PutFile("/touch.exe", kernel.ExecutableBytes("touch"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	home := "/.boxhomes/" + identity.Principal(cl.Identity()).Sanitized()
+	if res, err := cl.Exec("/", "/touch.exe", "/first"); err != nil || res.Code != 0 {
+		t.Fatalf("first exec = %+v, %v", res, err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				res, err := cl.Exec(home, "/touch.exe", fmt.Sprintf("out%d", g))
+				if err != nil || res.Code != 0 {
+					t.Errorf("exec %d.%d = %+v, %v", g, i, res, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
 	"identitybox/internal/admission"
-	"identitybox/internal/kernel"
 	"identitybox/internal/obs"
 	"identitybox/internal/replica"
 	"identitybox/internal/vfs"
@@ -114,8 +112,7 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 	}
 	// A tokened request already answered for this principal is replayed
 	// without re-executing: a lost reply does not become a second
-	// execution. The ordered lane keeps the lookup and the later store
-	// from racing a concurrent duplicate on the same session.
+	// execution.
 	var dk string
 	if req.token != "" {
 		dk = dedupeKey(sess.ident.String(), req.token)
@@ -145,7 +142,7 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 	st.handler = time.Now()
 	res := sess.handle(req.cmd, req.args, req.payload, sc, req.trace)
 	st.handled = time.Now()
-	if d := s.opts.Durability; d != nil && req.spec.has(fMutating) {
+	if d := s.opts.Durability; d != nil && req.mutating {
 		if dk == "" && req.ticket.ExpiredAtBarrier() {
 			// Barrier hop: the op executed but its budget is gone, so
 			// answer EDEADLINE instead of parking on the WAL —
@@ -244,17 +241,8 @@ func (sess *session) failf(sc *payloadScratch, err error, context string) hres {
 // answers every write with it, no matter how stale its own view is.
 func (sess *session) roleRefusal(req *request, sc *payloadScratch) *hres {
 	rs := sess.s.opts.Role
-	if rs == nil || !req.spec.has(fMutating) {
+	if rs == nil || !req.mutating {
 		return nil
-	}
-	if req.cmd == "open" {
-		// A read-only open without create/truncate mutates nothing, and
-		// followers must serve it: bounded-staleness reads (waitlsn +
-		// get) are the whole point of read replicas.
-		if flags, err := strconv.Atoi(req.args[0]); err == nil &&
-			flags&3 == kernel.ORdonly && flags&(kernel.OCreat|kernel.OTrunc) == 0 {
-			return nil
-		}
 	}
 	role, _ := rs.Role()
 	if role == "" || role == replica.RolePrimary {

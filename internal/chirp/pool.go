@@ -21,7 +21,7 @@ const wireBufSize = 32 << 10
 // path: a payload buffer, and beside it (a different buffer, so a reply
 // line never overlaps the body it announces) the line a server handler
 // encodes its reply into. Each codec owns one for its lifetime, each v2
-// lane worker one more, and the wrapper returns to scratchPool on
+// session worker one more, and the wrapper returns to scratchPool on
 // release so connections recycle each other's grown buffers instead of
 // allocating per call.
 type payloadScratch struct {

@@ -168,8 +168,9 @@ type cmdFlags uint8
 const (
 	// fMutating: can change durable state — refused on a non-primary
 	// replica, and its reply waits for the durability barrier. open is
-	// included because O_CREAT/O_TRUNC create or truncate, exec because
-	// staged programs write output files.
+	// included because O_CREAT/O_TRUNC create or truncate (readRequest
+	// clears it per request for a read-only open), exec because staged
+	// programs write output files.
 	fMutating cmdFlags = 1 << iota
 	// fTokenable: may ride inside `token <id>` — a non-idempotent
 	// mutation with a line-only reply. Session-state commands (open,
@@ -177,13 +178,6 @@ const (
 	// into a different session — as are payload-reply commands, whose
 	// body the dedupe table does not capture.
 	fTokenable
-	// fOrdered: runs on the session's single ordered lane, preserving
-	// submission order where operations can conflict — descriptor-table
-	// changes, namespace mutations, ACL and grant changes. Everything
-	// else (reads, stats, and pwrite, whose offsets the client already
-	// owns) runs on the concurrent pool, so a slow transfer cannot
-	// head-of-line block metadata traffic.
-	fOrdered
 	// fControl: admitted on the exempt class — liveness probes,
 	// observability and the replication control plane. Shedding these
 	// under overload would make saturation look like failure (a lease
@@ -254,10 +248,9 @@ func (c *cmdSpec) refusal(args []string, payload []byte) string {
 
 const aclPayloadMax = 1 << 20
 
-// commandTable declares every command once. Server lane routing,
-// payload reading, admission class, role gating, the durability
-// barrier, dedupe eligibility and the client's retry class all read it;
-// nothing else knows a command's shape.
+// commandTable declares every command once. Payload reading, admission
+// class, role gating, the durability barrier, dedupe eligibility and the
+// client's retry class all read it; nothing else knows a command's shape.
 var commandTable = []cmdSpec{
 	{name: "whoami", flags: fControl | fIdempotent | fVarArgs},
 	{name: "stats", flags: fControl | fIdempotent | fVarArgs},
@@ -265,15 +258,14 @@ var commandTable = []cmdSpec{
 	{name: "trace", nargs: 1, flags: fControl | fIdempotent},
 	{name: "waitlsn", nargs: 2, flags: fControl | fIdempotent},
 	{name: "version", flags: fControl | fVarArgs},
-	// `token <id> <cmd> ...` wraps a tokenable command; it is ordered so
-	// the dedupe lookup and store cannot race a concurrent duplicate, and
-	// idempotent because the server replays instead of re-executing.
-	{name: "token", nargs: 2, flags: fOrdered | fIdempotent | fVarArgs},
-	{name: "replsub", nargs: 1, flags: fControl | fOrdered}, // registration must not race itself
+	// `token <id> <cmd> ...` wraps a tokenable command; it is idempotent
+	// because the server replays instead of re-executing.
+	{name: "token", nargs: 2, flags: fIdempotent | fVarArgs},
+	{name: "replsub", nargs: 1, flags: fControl},
 	{name: "replack", nargs: 1, flags: fControl},
-	{name: "assert", nargs: 1, flags: fControl | fOrdered | fIdempotent, payloadArg: 0, payloadMax: aclPayloadMax},
-	{name: "open", nargs: 3, flags: fMutating | fOrdered | fIdempotent},
-	{name: "close", nargs: 1, flags: fOrdered},
+	{name: "assert", nargs: 1, flags: fControl | fIdempotent, payloadArg: 0, payloadMax: aclPayloadMax},
+	{name: "open", nargs: 3, flags: fMutating | fIdempotent},
+	{name: "close", nargs: 1},
 	{name: "pread", nargs: 3},
 	{name: "pwrite", nargs: 3, flags: fMutating | fTokenable, payloadArg: 2, payloadMax: MaxPayload},
 	{name: "fstat", nargs: 1},
@@ -282,15 +274,15 @@ var commandTable = []cmdSpec{
 	{name: "getdir", nargs: 1, flags: fIdempotent},
 	{name: "readlink", nargs: 1, flags: fIdempotent},
 	{name: "getacl", nargs: 1, flags: fIdempotent},
-	{name: "mkdir", nargs: 2, flags: fMutating | fTokenable | fOrdered | fIdempotent},
-	{name: "rmdir", nargs: 1, flags: fMutating | fTokenable | fOrdered | fIdempotent},
-	{name: "unlink", nargs: 1, flags: fMutating | fTokenable | fOrdered | fIdempotent},
-	{name: "truncate", nargs: 2, flags: fMutating | fTokenable | fOrdered | fIdempotent},
-	{name: "setacl", nargs: 2, flags: fMutating | fTokenable | fOrdered | fIdempotent, payloadArg: 1, payloadMax: aclPayloadMax},
-	{name: "rename", nargs: 2, flags: fMutating | fTokenable | fOrdered},
-	{name: "link", nargs: 2, flags: fMutating | fTokenable | fOrdered},
-	{name: "symlink", nargs: 2, flags: fMutating | fTokenable | fOrdered},
-	{name: "exec", nargs: 2, flags: fMutating | fTokenable | fOrdered | fVarArgs},
+	{name: "mkdir", nargs: 2, flags: fMutating | fTokenable | fIdempotent},
+	{name: "rmdir", nargs: 1, flags: fMutating | fTokenable | fIdempotent},
+	{name: "unlink", nargs: 1, flags: fMutating | fTokenable | fIdempotent},
+	{name: "truncate", nargs: 2, flags: fMutating | fTokenable | fIdempotent},
+	{name: "setacl", nargs: 2, flags: fMutating | fTokenable | fIdempotent, payloadArg: 1, payloadMax: aclPayloadMax},
+	{name: "rename", nargs: 2, flags: fMutating | fTokenable},
+	{name: "link", nargs: 2, flags: fMutating | fTokenable},
+	{name: "symlink", nargs: 2, flags: fMutating | fTokenable},
+	{name: "exec", nargs: 2, flags: fMutating | fTokenable | fVarArgs},
 }
 
 var commandByName = make(map[string]*cmdSpec, len(commandTable))

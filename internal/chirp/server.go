@@ -30,9 +30,6 @@ type ServerOptions struct {
 	RootACL *acl.ACL
 	// Verifiers are the accepted authentication methods.
 	Verifiers map[auth.Method]auth.Verifier
-	// Hosts resolves peer addresses for the hostname method and for
-	// logging.
-	Hosts auth.HostTable
 	// CatalogAddr, when set, receives UDP heartbeats.
 	CatalogAddr string
 	// CASTrust, when set, lets clients present community-authorization
@@ -101,10 +98,10 @@ type ServerOptions struct {
 	// advertises during v2 negotiation (default
 	// DefaultMaxInflightBytes); the minimum of the two sides wins.
 	MaxInflightBytes int64
-	// Workers sizes the per-session pool executing non-conflicting v2
-	// requests concurrently (default 4). Conflicting ops — descriptor
-	// table changes, namespace mutations, tokened requests, exec — run
-	// on a single ordered lane that preserves per-session FIFO order.
+	// Workers sizes the per-session pool that executes every v2 request
+	// (default 4), in no promised order: a client orders two requests
+	// by waiting for the first reply. One session's barrier waits
+	// overlap up to Workers at a time.
 	Workers int
 	// MaxProtocol caps the protocol version the server negotiates: 0 or
 	// ProtocolV2 accept tagged v2 sessions, ProtocolV1 pins the server

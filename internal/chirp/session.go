@@ -20,7 +20,7 @@ import (
 
 // This file is the session: one authenticated connection's state, its
 // reader (framing adapter, admission, version exchange) and, on v2, the
-// lanes and credit window that feed the pipeline in pipeline.go.
+// worker pool and credit window that feed the pipeline in pipeline.go.
 
 // session is one authenticated connection.
 //
@@ -52,14 +52,14 @@ type session struct {
 
 	// v2 is the framing the session speaks: nil is the v1 line framing,
 	// non-nil the tagged frames a successful version exchange negotiated.
-	// The reader sets it before starting the lanes, so workers (and the
+	// The reader sets it before starting the workers, so they (and the
 	// replication pusher) read it without a lock.
 	v2 *v2Conf
 
 	// v2 credit-window state: slotMu/slotCond gate frame admission so at
 	// most window requests are in flight per session. stopping is set
 	// by abort() when the server severs the connection: it wakes a
-	// reader parked on a full window and tells the lane workers to
+	// reader parked on a full window and tells the workers to
 	// drop queued jobs instead of executing them toward a dead socket.
 	slotMu   sync.Mutex
 	slotCond *sync.Cond
@@ -193,7 +193,7 @@ type request struct {
 	cmd      string   // the command, unwrapped from any token prefix
 	args     []string
 	token    string // idempotency token the request came wrapped in
-	ordered  bool   // runs on the ordered lane
+	mutating bool   // role-gated and barriered: fMutating, less a read-only open
 	payload  []byte
 	trace    uint64    // request-tracing ID (0 untraced)
 	deadline time.Time // budget anchored at arrival (zero: none)
@@ -206,7 +206,7 @@ type request struct {
 // one request at a time through the framing adapter (readRequest),
 // counts it, passes it through admission, and hands it to the one
 // pipeline (serve) — inline on a v1 session, whose window is 1, or on
-// the worker lanes once a version exchange has upgraded the session to
+// the worker pool once a version exchange has upgraded the session to
 // tagged frames, where the credit window applies backpressure by simply
 // not reading the next frame.
 func (sess *session) loop() {
@@ -280,11 +280,7 @@ func (sess *session) step(ln *lanes) bool {
 		req.ticket.Done()
 		return false // server severing this session: stop reading
 	}
-	if req.ordered {
-		ln.ordered <- req
-	} else {
-		ln.pool <- req
-	}
+	ln.pool <- req
 	return true
 }
 
@@ -347,7 +343,6 @@ func (sess *session) readRequest() (req request, err error) {
 	}
 	req.cmd, req.args = fields[0], fields[1:]
 	req.spec = commandByName[req.cmd]
-	req.ordered = req.spec.has(fOrdered)
 	if req.cmd == "token" {
 		// `token <id> <cmd> ...`: the inner command is what is counted,
 		// admitted and executed; the token keys its reply for replay.
@@ -359,6 +354,15 @@ func (sess *session) readRequest() (req request, err error) {
 		if req.spec = commandByName[req.cmd]; !req.spec.has(fTokenable) {
 			req.bad = "command not tokenable: " + req.cmd
 		}
+	}
+	// An open whose flags parse as read-only without create or truncate
+	// mutates nothing: followers serve it (bounded-staleness reads are
+	// what read replicas are for) and its reply waits for no barrier.
+	// Malformed flags count as mutating.
+	req.mutating = req.spec.has(fMutating)
+	if req.mutating && req.cmd == "open" && len(req.args) > 0 {
+		flags, err := strconv.Atoi(req.args[0])
+		req.mutating = err != nil || flags&3 != kernel.ORdonly || flags&(kernel.OCreat|kernel.OTrunc) != 0
 	}
 	if n, ok := req.spec.payloadLen(req.args); ok && v2 == nil {
 		// Consume exactly what the line announces so the wire stays
@@ -443,42 +447,41 @@ func (sess *session) serveVersion(args []string, ln *lanes) error {
 
 var errSevered = errors.New("chirp: session severed")
 
-// lanes are a v2 session's executors: an ordered lane (one goroutine,
-// FIFO) runs conflicting commands in submission order while a small
-// pool runs the rest concurrently.
+// lanes is a v2 session's executor: one pool of workers runs every
+// request, in no promised order. A client that needs one request to
+// follow another waits for the first reply, as Client does; so the
+// barrier waits of a session's callers overlap and share commit groups,
+// and a slow exec holds one worker, not the session.
 type lanes struct {
-	ordered, pool chan request
-	wg            sync.WaitGroup
-	once          sync.Once
+	pool chan request
+	wg   sync.WaitGroup
+	once sync.Once
 }
 
 func (ln *lanes) start(sess *session, window, workers int) {
-	ln.ordered = make(chan request, window)
 	ln.pool = make(chan request, window)
-	ln.wg.Add(1 + workers)
-	go sess.worker(ln, ln.ordered)
+	ln.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go sess.worker(ln, ln.pool)
+		go sess.worker(ln)
 	}
 }
 
-// close stops the lanes and waits for every queued reply to flush. It
+// close stops the workers and waits for every queued reply to flush. It
 // is a no-op on a session that never upgraded.
 func (ln *lanes) close() {
 	ln.once.Do(func() {
-		if ln.ordered != nil {
-			close(ln.ordered)
+		if ln.pool != nil {
 			close(ln.pool)
 			ln.wg.Wait()
 		}
 	})
 }
 
-func (sess *session) worker(ln *lanes, ch <-chan request) {
+func (sess *session) worker(ln *lanes) {
 	defer ln.wg.Done()
 	sc := scratchPool.Get().(*payloadScratch)
 	defer scratchPool.Put(sc)
-	for req := range ch {
+	for req := range ln.pool {
 		if sess.isStopping() {
 			// Severed: the socket is gone, no reply can reach the
 			// client — drop queued work instead of executing it.
@@ -515,7 +518,7 @@ func (sess *session) acquireSlot(window int) bool {
 
 // abort marks the session severed: it silences reply, wakes a frame
 // reader parked on the credit window (acquireSlot returns false) and
-// makes the lane workers drop queued jobs. Called by Close and by
+// makes the workers drop queued jobs. Called by Close and by
 // Shutdown's sever path; without it a reader parked behind a window
 // full of slow work would hold its connection goroutine — and
 // therefore Close — hostage until every queued job had executed toward

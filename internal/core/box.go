@@ -30,6 +30,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -250,7 +251,7 @@ func (b *Box) setupHome() error {
 		return fmt.Errorf("core: creating home %s: %w", home, err)
 	}
 	homeACL := acl.ForOwner(b.ident)
-	if err := fs.WriteFile(vfs.Join(home, acl.FileName), []byte(homeACL.String()), 0o644, b.account); err != nil {
+	if err := writeIfChanged(fs, vfs.Join(home, acl.FileName), []byte(homeACL.String()), b.account); err != nil {
 		return fmt.Errorf("core: writing home ACL: %w", err)
 	}
 	b.home = home
@@ -272,11 +273,23 @@ func (b *Box) setupPasswdShadow() error {
 	}
 	entry := fmt.Sprintf("%s:x:65534:65534:%s:%s:/bin/sh\n", b.ident.Sanitized(), b.ident, b.home)
 	shadow := vfs.Join(b.opts.ShadowDir, "passwd-"+b.ident.Sanitized())
-	if err := fs.WriteFile(shadow, append([]byte(entry), orig...), 0o644, b.account); err != nil {
+	if err := writeIfChanged(fs, shadow, append([]byte(entry), orig...), b.account); err != nil {
 		return err
 	}
 	b.shadowPasswd = shadow
 	return nil
+}
+
+// writeIfChanged writes the box's scaffolding file at path unless it
+// already holds exactly data. A box made again for the same visitor
+// then journals nothing, and a concurrent boxed check never meets the
+// file truncated; a file that differs (a visitor-edited home ACL) is
+// still rewritten.
+func writeIfChanged(fs *vfs.FS, path string, data []byte, owner string) error {
+	if cur, err := fs.ReadFile(path); err == nil && bytes.Equal(cur, data) {
+		return nil
+	}
+	return fs.WriteFile(path, data, 0o644, owner)
 }
 
 // Identity reports the principal attached to everything in the box.

@@ -914,3 +914,43 @@ func TestPipeInsideBox(t *testing.T) {
 		t.Fatalf("exit = %d", st.Code)
 	}
 }
+
+// TestBoxScaffoldingWrittenOnce: a second box for the same visitor
+// rewrites neither the home ACL nor the passwd shadow when they already
+// hold the right bytes, and still resets a home ACL the visitor edited.
+func TestBoxScaffoldingWrittenOnce(t *testing.T) {
+	k := newWorld(t)
+	fs := k.FS()
+	b := newBox(t, k, "Freddy", Options{})
+	homeACL := vfs.Join(b.Home(), acl.FileName)
+	files := []string{homeACL, b.shadowPasswd}
+	mtimes := func() []int64 {
+		out := make([]int64, len(files))
+		for i, f := range files {
+			st, err := fs.Stat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = st.Mtime
+		}
+		return out
+	}
+	before := mtimes()
+	newBox(t, k, "Freddy", Options{})
+	for i, m := range mtimes() {
+		if m != before[i] {
+			t.Errorf("%s rewritten by a second box (mtime %d -> %d)", files[i], before[i], m)
+		}
+	}
+	want, err := fs.ReadFile(homeACL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(homeACL, []byte("Freddy rwlax\nGeorge rl\n"), 0o644, "dthain"); err != nil {
+		t.Fatal(err)
+	}
+	newBox(t, k, "Freddy", Options{})
+	if got, err := fs.ReadFile(homeACL); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("edited home ACL after a new box = %q, %v; want it reset to %q", got, err, want)
+	}
+}

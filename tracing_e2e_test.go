@@ -2,7 +2,7 @@ package identitybox
 
 // End-to-end request tracing: one trace ID must follow a request from
 // the client's submit queue, across the v2 wire, through the server's
-// ordered lane, into the WAL group-commit pipeline and the durability
+// session workers, into the WAL group-commit pipeline and the durability
 // barrier, and back out through the reply — all on the wall clock,
 // with the slow-request log capturing every traced request when the
 // threshold is zero. Set TRACE_ARTIFACT_DIR to keep the collected
@@ -81,7 +81,7 @@ func newTracedWorld(t testing.TB) *tracedWorld {
 }
 
 // syncWriter makes a bytes.Buffer safe behind the JSONL sink when
-// worker lanes log concurrently (the sink serializes, but keep the
+// session workers log concurrently (the sink serializes, but keep the
 // write path obviously race-free for -race).
 type syncWriter struct{ buf *bytes.Buffer }
 
