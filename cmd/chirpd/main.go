@@ -6,7 +6,7 @@
 //
 //	chirpd [-addr host:port] [-owner name] [-root-acl "pattern rights;..."]
 //	       [-catalog addr] [-name label] [-state dir] [-metrics host:port]
-//	       [-compact-every d] [-fsync 0|1] [-wal-shards n]
+//	       [-compact-every d] [-fsync 0|1]
 //	       [-replicate] [-replica-of addr] [-lease-ttl d]
 //	       [-req-timeout d] [-drain d] [-admit-queue n]
 //	       [-trace-spans n] [-trace-log file] [-trace-slow d] [-v]
@@ -19,12 +19,8 @@
 // volume is volatile. Log appends are group-committed: concurrent
 // mutations coalesce into one write and one fsync per group, and a
 // mutating request is acknowledged on the wire only after its group is
-// durable. The log is written as bounded, checksummed segments, pruned
-// once a snapshot (and every follower) has passed them, and the commit
-// pipeline is sharded per top-level subtree (-wal-shards committers; a
-// global LSN keeps total commit order), so writers under independent
-// subtrees never serialize on one fsync queue and recovery replays
-// shards in parallel.
+// durable. The log is one chain of bounded, checksummed segments,
+// pruned once a snapshot (and every follower) has passed them.
 //
 // -replicate turns a stateful server into a replica-set member: every
 // committed WAL group is published to subscribed followers, mutating
@@ -116,7 +112,6 @@ func main() {
 	state := flag.String("state", "", "durable state directory (WAL + snapshots); empty: volatile volume")
 	compactEvery := flag.Duration("compact-every", time.Minute, "snapshot compaction interval with -state (0: compact only at shutdown)")
 	fsyncEvery := flag.Int("fsync", 1, "WAL fsync policy with -state, 0 or 1 (1: fsync every commit group; 0: never, the OS decides)")
-	walShards := flag.Int("wal-shards", 8, "commit-pipeline shards, one committer per top-level subtree hash bucket with -state (1: the single-shard pipeline)")
 	replicate := flag.Bool("replicate", false, "publish the WAL to followers and contend for the write lease (needs -state)")
 	replicaOf := flag.String("replica-of", "", "start as a follower streaming from this primary (implies -replicate)")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "write-lease term; failover completes within roughly one TTL")
@@ -181,7 +176,6 @@ func main() {
 			Spans:       spans,
 			Logf:        log.Printf,
 			ReplicaMode: *replicaOf != "",
-			Shards:      *walShards,
 		}
 		if pub != nil {
 			dopts.OnShip = pub.Ship

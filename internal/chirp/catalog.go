@@ -128,22 +128,39 @@ func NewCatalog() *Catalog {
 // the injected clock; election windows are real timers.
 func (c *Catalog) SetClock(now func() time.Time) { c.now = now }
 
+// listenAttempts bounds how often Listen re-draws an ephemeral port
+// whose TCP side another socket already holds.
+const listenAttempts = 8
+
 // Listen binds the heartbeat (UDP) and query (TCP) endpoints to the
-// same address string and begins serving.
+// same address string and begins serving. With port 0 the kernel picks
+// the UDP port, whose TCP twin may be taken; Listen then releases the
+// UDP socket and tries a fresh port, up to listenAttempts times. A
+// fixed port is tried once.
 func (c *Catalog) Listen(addr string) error {
 	uaddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return err
 	}
-	c.udp, err = net.ListenUDP("udp", uaddr)
-	if err != nil {
-		return err
+	attempts := 1
+	if uaddr.Port == 0 {
+		attempts = listenAttempts
 	}
-	// Use the resolved UDP port for TCP too, so one address serves both.
-	c.tcp, err = net.Listen("tcp", c.udp.LocalAddr().String())
-	if err != nil {
+	for i := 0; ; i++ {
+		c.udp, err = net.ListenUDP("udp", uaddr)
+		if err != nil {
+			return err
+		}
+		// Use the resolved UDP port for TCP too, so one address serves both.
+		c.tcp, err = net.Listen("tcp", c.udp.LocalAddr().String())
+		if err == nil {
+			break
+		}
 		c.udp.Close()
-		return err
+		c.udp = nil
+		if i+1 == attempts {
+			return err
+		}
 	}
 	c.wg.Add(2)
 	go c.heartbeatLoop()

@@ -1,6 +1,7 @@
 package chirp
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -273,4 +274,33 @@ func TestLeaseSurvivesCatalogRestart(t *testing.T) {
 	if res.Epoch < 7 {
 		t.Fatalf("deny epoch = %d, want >= 7", res.Epoch)
 	}
+}
+
+// TestCatalogListenFixedPortTaken: Listen on a fixed port whose TCP
+// side another socket holds fails once, as asked, and leaks no socket:
+// the UDP port it bound on the way is free again afterwards.
+func TestCatalogListenFixedPortTaken(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	addr := held.Addr().String()
+	cat := NewCatalog()
+	if err := cat.Listen(addr); err == nil {
+		cat.Close()
+		t.Fatalf("Listen(%s) succeeded with its TCP port taken", addr)
+	}
+	if got := cat.Addr(); got != "" {
+		t.Fatalf("failed Listen left a bound address %q", got)
+	}
+	uaddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := net.ListenUDP("udp", uaddr)
+	if err != nil {
+		t.Fatalf("UDP port of the failed Listen still held: %v", err)
+	}
+	u.Close()
 }

@@ -206,10 +206,10 @@ func (o *callOrder) take() (calls []string) {
 }
 
 // TestBarrierPrecedesDedupeAppend: a tokened mutation's own writes are
-// barriered durable before its reply is journaled. The dedupe append
-// waits only on its own key's WAL shard, so it cannot stand in for the
-// barrier; skipping the barrier acknowledged mutations a crash could
-// still lose.
+// barriered durable before its reply is journaled. The DedupeJournal
+// may be the volatile table, which makes nothing durable, so its append
+// cannot stand in for the barrier; skipping the barrier acknowledged
+// mutations a crash could still lose.
 func TestBarrierPrecedesDedupeAppend(t *testing.T) {
 	bothFramings(t, func(t *testing.T, proto int) {
 		var order callOrder

@@ -152,9 +152,10 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 			return sess.failf(sc, fmt.Errorf("%w before durability barrier", ErrDeadline), "")
 		}
 		// The acknowledgement must not outrun the log: wait until every
-		// shard this request wrote is durable. This holds for tokened
-		// requests too — the dedupe journal append below waits only on
-		// its own key's shard.
+		// mutation this request made is durable. This holds for tokened
+		// requests too — the DedupeJournal below may be the volatile
+		// table, which makes nothing durable, so the ack cannot lean on
+		// its append.
 		var err error
 		if td, ok := d.(tracedDurability); ok {
 			_, st.commitLat, err = td.BarrierTraced()

@@ -345,6 +345,9 @@ type Server struct {
 	wg       sync.WaitGroup
 	stop     chan struct{} // closed once, when Close or Shutdown begins
 	stopOnce sync.Once
+	// severed is set by severAll before it severs any one session, so
+	// every session stops acknowledging at once (see severAll).
+	severed atomic.Bool
 
 	log      logger
 	metrics  *srvMetrics
@@ -459,11 +462,16 @@ func (s *Server) Close() error {
 // writes no more replies, so one connection going away (a follower's
 // ship stream, say, whose loss degrades the semi-sync barrier to local
 // durability) can never let another session acknowledge work in the
-// gap before its own connection closes.
+// gap before its own connection closes. Severing one session is not
+// enough to mark it: a severed replication pusher drops its
+// subscription at once, which also releases semi-sync waits, so the
+// server-wide severed flag silences every session before the first is
+// severed.
 func (s *Server) severAll() (already bool) {
 	s.mu.Lock()
 	already = s.closed
 	s.closed = true
+	s.severed.Store(true)
 	conns := make(map[net.Conn]*connState, len(s.conns))
 	for c, st := range s.conns {
 		conns[c] = st

@@ -530,8 +530,9 @@ func (sess *session) abort() {
 	sess.slotMu.Unlock()
 }
 
-// isStopping reports whether abort has severed this session.
-func (sess *session) isStopping() bool { return sess.stopping.Load() }
+// isStopping reports whether abort has severed this session, or
+// severAll has begun severing every session.
+func (sess *session) isStopping() bool { return sess.stopping.Load() || sess.s.severed.Load() }
 
 // releaseSlot returns a worker's slot after its reply is on the wire.
 // When the last in-flight request completes during a drain, the blocked

@@ -82,8 +82,7 @@ type groupState struct {
 	// firstQueued is the first LSN in queue (0 when empty);
 	// inflightFirst the first LSN of the batch the committer has claimed
 	// but not yet made durable (0 when none). Together with WAL.lost
-	// they form the shard's pending floor (see WAL.pendingFloor), which
-	// caps the store's global durable horizon.
+	// they cap the durable horizon (see WAL.durableLSN).
 	firstQueued   uint64
 	inflightFirst uint64
 
@@ -313,9 +312,8 @@ func (w *WAL) commitGroup(g *groupState) bool {
 	}
 	commitLat := time.Since(start)
 	if g.onShip != nil {
-		// first/last bound the group's LSNs. On a single-shard store
-		// they are contiguous; on a sharded store other shards' LSNs may
-		// interleave, and the ship sequencer reorders per record.
+		// One chain assigns LSNs in queue order, so first..last is a
+		// contiguous run and groups ship in LSN order.
 		g.onShip(first, last, count, batch)
 	}
 	if g.onGroup != nil {
@@ -363,9 +361,8 @@ func (w *WAL) WaitDurable(lsn uint64) error {
 	}
 }
 
-// Barrier blocks until every record appended to this shard before the
-// call is durable per the sync policy (or reports the degradation
-// error).
+// Barrier blocks until every record appended before the call is
+// durable per the sync policy (or reports the degradation error).
 func (w *WAL) Barrier() error {
 	w.mu.Lock()
 	target := w.lastLSN

@@ -392,98 +392,63 @@ func (f *simFile) Sync() error {
 
 func (f *simFile) Close() error { return nil }
 
-// evenRoots picks writer subtrees that rendezvous-hash evenly across
-// the shard count, so the benchmark measures pipeline scaling rather
-// than the luck of the draw on a handful of names (real deployments
-// have enough subtrees for the hash to even out).
-func evenRoots(writers, shards int) []string {
-	per := writers / shards
-	count := make([]int, shards)
-	roots := make([]string, 0, writers)
-	for i := 0; len(roots) < writers; i++ {
-		name := fmt.Sprintf("/w%d", i)
-		if sh := vfs.ShardOf(name, shards); count[sh] < per {
-			count[sh]++
-			roots = append(roots, name)
-		}
-	}
-	return roots
-}
-
 // BenchmarkGroupCommitStore measures the full store pipeline — vfs
-// mutation + journal append + per-op durability barrier — with the
-// commit pipeline unsharded vs sharded per top-level subtree, on the
-// simulated device above. Writers stay on disjoint subtrees, so the
-// sharded rows split the serial write+flush data plane across
-// independent committer goroutines and segment chains; the acceptance
-// bar is sharded ≥ 3× unsharded throughput at 16 writers, with the
-// 64-writer per-op cost within 1.5× of the 16-writer row. The
-// payload is sized so the flush cost is data-dominated — the regime
-// where a single committer's serial data plane is the bottleneck;
-// when a fixed per-flush latency dominates instead, unsharded group
-// commit already amortizes it and sharding buys commit latency, not
-// throughput.
+// mutation + journal append + per-op durability barrier — on the
+// simulated device above, each writer in its own subtree. The payload
+// is sized so the flush cost is data-dominated: the regime where the
+// one committer's serial data plane is the bottleneck.
 func BenchmarkGroupCommitStore(b *testing.B) {
 	payload := make([]byte, 64<<10)
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{
-		{"store-unsharded", 1},
-		{"store-sharded", 8},
-	} {
-		for _, writers := range []int{16, 64} {
-			b.Run(fmt.Sprintf("%s/writers=%d", cfg.name, writers), func(b *testing.B) {
-				dir := b.TempDir()
-				s, err := Open(dir, Options{
-					Owner:        "alice",
-					Shards:       cfg.shards,
-					CommitWindow: -1, // closed loop: groups form from queue pressure alone
-					OpenAppend:   func(string) (File, error) { return &simFile{}, nil },
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Close()
-				roots := evenRoots(writers, 8)
-				paths := make([]string, writers)
-				for g := 0; g < writers; g++ {
-					if err := s.FS().Mkdir(roots[g], 0o755, "alice"); err != nil {
-						b.Fatal(err)
-					}
-					paths[g] = roots[g] + "/f"
-					if _, err := s.FS().Create(paths[g], 0o644, "alice"); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := s.Barrier(); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < writers; g++ {
-					n := b.N / writers
-					if g < b.N%writers {
-						n++
-					}
-					wg.Add(1)
-					go func(g, n int) {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							if _, err := s.FS().WriteAt(paths[g], payload, 0); err != nil {
-								b.Error(err)
-								return
-							}
-							if err := s.BarrierPath(paths[g]); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(g, n)
-				}
-				wg.Wait()
-				b.StopTimer()
+	for _, writers := range []int{16, 64} {
+		b.Run(fmt.Sprintf("store-unsharded/writers=%d", writers), func(b *testing.B) {
+			dir := b.TempDir()
+			s, err := Open(dir, Options{
+				Owner:        "alice",
+				CommitWindow: -1, // closed loop: groups form from queue pressure alone
+				OpenAppend:   func(string) (File, error) { return &simFile{}, nil },
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			paths := make([]string, writers)
+			for g := 0; g < writers; g++ {
+				root := fmt.Sprintf("/w%d", g)
+				if err := s.FS().Mkdir(root, 0o755, "alice"); err != nil {
+					b.Fatal(err)
+				}
+				paths[g] = root + "/f"
+				if _, err := s.FS().Create(paths[g], 0o644, "alice"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := s.Barrier(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for g := 0; g < writers; g++ {
+				n := b.N / writers
+				if g < b.N%writers {
+					n++
+				}
+				wg.Add(1)
+				go func(g, n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if _, err := s.FS().WriteAt(paths[g], payload, 0); err != nil {
+							b.Error(err)
+							return
+						}
+						if err := s.Barrier(); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(g, n)
+			}
+			wg.Wait()
+			b.StopTimer()
+		})
 	}
 }

@@ -42,19 +42,9 @@ const (
 // recVersion is the record-format version written into every record. A
 // reader rejects any other version (treated as a torn tail, truncating
 // the log there), so the format can evolve. Version 2 is version 1
-// plus a flags byte after the type.
+// plus a flags byte after the type; the single-chain log defines no
+// flag, so the byte is always written 0 and ignored on read.
 const recVersion = 2
-
-// Record flag bits.
-const (
-	// FlagCrossShard marks a record that spans two journal shards (a
-	// rename or link whose paths live in different top-level subtrees).
-	// The record is appended to both shards' logs under the same LSN;
-	// recovery applies it once, including a copy whose partner never
-	// reached disk, since either copy carries the whole mutation (see
-	// the cross-shard commit protocol in DESIGN.md §3).
-	FlagCrossShard uint8 = 1 << 0
-)
 
 // maxBodyLen bounds a single record body (a data write is capped at
 // 4 MiB by the Chirp wire protocol; 8 MiB leaves headroom for framing
@@ -67,9 +57,8 @@ const frameHeaderLen = 8
 
 // Record is one WAL entry: either a VFS mutation or a dedupe entry.
 type Record struct {
-	LSN   uint64
-	Type  uint8 // vfs.MutOp value, or DedupeType
-	Flags uint8 // FlagCrossShard et al
+	LSN  uint64
+	Type uint8 // vfs.MutOp value, or DedupeType
 
 	// Mut holds the mutation for types 1..11. Data is an owned copy.
 	Mut vfs.Mutation
@@ -116,7 +105,7 @@ const maxPooledBody = 1 << 20
 func EncodeRecord(dst []byte, rec Record) []byte {
 	bp := bodyPool.Get().(*[]byte)
 	body := (*bp)[:0]
-	body = append(body, recVersion, rec.Type, rec.Flags)
+	body = append(body, recVersion, rec.Type, 0) // flags
 	body = binary.AppendUvarint(body, rec.LSN)
 	switch {
 	case rec.IsMutation():
@@ -215,7 +204,8 @@ func decodeBody(body []byte) (Record, error) {
 	if r.err || ver != recVersion {
 		return Record{}, fmt.Errorf("%w: version %d", ErrTorn, ver)
 	}
-	rec := Record{Type: typ, Flags: r.byte()}
+	r.byte() // flags
+	rec := Record{Type: typ}
 	rec.LSN = r.uvarint()
 	switch {
 	case rec.IsMutation():

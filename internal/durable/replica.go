@@ -42,7 +42,7 @@ func (s *Store) AppliedLSN() uint64 {
 	if s.replica {
 		return s.lastApplied
 	}
-	return s.alloc.Load()
+	return s.wal.lsnCursor()
 }
 
 // SetEpochDurable advances the store's epoch, journaling an epoch
@@ -58,14 +58,13 @@ func (s *Store) SetEpochDurable(epoch uint64) error {
 		return nil
 	}
 	s.epoch = epoch
-	w := s.wals[0] // epoch records ride shard 0's log
-	lsn, err := w.Append(Record{Type: EpochType, Epoch: epoch})
+	lsn, err := s.wal.Append(Record{Type: EpochType, Epoch: epoch})
 	s.mu.Unlock()
 	if err != nil {
 		s.metrics.appendErrs.Inc()
 		return err
 	}
-	return w.WaitDurable(lsn)
+	return s.wal.WaitDurable(lsn)
 }
 
 // ApplyReplicated applies one shipped commit group to a follower:
@@ -125,11 +124,7 @@ func (s *Store) ApplyReplicated(epoch, first, last uint64, frames []byte) (appli
 			durableFrames = EncodeRecord(durableFrames, rec)
 		}
 	}
-	// A follower's whole history lives in shard 0's chain, regardless
-	// of its Shards option: the primary already serialized the stream,
-	// and keeping it in one chain preserves its order on disk. The
-	// other shards' chains stay empty until Promote.
-	if err := s.wals[0].AppendFrames(durableFrames, last, len(recs)); err != nil {
+	if err := s.wal.AppendFrames(durableFrames, last, len(recs)); err != nil {
 		s.metrics.appendErrs.Inc()
 		return 0, err
 	}
@@ -214,14 +209,11 @@ func (s *Store) LoadReplicaSnapshot(blob []byte) error {
 		return err
 	}
 	// Local history before the bootstrap point is superseded: seal the
-	// active segments, jump the LSN cursor to the snapshot's position,
+	// active segment, jump the LSN cursor to the snapshot's position,
 	// and prune everything the snapshot covers.
-	for _, w := range s.wals {
-		if err := w.resetForCompact(); err != nil {
-			s.logf("durable: sealing wal shard after replica bootstrap: %v", err)
-		}
+	if err := s.wal.resetForCompact(snap.LSN); err != nil {
+		s.logf("durable: sealing wal segment after replica bootstrap: %v", err)
 	}
-	s.alloc.Store(snap.LSN)
 	s.pruneLocked()
 	s.fs = fs
 	s.dedupe = make(map[string][]string, len(snap.Dedupe))
@@ -237,43 +229,42 @@ func (s *Store) LoadReplicaSnapshot(blob []byte) error {
 
 // WALTailSince re-encodes every logged record past lsn, for catching a
 // subscribing follower up from the primary's own log. It reads the
-// whole segment set — sealed and active across every shard — merges by
-// LSN (collapsing cross-shard duplicates and stripping their flag, so
-// the follower's log looks single-shard) and demands the result be
-// gap-free from lsn+1: a missing prefix means compaction pruned that
-// history, a hole means a degraded shard lost records; either way the
-// follower needs ReplSnapshot instead. Segments held back by
+// whole segment chain, sealed and active, and demands the records past
+// lsn continue it without a hole: a missing prefix means compaction
+// pruned that history, a hole means a degraded log lost records; either
+// way the follower needs ReplSnapshot instead. Segments held back by
 // Options.RetainLSN make this succeed even for LSNs older than the
-// snapshot. Holding s.mu excludes every append source, and the
-// barriers idle the committers, so the read sees a complete log.
+// snapshot. Holding s.mu excludes every append source, and the barrier
+// idles the committer, so the read sees a complete log.
 func (s *Store) WALTailSince(lsn uint64) (frames []byte, first, last uint64, records int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, w := range s.wals {
-		w.Barrier()
-	}
+	s.wal.Barrier()
 	files, err := readSegments(s.dir)
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	recs, _ := mergeByLSN(files, lsn)
-	if len(recs) == 0 {
-		if lsn >= s.alloc.Load() {
+	last = lsn
+	for _, lf := range files {
+		for _, rec := range lf.recs {
+			if rec.LSN <= lsn {
+				continue
+			}
+			if rec.LSN != last+1 {
+				return nil, 0, 0, 0, fmt.Errorf("%w: log jumps from lsn %d to %d, follower needs %d", ErrReplicaGap, last, rec.LSN, last+1)
+			}
+			frames = EncodeRecord(frames, rec)
+			last = rec.LSN
+			records++
+		}
+	}
+	if records == 0 {
+		if lsn >= s.wal.lsnCursor() {
 			return nil, 0, 0, 0, nil // follower is fully caught up
 		}
 		return nil, 0, 0, 0, fmt.Errorf("%w: history past lsn %d already pruned", ErrReplicaGap, lsn)
 	}
-	if recs[0].LSN != lsn+1 {
-		return nil, 0, 0, 0, fmt.Errorf("%w: tail starts at lsn %d, follower needs %d", ErrReplicaGap, recs[0].LSN, lsn+1)
-	}
-	for i, rec := range recs {
-		if rec.LSN != recs[0].LSN+uint64(i) {
-			return nil, 0, 0, 0, fmt.Errorf("%w: hole before lsn %d (degraded shard)", ErrReplicaGap, rec.LSN)
-		}
-		rec.Flags &^= FlagCrossShard
-		frames = EncodeRecord(frames, rec)
-	}
-	return frames, recs[0].LSN, recs[len(recs)-1].LSN, len(recs), nil
+	return frames, lsn + 1, last, records, nil
 }
 
 // Promote turns a follower into a primary under a new epoch: the
@@ -294,11 +285,7 @@ func (s *Store) Promote(epoch uint64) error {
 		return fmt.Errorf("%w: promotion epoch %d not past follower epoch %d", ErrStaleEpoch, epoch, s.epoch)
 	}
 	s.replica = false
-	cfg := s.gcCfg
-	cfg.OnShip = s.wireShip(cfg.OnShip, s.alloc.Load()+1)
-	for _, w := range s.wals {
-		w.StartGroupCommit(cfg)
-	}
+	s.wal.StartGroupCommit(s.gcCfg)
 	// Promotion satisfies any parked freshness demand: the local state
 	// is authoritative now.
 	close(s.appliedCh)
@@ -307,6 +294,6 @@ func (s *Store) Promote(epoch uint64) error {
 	if err := s.SetEpochDurable(epoch); err != nil {
 		return err
 	}
-	s.fs.SetJournalSharded(s, s.shards)
+	s.fs.SetJournal(s)
 	return nil
 }

@@ -9,72 +9,52 @@ import (
 	"strings"
 )
 
-// Segment naming: the WAL is a chain of bounded files per shard,
+// Segment naming: the WAL is one chain of bounded files,
 //
-//	wal.c08.s03.000017.seg
-//	     │    │   └── sequence number within the shard's chain
-//	     │    └────── shard index
-//	     └─────────── journal shard count of the era that wrote it
+//	wal.c01.s00.000017.seg
+//	            └── sequence number within the chain
 //
-// The shard count is baked into the name because the rendezvous
-// mapping from subtree to shard is a pure function of that count: all
-// segments carrying the same count split records identically, so their
-// per-shard chains can be replayed as independent LSN-sorted streams.
-// If a restart changes -wal-shards, old-era and new-era segments
-// coexist until the next compaction prunes the old era; recovery
-// detects the mixed eras and falls back to a fully sequential merged
-// replay, which is always correct.
+// The c01.s00 infix is the name the single-chain log has always had, so
+// every state directory a one-shard store wrote opens unchanged. A
+// segment with any other cNN.sMM infix belongs to a sharded log, whose
+// chains interleave LSNs; Open refuses such a directory by name (see
+// scanSegments).
+const segmentPrefix = "wal.c01.s00."
 
 // segmentFileName names one WAL segment.
-func segmentFileName(shards, shard, seq int) string {
-	return fmt.Sprintf("wal.c%02d.s%02d.%06d.seg", shards, shard, seq)
+func segmentFileName(seq int) string {
+	return fmt.Sprintf(segmentPrefix+"%06d.seg", seq)
 }
 
 // segmentRef locates one on-disk log file.
 type segmentRef struct {
-	path   string
-	shards int // era's journal shard count
-	shard  int
-	seq    int
+	path string
+	seq  int
 }
 
 // parseSegmentName decodes a segment file name produced by
-// segmentFileName. The %02d/%06d widths are minimums (for lexical
-// sorting in directory listings), so the fields parse as plain
-// decimals.
-func parseSegmentName(name string) (shards, shard, seq int, ok bool) {
-	rest, found := strings.CutPrefix(name, "wal.c")
+// segmentFileName. The %06d width is a minimum (for lexical sorting in
+// directory listings), so the sequence parses as a plain decimal.
+func parseSegmentName(name string) (seq int, ok bool) {
+	rest, found := strings.CutPrefix(name, segmentPrefix)
 	if !found {
-		return 0, 0, 0, false
+		return 0, false
 	}
 	rest, found = strings.CutSuffix(rest, ".seg")
 	if !found {
-		return 0, 0, 0, false
+		return 0, false
 	}
-	parts := strings.Split(rest, ".")
-	if len(parts) != 3 || len(parts[1]) < 2 || parts[1][0] != 's' {
-		return 0, 0, 0, false
+	n, err := strconv.ParseUint(rest, 10, 31)
+	if err != nil {
+		return 0, false
 	}
-	var err error
-	if shards, err = strconv.Atoi(parts[0]); err != nil {
-		return 0, 0, 0, false
-	}
-	if shard, err = strconv.Atoi(parts[1][1:]); err != nil {
-		return 0, 0, 0, false
-	}
-	if seq, err = strconv.Atoi(parts[2]); err != nil {
-		return 0, 0, 0, false
-	}
-	if shards < 1 || shard < 0 || shard >= shards || seq < 0 {
-		return 0, 0, 0, false
-	}
-	return shards, shard, seq, true
+	return int(n), true
 }
 
-// scanSegments lists every WAL segment in dir sorted by (era count,
-// shard, seq), which within one era orders each shard's chain by
-// ascending LSN. A single-file log from before segments is refused by
-// name: skipping it would silently drop the history it holds.
+// scanSegments lists every WAL segment in dir in chain order. A log
+// this version cannot read — a single-file wal.log from before
+// segments, or a segment of a sharded log — is refused by name:
+// skipping it would silently drop the history it holds.
 func scanSegments(dir string) ([]segmentRef, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -89,28 +69,23 @@ func scanSegments(dir string) ([]segmentRef, error) {
 		if name == legacyLogName {
 			return nil, fmt.Errorf("%s is a single-file log from before segmented WALs, which this version cannot read", filepath.Join(dir, name))
 		}
-		if shards, shard, seq, ok := parseSegmentName(name); ok {
-			segs = append(segs, segmentRef{path: filepath.Join(dir, name), shards: shards, shard: shard, seq: seq})
+		seq, ok := parseSegmentName(name)
+		if ok {
+			segs = append(segs, segmentRef{path: filepath.Join(dir, name), seq: seq})
+			continue
+		}
+		if strings.HasPrefix(name, "wal.c") && strings.HasSuffix(name, ".seg") {
+			return nil, fmt.Errorf("%s is a segment of a sharded log, which this version cannot read; to migrate, open the directory once with the previous release set to one WAL shard and let it compact, which replays every shard and prunes their segments", filepath.Join(dir, name))
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool {
-		a, b := segs[i], segs[j]
-		if a.shards != b.shards {
-			return a.shards < b.shards
-		}
-		if a.shard != b.shard {
-			return a.shard < b.shard
-		}
-		return a.seq < b.seq
-	})
+	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	return segs, nil
 }
 
-// LogBytes reads and concatenates every WAL log file in a state
-// directory in (era, shard, chain) order. On a single-shard store this
-// is the full log in LSN order — what crash-injection tests cut apart
-// byte by byte. Exported for tests; the store itself reads segments
-// individually.
+// LogBytes reads and concatenates every WAL segment in a state
+// directory in chain order: the full log in LSN order, which
+// crash-injection tests cut apart byte by byte. Exported for tests; the
+// store itself reads segments individually.
 func LogBytes(dir string) ([]byte, error) {
 	segs, err := scanSegments(dir)
 	if err != nil {
@@ -128,39 +103,30 @@ func LogBytes(dir string) ([]byte, error) {
 }
 
 // ReadLogRecords decodes every valid record in a state directory's
-// log files and returns them sorted by LSN with cross-shard duplicates
-// collapsed. Torn tails are skipped, not errors. Exported for tests.
+// segments, in chain order. Torn tails are skipped, not errors.
+// Exported for tests.
 func ReadLogRecords(dir string) ([]Record, error) {
 	files, err := readSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	recs, _ := mergeByLSN(files, 0)
+	var recs []Record
+	for _, lf := range files {
+		recs = append(recs, lf.recs...)
+	}
 	return recs, nil
 }
 
 // TailSegmentPath reports the path of the active (highest-sequence)
-// log file of shard 0 — on a single-shard store, the file a new record
-// would land in. Exported for tests that corrupt or truncate the live
-// tail.
+// segment: the file a new record would land in. Exported for tests that
+// corrupt or truncate the live tail.
 func TailSegmentPath(dir string) (string, error) {
 	segs, err := scanSegments(dir)
 	if err != nil {
 		return "", err
 	}
-	best := ""
-	bestKey := [2]int{-1, -2}
-	for _, seg := range segs {
-		if seg.shard != 0 {
-			continue
-		}
-		key := [2]int{seg.shards, seg.seq}
-		if key[0] > bestKey[0] || (key[0] == bestKey[0] && key[1] > bestKey[1]) {
-			best, bestKey = seg.path, key
-		}
-	}
-	if best == "" {
+	if len(segs) == 0 {
 		return "", os.ErrNotExist
 	}
-	return best, nil
+	return segs[len(segs)-1].path, nil
 }

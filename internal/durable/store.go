@@ -65,10 +65,9 @@ type Options struct {
 	// Open rejects values above 1: syncing every k records would let a
 	// barrier acknowledge records that are not on disk.
 	SyncEveryN int
-	// Shards is the number of commit-pipeline shards: journal shard
-	// locks, WAL segment chains and committer goroutines. Mutations in
-	// different top-level subtrees commit through different shards in
-	// parallel. 0 or 1 keeps the single-shard pipeline.
+	// Shards is ignored: the store has one commit chain. Only the
+	// benchmark module (benchmark/cluster.go and its probes) still sets
+	// it; the field goes once that setter does.
 	Shards int
 	// SegmentBytes rotates the active WAL segment once it reaches this
 	// size. 0 uses DefaultSegmentBytes.
@@ -108,9 +107,8 @@ type Options struct {
 	ReplicaMode bool
 	// OnShip, when set on a primary, receives every durable commit
 	// group's raw frames for replication fan-out (see
-	// GroupConfig.OnShip). On a sharded store the groups pass through a
-	// resequencer first, so OnShip always sees contiguous LSN runs in
-	// order. On a replica it takes effect at Promote.
+	// GroupConfig.OnShip): contiguous LSN runs, in order. On a replica
+	// it takes effect at Promote.
 	OnShip func(first, last uint64, records int, frames []byte)
 }
 
@@ -123,13 +121,12 @@ type RecoveryInfo struct {
 	Unapplied      int    // records whose replay failed (should be 0)
 	TruncatedBytes int64  // torn-tail bytes discarded from the log
 	Torn           bool   // whether a torn tail was found
-	HalfCross      int    // cross-shard records found in only one shard's log
 	DedupeEntries  int    // tokened replies carried across the restart
 }
 
 func (ri RecoveryInfo) String() string {
-	return fmt.Sprintf("snapshot lsn %d, %d segments, %d replayed, %d skipped, %d unapplied, %d torn bytes truncated, %d half-committed cross records, %d dedupe entries",
-		ri.SnapshotLSN, ri.Segments, ri.Replayed, ri.Skipped, ri.Unapplied, ri.TruncatedBytes, ri.HalfCross, ri.DedupeEntries)
+	return fmt.Sprintf("snapshot lsn %d, %d segments, %d replayed, %d skipped, %d unapplied, %d torn bytes truncated, %d dedupe entries",
+		ri.SnapshotLSN, ri.Segments, ri.Replayed, ri.Skipped, ri.Unapplied, ri.TruncatedBytes, ri.DedupeEntries)
 }
 
 // storeMetrics caches the store's metric handles.
@@ -219,19 +216,17 @@ type sealedSeg struct {
 // replies for exactly-once retries, and compacts the log into
 // snapshots. Create one with Open, which also performs recovery.
 //
-// The commit pipeline is sharded by top-level subtree (vfs.ShardOf):
-// each shard has its own journal lock, segment chain and committer
-// goroutine, while a single atomic allocator hands out LSNs so the
-// union of all shards' records remains one totally ordered history.
+// The commit pipeline is one chain: the file system's journal lock
+// orders every mutation, one WAL assigns LSNs and one committer
+// goroutine writes and fsyncs the segment chain, so the log is one
+// totally ordered history.
 type Store struct {
 	dir  string
 	fs   *vfs.FS
 	opts Options
 
 	mu      sync.Mutex // guards dedupe, snapLSN, replica state, compaction
-	wals    []*WAL     // one per shard; immutable after Open
-	alloc   atomic.Uint64
-	shards  int
+	wal     *WAL       // immutable after Open
 	dedupe  map[string][]string
 	snapLSN uint64
 
@@ -239,11 +234,6 @@ type Store struct {
 	// after WAL.mu (rotation seals under the WAL lock).
 	sealMu sync.Mutex
 	sealed []sealedSeg
-
-	// shipSeq resequences sharded commit groups into one LSN-ordered
-	// stream for Options.OnShip; nil on single-shard stores (groups pass
-	// through directly) and until Promote on replicas.
-	shipSeq *shipSeq
 
 	// Replication state. epoch is the fencing term this store last saw
 	// (recovered from the snapshot and epoch records, advanced by
@@ -272,19 +262,16 @@ func defaultOpenAppend(path string) (File, error) {
 
 // Open recovers the state directory and returns the store bound to the
 // recovered file system: it loads the newest snapshot (if any), replays
-// the log segments past the snapshot's LSN — one worker per shard
-// chain, rendezvousing on cross-shard records — truncates any torn
-// tail at the last valid record, and attaches itself as the file
-// system's journal so every further mutation is logged.
+// the segment chain past the snapshot's LSN — refusing a chain with a
+// hole above the snapshot — truncates any torn tail at the last valid
+// record, and attaches itself as the file system's journal so every
+// further mutation is logged.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Owner == "" {
 		opts.Owner = "chirp"
 	}
 	if opts.SyncEveryN > 1 {
 		return nil, fmt.Errorf("durable: SyncEveryN %d unsupported (1: fsync every commit group; negative: never)", opts.SyncEveryN)
-	}
-	if opts.Shards < 1 {
-		opts.Shards = 1
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -302,7 +289,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:       dir,
 		opts:      opts,
-		shards:    opts.Shards,
 		dedupe:    make(map[string][]string),
 		replica:   opts.ReplicaMode,
 		appliedCh: make(chan struct{}),
@@ -330,44 +316,30 @@ func Open(dir string, opts Options) (*Store, error) {
 
 	// 2. Replay the log segments past the snapshot LSN, truncating any
 	// torn tail. Everything found on disk becomes a sealed segment.
-	maxLSN, nextSeq, err := s.recoverLog()
+	lastLSN, nextSeq, err := s.recoverLog()
 	if err != nil {
 		return nil, err
 	}
 
-	// 3. Open a fresh active segment per shard and attach the journal.
-	nextLSN := maxLSN + 1
-	if s.snapLSN >= maxLSN {
-		nextLSN = s.snapLSN + 1
+	// 3. Open a fresh active segment and attach the journal.
+	rot := &rotator{
+		dir:    dir,
+		seq:    nextSeq,
+		limit:  opts.SegmentBytes,
+		open:   opts.OpenAppend,
+		onSeal: s.noteSealed,
 	}
-	s.alloc.Store(nextLSN - 1)
-	syncEach := opts.SyncEveryN >= 0
-	onAppend := func(recs, n int) {
+	f, err := opts.OpenAppend(filepath.Join(dir, segmentFileName(rot.seq)))
+	if err != nil {
+		return nil, fmt.Errorf("durable: opening wal segment: %w", err)
+	}
+	s.wal = newWAL(f, lastLSN, opts.SyncEveryN >= 0, rot)
+	s.wal.onAppend = func(recs, n int) {
 		s.metrics.records.Add(int64(recs))
 		s.metrics.bytes.Add(int64(n))
 		s.metrics.walSize.Add(int64(n))
 	}
-	onSync := func() { s.metrics.fsyncs.Inc() }
-	s.wals = make([]*WAL, s.shards)
-	for j := range s.wals {
-		rot := &rotator{
-			dir:    dir,
-			shards: s.shards,
-			shard:  j,
-			seq:    nextSeq[j],
-			limit:  opts.SegmentBytes,
-			open:   opts.OpenAppend,
-			onSeal: s.noteSealed,
-		}
-		f, err := opts.OpenAppend(filepath.Join(dir, segmentFileName(s.shards, j, rot.seq)))
-		if err != nil {
-			return nil, fmt.Errorf("durable: opening wal segment: %w", err)
-		}
-		w := newShardWAL(f, &s.alloc, syncEach, rot)
-		w.onAppend = onAppend
-		w.onSync = onSync
-		s.wals[j] = w
-	}
+	s.wal.onSync = func() { s.metrics.fsyncs.Inc() }
 	syncDir(dir)
 
 	window := opts.CommitWindow
@@ -409,17 +381,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.gcCfg = cfg
 	if !s.replica {
-		cfg.OnShip = s.wireShip(cfg.OnShip, nextLSN)
-		for _, w := range s.wals {
-			w.StartGroupCommit(cfg)
-		}
+		s.wal.StartGroupCommit(cfg)
 	}
 	var liveBytes int64
 	s.sealMu.Lock()
 	for _, seg := range s.sealed {
 		liveBytes += seg.size
 	}
-	segCount := len(s.sealed) + s.shards
+	segCount := len(s.sealed) + 1
 	s.sealMu.Unlock()
 	s.metrics.walSize.Set(liveBytes)
 	s.metrics.walSegments.Set(int64(segCount))
@@ -429,23 +398,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		// A follower applies pre-encoded records from the primary; its
 		// own file system is never journaled, and its applied horizon
 		// resumes where the recovered log ended.
-		s.lastApplied = nextLSN - 1
+		s.lastApplied = lastLSN
 		return s, nil
 	}
-	fs.SetJournalSharded(s, s.shards)
+	fs.SetJournal(s)
 	return s, nil
-}
-
-// wireShip adapts the OnShip hook to the shard count: single-shard
-// groups already arrive in LSN order and pass through zero-copy;
-// sharded groups go through the resequencer.
-func (s *Store) wireShip(onShip func(first, last uint64, records int, frames []byte), nextLSN uint64) func(first, last uint64, records int, frames []byte) {
-	if onShip == nil || s.shards == 1 {
-		return onShip
-	}
-	seq := newShipSeq(nextLSN, onShip)
-	s.shipSeq = seq
-	return func(_, _ uint64, _ int, frames []byte) { seq.ingest(frames) }
 }
 
 // noteSealed records a sealed segment for later pruning. Called by the
@@ -490,39 +447,15 @@ func (s *Store) Recovery() RecoveryInfo { return s.recovery }
 // failing; nil means the log is healthy. It first drains the commit
 // pipeline so the verdict covers every mutation already issued.
 func (s *Store) Err() error {
-	for _, w := range s.wals {
-		w.Barrier() // surface in-flight failures; error also lands in Err
-	}
-	for _, w := range s.wals {
-		if err := w.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	s.wal.Barrier() // surface in-flight failures; error also lands in Err
+	return s.wal.Err()
 }
 
 // Barrier blocks until every mutation recorded before the call is
 // durable per the sync policy, or reports the degradation error. This
 // is the acked ⇒ durable contract: acknowledge an operation to a
 // client only after Barrier returns nil.
-func (s *Store) Barrier() error {
-	var firstErr error
-	for _, w := range s.wals {
-		if err := w.Barrier(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// BarrierPath is Barrier scoped to the shard that commits path's
-// subtree: it waits only for that shard's pipeline, leaving the other
-// shards' in-flight groups alone. Callers that know all their
-// mutations touched one subtree (the common case for a single request)
-// get durability without cross-shard convoy.
-func (s *Store) BarrierPath(path string) error {
-	return s.wals[vfs.ShardOf(path, s.shards)].Barrier()
-}
+func (s *Store) Barrier() error { return s.wal.Barrier() }
 
 // BarrierTraced is Barrier plus the timing a traced request wants: how
 // long this caller waited for durability, and the write+fsync latency
@@ -536,50 +469,15 @@ func (s *Store) BarrierTraced() (wait, commitLat time.Duration, err error) {
 	return time.Since(start), time.Duration(s.lastCommitLat.Load()), err
 }
 
-// RecordMutation implements vfs.Journal: it appends the mutation to
-// the shard WAL owning the mutation's subtree. Called with the
-// mutation's journal shard lock(s) held, so each shard's records land
-// in commit order; no store-wide lock is taken, which is what lets
-// disjoint subtrees commit in parallel. This only encodes the record
-// into the shard's queue — no disk I/O under the journal lock. Append
-// failures are absorbed (the in-memory state
-// is already committed): they flip the shard's sticky error and
-// surface through Err/Barrier and the log.
-//
-// A rename or link whose two paths map to different shards is a
-// cross-shard commit: the record is appended to both shards' logs
-// under one LSN and — still inside both journal locks — waited durable
-// on both, so no later record in either shard can exist unless the
-// cross record survives recovery (see DESIGN.md §3).
+// RecordMutation implements vfs.Journal: it appends the mutation to the
+// WAL. Called with the file system's journal lock held, so records land
+// in commit order. This only encodes the record into the commit queue —
+// no disk I/O under the journal lock. Append failures are absorbed (the
+// in-memory state is already committed): they flip the WAL's sticky
+// error and surface through Err/Barrier and the log.
 func (s *Store) RecordMutation(m vfs.Mutation) {
-	rec := Record{Type: uint8(m.Op), Mut: m}
-	if m.Op == vfs.MutRename || m.Op == vfs.MutLink {
-		a, b := vfs.ShardOf(m.Path, s.shards), vfs.ShardOf(m.Path2, s.shards)
-		if a != b {
-			if a > b {
-				a, b = b, a
-			}
-			lo, hi := s.wals[a], s.wals[b]
-			hadErr := lo.Err() != nil || hi.Err() != nil
-			lsn, err := appendCross(lo, hi, rec)
-			if err == nil {
-				err = lo.WaitDurable(lsn)
-				if err2 := hi.WaitDurable(lsn); err == nil {
-					err = err2
-				}
-			}
-			if err != nil {
-				s.metrics.appendErrs.Inc()
-				if !hadErr {
-					s.logf("durable: wal append failed, durability degraded until compaction: %v", err)
-				}
-			}
-			return
-		}
-	}
-	w := s.wals[vfs.ShardOf(m.Path, s.shards)]
-	hadErr := w.Err() != nil
-	if _, err := w.Append(rec); err != nil {
+	hadErr := s.wal.Err() != nil
+	if _, err := s.wal.Append(Record{Type: uint8(m.Op), Mut: m}); err != nil {
 		s.metrics.appendErrs.Inc()
 		if !hadErr {
 			s.logf("durable: wal append failed, durability degraded until compaction: %v", err)
@@ -595,18 +493,18 @@ func (s *Store) RecordMutation(m vfs.Mutation) {
 // log lost. The append itself happens under s.mu — which is what keeps
 // it ordered against compaction's log reset — but the durability wait
 // happens outside, so concurrent mutators are not serialized behind
-// this entry's group fsync.
+// this entry's group fsync. The entry lands on the same chain as the
+// mutations it vouches for, after them.
 func (s *Store) AppendDedupe(key string, reply []string) error {
-	w := s.wals[vfs.ShardOfKey(key, s.shards)]
 	s.mu.Lock()
 	s.dedupe[key] = append([]string(nil), reply...)
-	lsn, err := w.Append(Record{Type: DedupeType, DedupeKey: key, DedupeReply: reply})
+	lsn, err := s.wal.Append(Record{Type: DedupeType, DedupeKey: key, DedupeReply: reply})
 	s.mu.Unlock()
 	if err != nil {
 		s.metrics.appendErrs.Inc()
 		return err
 	}
-	return w.WaitDurable(lsn)
+	return s.wal.WaitDurable(lsn)
 }
 
 // LookupDedupe returns the reply recorded for key, so the store itself
@@ -634,38 +532,35 @@ func (s *Store) DedupeEntries() map[string][]string {
 }
 
 // WALSize reports the total live log length in bytes: sealed segments
-// not yet pruned plus every shard's active segment.
+// not yet pruned plus the active segment.
 func (s *Store) WALSize() int64 {
-	var total int64
+	total := s.wal.Size()
 	s.sealMu.Lock()
 	for _, seg := range s.sealed {
 		total += seg.size
 	}
 	s.sealMu.Unlock()
-	for _, w := range s.wals {
-		total += w.Size()
-	}
 	return total
 }
 
 // Segments reports how many live log files the store holds (sealed
-// plus one active per shard).
+// plus the active one).
 func (s *Store) Segments() int {
 	s.sealMu.Lock()
 	defer s.sealMu.Unlock()
-	return len(s.sealed) + len(s.wals)
+	return len(s.sealed) + 1
 }
 
 // Compact publishes a snapshot and prunes the log. The protocol:
 //
-//  1. quiesce journaled mutations (all journal shard locks) and take
-//     s.mu, excluding dedupe appends; barrier every shard so the
-//     committers are provably idle;
+//  1. quiesce journaled mutations (the journal lock) and take s.mu,
+//     excluding dedupe appends; barrier the WAL so the committer is
+//     provably idle;
 //  2. serialize the tree + dedupe table bound to the current LSN;
 //  3. write snapshot.tmp, fsync it;
 //  4. rename snapshot.tmp over snapshot.img (atomic publication) and
 //     fsync the directory so the rename itself is durable;
-//  5. seal every shard's active segment (clearing any degraded state —
+//  5. seal the active segment (clearing any degraded state —
 //     the snapshot captures everything a failed log lost) and prune
 //     sealed segments up to min(snapshot LSN, RetainLSN()).
 //
@@ -686,15 +581,8 @@ func (s *Store) Compact() error {
 		if err := s.publishSnapshotLocked(blob, lsn); err != nil {
 			return err
 		}
-		for _, w := range s.wals {
-			if err := w.resetForCompact(); err != nil {
-				s.logf("durable: sealing wal shard after snapshot: %v", err)
-			}
-		}
-		if s.shipSeq != nil {
-			// Degraded shards may have dropped LSNs the sequencer is
-			// still waiting on; the snapshot covers them, so skip ahead.
-			s.shipSeq.skipTo(lsn)
+		if err := s.wal.resetForCompact(lsn); err != nil {
+			s.logf("durable: sealing wal segment after snapshot: %v", err)
 		}
 		s.pruneLocked()
 		s.metrics.compactions.Inc()
@@ -705,16 +593,14 @@ func (s *Store) Compact() error {
 // encodeSnapshotLocked serializes the tree and dedupe table bound to
 // the LSN and epoch they cover: the image Compact publishes and
 // ReplSnapshot ships. The caller holds the quiesce and s.mu, which
-// exclude every append source, so the barriers here are final: once
-// they return the committers are provably idle (and the active
-// segments can be sealed underneath them). A degraded shard returns an
-// error from its barrier — ignored, because the image captures
-// everything its log lost.
+// exclude every append source, so the barrier here is final: once it
+// returns the committer is provably idle (and the active segment can be
+// sealed underneath it). A degraded WAL returns an error from its
+// barrier — ignored, because the image captures everything its log
+// lost.
 func (s *Store) encodeSnapshotLocked() (blob []byte, lsn uint64, err error) {
-	for _, w := range s.wals {
-		w.Barrier()
-	}
-	lsn = s.alloc.Load()
+	s.wal.Barrier()
+	lsn = s.wal.lsnCursor()
 	var img bytes.Buffer
 	if err := s.fs.Save(&img); err != nil {
 		return nil, 0, fmt.Errorf("durable: serializing tree: %w", err)
@@ -804,32 +690,13 @@ func (s *Store) publishSnapshotLocked(encoded []byte, lsn uint64) error {
 	return nil
 }
 
-// Close syncs and closes every shard's log. The store must not be used
-// after.
+// Close syncs and closes the log. The store must not be used after.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var firstErr error
-	for _, w := range s.wals {
-		if err := w.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return s.wal.Close()
 }
 
-// Horizon helpers shared by replication and admission control.
-
-// DurableLSN reports the highest LSN through which the entire store is
-// durable: every record at or below it, in every shard, is on stable
-// storage. Computed as the allocator's position capped by each shard's
-// lowest pending (queued, in-flight, or lost) LSN.
-func (s *Store) DurableLSN() uint64 {
-	horizon := s.alloc.Load()
-	for _, w := range s.wals {
-		if floor := w.pendingFloor(); floor != 0 && floor-1 < horizon {
-			horizon = floor - 1
-		}
-	}
-	return horizon
-}
+// DurableLSN reports the highest LSN through which the store is
+// durable: every record at or below it is on stable storage.
+func (s *Store) DurableLSN() uint64 { return s.wal.durableLSN() }

@@ -183,7 +183,7 @@ func TestCrashBetweenSnapshotAndWALReset(t *testing.T) {
 	}
 	// Put the pre-compaction log back, as the segment the compaction
 	// pruned: snapshot.img now covers all of it.
-	if err := os.WriteFile(filepath.Join(dir, segmentFileName(1, 0, 0)), staleLog, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segmentFileName(0)), staleLog, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

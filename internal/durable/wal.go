@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,11 +32,10 @@ type File interface {
 //     receives commit groups a primary already formed, through
 //     AppendFrames, written and synced inline. Append is an error.
 //
-// A WAL is one shard of a store's commit pipeline: records draw their
-// LSNs from a shared atomic allocator (so the total order spans
-// shards) but queue, commit and fsync independently per shard. The log
-// is a chain of bounded segment files, rotated once the active segment
-// reaches the rotator's size limit.
+// A WAL is a store's whole commit pipeline: it assigns every record its
+// LSN, so the log is one totally ordered history. The log is a chain of
+// bounded segment files, rotated once the active segment reaches the
+// rotator's size limit.
 //
 // Either way the first write or sync error is sticky: the WAL stops
 // accepting appends and reports the error from then on, because a log
@@ -46,12 +44,10 @@ type File interface {
 type WAL struct {
 	mu sync.Mutex
 	f  File
-	// alloc is the global LSN allocator (holds the last allocated LSN),
-	// shared by every shard of a store; Add(1) under mu keeps each
-	// shard's queue LSN-monotonic while the union stays a total order.
-	alloc   *atomic.Uint64
-	lastLSN uint64 // last LSN appended to THIS shard's log
-	size    int64  // active segment length in bytes
+	// lastLSN is the last LSN assigned (Append) or written
+	// (AppendFrames): the LSN cursor.
+	lastLSN uint64
+	size    int64 // active segment length in bytes
 	// syncEach fsyncs after every commit group — the only setting with
 	// no loss window; false never syncs a group (the OS decides when
 	// bytes reach the platter). dirty marks bytes written since the last
@@ -59,10 +55,9 @@ type WAL struct {
 	syncEach bool
 	dirty    bool
 	err      error
-	// lost is the lowest LSN this shard accepted but then dropped to a
+	// lost is the lowest LSN the WAL accepted but then dropped to a
 	// degradation (failed write, dropped queue); 0 when none. It pins
-	// the store's global durable horizon below the hole until
-	// compaction covers it.
+	// the durable horizon below the hole until compaction covers it.
 	lost uint64
 
 	// observers, optional. Emitted after mu is released so a slow sink
@@ -74,25 +69,22 @@ type WAL struct {
 	gc  *groupState // the committer's state; nil on a follower
 }
 
-// rotator carries a shard WAL's segment-chain state. Guarded by WAL.mu.
+// rotator carries a WAL's segment-chain state. Guarded by WAL.mu.
 type rotator struct {
-	dir    string
-	shards int // journal shard count stamped into segment names
-	shard  int
-	seq    int   // sequence number of the active segment
-	limit  int64 // rotate once the active segment reaches this size
-	open   func(path string) (File, error)
+	dir   string
+	seq   int   // sequence number of the active segment
+	limit int64 // rotate once the active segment reaches this size
+	open  func(path string) (File, error)
 	// onSeal observes every sealed segment (rotated-away active), with
 	// the path, the highest LSN it can contain and its size. Called
 	// with WAL.mu held; must not call back into the WAL.
 	onSeal func(path string, lastLSN uint64, size int64)
 }
 
-// newShardWAL wraps the active segment file of one store shard,
-// drawing LSNs from the store's shared allocator and rotating through
-// rot's segment chain.
-func newShardWAL(f File, alloc *atomic.Uint64, syncEach bool, rot *rotator) *WAL {
-	return &WAL{f: f, alloc: alloc, lastLSN: alloc.Load(), syncEach: syncEach, rot: rot}
+// newWAL wraps the active segment file of a store, continuing the LSN
+// sequence after lastLSN and rotating through rot's segment chain.
+func newWAL(f File, lastLSN uint64, syncEach bool, rot *rotator) *WAL {
+	return &WAL{f: f, lastLSN: lastLSN, syncEach: syncEach, rot: rot}
 }
 
 // ErrWALClosed is reported by appends after Close.
@@ -114,8 +106,7 @@ func (w *WAL) appendableLocked() error {
 	return nil
 }
 
-// Append assigns rec the next LSN from the shared allocator and queues
-// it for the committer. It returns the assigned LSN; the record is
+// Append assigns rec the next LSN and queues it for the committer. It returns the assigned LSN; the record is
 // durable once WaitDurable(lsn) returns nil.
 func (w *WAL) Append(rec Record) (uint64, error) {
 	w.mu.Lock()
@@ -123,8 +114,8 @@ func (w *WAL) Append(rec Record) (uint64, error) {
 		w.mu.Unlock()
 		return 0, err
 	}
-	rec.LSN = w.alloc.Add(1)
-	w.lastLSN = rec.LSN
+	w.lastLSN++
+	rec.LSN = w.lastLSN
 	g := w.gc
 	full := w.enqueueLocked(g, rec)
 	w.mu.Unlock()
@@ -153,48 +144,6 @@ func (w *WAL) noteLostLocked(lsn uint64) {
 	if lsn != 0 && (w.lost == 0 || lsn < w.lost) {
 		w.lost = lsn
 	}
-}
-
-// appendCross appends one record to two shard logs under a single LSN,
-// setting FlagCrossShard on both copies. The caller passes the shards
-// in canonical (increasing-index) order and already holds both
-// journal-shard locks; both WAL locks are taken here in the same order
-// so allocation and enqueueing are atomic with respect to each shard's
-// other appends. The caller must then WaitDurable the returned LSN on
-// BOTH shards before releasing the journal locks — that synchronous
-// commit is what guarantees no later record in either shard exists
-// until the cross record is durable everywhere (see DESIGN.md §3).
-func appendCross(lo, hi *WAL, rec Record) (uint64, error) {
-	if lo == hi {
-		return lo.Append(rec)
-	}
-	lo.mu.Lock()
-	hi.mu.Lock()
-	err := lo.appendableLocked()
-	if err == nil {
-		err = hi.appendableLocked()
-	}
-	if err != nil {
-		hi.mu.Unlock()
-		lo.mu.Unlock()
-		return 0, err
-	}
-	rec.Flags |= FlagCrossShard
-	rec.LSN = lo.alloc.Add(1) // shared allocator: one LSN for both copies
-	lo.lastLSN = rec.LSN
-	hi.lastLSN = rec.LSN
-
-	// Enqueue in both shards; the trace (if any) is attributed once, on
-	// the lower shard.
-	loFull := lo.enqueueLocked(lo.gc, rec)
-	hiRec := rec
-	hiRec.Mut.Trace = 0
-	hiFull := hi.enqueueLocked(hi.gc, hiRec)
-	hi.mu.Unlock()
-	lo.mu.Unlock()
-	lo.gc.wake(loFull)
-	hi.gc.wake(hiFull)
-	return rec.LSN, nil
 }
 
 // AppendFrames writes a batch of pre-encoded record frames — a
@@ -227,7 +176,6 @@ func (w *WAL) AppendFrames(frames []byte, lastLSN uint64, records int) error {
 		w.mu.Unlock()
 		return err
 	}
-	w.alloc.Store(lastLSN)
 	w.lastLSN = lastLSN
 	w.dirty = true
 	if w.syncEach {
@@ -252,22 +200,30 @@ func (w *WAL) AppendFrames(frames []byte, lastLSN uint64, records int) error {
 	return nil
 }
 
-// pendingFloor reports the lowest LSN this shard has accepted but not
-// yet made durable — queued, in-flight, or lost to a degradation — or
-// 0 when everything accepted is durable. The store's global durable
-// horizon is min over shards of (floor-1).
-func (w *WAL) pendingFloor() uint64 {
+// lsnCursor reports the LSN cursor: the last LSN assigned or written.
+func (w *WAL) lsnCursor() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	floor := w.lost
+	return w.lastLSN
+}
+
+// durableLSN reports the highest LSN through which the log is durable:
+// the LSN cursor capped below the lowest LSN accepted but not yet
+// durable — queued, in flight, or lost to a degradation.
+func (w *WAL) durableLSN() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	horizon := w.lastLSN
+	floors := [3]uint64{w.lost}
 	if g := w.gc; g != nil {
-		for _, f := range [2]uint64{g.inflightFirst, g.firstQueued} {
-			if f != 0 && (floor == 0 || f < floor) {
-				floor = f
-			}
+		floors[1], floors[2] = g.inflightFirst, g.firstQueued
+	}
+	for _, f := range floors {
+		if f != 0 && f-1 < horizon {
+			horizon = f - 1
 		}
 	}
-	return floor
+	return horizon
 }
 
 // syncDirtyLocked fsyncs if bytes were written since the last sync. The
@@ -357,7 +313,7 @@ func (w *WAL) rotateLocked() {
 		return
 	}
 	next := rot.seq + 1
-	path := filepath.Join(rot.dir, segmentFileName(rot.shards, rot.shard, next))
+	path := filepath.Join(rot.dir, segmentFileName(next))
 	f, err := rot.open(path)
 	if err != nil {
 		w.err = err
@@ -365,7 +321,7 @@ func (w *WAL) rotateLocked() {
 	}
 	syncDir(rot.dir)
 	old := w.f
-	oldPath := filepath.Join(rot.dir, segmentFileName(rot.shards, rot.shard, rot.seq))
+	oldPath := filepath.Join(rot.dir, segmentFileName(rot.seq))
 	oldSize := w.size
 	w.f = f
 	w.size = 0
@@ -376,15 +332,15 @@ func (w *WAL) rotateLocked() {
 	old.Close()
 }
 
-// resetForCompact rotates the shard onto a fresh segment after a
-// snapshot covered everything appended so far, clearing any degraded
-// state: the sealed (possibly failed) segment becomes immediately
-// prunable, queued-but-unwritten records are dropped (the snapshot
-// carries their effects), and the durable horizon jumps to the shard's
-// last accepted LSN, releasing any waiter a degraded pipeline
+// resetForCompact rotates the WAL onto a fresh segment after a
+// snapshot covering everything through lsn was published, clearing any
+// degraded state: the sealed (possibly failed) segment becomes
+// immediately prunable, queued-but-unwritten records are dropped (the
+// snapshot carries their effects), and the LSN cursor and durable
+// horizon jump to lsn, releasing any waiter a degraded pipeline
 // stranded. The caller must have excluded all appends (quiesce + store
 // lock) and drained the committer (Barrier).
-func (w *WAL) resetForCompact() error {
+func (w *WAL) resetForCompact(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil || w.size > 0 {
@@ -400,6 +356,7 @@ func (w *WAL) resetForCompact() error {
 	}
 	w.err = nil
 	w.lost = 0
+	w.lastLSN = lsn
 	if g := w.gc; g != nil {
 		g.queue = g.queue[:0]
 		g.queued = 0

@@ -143,11 +143,11 @@ func TestOversizedLengthPrefixRejected(t *testing.T) {
 	}
 }
 
-// newTestWAL wraps f as a one-file shard WAL with its own LSN
-// allocator and a rotation limit no test reaches. It is a follower's
-// log until the test calls StartGroupCommit.
+// newTestWAL wraps f as a one-file WAL whose LSNs start at 1, with a
+// rotation limit no test reaches. It is a follower's log until the test
+// calls StartGroupCommit.
 func newTestWAL(f File) *WAL {
-	return newShardWAL(f, new(atomic.Uint64), true, &rotator{limit: math.MaxInt64})
+	return newWAL(f, 0, true, &rotator{limit: math.MaxInt64})
 }
 
 func TestWALAppendAssignsLSNsAndSyncs(t *testing.T) {
@@ -179,11 +179,13 @@ func TestWALAppendAssignsLSNsAndSyncs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := syncs.Load(); got != 5 {
-		t.Fatalf("syncs = %d, want 5 (policy: every group)", got)
-	}
+	// The onSync hook runs after the group's waiters wake; Close drains
+	// the committer, so every group's hook has run once it returns.
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := syncs.Load(); got != 5 {
+		t.Fatalf("syncs = %d, want 5 (policy: every group)", got)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

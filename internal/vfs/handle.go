@@ -66,7 +66,7 @@ func (h *Handle) WriteAtTraced(p []byte, off int64, trace uint64) (int, error) {
 }
 
 func (h *Handle) writeAt(p []byte, off int64, trace uint64) (int, error) {
-	defer h.fs.endJournal(h.fs.beginJournal(h.path))
+	defer h.fs.endJournal(h.fs.beginJournal())
 	if h.n.ftype == TypeDir {
 		return 0, &PathError{"write", "(fd)", ErrIsDir}
 	}
@@ -99,7 +99,7 @@ func (h *Handle) TruncateTraced(size int64, trace uint64) error {
 }
 
 func (h *Handle) truncate(size int64, trace uint64) error {
-	defer h.fs.endJournal(h.fs.beginJournal(h.path))
+	defer h.fs.endJournal(h.fs.beginJournal())
 	if h.n.ftype == TypeDir {
 		return &PathError{"truncate", "(fd)", ErrIsDir}
 	}

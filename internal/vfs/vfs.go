@@ -159,23 +159,12 @@ type FS struct {
 	root   *Inode
 	clock  atomic.Int64 // monotonic event counter used for mtimes
 
-	// journalShards holds the per-subtree serialization locks for
-	// journaled mutations (one entry with SetJournal, N with
-	// SetJournalSharded); each mutation takes its path's shard lock so
-	// the journal sees one commit order per shard. Untouched (and
-	// uncontended) when journal is nil. journal is set once via
-	// SetJournal/SetJournalSharded before concurrent use.
-	// Lock order: journal shard locks (increasing index) before treeMu
-	// before any inode mu.
-	journalShards []journalShard
-	journal       Journal
-}
-
-// journalShard is one journal serialization lock, padded so adjacent
-// shards' locks do not false-share a cache line under contention.
-type journalShard struct {
-	mu sync.Mutex
-	_  [56]byte
+	// journalMu serializes journaled mutations, so the journal sees one
+	// commit order. Untouched (and uncontended) when journal is nil.
+	// journal is set once via SetJournal before concurrent use.
+	// Lock order: journalMu before treeMu before any inode mu.
+	journalMu sync.Mutex
+	journal   Journal
 }
 
 // New returns an empty file system whose root directory is owned by
@@ -371,7 +360,7 @@ func (fs *FS) Mkdir(path string, mode uint32, owner string) error {
 }
 
 func (fs *FS) mkdir(path string, mode uint32, owner string, trace uint64) error {
-	defer fs.endJournal(fs.beginJournal(path))
+	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
 	n, parent, base, err := fs.resolve(path, true, 0)
@@ -418,7 +407,7 @@ func (fs *FS) Create(path string, mode uint32, owner string) (Stat, error) {
 }
 
 func (fs *FS) create(path string, mode uint32, owner string, trace uint64) (Stat, error) {
-	defer fs.endJournal(fs.beginJournal(path))
+	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
 	n, parent, base, err := fs.resolve(path, true, 0)
@@ -547,7 +536,7 @@ func (fs *FS) WriteAt(path string, p []byte, off int64) (int, error) {
 }
 
 func (fs *FS) writeAt(path string, p []byte, off int64, trace uint64) (int, error) {
-	defer fs.endJournal(fs.beginJournal(path))
+	defer fs.endJournal(fs.beginJournal())
 	n, err := fs.resolveShared(path, true)
 	if err != nil {
 		return 0, &PathError{"write", path, err}
@@ -578,7 +567,7 @@ func (fs *FS) Truncate(path string, size int64) error {
 }
 
 func (fs *FS) truncate(path string, size int64, trace uint64) error {
-	defer fs.endJournal(fs.beginJournal(path))
+	defer fs.endJournal(fs.beginJournal())
 	n, err := fs.resolveShared(path, true)
 	if err != nil {
 		return &PathError{"truncate", path, err}
@@ -610,7 +599,7 @@ func (fs *FS) Unlink(path string) error {
 }
 
 func (fs *FS) unlink(path string, trace uint64) error {
-	defer fs.endJournal(fs.beginJournal(path))
+	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
 	n, parent, base, err := fs.resolve(path, false, 0)
@@ -633,7 +622,7 @@ func (fs *FS) Rmdir(path string) error {
 }
 
 func (fs *FS) rmdir(path string, trace uint64) error {
-	defer fs.endJournal(fs.beginJournal(path))
+	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
 	n, parent, base, err := fs.resolve(path, false, 0)
@@ -662,7 +651,7 @@ func (fs *FS) Symlink(target, linkPath string, owner string) error {
 }
 
 func (fs *FS) symlink(target, linkPath string, owner string, trace uint64) error {
-	defer fs.endJournal(fs.beginJournal(linkPath))
+	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
 	_, parent, base, err := fs.resolve(linkPath, false, 0)
@@ -706,8 +695,7 @@ func (fs *FS) Link(oldPath, newPath string) error {
 }
 
 func (fs *FS) link(oldPath, newPath string, trace uint64) error {
-	ja, jb := fs.beginJournal2(oldPath, newPath)
-	defer fs.endJournal2(ja, jb)
+	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
 	src, _, _, err := fs.resolve(oldPath, true, 0)
@@ -738,8 +726,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 }
 
 func (fs *FS) rename(oldPath, newPath string, trace uint64) error {
-	ja, jb := fs.beginJournal2(oldPath, newPath)
-	defer fs.endJournal2(ja, jb)
+	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
 	src, srcParent, srcBase, err := fs.resolve(oldPath, false, 0)
@@ -815,7 +802,7 @@ func (fs *FS) Chmod(path string, mode uint32) error {
 }
 
 func (fs *FS) chmod(path string, mode uint32, trace uint64) error {
-	defer fs.endJournal(fs.beginJournal(path))
+	defer fs.endJournal(fs.beginJournal())
 	n, err := fs.resolveShared(path, true)
 	if err != nil {
 		return &PathError{"chmod", path, err}
@@ -834,7 +821,7 @@ func (fs *FS) Chown(path, owner, group string) error {
 }
 
 func (fs *FS) chown(path, owner, group string, trace uint64) error {
-	defer fs.endJournal(fs.beginJournal(path))
+	defer fs.endJournal(fs.beginJournal())
 	n, err := fs.resolveShared(path, true)
 	if err != nil {
 		return &PathError{"chown", path, err}
