@@ -168,11 +168,12 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	w := newTestWAL(f)
 	var mu sync.Mutex
 	var groups []int
-	w.StartGroupCommit(GroupConfig{OnGroup: func(recs, _ int, _ time.Duration) {
+	w.onGroup = func(recs, _ int, _ time.Duration) {
 		mu.Lock()
 		groups = append(groups, recs)
 		mu.Unlock()
-	}})
+	}
+	w.startCommitter()
 	rec := Record{Type: DedupeType, DedupeKey: "k", DedupeReply: []string{"ok"}}
 
 	if _, err := w.Append(rec); err != nil {
@@ -208,7 +209,7 @@ func TestWaitDurablePastErrorHorizon(t *testing.T) {
 	}
 	var fail atomic.Bool
 	w := newTestWAL(&gateFile{f: f, fail: &fail})
-	w.StartGroupCommit(GroupConfig{})
+	w.startCommitter()
 	rec := Record{Type: DedupeType, DedupeKey: "k", DedupeReply: []string{"ok"}}
 
 	lsn1, err := w.Append(rec)
@@ -225,6 +226,9 @@ func TestWaitDurablePastErrorHorizon(t *testing.T) {
 	}
 	if err := w.WaitDurable(lsn2); err == nil {
 		t.Fatal("failed group's waiter did not get the error")
+	}
+	if got := w.durableLSN(); got != lsn1 {
+		t.Fatalf("durable horizon %d after a failed group, want %d", got, lsn1)
 	}
 	if err := w.WaitDurable(lsn1); err != nil {
 		t.Fatalf("already-durable record reports %v after a later failure", err)
@@ -248,7 +252,8 @@ func (f *collectFile) Close() error                { return nil }
 func TestGroupCommitCloseDrainsQueue(t *testing.T) {
 	f := &collectFile{}
 	w := newTestWAL(f)
-	w.StartGroupCommit(GroupConfig{Window: time.Millisecond})
+	w.window = time.Millisecond
+	w.startCommitter()
 	const n = 100
 	for i := 0; i < n; i++ {
 		if _, err := w.Append(Record{Type: DedupeType, DedupeKey: fmt.Sprintf("k%d", i)}); err != nil {
@@ -294,13 +299,12 @@ func BenchmarkGroupCommit(b *testing.B) {
 				var commit func() error // appends rec; returns once it is durable
 				if mode == "group" {
 					w := newTestWAL(f)
-					w.StartGroupCommit(GroupConfig{
-						Window: DefaultCommitWindow,
-						OnGroup: func(r, _ int, _ time.Duration) {
-							groups.Add(1)
-							recs.Add(int64(r))
-						},
-					})
+					w.window = DefaultCommitWindow
+					w.onGroup = func(r, _ int, _ time.Duration) {
+						groups.Add(1)
+						recs.Add(int64(r))
+					}
+					w.startCommitter()
 					defer w.Close()
 					commit = func() error {
 						lsn, err := w.Append(rec)

@@ -68,13 +68,15 @@ func (s *Store) SetEpochDurable(epoch uint64) error {
 }
 
 // ApplyReplicated applies one shipped commit group to a follower:
-// epoch-fenced, gap-checked, written to the follower's own WAL under
-// the primary's LSNs (and fsynced per the sync policy) before the
-// records touch the in-memory state, so the follower's acknowledgement
-// means the group would survive its own crash. Batches at or below the
-// applied horizon are skipped idempotently (a resubscribe overlaps the
-// live stream by design); partial overlaps apply only the new suffix.
-// It returns how many records were newly applied.
+// epoch-fenced, gap-checked, committed inline to the follower's own WAL
+// under the primary's LSNs (one write, fsynced per the sync policy)
+// before the records touch the in-memory state, so the follower's
+// acknowledgement means the group would survive its own crash. A
+// failed commit degrades the WAL, counted and logged once like a
+// primary's, and applies nothing. Batches at or below the applied
+// horizon are skipped idempotently (a resubscribe overlaps the live
+// stream by design); partial overlaps apply only the new suffix. It
+// returns how many records were newly applied.
 func (s *Store) ApplyReplicated(epoch, first, last uint64, frames []byte) (applied int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -125,7 +127,6 @@ func (s *Store) ApplyReplicated(epoch, first, last uint64, frames []byte) (appli
 		}
 	}
 	if err := s.wal.AppendFrames(durableFrames, last, len(recs)); err != nil {
-		s.metrics.appendErrs.Inc()
 		return 0, err
 	}
 	for _, rec := range recs {
@@ -268,7 +269,7 @@ func (s *Store) WALTailSince(lsn uint64) (frames []byte, first, last uint64, rec
 }
 
 // Promote turns a follower into a primary under a new epoch: the
-// group-commit pipeline starts (appends resume at the applied horizon
+// committer goroutine starts (appends resume at the applied horizon
 // plus one — the LSN sequence continues unbroken from the old
 // primary's history), the epoch record is journaled and made durable,
 // and the file system is journaled from here on. The caller flips its
@@ -285,7 +286,7 @@ func (s *Store) Promote(epoch uint64) error {
 		return fmt.Errorf("%w: promotion epoch %d not past follower epoch %d", ErrStaleEpoch, epoch, s.epoch)
 	}
 	s.replica = false
-	s.wal.StartGroupCommit(s.gcCfg)
+	s.wal.startCommitter()
 	// Promotion satisfies any parked freshness demand: the local state
 	// is authoritative now.
 	close(s.appliedCh)

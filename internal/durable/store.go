@@ -101,14 +101,16 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// ReplicaMode opens the store as a replication follower: the file
 	// system is not journaled (mutations arrive pre-encoded from the
-	// primary via ApplyReplicated, which writes them to this store's own
-	// WAL under the primary's LSNs), and the group-commit pipeline stays
-	// off until Promote turns the follower into a primary.
+	// primary via ApplyReplicated, which commits them inline to this
+	// store's own WAL under the primary's LSNs), and the committer
+	// goroutine stays off until Promote turns the follower into a
+	// primary.
 	ReplicaMode bool
 	// OnShip, when set on a primary, receives every durable commit
-	// group's raw frames for replication fan-out (see
-	// GroupConfig.OnShip): contiguous LSN runs, in order. On a replica
-	// it takes effect at Promote.
+	// group's raw frames for replication fan-out: contiguous LSN runs,
+	// in order, called by the committer outside the WAL lock before the
+	// group's waiters wake. Ownership of the frames transfers to the
+	// hook. On a replica it takes effect at Promote.
 	OnShip func(first, last uint64, records int, frames []byte)
 }
 
@@ -245,7 +247,6 @@ type Store struct {
 	replica     bool
 	lastApplied uint64
 	appliedCh   chan struct{}
-	gcCfg       GroupConfig // saved for Promote (a replica defers StartGroupCommit)
 
 	metrics  *storeMetrics
 	recovery RecoveryInfo
@@ -333,39 +334,33 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: opening wal segment: %w", err)
 	}
-	s.wal = newWAL(f, lastLSN, opts.SyncEveryN >= 0, rot)
-	s.wal.onAppend = func(recs, n int) {
-		s.metrics.records.Add(int64(recs))
-		s.metrics.bytes.Add(int64(n))
-		s.metrics.walSize.Add(int64(n))
+	w := newWAL(f, lastLSN, opts.SyncEveryN >= 0, rot)
+	w.onGroup = func(records, bytes int, latency time.Duration) {
+		s.metrics.records.Add(int64(records))
+		s.metrics.bytes.Add(int64(bytes))
+		s.metrics.walSize.Add(int64(bytes))
+		s.lastCommitLat.Store(int64(latency))
+		s.metrics.groups.Inc()
+		s.metrics.groupRecs.Observe(float64(records))
+		s.metrics.commitLat.Observe(float64(latency.Microseconds()))
 	}
-	s.wal.onSync = func() { s.metrics.fsyncs.Inc() }
-	syncDir(dir)
-
-	window := opts.CommitWindow
+	w.onSync = func() { s.metrics.fsyncs.Inc() }
+	w.onError = func(err error) {
+		s.metrics.appendErrs.Inc()
+		s.logf("durable: wal append failed, durability degraded until compaction: %v", err)
+	}
+	w.onShip = opts.OnShip
 	switch {
-	case window == 0:
-		window = DefaultCommitWindow
-	case window < 0:
-		window = 0
+	case opts.CommitWindow == 0:
+		w.window = DefaultCommitWindow
+	case opts.CommitWindow > 0:
+		w.window = opts.CommitWindow
 	}
-	cfg := GroupConfig{
-		Window:   window,
-		MaxBatch: opts.CommitBatch,
-		OnGroup: func(records, _ int, latency time.Duration) {
-			s.lastCommitLat.Store(int64(latency))
-			s.metrics.groups.Inc()
-			s.metrics.groupRecs.Observe(float64(records))
-			s.metrics.commitLat.Observe(float64(latency.Microseconds()))
-		},
-		OnError: func(err error) {
-			s.metrics.appendErrs.Inc()
-			s.logf("durable: wal append failed, durability degraded until compaction: %v", err)
-		},
-		OnShip: opts.OnShip,
+	if opts.CommitBatch > 0 {
+		w.maxBatch = opts.CommitBatch
 	}
 	if spans := opts.Spans; spans != nil {
-		cfg.OnTraceCommit = func(trace, lsn uint64, queued, commit time.Duration) {
+		w.onTraceCommit = func(trace, lsn uint64, queued, commit time.Duration) {
 			sp := obs.Span{
 				Trace: trace,
 				ID:    spans.NextSpanID(),
@@ -379,9 +374,10 @@ func Open(dir string, opts Options) (*Store, error) {
 			spans.Record(sp)
 		}
 	}
-	s.gcCfg = cfg
+	s.wal = w
+	syncDir(dir)
 	if !s.replica {
-		s.wal.StartGroupCommit(cfg)
+		w.startCommitter()
 	}
 	var liveBytes int64
 	s.sealMu.Lock()

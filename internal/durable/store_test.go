@@ -405,12 +405,18 @@ func TestDegradedWALSurvivesViaCompaction(t *testing.T) {
 	if s.Err() == nil {
 		t.Fatal("degraded WAL not reported")
 	}
+	if d, a := s.DurableLSN(), s.AppliedLSN(); d >= a {
+		t.Fatalf("durable horizon %d covers the lost record at %d", d, a)
+	}
 	fail.Store(false)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Err() != nil {
 		t.Fatalf("compaction did not clear degradation: %v", s.Err())
+	}
+	if d, a := s.DurableLSN(), s.AppliedLSN(); d != a {
+		t.Fatalf("durable horizon %d after compaction, want %d", d, a)
 	}
 	before := dumpFS(t, s.FS())
 	if err := s.Close(); err != nil {

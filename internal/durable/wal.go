@@ -20,22 +20,23 @@ type File interface {
 	Close() error
 }
 
-// WAL appends framed records to a log. It is safe for concurrent use
-// and is in exactly one of two states:
-//
-//   - Primary (after StartGroupCommit): Append encodes the record into
-//     an in-memory queue under a short lock and returns; a dedicated
-//     committer goroutine coalesces queued frames into one write + one
-//     fsync per group. Callers that need durability park on
-//     WaitDurable or Barrier.
-//   - Follower (no committer, until Promote starts one): the log
-//     receives commit groups a primary already formed, through
-//     AppendFrames, written and synced inline. Append is an error.
-//
+// WAL appends framed records to a log. It is safe for concurrent use.
 // A WAL is a store's whole commit pipeline: it assigns every record its
 // LSN, so the log is one totally ordered history. The log is a chain of
 // bounded segment files, rotated once the active segment reaches the
 // rotator's size limit.
+//
+// Every batch of frames reaches the log through commit — one write, at
+// most one fsync, then the group's hooks, then the durable horizon —
+// called by one of two roles, selected by the follower flag:
+//
+//   - Primary (after startCommitter): Append encodes the record into an
+//     in-memory queue under a short lock and returns; a dedicated
+//     committer goroutine claims the queue a group at a time and commits
+//     it. Callers that need durability park on WaitDurable or Barrier.
+//   - Follower (until Promote starts the committer): the log receives
+//     commit groups a primary already formed, through AppendFrames,
+//     which commits each one inline. Append is an error.
 //
 // Either way the first write or sync error is sticky: the WAL stops
 // accepting appends and reports the error from then on, because a log
@@ -55,18 +56,58 @@ type WAL struct {
 	syncEach bool
 	dirty    bool
 	err      error
-	// lost is the lowest LSN the WAL accepted but then dropped to a
-	// degradation (failed write, dropped queue); 0 when none. It pins
-	// the durable horizon below the hole until compaction covers it.
-	lost uint64
+	// durable is the highest LSN on stable storage (per the sync
+	// policy). A failed group never advances it, so it stays below the
+	// first LSN a degradation lost until compaction resets the log.
+	durable uint64
+	// advanceCh, made by the first waiter to park, is closed and cleared
+	// whenever durable advances or the WAL degrades, waking every
+	// WaitDurable parked on it. A group nobody waits for allocates none.
+	advanceCh chan struct{}
+	// follower selects the role: set, only AppendFrames writes; clear,
+	// only the committer does. startCommitter clears it.
+	follower bool
 
-	// observers, optional. Emitted after mu is released so a slow sink
-	// cannot extend the commit critical section.
-	onAppend func(records, bytes int)
-	onSync   func()
+	// Committer settings and hooks, set before the committer starts or
+	// the WAL is shared, and never changed after. The hooks observe
+	// each committed group outside mu, before its waiters wake.
+	window   time.Duration // see DefaultCommitWindow; 0 never waits
+	maxBatch int           // flush a group at this many records
+	// onGroup observes every committed group: record count, frame bytes
+	// and wall time from write start to durable.
+	onGroup func(records, bytes int, latency time.Duration)
+	onSync  func() // every fsync that covered a group or Close
+	// onError observes the sticky failure that degraded the WAL, once
+	// per degradation; waiters get the same error from WaitDurable.
+	onError func(err error)
+	// onTraceCommit observes every committed record whose mutation
+	// carried a request-tracing ID (vfs.Mutation.Trace): the trace, the
+	// record's LSN, how long it queued before the group started, and the
+	// group's write+fsync latency. When unset, Append never looks at
+	// traces.
+	onTraceCommit func(trace, lsn uint64, queued, commit time.Duration)
+	// onShip receives every group the committer commits, in LSN order:
+	// the first and last LSN, the record count and the frames exactly as
+	// written. Ownership of the frames transfers to the hook, so the
+	// replication layer may retain or fan them out without a copy. A
+	// follower's groups are not shipped.
+	onShip func(first, last uint64, records int, frames []byte)
+
+	// The committer's queue.
+	queue     []byte      // encoded frames waiting for the committer
+	queued    int         // records in queue; the last is lastLSN
+	traced    []tracedRec // queued records carrying a trace ID
+	recycle   []byte      // spare buffer the committer hands back after a write
+	lastGroup int         // size of the previous queued group, the load signal
+	// kick (cap 1) wakes the committer when work arrives; full (cap 1)
+	// cuts an in-progress batch window short when the queue fills or
+	// the WAL closes. Both are signal channels: send never blocks.
+	kick     chan struct{}
+	full     chan struct{}
+	stopping bool
+	done     chan struct{} // closed when the committer goroutine exits
 
 	rot *rotator
-	gc  *groupState // the committer's state; nil on a follower
 }
 
 // rotator carries a WAL's segment-chain state. Guarded by WAL.mu.
@@ -82,122 +123,221 @@ type rotator struct {
 }
 
 // newWAL wraps the active segment file of a store, continuing the LSN
-// sequence after lastLSN and rotating through rot's segment chain.
+// sequence after lastLSN and rotating through rot's segment chain. The
+// WAL starts as a follower's log with no batch window; set the
+// committer's fields, then call startCommitter to make it a primary's.
 func newWAL(f File, lastLSN uint64, syncEach bool, rot *rotator) *WAL {
-	return &WAL{f: f, lastLSN: lastLSN, syncEach: syncEach, rot: rot}
+	return &WAL{
+		f:        f,
+		lastLSN:  lastLSN,
+		syncEach: syncEach,
+		durable:  lastLSN,
+		follower: true,
+		maxBatch: DefaultCommitBatch,
+		kick:     make(chan struct{}, 1),
+		full:     make(chan struct{}, 1),
+		done:     make(chan struct{}),
+		rot:      rot,
+	}
 }
 
-// ErrWALClosed is reported by appends after Close.
-var ErrWALClosed = errors.New("durable: wal closed")
+// ErrWALClosed is reported by appends after Close. The other two are
+// the role refusals: each role has one entry point, and the other role
+// refuses it.
+var (
+	ErrWALClosed     = errors.New("durable: wal closed")
+	errFollowerWAL   = errors.New("durable: append to a follower's wal (its only writer is the replicated stream, until Promote)")
+	errPrimaryFrames = errors.New("durable: AppendFrames on a primary's wal")
+)
 
-// errNoCommitter is reported by appends to a follower's WAL: its only
-// writer is the replicated stream, until Promote starts the committer.
-var errNoCommitter = errors.New("durable: append to a wal with no committer (a follower before Promote)")
-
-// appendableLocked reports why w cannot take an append: its sticky
-// error, or being a follower's log. Caller holds mu.
-func (w *WAL) appendableLocked() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.gc == nil {
-		return errNoCommitter
-	}
-	return nil
-}
-
-// Append assigns rec the next LSN and queues it for the committer. It returns the assigned LSN; the record is
-// durable once WaitDurable(lsn) returns nil.
+// Append assigns rec the next LSN and queues it for the committer. It
+// returns the assigned LSN; the record is durable once WaitDurable(lsn)
+// returns nil.
 func (w *WAL) Append(rec Record) (uint64, error) {
 	w.mu.Lock()
-	if err := w.appendableLocked(); err != nil {
+	err := w.err
+	if err == nil && w.follower {
+		err = errFollowerWAL
+	}
+	if err != nil {
 		w.mu.Unlock()
 		return 0, err
 	}
 	w.lastLSN++
 	rec.LSN = w.lastLSN
-	g := w.gc
-	full := w.enqueueLocked(g, rec)
+	w.queue = EncodeRecord(w.queue, rec)
+	w.queued++
+	if w.onTraceCommit != nil && rec.Mut.Trace != 0 {
+		w.traced = append(w.traced, tracedRec{trace: rec.Mut.Trace, lsn: rec.LSN, enq: time.Now()})
+	}
+	full := w.queued >= w.maxBatch || w.queued >= w.lastGroup
 	w.mu.Unlock()
-	g.wake(full)
+	w.wake(full)
 	return rec.LSN, nil
 }
 
-// enqueueLocked queues one record for the committer and reports
-// whether the queue is now full enough to cut a batch window short.
-// Caller holds mu.
-func (w *WAL) enqueueLocked(g *groupState, rec Record) (full bool) {
-	if g.queued == 0 {
-		g.firstQueued = rec.LSN
-	}
-	g.queue = EncodeRecord(g.queue, rec)
-	g.queued++
-	g.lastLSN = rec.LSN
-	if g.onTraceCommit != nil && rec.Mut.Trace != 0 {
-		g.traced = append(g.traced, tracedRec{trace: rec.Mut.Trace, lsn: rec.LSN, enq: time.Now()})
-	}
-	return g.queued >= g.maxBatch || g.queued >= g.lastGroup
-}
-
-// noteLostLocked records the lowest LSN dropped to a degradation.
-func (w *WAL) noteLostLocked(lsn uint64) {
-	if lsn != 0 && (w.lost == 0 || lsn < w.lost) {
-		w.lost = lsn
-	}
-}
-
-// AppendFrames writes a batch of pre-encoded record frames — a
-// replicated commit group shipped from a primary — and advances the
-// LSN cursor to lastLSN+1. The frames carry the primary's LSNs, so the
-// follower's log is byte-for-byte a prefix-preserving copy of the
-// primary's history and promotion continues the same sequence. Only
-// valid on a follower (a replica never runs the group-commit pipeline;
-// its groups were formed on the primary). The batch syncs per the sync
-// policy.
+// AppendFrames commits a batch of pre-encoded record frames — a
+// replicated commit group shipped from a primary — inline, and
+// advances the LSN cursor to lastLSN. The frames carry the primary's
+// LSNs, so the follower's log is byte-for-byte a prefix-preserving copy
+// of the primary's history and promotion continues the same sequence.
+// Only valid on a follower. The batch is durable per the sync policy
+// when AppendFrames returns nil. frames stay the caller's: the WAL
+// neither keeps nor ships them.
 func (w *WAL) AppendFrames(frames []byte, lastLSN uint64, records int) error {
 	w.mu.Lock()
-	if w.gc != nil {
-		w.mu.Unlock()
-		return errors.New("durable: AppendFrames on a group-commit wal")
+	err := w.err
+	if err == nil && !w.follower {
+		err = errPrimaryFrames
 	}
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
+	f := w.f
+	w.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	n, err := w.f.Write(frames)
-	w.size += int64(n)
-	if err == nil && n < len(frames) {
+	return w.commit(group{f: f, frames: frames, first: lastLSN - uint64(records) + 1, last: lastLSN, records: records, replicated: true})
+}
+
+// group is one batch of frames on its way to the log file f: the
+// contiguous LSN run first..last of records records, and the queued
+// records that carry a trace ID. replicated marks a follower's batch,
+// which belongs to its caller: it is not shipped, recycled or counted
+// as load.
+type group struct {
+	f           File
+	frames      []byte
+	first, last uint64
+	records     int
+	traced      []tracedRec
+	replicated  bool
+}
+
+// commit is the only place log bytes are written. It writes g with one
+// Write and at most one Sync, with mu released, then runs the group's
+// hooks, still outside mu; only then does it take mu to advance the
+// durable horizon and rotate — or, on failure, to make the error sticky
+// and fail everything queued behind the group. So a waiter that wakes
+// for this group finds its hooks already run. One writer at a time is
+// the caller's guarantee: the committer goroutine on a primary, the
+// replicated stream (serialized by Store.mu) on a follower.
+func (w *WAL) commit(g group) error {
+	start := time.Now()
+	n, err := g.f.Write(g.frames)
+	if err == nil && n < len(g.frames) {
 		err = io.ErrShortWrite
 	}
+	wrote := err == nil
+	if wrote && w.syncEach {
+		err = g.f.Sync()
+	}
+	synced := wrote && w.syncEach && err == nil
+	if err == nil {
+		w.runHooks(g, start, synced)
+	}
+
+	w.mu.Lock()
+	w.size += int64(n)
+	if wrote {
+		w.dirty = !synced
+	}
 	if err != nil {
+		// The caller claimed g only from a healthy WAL, so this is the
+		// degradation's first error.
 		w.err = err
-		w.noteLostLocked(lastLSN - uint64(records) + 1)
+		w.dropQueueLocked() // the log must not grow past the failed group
 		w.mu.Unlock()
+		if w.onError != nil {
+			w.onError(err)
+		}
 		return err
 	}
-	w.lastLSN = lastLSN
-	w.dirty = true
-	if w.syncEach {
-		if err := w.f.Sync(); err != nil {
-			w.err = err
-			w.noteLostLocked(lastLSN - uint64(records) + 1)
+	w.durable = g.last
+	w.lastLSN = max(w.lastLSN, g.last)
+	if !g.replicated {
+		w.lastGroup = g.records
+		// A shipped batch belongs to onShip now; only unshipped ones go
+		// back in the recycle slot.
+		if w.onShip == nil && w.recycle == nil && cap(g.frames) <= maxRecycledBatch {
+			w.recycle = g.frames[:0]
+		}
+	}
+	w.advanceLocked()
+	w.maybeRotateLocked()
+	w.mu.Unlock()
+	return nil
+}
+
+// runHooks observes one durable group. Called outside mu, before the
+// group's waiters wake.
+func (w *WAL) runHooks(g group, start time.Time, synced bool) {
+	lat := time.Since(start)
+	if w.onGroup != nil {
+		w.onGroup(g.records, len(g.frames), lat)
+	}
+	if synced && w.onSync != nil {
+		w.onSync()
+	}
+	if w.onShip != nil && !g.replicated {
+		// One chain assigns LSNs in queue order, so first..last is a
+		// contiguous run and groups ship in LSN order.
+		w.onShip(g.first, g.last, g.records, g.frames)
+	}
+	if w.onTraceCommit != nil {
+		for _, t := range g.traced {
+			w.onTraceCommit(t.trace, t.lsn, start.Sub(t.enq), lat)
+		}
+	}
+}
+
+// dropQueueLocked fails every queued record, waking their waiters with
+// the sticky error rather than stranding them. Caller holds mu.
+func (w *WAL) dropQueueLocked() {
+	w.queue = w.queue[:0]
+	w.queued = 0
+	w.traced = w.traced[:0]
+	w.advanceLocked()
+}
+
+// advanceLocked publishes a durability change (progress or failure) to
+// every parked waiter. Caller holds mu.
+func (w *WAL) advanceLocked() {
+	if w.advanceCh != nil {
+		close(w.advanceCh)
+		w.advanceCh = nil
+	}
+}
+
+// WaitDurable blocks until the record with the given LSN is durable per
+// the sync policy, or the WAL has degraded.
+//
+// The durable horizon is checked before the sticky error so a record
+// that made it to disk reports success even if a later group failed.
+func (w *WAL) WaitDurable(lsn uint64) error {
+	w.mu.Lock()
+	for {
+		if w.durable >= lsn {
+			w.mu.Unlock()
+			return nil
+		}
+		if w.err != nil {
+			err := w.err
 			w.mu.Unlock()
 			return err
 		}
-		w.dirty = false
+		if w.advanceCh == nil {
+			w.advanceCh = make(chan struct{})
+		}
+		ch := w.advanceCh
+		w.mu.Unlock()
+		<-ch
+		w.mu.Lock()
 	}
-	synced := w.syncEach
-	onAppend, onSync := w.onAppend, w.onSync
-	w.maybeRotateLocked()
-	w.mu.Unlock()
-	if onAppend != nil {
-		onAppend(records, len(frames))
-	}
-	if synced && onSync != nil {
-		onSync()
-	}
-	return nil
+}
+
+// Barrier blocks until every record appended before the call is
+// durable per the sync policy (or reports the degradation error).
+func (w *WAL) Barrier() error {
+	return w.WaitDurable(w.lsnCursor())
 }
 
 // lsnCursor reports the LSN cursor: the last LSN assigned or written.
@@ -207,23 +347,11 @@ func (w *WAL) lsnCursor() uint64 {
 	return w.lastLSN
 }
 
-// durableLSN reports the highest LSN through which the log is durable:
-// the LSN cursor capped below the lowest LSN accepted but not yet
-// durable — queued, in flight, or lost to a degradation.
+// durableLSN reports the highest LSN through which the log is durable.
 func (w *WAL) durableLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	horizon := w.lastLSN
-	floors := [3]uint64{w.lost}
-	if g := w.gc; g != nil {
-		floors[1], floors[2] = g.inflightFirst, g.firstQueued
-	}
-	for _, f := range floors {
-		if f != 0 && f-1 < horizon {
-			horizon = f - 1
-		}
-	}
-	return horizon
+	return w.durable
 }
 
 // syncDirtyLocked fsyncs if bytes were written since the last sync. The
@@ -259,15 +387,15 @@ func (w *WAL) Err() error {
 	return w.err
 }
 
-// Close stops the committer (draining the queue), syncs and closes the
-// log file. Further appends fail.
+// Close stops a primary's committer (draining the queue), syncs and
+// closes the log file. Further appends fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
-	if g := w.gc; g != nil && !g.stopping {
-		g.stopping = true
+	if !w.follower && !w.stopping {
+		w.stopping = true
 		w.mu.Unlock()
-		g.wake(true) // kick the committer and cut any batch window short
-		<-g.done
+		w.wake(true) // kick the committer and cut any batch window short
+		<-w.done
 		w.mu.Lock()
 	}
 	if w.err != nil {
@@ -291,10 +419,9 @@ func (w *WAL) Close() error {
 
 // maybeRotateLocked seals the active segment and opens the next one
 // once the active segment reached the rotation limit. Called with mu
-// held at a point where no write is in flight (AppendFrames holds mu
-// across its write; otherwise only the committer writes, and it
-// rotates between groups). Rotation is rare — once per segment-size
-// bytes — so the file operations run under mu.
+// held by commit, after its group, so no write is in flight. Rotation
+// is rare — once per segment-size bytes — so the file operations run
+// under mu.
 func (w *WAL) maybeRotateLocked() {
 	if w.err != nil || w.size < w.rot.limit {
 		return
@@ -355,18 +482,9 @@ func (w *WAL) resetForCompact(lsn uint64) error {
 		}
 	}
 	w.err = nil
-	w.lost = 0
 	w.lastLSN = lsn
-	if g := w.gc; g != nil {
-		g.queue = g.queue[:0]
-		g.queued = 0
-		g.traced = g.traced[:0]
-		g.firstQueued = 0
-		g.inflightFirst = 0
-		g.durable = w.lastLSN
-		g.errNotified = false
-		g.advanceLocked()
-	}
+	w.durable = lsn
+	w.dropQueueLocked()
 	return nil
 }
 

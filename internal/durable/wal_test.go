@@ -145,7 +145,7 @@ func TestOversizedLengthPrefixRejected(t *testing.T) {
 
 // newTestWAL wraps f as a one-file WAL whose LSNs start at 1, with a
 // rotation limit no test reaches. It is a follower's log until the test
-// calls StartGroupCommit.
+// sets its hooks and calls startCommitter.
 func newTestWAL(f File) *WAL {
 	return newWAL(f, 0, true, &rotator{limit: math.MaxInt64})
 }
@@ -160,12 +160,15 @@ func TestWALAppendAssignsLSNsAndSyncs(t *testing.T) {
 	w := newTestWAL(f)
 	mk := Record{Type: uint8(vfs.MutMkdir),
 		Mut: vfs.Mutation{Op: vfs.MutMkdir, Path: "/d", Mode: 0o755, Owner: "o"}}
-	if _, err := w.Append(mk); !errors.Is(err, errNoCommitter) {
-		t.Fatalf("append with no committer = %v, want errNoCommitter", err)
+	if _, err := w.Append(mk); !errors.Is(err, errFollowerWAL) {
+		t.Fatalf("append to a follower's wal = %v, want errFollowerWAL", err)
 	}
 	var syncs atomic.Int64
 	w.onSync = func() { syncs.Add(1) }
-	w.StartGroupCommit(GroupConfig{})
+	w.startCommitter()
+	if err := w.AppendFrames(EncodeRecord(nil, Record{LSN: 1, Type: mk.Type, Mut: mk.Mut}), 1, 1); !errors.Is(err, errPrimaryFrames) {
+		t.Fatalf("AppendFrames on a primary's wal = %v, want errPrimaryFrames", err)
+	}
 	for i := 0; i < 5; i++ {
 		lsn, err := w.Append(mk)
 		if err != nil {
@@ -179,13 +182,12 @@ func TestWALAppendAssignsLSNsAndSyncs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The onSync hook runs after the group's waiters wake; Close drains
-	// the committer, so every group's hook has run once it returns.
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// A group's hooks run before its waiters wake.
 	if got := syncs.Load(); got != 5 {
 		t.Fatalf("syncs = %d, want 5 (policy: every group)", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -218,7 +220,7 @@ func (f *failingFile) Close() error { return nil }
 
 func TestWALStickyError(t *testing.T) {
 	w := newTestWAL(&failingFile{failAfter: 2})
-	w.StartGroupCommit(GroupConfig{})
+	w.startCommitter()
 	defer w.Close()
 	mk := Record{Type: uint8(vfs.MutMkdir), Mut: vfs.Mutation{Op: vfs.MutMkdir, Path: "/d"}}
 	// One group per record, so the third record is the third write.

@@ -29,8 +29,9 @@ var ErrPublisherClosed = errors.New("replica: publisher closed")
 // group to exist on a second machine before reaching the wire.
 //
 // Create the Publisher first, open the store with OnShip: pub.Ship,
-// then Bind the store — the committer never ships before
-// StartGroupCommit, so the late bind is safe.
+// then Bind the store before its first write — a store ships only the
+// groups its own writes form, and a follower none until Promote, so the
+// late bind is safe.
 type Publisher struct {
 	mu     sync.Mutex
 	store  *durable.Store
@@ -127,9 +128,10 @@ func (p *Publisher) Epoch() uint64 {
 }
 
 // Ship is the durable.Options.OnShip hook: one committed group, called
-// by the committer outside the WAL lock, in commit order. Ownership of
-// frames rests here; every subscriber sees the same shared buffer and
-// must treat it as read-only (followers decode, never mutate).
+// by the committer outside the WAL lock, in commit order, before the
+// group's local waiters wake. Ownership of frames rests here; every
+// subscriber sees the same shared buffer and must treat it as read-only
+// (followers decode, never mutate).
 func (p *Publisher) Ship(first, last uint64, records int, frames []byte) {
 	p.groups.Inc()
 	p.bytes.Add(int64(len(frames)))
