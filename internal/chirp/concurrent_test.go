@@ -2,12 +2,15 @@ package chirp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"identitybox/internal/auth"
 	"identitybox/internal/kernel"
+	"identitybox/internal/vfs"
 )
 
 // TestConcurrentClientsMixedOps runs N independent clients against one
@@ -190,4 +193,55 @@ func TestSharedClientConcurrentUse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOpenExclusiveOneWinner races four sessions through
+// open(O_CREAT|O_EXCL) on each of 2 000 fresh paths. Exactly one must
+// win each round and the others must see EEXIST: an exclusive create
+// is how a client claims a name (a lock file, a job's unique output),
+// so a second winner would hand one name to two owners.
+func TestOpenExclusiveOneWinner(t *testing.T) {
+	const sessions, rounds = 4, 2000
+	bothFramings(t, func(t *testing.T, proto int) {
+		srv, _, _ := testServer(t)
+		var cls [sessions]*Client
+		for i := range cls {
+			cls[i] = unixClient(t, srv, "admin", proto)
+		}
+		if err := cls[0].Mkdir("/excl", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		bad := 0
+		for r := 0; r < rounds && !t.Failed(); r++ {
+			path := fmt.Sprintf("/excl/f%d", r)
+			start := make(chan struct{})
+			var wins atomic.Int32
+			var wg sync.WaitGroup
+			for _, cl := range cls {
+				wg.Add(1)
+				go func(cl *Client) {
+					defer wg.Done()
+					<-start
+					fd, err := cl.Open(path, kernel.OWronly|kernel.OCreat|kernel.OExcl, 0o644)
+					switch {
+					case err == nil:
+						wins.Add(1)
+						if err := cl.CloseFD(fd); err != nil {
+							t.Error(err)
+						}
+					case !errors.Is(err, vfs.ErrExist):
+						t.Errorf("open %s: %v, want success or EEXIST", path, err)
+					}
+				}(cl)
+			}
+			close(start)
+			wg.Wait()
+			if wins.Load() != 1 {
+				bad++
+			}
+		}
+		if bad > 0 {
+			t.Fatalf("%d of %d rounds had other than one winner", bad, rounds)
+		}
+	})
 }

@@ -425,29 +425,12 @@ func (sess *session) open(path string, flags int, mode uint32, trace uint64) (in
 			return 0, err
 		}
 	}
-	st, err := s.fs.Stat(path)
-	exists := err == nil
-	switch {
-	case !exists && flags&kernel.OCreat == 0:
-		return 0, err
-	case exists && flags&(kernel.OCreat|kernel.OExcl) == kernel.OCreat|kernel.OExcl:
-		return 0, vfs.ErrExist
-	case exists && st.IsDir():
-		return 0, vfs.ErrIsDir
-	}
-	if !exists {
-		if _, err := s.fs.Traced(trace).Create(path, mode, s.opts.Owner); err != nil {
-			return 0, err
-		}
-	}
-	h, err := s.fs.OpenHandle(path)
+	h, err := s.fs.Traced(trace).OpenFile(path, flags, mode, s.opts.Owner)
 	if err != nil {
 		return 0, err
 	}
-	if flags&kernel.OTrunc != 0 && flags&3 != kernel.ORdonly {
-		if err := h.TruncateTraced(0, trace); err != nil {
-			return 0, err
-		}
+	if h.IsDir() { // the server opens files only, a directory in no mode
+		return 0, vfs.ErrIsDir
 	}
 	return sess.addFD(&sessionFD{h: h, path: path, flags: flags}), nil
 }

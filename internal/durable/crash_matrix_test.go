@@ -160,8 +160,10 @@ func applyMutation(t *testing.T, fs *vfs.FS, m vfs.Mutation) {
 	switch m.Op {
 	case vfs.MutMkdir:
 		err = fs.Mkdir(m.Path, m.Mode, m.Owner)
-	case vfs.MutCreate:
-		_, err = fs.Create(m.Path, m.Mode, m.Owner)
+	case vfs.MutCreate: // make or replace, holding Data
+		if _, err = fs.Create(m.Path, m.Mode, m.Owner); err == nil && len(m.Data) > 0 {
+			_, err = fs.WriteAt(m.Path, m.Data, 0)
+		}
 	case vfs.MutWrite:
 		_, err = fs.WriteAt(m.Path, m.Data, m.Off)
 	case vfs.MutTruncate:

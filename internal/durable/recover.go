@@ -149,9 +149,8 @@ func (s *Store) applyRecord(rec Record) error {
 	switch m.Op {
 	case vfs.MutMkdir:
 		return s.fs.Mkdir(m.Path, m.Mode, m.Owner)
-	case vfs.MutCreate:
-		_, err := s.fs.Create(m.Path, m.Mode, m.Owner)
-		return err
+	case vfs.MutCreate: // make or replace, holding Data (empty in an older log)
+		return s.fs.WriteFile(m.Path, m.Data, m.Mode, m.Owner)
 	case vfs.MutWrite:
 		_, err := s.fs.WriteAt(m.Path, m.Data, m.Off)
 		return err

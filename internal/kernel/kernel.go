@@ -349,8 +349,11 @@ func (k *Kernel) pathCost(path string) vclock.Micros {
 	return k.model.DirEntry * vclock.Micros(vfs.PathComponents(path))
 }
 
-// unixAllows applies owner/other permission bits for the account.
-func unixAllows(st vfs.Stat, account string, want uint32) bool {
+// UnixAllows reports whether the owner or other permission bits of st
+// grant account every bit of want (4 read, 2 write, 1 execute). Root
+// passes every check. Parrot's local driver applies the same rule for
+// its supervising account.
+func UnixAllows(st vfs.Stat, account string, want uint32) bool {
 	if account == RootAccount {
 		return true
 	}
@@ -418,7 +421,7 @@ func (k *Kernel) execute(p *Proc, f *Frame) {
 			f.SetError(err)
 			return
 		}
-		if f.Flags != AccessExists && !unixAllows(st, p.account, uint32(f.Flags&7)) {
+		if f.Flags != AccessExists && !UnixAllows(st, p.account, uint32(f.Flags&7)) {
 			f.SetError(ErrPermission)
 			return
 		}
@@ -759,64 +762,43 @@ func (k *Kernel) execute(p *Proc, f *Frame) {
 const ACLFileName = ".__acl"
 
 func (k *Kernel) execOpen(p *Proc, f *Frame) {
-	st, err := k.fs.Stat(f.Path)
-	exists := err == nil
-	switch {
-	case !exists && f.Flags&OCreat == 0:
+	if err := OpenAllowed(k.fs, f.Path, f.Flags, p.account); err != nil {
 		f.SetError(err)
 		return
-	case exists && f.Flags&(OCreat|OExcl) == OCreat|OExcl:
-		f.SetError(vfs.ErrExist)
-		return
-	case exists && st.IsDir() && f.Flags&3 != ORdonly:
-		f.SetError(vfs.ErrIsDir)
-		return
 	}
-	if !exists {
-		// Creating: need write permission on the parent directory.
-		pst, perr := k.fs.Stat(vfs.Dir(f.Path))
-		if perr != nil {
-			f.SetError(perr)
-			return
-		}
-		if !unixAllows(pst, p.account, 2) {
-			f.SetError(ErrPermission)
-			return
-		}
-		if _, cerr := k.fs.Create(f.Path, f.Mode, p.account); cerr != nil {
-			f.SetError(cerr)
-			return
-		}
-	} else {
-		var want uint32
-		switch f.Flags & 3 {
-		case ORdonly:
-			want = 4
-		case OWronly:
-			want = 2
-		case ORdwr:
-			want = 6
-		}
-		if !unixAllows(st, p.account, want) {
-			f.SetError(ErrPermission)
-			return
-		}
-	}
-	h, err := k.fs.OpenHandle(f.Path)
+	h, err := k.fs.OpenFile(f.Path, f.Flags, f.Mode, p.account)
 	if err != nil {
 		f.SetError(err)
 		return
-	}
-	if f.Flags&OTrunc != 0 && f.Flags&3 != ORdonly {
-		if err := h.Truncate(0); err != nil {
-			f.SetError(err)
-			return
-		}
 	}
 	fd := p.nextFD
 	p.nextFD++
 	p.fds[fd] = &fdesc{h: h, path: f.Path, flags: f.Flags, refs: 1}
 	f.SetResult(int64(fd))
+}
+
+// OpenAllowed applies Unix permission bits to an open by account:
+// creating a missing file takes write permission on its directory,
+// opening an existing one the access its flags ask for. An open that
+// vfs.FS.OpenFile refuses whatever the bits say (O_CREAT|O_EXCL of an
+// existing name, a writable open of a directory) passes here, so its
+// own error comes first.
+func OpenAllowed(fs *vfs.FS, path string, flags int, account string) error {
+	st, err := fs.Stat(path)
+	want := [4]uint32{ORdonly: 4, OWronly: 2, ORdwr: 6}[flags&3]
+	switch {
+	case err != nil && flags&OCreat != 0:
+		if st, err = fs.Stat(vfs.Dir(path)); err != nil {
+			return err
+		}
+		want = 2
+	case err != nil, flags&(OCreat|OExcl) == OCreat|OExcl, st.IsDir() && flags&3 != ORdonly:
+		return nil
+	}
+	if !UnixAllows(st, account, want) {
+		return ErrPermission
+	}
+	return nil
 }
 
 func (k *Kernel) execSpawn(p *Proc, f *Frame) {
@@ -871,7 +853,7 @@ func (k *Kernel) resolveProgram(p *Proc, path string) (Program, error) {
 	if st.IsDir() {
 		return nil, vfs.ErrIsDir
 	}
-	if !unixAllows(st, p.account, 1) {
+	if !UnixAllows(st, p.account, 1) {
 		return nil, ErrPermission
 	}
 	data, err := k.fs.ReadFile(path)

@@ -391,8 +391,9 @@ func (p *Proc) SetACL(path, aclText string) error {
 
 // --- conveniences built on the wrappers --------------------------------
 
-// WriteFile creates path and writes data through ordinary open/write/
-// close syscalls, in chunks of at most chunk bytes (0 means one call).
+// WriteFile creates (or truncates) path and writes data through
+// ordinary open/write/close syscalls, repeating the write until every
+// byte is taken.
 func (p *Proc) WriteFile(path string, data []byte, mode uint32) error {
 	fd, err := p.Open(path, OWronly|OCreat|OTrunc, mode)
 	if err != nil {

@@ -1,5 +1,7 @@
 package kernel
 
+import "identitybox/internal/vfs"
+
 // Sysno identifies a system call in the simulated kernel's ABI. The set
 // mirrors the calls Parrot must interpose on: file access, metadata,
 // directory manipulation, process management, signals — plus the one new
@@ -100,15 +102,15 @@ func (s Sysno) String() string {
 	return "sys?"
 }
 
-// Open flags, following the Unix convention.
+// Open flags, following the Unix convention; vfs defines them.
 const (
-	ORdonly = 0x0
-	OWronly = 0x1
-	ORdwr   = 0x2
-	OCreat  = 0x40
-	OTrunc  = 0x200
-	OAppend = 0x400
-	OExcl   = 0x80
+	ORdonly = vfs.ORdonly
+	OWronly = vfs.OWronly
+	ORdwr   = vfs.ORdwr
+	OCreat  = vfs.OCreat
+	OTrunc  = vfs.OTrunc
+	OAppend = vfs.OAppend
+	OExcl   = vfs.OExcl
 )
 
 // Lseek whence values.

@@ -29,20 +29,6 @@ func (d *LocalDriver) pathCost(path string) vclock.Micros {
 	return d.model.DirEntry * vclock.Micros(vfs.PathComponents(path))
 }
 
-// allowed applies host Unix permissions for the supervising account.
-func (d *LocalDriver) allowed(st vfs.Stat, want uint32) bool {
-	if d.account == kernel.RootAccount {
-		return true
-	}
-	var bits uint32
-	if st.Owner == d.account {
-		bits = (st.Mode >> 6) & 7
-	} else {
-		bits = st.Mode & 7
-	}
-	return bits&want == want
-}
-
 type localFile struct {
 	d *LocalDriver
 	h *vfs.Handle
@@ -57,49 +43,12 @@ func (f *localFile) Close() error                             { return nil }
 // Open implements Driver.
 func (d *LocalDriver) Open(p *kernel.Proc, path string, flags int, mode uint32) (File, error) {
 	p.Charge(d.model.SyscallFixed + d.model.Open + d.pathCost(path))
-	st, err := d.fs.Stat(path)
-	exists := err == nil
-	switch {
-	case !exists && flags&kernel.OCreat == 0:
+	if err := kernel.OpenAllowed(d.fs, path, flags, d.account); err != nil {
 		return nil, err
-	case exists && flags&(kernel.OCreat|kernel.OExcl) == kernel.OCreat|kernel.OExcl:
-		return nil, &vfs.PathError{Op: "open", Path: path, Err: vfs.ErrExist}
-	case exists && st.IsDir() && flags&3 != kernel.ORdonly:
-		return nil, &vfs.PathError{Op: "open", Path: path, Err: vfs.ErrIsDir}
 	}
-	if !exists {
-		pst, perr := d.fs.Stat(vfs.Dir(path))
-		if perr != nil {
-			return nil, perr
-		}
-		if !d.allowed(pst, 2) {
-			return nil, &vfs.PathError{Op: "open", Path: path, Err: vfs.ErrPermission}
-		}
-		if _, cerr := d.fs.Create(path, mode, d.account); cerr != nil {
-			return nil, cerr
-		}
-	} else {
-		var want uint32
-		switch flags & 3 {
-		case kernel.ORdonly:
-			want = 4
-		case kernel.OWronly:
-			want = 2
-		case kernel.ORdwr:
-			want = 6
-		}
-		if !d.allowed(st, want) {
-			return nil, &vfs.PathError{Op: "open", Path: path, Err: vfs.ErrPermission}
-		}
-	}
-	h, err := d.fs.OpenHandle(path)
+	h, err := d.fs.OpenFile(path, flags, mode, d.account)
 	if err != nil {
 		return nil, err
-	}
-	if flags&kernel.OTrunc != 0 && flags&3 != kernel.ORdonly {
-		if err := h.Truncate(0); err != nil {
-			return nil, err
-		}
 	}
 	return &localFile{d: d, h: h}, nil
 }
@@ -137,7 +86,7 @@ func (d *LocalDriver) Mkdir(p *kernel.Proc, path string, mode uint32) error {
 	if err != nil {
 		return err
 	}
-	if !d.allowed(pst, 2) {
+	if !kernel.UnixAllows(pst, d.account, 2) {
 		return &vfs.PathError{Op: "mkdir", Path: path, Err: vfs.ErrPermission}
 	}
 	return d.fs.Mkdir(path, mode, d.account)
@@ -156,7 +105,7 @@ func (d *LocalDriver) Unlink(p *kernel.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	if !d.allowed(pst, 2) {
+	if !kernel.UnixAllows(pst, d.account, 2) {
 		return &vfs.PathError{Op: "unlink", Path: path, Err: vfs.ErrPermission}
 	}
 	return d.fs.Unlink(path)

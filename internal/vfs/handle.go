@@ -1,5 +1,18 @@
 package vfs
 
+import "errors"
+
+// Open flags, following the Unix convention. The kernel re-exports them.
+const (
+	ORdonly = 0x0
+	OWronly = 0x1
+	ORdwr   = 0x2
+	OCreat  = 0x40
+	OTrunc  = 0x200
+	OAppend = 0x400
+	OExcl   = 0x80
+)
+
 // Handle pins an inode, giving file-descriptor semantics: I/O through a
 // handle keeps working after the name is renamed or unlinked, exactly as
 // an open fd does in Unix. The kernel's file-descriptor table and the
@@ -14,13 +27,63 @@ type Handle struct {
 	path string // path at open time, used to attribute journaled writes
 }
 
-// OpenHandle resolves path (following symlinks) and pins its inode.
+// OpenHandle resolves path (following symlinks) and pins its inode: a
+// read-only OpenFile, which a directory passes too.
 func (fs *FS) OpenHandle(path string) (*Handle, error) {
-	n, err := fs.resolveShared(path, true)
+	return fs.OpenFile(path, ORdonly, 0, "")
+}
+
+// OpenFile is open(2)'s namespace rule in one step: O_CREAT makes a
+// missing regular file with mode and owner, O_CREAT|O_EXCL refuses an
+// existing one, O_TRUNC on a writable open empties the file, and a
+// directory opens read-only only. Symlinks are followed. It journals
+// at most one mutation (MutCreate for a file it made, MutTruncate for
+// one it emptied), and an open that can change nothing takes no journal
+// lock. Permission checks are the caller's.
+func (fs *FS) OpenFile(path string, flags int, mode uint32, owner string) (*Handle, error) {
+	return fs.openFile(path, flags, mode, owner, 0)
+}
+
+func (fs *FS) openFile(path string, flags int, mode uint32, owner string, trace uint64) (*Handle, error) {
+	n, err := fs.open(path, flags, mode, owner, trace)
 	if err != nil {
 		return nil, &PathError{"open", path, err}
 	}
 	return &Handle{fs: fs, n: n, path: Clean(path)}, nil
+}
+
+// open resolves, and for O_CREAT makes, the file an open names. Both
+// the existence test and what follows from it happen under one hold of
+// the namespace lock, so two racing O_CREAT|O_EXCL opens of a missing
+// name have one winner.
+func (fs *FS) open(path string, flags int, mode uint32, owner string, trace uint64) (*Inode, error) {
+	writable := flags&3 != ORdonly
+	trunc := writable && flags&OTrunc != 0
+	if flags&OCreat == 0 && !trunc {
+		n, err := fs.resolveShared(path, true)
+		if err == nil && writable && n.ftype == TypeDir {
+			err = ErrIsDir
+		}
+		return n, err
+	}
+	defer fs.endJournal(fs.beginJournal())
+	fs.treeMu.Lock()
+	defer fs.treeMu.Unlock()
+	n, parent, _, err := fs.resolve(path, true, 0)
+	switch {
+	case err != nil:
+		if flags&OCreat != 0 && parent != nil && errors.Is(err, ErrNotExist) {
+			return fs.create(path, nil, mode, owner, trace)
+		}
+		return nil, err
+	case flags&(OCreat|OExcl) == OCreat|OExcl:
+		return nil, ErrExist
+	case writable && n.ftype == TypeDir:
+		return nil, ErrIsDir
+	case trunc:
+		return n, fs.edit(n, Mutation{Op: MutTruncate, Path: path, Trace: trace})
+	}
+	return n, nil
 }
 
 // Stat reports the pinned inode's metadata. The link count is read under
@@ -56,69 +119,23 @@ func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
 // A journaled write is attributed to the handle's open-time path; see
 // the journal notes in DESIGN.md §3 for the rename-while-open caveat.
 func (h *Handle) WriteAt(p []byte, off int64) (int, error) {
-	return h.writeAt(p, off, 0)
+	return h.WriteAtTraced(p, off, 0)
 }
 
 // WriteAtTraced is WriteAt with a request-tracing ID stamped on the
 // journaled mutation.
 func (h *Handle) WriteAtTraced(p []byte, off int64, trace uint64) (int, error) {
-	return h.writeAt(p, off, trace)
-}
-
-func (h *Handle) writeAt(p []byte, off int64, trace uint64) (int, error) {
 	defer h.fs.endJournal(h.fs.beginJournal())
-	if h.n.ftype == TypeDir {
-		return 0, &PathError{"write", "(fd)", ErrIsDir}
+	if err := h.fs.edit(h.n, Mutation{Op: MutWrite, Path: h.path, Off: off, Data: p, Trace: trace}); err != nil {
+		return 0, err
 	}
-	if off < 0 {
-		return 0, &PathError{"write", "(fd)", ErrInvalid}
-	}
-	h.n.mu.Lock()
-	defer h.n.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(h.n.data)) {
-		grown := make([]byte, end)
-		copy(grown, h.n.data)
-		h.n.data = grown
-	}
-	copy(h.n.data[off:end], p)
-	h.n.mtime.Store(h.fs.tick())
-	h.fs.record(Mutation{Op: MutWrite, Path: h.path, Off: off, Data: p, Trace: trace})
 	return len(p), nil
 }
 
 // Truncate sets the pinned file's length.
 func (h *Handle) Truncate(size int64) error {
-	return h.truncate(size, 0)
-}
-
-// TruncateTraced is Truncate with a request-tracing ID stamped on the
-// journaled mutation.
-func (h *Handle) TruncateTraced(size int64, trace uint64) error {
-	return h.truncate(size, trace)
-}
-
-func (h *Handle) truncate(size int64, trace uint64) error {
 	defer h.fs.endJournal(h.fs.beginJournal())
-	if h.n.ftype == TypeDir {
-		return &PathError{"truncate", "(fd)", ErrIsDir}
-	}
-	if size < 0 {
-		return &PathError{"truncate", "(fd)", ErrInvalid}
-	}
-	h.n.mu.Lock()
-	defer h.n.mu.Unlock()
-	switch {
-	case size <= int64(len(h.n.data)):
-		h.n.data = h.n.data[:size]
-	default:
-		grown := make([]byte, size)
-		copy(grown, h.n.data)
-		h.n.data = grown
-	}
-	h.n.mtime.Store(h.fs.tick())
-	h.fs.record(Mutation{Op: MutTruncate, Path: h.path, Size: size, Trace: trace})
-	return nil
+	return h.fs.edit(h.n, Mutation{Op: MutTruncate, Path: h.path, Size: size})
 }
 
 // Size reports the current file length.

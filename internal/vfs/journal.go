@@ -29,7 +29,7 @@ type MutOp uint8
 
 const (
 	MutMkdir    MutOp = 1  // Path, Mode, Owner
-	MutCreate   MutOp = 2  // Path, Mode, Owner (truncates an existing file)
+	MutCreate   MutOp = 2  // Path, Mode, Owner, Data (replaces an existing file's contents)
 	MutWrite    MutOp = 3  // Path, Off, Data
 	MutTruncate MutOp = 4  // Path, Size
 	MutUnlink   MutOp = 5  // Path

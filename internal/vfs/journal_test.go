@@ -97,6 +97,89 @@ func TestJournalRecordsEveryMutationKind(t *testing.T) {
 	}
 }
 
+// TestWholeFileWriteIsOneRecord pins the journal shape of the
+// whole-file steps. WriteFile is one MutCreate carrying its bytes, for
+// a new file and over an existing one, so a reader never meets the file
+// empty in between. An O_CREAT|O_TRUNC open journals one record:
+// MutCreate for a missing file, MutTruncate for an existing one. A
+// read-only open journals nothing and does not wait for the journal
+// lock.
+func TestWholeFileWriteIsOneRecord(t *testing.T) {
+	fs := New("root")
+	j := &capturingJournal{}
+	fs.SetJournal(j)
+	seen := 0
+	since := func() []Mutation { // what was journaled since the last call
+		all := j.snapshot()
+		defer func() { seen = len(all) }()
+		return all[seen:]
+	}
+	expect := func(what string, want ...Mutation) {
+		t.Helper()
+		got := since()
+		if len(got) != len(want) {
+			t.Fatalf("%s journaled %d records, want %d: %+v", what, len(got), len(want), got)
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.Op != w.Op || g.Path != w.Path || string(g.Data) != string(w.Data) || g.Size != w.Size {
+				t.Errorf("%s record %d = %v %q data %q size %d, want %v %q data %q size %d",
+					what, i, g.Op, g.Path, g.Data, g.Size, w.Op, w.Path, w.Data, w.Size)
+			}
+		}
+	}
+
+	data := []byte("unix:alice rwlax\n")
+	if err := fs.WriteFile("/acl", data, 0o644, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	expect("WriteFile of a new file", Mutation{Op: MutCreate, Path: "/acl", Data: []byte("unix:alice rwlax\n")})
+	data[0] = 'X' // the file holds its own copy
+	if got, _ := fs.ReadFile("/acl"); string(got) != "unix:alice rwlax\n" {
+		t.Fatalf("file changed with the caller's buffer: %q", got)
+	}
+	if err := fs.WriteFile("/acl", []byte("unix:bob rl\n"), 0o644, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	expect("WriteFile over an existing file", Mutation{Op: MutCreate, Path: "/acl", Data: []byte("unix:bob rl\n")})
+
+	h, err := fs.OpenFile("/f", OWronly|OCreat|OTrunc, 0o644, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("O_CREAT|O_TRUNC of a missing file", Mutation{Op: MutCreate, Path: "/f"})
+	if _, err := h.WriteAt([]byte("bytes"), 0); err != nil {
+		t.Fatal(err)
+	}
+	since()
+	if _, err := fs.OpenFile("/f", OWronly|OCreat|OTrunc, 0o644, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	expect("O_CREAT|O_TRUNC of an existing file", Mutation{Op: MutTruncate, Path: "/f"})
+	if st, _ := fs.Stat("/f"); st.Size != 0 {
+		t.Fatalf("O_TRUNC left %d bytes", st.Size)
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	go fs.Quiesce(func() error { close(held); <-release; return nil }) // holds the journal lock
+	<-held
+	opened := make(chan error, 1)
+	go func() {
+		_, err := fs.OpenFile("/acl", ORdonly, 0, "")
+		opened <- err
+	}()
+	select {
+	case err := <-opened:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a read-only open waited for the journal lock")
+	}
+	expect("O_RDONLY")
+}
+
 func TestJournalSkipsFailedMutations(t *testing.T) {
 	fs := New("root")
 	j := &capturingJournal{}

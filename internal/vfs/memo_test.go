@@ -10,12 +10,13 @@ import (
 
 // TestMemoOneVersionOneValue pins the invariant FS.Memo rests on: a
 // stamp (an inode's mtime as read under its lock) names one content
-// version. Writers alternate two contents through WriteFile — create on
-// an existing file, truncate, write — and through a handle, while
-// readers collect (stamp, contents) pairs both from Memo's entries and
-// from the inode under its read lock. No stamp may ever pair with two
-// different contents. (With create publishing its tick after unlocking
-// the inode, a reader pairs the emptied file with the old stamp.)
+// version. Writers alternate two contents through WriteFile (one
+// replace of an existing file) and through a handle (truncate, write),
+// while readers collect (stamp, contents) pairs both from Memo's entries
+// and from the inode under its read lock. No stamp may ever pair with
+// two different contents. (With a writer publishing its tick after
+// unlocking the inode, a reader pairs the new contents with the old
+// stamp.)
 func TestMemoOneVersionOneValue(t *testing.T) {
 	fs := New("root")
 	const path = "/f"

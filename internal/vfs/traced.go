@@ -28,14 +28,10 @@ func (v TracedView) Mkdir(path string, mode uint32, owner string) error {
 	return v.fs.mkdir(path, mode, owner, v.trace)
 }
 
-// Create is FS.Create with the view's trace stamped on the mutation.
-func (v TracedView) Create(path string, mode uint32, owner string) (Stat, error) {
-	return v.fs.create(path, mode, owner, v.trace)
-}
-
-// WriteAt is FS.WriteAt with the view's trace stamped on the mutation.
-func (v TracedView) WriteAt(path string, p []byte, off int64) (int, error) {
-	return v.fs.writeAt(path, p, off, v.trace)
+// OpenFile is FS.OpenFile with the view's trace stamped on the
+// mutation, if the open makes one.
+func (v TracedView) OpenFile(path string, flags int, mode uint32, owner string) (*Handle, error) {
+	return v.fs.openFile(path, flags, mode, owner, v.trace)
 }
 
 // Truncate is FS.Truncate with the view's trace stamped on the mutation.
@@ -43,8 +39,8 @@ func (v TracedView) Truncate(path string, size int64) error {
 	return v.fs.truncate(path, size, v.trace)
 }
 
-// WriteFile is FS.WriteFile with the view's trace stamped on each of the
-// underlying create/truncate/write mutations.
+// WriteFile is FS.WriteFile with the view's trace stamped on its one
+// MutCreate.
 func (v TracedView) WriteFile(path string, data []byte, mode uint32, owner string) error {
 	return v.fs.writeFile(path, data, mode, owner, v.trace)
 }

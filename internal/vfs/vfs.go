@@ -91,9 +91,11 @@ func nextIno() uint64 { return inoCounter.Add(1) }
 //   - mode, owner, group, data: guarded by this inode's mu;
 //   - mtime: updated and read atomically (writers may hold either lock).
 //     Invariant: every writer of data publishes a fresh tick of the FS
-//     clock to mtime before it releases mu. Ticks are never reused and
-//     neither are inode numbers, so under mu (shared or exclusive) the
-//     pair (inode, mtime) names one content version exactly;
+//     clock to mtime before it releases mu (every write but a new
+//     file's first contents goes through FS.edit, which does so). Ticks
+//     are never reused and neither are inode numbers, so under mu
+//     (shared or exclusive) the pair (inode, mtime) names one content
+//     version exactly;
 //   - memo: a value derived from data, stamped with the mtime it was
 //     derived at; written and read atomically, valid only while the
 //     stamp equals mtime (see FS.Memo). Dies with the inode.
@@ -403,41 +405,90 @@ func (fs *FS) MkdirAll(path string, mode uint32, owner string) error {
 
 // Create makes (or truncates) a regular file and returns its stat.
 func (fs *FS) Create(path string, mode uint32, owner string) (Stat, error) {
-	return fs.create(path, mode, owner, 0)
-}
-
-func (fs *FS) create(path string, mode uint32, owner string, trace uint64) (Stat, error) {
 	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
+	n, err := fs.create(path, nil, mode, owner, 0)
+	if err != nil {
+		return Stat{}, err
+	}
+	return fs.statOf(n, n.nlink), nil
+}
+
+// create makes path a regular file holding a private copy of data: a
+// new file with mode and owner when the name is missing, the existing
+// file's contents replaced otherwise. Either way it journals one
+// MutCreate carrying data, so no reader ever sees the file between its
+// old and new contents. Callers hold the journal lock and treeMu
+// exclusively.
+func (fs *FS) create(path string, data []byte, mode uint32, owner string, trace uint64) (*Inode, error) {
+	m := Mutation{Op: MutCreate, Path: path, Mode: mode, Owner: owner, Data: data, Trace: trace}
 	n, parent, base, err := fs.resolve(path, true, 0)
 	switch {
 	case err == nil:
-		if n.ftype == TypeDir {
-			return Stat{}, &PathError{"create", path, ErrIsDir}
-		}
-		n.mu.Lock()
-		n.data = n.data[:0]
-		n.mtime.Store(fs.tick())
-		n.mu.Unlock()
-		fs.record(Mutation{Op: MutCreate, Path: path, Mode: mode, Owner: owner, Trace: trace})
-		return fs.statOf(n, n.nlink), nil
+		return n, fs.edit(n, m)
 	case errors.Is(err, ErrNotExist) && parent != nil:
-		child := &Inode{
+		n = &Inode{
 			ino:   nextIno(),
 			ftype: TypeRegular,
 			mode:  mode,
 			owner: owner,
 			nlink: 1,
+			data:  append([]byte(nil), data...),
 		}
-		child.mtime.Store(fs.tick())
-		parent.children[base] = child
+		n.mtime.Store(fs.tick())
+		parent.children[base] = n
 		parent.mtime.Store(fs.tick())
-		fs.record(Mutation{Op: MutCreate, Path: path, Mode: mode, Owner: owner, Trace: trace})
-		return fs.statOf(child, child.nlink), nil
+		fs.record(m)
+		return n, nil
 	default:
-		return Stat{}, &PathError{"create", path, err}
+		return nil, &PathError{"create", path, err}
 	}
+}
+
+// edit applies one data mutation to a regular file and journals it:
+// MutWrite copies Data in at Off, MutTruncate sets the length to Size,
+// MutCreate replaces the contents with a copy of Data. Growth is
+// zero-filled. It is the one writer of an existing inode's data (path
+// and handle writes, truncates, create over an existing file), so every
+// such write publishes a fresh mtime before it releases the inode lock
+// — the memo-validity invariant on Inode. Callers hold the journal lock.
+func (fs *FS) edit(n *Inode, m Mutation) error {
+	if n.ftype == TypeDir {
+		return &PathError{m.Op.String(), m.Path, ErrIsDir}
+	}
+	if m.Off < 0 || m.Size < 0 {
+		return &PathError{m.Op.String(), m.Path, ErrInvalid}
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	switch m.Op {
+	case MutWrite:
+		end := m.Off + int64(len(m.Data))
+		if end > int64(len(n.data)) {
+			n.resize(end)
+		}
+		copy(n.data[m.Off:end], m.Data)
+	case MutTruncate:
+		n.resize(m.Size)
+	case MutCreate:
+		n.data = append(n.data[:0], m.Data...)
+	}
+	n.mtime.Store(fs.tick())
+	fs.record(m)
+	return nil
+}
+
+// resize sets the length of n's data, zero-filling any growth. Callers
+// hold n.mu exclusively.
+func (n *Inode) resize(size int64) {
+	if size <= int64(len(n.data)) {
+		n.data = n.data[:size]
+		return
+	}
+	grown := make([]byte, size)
+	copy(grown, n.data)
+	n.data = grown
 }
 
 // statOf snapshots an inode's metadata. nlink is namespace state, so the
@@ -532,32 +583,14 @@ func (fs *FS) ReadAt(path string, p []byte, off int64) (int, error) {
 // WriteAt writes p into the file at off, extending it (zero-filled) as
 // needed, and reports the number of bytes written.
 func (fs *FS) WriteAt(path string, p []byte, off int64) (int, error) {
-	return fs.writeAt(path, p, off, 0)
-}
-
-func (fs *FS) writeAt(path string, p []byte, off int64, trace uint64) (int, error) {
 	defer fs.endJournal(fs.beginJournal())
 	n, err := fs.resolveShared(path, true)
 	if err != nil {
 		return 0, &PathError{"write", path, err}
 	}
-	if n.ftype == TypeDir {
-		return 0, &PathError{"write", path, ErrIsDir}
+	if err := fs.edit(n, Mutation{Op: MutWrite, Path: path, Off: off, Data: p}); err != nil {
+		return 0, err
 	}
-	if off < 0 {
-		return 0, &PathError{"write", path, ErrInvalid}
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(n.data)) {
-		grown := make([]byte, end)
-		copy(grown, n.data)
-		n.data = grown
-	}
-	copy(n.data[off:end], p)
-	n.mtime.Store(fs.tick())
-	fs.record(Mutation{Op: MutWrite, Path: path, Off: off, Data: p, Trace: trace})
 	return len(p), nil
 }
 
@@ -572,25 +605,7 @@ func (fs *FS) truncate(path string, size int64, trace uint64) error {
 	if err != nil {
 		return &PathError{"truncate", path, err}
 	}
-	if n.ftype == TypeDir {
-		return &PathError{"truncate", path, ErrIsDir}
-	}
-	if size < 0 {
-		return &PathError{"truncate", path, ErrInvalid}
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	switch {
-	case size <= int64(len(n.data)):
-		n.data = n.data[:size]
-	default:
-		grown := make([]byte, size)
-		copy(grown, n.data)
-		n.data = grown
-	}
-	n.mtime.Store(fs.tick())
-	fs.record(Mutation{Op: MutTruncate, Path: path, Size: size, Trace: trace})
-	return nil
+	return fs.edit(n, Mutation{Op: MutTruncate, Path: path, Size: size, Trace: trace})
 }
 
 // Unlink removes a file or symlink (not a directory).
@@ -837,19 +852,18 @@ func (fs *FS) chown(path, owner, group string, trace uint64) error {
 	return nil
 }
 
-// WriteFile creates (or replaces) a file with the given contents.
+// WriteFile creates (or replaces) a file with the given contents, in
+// one journaled step: a reader sees the old contents or the new, never
+// an empty file in between. The file keeps a private copy of data.
 func (fs *FS) WriteFile(path string, data []byte, mode uint32, owner string) error {
 	return fs.writeFile(path, data, mode, owner, 0)
 }
 
 func (fs *FS) writeFile(path string, data []byte, mode uint32, owner string, trace uint64) error {
-	if _, err := fs.create(path, mode, owner, trace); err != nil {
-		return err
-	}
-	if err := fs.truncate(path, 0, trace); err != nil {
-		return err
-	}
-	_, err := fs.writeAt(path, data, 0, trace)
+	defer fs.endJournal(fs.beginJournal())
+	fs.treeMu.Lock()
+	defer fs.treeMu.Unlock()
+	_, err := fs.create(path, data, mode, owner, trace)
 	return err
 }
 
