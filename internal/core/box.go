@@ -74,8 +74,8 @@ type Options struct {
 
 	// Metrics, when set, is the registry the box records into; several
 	// boxes may share one registry and their counts aggregate. When
-	// nil the box keeps a private registry, reachable via Box.Metrics.
-	// Recording never charges virtual time.
+	// nil the box records no metrics (Stats still counts). Recording
+	// never charges virtual time.
 	Metrics *obs.Registry
 
 	// Trace, when set, receives one event per Figure-4 protocol phase
@@ -158,9 +158,9 @@ type Box struct {
 	// default. The sink serializes internally, so no box-level lock.
 	sink AuditSink
 
-	// reg/metrics/trace are the observability hooks: lock-free counts
+	// metrics and trace are the observability hooks: lock-free counts
 	// and phase events that read the virtual clock but never charge it.
-	reg     *obs.Registry
+	// Each is nil, and skipped, unless its Options field was set.
 	metrics *boxMetrics
 	trace   *obs.Trace
 
@@ -220,14 +220,12 @@ func New(k *kernel.Kernel, account string, ident identity.Principal, opts Option
 		channel: trap.NewChannel(trap.DefaultChannelBytes),
 		opts:    opts,
 		procs:   make(map[*kernel.Proc]*procState),
-		reg:     opts.Metrics,
 		trace:   opts.Trace,
 		sink:    opts.AuditSink,
 	}
-	if b.reg == nil {
-		b.reg = obs.NewRegistry()
+	if opts.Metrics != nil {
+		b.metrics = newBoxMetrics(opts.Metrics)
 	}
-	b.metrics = newBoxMetrics(b.reg)
 	if b.sink == nil {
 		b.sink = NewAuditRing(opts.AuditLimit)
 	}
@@ -371,11 +369,15 @@ func (b *Box) Audit() []AuditRecord {
 
 func (b *Box) recordAudit(p *kernel.Proc, f *kernel.Frame) {
 	b.statSyscalls.Add(1)
-	b.metrics.syscalls.Inc()
 	denied := errors.Is(f.Err, vfs.ErrPermission)
 	if denied {
 		b.statDenials.Add(1)
-		b.metrics.denials.Inc()
+	}
+	if b.metrics != nil {
+		b.metrics.syscalls.Inc()
+		if denied {
+			b.metrics.denials.Inc()
+		}
 	}
 	b.sink.Record(AuditRecord{
 		PID:      p.PID(),

@@ -85,7 +85,7 @@ func classify(f *kernel.Frame) sysClass {
 	}
 }
 
-// Metric names exported by every box.
+// Metric names a box records into Options.Metrics, when one is given.
 const (
 	MetricSyscalls      = "box_syscalls_total"
 	MetricACLChecks     = "box_acl_checks_total"
@@ -117,10 +117,6 @@ func newBoxMetrics(reg *obs.Registry) *boxMetrics {
 	}
 	return m
 }
-
-// Metrics returns the registry this box records into (the one supplied
-// via Options.Metrics, or the box's private registry).
-func (b *Box) Metrics() *obs.Registry { return b.reg }
 
 // Trace returns the Figure-4 phase tracer, nil unless Options.Trace was
 // set.

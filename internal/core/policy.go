@@ -99,7 +99,9 @@ func (s *boxSource) ACL(dir string) (*acl.ACL, error) {
 func (b *Box) noteACLCheck(p *kernel.Proc, path string) {
 	p.Charge(b.model.ACLCheck)
 	b.statACLChecks.Add(1)
-	b.metrics.aclChecks.Inc()
+	if b.metrics != nil {
+		b.metrics.aclChecks.Inc()
+	}
 	b.emitPhase(p, obs.PhaseACLCheck, "", path, 0)
 }
 

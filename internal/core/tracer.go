@@ -208,11 +208,12 @@ func (b *Box) syscallEntry(p *kernel.Proc, f *kernel.Frame, st *procState) kerne
 }
 
 // SyscallExit implements kernel.Tracer: it completes pending bulk
-// writes, records the call in the audit log, and observes the call's
-// full cost into the class histogram. The clock delta since entry
-// misses the kernel's boundary charges (two switches plus decode
-// before SyscallEntry, two switches after SyscallExit), so those are
-// added back: the histogram reports what the application experienced.
+// writes, records the call in the audit log, and, when the box has a
+// registry, observes the call's full cost into the class histogram.
+// The clock delta since entry misses the kernel's boundary charges (two
+// switches plus decode before SyscallEntry, two switches after
+// SyscallExit), so those are added back: the histogram reports what
+// the application experienced.
 func (b *Box) SyscallExit(p *kernel.Proc, f *kernel.Frame) {
 	st := b.state(p)
 	if pw := st.pending; pw != nil {
@@ -232,9 +233,11 @@ func (b *Box) SyscallExit(p *kernel.Proc, f *kernel.Frame) {
 		}
 	}
 	b.recordAudit(p, f)
-	delta := p.Clock().Now() - st.entryAt
-	full := delta + 4*b.model.ContextSwitch + b.model.TrapDecode
-	b.metrics.latency[st.entryCls].Observe(float64(full))
+	if b.metrics != nil {
+		delta := p.Clock().Now() - st.entryAt
+		full := delta + 4*b.model.ContextSwitch + b.model.TrapDecode
+		b.metrics.latency[st.entryCls].Observe(float64(full))
+	}
 	b.emitPhase(p, completionPhase(st.entryAct), f.Sys.String(), f.Path, int(f.Ret))
 }
 

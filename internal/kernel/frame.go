@@ -2,7 +2,7 @@ package kernel
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 
 	"identitybox/internal/vfs"
 )
@@ -34,7 +34,6 @@ type Frame struct {
 	Mode  uint32 // permission bits for open/mkdir/chmod
 	PID   int    // target for kill/wait
 	Sig   int    // signal for kill
-	Prog  string // program name for spawn
 	Args  []string
 
 	// Results.
@@ -50,38 +49,69 @@ type Frame struct {
 }
 
 // Describe renders the frame for audit logs and traces, e.g.
-// "open("/work/sim.exe", 0x0) = 3".
+// "open("/work/sim.exe", 0x0) = 3". It runs at every trapped call's
+// exit, so it appends into a stack buffer and allocates only the
+// returned string (plus whatever the result error's Error builds).
 func (f *Frame) Describe() string {
-	arg := ""
+	var buf [128]byte
+	b := append(buf[:0], f.Sys.String()...)
+	b = append(b, '(')
 	switch f.Sys {
 	case SysStat, SysLstat, SysAccess, SysMkdir, SysRmdir, SysUnlink,
 		SysReadlink, SysChmod, SysTruncate, SysGetdents, SysChdir,
-		SysGetACL:
-		arg = fmt.Sprintf("%q", f.Path)
+		SysGetACL, SysSpawn:
+		b = strconv.AppendQuote(b, f.Path)
 	case SysOpen:
-		arg = fmt.Sprintf("%q, %#x", f.Path, f.Flags)
+		b = strconv.AppendQuote(b, f.Path)
+		b = append(b, ", "...)
+		b = appendHex(b, f.Flags)
 	case SysRename, SysLink, SysSymlink:
-		arg = fmt.Sprintf("%q, %q", f.Path, f.Path2)
+		b = strconv.AppendQuote(b, f.Path)
+		b = append(b, ", "...)
+		b = strconv.AppendQuote(b, f.Path2)
 	case SysSetACL:
-		arg = fmt.Sprintf("%q, %q", f.Path, f.Str)
+		b = strconv.AppendQuote(b, f.Path)
+		b = append(b, ", "...)
+		b = strconv.AppendQuote(b, f.Str)
 	case SysRead, SysWrite, SysPread, SysPwrite:
-		arg = fmt.Sprintf("%d, [%d bytes]", f.FD, len(f.Buf))
+		b = strconv.AppendInt(b, int64(f.FD), 10)
+		b = append(b, ", ["...)
+		b = strconv.AppendInt(b, int64(len(f.Buf)), 10)
+		b = append(b, " bytes]"...)
 	case SysClose, SysFstat, SysDup:
-		arg = fmt.Sprintf("%d", f.FD)
+		b = strconv.AppendInt(b, int64(f.FD), 10)
 	case SysLseek:
-		arg = fmt.Sprintf("%d, %d, %d", f.FD, f.Off, f.Flags)
-	case SysSpawn:
-		arg = fmt.Sprintf("%q", f.Prog)
+		b = strconv.AppendInt(b, int64(f.FD), 10)
+		b = append(b, ", "...)
+		b = strconv.AppendInt(b, f.Off, 10)
+		b = append(b, ", "...)
+		b = strconv.AppendInt(b, int64(f.Flags), 10)
 	case SysKill:
-		arg = fmt.Sprintf("%d, %d", f.PID, f.Sig)
+		b = strconv.AppendInt(b, int64(f.PID), 10)
+		b = append(b, ", "...)
+		b = strconv.AppendInt(b, int64(f.Sig), 10)
 	case SysWait:
-		arg = fmt.Sprintf("%d", f.PID)
+		b = strconv.AppendInt(b, int64(f.PID), 10)
 	}
-	res := fmt.Sprintf("%d", f.Ret)
+	b = append(b, ") = "...)
 	if f.Err != nil {
-		res = f.Err.Error()
+		b = append(b, f.Err.Error()...)
+	} else {
+		b = strconv.AppendInt(b, f.Ret, 10)
 	}
-	return fmt.Sprintf("%s(%s) = %s", f.Sys, arg, res)
+	return string(b)
+}
+
+// appendHex appends v as fmt's %#x renders an int: "0x" and lower-case
+// hex digits, after a minus sign when v is negative.
+func appendHex(b []byte, v int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		b = append(b, '-')
+		u = -u
+	}
+	b = append(b, "0x"...)
+	return strconv.AppendUint(b, u, 16)
 }
 
 // SetResult stages a return value (and clears any error).

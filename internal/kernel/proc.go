@@ -44,6 +44,14 @@ type Proc struct {
 	finished []int
 
 	syscalls int64 // count of syscalls issued, for traces and tests
+
+	// frame is the one syscall frame every wrapper resets through
+	// syscall, so a trapped call does not move a fresh Frame to the
+	// heap. It is sound because a process issues its syscalls from one
+	// goroutine, one at a time (a spawned child runs with its own Proc
+	// and frame), and no tracer or kernel path keeps the *Frame past
+	// doSyscall: results are copied out before the wrapper returns.
+	frame Frame
 }
 
 type fdesc struct {
@@ -128,82 +136,75 @@ func (p *Proc) abs(path string) string {
 
 // --- syscall wrappers -------------------------------------------------
 
+// syscall resets the process's frame to f, carries it through the
+// kernel and returns it for the wrapper to copy its results out of.
+func (p *Proc) syscall(f Frame) *Frame {
+	p.frame = f
+	p.k.doSyscall(p, &p.frame)
+	return &p.frame
+}
+
 // Getpid returns the process id.
 func (p *Proc) Getpid() int {
-	f := Frame{Sys: SysGetpid}
-	p.k.doSyscall(p, &f)
-	return int(f.Ret)
+	return int(p.syscall(Frame{Sys: SysGetpid}).Ret)
 }
 
 // Getppid returns the parent process id.
 func (p *Proc) Getppid() int {
-	f := Frame{Sys: SysGetppid}
-	p.k.doSyscall(p, &f)
-	return int(f.Ret)
+	return int(p.syscall(Frame{Sys: SysGetppid}).Ret)
 }
 
 // GetUserName returns the identity attached to the process: inside an
 // identity box, the visiting principal; outside, the local account.
 // This is the one new system call identity boxing introduces.
 func (p *Proc) GetUserName() string {
-	f := Frame{Sys: SysGetUserName}
-	p.k.doSyscall(p, &f)
-	return f.Str
+	return p.syscall(Frame{Sys: SysGetUserName}).Str
 }
 
 // Open opens path with Unix-style flags, returning a file descriptor.
 func (p *Proc) Open(path string, flags int, mode uint32) (int, error) {
-	f := Frame{Sys: SysOpen, Path: p.abs(path), Flags: flags, Mode: mode}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysOpen, Path: p.abs(path), Flags: flags, Mode: mode})
 	return int(f.Ret), f.Err
 }
 
 // Close releases a file descriptor.
 func (p *Proc) Close(fd int) error {
-	f := Frame{Sys: SysClose, FD: fd}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysClose, FD: fd}).Err
 }
 
 // Read reads up to len(buf) bytes at the descriptor's offset.
 func (p *Proc) Read(fd int, buf []byte) (int, error) {
-	f := Frame{Sys: SysRead, FD: fd, Buf: buf}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysRead, FD: fd, Buf: buf})
 	return int(f.Ret), f.Err
 }
 
 // Write writes len(buf) bytes at the descriptor's offset.
 func (p *Proc) Write(fd int, buf []byte) (int, error) {
-	f := Frame{Sys: SysWrite, FD: fd, Buf: buf}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysWrite, FD: fd, Buf: buf})
 	return int(f.Ret), f.Err
 }
 
 // Pread reads at an explicit offset without moving the descriptor.
 func (p *Proc) Pread(fd int, buf []byte, off int64) (int, error) {
-	f := Frame{Sys: SysPread, FD: fd, Buf: buf, Off: off}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysPread, FD: fd, Buf: buf, Off: off})
 	return int(f.Ret), f.Err
 }
 
 // Pwrite writes at an explicit offset without moving the descriptor.
 func (p *Proc) Pwrite(fd int, buf []byte, off int64) (int, error) {
-	f := Frame{Sys: SysPwrite, FD: fd, Buf: buf, Off: off}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysPwrite, FD: fd, Buf: buf, Off: off})
 	return int(f.Ret), f.Err
 }
 
 // Lseek repositions the descriptor's offset.
 func (p *Proc) Lseek(fd int, off int64, whence int) (int64, error) {
-	f := Frame{Sys: SysLseek, FD: fd, Off: off, Flags: whence}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysLseek, FD: fd, Off: off, Flags: whence})
 	return f.Ret, f.Err
 }
 
 // Dup duplicates a file descriptor.
 func (p *Proc) Dup(fd int) (int, error) {
-	f := Frame{Sys: SysDup, FD: fd}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysDup, FD: fd})
 	return int(f.Ret), f.Err
 }
 
@@ -211,182 +212,142 @@ func (p *Proc) Dup(fd int) (int, error) {
 // Children spawned afterwards inherit both ends, enabling IPC within
 // the process tree.
 func (p *Proc) Pipe() (readFD, writeFD int, err error) {
-	f := Frame{Sys: SysPipe}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysPipe})
 	return int(f.Ret), f.FD, f.Err
 }
 
 // Stat reports metadata for path, following symlinks.
 func (p *Proc) Stat(path string) (vfs.Stat, error) {
-	f := Frame{Sys: SysStat, Path: p.abs(path)}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysStat, Path: p.abs(path)})
 	return f.Stat, f.Err
 }
 
 // Lstat reports metadata without following a final symlink.
 func (p *Proc) Lstat(path string) (vfs.Stat, error) {
-	f := Frame{Sys: SysLstat, Path: p.abs(path)}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysLstat, Path: p.abs(path)})
 	return f.Stat, f.Err
 }
 
 // Fstat reports metadata for an open descriptor.
 func (p *Proc) Fstat(fd int) (vfs.Stat, error) {
-	f := Frame{Sys: SysFstat, FD: fd}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysFstat, FD: fd})
 	return f.Stat, f.Err
 }
 
 // Access checks whether the process may access path with the given mode.
 func (p *Proc) Access(path string, mode int) error {
-	f := Frame{Sys: SysAccess, Path: p.abs(path), Flags: mode}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysAccess, Path: p.abs(path), Flags: mode}).Err
 }
 
 // Mkdir creates a directory.
 func (p *Proc) Mkdir(path string, mode uint32) error {
-	f := Frame{Sys: SysMkdir, Path: p.abs(path), Mode: mode}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysMkdir, Path: p.abs(path), Mode: mode}).Err
 }
 
 // Rmdir removes an empty directory.
 func (p *Proc) Rmdir(path string) error {
-	f := Frame{Sys: SysRmdir, Path: p.abs(path)}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysRmdir, Path: p.abs(path)}).Err
 }
 
 // Unlink removes a file or symlink.
 func (p *Proc) Unlink(path string) error {
-	f := Frame{Sys: SysUnlink, Path: p.abs(path)}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysUnlink, Path: p.abs(path)}).Err
 }
 
 // Link creates a hard link newPath to oldPath.
 func (p *Proc) Link(oldPath, newPath string) error {
-	f := Frame{Sys: SysLink, Path: p.abs(oldPath), Path2: p.abs(newPath)}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysLink, Path: p.abs(oldPath), Path2: p.abs(newPath)}).Err
 }
 
 // Symlink creates a symbolic link at linkPath pointing at target.
 // The target is stored verbatim (it may be relative).
 func (p *Proc) Symlink(target, linkPath string) error {
-	f := Frame{Sys: SysSymlink, Path: p.abs(linkPath), Path2: target}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysSymlink, Path: p.abs(linkPath), Path2: target}).Err
 }
 
 // Readlink reports a symlink's target.
 func (p *Proc) Readlink(path string) (string, error) {
-	f := Frame{Sys: SysReadlink, Path: p.abs(path)}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysReadlink, Path: p.abs(path)})
 	return f.Str, f.Err
 }
 
 // Rename moves oldPath to newPath.
 func (p *Proc) Rename(oldPath, newPath string) error {
-	f := Frame{Sys: SysRename, Path: p.abs(oldPath), Path2: p.abs(newPath)}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysRename, Path: p.abs(oldPath), Path2: p.abs(newPath)}).Err
 }
 
 // Chmod changes permission bits.
 func (p *Proc) Chmod(path string, mode uint32) error {
-	f := Frame{Sys: SysChmod, Path: p.abs(path), Mode: mode}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysChmod, Path: p.abs(path), Mode: mode}).Err
 }
 
 // Truncate sets a file's length.
 func (p *Proc) Truncate(path string, size int64) error {
-	f := Frame{Sys: SysTruncate, Path: p.abs(path), Off: size}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysTruncate, Path: p.abs(path), Off: size}).Err
 }
 
 // ReadDir lists a directory.
 func (p *Proc) ReadDir(path string) ([]vfs.DirEntry, error) {
-	f := Frame{Sys: SysGetdents, Path: p.abs(path)}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysGetdents, Path: p.abs(path)})
 	return f.Entries, f.Err
 }
 
 // Getcwd reports the working directory.
 func (p *Proc) Getcwd() string {
-	f := Frame{Sys: SysGetcwd}
-	p.k.doSyscall(p, &f)
-	return f.Str
+	return p.syscall(Frame{Sys: SysGetcwd}).Str
 }
 
 // Chdir changes the working directory.
 func (p *Proc) Chdir(path string) error {
-	f := Frame{Sys: SysChdir, Path: p.abs(path)}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysChdir, Path: p.abs(path)}).Err
 }
 
 // Spawn forks and execs the program stored at path, passing args. The
 // child runs to completion (a vfork-then-wait model); its status becomes
 // collectable with Wait. Returns the child pid.
 func (p *Proc) Spawn(path string, args ...string) (int, error) {
-	f := Frame{Sys: SysSpawn, Path: p.abs(path), Args: args}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysSpawn, Path: p.abs(path), Args: args})
 	return int(f.Ret), f.Err
 }
 
 // Wait collects the status of a finished child: pid < 0 waits for any.
 func (p *Proc) Wait(pid int) (childPID, status int, err error) {
-	f := Frame{Sys: SysWait, PID: pid}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysWait, PID: pid})
 	return int(f.Ret), f.Flags, f.Err
 }
 
 // Kill sends a signal to another process.
 func (p *Proc) Kill(pid, sig int) error {
-	f := Frame{Sys: SysKill, PID: pid, Sig: sig}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysKill, PID: pid, Sig: sig}).Err
 }
 
 // Exit terminates the process with the given code. It does not return.
 func (p *Proc) Exit(code int) {
-	f := Frame{Sys: SysExit, Ret: int64(code)}
-	p.k.doSyscall(p, &f)
+	p.syscall(Frame{Sys: SysExit, Ret: int64(code)})
 	panic(procExit{code})
 }
 
 // Ptrace is deliberately unimplemented (ENOSYS): processes under the
 // supervisor cannot debug each other, matching the paper's Parrot.
 func (p *Proc) Ptrace(pid int) error {
-	f := Frame{Sys: SysPtrace, PID: pid}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysPtrace, PID: pid}).Err
 }
 
 // Mount is deliberately unimplemented (ENOSYS): administrator-only
 // calls are refused, matching the paper's Parrot.
 func (p *Proc) Mount(source, target string) error {
-	f := Frame{Sys: SysMount, Path: p.abs(target), Path2: source}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysMount, Path: p.abs(target), Path2: source}).Err
 }
 
 // GetACL reports the ACL text protecting the directory at path.
 func (p *Proc) GetACL(path string) (string, error) {
-	f := Frame{Sys: SysGetACL, Path: p.abs(path)}
-	p.k.doSyscall(p, &f)
+	f := p.syscall(Frame{Sys: SysGetACL, Path: p.abs(path)})
 	return f.Str, f.Err
 }
 
 // SetACL replaces the ACL text protecting the directory at path.
 func (p *Proc) SetACL(path, aclText string) error {
-	f := Frame{Sys: SysSetACL, Path: p.abs(path), Str: aclText}
-	p.k.doSyscall(p, &f)
-	return f.Err
+	return p.syscall(Frame{Sys: SysSetACL, Path: p.abs(path), Str: aclText}).Err
 }
 
 // --- conveniences built on the wrappers --------------------------------

@@ -92,7 +92,7 @@ func TestFrameDescribe(t *testing.T) {
 		{Frame{Sys: SysRename, Path: "/a", Path2: "/b"}, `rename("/a", "/b") = 0`},
 		{Frame{Sys: SysRead, FD: 3, Buf: make([]byte, 10), Ret: 10}, `read(3, [10 bytes]) = 10`},
 		{Frame{Sys: SysKill, PID: 7, Sig: 9}, `kill(7, 9) = 0`},
-		{Frame{Sys: SysSpawn, Prog: "", Path: "/p"}, `spawn("") = 0`},
+		{Frame{Sys: SysSpawn, Path: "/p", Args: []string{"a"}}, `spawn("/p") = 0`},
 		{Frame{Sys: SysGetpid, Ret: 1}, `getpid() = 1`},
 		{Frame{Sys: SysLseek, FD: 1, Off: 5, Flags: 0}, `lseek(1, 5, 0) = 0`},
 		{Frame{Sys: SysWait, PID: -1}, `wait(-1) = 0`},

@@ -972,5 +972,25 @@ func (fs *FS) TotalInodes() int {
 }
 
 // PathComponents reports the number of components the path resolves
-// through; the kernel uses it to charge per-component lookup cost.
-func PathComponents(path string) int { return len(SplitPath(path)) }
+// through; the kernel uses it to charge per-component lookup cost. It
+// is len(SplitPath(path)), counted in one scan without building the
+// slice.
+func PathComponents(path string) int {
+	n, start := 0, 0
+	for i := 0; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
+		switch path[start:i] {
+		case "", ".":
+		case "..":
+			if n > 0 {
+				n--
+			}
+		default:
+			n++
+		}
+		start = i + 1
+	}
+	return n
+}

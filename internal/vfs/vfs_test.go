@@ -396,6 +396,45 @@ func TestCleanIdempotentProperty(t *testing.T) {
 	}
 }
 
+// TestPathComponentsMatchesSplitPath: the counting scan agrees with
+// the length of SplitPath's slice on every path built from up to five
+// of "", ".", "..", "a" and "bc", rooted or relative, with or without a
+// trailing slash, and allocates nothing.
+func TestPathComponentsMatchesSplitPath(t *testing.T) {
+	parts := []string{"", ".", "..", "a", "bc"}
+	var paths []string
+	var gen func(prefix string, depth int)
+	gen = func(prefix string, depth int) {
+		for _, lead := range []string{"", "/"} {
+			for _, trail := range []string{"", "/"} {
+				paths = append(paths, lead+prefix+trail)
+			}
+		}
+		if depth == 5 {
+			return
+		}
+		for _, c := range parts {
+			if depth == 0 {
+				gen(c, 1)
+			} else {
+				gen(prefix+"/"+c, depth+1)
+			}
+		}
+	}
+	gen("", 0)
+	for _, p := range paths {
+		if got, want := PathComponents(p), len(SplitPath(p)); got != want {
+			t.Errorf("PathComponents(%q) = %d, len(SplitPath) = %d", p, got, want)
+		}
+	}
+	t.Logf("%d paths compared", len(paths))
+	for _, p := range []string{"/work/sim.exe", "a/../../b//./c/", ""} {
+		if got := testing.AllocsPerRun(100, func() { _ = PathComponents(p) }); got != 0 {
+			t.Errorf("PathComponents(%q) allocates %.0f, want 0", p, got)
+		}
+	}
+}
+
 func TestWriteReadRoundTripProperty(t *testing.T) {
 	fs := newFS(t)
 	if _, err := fs.Create("/p", 0o644, "u"); err != nil {
