@@ -175,37 +175,66 @@ func BenchmarkAblationChannelVsPeekPoke(b *testing.B) {
 	}
 }
 
+// policyCostConfigs are the two sides of the policy-cost ablation: the
+// box with its reference monitor, and the same interposition with every
+// ACL check skipped.
+var policyCostConfigs = []struct {
+	name string
+	opts core.Options
+}{
+	{"full-policy", core.Options{AuditLimit: 16}},
+	{"mechanism-only", core.Options{AuditLimit: 16, DisablePolicy: true}},
+}
+
+// policyCostBuild runs one scaled make build in a fresh world under
+// opts and returns its virtual run time in seconds.
+func policyCostBuild(tb testing.TB, opts core.Options) float64 {
+	app, _ := workload.AppByName("make")
+	w, err := harness.NewWorld()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bst, err := w.RunBoxed(opts, app.Scaled(0.002).Program())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if bst.Code != 0 {
+		tb.Fatalf("boxed exited %d", bst.Code)
+	}
+	return bst.Runtime.Seconds()
+}
+
 // BenchmarkAblationPolicyCost separates enforcement cost (ACL checks)
 // from pure interposition cost on the metadata-heavy build workload.
 func BenchmarkAblationPolicyCost(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"full-policy", core.Options{AuditLimit: 16}},
-		{"mechanism-only", core.Options{AuditLimit: 16, DisablePolicy: true}},
-	} {
+	for _, cfg := range policyCostConfigs {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
-			app, _ := workload.AppByName("make")
-			a := app.Scaled(0.002)
 			var runtime float64
 			for i := 0; i < b.N; i++ {
-				w, err := harness.NewWorld()
-				if err != nil {
-					b.Fatal(err)
-				}
-				bst, err := w.RunBoxed(cfg.opts, a.Program())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if bst.Code != 0 {
-					b.Fatalf("boxed exited %d", bst.Code)
-				}
-				runtime = bst.Runtime.Seconds()
+				runtime = policyCostBuild(b, cfg.opts)
 			}
 			b.ReportMetric(runtime, "vsec/build")
 		})
+	}
+}
+
+// TestPolicyCostAllocRatio gates BenchmarkAblationPolicyCost's
+// allocation column as a same-run ratio: a full-policy build may
+// allocate at most 1.35 times what the mechanism-only build does in the
+// same process. Allocation counts carry no timing noise, so the bound
+// holds on any machine; it fails if the box's checks go back to reading
+// and parsing each ACL file per check (3.27 times).
+func TestPolicyCostAllocRatio(t *testing.T) {
+	allocs := make([]float64, len(policyCostConfigs))
+	for i, cfg := range policyCostConfigs {
+		allocs[i] = testing.AllocsPerRun(3, func() { policyCostBuild(t, cfg.opts) })
+	}
+	ratio := allocs[0] / allocs[1]
+	t.Logf("allocs per build: %s %.0f, %s %.0f (%.3fx)",
+		policyCostConfigs[0].name, allocs[0], policyCostConfigs[1].name, allocs[1], ratio)
+	if ratio > 1.35 {
+		t.Errorf("full policy allocates %.2fx mechanism-only per build, bound 1.35x", ratio)
 	}
 }
 

@@ -223,6 +223,37 @@ func Parse(text string) (*ACL, error) {
 	return a, nil
 }
 
+// Version is one content version of an ACL file, parsed: the value
+// vfs.FS.Memo keeps on the file's inode for every reader of that file
+// system — the Chirp server's checks and any identity box on the same
+// kernel alike, so all of them must memoise this one type, built by
+// MemoVersion. It is shared by every check that finds that version, so
+// it is immutable: callers Clone before editing.
+type Version struct {
+	ACL  *ACL
+	Text string // String(): the body Chirp's getacl replies with ("" when malformed)
+	Raw  string // the file's bytes, as a box's getacl returns them
+}
+
+// ParseVersion parses one version of an ACL file. A malformed file
+// grants nothing (fail closed): its Version holds an empty ACL.
+func ParseVersion(data []byte) *Version {
+	raw := string(data)
+	a, err := Parse(raw)
+	if err != nil {
+		return &Version{ACL: &ACL{}, Raw: raw}
+	}
+	text := a.String()
+	if text == raw {
+		text = raw // a canonical file: keep the one copy the patterns already point into
+	}
+	return &Version{ACL: a, Text: text, Raw: raw}
+}
+
+// MemoVersion is ParseVersion as a vfs.FS.Memo derive step, the one
+// every reader of an ACL file passes.
+func MemoVersion(data []byte) any { return ParseVersion(data) }
+
 // String renders the ACL in its file representation, one entry per line
 // with a trailing newline (empty ACLs render as the empty string).
 func (a *ACL) String() string {

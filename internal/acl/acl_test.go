@@ -323,3 +323,24 @@ func TestPatternsSorted(t *testing.T) {
 		t.Fatalf("Patterns = %v", got)
 	}
 }
+
+// TestParseVersion: a version keeps the file's bytes and the canonical
+// text getacl replies with; a malformed file fails closed, with no
+// entries and no text.
+func TestParseVersion(t *testing.T) {
+	for _, c := range []struct {
+		raw, text string
+		entries   int
+	}{
+		{"unix:alice rl\nunix:bob rwlax\n", "unix:alice rl\nunix:bob rwlax\n", 2},
+		{"  unix:alice   rl\n\n# note\n", "unix:alice rl\n", 1},
+		{"unix:alice rl trailing\n", "", 0},
+		{"", "", 0},
+	} {
+		v := ParseVersion([]byte(c.raw))
+		if v.Raw != c.raw || v.Text != c.text || len(v.ACL.Entries) != c.entries {
+			t.Errorf("ParseVersion(%q) = raw %q, text %q, %d entries; want text %q, %d entries",
+				c.raw, v.Raw, v.Text, len(v.ACL.Entries), c.text, c.entries)
+		}
+	}
+}

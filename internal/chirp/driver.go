@@ -138,21 +138,17 @@ func (d *Driver) Truncate(p *kernel.Proc, path string, size int64) error {
 	return d.cl.Truncate(path, size)
 }
 
-// ReadFileSmall implements parrot.Driver. Reads of ACL files map onto
-// the getacl RPC (which needs only the List right), so the identity
-// box's policy engine can evaluate remote ACLs.
-func (d *Driver) ReadFileSmall(p *kernel.Proc, path string) ([]byte, error) {
-	if vfs.Base(path) == acl.FileName {
-		text, err := d.cl.GetACL(vfs.Dir(path))
-		d.chargeRTT(p, len(path)+len(text))
-		if err != nil {
-			return nil, err
-		}
-		return []byte(text), nil
+// ReadACL implements parrot.Driver with the getacl RPC (which needs only
+// the List right), parsed afresh on every call: the server memoises its
+// own parse, but nothing on this side can tell when the remote file
+// changed.
+func (d *Driver) ReadACL(p *kernel.Proc, dir string) (*acl.Version, error) {
+	text, err := d.cl.GetACL(dir)
+	d.chargeRTT(p, len(vfs.Join(dir, acl.FileName))+len(text))
+	if err != nil {
+		return nil, err
 	}
-	data, err := d.cl.GetFile(path)
-	d.chargeRTT(p, len(path)+len(data))
-	return data, err
+	return acl.ParseVersion([]byte(text)), nil
 }
 
 // WriteFileSmall implements parrot.Driver. Writes of ACL files map onto

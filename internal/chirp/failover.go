@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"identitybox/internal/acl"
 	"identitybox/internal/kernel"
 	"identitybox/internal/parrot"
 	"identitybox/internal/vfs"
@@ -193,9 +194,9 @@ func (f *FailoverDriver) ReadDir(p *kernel.Proc, path string) ([]vfs.DirEntry, e
 	return readVia(f, "readdir "+path, func(d *Driver) ([]vfs.DirEntry, error) { return d.ReadDir(p, path) })
 }
 
-// ReadFileSmall implements parrot.Driver.
-func (f *FailoverDriver) ReadFileSmall(p *kernel.Proc, path string) ([]byte, error) {
-	return readVia(f, "read "+path, func(d *Driver) ([]byte, error) { return d.ReadFileSmall(p, path) })
+// ReadACL implements parrot.Driver.
+func (f *FailoverDriver) ReadACL(p *kernel.Proc, dir string) (*acl.Version, error) {
+	return readVia(f, "read "+vfs.Join(dir, acl.FileName), func(d *Driver) (*acl.Version, error) { return d.ReadACL(p, dir) })
 }
 
 // Mkdir implements parrot.Driver.

@@ -15,9 +15,27 @@ import (
 	"identitybox/internal/faultnet"
 	"identitybox/internal/kernel"
 	"identitybox/internal/obs"
+	"identitybox/internal/parrot"
 	"identitybox/internal/vclock"
 	"identitybox/internal/vfs"
 )
+
+// readThrough reads the whole of path through d's read-only open, the
+// call a failover driver routes by its read rule.
+func readThrough(p *kernel.Proc, d parrot.Driver, path string) ([]byte, error) {
+	f, err := d.Open(p, path, kernel.ORdonly, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, st.Size)
+	n, err := f.ReadAt(buf, 0)
+	return buf[:n], err
+}
 
 // waitFor polls cond until it holds or a two-second deadline expires —
 // for effects that land on a server goroutine after the client already
@@ -488,20 +506,20 @@ func TestFailoverReadsToReplica(t *testing.T) {
 		}
 		st := box.Run(func(p *kernel.Proc, _ []string) int {
 			// Healthy: the primary serves.
-			data, err := fd.ReadFileSmall(p, "/pub/data")
+			data, err := readThrough(p, fd, "/pub/data")
 			if err != nil || string(data) != "from-primary" {
 				t.Errorf("healthy read = %q, %v", data, err)
 				return 1
 			}
 			srv1.Close() // the primary dies
 			// The read fails over to the replica (and opens c1's breaker).
-			data, err = fd.ReadFileSmall(p, "/pub/data")
+			data, err = readThrough(p, fd, "/pub/data")
 			if err != nil || string(data) != "from-replica" {
 				t.Errorf("failover read = %q, %v", data, err)
 				return 2
 			}
 			// With the breaker open, reads skip the primary outright.
-			data, err = fd.ReadFileSmall(p, "/pub/data")
+			data, err = readThrough(p, fd, "/pub/data")
 			if err != nil || string(data) != "from-replica" {
 				t.Errorf("breaker-open read = %q, %v", data, err)
 				return 3
@@ -556,7 +574,7 @@ func TestFailoverReadRejoinsAfterCooloff(t *testing.T) {
 			var data []byte
 			var rerr error
 			box.Run(func(p *kernel.Proc, _ []string) int {
-				data, rerr = fd.ReadFileSmall(p, "/pub/data")
+				data, rerr = readThrough(p, fd, "/pub/data")
 				return 0
 			})
 			if rerr != nil {

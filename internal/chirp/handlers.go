@@ -290,7 +290,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		if err != nil {
 			return sess.failf(sc, err, "getacl")
 		}
-		return hres{line: sc.ok().int(int64(len(a.text))), body: []byte(a.text)}
+		return hres{line: sc.ok().int(int64(len(a.Text))), body: []byte(a.Text)}
 
 	case "setacl": // setacl <path> <len> + payload
 		if err := sess.check(args[0], acl.Admin, policy.Dir); err != nil {
@@ -515,6 +515,12 @@ func (sess *session) mkdir(path string, mode uint32, trace uint64) error {
 	return tfs.WriteFile(vfs.Join(path, acl.FileName), []byte(childACL.String()), 0o644, s.opts.Owner)
 }
 
+// execAuditLimit bounds the audit ring of the box each exec builds.
+// Nothing reads that ring — the box lives only as long as the call — so
+// it is kept small rather than zeroing the default 10 000 records per
+// job.
+const execAuditLimit = 64
+
 // exec runs the staged program at path inside an identity box carrying
 // the session's principal, with the given working directory: the heart
 // of Figure 3.
@@ -527,8 +533,9 @@ func (sess *session) exec(cwd, path string, args []string) (code int, runtimeSec
 		return 0, 0, err
 	}
 	box, err := core.New(s.k, s.opts.Owner, sess.ident, core.Options{
-		HomeBase:  "/.boxhomes",
-		ShadowDir: "/.boxshadow",
+		HomeBase:   "/.boxhomes",
+		ShadowDir:  "/.boxshadow",
+		AuditLimit: execAuditLimit,
 	})
 	if err != nil {
 		return 0, 0, err
@@ -549,32 +556,16 @@ func (sess *session) exec(cwd, path string, args []string) (code int, runtimeSec
 
 // --- the server as internal/policy reads it ------------------------------
 
-// aclVersion is one content version of an ACL file, parsed: what
-// vfs.Memo keeps on the file's inode. It is shared by every check that
-// finds that version, so it is immutable — callers Clone before editing.
-type aclVersion struct {
-	acl  *acl.ACL
-	text string // acl.String(), the body getacl replies with
-}
+// emptyACL grants nothing: no ACL file anywhere up to the root.
+var emptyACL = &acl.Version{ACL: &acl.ACL{}}
 
-// emptyACL grants nothing: a malformed ACL file (fail closed) or no ACL
-// file anywhere up to the root.
-var emptyACL = &aclVersion{acl: &acl.ACL{}}
-
-// parseACLVersion is the vfs.Memo derive step, run once per ACL file
-// version.
+// parseACLVersion is the server's vfs.Memo derive step: acl.MemoVersion,
+// counted. An identity box on the server's kernel memoises the same
+// files through acl.MemoVersion itself, so each version is parsed once
+// by whichever reader meets it first, and the other reuses that parse.
 func (s *Server) parseACLVersion(data []byte) any {
 	s.metrics.aclParses.Inc()
-	raw := string(data)
-	a, err := acl.Parse(raw)
-	if err != nil {
-		return emptyACL
-	}
-	text := a.String()
-	if text == raw {
-		text = raw // a canonical file: keep the one copy the patterns already point into
-	}
-	return &aclVersion{acl: a, text: text}
+	return acl.MemoVersion(data)
 }
 
 // aclFor finds the effective ACL for dir: its own ACL file, or the
@@ -583,13 +574,13 @@ func (s *Server) parseACLVersion(data []byte) any {
 // on the ACL file's inode and validated against its mtime on every
 // call, so whoever rewrote the file — setacl, a boxed program, the
 // replication apply loop, recovery — is honoured by the next check.
-func (s *Server) aclFor(dir string) (*aclVersion, error) {
+func (s *Server) aclFor(dir string) (*acl.Version, error) {
 	s.metrics.aclChecks.Inc()
 	dir = vfs.Clean(dir)
 	for {
 		v, err := s.fs.MemoIn(dir, acl.FileName, s.parseACL)
 		if err == nil {
-			return v.(*aclVersion), nil
+			return v.(*acl.Version), nil
 		}
 		if !errors.Is(err, vfs.ErrNotExist) {
 			return nil, &vfs.PathError{Op: "read", Path: vfs.Join(dir, acl.FileName), Err: err}
@@ -616,5 +607,5 @@ func (src *source) ACL(dir string) (*acl.ACL, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.acl, nil
+	return v.ACL, nil
 }

@@ -262,7 +262,7 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 	reg.Help(MetricV2Sessions, "Sessions that negotiated protocol v2 since start.")
 	reg.Help(MetricRequestLatency, "Request latency, arrival to reply flushed, in microseconds (traced requests leave exemplars).")
 	reg.Help(MetricACLChecks, "Effective-ACL lookups made by permission checks, getacl and mkdir.")
-	reg.Help(MetricACLParses, "ACL files parsed (lookups that found no memoised parse of the file's current version).")
+	reg.Help(MetricACLParses, "ACL file versions the server's checks parsed (found no memoised parse; a version a box on the same file system parsed first is reused, not counted).")
 	requests := make([]*obs.Counter, len(commandTable))
 	for i, c := range commandTable {
 		requests[i] = reg.Counter(obs.With(MetricRequests, "cmd", c.name))

@@ -69,29 +69,26 @@ func (s *boxSource) Readlink(path string) (string, error) {
 	return target, err
 }
 
-// ACL fetches and parses the ACL protecting dir. A missing ACL file
-// yields (nil, nil): policy falls back to nobody semantics. Nothing is
-// remembered between checks: another box on the same kernel, or a Chirp
-// setacl behind this one, may rewrite the file at any time, and the
-// next check must see it.
+// ACL looks up the ACL protecting dir through its driver. A missing
+// ACL file yields (nil, nil): policy falls back to nobody semantics. A
+// local mount hands back the parse memoised on the file's inode, the
+// one the Chirp server's checks share, and validates it against the
+// file's mtime on every call, so whoever rewrote the file since the
+// last check (another box, a Chirp setacl, a replicated apply) is
+// honoured by this one; the check is still charged a whole-file read.
 func (s *boxSource) ACL(dir string) (*acl.ACL, error) {
 	d, rel, err := s.b.driverFor(dir)
 	if err != nil {
 		return nil, err
 	}
-	data, err := d.ReadFileSmall(s.p, vfs.Join(rel, acl.FileName))
+	v, err := d.ReadACL(s.p, rel)
 	if err != nil {
 		if errors.Is(err, vfs.ErrNotExist) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	a, err := acl.Parse(string(data))
-	if err != nil {
-		// A malformed ACL is treated as granting nothing: fail closed.
-		return &acl.ACL{}, nil
-	}
-	return a, nil
+	return v.ACL, nil // a malformed file's Version grants nothing: fail closed
 }
 
 // noteACLCheck charges one reference-monitor evaluation and observes

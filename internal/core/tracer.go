@@ -754,14 +754,14 @@ func (b *Box) entryGetACL(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
-	data, err := d.ReadFileSmall(p, vfs.Join(rel, acl.FileName))
+	v, err := d.ReadACL(p, rel)
 	if err != nil {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
-	f.Str = string(data)
-	b.chargePoke(p, len(data))
-	f.SetResult(int64(len(data)))
+	f.Str = v.Raw
+	b.chargePoke(p, len(v.Raw))
+	f.SetResult(int64(len(v.Raw)))
 	return kernel.ActionNullify
 }
 

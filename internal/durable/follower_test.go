@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"identitybox/internal/faultdisk"
 	"identitybox/internal/obs"
@@ -76,6 +77,39 @@ func applyAll(t *testing.T, f *Store, groups []shipped) {
 		if _, err := f.ApplyReplicated(0, g.first, g.last, g.frames); err != nil {
 			t.Fatalf("apply [%d..%d]: %v", g.first, g.last, err)
 		}
+	}
+}
+
+// TestAppliedBatchWakesWithoutAllocating: a batch applied while nobody
+// waits makes no wake channel; a parked WaitApplied makes the one its
+// batch closes, and the apply clears it for the next parker.
+func TestAppliedBatchWakesWithoutAllocating(t *testing.T) {
+	groups := openTestPrimary(t).writeFiles(t, 4)
+	f := openStore(t, t.TempDir(), Options{ReplicaMode: true})
+	defer f.Close()
+	channel := func() chan struct{} {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.appliedCh
+	}
+	applyAll(t, f, groups[:len(groups)-1])
+	if channel() != nil {
+		t.Fatal("batches nobody waited for made a wake channel")
+	}
+	last := groups[len(groups)-1]
+	done := make(chan error, 1)
+	go func() { done <- f.WaitApplied(last.last, 5*time.Second) }()
+	for deadline := time.Now().Add(5 * time.Second); channel() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("WaitApplied never parked")
+		}
+	}
+	applyAll(t, f, []shipped{last})
+	if err := <-done; err != nil {
+		t.Fatalf("parked WaitApplied = %v", err)
+	}
+	if channel() != nil {
+		t.Fatal("the applied batch left its wake channel for the next parker")
 	}
 }
 

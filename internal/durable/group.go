@@ -74,6 +74,27 @@ func (w *WAL) commitLoop() {
 	}
 }
 
+// sleepWindow waits out one batch window, or less if full cuts it
+// short. Only the committer goroutine sleeps, so it reuses one timer,
+// left stopped and drained for the next window: go.mod pins pre-1.23
+// timer semantics, under which a Stop that returns false means the
+// timer fired and its value must be received, or the next window would
+// end at once on that stale value.
+func (w *WAL) sleepWindow() {
+	if w.windowTimer == nil {
+		w.windowTimer = time.NewTimer(w.window)
+	} else {
+		w.windowTimer.Reset(w.window)
+	}
+	select {
+	case <-w.windowTimer.C:
+	case <-w.full:
+		if !w.windowTimer.Stop() {
+			<-w.windowTimer.C
+		}
+	}
+}
+
 // claimQueue takes everything queued as one group, first waiting out
 // the batch window when load is detected. It reports false when there
 // is nothing to commit: the queue is empty, or the WAL has degraded and
@@ -92,12 +113,7 @@ func (w *WAL) claimQueue() (group, bool) {
 		default:
 		}
 		w.mu.Unlock()
-		t := time.NewTimer(w.window)
-		select {
-		case <-t.C:
-		case <-w.full:
-			t.Stop()
-		}
+		w.sleepWindow()
 		w.mu.Lock()
 	}
 	if w.queued == 0 {

@@ -277,6 +277,31 @@ func TestGroupCommitCloseDrainsQueue(t *testing.T) {
 	}
 }
 
+// TestCommitWindowAllocs: the committer sleeps every batch window on one
+// reused timer, whether the window runs out or a full queue cuts it
+// short, so a window allocates nothing; and a window after a cut-short
+// one still lasts its full length (no stale fire left in the timer).
+func TestCommitWindowAllocs(t *testing.T) {
+	w := newTestWAL(&collectFile{})
+	w.window = 50 * time.Microsecond
+	got := testing.AllocsPerRun(50, func() {
+		w.sleepWindow() // runs out
+		w.wake(true)
+		w.sleepWindow() // cut short by the full signal
+	})
+	if got != 0 {
+		t.Fatalf("a commit window allocates %.1f, want 0", got)
+	}
+	w.window = 20 * time.Millisecond
+	w.wake(true)
+	w.sleepWindow()
+	start := time.Now()
+	w.sleepWindow()
+	if took := time.Since(start); took < w.window {
+		t.Fatalf("window after a cut-short one lasted %v, want %v", took, w.window)
+	}
+}
+
 // BenchmarkGroupCommit measures durable append throughput with fsync
 // enabled: group mode (commit pipeline, Append + WaitDurable) against
 // a per-record-fsync baseline, at 1/4/16/64 writers. The baseline is

@@ -139,9 +139,17 @@ func (s *Store) ApplyReplicated(epoch, first, last uint64, frames []byte) (appli
 		applied++
 	}
 	s.lastApplied = last
-	close(s.appliedCh)
-	s.appliedCh = make(chan struct{})
+	s.wakeAppliedLocked()
 	return applied, nil
+}
+
+// wakeAppliedLocked releases WaitApplied parkers to re-check the
+// applied horizon and the replica flag. Caller holds s.mu.
+func (s *Store) wakeAppliedLocked() {
+	if s.appliedCh != nil {
+		close(s.appliedCh)
+		s.appliedCh = nil
+	}
 }
 
 // WaitApplied blocks until the follower's applied horizon reaches lsn,
@@ -158,6 +166,9 @@ func (s *Store) WaitApplied(lsn uint64, timeout time.Duration) error {
 		if !s.replica || s.lastApplied >= lsn {
 			s.mu.Unlock()
 			return nil
+		}
+		if s.appliedCh == nil {
+			s.appliedCh = make(chan struct{})
 		}
 		ch := s.appliedCh
 		applied := s.lastApplied
@@ -223,8 +234,7 @@ func (s *Store) LoadReplicaSnapshot(blob []byte) error {
 	}
 	s.epoch = snap.Epoch
 	s.lastApplied = snap.LSN
-	close(s.appliedCh)
-	s.appliedCh = make(chan struct{})
+	s.wakeAppliedLocked()
 	return nil
 }
 
@@ -289,8 +299,7 @@ func (s *Store) Promote(epoch uint64) error {
 	s.wal.startCommitter()
 	// Promotion satisfies any parked freshness demand: the local state
 	// is authoritative now.
-	close(s.appliedCh)
-	s.appliedCh = make(chan struct{})
+	s.wakeAppliedLocked()
 	s.mu.Unlock()
 	if err := s.SetEpochDurable(epoch); err != nil {
 		return err

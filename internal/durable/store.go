@@ -241,8 +241,10 @@ type Store struct {
 	// (recovered from the snapshot and epoch records, advanced by
 	// SetEpochDurable on a primary and by replicated epoch records on a
 	// follower). replica marks follower mode until Promote; lastApplied
-	// is the follower's applied-LSN horizon, and appliedCh is closed and
-	// replaced whenever it advances, waking WaitApplied parkers.
+	// is the follower's applied-LSN horizon. appliedCh, made by the
+	// first WaitApplied to park, is closed and cleared whenever the
+	// horizon advances or promotion ends replica mode; a batch nobody
+	// waits for allocates none.
 	epoch       uint64
 	replica     bool
 	lastApplied uint64
@@ -288,13 +290,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("durable: state dir: %w", err)
 	}
 	s := &Store{
-		dir:       dir,
-		opts:      opts,
-		dedupe:    make(map[string][]string),
-		replica:   opts.ReplicaMode,
-		appliedCh: make(chan struct{}),
-		metrics:   newStoreMetrics(reg),
-		logf:      opts.Logf,
+		dir:     dir,
+		opts:    opts,
+		dedupe:  make(map[string][]string),
+		replica: opts.ReplicaMode,
+		metrics: newStoreMetrics(reg),
+		logf:    opts.Logf,
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}

@@ -106,6 +106,9 @@ type WAL struct {
 	full     chan struct{}
 	stopping bool
 	done     chan struct{} // closed when the committer goroutine exits
+	// windowTimer times the batch window (see sleepWindow). Only the
+	// committer goroutine touches it.
+	windowTimer *time.Timer
 
 	rot *rotator
 }

@@ -12,6 +12,7 @@
 package parrot
 
 import (
+	"identitybox/internal/acl"
 	"identitybox/internal/kernel"
 	"identitybox/internal/vfs"
 )
@@ -51,9 +52,12 @@ type Driver interface {
 	Chmod(p *kernel.Proc, path string, mode uint32) error
 	Truncate(p *kernel.Proc, path string, size int64) error
 
-	// ReadFileSmall reads a whole (small) file, used for ACL files and
-	// executable headers.
-	ReadFileSmall(p *kernel.Proc, path string) ([]byte, error)
+	// ReadACL returns the parsed ACL file of directory dir: the one
+	// lookup the box's policy checks and its getacl make. A driver may
+	// hand back a version it memoised, but charges p as if it had read
+	// the whole file. A missing file is an error matching
+	// vfs.ErrNotExist.
+	ReadACL(p *kernel.Proc, dir string) (*acl.Version, error)
 	// WriteFileSmall replaces a whole (small) file.
 	WriteFileSmall(p *kernel.Proc, path string, data []byte, mode uint32) error
 }

@@ -1,6 +1,7 @@
 package parrot
 
 import (
+	"identitybox/internal/acl"
 	"identitybox/internal/kernel"
 	"identitybox/internal/vclock"
 	"identitybox/internal/vfs"
@@ -148,13 +149,27 @@ func (d *LocalDriver) Truncate(p *kernel.Proc, path string, size int64) error {
 	return d.fs.Truncate(path, size)
 }
 
-// ReadFileSmall implements Driver.
-func (d *LocalDriver) ReadFileSmall(p *kernel.Proc, path string) ([]byte, error) {
-	data, err := d.fs.ReadFile(path)
-	n := len(data)
+// ReadACL implements Driver from the ACL file's memoised parse, which
+// every reader of the file system shares (acl.MemoVersion), so a box
+// parses each version of an ACL file at most once. The charge is still
+// a whole-file read of dir's ACL file: the same terms and byte count a
+// read of the file itself would cost, a miss included, so the virtual
+// clock cannot tell the memo is there.
+func (d *LocalDriver) ReadACL(p *kernel.Proc, dir string) (*acl.Version, error) {
+	v, err := d.fs.MemoIn(dir, acl.FileName, acl.MemoVersion)
+	ver, _ := v.(*acl.Version) // nil on a miss, which reads 0 bytes
+	n := 0
+	if ver != nil {
+		n = len(ver.Raw)
+	}
+	// The path term is pathCost(vfs.Join(dir, acl.FileName)), counted
+	// without building the path.
 	p.Charge(d.model.SyscallFixed + d.model.Open + d.model.ReadFixed +
-		d.model.CopyPerByte*vclock.Micros(n) + d.pathCost(path))
-	return data, err
+		d.model.CopyPerByte*vclock.Micros(n) + d.model.DirEntry*vclock.Micros(vfs.PathComponents(dir)+1))
+	if err != nil {
+		return nil, &vfs.PathError{Op: "read", Path: vfs.Join(dir, acl.FileName), Err: err}
+	}
+	return ver, nil
 }
 
 // WriteFileSmall implements Driver.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"identitybox/internal/acl"
 	"identitybox/internal/kernel"
 	"identitybox/internal/vclock"
 	"identitybox/internal/vfs"
@@ -124,16 +125,16 @@ func TestLocalDriverUnixPermsAsSupervisor(t *testing.T) {
 }
 
 func TestLocalDriverMetadataOps(t *testing.T) {
-	_, d, p := testEnv(t)
+	k, d, p := testEnv(t)
 	if err := d.Mkdir(p, "/dir", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.WriteFileSmall(p, "/dir/f", []byte("small"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data, err := d.ReadFileSmall(p, "/dir/f")
+	data, err := k.FS().ReadFile("/dir/f")
 	if err != nil || string(data) != "small" {
-		t.Fatalf("ReadFileSmall = %q, %v", data, err)
+		t.Fatalf("WriteFileSmall left %q, %v", data, err)
 	}
 	if st, err := d.Stat(p, "/dir/f"); err != nil || st.Size != 5 {
 		t.Fatalf("stat = %+v, %v", st, err)
@@ -177,5 +178,61 @@ func TestLocalDriverChargesTime(t *testing.T) {
 	d.Stat(p, "/")
 	if p.Clock().Now() <= before {
 		t.Fatal("driver did not charge virtual time")
+	}
+}
+
+// TestLocalDriverReadACLChargesAWholeFileRead: ReadACL hands back the
+// parse memoised on the ACL file's inode — one parse per version — yet
+// charges exactly what reading the file would: the same terms, the same
+// byte count, a miss and a malformed file included.
+func TestLocalDriverReadACLChargesAWholeFileRead(t *testing.T) {
+	k, d, p := testEnv(t)
+	m := vclock.Default()
+	// expect runs f and demands it advanced p's clock by exactly a
+	// whole-file read of path's n bytes, compared as the clock sums it.
+	expect := func(path string, n int, f func()) {
+		t.Helper()
+		want := m.SyscallFixed + m.Open + m.ReadFixed + m.CopyPerByte*vclock.Micros(n) +
+			m.DirEntry*vclock.Micros(vfs.PathComponents(path))
+		before := p.Clock().Now()
+		f()
+		if got := p.Clock().Now(); got != before+want {
+			t.Errorf("ReadACL for %s charged %v, want %v", path, got-before, want)
+		}
+	}
+	if err := k.FS().Mkdir("/a", 0o755, "dthain"); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.FS().Mkdir("/a/b", 0o755, "dthain"); err != nil {
+		t.Fatal(err)
+	}
+
+	var err error
+	expect("/a/b/"+acl.FileName, 0, func() { _, err = d.ReadACL(p, "/a/b") })
+	if !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("missing ACL = %v, want ErrNotExist", err)
+	}
+
+	var v1, v2 *acl.Version
+	for _, c := range []struct{ dir, text string }{
+		{"/", "unix:alice rl\n"},
+		{"/a/b", "  unix:alice   rwl  \n"},
+		{"/a/b", "unix:alice bogus\n"},
+	} {
+		path := vfs.Join(c.dir, acl.FileName)
+		if err := k.FS().WriteFile(path, []byte(c.text), 0o644, "dthain"); err != nil {
+			t.Fatal(err)
+		}
+		expect(path, len(c.text), func() { v1, err = d.ReadACL(p, c.dir) })
+		expect(path, len(c.text), func() { v2, _ = d.ReadACL(p, c.dir) })
+		if err != nil || v1.Raw != c.text {
+			t.Fatalf("ReadACL(%s) = %v, %v; want the file's bytes %q", c.dir, v1, err, c.text)
+		}
+		if v2 != v1 {
+			t.Errorf("ReadACL(%s) parsed an unchanged file twice", c.dir)
+		}
+	}
+	if len(v1.ACL.Entries) != 0 {
+		t.Errorf("malformed ACL parsed to %v, want no entries (fail closed)", v1.ACL)
 	}
 }

@@ -39,9 +39,15 @@ type Publisher struct {
 	nextID int64
 	closed bool
 
-	// ackCh is closed and replaced whenever a follower acknowledgement
-	// (or a subscriber departure) may unblock a WaitShipped waiter.
+	// ackCh, made by the first WaitShipped to park, is closed and
+	// cleared whenever a follower acknowledgement or a subscriber
+	// departure may release a waiter. An ack nobody waits for allocates
+	// none.
 	ackCh chan struct{}
+	// idle holds stopped, drained sync-timeout timers for WaitShipped to
+	// reuse, so a parked wait arms no fresh timer. It grows to the most
+	// waiters ever parked at once.
+	idle []*time.Timer
 
 	// epoch is the fencing term stamped on every shipped batch header.
 	// The node updates it after SetEpochDurable/Promote; Ship must not
@@ -85,7 +91,6 @@ func NewPublisher(reg *obs.Registry, syncTimeout time.Duration) *Publisher {
 	reg.Help(MetricLag, "Records the slowest subscribed follower trails the durable horizon (sampled at read).")
 	p := &Publisher{
 		subs:        make(map[int64]*subscriber),
-		ackCh:       make(chan struct{}),
 		syncTimeout: syncTimeout,
 		groups:      reg.Counter(MetricGroupsShipped),
 		bytes:       reg.Counter(MetricBytesShipped),
@@ -143,22 +148,26 @@ func (p *Publisher) Ship(first, last uint64, records int, frames []byte) {
 		default:
 			// The follower is not draining; cut it loose with a gap
 			// signal (channel close) so it resubscribes from its applied
-			// LSN instead of buffering without bound.
+			// LSN instead of buffering without bound. Its departure may
+			// leave no subscriber to wait for, so waiters re-check; a
+			// ship alone never raises an acked horizon and wakes nobody.
 			p.overflows.Inc()
 			sub.gone = true
 			close(sub.ch)
 			delete(p.subs, id)
 			p.subsGauge.Dec()
+			p.wakeAckedLocked()
 		}
 	}
-	p.wakeAckedLocked()
 	p.mu.Unlock()
 }
 
 // wakeAckedLocked releases WaitShipped waiters to re-check state.
 func (p *Publisher) wakeAckedLocked() {
-	close(p.ackCh)
-	p.ackCh = make(chan struct{})
+	if p.ackCh != nil {
+		close(p.ackCh)
+		p.ackCh = nil
+	}
 }
 
 // Subscription is one follower's registration with the publisher. C
@@ -287,32 +296,75 @@ func (p *Publisher) MinAcked() uint64 {
 // A timeout likewise degrades to async — counted, so the operator can
 // see the guarantee thinning — rather than failing the write.
 func (p *Publisher) WaitShipped(lsn uint64) error {
-	var deadline *time.Timer
+	var deadline *time.Timer // taken at the first park, so the bound runs from there
 	for {
 		p.mu.Lock()
-		if p.closed || len(p.subs) == 0 {
+		if p.shippedLocked(lsn) {
 			p.mu.Unlock()
+			if deadline != nil {
+				p.putTimer(deadline, false)
+			}
 			return nil
 		}
-		for _, s := range p.subs {
-			if s.acked >= lsn {
-				p.mu.Unlock()
-				return nil
-			}
+		if p.ackCh == nil {
+			p.ackCh = make(chan struct{})
 		}
 		ch := p.ackCh
-		p.mu.Unlock()
 		if deadline == nil {
-			deadline = time.NewTimer(p.syncTimeout)
-			defer deadline.Stop()
+			deadline = p.takeTimerLocked()
 		}
+		p.mu.Unlock()
 		select {
 		case <-ch:
 		case <-deadline.C:
 			p.timeouts.Inc()
+			p.putTimer(deadline, true)
 			return nil
 		}
 	}
+}
+
+// shippedLocked reports whether a WaitShipped for lsn is released: some
+// follower acknowledged it, or none is subscribed (or the publisher is
+// closed) to wait for. Caller holds mu.
+func (p *Publisher) shippedLocked(lsn uint64) bool {
+	if p.closed || len(p.subs) == 0 {
+		return true
+	}
+	for _, s := range p.subs {
+		if s.acked >= lsn {
+			return true
+		}
+	}
+	return false
+}
+
+// takeTimerLocked starts a sync-timeout timer, reusing an idle one.
+// Caller holds mu.
+func (p *Publisher) takeTimerLocked() *time.Timer {
+	n := len(p.idle)
+	if n == 0 {
+		return time.NewTimer(p.syncTimeout)
+	}
+	t := p.idle[n-1]
+	p.idle = p.idle[:n-1]
+	t.Reset(p.syncTimeout)
+	return t
+}
+
+// putTimer returns a timer from takeTimerLocked to the idle list,
+// stopped and drained; fired says its value was already received.
+// go.mod pins pre-1.23 timer semantics, under which a Stop that returns
+// false means the timer fired and its value sits in the channel: it
+// must be drained, or the next wait to take the timer would read that
+// stale value and time out at once.
+func (p *Publisher) putTimer(t *time.Timer, fired bool) {
+	if !fired && !t.Stop() {
+		<-t.C
+	}
+	p.mu.Lock()
+	p.idle = append(p.idle, t)
+	p.mu.Unlock()
 }
 
 // lag samples how many records the slowest subscribed follower trails

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -112,15 +113,131 @@ func TestWaitShippedDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	// Two timeouts back to back: the second wait reuses the timer the
+	// first one fired, and must still wait its own full timeout.
+	for i := int64(1); i <= 2; i++ {
+		start := time.Now()
+		if err := pub.WaitShipped(99); err != nil {
+			t.Fatalf("timed-out wait %d = %v", i, err)
+		}
+		if took := time.Since(start); took < 30*time.Millisecond || took > 2*time.Second {
+			t.Fatalf("timed-out wait %d took %v, want the 30ms sync timeout", i, took)
+		}
+		if got := reg.Counter(MetricSyncTimeouts).Value(); got != i {
+			t.Fatalf("%s = %d after %d timeouts", MetricSyncTimeouts, got, i)
+		}
+	}
+}
+
+// TestWaitShippedTimerReuseNoStaleFire: a wait released by an ack just
+// as its timer fired leaves the fired value in the timer's channel. The
+// timer goes back to the idle list drained, so the next wait to take it
+// does not time out at once on that stale value.
+func TestWaitShippedTimerReuseNoStaleFire(t *testing.T) {
+	pub := NewPublisher(nil, 30*time.Millisecond)
+	pub.mu.Lock()
+	timer := pub.takeTimerLocked()
+	pub.mu.Unlock()
+	time.Sleep(60 * time.Millisecond) // it fires; nobody receives
+	pub.putTimer(timer, false)
+
+	pub.mu.Lock()
+	again := pub.takeTimerLocked()
+	pub.mu.Unlock()
+	if again != timer {
+		t.Fatal("the idle timer was not reused")
+	}
 	start := time.Now()
-	if err := pub.WaitShipped(99); err != nil {
-		t.Fatalf("timed-out wait = %v", err)
+	<-again.C
+	if took := time.Since(start); took < 20*time.Millisecond {
+		t.Fatalf("reused timer fired after %v: a stale value survived", took)
 	}
-	if time.Since(start) < 20*time.Millisecond {
-		t.Fatal("wait returned before the sync timeout with an unacked subscriber")
+	pub.putTimer(again, true)
+}
+
+// TestWaitShippedManyWaitersOneAck: one acknowledgement releases every
+// waiter parked on it, none of them counted as a timeout.
+func TestWaitShippedManyWaitersOneAck(t *testing.T) {
+	reg := obs.NewRegistry()
+	pub := NewPublisher(reg, time.Minute)
+	store := openPrimary(t, pub)
+	sub, _, _, _, err := pub.Subscribe(store.DurableLSN())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Counter(MetricSyncTimeouts).Value(); got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricSyncTimeouts, got)
+	defer sub.Close()
+
+	const waiters = 16
+	done := make(chan struct{}, waiters)
+	for i := 0; i < waiters; i++ {
+		lsn := uint64(100 + i%4) // four horizons, all covered by one ack
+		go func() {
+			pub.WaitShipped(lsn)
+			done <- struct{}{}
+		}()
+	}
+	if !waitParked(pub) {
+		t.Fatal("no waiter parked")
+	}
+	time.Sleep(20 * time.Millisecond) // let the rest park too; a straggler finds the ack anyway
+	sub.Ack(103)
+	for i := 0; i < waiters; i++ {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d waiters still parked after the ack", waiters-i, waiters)
+		}
+	}
+	if got := reg.Counter(MetricSyncTimeouts).Value(); got != 0 {
+		t.Fatalf("%s = %d, want 0", MetricSyncTimeouts, got)
+	}
+}
+
+// waitParked polls until some WaitShipped has parked on pub, reporting
+// false if none does within five seconds.
+func waitParked(pub *Publisher) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		pub.mu.Lock()
+		parked := pub.ackCh != nil
+		pub.mu.Unlock()
+		if parked {
+			return true
+		}
+	}
+	return false
+}
+
+// TestWaitShippedParkedAllocs pins the cost of a semi-sync wait that
+// parks and is released by an ack: the one wake channel the waiter
+// makes, and nothing else — no timer, no deferred closure.
+func TestWaitShippedParkedAllocs(t *testing.T) {
+	pub := NewPublisher(nil, time.Minute)
+	store := openPrimary(t, pub)
+	sub, _, _, _, err := pub.Subscribe(store.DurableLSN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	lsn := store.DurableLSN()
+	parked, released := make(chan uint64), make(chan struct{})
+	go func() { // the follower: acks each wait once it has parked
+		for l := range parked {
+			if !waitParked(pub) {
+				t.Error("the wait never parked")
+			}
+			sub.Ack(l)
+			released <- struct{}{}
+		}
+	}()
+	defer close(parked)
+	got := testing.AllocsPerRun(100, func() {
+		lsn++
+		parked <- lsn
+		pub.WaitShipped(lsn)
+		<-released
+	})
+	if got > 1 {
+		t.Fatalf("a parked-then-acked WaitShipped allocates %.1f, want at most its wake channel (1)", got)
 	}
 }
 
