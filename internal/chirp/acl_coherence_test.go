@@ -2,13 +2,18 @@ package chirp
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"identitybox/internal/acl"
 	"identitybox/internal/auth"
+	"identitybox/internal/core"
 	"identitybox/internal/kernel"
+	"identitybox/internal/vclock"
 	"identitybox/internal/vfs"
 )
 
@@ -342,4 +347,223 @@ func TestACLCoherenceHammer(t *testing.T) {
 			readChecks(t, unixClient(t, srv, user, proto), "/d", true, last)
 		}
 	})
+}
+
+// A directory and its ACL are one unit: rmdir of a directory holding
+// only its ACL removes both in one step or refuses and changes nothing,
+// so a racing put can make the rmdir fail but never leave the directory
+// without its own ACL, governed by its parent's. Both tests race the
+// two many times and check every outcome.
+
+// checkRmdirRace judges one round: dir either went (and the put lost)
+// or survived with its own ACL, wantACL, untouched, and then only
+// because the put won and the rmdir was refused.
+func checkRmdirRace(t *testing.T, fs *vfs.FS, dir, wantACL string, rmErr error) {
+	t.Helper()
+	got, aclErr := fs.ReadFile(vfs.Join(dir, acl.FileName))
+	switch {
+	case rmErr == nil && fs.Exists(dir):
+		t.Fatalf("rmdir %s succeeded but the directory is still there", dir)
+	case rmErr == nil:
+	case !errors.Is(rmErr, vfs.ErrNotEmpty):
+		t.Fatalf("rmdir %s = %v, want success or ENOTEMPTY", dir, rmErr)
+	case aclErr != nil || string(got) != wantACL:
+		t.Fatalf("a refused rmdir left %s with ACL %q (%v), want its own %q", dir, got, aclErr, wantACL)
+	}
+}
+
+// jitter spins for a random short while, spreading where a racer lands.
+func jitter(r *rand.Rand) {
+	for i, n := 0, r.Intn(4000); i < n; i++ {
+		runtime.Gosched()
+	}
+}
+
+// The server's rmdir against a put over a second session, jittered in
+// half the rounds so it lands at different points of the rmdir.
+func TestRmdirRacingPutKeepsTheACL(t *testing.T) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		srv, k, _ := testServer(t)
+		fs := k.FS()
+		admin := unixClient(t, srv, "admin", proto)
+		putter := unixClient(t, srv, "admin", proto)
+		if err := admin.Mkdir("/r", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(int64(proto)))
+		for i := 0; i < 300; i++ {
+			dir := fmt.Sprintf("/r/d%d", i)
+			if err := admin.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			wantACL, err := fs.ReadFile(vfs.Join(dir, acl.FileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			delay := r.Intn(2) == 0
+			var rmErr error
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); rmErr = admin.Rmdir(dir) }()
+			go func() {
+				defer wg.Done()
+				if delay {
+					jitter(r)
+				}
+				putter.PutFile(dir+"/f", []byte("x"), 0o644) // may lose the race
+			}()
+			wg.Wait()
+			checkRmdirRace(t, fs, dir, string(wantACL), rmErr)
+		}
+	})
+}
+
+// The same race through an identity box on a local mount of a
+// journaled file system (as under a durable server), its rmdir against
+// a writer behind the box (another box, or the server, sharing the
+// file system). The writer aims: it writes the moment it sees the
+// directory without its ACL, which a one-step rmdir never shows.
+func TestBoxRmdirRacingWriteKeepsTheACL(t *testing.T) {
+	fs := vfs.New("dthain")
+	fs.SetJournal(&mutationLog{})
+	k := kernel.New(fs, vclock.Default())
+	if err := fs.MkdirAll("/tmp", 0o777, "dthain"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir("/r", 0o755, "dthain"); err != nil {
+		t.Fatal(err)
+	}
+	const rACL = "unix:alice rwlax\n"
+	if err := fs.WriteFile("/r/"+acl.FileName, []byte(rACL), 0o644, "dthain"); err != nil {
+		t.Fatal(err)
+	}
+	box, err := core.New(k, "dthain", "unix:alice", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := box.Run(func(p *kernel.Proc, _ []string) int {
+		for i := 0; i < 2000; i++ { // the window is short: many rounds
+			dir := fmt.Sprintf("/r/d%d", i)
+			if err := p.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := fs.ReadFile(vfs.Join(dir, acl.FileName)); err != nil || string(got) != rACL {
+				t.Fatalf("mkdir %s made ACL %q, %v; want %q", dir, got, err, rACL)
+			}
+			stop, done, ready := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				close(ready)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if !fs.Exists(vfs.Join(dir, acl.FileName)) {
+						fs.WriteFile(dir+"/f", []byte("x"), 0o644, "dthain") // fails once dir is gone
+						return
+					}
+				}
+			}()
+			<-ready
+			rmErr := p.Rmdir(dir)
+			close(stop)
+			<-done
+			checkRmdirRace(t, fs, dir, rACL, rmErr)
+		}
+		return 0
+	})
+	if st.Code != 0 {
+		t.Fatalf("exit = %d", st.Code)
+	}
+}
+
+// mutationLog is a vfs.Journal that keeps what it is handed, so a test
+// can count the records a step journals.
+type mutationLog struct {
+	mu   sync.Mutex
+	muts []vfs.Mutation
+}
+
+func (l *mutationLog) RecordMutation(m vfs.Mutation) {
+	m.Data = append([]byte(nil), m.Data...)
+	l.mu.Lock()
+	l.muts = append(l.muts, m)
+	l.mu.Unlock()
+}
+
+// take returns what was journaled since the last take.
+func (l *mutationLog) take() []vfs.Mutation {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.muts
+	l.muts = nil
+	return out
+}
+
+// TestDirACLStepsAreOneRecord: mkdir journals one record that carries
+// the new directory's ACL, and rmdir of a directory holding only its
+// ACL journals one record, whether the server takes the step or an
+// identity box does on a local mount of the server's file system.
+func TestDirACLStepsAreOneRecord(t *testing.T) {
+	fs := vfs.New("chirpowner")
+	log := &mutationLog{}
+	fs.SetJournal(log)
+	k := kernel.New(fs, vclock.Default())
+	rootACL := &acl.ACL{}
+	rootACL.Set("unix:admin", acl.All, acl.None)
+	srv, err := NewServer(k, ServerOptions{
+		Owner:     "chirpowner",
+		RootACL:   rootACL,
+		Verifiers: map[auth.Method]auth.Verifier{auth.MethodUnix: &auth.UnixVerifier{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	admin := unixClient(t, srv, "admin", ProtocolV2)
+
+	// admin holds w in the root, so a new directory inherits its ACL.
+	inherited := []byte(rootACL.String())
+	expect := func(what string, want vfs.Mutation) {
+		t.Helper()
+		got := log.take()
+		if len(got) != 1 || got[0].Op != want.Op || got[0].Path != want.Path ||
+			got[0].Path2 != want.Path2 || string(got[0].Data) != string(want.Data) {
+			t.Fatalf("%s journaled %+v, want the one record %+v", what, got, want)
+		}
+	}
+	log.take()
+	if err := admin.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	expect("the server's mkdir", vfs.Mutation{Op: vfs.MutMkdir, Path: "/d", Path2: acl.FileName, Data: inherited})
+	if err := admin.Rmdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	expect("the server's rmdir", vfs.Mutation{Op: vfs.MutRmdir, Path: "/d", Path2: acl.FileName})
+
+	box, err := core.New(k, "chirpowner", "unix:admin", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := box.Run(func(p *kernel.Proc, _ []string) int {
+		log.take() // the box's own scaffolding
+		if err := p.Mkdir("/b", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		expect("the box's mkdir", vfs.Mutation{Op: vfs.MutMkdir, Path: "/b", Path2: acl.FileName, Data: inherited})
+		if err := p.Rmdir("/b"); err != nil {
+			t.Fatal(err)
+		}
+		expect("the box's rmdir", vfs.Mutation{Op: vfs.MutRmdir, Path: "/b", Path2: acl.FileName})
+		return 0
+	})
+	if st.Code != 0 {
+		t.Fatalf("exit = %d", st.Code)
+	}
 }

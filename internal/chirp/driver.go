@@ -89,13 +89,15 @@ func (d *Driver) ReadDir(p *kernel.Proc, path string) ([]vfs.DirEntry, error) {
 	return ents, err
 }
 
-// Mkdir implements parrot.Driver.
-func (d *Driver) Mkdir(p *kernel.Proc, path string, mode uint32) error {
+// Mkdir implements parrot.Driver. The server applies its own mkdir
+// rule and installs the child ACL itself, so childACL is not sent.
+func (d *Driver) Mkdir(p *kernel.Proc, path string, mode uint32, childACL *acl.ACL) error {
 	d.chargeRTT(p, len(path))
 	return d.cl.Mkdir(path, mode)
 }
 
-// Rmdir implements parrot.Driver.
+// Rmdir implements parrot.Driver with one rmdir RPC: the server
+// removes a lone ACL file with the directory.
 func (d *Driver) Rmdir(p *kernel.Proc, path string) error {
 	d.chargeRTT(p, len(path))
 	return d.cl.Rmdir(path)
@@ -161,11 +163,4 @@ func (d *Driver) WriteFileSmall(p *kernel.Proc, path string, data []byte, mode u
 	return d.cl.PutFile(path, data, mode)
 }
 
-// ManagesACLs implements parrot.ACLManager: the server applies the
-// inherit/reserve mkdir semantics itself.
-func (d *Driver) ManagesACLs() bool { return true }
-
-var (
-	_ parrot.Driver     = (*Driver)(nil)
-	_ parrot.ACLManager = (*Driver)(nil)
-)
+var _ parrot.Driver = (*Driver)(nil)

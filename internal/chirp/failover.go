@@ -199,9 +199,10 @@ func (f *FailoverDriver) ReadACL(p *kernel.Proc, dir string) (*acl.Version, erro
 	return readVia(f, "read "+vfs.Join(dir, acl.FileName), func(d *Driver) (*acl.Version, error) { return d.ReadACL(p, dir) })
 }
 
-// Mkdir implements parrot.Driver.
-func (f *FailoverDriver) Mkdir(p *kernel.Proc, path string, mode uint32) error {
-	return f.writeDriver(func(d *Driver) error { return d.Mkdir(p, path, mode) })
+// Mkdir implements parrot.Driver (the server installs the child ACL,
+// as in Driver).
+func (f *FailoverDriver) Mkdir(p *kernel.Proc, path string, mode uint32, childACL *acl.ACL) error {
+	return f.writeDriver(func(d *Driver) error { return d.Mkdir(p, path, mode, childACL) })
 }
 
 // Rmdir implements parrot.Driver.
@@ -244,10 +245,4 @@ func (f *FailoverDriver) WriteFileSmall(p *kernel.Proc, path string, data []byte
 	return f.writeDriver(func(d *Driver) error { return d.WriteFileSmall(p, path, data, mode) })
 }
 
-// ManagesACLs implements parrot.ACLManager, like Driver.
-func (f *FailoverDriver) ManagesACLs() bool { return true }
-
-var (
-	_ parrot.Driver     = (*FailoverDriver)(nil)
-	_ parrot.ACLManager = (*FailoverDriver)(nil)
-)
+var _ parrot.Driver = (*FailoverDriver)(nil)

@@ -205,14 +205,8 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 			return sess.failf(sc, err, "rmdir")
 		}
 		// A directory holding only its ACL file counts as empty: the
-		// ACL is removed with the directory.
-		if ents, lerr := s.fs.ReadDir(args[0]); lerr == nil &&
-			len(ents) == 1 && ents[0].Name == acl.FileName {
-			if uerr := tfs.Unlink(vfs.Join(args[0], acl.FileName)); uerr != nil {
-				return sess.failf(sc, uerr, "rmdir")
-			}
-		}
-		if err := tfs.Rmdir(args[0]); err != nil {
+		// ACL goes with the directory, in one step.
+		if _, err := tfs.RmdirWithFile(args[0], acl.FileName); err != nil {
 			return sess.failf(sc, err, "rmdir")
 		}
 		return hres{line: sc.ok()}
@@ -508,11 +502,7 @@ func (sess *session) mkdir(path string, mode uint32, trace uint64) error {
 		childACL = parentACL.Clone()
 		childACL.Set(sess.ident.String(), acl.All, acl.None)
 	}
-	tfs := s.fs.Traced(trace)
-	if err := tfs.Mkdir(path, mode, s.opts.Owner); err != nil {
-		return err
-	}
-	return tfs.WriteFile(vfs.Join(path, acl.FileName), []byte(childACL.String()), 0o644, s.opts.Owner)
+	return s.fs.Traced(trace).MkdirWithFile(path, mode, s.opts.Owner, acl.FileName, []byte(childACL.String()))
 }
 
 // execAuditLimit bounds the audit ring of the box each exec builds.

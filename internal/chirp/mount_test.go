@@ -9,6 +9,7 @@ import (
 	"identitybox/internal/core"
 	"identitybox/internal/identity"
 	"identitybox/internal/kernel"
+	"identitybox/internal/obs"
 	"identitybox/internal/vclock"
 	"identitybox/internal/vfs"
 )
@@ -225,4 +226,62 @@ func TestBoxedRemoteMetadataOps(t *testing.T) {
 	if cl.Addr() != srv.Addr() {
 		t.Fatalf("client addr = %q", cl.Addr())
 	}
+}
+
+// TestBoxRmdirOverChirpIsOneRPC: a box removes a directory on a Chirp
+// mount with the one rmdir RPC the server's own rule answers (w in the
+// parent; the server removes a lone ACL with the directory). A visitor
+// holding w but not a can therefore remove from a box exactly what it
+// can remove over Chirp directly: no readdir, and no unlink of the ACL
+// file, which the server would gate on a.
+func TestBoxRmdirOverChirpIsOneRPC(t *testing.T) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		srv, _, _ := testServer(t)
+		admin := unixClient(t, srv, "admin", proto)
+		if err := admin.Mkdir("/shared", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := admin.SetACL("/shared", "unix:admin rwlax\nunix:visitor rwl\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := admin.Mkdir("/shared/d", 0o755); err != nil { // inherits: visitor rwl, no a
+			t.Fatal(err)
+		}
+
+		clientFS := vfs.New("dthain")
+		clientK := kernel.New(clientFS, vclock.Default())
+		clientFS.MkdirAll("/tmp", 0o777, "dthain")
+		box, err := core.New(clientK, "dthain", "unix:visitor", core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mnt := "/chirp/" + srv.Addr()
+		box.Mount(mnt, NewDriver(unixClient(t, srv, "visitor", proto), vclock.Default()))
+
+		count := func(cmd string) int64 {
+			return srv.Metrics().Counter(obs.With(MetricRequests, "cmd", cmd)).Value()
+		}
+		cmds := []string{"rmdir", "getdir", "unlink"}
+		before := map[string]int64{}
+		for _, c := range cmds {
+			before[c] = count(c)
+		}
+		st := box.Run(func(p *kernel.Proc, _ []string) int {
+			if err := p.Rmdir(mnt + "/shared/d"); err != nil {
+				t.Errorf("rmdir with w but not a: %v", err)
+			}
+			return 0
+		})
+		if st.Code != 0 {
+			t.Fatalf("exit = %d", st.Code)
+		}
+		for c, want := range map[string]int64{"rmdir": 1, "getdir": 0, "unlink": 0} {
+			if got := count(c) - before[c]; got != want {
+				t.Errorf("the box's rmdir sent %d %s RPCs, want %d", got, c, want)
+			}
+		}
+		if _, err := admin.Stat("/shared/d"); !errors.Is(err, vfs.ErrNotExist) {
+			t.Fatalf("stat after rmdir = %v, want ENOENT", err)
+		}
+	})
 }

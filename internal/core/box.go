@@ -245,12 +245,16 @@ func New(k *kernel.Kernel, account string, ident identity.Principal, opts Option
 func (b *Box) setupHome() error {
 	fs := b.k.FS()
 	home := vfs.Join(b.opts.HomeBase, b.ident.Sanitized())
-	if err := fs.MkdirAll(home, 0o755, b.account); err != nil {
+	if err := fs.MkdirAll(b.opts.HomeBase, 0o755, b.account); err != nil {
 		return fmt.Errorf("core: creating home %s: %w", home, err)
 	}
-	homeACL := acl.ForOwner(b.ident)
-	if err := writeIfChanged(fs, vfs.Join(home, acl.FileName), []byte(homeACL.String()), b.account); err != nil {
-		return fmt.Errorf("core: writing home ACL: %w", err)
+	homeACL := []byte(acl.ForOwner(b.ident).String())
+	err := fs.MkdirWithFile(home, 0o755, b.account, acl.FileName, homeACL)
+	if errors.Is(err, vfs.ErrExist) { // a returning visitor's home
+		err = writeIfChanged(fs, vfs.Join(home, acl.FileName), homeACL, b.account)
+	}
+	if err != nil {
+		return fmt.Errorf("core: creating home %s: %w", home, err)
 	}
 	b.home = home
 	return nil

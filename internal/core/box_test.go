@@ -10,6 +10,7 @@ import (
 	"identitybox/internal/acl"
 	"identitybox/internal/identity"
 	"identitybox/internal/kernel"
+	"identitybox/internal/parrot"
 	"identitybox/internal/vclock"
 	"identitybox/internal/vfs"
 )
@@ -953,4 +954,85 @@ func TestBoxScaffoldingWrittenOnce(t *testing.T) {
 	if got, err := fs.ReadFile(homeACL); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("edited home ACL after a new box = %q, %v; want it reset to %q", got, err, want)
 	}
+}
+
+// raceDriver is a local driver that runs between, once, right after the
+// ACL read it answers: for a mkdir, the point between policy.Mkdir's
+// read of the parent's ACL and the vfs step it authorises.
+type raceDriver struct {
+	*parrot.LocalDriver
+	between func()
+}
+
+func (d *raceDriver) ReadACL(p *kernel.Proc, dir string) (*acl.Version, error) {
+	v, err := d.LocalDriver.ReadACL(p, dir)
+	if f := d.between; f != nil {
+		d.between = nil
+		f()
+	}
+	return v, err
+}
+
+// TestMkdirCheckThenStepWindow pins what may land between mkdir's
+// check (policy.Mkdir reads the parent's ACL) and its one vfs step
+// (DESIGN §4). A setacl on the parent is harmless: the two write
+// different files, and the state is that of the mkdir, decided on the
+// older ACL, then the setacl. The parent removed and made again is not:
+// the directory appears in a parent whose every ACL refused its maker,
+// carrying the old parent's ACL — the interleaving DESIGN §9 lists.
+func TestMkdirCheckThenStepWindow(t *testing.T) {
+	k := newWorld(t)
+	fs := k.FS()
+	const old, revoked = "unix:alice rwl\nunix:dthain rwlax\n", "unix:dthain rwlax\n"
+	for _, dir := range []string{"/p", "/q"} {
+		if err := fs.MkdirWithFile(dir, 0o755, "dthain", acl.FileName, []byte(old)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aclOf := func(dir string) string {
+		t.Helper()
+		data, err := fs.ReadFile(vfs.Join(dir, acl.FileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	d := &raceDriver{LocalDriver: parrot.NewLocalDriver(fs, "dthain", vclock.Default())}
+	b := newBox(t, k, "unix:alice", Options{})
+	b.Mount("/m", d)
+	b.Run(func(p *kernel.Proc, _ []string) int {
+		d.between = func() { // a setacl revoking alice's w
+			if err := fs.WriteFile("/p/"+acl.FileName, []byte(revoked), 0o644, "dthain"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Mkdir("/m/p/c", 0o755); err != nil {
+			t.Fatalf("mkdir decided before the setacl: %v", err)
+		}
+		if got := aclOf("/p/c"); got != old {
+			t.Errorf("child ACL = %q, want the pre-setacl parent's %q", got, old)
+		}
+		if got := aclOf("/p"); got != revoked {
+			t.Errorf("parent ACL = %q, want the setacl's %q", got, revoked)
+		}
+
+		d.between = func() { // the parent removed and made again, refusing alice
+			if _, err := fs.RmdirWithFile("/q", acl.FileName); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.MkdirWithFile("/q", 0o755, "dthain", acl.FileName, []byte(revoked)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Mkdir("/m/q/c", 0o755); err != nil {
+			t.Fatalf("mkdir across the parent's re-creation: %v", err)
+		}
+		if got := aclOf("/q/c"); got != old {
+			t.Errorf("child ACL = %q, want the removed parent's %q", got, old)
+		}
+		if err := p.Mkdir("/m/q/c2", 0o755); !errors.Is(err, vfs.ErrPermission) {
+			t.Errorf("mkdir in the new parent = %v, want EPERM: its ACL refuses alice", err)
+		}
+		return 0
+	})
 }

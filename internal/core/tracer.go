@@ -137,19 +137,13 @@ func (b *Box) syscallEntry(p *kernel.Proc, f *kernel.Frame, st *procState) kerne
 
 	case kernel.SysRmdir:
 		return b.entryPathOp(p, f, acl.Write, policy.NoFollow, func(d driverOp) error {
-			// A directory holding only its ACL file counts as empty:
-			// the ACL is removed with the directory, as Chirp does.
-			if ents, lerr := d.d.ReadDir(p, d.rel); lerr == nil &&
-				len(ents) == 1 && ents[0].Name == acl.FileName {
-				if uerr := d.d.Unlink(p, vfs.Join(d.rel, acl.FileName)); uerr != nil {
-					return uerr
-				}
-			}
 			return d.d.Rmdir(p, d.rel)
 		})
 
 	case kernel.SysUnlink:
-		return b.entryUnlink(p, f)
+		return b.entryPathOp(p, f, acl.Write, policy.NoFollow, func(d driverOp) error {
+			return d.d.Unlink(p, d.rel)
+		})
 
 	case kernel.SysLink:
 		return b.entryLink(p, f)
@@ -243,18 +237,8 @@ func (b *Box) SyscallExit(p *kernel.Proc, f *kernel.Frame) {
 
 // driverOp bundles a resolved driver call target.
 type driverOp struct {
-	d   kernelDriver
+	d   parrot.Driver
 	rel string
-}
-
-// kernelDriver is the subset alias to keep signatures short.
-type kernelDriver = interface {
-	Rmdir(p *kernel.Proc, path string) error
-	Symlink(p *kernel.Proc, target, linkPath string) error
-	Chmod(p *kernel.Proc, path string, mode uint32) error
-	Truncate(p *kernel.Proc, path string, size int64) error
-	ReadDir(p *kernel.Proc, path string) ([]vfs.DirEntry, error)
-	Unlink(p *kernel.Proc, path string) error
 }
 
 // entryPathOp factors the common pattern: rewrite, authorize, resolve
@@ -591,38 +575,7 @@ func (b *Box) entryMkdir(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 		f.SetError(err)
 		return kernel.ActionNullify
 	}
-	if err := d.Mkdir(p, rel, f.Mode); err != nil {
-		f.SetError(err)
-		return kernel.ActionNullify
-	}
-	if m, ok := d.(parrot.ACLManager); ok && m.ManagesACLs() {
-		// The remote service installed the child ACL itself.
-		f.SetResult(0)
-		return kernel.ActionNullify
-	}
-	if childACL != nil {
-		aclPath := vfs.Join(rel, acl.FileName)
-		if err := d.WriteFileSmall(p, aclPath, []byte(childACL.String()), 0o644); err != nil {
-			f.SetError(err)
-			return kernel.ActionNullify
-		}
-	}
-	f.SetResult(0)
-	return kernel.ActionNullify
-}
-
-func (b *Box) entryUnlink(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
-	path := b.rewritePath(f.Path)
-	if err := b.check(p, path, acl.Write, policy.NoFollow); err != nil {
-		f.SetError(err)
-		return kernel.ActionNullify
-	}
-	d, rel, err := b.driverFor(path)
-	if err != nil {
-		f.SetError(err)
-		return kernel.ActionNullify
-	}
-	if err := d.Unlink(p, rel); err != nil {
+	if err := d.Mkdir(p, rel, f.Mode, childACL); err != nil {
 		f.SetError(err)
 	} else {
 		f.SetResult(0)

@@ -158,8 +158,10 @@ func applyMutation(t *testing.T, fs *vfs.FS, m vfs.Mutation) {
 	t.Helper()
 	var err error
 	switch m.Op {
-	case vfs.MutMkdir:
-		err = fs.Mkdir(m.Path, m.Mode, m.Owner)
+	case vfs.MutMkdir: // then the file made with it, if any
+		if err = fs.Mkdir(m.Path, m.Mode, m.Owner); err == nil && m.Path2 != "" {
+			err = fs.WriteFile(vfs.Join(m.Path, m.Path2), m.Data, 0o644, m.Owner)
+		}
 	case vfs.MutCreate: // make or replace, holding Data
 		if _, err = fs.Create(m.Path, m.Mode, m.Owner); err == nil && len(m.Data) > 0 {
 			_, err = fs.WriteAt(m.Path, m.Data, 0)
@@ -170,8 +172,13 @@ func applyMutation(t *testing.T, fs *vfs.FS, m vfs.Mutation) {
 		err = fs.Truncate(m.Path, m.Size)
 	case vfs.MutUnlink:
 		err = fs.Unlink(m.Path)
-	case vfs.MutRmdir:
-		err = fs.Rmdir(m.Path)
+	case vfs.MutRmdir: // the file removed with it first, if any
+		if m.Path2 != "" {
+			err = fs.Unlink(vfs.Join(m.Path, m.Path2))
+		}
+		if err == nil {
+			err = fs.Rmdir(m.Path)
+		}
 	case vfs.MutSymlink:
 		err = fs.Symlink(m.Path2, m.Path, m.Owner)
 	case vfs.MutLink:
@@ -227,17 +234,27 @@ func collectACLs(t *testing.T, fs *vfs.FS) map[string]string {
 }
 
 // TestKillAtEveryWALOffset is the crash matrix: run the Figure-3
-// workflow (plus ACL edits) against a durable server, then for every
-// byte offset of the resulting WAL simulate a crash that preserved
-// exactly that prefix, recover, and require the surviving state to be
+// workflow (plus ACL edits, and the mkdir and rmdir of a directory
+// holding only its ACL) against a durable server, then for every byte
+// offset of the resulting WAL simulate a crash that preserved exactly
+// that prefix, recover, and require the surviving state to be
 // byte-identical to some prefix of the mutation history — in
 // particular, every surviving ACL parses and matches a historical ACL
-// state, so a partial record can never widen one.
+// state, so a partial record can never widen one, and no directory
+// that ever held an ACL survives without it (mkdir makes the directory
+// with its ACL, rmdir removes them together), so none falls back to
+// its ancestor's.
 func TestKillAtEveryWALOffset(t *testing.T) {
 	liveDir := t.TempDir()
 	srv, store, _ := startDurableServer(t, liveDir)
 	cl := adminDial(t, srv)
 	runFigure3(t, cl, "/work")
+	if err := cl.Mkdir("/work/scratch", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Rmdir("/work/scratch"); err != nil {
+		t.Fatal(err)
+	}
 	cl.Close()
 	srv.Close()
 	if err := store.Close(); err != nil {
@@ -271,14 +288,21 @@ func TestKillAtEveryWALOffset(t *testing.T) {
 	ref := vfs.New("owner")
 	dumps := []string{dumpTree(t, ref)}
 	aclHistory := map[string]bool{} // every historical canonical ACL text
+	aclDirs := map[string]bool{}    // every directory but the root that ever held an ACL
 	for _, rec := range recs {
 		if rec.IsMutation() {
 			applyMutation(t, ref, rec.Mut)
 		}
 		dumps = append(dumps, dumpTree(t, ref))
-		for _, text := range collectACLs(t, ref) {
+		for path, text := range collectACLs(t, ref) {
 			aclHistory[text] = true
+			if dir := vfs.Dir(path); dir != "/" {
+				aclDirs[dir] = true
+			}
 		}
+	}
+	if !aclDirs["/work"] || !aclDirs["/work/scratch"] {
+		t.Fatalf("workload made no directory with an ACL: %v", aclDirs)
 	}
 
 	// The matrix: every byte offset is a crash point.
@@ -316,6 +340,11 @@ func TestKillAtEveryWALOffset(t *testing.T) {
 		for path, text := range collectACLs(t, s.FS()) {
 			if !aclHistory[text] {
 				t.Fatalf("cut %d: ACL at %s is not a historical state:\n%s", cut, path, text)
+			}
+		}
+		for dir := range aclDirs {
+			if s.FS().Exists(dir) && !s.FS().Exists(vfs.Join(dir, acl.FileName)) {
+				t.Fatalf("cut %d: %s recovered without its ACL", cut, dir)
 			}
 		}
 		s.Close()

@@ -147,8 +147,8 @@ func (s *Store) applyRecord(rec Record) error {
 	}
 	m := rec.Mut
 	switch m.Op {
-	case vfs.MutMkdir:
-		return s.fs.Mkdir(m.Path, m.Mode, m.Owner)
+	case vfs.MutMkdir: // with the file made with it (none in an older log)
+		return s.fs.MkdirWithFile(m.Path, m.Mode, m.Owner, m.Path2, m.Data)
 	case vfs.MutCreate: // make or replace, holding Data (empty in an older log)
 		return s.fs.WriteFile(m.Path, m.Data, m.Mode, m.Owner)
 	case vfs.MutWrite:
@@ -158,8 +158,9 @@ func (s *Store) applyRecord(rec Record) error {
 		return s.fs.Truncate(m.Path, m.Size)
 	case vfs.MutUnlink:
 		return s.fs.Unlink(m.Path)
-	case vfs.MutRmdir:
-		return s.fs.Rmdir(m.Path)
+	case vfs.MutRmdir: // with the file removed with it (none in an older log)
+		_, err := s.fs.RmdirWithFile(m.Path, m.Path2)
+		return err
 	case vfs.MutSymlink:
 		return s.fs.Symlink(m.Path2, m.Path, m.Owner)
 	case vfs.MutLink:

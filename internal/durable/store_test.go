@@ -447,3 +447,54 @@ func (g *gateFile) Write(p []byte) (int, error) {
 }
 func (g *gateFile) Sync() error  { return g.f.Sync() }
 func (g *gateFile) Close() error { return g.f.Close() }
+
+// TestDirRecordsReplayOlderAndNewer: a directory and its ACL used to
+// take two records each way (MutMkdir then MutCreate; MutUnlink then
+// MutRmdir, with empty Path2 and Data), and such a log replays as it
+// always did. This log's MutMkdir carries the file it made (Path2,
+// Data) and its MutRmdir the file it removed (Path2), and replay
+// applies both halves of each.
+func TestDirRecordsReplayOlderAndNewer(t *testing.T) {
+	const aclName, text = ".__acl", "unix:alice rwlax\n"
+	muts := []vfs.Mutation{
+		{Op: vfs.MutMkdir, Path: "/old", Mode: 0o755, Owner: "alice"},
+		{Op: vfs.MutCreate, Path: "/old/" + aclName, Mode: 0o644, Owner: "alice", Data: []byte(text)},
+		{Op: vfs.MutMkdir, Path: "/oldgone", Mode: 0o755, Owner: "alice"},
+		{Op: vfs.MutCreate, Path: "/oldgone/" + aclName, Mode: 0o644, Owner: "alice", Data: []byte(text)},
+		{Op: vfs.MutUnlink, Path: "/oldgone/" + aclName},
+		{Op: vfs.MutRmdir, Path: "/oldgone"},
+		{Op: vfs.MutMkdir, Path: "/new", Mode: 0o700, Owner: "bob", Path2: aclName, Data: []byte(text)},
+		{Op: vfs.MutMkdir, Path: "/newgone", Mode: 0o755, Owner: "bob", Path2: aclName, Data: []byte(text)},
+		{Op: vfs.MutRmdir, Path: "/newgone", Path2: aclName},
+		{Op: vfs.MutMkdir, Path: "/empty", Mode: 0o755, Owner: "bob"},
+		{Op: vfs.MutRmdir, Path: "/empty"},
+	}
+	var log []byte
+	for i, m := range muts {
+		log = EncodeRecord(log, Record{LSN: uint64(i + 1), Type: uint8(m.Op), Mut: m})
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.c01.s00.000000.seg"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, dir, Options{Owner: "root"})
+	defer s.Close()
+	if ri := s.Recovery(); ri.Replayed != len(muts) || ri.Unapplied != 0 || ri.Torn {
+		t.Fatalf("recovery = %s, want %d records replayed cleanly", ri, len(muts))
+	}
+
+	want := vfs.New("root")
+	for _, step := range []error{
+		want.Mkdir("/old", 0o755, "alice"),
+		want.WriteFile("/old/"+aclName, []byte(text), 0o644, "alice"),
+		want.Mkdir("/new", 0o700, "bob"),
+		want.WriteFile("/new/"+aclName, []byte(text), 0o644, "bob"),
+	} {
+		if step != nil {
+			t.Fatal(step)
+		}
+	}
+	if got, exp := dumpFS(t, s.FS()), dumpFS(t, want); got != exp {
+		t.Fatalf("replayed state:\n%s\nwant:\n%s", got, exp)
+	}
+}

@@ -43,7 +43,16 @@ type Driver interface {
 	Readlink(p *kernel.Proc, path string) (string, error)
 	ReadDir(p *kernel.Proc, path string) ([]vfs.DirEntry, error)
 
-	Mkdir(p *kernel.Proc, path string, mode uint32) error
+	// Mkdir makes a directory. childACL is the ACL the box's policy
+	// computed for it (nil where none governs the parent): a driver over
+	// the supervisor's own file system installs it with the directory in
+	// one step; a driver whose service applies its own mkdir rule (a
+	// Chirp server) ignores it.
+	Mkdir(p *kernel.Proc, path string, mode uint32, childACL *acl.ACL) error
+	// Rmdir removes a directory. One holding only its ACL file counts as
+	// empty, and the ACL goes with it in the same step, as a Chirp
+	// server's rmdir does; anything else in it is ErrNotEmpty, and the
+	// ACL stays.
 	Rmdir(p *kernel.Proc, path string) error
 	Unlink(p *kernel.Proc, path string) error
 	Link(p *kernel.Proc, oldPath, newPath string) error
@@ -60,14 +69,6 @@ type Driver interface {
 	ReadACL(p *kernel.Proc, dir string) (*acl.Version, error)
 	// WriteFileSmall replaces a whole (small) file.
 	WriteFileSmall(p *kernel.Proc, path string, data []byte, mode uint32) error
-}
-
-// ACLManager is implemented by drivers whose backing service installs
-// and enforces ACLs itself (a Chirp server does: its mkdir applies the
-// inherit/reserve semantics server-side). The identity box skips its
-// own ACL initialization on such mounts to avoid fighting the service.
-type ACLManager interface {
-	ManagesACLs() bool
 }
 
 // Mount binds a path prefix to a driver.

@@ -30,6 +30,12 @@ func (d *LocalDriver) pathCost(path string) vclock.Micros {
 	return d.model.DirEntry * vclock.Micros(vfs.PathComponents(path))
 }
 
+// aclPathCost is pathCost(vfs.Join(dir, acl.FileName)), counted
+// without building the path.
+func (d *LocalDriver) aclPathCost(dir string) vclock.Micros {
+	return d.model.DirEntry * vclock.Micros(vfs.PathComponents(dir)+1)
+}
+
 type localFile struct {
 	d *LocalDriver
 	h *vfs.Handle
@@ -80,8 +86,10 @@ func (d *LocalDriver) ReadDir(p *kernel.Proc, path string) ([]vfs.DirEntry, erro
 	return ents, err
 }
 
-// Mkdir implements Driver.
-func (d *LocalDriver) Mkdir(p *kernel.Proc, path string, mode uint32) error {
+// Mkdir implements Driver. A non-nil childACL is installed with the
+// directory (vfs.FS.MkdirWithFile) and charged as the whole-file write
+// of it that WriteFileSmall would cost.
+func (d *LocalDriver) Mkdir(p *kernel.Proc, path string, mode uint32, childACL *acl.ACL) error {
 	p.Charge(d.model.SyscallFixed + d.model.Open + d.pathCost(path))
 	pst, err := d.fs.Stat(vfs.Dir(path))
 	if err != nil {
@@ -90,13 +98,35 @@ func (d *LocalDriver) Mkdir(p *kernel.Proc, path string, mode uint32) error {
 	if !kernel.UnixAllows(pst, d.account, 2) {
 		return &vfs.PathError{Op: "mkdir", Path: path, Err: vfs.ErrPermission}
 	}
-	return d.fs.Mkdir(path, mode, d.account)
+	if childACL == nil {
+		return d.fs.Mkdir(path, mode, d.account)
+	}
+	text := []byte(childACL.String())
+	if err := d.fs.MkdirWithFile(path, mode, d.account, acl.FileName, text); err != nil {
+		return err
+	}
+	p.Charge(d.model.SyscallFixed + d.model.Open + d.model.WriteFixed +
+		d.model.CopyPerByte*vclock.Micros(len(text)) + d.aclPathCost(path))
+	return nil
 }
 
-// Rmdir implements Driver.
+// Rmdir implements Driver with vfs.FS.RmdirWithFile, charged as the
+// listing, the ACL file's unlink (when it goes) and the rmdir a
+// supervisor makes for it. Unlinking the ACL takes the supervising
+// account's write permission on the directory, as Unlink does; without
+// it the ACL counts as an entry.
 func (d *LocalDriver) Rmdir(p *kernel.Proc, path string) error {
+	name := acl.FileName
+	if st, err := d.fs.Stat(path); err == nil && !kernel.UnixAllows(st, d.account, 2) {
+		name = ""
+	}
+	n, err := d.fs.RmdirWithFile(path, name)
+	p.Charge(d.model.SyscallFixed + d.model.ReadFixed + d.model.DirEntry*vclock.Micros(n) + d.pathCost(path))
+	if err == nil && n == 1 {
+		p.Charge(d.model.SyscallFixed + d.model.Open + d.aclPathCost(path))
+	}
 	p.Charge(d.model.SyscallFixed + d.model.Open + d.pathCost(path))
-	return d.fs.Rmdir(path)
+	return err
 }
 
 // Unlink implements Driver.
@@ -162,10 +192,8 @@ func (d *LocalDriver) ReadACL(p *kernel.Proc, dir string) (*acl.Version, error) 
 	if ver != nil {
 		n = len(ver.Raw)
 	}
-	// The path term is pathCost(vfs.Join(dir, acl.FileName)), counted
-	// without building the path.
 	p.Charge(d.model.SyscallFixed + d.model.Open + d.model.ReadFixed +
-		d.model.CopyPerByte*vclock.Micros(n) + d.model.DirEntry*vclock.Micros(vfs.PathComponents(dir)+1))
+		d.model.CopyPerByte*vclock.Micros(n) + d.aclPathCost(dir))
 	if err != nil {
 		return nil, &vfs.PathError{Op: "read", Path: vfs.Join(dir, acl.FileName), Err: err}
 	}

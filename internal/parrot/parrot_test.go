@@ -119,14 +119,14 @@ func TestLocalDriverUnixPermsAsSupervisor(t *testing.T) {
 	if _, err := d.Open(p, "/foreign/new", kernel.OWronly|kernel.OCreat, 0o644); !errors.Is(err, vfs.ErrPermission) {
 		t.Fatalf("create in foreign dir = %v, want denied", err)
 	}
-	if err := d.Mkdir(p, "/foreign/sub", 0o755); !errors.Is(err, vfs.ErrPermission) {
+	if err := d.Mkdir(p, "/foreign/sub", 0o755, nil); !errors.Is(err, vfs.ErrPermission) {
 		t.Fatalf("mkdir in foreign dir = %v, want denied", err)
 	}
 }
 
 func TestLocalDriverMetadataOps(t *testing.T) {
 	k, d, p := testEnv(t)
-	if err := d.Mkdir(p, "/dir", 0o755); err != nil {
+	if err := d.Mkdir(p, "/dir", 0o755, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.WriteFileSmall(p, "/dir/f", []byte("small"), 0o644); err != nil {
@@ -235,4 +235,73 @@ func TestLocalDriverReadACLChargesAWholeFileRead(t *testing.T) {
 	if len(v1.ACL.Entries) != 0 {
 		t.Errorf("malformed ACL parsed to %v, want no entries (fail closed)", v1.ACL)
 	}
+}
+
+// TestLocalDriverDirACLStepsChargeTheCallsTheyReplace: Mkdir with a
+// child ACL and Rmdir of a directory holding only its ACL are one vfs
+// step each, yet charge exactly the calls a supervisor makes for them —
+// mkdir plus the ACL file's whole-file write; the listing (its entries
+// counted), the ACL file's unlink when it goes, and rmdir — so the
+// Figure 4/5 clock cannot tell the steps are single.
+func TestLocalDriverDirACLStepsChargeTheCallsTheyReplace(t *testing.T) {
+	k, d, p := testEnv(t)
+	m := vclock.Default()
+	cost := func(path string) vclock.Micros { return m.DirEntry * vclock.Micros(vfs.PathComponents(path)) }
+	mkdir := func(path string) vclock.Micros { return m.SyscallFixed + m.Open + cost(path) }
+	write := func(path string, n int) vclock.Micros {
+		return m.SyscallFixed + m.Open + m.WriteFixed + m.CopyPerByte*vclock.Micros(n) + cost(path)
+	}
+	list := func(path string, n int) vclock.Micros {
+		return m.SyscallFixed + m.ReadFixed + m.DirEntry*vclock.Micros(n) + cost(path)
+	}
+	unlink, rmdir := mkdir, mkdir // all three charge a syscall, an open and the path
+	// expect runs f and demands it advanced p's clock by exactly the
+	// charges of the calls it stands for, summed one call at a time as
+	// the clock sums them.
+	expect := func(what string, f func() error, wantErr error, calls ...vclock.Micros) {
+		t.Helper()
+		want := p.Clock().Now()
+		for _, c := range calls {
+			want += c
+		}
+		if err := f(); !errors.Is(err, wantErr) || (wantErr == nil && err != nil) {
+			t.Fatalf("%s = %v, want %v", what, err, wantErr)
+		}
+		if got := p.Clock().Now(); got != want {
+			t.Errorf("%s: clock at %v, want %v", what, got, want)
+		}
+	}
+	child := &acl.ACL{}
+	child.Set("unix:alice", acl.All, acl.None)
+	text := child.String()
+	aclOf := func(dir string) string { return vfs.Join(dir, acl.FileName) }
+
+	expect("mkdir with an ACL", func() error { return d.Mkdir(p, "/a", 0o755, child) }, nil,
+		mkdir("/a"), write(aclOf("/a"), len(text)))
+	if got, err := k.FS().ReadFile(aclOf("/a")); err != nil || string(got) != text {
+		t.Fatalf("child ACL = %q, %v; want %q", got, err, text)
+	}
+	expect("mkdir without an ACL", func() error { return d.Mkdir(p, "/a/b", 0o755, nil) }, nil, mkdir("/a/b"))
+	expect("mkdir of an existing directory", func() error { return d.Mkdir(p, "/a", 0o755, child) }, vfs.ErrExist, mkdir("/a"))
+
+	expect("rmdir of an empty directory", func() error { return d.Rmdir(p, "/a/b") }, nil,
+		list("/a/b", 0), rmdir("/a/b"))
+	if err := k.FS().WriteFile("/a/f", nil, 0o644, "dthain"); err != nil {
+		t.Fatal(err)
+	}
+	expect("rmdir of a directory holding more than its ACL", func() error { return d.Rmdir(p, "/a") }, vfs.ErrNotEmpty,
+		list("/a", 2), rmdir("/a"))
+	if !k.FS().Exists(aclOf("/a")) {
+		t.Fatal("a refused rmdir removed the directory's ACL")
+	}
+	if err := k.FS().Unlink("/a/f"); err != nil {
+		t.Fatal(err)
+	}
+	expect("rmdir of a directory holding only its ACL", func() error { return d.Rmdir(p, "/a") }, nil,
+		list("/a", 1), unlink(aclOf("/a")), rmdir("/a"))
+	if k.FS().Exists("/a") {
+		t.Fatal("rmdir left the directory")
+	}
+	expect("rmdir of a missing directory", func() error { return d.Rmdir(p, "/a") }, vfs.ErrNotExist,
+		list("/a", 0), rmdir("/a"))
 }

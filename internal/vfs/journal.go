@@ -28,12 +28,12 @@ package vfs
 type MutOp uint8
 
 const (
-	MutMkdir    MutOp = 1  // Path, Mode, Owner
+	MutMkdir    MutOp = 1  // Path, Mode, Owner, Path2 and Data (the file made with it, if any)
 	MutCreate   MutOp = 2  // Path, Mode, Owner, Data (replaces an existing file's contents)
 	MutWrite    MutOp = 3  // Path, Off, Data
 	MutTruncate MutOp = 4  // Path, Size
 	MutUnlink   MutOp = 5  // Path
-	MutRmdir    MutOp = 6  // Path
+	MutRmdir    MutOp = 6  // Path, Path2 (the file removed with it, if any)
 	MutSymlink  MutOp = 7  // Path (link), Path2 (target), Owner
 	MutLink     MutOp = 8  // Path (old), Path2 (new)
 	MutRename   MutOp = 9  // Path (old), Path2 (new)

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -103,7 +104,10 @@ func TestJournalRecordsEveryMutationKind(t *testing.T) {
 // empty in between. An O_CREAT|O_TRUNC open journals one record:
 // MutCreate for a missing file, MutTruncate for an existing one. A
 // read-only open journals nothing and does not wait for the journal
-// lock.
+// lock. A directory made with its file (the ACL) is one MutMkdir
+// carrying the file's name and bytes, and one removed with its lone
+// file is one MutRmdir naming it; an rmdir that finds more refuses and
+// journals nothing.
 func TestWholeFileWriteIsOneRecord(t *testing.T) {
 	fs := New("root")
 	j := &capturingJournal{}
@@ -122,9 +126,9 @@ func TestWholeFileWriteIsOneRecord(t *testing.T) {
 		}
 		for i, w := range want {
 			g := got[i]
-			if g.Op != w.Op || g.Path != w.Path || string(g.Data) != string(w.Data) || g.Size != w.Size {
-				t.Errorf("%s record %d = %v %q data %q size %d, want %v %q data %q size %d",
-					what, i, g.Op, g.Path, g.Data, g.Size, w.Op, w.Path, w.Data, w.Size)
+			if g.Op != w.Op || g.Path != w.Path || g.Path2 != w.Path2 || string(g.Data) != string(w.Data) || g.Size != w.Size {
+				t.Errorf("%s record %d = %v %q %q data %q size %d, want %v %q %q data %q size %d",
+					what, i, g.Op, g.Path, g.Path2, g.Data, g.Size, w.Op, w.Path, w.Path2, w.Data, w.Size)
 			}
 		}
 	}
@@ -158,6 +162,36 @@ func TestWholeFileWriteIsOneRecord(t *testing.T) {
 	expect("O_CREAT|O_TRUNC of an existing file", Mutation{Op: MutTruncate, Path: "/f"})
 	if st, _ := fs.Stat("/f"); st.Size != 0 {
 		t.Fatalf("O_TRUNC left %d bytes", st.Size)
+	}
+
+	if err := fs.MkdirWithFile("/d", 0o755, "alice", ".__acl", data); err != nil {
+		t.Fatal(err)
+	}
+	expect("MkdirWithFile", Mutation{Op: MutMkdir, Path: "/d", Path2: ".__acl", Data: data})
+	if got, err := fs.ReadFile("/d/.__acl"); err != nil || string(got) != string(data) {
+		t.Fatalf("MkdirWithFile's file = %q, %v", got, err)
+	}
+	if err := fs.WriteFile("/d/other", nil, 0o644, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	since()
+	if n, err := fs.RmdirWithFile("/d", ".__acl"); !errors.Is(err, ErrNotEmpty) || n != 2 {
+		t.Fatalf("RmdirWithFile of a directory holding more = %d, %v; want 2, ErrNotEmpty", n, err)
+	}
+	expect("a refused RmdirWithFile")
+	if !fs.Exists("/d/.__acl") {
+		t.Fatal("a refused RmdirWithFile removed the file")
+	}
+	if err := fs.Unlink("/d/other"); err != nil {
+		t.Fatal(err)
+	}
+	since()
+	if n, err := fs.RmdirWithFile("/d", ".__acl"); err != nil || n != 1 {
+		t.Fatalf("RmdirWithFile of a directory holding only its file = %d, %v", n, err)
+	}
+	expect("RmdirWithFile", Mutation{Op: MutRmdir, Path: "/d", Path2: ".__acl"})
+	if fs.Exists("/d") {
+		t.Fatal("RmdirWithFile left the directory")
 	}
 
 	held, release := make(chan struct{}), make(chan struct{})

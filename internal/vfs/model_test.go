@@ -104,6 +104,16 @@ func (m *refModel) rmdir(p string) bool {
 	return true
 }
 
+// rmdirWithFile is rmdir for a directory that may still hold one file
+// called name, which goes with it.
+func (m *refModel) rmdirWithFile(p, name string) bool {
+	f := Join(p, name)
+	if kids := m.childrenOf(p); m.dirs[p] && len(kids) == 1 && kids[0] == name && !m.dirs[f] {
+		delete(m.files, f)
+	}
+	return m.rmdir(p)
+}
+
 func (m *refModel) renameFile(a, b string) bool {
 	data, ok := m.files[a]
 	if a == b {
@@ -137,9 +147,18 @@ func TestVFSAgainstReferenceModel(t *testing.T) {
 	for step := 0; step < 4000; step++ {
 		p := randPath()
 		switch r.Intn(5) {
-		case 0: // mkdir
+		case 0: // mkdir, half the time with a file named like any other entry
+			var err error
 			wantOK := model.mkdir(p)
-			err := fs.Mkdir(p, 0o755, "u")
+			if name := names[r.Intn(len(names))]; r.Intn(2) == 0 {
+				err = fs.Mkdir(p, 0o755, "u")
+			} else {
+				data := []byte(fmt.Sprintf("step-%d", step))
+				err = fs.MkdirWithFile(p, 0o755, "u", name, data)
+				if wantOK {
+					model.write(Join(p, name), data)
+				}
+			}
 			if (err == nil) != wantOK {
 				t.Fatalf("step %d: mkdir %s: fs err=%v, model ok=%v", step, p, err, wantOK)
 			}
@@ -156,9 +175,16 @@ func TestVFSAgainstReferenceModel(t *testing.T) {
 			if (err == nil) != wantOK {
 				t.Fatalf("step %d: unlink %s: fs err=%v, model ok=%v", step, p, err, wantOK)
 			}
-		case 3: // rmdir
-			wantOK := model.rmdir(p)
-			err := fs.Rmdir(p)
+		case 3: // rmdir, half the time of a directory that may hold one named file
+			var err error
+			wantOK := false
+			if name := names[r.Intn(len(names))]; r.Intn(2) == 0 {
+				wantOK = model.rmdir(p)
+				err = fs.Rmdir(p)
+			} else {
+				wantOK = model.rmdirWithFile(p, name)
+				_, err = fs.RmdirWithFile(p, name)
+			}
 			if (err == nil) != wantOK {
 				t.Fatalf("step %d: rmdir %s: fs err=%v, model ok=%v", step, p, err, wantOK)
 			}

@@ -20,12 +20,10 @@ func (fs *FS) Traced(trace uint64) TracedView {
 	return TracedView{fs: fs, trace: trace}
 }
 
-// FS returns the underlying file system (for read paths).
-func (v TracedView) FS() *FS { return v.fs }
-
-// Mkdir is FS.Mkdir with the view's trace stamped on the mutation.
-func (v TracedView) Mkdir(path string, mode uint32, owner string) error {
-	return v.fs.mkdir(path, mode, owner, v.trace)
+// MkdirWithFile is FS.MkdirWithFile with the view's trace stamped on
+// its one MutMkdir.
+func (v TracedView) MkdirWithFile(path string, mode uint32, owner, name string, data []byte) error {
+	return v.fs.mkdir(Mutation{Op: MutMkdir, Path: path, Mode: mode, Owner: owner, Path2: name, Data: data, Trace: v.trace})
 }
 
 // OpenFile is FS.OpenFile with the view's trace stamped on the
@@ -48,8 +46,11 @@ func (v TracedView) WriteFile(path string, data []byte, mode uint32, owner strin
 // Unlink is FS.Unlink with the view's trace stamped on the mutation.
 func (v TracedView) Unlink(path string) error { return v.fs.unlink(path, v.trace) }
 
-// Rmdir is FS.Rmdir with the view's trace stamped on the mutation.
-func (v TracedView) Rmdir(path string) error { return v.fs.rmdir(path, v.trace) }
+// RmdirWithFile is FS.RmdirWithFile with the view's trace stamped on
+// its one MutRmdir.
+func (v TracedView) RmdirWithFile(path, name string) (int, error) {
+	return v.fs.rmdir(Mutation{Op: MutRmdir, Path: path, Path2: name, Trace: v.trace})
+}
 
 // Symlink is FS.Symlink with the view's trace stamped on the mutation.
 func (v TracedView) Symlink(target, linkPath string, owner string) error {
@@ -64,14 +65,4 @@ func (v TracedView) Link(oldPath, newPath string) error {
 // Rename is FS.Rename with the view's trace stamped on the mutation.
 func (v TracedView) Rename(oldPath, newPath string) error {
 	return v.fs.rename(oldPath, newPath, v.trace)
-}
-
-// Chmod is FS.Chmod with the view's trace stamped on the mutation.
-func (v TracedView) Chmod(path string, mode uint32) error {
-	return v.fs.chmod(path, mode, v.trace)
-}
-
-// Chown is FS.Chown with the view's trace stamped on the mutation.
-func (v TracedView) Chown(path, owner, group string) error {
-	return v.fs.chown(path, owner, group, v.trace)
 }

@@ -358,26 +358,39 @@ func (fs *FS) lookupDir(op, path string) (*Inode, error) {
 
 // Mkdir creates a directory. The parent must exist.
 func (fs *FS) Mkdir(path string, mode uint32, owner string) error {
-	return fs.mkdir(path, mode, owner, 0)
+	return fs.mkdir(Mutation{Op: MutMkdir, Path: path, Mode: mode, Owner: owner})
 }
 
-func (fs *FS) mkdir(path string, mode uint32, owner string, trace uint64) error {
+// MkdirWithFile creates a directory holding one regular file, name,
+// with a private copy of data, made mode 0644 and owned by owner like
+// the directory: a caller's per-directory metadata file, such as the
+// ACL. Both appear in one step and one MutMkdir record (Path2 names the
+// file, Data carries its bytes), so no reader and no recovery ever
+// meets the directory without the file. An empty name makes no file:
+// MkdirWithFile(path, mode, owner, "", nil) is Mkdir.
+func (fs *FS) MkdirWithFile(path string, mode uint32, owner, name string, data []byte) error {
+	return fs.mkdir(Mutation{Op: MutMkdir, Path: path, Mode: mode, Owner: owner, Path2: name, Data: data})
+}
+
+func (fs *FS) mkdir(m Mutation) error {
+	if m.Path2 != "" && (strings.IndexByte(m.Path2, '/') >= 0 || !cleanComponents(m.Path2)) {
+		return &PathError{"mkdir", m.Path, ErrInvalid} // the file is one name inside the directory
+	}
 	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
-	n, parent, base, err := fs.resolve(path, true, 0)
+	_, parent, base, err := fs.resolve(m.Path, true, 0)
 	if err == nil {
-		_ = n
-		return &PathError{"mkdir", path, ErrExist}
+		return &PathError{"mkdir", m.Path, ErrExist}
 	}
 	if !errors.Is(err, ErrNotExist) || parent == nil {
-		return &PathError{"mkdir", path, err}
+		return &PathError{"mkdir", m.Path, err}
 	}
 	child := &Inode{
 		ino:      nextIno(),
 		ftype:    TypeDir,
-		mode:     mode,
-		owner:    owner,
+		mode:     m.Mode,
+		owner:    m.Owner,
 		nlink:    2,
 		children: make(map[string]*Inode),
 	}
@@ -385,7 +398,10 @@ func (fs *FS) mkdir(path string, mode uint32, owner string, trace uint64) error 
 	parent.children[base] = child
 	parent.nlink++
 	parent.mtime.Store(fs.tick())
-	fs.record(Mutation{Op: MutMkdir, Path: path, Mode: mode, Owner: owner, Trace: trace})
+	if m.Path2 != "" {
+		fs.addFile(child, m.Path2, m.Data, 0o644, m.Owner)
+	}
+	fs.record(m)
 	return nil
 }
 
@@ -428,22 +444,30 @@ func (fs *FS) create(path string, data []byte, mode uint32, owner string, trace 
 	case err == nil:
 		return n, fs.edit(n, m)
 	case errors.Is(err, ErrNotExist) && parent != nil:
-		n = &Inode{
-			ino:   nextIno(),
-			ftype: TypeRegular,
-			mode:  mode,
-			owner: owner,
-			nlink: 1,
-			data:  append([]byte(nil), data...),
-		}
-		n.mtime.Store(fs.tick())
-		parent.children[base] = n
-		parent.mtime.Store(fs.tick())
+		n = fs.addFile(parent, base, data, mode, owner)
 		fs.record(m)
 		return n, nil
 	default:
 		return nil, &PathError{"create", path, err}
 	}
+}
+
+// addFile links a new regular file, holding a private copy of data,
+// into dir as name. The file gets its first mtime tick before it is
+// linked and dir a fresh one after. Callers hold treeMu exclusively.
+func (fs *FS) addFile(dir *Inode, name string, data []byte, mode uint32, owner string) *Inode {
+	n := &Inode{
+		ino:   nextIno(),
+		ftype: TypeRegular,
+		mode:  mode,
+		owner: owner,
+		nlink: 1,
+		data:  append([]byte(nil), data...),
+	}
+	n.mtime.Store(fs.tick())
+	dir.children[name] = n
+	dir.mtime.Store(fs.tick())
+	return n
 }
 
 // edit applies one data mutation to a regular file and journals it:
@@ -633,31 +657,51 @@ func (fs *FS) unlink(path string, trace uint64) error {
 
 // Rmdir removes an empty directory.
 func (fs *FS) Rmdir(path string) error {
-	return fs.rmdir(path, 0)
+	_, err := fs.rmdir(Mutation{Op: MutRmdir, Path: path})
+	return err
 }
 
-func (fs *FS) rmdir(path string, trace uint64) error {
+// RmdirWithFile removes the directory path when it is empty but for, at
+// most, one regular file called name, which goes with it: one step and
+// one MutRmdir record (Path2 names the file when one went). Anything
+// else in the directory refuses the call with ErrNotEmpty and changes
+// nothing, the file included. It reports how many entries the
+// directory held (0 when path is not a directory), what a listing of it
+// would have counted. An empty name is Rmdir.
+func (fs *FS) RmdirWithFile(path, name string) (int, error) {
+	return fs.rmdir(Mutation{Op: MutRmdir, Path: path, Path2: name})
+}
+
+func (fs *FS) rmdir(m Mutation) (int, error) {
 	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
-	n, parent, base, err := fs.resolve(path, false, 0)
+	n, parent, base, err := fs.resolve(m.Path, false, 0)
 	if err != nil {
-		return &PathError{"rmdir", path, err}
+		return 0, &PathError{"rmdir", m.Path, err}
 	}
 	if n.ftype != TypeDir {
-		return &PathError{"rmdir", path, ErrNotDir}
+		return 0, &PathError{"rmdir", m.Path, ErrNotDir}
 	}
+	entries := len(n.children)
 	if n == fs.root {
-		return &PathError{"rmdir", path, ErrInvalid}
+		return entries, &PathError{"rmdir", m.Path, ErrInvalid}
 	}
-	if len(n.children) > 0 {
-		return &PathError{"rmdir", path, ErrNotEmpty}
+	switch f := n.children[m.Path2]; {
+	case entries == 0:
+		m.Path2 = "" // no file went with it
+	case entries == 1 && f != nil && f.ftype != TypeDir:
+		delete(n.children, m.Path2)
+		f.nlink--
+		n.mtime.Store(fs.tick())
+	default:
+		return entries, &PathError{"rmdir", m.Path, ErrNotEmpty}
 	}
 	delete(parent.children, base)
 	parent.nlink--
 	parent.mtime.Store(fs.tick())
-	fs.record(Mutation{Op: MutRmdir, Path: path, Trace: trace})
-	return nil
+	fs.record(m)
+	return entries, nil
 }
 
 // Symlink creates a symbolic link at linkPath pointing at target.
@@ -813,10 +857,6 @@ func (fs *FS) isAncestor(maybeAncestor, n *Inode) bool {
 
 // Chmod sets the permission bits.
 func (fs *FS) Chmod(path string, mode uint32) error {
-	return fs.chmod(path, mode, 0)
-}
-
-func (fs *FS) chmod(path string, mode uint32, trace uint64) error {
 	defer fs.endJournal(fs.beginJournal())
 	n, err := fs.resolveShared(path, true)
 	if err != nil {
@@ -826,16 +866,12 @@ func (fs *FS) chmod(path string, mode uint32, trace uint64) error {
 	n.mode = mode & 0o7777
 	n.mtime.Store(fs.tick())
 	n.mu.Unlock()
-	fs.record(Mutation{Op: MutChmod, Path: path, Mode: mode, Trace: trace})
+	fs.record(Mutation{Op: MutChmod, Path: path, Mode: mode})
 	return nil
 }
 
 // Chown sets the owner (and optionally group) of path.
 func (fs *FS) Chown(path, owner, group string) error {
-	return fs.chown(path, owner, group, 0)
-}
-
-func (fs *FS) chown(path, owner, group string, trace uint64) error {
 	defer fs.endJournal(fs.beginJournal())
 	n, err := fs.resolveShared(path, true)
 	if err != nil {
@@ -848,7 +884,7 @@ func (fs *FS) chown(path, owner, group string, trace uint64) error {
 	}
 	n.mtime.Store(fs.tick())
 	n.mu.Unlock()
-	fs.record(Mutation{Op: MutChown, Path: path, Owner: owner, Group: group, Trace: trace})
+	fs.record(Mutation{Op: MutChown, Path: path, Owner: owner, Group: group})
 	return nil
 }
 

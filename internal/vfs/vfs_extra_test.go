@@ -182,3 +182,17 @@ func TestReadlinkOfMissing(t *testing.T) {
 		t.Fatalf("readlink missing = %v", err)
 	}
 }
+
+// MkdirWithFile's file is one name inside the new directory: a path,
+// "." or ".." is refused before anything is made.
+func TestMkdirWithFileRefusesAPath(t *testing.T) {
+	fs := New("u")
+	for _, name := range []string{"a/b", "/a", ".", ".."} {
+		if err := fs.MkdirWithFile("/d", 0o755, "u", name, []byte("x")); !errors.Is(err, ErrInvalid) {
+			t.Errorf("MkdirWithFile with file %q = %v, want ErrInvalid", name, err)
+		}
+	}
+	if fs.Exists("/d") {
+		t.Fatal("a refused MkdirWithFile made the directory")
+	}
+}
