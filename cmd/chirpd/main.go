@@ -294,8 +294,9 @@ func main() {
 	if store != nil {
 		// The store is the dedupe table: retries replay what it recovered.
 		opts.DedupeJournal = store
-		// Mutating replies wait for their commit group: an acknowledged
-		// op is on disk before the client hears "ok".
+		// Mutating replies wait for their commit group (a tokened one
+		// for its journaled reply, which follows it on the log): an
+		// acknowledged op is on disk before the client hears "ok".
 		opts.Durability = store
 	}
 	if *catalog != "" {

@@ -38,16 +38,9 @@ const (
 	dedupeTableBytes   = 8 << 20
 )
 
-// newDedupeTable returns a table with the given bounds (zero or
-// negative means the server's) that mirrors its footprint into m's
-// dedupe gauges and eviction counter.
+// newDedupeTable returns a table with the given bounds that mirrors its
+// footprint into m's dedupe gauges and eviction counter.
 func newDedupeTable(capacity int, maxBytes int64, m *srvMetrics) *dedupeTable {
-	if capacity <= 0 {
-		capacity = dedupeTableEntries
-	}
-	if maxBytes <= 0 {
-		maxBytes = dedupeTableBytes
-	}
 	return &dedupeTable{cap: capacity, maxBytes: maxBytes, entries: make(map[string]dedupeEntry), metrics: m}
 }
 

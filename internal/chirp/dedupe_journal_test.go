@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"identitybox/internal/acl"
 	"identitybox/internal/auth"
@@ -205,11 +206,13 @@ func (o *callOrder) take() (calls []string) {
 	return
 }
 
-// TestBarrierPrecedesDedupeAppend: a tokened mutation's own writes are
-// barriered durable before its reply is journaled. The DedupeJournal
-// may be the volatile table, which makes nothing durable, so its append
-// cannot stand in for the barrier; skipping the barrier acknowledged
-// mutations a crash could still lose.
+// TestBarrierPrecedesDedupeAppend: a request makes one durability
+// wait. A tokened request's is its own dedupe append, which the journal
+// returns only once the entry and every record before it is as durable
+// as a barrier would make them, so it never barriers as well; an
+// untokened mutation barriers and journals nothing. A server with
+// Durability but no journal would have no durable append to wait on,
+// so NewServer refuses it.
 func TestBarrierPrecedesDedupeAppend(t *testing.T) {
 	bothFramings(t, func(t *testing.T, proto int) {
 		var order callOrder
@@ -219,10 +222,9 @@ func TestBarrierPrecedesDedupeAppend(t *testing.T) {
 		if _, err := cl.ExecToken(NewRequestToken(), "/", "/sim.exe"); err != nil {
 			t.Fatal(err)
 		}
-		if got := order.take(); len(got) != 2 || got[0] != "barrier" || got[1] != "dedupe" {
-			t.Fatalf("tokened exec made the calls %v, want [barrier dedupe]", got)
+		if got := order.take(); len(got) != 1 || got[0] != "dedupe" {
+			t.Fatalf("tokened exec made the calls %v, want [dedupe]", got)
 		}
-		// An untokened mutation barriers and journals nothing.
 		if _, err := cl.Exec("/", "/sim.exe"); err != nil {
 			t.Fatal(err)
 		}
@@ -233,6 +235,134 @@ func TestBarrierPrecedesDedupeAppend(t *testing.T) {
 			t.Fatalf("sim ran %d times, want 2", execs.Load())
 		}
 	})
+	t.Run("durability without journal", func(t *testing.T) {
+		k := kernel.New(vfs.New("owner"), vclock.Default())
+		if _, err := NewServer(k, ServerOptions{Owner: "owner", Durability: &callOrder{}}); err == nil {
+			t.Fatal("NewServer accepted a Durability without a DedupeJournal")
+		}
+	})
+}
+
+// parkedJournal is a DedupeJournal that publishes an entry as it
+// appends, as durable.Store does before its record's fsync, and a
+// Durability whose Barrier, once parked, blocks until released.
+type parkedJournal struct {
+	*memJournal
+	parked           atomic.Bool
+	entered, release chan struct{}
+}
+
+func (j *parkedJournal) Barrier() error {
+	if j.parked.Load() {
+		j.entered <- struct{}{}
+		<-j.release
+	}
+	return nil
+}
+
+// TestDedupeReplayWaitsForDurability: a retry answered from the dedupe
+// table is acked no sooner than the original could be. The table
+// publishes an entry before its record is durable, so a retry on a
+// second connection could otherwise be acked while the original still
+// waits out its fsync and follower ack, and a crash in that window
+// would lose a write the client saw acknowledged.
+func TestDedupeReplayWaitsForDurability(t *testing.T) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		j := &parkedJournal{memJournal: newMemJournal(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+		srv, execs := dedupeServer(t, j, nil, nil, nil)
+		srv.opts.Durability = j
+		token := NewRequestToken()
+		first, err := adminClient(t, srv, ClientOptions{Protocol: proto}).ExecToken(token, "/", "/sim.exe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.parked.Store(true)
+		retry := adminClient(t, srv, ClientOptions{Protocol: proto})
+		type outcome struct {
+			res ExecResult
+			err error
+		}
+		replied := make(chan outcome, 1)
+		go func() {
+			res, err := retry.ExecToken(token, "/", "/sim.exe")
+			replied <- outcome{res, err}
+		}()
+		select {
+		case o := <-replied:
+			close(j.release)
+			t.Fatalf("retry acked (%+v, %v) without waiting for durability", o.res, o.err)
+		case <-j.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("retry neither replied nor waited for durability")
+		}
+		select {
+		case o := <-replied:
+			t.Fatalf("retry acked (%+v, %v) while its durability wait was parked", o.res, o.err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(j.release)
+		o := <-replied
+		if o.err != nil || o.res.Code != first.Code {
+			t.Fatalf("retry = %+v, %v; original %+v", o.res, o.err, first)
+		}
+		if execs.Load() != 1 {
+			t.Fatalf("sim ran %d times, want 1", execs.Load())
+		}
+	})
+}
+
+// slowJournal is a memJournal whose appends take delay, as a journal's
+// do while its record's fsync and follower ack are under way.
+type slowJournal struct {
+	*memJournal
+	delay time.Duration
+}
+
+func (j slowJournal) AppendDedupe(key string, reply []string) error {
+	time.Sleep(j.delay)
+	return j.memJournal.AppendDedupe(key, reply)
+}
+
+// TestTokenedAppendIsBarrierWaitPhase: a traced tokened exec's one
+// durability wait, its dedupe append, is the server span's barrier.wait
+// phase, so a trace and the cost ledger see it.
+func TestTokenedAppendIsBarrierWaitPhase(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	srv, _ := dedupeServer(t, slowJournal{newMemJournal(), delay}, nil, nil, nil)
+	srv.opts.Spans = obs.NewSpanRing(64)
+	cl := adminClient(t, srv, ClientOptions{Spans: obs.NewSpanRing(64)})
+	id := obs.NewTraceID()
+	cl.SetTrace(id)
+	_, err := cl.ExecToken(NewRequestToken(), "/", "/sim.exe")
+	cl.SetTrace(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server records its span once the reply is flushed, which may
+	// be after the client holds the reply: poll.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		spans, err := cl.TraceSpans(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range spans {
+			if sp.Name != "server" {
+				continue
+			}
+			for _, ph := range sp.Phases {
+				if ph.Name == "barrier.wait" {
+					if ph.Dur < delay {
+						t.Fatalf("barrier.wait = %v, want at least the %v append", ph.Dur, delay)
+					}
+					return
+				}
+			}
+			t.Fatalf("tokened exec's server span has no barrier.wait phase: %+v", sp.Phases)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no server span for the traced exec")
+		}
+	}
 }
 
 // TestReadOnlyOpenSkipsBarrier: an open whose flags are read-only

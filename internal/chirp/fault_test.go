@@ -449,7 +449,7 @@ func TestRetryCloseAfterFault(t *testing.T) {
 
 func TestRetryDedupeTableBounded(t *testing.T) {
 	m := newSrvMetrics(obs.NewRegistry())
-	tbl := newDedupeTable(4, 0, m)
+	tbl := newDedupeTable(4, dedupeTableBytes, m)
 	for i := 0; i < 6; i++ {
 		tbl.AppendDedupe(dedupeKey("u", string(rune('a'+i))), []string{"ok", "1"})
 	}

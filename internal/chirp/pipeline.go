@@ -14,16 +14,16 @@ import (
 )
 
 // This file is the request pipeline both framings feed: serve → execute
-// (table check, dedupe replay, role gate, execution slot, handler,
-// durability barrier, dedupe record) → reply, and the refusals built
-// along the way. The handlers themselves are in handlers.go.
+// (table check, dedupe replay, role gate, execution slot, handler, the
+// one durability wait) → reply, and the refusals built along the way.
+// The handlers themselves are in handlers.go.
 
 // tracedDurability is the optional extension of the Durability barrier
 // the server probes for: internal/durable's Store implements it,
 // reporting the covering commit group's write+fsync latency, so a trace
 // can show WAL time explicitly.
 type tracedDurability interface {
-	BarrierTraced() (wait, commit time.Duration, err error)
+	BarrierTraced() (commit time.Duration, err error)
 }
 
 // stamps are the pipeline's wall-clock marks. Taking them allocates
@@ -84,11 +84,7 @@ func (sess *session) serve(req request, sc *payloadScratch) {
 			// released, so the phase ends at the barrier's end; it may
 			// start before the barrier did (the group was already under
 			// way), clamped to the span.
-			gOff := off + wait - st.commitLat
-			if gOff < 0 {
-				gOff = 0
-			}
-			sp.Phase("wal.group", gOff, st.commitLat)
+			sp.Phase("wal.group", max(off+wait-st.commitLat, 0), st.commitLat)
 		}
 	}
 	sp.Phase("reply", replyStart.Sub(req.arrived), now.Sub(replyStart))
@@ -104,7 +100,8 @@ func (sess *session) serve(req request, sc *payloadScratch) {
 
 // execute takes one request from shape check to recorded reply: table
 // check → token/dedupe replay → role gate → fair execution slot →
-// handler → durability barrier → dedupe record.
+// handler → the request's one durability wait. A tokened request waits
+// on its own dedupe record; an untokened mutation on the barrier.
 func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres {
 	s := sess.s
 	if msg := req.spec.refusal(req.args, req.payload); msg != "" {
@@ -120,6 +117,13 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 			s.metrics.dedupeHits.Inc()
 			if sess.log.on() {
 				sess.log.printf("tag=%d %s: %s (token %s) replayed from dedupe", req.tag, sess.ident, req.cmd, req.token)
+			}
+			// The journal publishes an entry before its record is durable,
+			// so the original may still be parked in its append: the replay
+			// waits for the same durability. The entry's record is already
+			// on the log, so one barrier covers it.
+			if d := s.opts.Durability; d != nil {
+				sess.barrier(d)
 			}
 			replay := sc.line.start(stored[0])
 			for _, tok := range stored[1:] {
@@ -142,49 +146,52 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 	st.handler = time.Now()
 	res := sess.handle(req.cmd, req.args, req.payload, sc, req.trace)
 	st.handled = time.Now()
-	if d := s.opts.Durability; d != nil && req.mutating {
-		if dk == "" && req.ticket.ExpiredAtBarrier() {
+	if dk != "" {
+		// The reply is recorded before it reaches the wire, and that
+		// append is the request's durability wait: the record lands on
+		// the one log after every mutation the request made, and the
+		// journal returns only once it is as durable and as shipped as a
+		// barrier would make it (see DedupeJournal). Never a shed: the
+		// reply must be recorded for exactly-once replay.
+		fields, _ := tokenize(string(res.line.b), false) // a handler's own line: well formed
+		if err := s.dedupe.AppendDedupe(dk, fields); err != nil {
+			s.metrics.dedupeJErrs.Inc()
+			sess.log.printf("dedupe journal append failed: %v", err)
+		}
+		st.barriered = time.Now()
+	} else if d := s.opts.Durability; d != nil && req.mutating {
+		if req.ticket.ExpiredAtBarrier() {
 			// Barrier hop: the op executed but its budget is gone, so
 			// answer EDEADLINE instead of parking on the WAL —
 			// applied-but-unacknowledged, exactly a client timeout's
-			// semantics. Tokened requests are exempt: their reply must
-			// be recorded for exactly-once replay, never a shed.
+			// semantics.
 			return sess.failf(sc, fmt.Errorf("%w before durability barrier", ErrDeadline), "")
 		}
 		// The acknowledgement must not outrun the log: wait until every
-		// mutation this request made is durable. This holds for tokened
-		// requests too — the DedupeJournal below may be the volatile
-		// table, which makes nothing durable, so the ack cannot lean on
-		// its append.
-		var err error
-		if td, ok := d.(tracedDurability); ok {
-			_, st.commitLat, err = td.BarrierTraced()
-		} else {
-			err = d.Barrier()
-		}
-		if err != nil {
-			s.metrics.barrierErrs.Inc()
-			sess.log.printf("commit barrier failed (durability degraded): %v", err)
-		}
+		// mutation this request made is durable.
+		st.commitLat = sess.barrier(d)
 		st.barriered = time.Now()
-	}
-	if dk != "" {
-		sess.recordReply(res.line.b, dk)
 	}
 	return res
 }
 
-// recordReply is a tokened request's pre-wire bookkeeping: its reply,
-// as the line's raw tokens, goes into the dedupe table. The append
-// happens before the reply reaches the wire — once the client can see
-// the answer, a journaled table has it durable, so a retry after a
-// server crash replays instead of re-executing.
-func (sess *session) recordReply(line []byte, dedupeKey string) {
-	fields, _ := tokenize(string(line), false) // a handler's own line: well formed
-	if err := sess.s.dedupe.AppendDedupe(dedupeKey, fields); err != nil {
-		sess.s.metrics.dedupeJErrs.Inc()
-		sess.log.printf("dedupe journal append failed: %v", err)
+// barrier waits until every record journaled so far is durable (and,
+// on a replicated primary, shipped), reporting the covering commit
+// group's latency when d can tell it. A failed barrier degrades
+// durability, never availability: it is counted and logged, and the
+// reply is still sent.
+func (sess *session) barrier(d interface{ Barrier() error }) (commit time.Duration) {
+	var err error
+	if td, ok := d.(tracedDurability); ok {
+		commit, err = td.BarrierTraced()
+	} else {
+		err = d.Barrier()
 	}
+	if err != nil {
+		sess.s.metrics.barrierErrs.Inc()
+		sess.log.printf("commit barrier failed (durability degraded): %v", err)
+	}
+	return commit
 }
 
 // reply writes one reply in the session's framing — a tagged frame on

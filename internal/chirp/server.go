@@ -70,10 +70,12 @@ type ServerOptions struct {
 	// DedupeJournal, when set, is the server's one dedupe table: it
 	// answers every tokened retry and records every tokened reply, so a
 	// retried mutation stays exactly-once across a restart (and, when
-	// it replicates, across a promotion). Journal failures degrade
+	// it replicates, across a promotion). Its append is a tokened
+	// request's one durability wait. Journal failures degrade
 	// durability, never availability: the reply is still sent and the
 	// error only counted and logged. Nil keeps a bounded in-memory table
-	// (1 024 entries / 8 MiB) that dies with the process.
+	// (1 024 entries / 8 MiB) that dies with the process, and is only
+	// allowed on a server without Durability.
 	DedupeJournal DedupeJournal
 	// DedupeSeed pre-populates the in-memory table of a server with no
 	// DedupeJournal; it is ignored when a journal is configured, since
@@ -81,12 +83,15 @@ type ServerOptions struct {
 	// a journal; values are the stored reply fields.
 	DedupeSeed map[string][]string
 	// Durability, when set, is barriered before the reply to any
-	// mutating command reaches the wire: with a group-commit store this
-	// parks the session until the op's commit group is durable, so an
-	// acknowledged mutation can never be lost to a crash. Barrier
-	// failures degrade durability, never availability — counted,
-	// logged, and the reply still sent (matching the store's own
-	// degradation contract). The durable store implements this.
+	// untokened mutating command reaches the wire: with a group-commit
+	// store this parks the session until the op's commit group is
+	// durable, so an acknowledged mutation can never be lost to a
+	// crash. A tokened request waits on its DedupeJournal append
+	// instead, and a replayed one on this barrier. Barrier failures
+	// degrade durability, never availability — counted, logged, and the
+	// reply still sent (matching the store's own degradation contract).
+	// The durable store implements this. NewServer refuses it without a
+	// DedupeJournal.
 	Durability interface{ Barrier() error }
 	// Window is the per-session credit window the server advertises
 	// during v2 negotiation: the most tagged requests one session may
@@ -163,6 +168,17 @@ type RoleSource interface {
 // wire. The durable store implements it (journaled, recovered at Open,
 // applied on followers from the replicated log); the server stays
 // ignorant of how entries reach stable storage.
+//
+// Beside a Durability, the append is the tokened request's only
+// durability wait, so a journal must keep this contract: AppendDedupe
+// returns only once the entry, and every record journaled before it,
+// is as durable and as shipped as Durability.Barrier would make them.
+// durable.Store and replica.Node keep it, since the entry lands on the
+// one log after the mutations it vouches for, and so does a wrapper
+// that forwards to either. The server trusts the contract rather than
+// probing the journal's type. An entry LookupDedupe
+// finds may still be on its way there; the server barriers before it
+// replays one.
 type DedupeJournal interface {
 	LookupDedupe(key string) ([]string, bool)
 	AppendDedupe(key string, reply []string) error
@@ -378,6 +394,9 @@ func NewServer(k *kernel.Kernel, opts ServerOptions) (*Server, error) {
 	s.parseACL = s.parseACLVersion
 	s.src = source{s.fs, s}
 	s.dedupe = opts.DedupeJournal
+	if s.dedupe == nil && opts.Durability != nil {
+		return nil, errors.New("chirp: Durability needs a DedupeJournal: a tokened reply is made durable by its journal append")
+	}
 	if s.dedupe == nil {
 		tbl := newDedupeTable(dedupeTableEntries, dedupeTableBytes, s.metrics)
 		for key, reply := range opts.DedupeSeed {

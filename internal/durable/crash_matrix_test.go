@@ -243,12 +243,15 @@ func collectACLs(t *testing.T, fs *vfs.FS) map[string]string {
 // state, so a partial record can never widen one, and no directory
 // that ever held an ACL survives without it (mkdir makes the directory
 // with its ACL, rmdir removes them together), so none falls back to
-// its ancestor's.
+// its ancestor's. Every recovered dedupe entry finds the outputs of
+// the exec it answers (/work/out.dat): the entry lands on the one log
+// after them, which is what lets a tokened reply wait on its entry
+// alone.
 func TestKillAtEveryWALOffset(t *testing.T) {
 	liveDir := t.TempDir()
 	srv, store, _ := startDurableServer(t, liveDir)
 	cl := adminDial(t, srv)
-	runFigure3(t, cl, "/work")
+	token := runFigure3(t, cl, "/work")
 	if err := cl.Mkdir("/work/scratch", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -307,6 +310,7 @@ func TestKillAtEveryWALOffset(t *testing.T) {
 
 	// The matrix: every byte offset is a crash point.
 	cutDir := t.TempDir()
+	dedupeCuts := 0
 	for cut := 0; cut <= len(wal); cut++ {
 		stateDir := filepath.Join(cutDir, fmt.Sprintf("cut%d", cut))
 		if err := os.MkdirAll(stateDir, 0o755); err != nil {
@@ -347,8 +351,20 @@ func TestKillAtEveryWALOffset(t *testing.T) {
 				t.Fatalf("cut %d: %s recovered without its ACL", cut, dir)
 			}
 		}
+		for key := range s.DedupeEntries() {
+			if !strings.HasSuffix(key, token) {
+				t.Fatalf("cut %d: recovered a dedupe entry %q the workload never made", cut, key)
+			}
+			if out, err := s.FS().ReadFile("/work/out.dat"); err != nil || string(out) != "SIGNAL DATA" {
+				t.Fatalf("cut %d: the exec's dedupe entry survived but /work/out.dat is %q (%v)", cut, out, err)
+			}
+			dedupeCuts++
+		}
 		s.Close()
 		os.RemoveAll(stateDir)
+	}
+	if dedupeCuts == 0 {
+		t.Fatal("no cut recovered the exec's dedupe entry")
 	}
 }
 

@@ -454,16 +454,14 @@ func (s *Store) Err() error {
 // client only after Barrier returns nil.
 func (s *Store) Barrier() error { return s.wal.Barrier() }
 
-// BarrierTraced is Barrier plus the timing a traced request wants: how
-// long this caller waited for durability, and the write+fsync latency
-// of the most recent commit group (the one that, in the common case,
-// made the caller's mutations durable). The commit latency is a
-// best-effort attribution — under concurrency a later group may have
-// published since — which is fine for observability.
-func (s *Store) BarrierTraced() (wait, commitLat time.Duration, err error) {
-	start := time.Now()
+// BarrierTraced is Barrier plus the timing a traced request wants: the
+// write+fsync latency of the most recent commit group (the one that, in
+// the common case, made the caller's mutations durable). The commit
+// latency is a best-effort attribution — under concurrency a later
+// group may have published since — which is fine for observability.
+func (s *Store) BarrierTraced() (commitLat time.Duration, err error) {
 	err = s.Barrier()
-	return time.Since(start), time.Duration(s.lastCommitLat.Load()), err
+	return time.Duration(s.lastCommitLat.Load()), err
 }
 
 // RecordMutation implements vfs.Journal: it appends the mutation to the

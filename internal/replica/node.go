@@ -176,15 +176,12 @@ func (n *Node) Barrier() error {
 }
 
 // BarrierTraced is Barrier for traced requests: the durable store's
-// timing plus the semi-sync wait folded into the reported wait.
-func (n *Node) BarrierTraced() (wait, commit time.Duration, err error) {
-	start := time.Now()
-	wait, commit, err = n.cfg.Store.BarrierTraced()
-	if err != nil {
-		return wait, commit, err
+// commit-group latency, then the semi-sync wait.
+func (n *Node) BarrierTraced() (commit time.Duration, err error) {
+	if commit, err = n.cfg.Store.BarrierTraced(); err != nil {
+		return commit, err
 	}
-	err = n.cfg.Publisher.WaitShipped(n.cfg.Store.DurableLSN())
-	return time.Since(start), commit, err
+	return commit, n.cfg.Publisher.WaitShipped(n.cfg.Store.DurableLSN())
 }
 
 // LookupDedupe implements the chirp server's DedupeJournal hook by

@@ -60,14 +60,15 @@ func newTracedWorld(t testing.TB) *tracedWorld {
 	rootACL := &acl.ACL{}
 	rootACL.Set("unix:admin", acl.All, acl.None)
 	srv, err := chirp.NewServer(k, chirp.ServerOptions{
-		Owner:      "owner",
-		RootACL:    rootACL,
-		Verifiers:  map[auth.Method]auth.Verifier{auth.MethodUnix: &auth.UnixVerifier{}},
-		Metrics:    w.reg,
-		Spans:      w.spans,
-		TraceLog:   core.NewJSONLSink(&syncWriter{buf: w.slowLog}),
-		TraceSlow:  0, // log every traced request
-		Durability: store,
+		Owner:         "owner",
+		RootACL:       rootACL,
+		Verifiers:     map[auth.Method]auth.Verifier{auth.MethodUnix: &auth.UnixVerifier{}},
+		Metrics:       w.reg,
+		Spans:         w.spans,
+		TraceLog:      core.NewJSONLSink(&syncWriter{buf: w.slowLog}),
+		TraceSlow:     0, // log every traced request
+		DedupeJournal: store,
+		Durability:    store,
 	})
 	if err != nil {
 		t.Fatal(err)
