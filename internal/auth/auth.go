@@ -20,6 +20,7 @@ package auth
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -47,16 +48,27 @@ var ErrNoCommonMethod = errors.New("auth: no mutually acceptable method")
 // ErrRejected is returned when the server refuses the offered proof.
 var ErrRejected = errors.New("auth: credentials rejected")
 
+// MaxLine bounds one line of the authentication dialogue, its newline
+// included. The longest line a method sends is a GSI certificate
+// (subject, issuer, a base64 public key and signature), several times
+// shorter; the bound is what an unauthenticated peer can make the
+// server hold.
+const MaxLine = 4 << 10
+
+// ErrLineTooLong ends a dialogue whose peer sends a line longer than
+// MaxLine.
+var ErrLineTooLong = fmt.Errorf("auth: line longer than %d bytes", MaxLine)
+
 // Conn frames the authentication dialogue as newline-delimited fields
 // with base64 for binary blobs.
 type Conn struct {
-	r *bufio.Reader
+	r *bufio.Reader // MaxLine bytes: a line must fit it whole
 	w *bufio.Writer
 }
 
 // NewConn wraps a transport for the authentication dialogue.
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
+	return &Conn{r: bufio.NewReaderSize(rw, MaxLine), w: bufio.NewWriter(rw)}
 }
 
 // WriteLine sends one line and flushes.
@@ -70,13 +82,18 @@ func (c *Conn) WriteLine(s string) error {
 	return c.w.Flush()
 }
 
-// ReadLine receives one line, stripped of its terminator.
+// ReadLine receives one line, stripped of its terminator. A line that
+// does not fit MaxLine is ErrLineTooLong, with no more than MaxLine
+// bytes read.
 func (c *Conn) ReadLine() (string, error) {
-	s, err := c.r.ReadString('\n')
+	b, err := c.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return "", ErrLineTooLong
+	}
 	if err != nil {
 		return "", err
 	}
-	return strings.TrimRight(s, "\r\n"), nil
+	return string(bytes.TrimRight(b, "\r\n")), nil
 }
 
 // WriteBlob sends binary data base64-encoded on one line.

@@ -3,7 +3,9 @@ package auth
 import (
 	"crypto/rsa"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -212,5 +214,38 @@ func TestConnRejectsEmbeddedNewline(t *testing.T) {
 	cc, _ := pipeConns(t)
 	if err := cc.WriteLine("evil\ninjection"); err == nil {
 		t.Fatal("embedded newline accepted")
+	}
+}
+
+// TestLineBoundAuth sends one byte past MaxLine with no newline: the
+// read must end in ErrLineTooLong, holding no more than the bound, where
+// an unbounded reader would buffer whatever an unauthenticated peer
+// streamed. The longest credential line the tests send (a second-level
+// proxy's certificate) must fit with room to spare.
+func TestLineBoundAuth(t *testing.T) {
+	_, _, proxy := proxyFixture(t)
+	proxy2, err := proxy.Delegate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cert := range proxy2.Chain {
+		if n := len(cert.line()) + 1; n > MaxLine/2 {
+			t.Fatalf("certificate line of %d bytes leaves MaxLine (%d) no margin", n, MaxLine)
+		}
+	}
+
+	c := NewConn(struct {
+		io.Reader
+		io.Writer
+	}{strings.NewReader(strings.Repeat("x", MaxLine+1)), io.Discard})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = c.ReadLine()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrLineTooLong) {
+		t.Fatalf("reading %d bytes without a newline: %v, want ErrLineTooLong", MaxLine+1, err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > MaxLine {
+		t.Errorf("the refused line allocated %d bytes, more than the %d-byte bound", n, MaxLine)
 	}
 }

@@ -31,6 +31,14 @@ type Cert struct {
 	Sig       []byte // CA signature over sha256(subject|issuer|pubkey)
 }
 
+// line is the certificate's wire form, "cert <subject> <issuer>
+// <pubkey-b64> <sig-b64>" (parseCertLine reads it back).
+func (c Cert) line() string {
+	return fmt.Sprintf("cert %s %s %s %s", c.Subject, c.Issuer,
+		base64.StdEncoding.EncodeToString(c.PubKeyDER),
+		base64.StdEncoding.EncodeToString(c.Sig))
+}
+
 func certDigest(subject, issuer string, pubDER []byte) []byte {
 	h := sha256.New()
 	h.Write([]byte(subject))
@@ -101,12 +109,7 @@ func (g *GSIClient) Method() Method { return MethodGlobus }
 
 // Prove implements Authenticator: send the certificate, sign the nonce.
 func (g *GSIClient) Prove(c *Conn) (identity.Principal, error) {
-	cert := g.Cred.Cert
-	line := fmt.Sprintf("cert %s %s %s %s",
-		cert.Subject, cert.Issuer,
-		base64.StdEncoding.EncodeToString(cert.PubKeyDER),
-		base64.StdEncoding.EncodeToString(cert.Sig))
-	if err := c.WriteLine(line); err != nil {
+	if err := c.WriteLine(g.Cred.Cert.line()); err != nil {
 		return "", err
 	}
 	nonce, err := c.ReadBlob()

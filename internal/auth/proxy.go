@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/x509"
-	"encoding/base64"
 	"fmt"
 	"strings"
 
@@ -109,11 +108,7 @@ func (g *GSIProxyClient) Prove(c *Conn) (identity.Principal, error) {
 		return "", err
 	}
 	for _, cert := range g.Proxy.Chain {
-		line := fmt.Sprintf("cert %s %s %s %s",
-			cert.Subject, cert.Issuer,
-			base64.StdEncoding.EncodeToString(cert.PubKeyDER),
-			base64.StdEncoding.EncodeToString(cert.Sig))
-		if err := c.WriteLine(line); err != nil {
+		if err := c.WriteLine(cert.line()); err != nil {
 			return "", err
 		}
 	}

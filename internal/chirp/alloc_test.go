@@ -1,6 +1,7 @@
 package chirp
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -12,18 +13,20 @@ import (
 // operation, client and server together (they share the test's
 // process). The same budget holds on both framings, and with admission
 // control plus a deadline budget on the wire: tickets are pooled and the
-// deadline prefix is written into the call. What a round trip has to
-// allocate is the line's string and its exactly-sized field slice at
-// each end; the rest is what the operation hands its caller. A budget
-// is the measured count plus one.
+// deadline prefix is written into the call. A round trip allocates the
+// request line's string at the server, whose fields are substrings of it
+// split into the pooled request's argument array, and the reply's
+// rest-of-line string at the client, which a bare ok does without; the
+// rest is what the operation hands its caller. A budget is the measured
+// count plus one.
 var wireAllocBudget = []struct {
 	op     string
 	budget float64
 }{
-	{"stat", 5},              // 4: two lines, two field slices
-	{"open+pread+close", 15}, // 14: three round trips, the descriptor and its handle
-	{"getdir", 10},           // 9: + vfs.ReadDir's listing and the client's entry slice (names are substrings of the line)
-	{"getacl", 8},            // 7: + the body at the server, copied out of the client's scratch, and its string
+	{"stat", 3},             // 2: the server's line, the client's rest of line
+	{"open+pread+close", 7}, // 6: three lines, pread's rest (a one-digit fd and a bare ok cost none), the descriptor and its handle
+	{"getdir", 8},           // 7: + vfs.ReadDir's listing and the client's entry slice (names are substrings of the rest)
+	{"getacl", 6},           // 5: + the body at the server, copied out of the client's scratch, and its string
 }
 
 // TestWireAllocBudget pins the wire path's allocations per operation.
@@ -78,4 +81,46 @@ func TestWireAllocBudget(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReplicaPushAllocs pins a follower's receive path: one Next on a
+// replication push, with a replack reply to skip ahead of it, parses
+// both lines where they lie in the codec's scratch and allocates only
+// the push's frames buffer, which the batch hands on.
+func TestReplicaPushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const runs = 100
+	var wire bytes.Buffer
+	w := newCodec(&wire)
+	var line lineBuf
+	for i := 1; i <= runs+1; i++ {
+		frames := []byte("0123456789abcdef")
+		if err := w.queueFrame(uint64(i), nil, line.start("ok").b, nil); err != nil {
+			t.Fatal(err)
+		}
+		line.start("replpush").uint(7).uint(uint64(10 * i)).uint(uint64(10*i + 9)).int(10).int(int64(len(frames)))
+		if err := w.queueFrame(replPushTag, nil, line.b, frames); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.flush(); err != nil {
+		t.Fatal(err)
+	}
+	w.release()
+	rs := &ReplicaSession{c: newCodec(&wire)}
+	defer rs.c.release()
+	var last uint64
+	got := testing.AllocsPerRun(runs, func() {
+		b, err := rs.Next()
+		if err != nil || b.Epoch != 7 || b.First != last+10 || b.Last != b.First+9 || b.Records != 10 || len(b.Frames) != 16 {
+			t.Fatalf("push = %+v, %v (after first %d)", b, err, last)
+		}
+		last = b.First
+	})
+	if got > 1 {
+		t.Errorf("Next allocates %v per push, want only the frames buffer", got)
+	}
+	t.Logf("%v allocs per push", got)
 }

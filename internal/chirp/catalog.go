@@ -446,7 +446,7 @@ func QueryCatalog(addr string) ([]CatalogEntry, error) {
 		if err != nil {
 			break // EOF ends the listing
 		}
-		fields, err := splitFields(line)
+		fields, err := splitFields(string(line))
 		if err != nil || len(fields) < 4 {
 			continue
 		}

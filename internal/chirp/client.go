@@ -245,7 +245,7 @@ func (cl *Client) negotiateVersion(c *codec) (framing, error) {
 	if err != nil {
 		return framing{}, err
 	}
-	parts, err := splitFields(line)
+	parts, err := splitFields(string(line))
 	if err != nil || len(parts) == 0 || (parts[0] != "ok" && parts[0] != "err") {
 		return framing{}, fmt.Errorf("chirp: malformed version reply %q", line)
 	}
@@ -347,10 +347,11 @@ type wireCall struct {
 
 // do runs one logical RPC: deadline per attempt, redial on a broken
 // connection, idempotency-aware retry with capped exponential backoff
-// and jitter. It reports whether any retry happened, so callers can map
-// retried mkdir/unlink outcomes (EEXIST/ENOENT after a lost reply mean
-// the earlier attempt won).
-func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err error) {
+// and jitter. On success rest is the reply line after "ok", which the
+// caller splits into a stack array. It reports whether any retry happened,
+// so callers can map retried mkdir/unlink outcomes (EEXIST/ENOENT after
+// a lost reply mean the earlier attempt won).
+func (cl *Client) do(c wireCall) (rest string, body []byte, retried bool, err error) {
 	// The line goes back to the pool when the call is over — unless an
 	// attempt died with its session, whose writer may still be reading
 	// the bytes: re-sends only read them too, but the next owner would
@@ -381,11 +382,11 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 	var busyHint time.Duration
 	for attempt := 0; attempt < attempts; attempt++ {
 		if cl.closing.Load() {
-			return nil, nil, retried, ErrClientClosed
+			return "", nil, retried, ErrClientClosed
 		}
 		if !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
 			cl.m.deadline.Inc()
-			return nil, nil, retried, deadlineErr(cl.opts.DeadlineBudget, lastErr)
+			return "", nil, retried, deadlineErr(cl.opts.DeadlineBudget, lastErr)
 		}
 		if attempt > 0 {
 			retried = true
@@ -401,17 +402,17 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 				// The wait alone would outlive the caller's budget; fail
 				// fast instead of sleeping toward a guaranteed miss.
 				cl.m.deadline.Inc()
-				return nil, nil, retried, deadlineErr(cl.opts.DeadlineBudget, lastErr)
+				return "", nil, retried, deadlineErr(cl.opts.DeadlineBudget, lastErr)
 			}
 			cl.opts.Sleep(d)
 			if cl.closing.Load() {
-				return nil, nil, retried, ErrClientClosed
+				return "", nil, retried, ErrClientClosed
 			}
 		}
 		cl.mu.Lock()
 		if cl.closed {
 			cl.mu.Unlock()
-			return nil, nil, retried, ErrClientClosed
+			return "", nil, retried, ErrClientClosed
 		}
 		if err := cl.ensureConnLocked(); err != nil {
 			cl.mu.Unlock()
@@ -447,12 +448,12 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 			if re.Err == ErrDeadline {
 				cl.m.deadline.Inc()
 			}
-			return nil, nil, retried, aerr
+			return "", nil, retried, aerr
 		case errors.Is(aerr, ErrDeadline):
 			// The budget ran out client-side before the request was
 			// sent: the session is fine, the caller is just out of time.
 			cl.m.deadline.Inc()
-			return nil, nil, retried, aerr
+			return "", nil, retried, aerr
 		}
 		// Transport failure: the session is dead. Every in-flight call
 		// sees it; only the first observer counts it against the breaker.
@@ -464,21 +465,45 @@ func (cl *Client) do(c wireCall) (resp []string, body []byte, retried bool, err 
 		case cl.closing.Load():
 			// Close raced the call: its conn.Close is what killed the
 			// exchange, so report the closure rather than the fault.
-			return nil, nil, retried, ErrClientClosed
+			return "", nil, retried, ErrClientClosed
 		case errors.Is(aerr, errSessionLost):
 			// The session died before this call reached the wire:
 			// nothing was sent, so even mutating calls may retry.
 		case c.noRetry || !commandByName[string(c.line.cmd())].has(fIdempotent):
 			cl.m.unsafe.Inc()
-			return nil, nil, retried, fmt.Errorf("%w: %v", ErrRetryNotSafe, aerr)
+			return "", nil, retried, fmt.Errorf("%w: %v", ErrRetryNotSafe, aerr)
 		}
 	}
-	return nil, nil, retried, lastErr
+	return "", nil, retried, lastErr
 }
 
 // newLine starts a request line in a pooled buffer; Client.do returns
 // the buffer to the pool.
 func newLine(cmd string) *lineBuf { return linePool.Get().(*lineBuf).start(cmd) }
+
+// atoiReply is the one integer field of a cmd reply.
+func atoiReply(cmd, rest string) (int, error) {
+	f, err := replyField(cmd, rest)
+	if err != nil {
+		return 0, err
+	}
+	return strconv.Atoi(f)
+}
+
+// replyField is the one field of a cmd reply, given the reply's line
+// after "ok". Like every reply split, it appends into a stack array,
+// so the field is a substring of rest and costs nothing.
+func replyField(cmd, rest string) (string, error) {
+	var a [1]string
+	f, err := appendFields(a[:0], rest, true)
+	if err == nil && len(f) != 1 {
+		err = fmt.Errorf("chirp: bad %s reply %q", cmd, rest)
+	}
+	if err != nil {
+		return "", err
+	}
+	return f[0], nil
+}
 
 // RequestCount reports how many requests this client has sent (the
 // "quit" farewell excluded — the server never dispatches it; retried
@@ -537,12 +562,17 @@ type ServerStats struct {
 
 // Stats fetches the server's live counters.
 func (cl *Client) Stats() (ServerStats, error) {
-	r, _, _, err := cl.do(wireCall{line: newLine("stats")})
+	rest, _, _, err := cl.do(wireCall{line: newLine("stats")})
+	if err != nil {
+		return ServerStats{}, err
+	}
+	var a [12]string
+	r, err := appendFields(a[:0], rest, true)
 	if err != nil {
 		return ServerStats{}, err
 	}
 	if len(r) < 9 {
-		return ServerStats{}, fmt.Errorf("chirp: bad stats reply %v", r)
+		return ServerStats{}, fmt.Errorf("chirp: bad stats reply %q", rest)
 	}
 	var st ServerStats
 	ints := []*int{&st.Conns, &st.FDs, &st.Grants}
@@ -577,14 +607,15 @@ func (cl *Client) Stats() (ServerStats, error) {
 // until replication catches up. Returns the server's applied LSN at
 // release. A standalone server answers immediately.
 func (cl *Client) WaitLSN(lsn uint64, timeout time.Duration) (uint64, error) {
-	r, _, _, err := cl.do(wireCall{line: newLine("waitlsn").uint(lsn).int(timeout.Milliseconds())})
+	rest, _, _, err := cl.do(wireCall{line: newLine("waitlsn").uint(lsn).int(timeout.Milliseconds())})
 	if err != nil {
 		return 0, err
 	}
-	if len(r) != 1 {
-		return 0, fmt.Errorf("chirp: bad waitlsn reply %v", r)
+	f, err := replyField("waitlsn", rest)
+	if err != nil {
+		return 0, err
 	}
-	return strconv.ParseUint(r[0], 10, 64)
+	return strconv.ParseUint(f, 10, 64)
 }
 
 // Metrics fetches the server's full metric registry as Prometheus text
@@ -599,28 +630,26 @@ func (cl *Client) Metrics() (string, error) {
 
 // Whoami asks the server which principal it recorded.
 func (cl *Client) Whoami() (identity.Principal, error) {
-	r, _, _, err := cl.do(wireCall{line: newLine("whoami")})
+	rest, _, _, err := cl.do(wireCall{line: newLine("whoami")})
 	if err != nil {
 		return "", err
 	}
-	if len(r) != 1 {
-		return "", fmt.Errorf("chirp: bad whoami reply %v", r)
-	}
-	return identity.Principal(r[0]), nil
+	f, err := replyField("whoami", rest)
+	return identity.Principal(f), err
 }
 
 // Open opens a remote file and returns its descriptor. Open retries
 // transparently (a fresh descriptor on a fresh session is equivalent)
 // unless O_EXCL makes a lost-reply retry observable.
 func (cl *Client) Open(path string, flags int, mode uint32) (int, error) {
-	r, _, _, err := cl.do(wireCall{
+	rest, _, _, err := cl.do(wireCall{
 		line:    newLine("open").int(int64(flags)).oct(mode).quoted(path),
 		noRetry: flags&kernel.OExcl != 0,
 	})
 	if err != nil {
 		return 0, err
 	}
-	return strconv.Atoi(r[0])
+	return atoiReply("open", rest)
 }
 
 // CloseFD releases a remote descriptor. Descriptors are session state:
@@ -635,60 +664,65 @@ func (cl *Client) CloseFD(fd int) error {
 // surfaces ErrRetryNotSafe (GetFile restarts the whole transfer
 // instead).
 func (cl *Client) Pread(fd int, buf []byte, off int64) (int, error) {
-	r, _, _, err := cl.do(wireCall{
+	rest, _, _, err := cl.do(wireCall{
 		line:     newLine("pread").int(int64(fd)).int(int64(len(buf))).int(off),
 		recvInto: buf,
 	})
 	if err != nil {
 		return 0, err
 	}
-	return strconv.Atoi(r[0])
+	return atoiReply("pread", rest)
 }
 
 // Pwrite writes buf at off. Descriptor-bound and non-idempotent: a
 // transport fault surfaces ErrRetryNotSafe (PutFile restarts the whole
 // transfer instead).
 func (cl *Client) Pwrite(fd int, buf []byte, off int64) (int, error) {
-	r, _, _, err := cl.do(wireCall{
+	rest, _, _, err := cl.do(wireCall{
 		line:     newLine("pwrite").int(int64(fd)).int(off).int(int64(len(buf))),
 		sendBody: buf,
 	})
 	if err != nil {
 		return 0, err
 	}
-	return strconv.Atoi(r[0])
+	return atoiReply("pwrite", rest)
 }
 
 // FstatFD reports metadata for an open descriptor.
 func (cl *Client) FstatFD(fd int) (vfs.Stat, error) {
-	r, _, _, err := cl.do(wireCall{line: newLine("fstat").int(int64(fd))})
+	rest, _, _, err := cl.do(wireCall{line: newLine("fstat").int(int64(fd))})
 	if err != nil {
 		return vfs.Stat{}, err
 	}
-	return parseStat(r)
+	return parseStat(rest)
 }
 
 // Stat reports metadata for a path, following symlinks.
 func (cl *Client) Stat(path string) (vfs.Stat, error) {
-	r, _, _, err := cl.do(wireCall{line: newLine("stat").quoted(path)})
+	rest, _, _, err := cl.do(wireCall{line: newLine("stat").quoted(path)})
 	if err != nil {
 		return vfs.Stat{}, err
 	}
-	return parseStat(r)
+	return parseStat(rest)
 }
 
 // Lstat reports metadata without following a final symlink.
 func (cl *Client) Lstat(path string) (vfs.Stat, error) {
-	r, _, _, err := cl.do(wireCall{line: newLine("lstat").quoted(path)})
+	rest, _, _, err := cl.do(wireCall{line: newLine("lstat").quoted(path)})
 	if err != nil {
 		return vfs.Stat{}, err
 	}
-	return parseStat(r)
+	return parseStat(rest)
 }
 
 // ReadDir lists a remote directory.
 func (cl *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
-	r, _, _, err := cl.do(wireCall{line: newLine("getdir").quoted(path)})
+	rest, _, _, err := cl.do(wireCall{line: newLine("getdir").quoted(path)})
+	if err != nil {
+		return nil, err
+	}
+	var a [1 + 2*16]string // up to 16 entries split on the stack
+	r, err := appendFields(a[:0], rest, true)
 	if err != nil {
 		return nil, err
 	}
@@ -697,7 +731,7 @@ func (cl *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
 	}
 	n, err := strconv.Atoi(r[0])
 	if err != nil || len(r) != 1+2*n {
-		return nil, fmt.Errorf("chirp: bad getdir reply %v", r)
+		return nil, fmt.Errorf("chirp: bad getdir reply %q", rest)
 	}
 	out := make([]vfs.DirEntry, 0, n)
 	for i := 0; i < n; i++ {
@@ -764,11 +798,11 @@ func (cl *Client) Symlink(target, linkPath string) error {
 
 // Readlink reads a remote symlink target.
 func (cl *Client) Readlink(path string) (string, error) {
-	r, _, _, err := cl.do(wireCall{line: newLine("readlink").quoted(path)})
+	rest, _, _, err := cl.do(wireCall{line: newLine("readlink").quoted(path)})
 	if err != nil {
 		return "", err
 	}
-	return r[0], nil
+	return replyField("readlink", rest)
 }
 
 // Truncate sets a remote file's size (idempotent: truncating to the
@@ -803,20 +837,21 @@ func (cl *Client) SetACL(path, aclText string) error {
 // redial so grants survive reconnection. Returns the community name the
 // server acknowledged.
 func (cl *Client) PresentAssertion(encoded []byte) (string, error) {
-	r, _, _, err := cl.do(wireCall{
+	rest, _, _, err := cl.do(wireCall{
 		line:     newLine("assert").int(int64(len(encoded))),
 		sendBody: encoded,
 	})
 	if err != nil {
 		return "", err
 	}
-	if len(r) != 1 {
-		return "", fmt.Errorf("chirp: bad assert reply %v", r)
+	community, err := replyField("assert", rest)
+	if err != nil {
+		return "", err
 	}
 	cl.mu.Lock()
 	cl.assertions = append(cl.assertions, encoded)
 	cl.mu.Unlock()
-	return r[0], nil
+	return community, nil
 }
 
 // ExecResult reports a remote execution.
@@ -858,12 +893,17 @@ func (cl *Client) exec(token, cwd, path string, args []string) (ExecResult, erro
 	for _, a := range args {
 		line.quoted(a)
 	}
-	r, _, _, err := cl.do(wireCall{line: line})
+	rest, _, _, err := cl.do(wireCall{line: line})
+	if err != nil {
+		return ExecResult{}, err
+	}
+	var a [2]string
+	r, err := appendFields(a[:0], rest, true)
 	if err != nil {
 		return ExecResult{}, err
 	}
 	if len(r) != 2 {
-		return ExecResult{}, fmt.Errorf("chirp: bad exec reply %v", r)
+		return ExecResult{}, fmt.Errorf("chirp: bad exec reply %q", rest)
 	}
 	code, err := strconv.Atoi(r[0])
 	if err != nil {

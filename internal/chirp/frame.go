@@ -112,13 +112,15 @@ func (c *codec) readFrameHeader() (frameHeader, error) {
 }
 
 // readFrameLine consumes a frame's line bytes (already validated to fit
-// MaxLine) and returns them as a string.
-func (c *codec) readFrameLine(n int) (string, error) {
+// MaxLine) into the codec's scratch. The bytes are valid only until the
+// next scratch use on this codec: a caller that keeps the line, or a
+// field of it, makes a string first.
+func (c *codec) readFrameLine(n int) ([]byte, error) {
 	buf := c.scratchBuf(n)
 	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return "", err
+		return nil, err
 	}
-	return string(buf), nil
+	return buf, nil
 }
 
 // capTrace is the optional capability token a peer appends to its half

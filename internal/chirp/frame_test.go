@@ -106,7 +106,7 @@ func TestFrameWireRoundTrip(t *testing.T) {
 		t.Fatalf("frame 1 header = %+v, %v", h, err)
 	}
 	line, err := r.readFrameLine(h.lineLen)
-	if err != nil || line != "deadline 9 pwrite 1 0 5" {
+	if err != nil || string(line) != "deadline 9 pwrite 1 0 5" {
 		t.Fatalf("frame 1 line = %q, %v", line, err)
 	}
 	body, err := r.readPayload(h.payloadLen)
@@ -117,7 +117,7 @@ func TestFrameWireRoundTrip(t *testing.T) {
 	if err != nil || h.tag != 8 || h.payloadLen != 0 {
 		t.Fatalf("frame 2 header = %+v, %v", h, err)
 	}
-	if line, err = r.readFrameLine(h.lineLen); err != nil || line != "whoami" {
+	if line, err = r.readFrameLine(h.lineLen); err != nil || string(line) != "whoami" {
 		t.Fatalf("frame 2 line = %q, %v", line, err)
 	}
 }

@@ -3,6 +3,7 @@ package chirp
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,7 +78,7 @@ func FuzzSplitFields(f *testing.F) {
 			return
 		}
 		// The raw tokens are the same tokens, before unquoting.
-		raw, rerr := tokenize(line, false)
+		raw, rerr := appendFields(nil, line, false)
 		if rerr != nil || len(raw) != len(fields) {
 			t.Fatalf("raw tokens of %q = %q, %v; want %d of them", line, raw, rerr, len(fields))
 		}
@@ -108,6 +109,64 @@ func FuzzSplitFields(f *testing.F) {
 			if back[i] != fields[i] {
 				t.Fatalf("token %d changed: %q vs %q", i, back[i], fields[i])
 			}
+		}
+	})
+}
+
+// refTokenize is the tokenizer as it was before it appended into a
+// caller's array: it counts the tokens first, then fills one exactly
+// sized slice. appendFields is checked against it.
+func refTokenize(line string, unquote bool) ([]string, error) {
+	n := 0
+	for i := 0; ; n++ {
+		start, end, err := scanToken(line, i)
+		if err != nil {
+			return nil, err
+		}
+		if start == end {
+			break
+		}
+		i = end
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]string, n)
+	for k, i := 0, 0; k < n; k++ {
+		start, end, _ := scanToken(line, i)
+		out[k], i = line[start:end], end
+		if unquote && line[start] == '"' {
+			tok, err := strconv.Unquote(out[k])
+			if err != nil {
+				return nil, fmt.Errorf("chirp: bad quoting in %q: %v", line, err)
+			}
+			out[k] = tok
+		}
+	}
+	return out, nil
+}
+
+// FuzzAppendFields checks the appending tokenizer against refTokenize
+// on every input, in both modes: the same tokens after whatever dst
+// already held, or the same error (an unterminated quote outranking a
+// bad escape) with dst handed back untouched.
+func FuzzAppendFields(f *testing.F) {
+	f.Add(`open 0 644 "/plain"`, true)
+	f.Add(`x "esc \" quote" raw`, false)
+	f.Add(`"\q" "unterminated`, true)
+	f.Add(`"\q" ok`, true)
+	f.Add(`bad "unterminated`, false)
+	f.Add("  ", true)
+	f.Fuzz(func(t *testing.T, line string, unquote bool) {
+		want, werr := refTokenize(line, unquote)
+		var a [4]string
+		dst := append(a[:0], "held")
+		got, err := appendFields(dst, line, unquote)
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("appendFields(%q, %v) error %v; refTokenize says %v", line, unquote, err, werr)
+		}
+		if !slices.Equal(got, append([]string{"held"}, want...)) {
+			t.Fatalf("appendFields(%q, %v) = %q; refTokenize says %q after what dst held", line, unquote, got, want)
 		}
 	})
 }
@@ -144,7 +203,7 @@ func FuzzLineAppender(f *testing.F) {
 		if err != nil || len(fields) != 8 || !reflect.DeepEqual(fields[1:4], fs) {
 			t.Fatalf("splitFields(%q) = %q, %v; want the fields %q back", got, fields, err, fs)
 		}
-		raw, err := tokenize(got, false)
+		raw, err := appendFields(nil, got, false)
 		if err != nil || !reflect.DeepEqual(raw[1:4], quoted) || strings.Join(raw, " ") != got {
 			t.Fatalf("raw tokens of %q = %q, %v", got, raw, err)
 		}

@@ -1,10 +1,12 @@
 package chirp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +49,7 @@ type muxCall struct {
 	stall        time.Duration
 	writtenNanos atomic.Int64
 
-	resp []string
+	rest string // the reply line after "ok" (see readReply)
 	body []byte
 	err  error // RemoteError (final) or transport/session failure
 }
@@ -244,10 +246,10 @@ func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
 // roundTrip performs one synchronous exchange over the session. A call
 // that outlives ClientOptions.Timeout kills the whole session, and the
 // retry layer decides what to do.
-func (ms *muxSession) roundTrip(c wireCall) ([]string, []byte, error) {
+func (ms *muxSession) roundTrip(c wireCall) (string, []byte, error) {
 	call, err := ms.submit(c)
 	if err != nil {
-		return nil, nil, err
+		return "", nil, err
 	}
 	if to := ms.cl.opts.Timeout; to > 0 {
 		timer := time.NewTimer(to)
@@ -264,9 +266,9 @@ func (ms *muxSession) roundTrip(c wireCall) ([]string, []byte, error) {
 	if call.trace != 0 {
 		ms.observeCall(call)
 	}
-	resp, body, err := call.resp, call.body, call.err
+	rest, body, err := call.rest, call.body, call.err
 	call.recycle()
-	return resp, body, err
+	return rest, body, err
 }
 
 // observeCall records a completed traced call: its latency lands in the
@@ -405,7 +407,7 @@ func (ms *muxSession) readLoop() {
 			ms.fail(err)
 			return
 		}
-		resp, body, rerr, ferr := ms.readReply(call, line, payloadLen)
+		rest, body, rerr, ferr := ms.readReply(call, line, payloadLen)
 		if ferr != nil {
 			ms.fail(ferr)
 			call.err = ferr
@@ -421,37 +423,39 @@ func (ms *muxSession) readLoop() {
 			ms.cond.Signal()
 			ms.mu.Unlock()
 		}
-		call.resp, call.body, call.err = resp, body, rerr
+		call.rest, call.body, call.err = rest, body, rerr
 		call.done <- struct{}{}
 	}
 }
 
 // nextReply is the reply side of the framing adapter: it claims the
-// call the next reply answers and reads that reply's line. v2 reads a
-// frame header and matches its tag; the header carries the payload
-// length. v1 waits for the oldest call on the wire, then reads a line;
-// payloadLen is -1 because the reply line itself announces the length.
-// The call is removed from pending, so fail() can no longer complete it.
-func (ms *muxSession) nextReply() (call *muxCall, line string, payloadLen int, err error) {
+// call the next reply answers and reads that reply's line, which is
+// valid only until the codec's next read (readReply copies what it
+// keeps). v2 reads a frame header and matches its tag; the header
+// carries the payload length. v1 waits for the oldest call on the wire,
+// then reads a line; payloadLen is -1 because the reply line itself
+// announces the length. The call is removed from pending, so fail() can
+// no longer complete it.
+func (ms *muxSession) nextReply() (call *muxCall, line []byte, payloadLen int, err error) {
 	var tag uint64
 	if ms.proto == ProtocolV2 {
 		h, err := ms.c.readFrameHeader()
 		if err != nil {
-			return nil, "", 0, err
+			return nil, nil, 0, err
 		}
 		tag, payloadLen = h.tag, h.payloadLen
 		if line, err = ms.c.readFrameLine(h.lineLen); err != nil {
-			return nil, "", 0, err
+			return nil, nil, 0, err
 		}
 	} else {
 		select {
 		case call = <-ms.awaiting:
 		case <-ms.closed:
-			return nil, "", 0, errSessionLost
+			return nil, nil, 0, errSessionLost
 		}
 		tag, payloadLen = call.tag, -1
 		if line, err = ms.c.readLine(); err != nil {
-			return nil, "", 0, err
+			return nil, nil, 0, err
 		}
 	}
 	ms.mu.Lock()
@@ -459,28 +463,34 @@ func (ms *muxSession) nextReply() (call *muxCall, line string, payloadLen int, e
 	delete(ms.pending, tag)
 	ms.mu.Unlock()
 	if call == nil {
-		return nil, "", 0, fmt.Errorf("chirp: protocol error: reply for unknown tag %d", tag)
+		return nil, nil, 0, fmt.Errorf("chirp: protocol error: reply for unknown tag %d", tag)
 	}
 	return call, line, payloadLen, nil
 }
 
-// readReply parses one reply line for call and consumes its payload.
-// rerr is the call's outcome (nil or a *RemoteError); ferr is a
-// transport or protocol fault that must kill the session.
-func (ms *muxSession) readReply(call *muxCall, line string, payloadLen int) (resp []string, body []byte, rerr, ferr error) {
-	parts, err := splitFields(line)
-	if err != nil || len(parts) == 0 {
-		return nil, nil, nil, fmt.Errorf("chirp: malformed reply %q", line)
+// readReply decodes one reply line for call and consumes its payload.
+// The line's first word decides: "ok" leaves rest, the line after it,
+// for the caller to split (a bare ok allocates nothing, any other reply
+// exactly that one string); "err" becomes a *RemoteError. rerr is the
+// call's outcome (nil or a *RemoteError); ferr is a transport or
+// protocol fault that must kill the session.
+func (ms *muxSession) readReply(call *muxCall, line []byte, payloadLen int) (rest string, body []byte, rerr, ferr error) {
+	word, tail, _ := bytes.Cut(line, []byte(" "))
+	if len(tail) > 0 {
+		// Copied before any payload read can overwrite the line.
+		rest = string(tail)
 	}
-	switch parts[0] {
+	switch string(word) {
 	case "ok":
 		if payloadLen < 0 {
 			if payloadLen = 0; call.wantBody || call.recvInto != nil {
-				if len(parts) < 2 {
-					return nil, nil, nil, fmt.Errorf("chirp: reply missing payload length")
+				n, _, _ := strings.Cut(strings.TrimLeft(rest, " "), " ")
+				if n == "" {
+					return "", nil, nil, fmt.Errorf("chirp: reply missing payload length")
 				}
-				if payloadLen, err = strconv.Atoi(parts[1]); err != nil || payloadLen < 0 {
-					return nil, nil, nil, fmt.Errorf("chirp: bad payload length %q", parts[1])
+				var err error
+				if payloadLen, err = strconv.Atoi(n); err != nil || payloadLen < 0 {
+					return "", nil, nil, fmt.Errorf("chirp: bad payload length %q", n)
 				}
 			}
 		}
@@ -488,17 +498,17 @@ func (ms *muxSession) readReply(call *muxCall, line string, payloadLen int) (res
 			// Zero-copy receive: the payload lands in the caller's
 			// buffer, no scratch and no per-call allocation.
 			if payloadLen > len(call.recvInto) {
-				return nil, nil, nil, fmt.Errorf("chirp: reply payload %d exceeds %d-byte buffer", payloadLen, len(call.recvInto))
+				return "", nil, nil, fmt.Errorf("chirp: reply payload %d exceeds %d-byte buffer", payloadLen, len(call.recvInto))
 			}
 			if err := ms.c.readPayloadInto(call.recvInto[:payloadLen]); err != nil {
-				return nil, nil, nil, err
+				return "", nil, nil, err
 			}
-			return parts[1:], nil, nil, nil
+			return rest, nil, nil, nil
 		}
 		if payloadLen > 0 || call.wantBody {
 			raw, err := ms.c.readPayload(payloadLen)
 			if err != nil {
-				return nil, nil, nil, err
+				return "", nil, nil, err
 			}
 			if call.wantBody {
 				// The scratch alias must not escape the reader loop: the
@@ -506,25 +516,30 @@ func (ms *muxSession) readReply(call *muxCall, line string, payloadLen int) (res
 				body = append([]byte(nil), raw...)
 			}
 		}
-		return parts[1:], body, nil, nil
+		return rest, body, nil, nil
 	case "err":
 		// Error replies are line-only; drain any stray frame payload to
 		// stay aligned anyway.
 		if payloadLen > 0 {
 			if _, err := ms.c.readPayload(payloadLen); err != nil {
-				return nil, nil, nil, err
+				return "", nil, nil, err
 			}
 		}
+		var a [2]string
+		parts, err := appendFields(a[:0], rest, true)
+		if err != nil {
+			return "", nil, nil, fmt.Errorf("chirp: malformed reply %q", "err "+rest)
+		}
 		name, msg := "EIO", "unknown"
+		if len(parts) > 0 {
+			name = parts[0]
+		}
 		if len(parts) > 1 {
-			name = parts[1]
+			msg = parts[1]
 		}
-		if len(parts) > 2 {
-			msg = parts[2]
-		}
-		return nil, nil, remoteError(name, msg), nil
+		return "", nil, remoteError(name, msg), nil
 	default:
-		return nil, nil, nil, fmt.Errorf("chirp: malformed reply %q", line)
+		return "", nil, nil, fmt.Errorf("chirp: malformed reply %q", line)
 	}
 }
 

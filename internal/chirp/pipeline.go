@@ -39,14 +39,14 @@ type stamps struct {
 // accounts for it. sc is the caller's scratch: the reply line and a
 // pread body are built in it, and it is reused only for the caller's
 // next request, after this reply is flushed.
-func (sess *session) serve(req request, sc *payloadScratch) {
+func (sess *session) serve(req *request, sc *payloadScratch) {
 	s := sess.s
 	// The admission ticket is released when the reply (or shed) is on
 	// the wire, whatever path the request took; Done on a nil ticket
 	// (admission off, or an exempt control command) is a no-op.
 	defer req.ticket.Done()
 	var st stamps
-	res := sess.execute(&req, sc, &st)
+	res := sess.execute(req, sc, &st)
 	replyStart := time.Now()
 	sess.reply(req.tag, res)
 	now := time.Now()
@@ -153,7 +153,7 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 		// journal returns only once it is as durable and as shipped as a
 		// barrier would make it (see DedupeJournal). Never a shed: the
 		// reply must be recorded for exactly-once replay.
-		fields, _ := tokenize(string(res.line.b), false) // a handler's own line: well formed
+		fields, _ := appendFields(nil, string(res.line.b), false) // a handler's own line: well formed
 		if err := s.dedupe.AppendDedupe(dk, fields); err != nil {
 			s.metrics.dedupeJErrs.Inc()
 			sess.log.printf("dedupe journal append failed: %v", err)

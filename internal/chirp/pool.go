@@ -18,9 +18,9 @@ const MaxPayload = 1 << 22
 const wireBufSize = 32 << 10
 
 // payloadScratch is the reusable buffers of one goroutine on the wire
-// path: a payload buffer, and beside it (a different buffer, so a reply
-// line never overlaps the body it announces) the line a server handler
-// encodes its reply into. Each codec owns one for its lifetime, each v2
+// path: a buffer for payloads and the lines its codec reads, and beside
+// it (a different buffer, so a reply line never overlaps the body it
+// announces) the line a server handler encodes its reply into. Each codec owns one for its lifetime, each v2
 // session worker one more, and the wrapper returns to scratchPool on
 // release so connections recycle each other's grown buffers instead of
 // allocating per call.

@@ -428,12 +428,52 @@ func (c *codec) writeLine(line []byte) error {
 	return c.w.Flush()
 }
 
-func (c *codec) readLine() (string, error) {
-	s, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
+// errLineTooLong ends a session whose peer sends a v1 line longer than
+// MaxLine, the bound a v2 frame header enforces on its line.
+var errLineTooLong = fmt.Errorf("chirp: protocol error: line longer than %d bytes", MaxLine)
+
+// readLine reads one v1 line without its terminator. A line that fits
+// the reader's buffer is returned in place; a longer one is gathered in
+// the codec's scratch (readLongLine). Either way the bytes are valid
+// only until the next read on this codec.
+func (c *codec) readLine() ([]byte, error) {
+	line, err := c.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		line, err = c.readLongLine(line)
 	}
-	return strings.TrimRight(s, "\r\n"), nil
+	if err != nil {
+		return nil, err
+	}
+	return bytes.TrimRight(line, "\r\n"), nil
+}
+
+// readLongLine finishes, in the codec's scratch, a line whose first
+// bufferful, head, held no newline. It takes each read's bytes as they
+// arrive, so a line past MaxLine is refused once MaxLine bytes are held
+// — not when a newline, or another bufferful, comes.
+func (c *codec) readLongLine(head []byte) ([]byte, error) {
+	acc := append(c.scratch.buf[:0], head...)
+	for {
+		if _, err := c.r.Peek(1); err != nil {
+			return nil, err
+		}
+		buf, _ := c.r.Peek(c.r.Buffered())
+		n := bytes.IndexByte(buf, '\n')
+		if n < 0 {
+			n = len(buf)
+		}
+		if len(acc)+n > MaxLine {
+			return nil, errLineTooLong
+		}
+		if n < len(buf) {
+			n++ // the newline ends the line
+		}
+		acc = append(acc, buf[:n]...)
+		c.r.Discard(n) // buffered bytes: cannot fail
+		if acc[len(acc)-1] == '\n' {
+			return acc, nil
+		}
+	}
 }
 
 // queueMessage buffers one request or reply — a line (the client's
@@ -510,50 +550,55 @@ func scanToken(line string, i int) (start, end int, err error) {
 	return 0, 0, fmt.Errorf("chirp: unterminated quote in %q", line)
 }
 
-// splitFields tokenizes a protocol line, honoring Go-quoted fields.
-func splitFields(line string) ([]string, error) { return tokenize(line, true) }
+// splitFields tokenizes a protocol line into a fresh slice, honoring
+// Go-quoted fields.
+func splitFields(line string) ([]string, error) { return appendFields(nil, line, true) }
 
-// tokenize splits a line into its tokens — unquoted, or raw exactly as
-// they sit on the wire — counting them first so the one slice it
-// allocates is exactly sized (unquoting a field without escapes
-// allocates nothing: the field is a substring of the line).
-func tokenize(line string, unquote bool) ([]string, error) {
-	n := 0
-	for i := 0; ; n++ {
+// appendFields appends the tokens of a protocol line to dst — unquoted,
+// or raw exactly as they sit on the wire — and returns the extended
+// slice. Tokens are substrings of line (unquoting a field without
+// escapes allocates nothing), so growing dst is the only allocation: a
+// caller that passes a reused or stack array splits a line for free.
+// On a quoting error dst comes back as it was passed; an unterminated
+// quote anywhere outranks a bad escape earlier in the line.
+func appendFields(dst []string, line string, unquote bool) ([]string, error) {
+	orig := dst
+	var bad error
+	for i := 0; ; {
 		start, end, err := scanToken(line, i)
 		if err != nil {
-			return nil, err
+			return orig, err
 		}
 		if start == end {
 			break
 		}
+		tok := line[start:end]
 		i = end
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]string, n)
-	for k, i := 0, 0; k < n; k++ {
-		start, end, _ := scanToken(line, i)
-		out[k], i = line[start:end], end
-		if unquote && line[start] == '"' {
-			tok, err := strconv.Unquote(out[k])
-			if err != nil {
-				return nil, fmt.Errorf("chirp: bad quoting in %q: %v", line, err)
+		if unquote && tok[0] == '"' && bad == nil {
+			if tok, err = strconv.Unquote(tok); err != nil {
+				bad = fmt.Errorf("chirp: bad quoting in %q: %v", line, err)
 			}
-			out[k] = tok
 		}
+		dst = append(dst, tok)
 	}
-	return out, nil
+	if bad != nil {
+		return orig, bad
+	}
+	return dst, nil
 }
 
-// parseStat deserializes lineBuf.stat output.
-func parseStat(fields []string) (vfs.Stat, error) {
+// parseStat deserializes lineBuf.stat output: a stat reply's line
+// after "ok". Owner and group are substrings of it.
+func parseStat(rest string) (vfs.Stat, error) {
+	var a [8]string
+	fields, err := appendFields(a[:0], rest, true)
+	if err != nil {
+		return vfs.Stat{}, err
+	}
 	if len(fields) != 8 {
 		return vfs.Stat{}, fmt.Errorf("chirp: bad stat reply (%d fields)", len(fields))
 	}
 	var st vfs.Stat
-	var err error
 	if st.Ino, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
 		return st, err
 	}

@@ -1,6 +1,7 @@
 package chirp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -84,7 +85,7 @@ func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeou
 	if err != nil {
 		return fail(err)
 	}
-	parts, err := splitFields(line)
+	parts, err := splitFields(string(line))
 	if err != nil || len(parts) < 1 || parts[0] != "ok" {
 		return fail(fmt.Errorf("chirp: replication needs protocol v2; server said %q", line))
 	}
@@ -100,7 +101,11 @@ func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeou
 	if err := rs.send("replsub", fromLSN); err != nil {
 		return fail(err)
 	}
-	h, fields, err := rs.readFrame()
+	h, raw, err := rs.readFrame()
+	if err != nil {
+		return fail(err)
+	}
+	fields, err := splitFields(string(raw))
 	if err != nil {
 		return fail(err)
 	}
@@ -156,9 +161,10 @@ func (rs *ReplicaSession) send(cmd string, arg uint64) error {
 	return rs.c.flush()
 }
 
-// readFrame reads the next frame header and line (payload left for the
-// caller, sized by the returned header).
-func (rs *ReplicaSession) readFrame() (frameHeader, []string, error) {
+// readFrame reads the next frame header and its line into the codec's
+// scratch (payload left for the caller, sized by the returned header).
+// The line is valid only until the payload is read or discarded.
+func (rs *ReplicaSession) readFrame() (frameHeader, []byte, error) {
 	h, err := rs.c.readFrameHeader()
 	if err != nil {
 		return frameHeader{}, nil, err
@@ -167,11 +173,7 @@ func (rs *ReplicaSession) readFrame() (frameHeader, []string, error) {
 	if err != nil {
 		return frameHeader{}, nil, err
 	}
-	fields, err := splitFields(line)
-	if err != nil {
-		return frameHeader{}, nil, err
-	}
-	return h, fields, nil
+	return h, line, nil
 }
 
 // discard consumes n payload bytes into scratch.
@@ -196,7 +198,7 @@ func (rs *ReplicaSession) Next() (replica.Batch, error) {
 		if rs.IdleTimeout > 0 {
 			rs.conn.SetReadDeadline(time.Now().Add(rs.IdleTimeout))
 		}
-		h, fields, err := rs.readFrame()
+		h, line, err := rs.readFrame()
 		if err != nil {
 			return replica.Batch{}, err
 		}
@@ -207,18 +209,25 @@ func (rs *ReplicaSession) Next() (replica.Batch, error) {
 			}
 			continue
 		}
-		if len(fields) == 1 && fields[0] == "replgap" {
+		if string(line) == "replgap" {
 			return replica.Batch{}, ErrReplGap
 		}
-		if len(fields) != 6 || fields[0] != "replpush" {
-			return replica.Batch{}, fmt.Errorf("chirp: malformed replication push %q", fields)
+		// "replpush <epoch> <first> <last> <records> <len>": plain words,
+		// split and parsed where they lie in the scratch.
+		var f [7][]byte
+		n := 0
+		for rest, more := line, true; more && n < len(f); n++ {
+			f[n], rest, more = bytes.Cut(rest, []byte(" "))
 		}
-		epoch, _ := strconv.ParseUint(fields[1], 10, 64)
-		first, _ := strconv.ParseUint(fields[2], 10, 64)
-		last, _ := strconv.ParseUint(fields[3], 10, 64)
-		records, err := strconv.Atoi(fields[4])
+		if n != 6 || string(f[0]) != "replpush" {
+			return replica.Batch{}, fmt.Errorf("chirp: malformed replication push %q", line)
+		}
+		epoch, _ := strconv.ParseUint(string(f[1]), 10, 64)
+		first, _ := strconv.ParseUint(string(f[2]), 10, 64)
+		last, _ := strconv.ParseUint(string(f[3]), 10, 64)
+		records, err := strconv.Atoi(string(f[4]))
 		if err != nil || first == 0 || last < first {
-			return replica.Batch{}, fmt.Errorf("chirp: malformed replication push %q", fields)
+			return replica.Batch{}, fmt.Errorf("chirp: malformed replication push %q", line)
 		}
 		frames := make([]byte, h.payloadLen)
 		if err := rs.c.readPayloadInto(frames); err != nil {

@@ -5,7 +5,10 @@ import (
 	"crypto/rsa"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -591,4 +594,48 @@ func TestAuthTimeoutDropsSilentConnections(t *testing.T) {
 			t.Fatalf("authenticated session hit the auth deadline: %v", err)
 		}
 	})
+}
+
+// TestLineBoundV1 sends one byte past MaxLine with no newline, the bound
+// a v2 frame header already enforces. The v1 line reader must refuse it
+// holding no more than the bound, and a server must end the session
+// rather than keep buffering an authenticated peer's endless line.
+func TestLineBoundV1(t *testing.T) {
+	longest, huge := strings.Repeat("y", MaxLine), strings.Repeat("x", MaxLine+1)
+	c := newCodec(struct {
+		io.Reader
+		io.Writer
+	}{strings.NewReader(longest + "\n" + huge), io.Discard})
+	defer c.release()
+	if line, err := c.readLine(); err != nil || string(line) != longest {
+		t.Fatalf("a %d-byte line read back as %d bytes, %v", MaxLine, len(line), err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.readLine()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errLineTooLong) {
+		t.Fatalf("reading %d bytes without a newline: %v, want errLineTooLong", MaxLine+1, err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > MaxLine {
+		t.Errorf("the refused line allocated %d bytes, more than the %d-byte bound", n, MaxLine)
+	}
+
+	srv, _, _ := testServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := auth.ClientNegotiate(auth.NewConn(conn), []auth.Authenticator{&auth.UnixClient{User: "admin"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(conn, huge); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("after an over-long line the server kept the session open (read: %v)", err)
+	}
 }

@@ -186,7 +186,9 @@ func (sess *session) closeReplSub() {
 
 // request is one parsed request on its way through the pipeline,
 // whichever framing carried it. The payload is request-owned (freshly
-// allocated by the reader), so workers never share buffers.
+// allocated by the reader), so workers never share buffers. Requests
+// are pooled: the reader takes one per line and whoever answers it
+// recycles it.
 type request struct {
 	tag      uint64   // frame tag; 0 on v1, where replies match by order
 	spec     *cmdSpec // the command's table row (nil: unknown command)
@@ -200,6 +202,38 @@ type request struct {
 	arrived  time.Time // when the request was read off the wire
 	ticket   *admission.Ticket
 	bad      string // why the reader refuses it (EINVAL), if it does
+	// fields is the line's tokens, in an array reused from request to
+	// request: cmd, token and args are views of it. The tokens are
+	// substrings of the line's own string, which nothing reuses, so a
+	// handler may keep any of them; only the array goes back to the pool.
+	fields []string
+}
+
+var requestPool = sync.Pool{New: func() any { return new(request) }}
+
+// maxPooledFields bounds the argument array a pooled request may keep:
+// one grown past it (a long exec argv) is dropped at recycle.
+const maxPooledFields = 64
+
+// recycledArg overwrites a recycled request's argument array. Clearing
+// it would do for the collector; a poison string makes a handler that
+// kept args past its reply operate on a name nobody sent, which the
+// tests look for, instead of on another request's names.
+const recycledArg = "\x00recycled"
+
+// recycle returns an answered request to the pool. Nothing may touch
+// req afterwards: serve has flushed its reply and run res.after, or the
+// session dropped it unanswered.
+func (req *request) recycle() {
+	for i := range req.fields {
+		req.fields[i] = recycledArg
+	}
+	fields := req.fields[:0]
+	if cap(fields) > maxPooledFields {
+		fields = nil
+	}
+	*req = request{fields: fields}
+	requestPool.Put(req)
 }
 
 // loop is the session's reader, the same for both framings: it pulls
@@ -226,6 +260,14 @@ func (sess *session) step(ln *lanes) bool {
 	if err != nil {
 		return false // connection closed (or drain nudge expired the read)
 	}
+	// Answered here, the request is recycled on the way out; queued, the
+	// worker that serves it recycles it.
+	queued := false
+	defer func() {
+		if !queued {
+			req.recycle()
+		}
+	}()
 	if sess.v2 == nil {
 		// A v1 session is busy from the line's arrival until its reply;
 		// v2 sessions track busy by window occupancy (acquireSlot).
@@ -280,6 +322,7 @@ func (sess *session) step(ln *lanes) bool {
 		req.ticket.Done()
 		return false // server severing this session: stop reading
 	}
+	queued = true
 	ln.pool <- req
 	return true
 }
@@ -294,37 +337,54 @@ func (sess *session) step(ln *lanes) bool {
 // arrived, so a peer that announces a payload and stalls cannot pin
 // the session. A request the reader refuses comes back with bad set;
 // an error means the session is over.
-func (sess *session) readRequest() (req request, err error) {
+func (sess *session) readRequest() (*request, error) {
+	req := requestPool.Get().(*request)
+	if err := sess.readInto(req); err != nil {
+		req.recycle()
+		return nil, err
+	}
+	return req, nil
+}
+
+// readInto is readRequest's body, filling a pooled request. The line
+// costs one string, which every field is a substring of; the fields go
+// into the request's reused array.
+func (sess *session) readInto(req *request) error {
 	var line string
 	v2 := sess.v2
 	if v2 == nil {
-		if line, err = sess.c.readLine(); err != nil {
-			return req, err
+		b, err := sess.c.readLine()
+		if err != nil {
+			return err
 		}
+		line = string(b)
 		sess.state.busy.Store(true)
 	} else {
 		h, err := sess.c.readFrameHeader()
 		if err != nil {
-			return req, err
+			return err
 		}
 		req.tag = h.tag
 		sess.boundRead(true)
-		if line, err = sess.c.readFrameLine(h.lineLen); err != nil {
-			return req, err
+		b, err := sess.c.readFrameLine(h.lineLen)
+		if err != nil {
+			return err
 		}
+		line = string(b)
 		if h.payloadLen > 0 {
 			req.payload = make([]byte, h.payloadLen)
 			if err := sess.c.readPayloadInto(req.payload); err != nil {
-				return req, err
+				return err
 			}
 		}
 		sess.boundRead(false)
 	}
 	req.arrived = time.Now()
-	fields, perr := splitFields(line)
+	fields, perr := appendFields(req.fields[:0], line, true)
+	req.fields = fields
 	if perr != nil || len(fields) == 0 {
 		req.bad = "malformed request"
-		return req, nil
+		return nil
 	}
 	// Prefixes need at least 3 fields, so a bare "trace <id>" line stays
 	// the trace-fetch RPC and a malformed bare line is never mistaken
@@ -348,7 +408,7 @@ func (sess *session) readRequest() (req request, err error) {
 		// admitted and executed; the token keys its reply for replay.
 		if len(req.args) < 2 {
 			req.bad = "token wants a token and a command"
-			return req, nil
+			return nil
 		}
 		req.token, req.cmd, req.args = req.args[0], req.args[1], req.args[2:]
 		if req.spec = commandByName[req.cmd]; !req.spec.has(fTokenable) {
@@ -369,6 +429,7 @@ func (sess *session) readRequest() (req request, err error) {
 		// aligned whatever becomes of the request; a length over the
 		// command's limit is discarded unbuffered and refused by serve.
 		sess.boundRead(true)
+		var err error
 		if n > req.spec.payloadMax {
 			_, err = sess.c.r.Discard(n)
 		} else {
@@ -376,11 +437,11 @@ func (sess *session) readRequest() (req request, err error) {
 			err = sess.c.readPayloadInto(req.payload)
 		}
 		if err != nil {
-			return req, err // transport failure mid-payload
+			return err // transport failure mid-payload
 		}
 		sess.boundRead(false)
 	}
-	return req, nil
+	return nil
 }
 
 // boundRead arms (or clears) the per-request read deadline.
@@ -453,13 +514,13 @@ var errSevered = errors.New("chirp: session severed")
 // barrier waits of a session's callers overlap and share commit groups,
 // and a slow exec holds one worker, not the session.
 type lanes struct {
-	pool chan request
+	pool chan *request
 	wg   sync.WaitGroup
 	once sync.Once
 }
 
 func (ln *lanes) start(sess *session, window, workers int) {
-	ln.pool = make(chan request, window)
+	ln.pool = make(chan *request, window)
 	ln.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go sess.worker(ln)
@@ -489,6 +550,7 @@ func (sess *session) worker(ln *lanes) {
 		} else {
 			sess.serve(req, sc)
 		}
+		req.recycle()
 		sess.releaseSlot()
 	}
 }

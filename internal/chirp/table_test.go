@@ -119,8 +119,11 @@ func rawLine(fields ...string) *lineBuf {
 // rpc performs one exchange with no payload phases, for tests poking raw
 // commands.
 func (cl *Client) rpc(fields ...string) ([]string, error) {
-	r, _, _, err := cl.do(wireCall{line: rawLine(fields...)})
-	return r, err
+	rest, _, _, err := cl.do(wireCall{line: rawLine(fields...)})
+	if err != nil {
+		return nil, err
+	}
+	return splitFields(rest)
 }
 
 // rawCall sends one raw request on cl and returns the server's reply
