@@ -168,19 +168,53 @@ func BenchmarkAuthHandshakes(b *testing.B) {
 	}
 }
 
-// BenchmarkChirpWireThroughput measures whole-file transfer speed. The
-// "loopback" variant runs over a raw local socket and exercises the
-// pooled wire path: pread replies land in the caller's buffer and
-// payload scratch comes from codec pools, so -benchmem should show the
-// per-chunk exchange itself allocating (close to) nothing beyond the
-// result buffer. The serial/pipelined variants run over a simulated
-// high-latency link (a fixed per-write stall on the client side, the
-// regime the tagged protocol exists for): the serial client pays the
-// stall once per chunk request, while the pipelined clients keep a
-// window of chunk requests in flight and the mux writer coalesces
-// queued requests into single writes, so depth >= 4 must come out
-// measurably faster than serial.
+// BenchmarkChirpWireThroughput measures whole-file transfer speed for a
+// 1 MiB file, which GetFile fetches in one getfile: the reply body is
+// read straight into the result buffer, so -benchmem shows the exchange
+// allocating little beyond the result and the server's snapshot of the
+// file. The "loopback" variant runs over a raw local socket; the
+// serial/pipelined variants run over a simulated high-latency link (a
+// fixed per-write stall on the client side, the regime the tagged
+// protocol exists for), where one request pays the stall once whatever
+// the window. BenchmarkChirpChunkWindow measures what the window buys.
 func BenchmarkChirpWireThroughput(b *testing.B) {
+	benchTransfer(b, 1<<20, []transferVariant{
+		{"loopback", 1, 0},
+		{"serial", 1, benchWireLatency},
+		{"pipelined4", 4, benchWireLatency},
+		{"pipelined8", 8, benchWireLatency},
+	})
+}
+
+// BenchmarkChirpChunkWindow measures the chunk path over the simulated
+// high-latency link: a file over MaxPayload, which GetFile reads in
+// 64 KiB preads after getfile's EFBIG. The serial client pays the stall
+// once per chunk request, while the pipelined clients keep a window of
+// chunk requests in flight and the mux writer coalesces queued requests
+// into single writes, so depth >= 4 must come out measurably faster
+// than serial.
+func BenchmarkChirpChunkWindow(b *testing.B) {
+	benchTransfer(b, chirp.MaxPayload+1, []transferVariant{
+		{"serial", 1, benchWireLatency},
+		{"pipelined4", 4, benchWireLatency},
+		{"pipelined8", 8, benchWireLatency},
+	})
+}
+
+// benchWireLatency is the simulated link's per-write stall.
+const benchWireLatency = 150 * time.Microsecond
+
+type transferVariant struct {
+	// No "-N" suffix in sub-bench names: benchgate strips a trailing
+	// -digits as the GOMAXPROCS tail.
+	name    string
+	depth   int
+	latency time.Duration
+}
+
+// benchTransfer stages a size-byte file on a fresh server and times
+// GetFile of it, once per variant.
+func benchTransfer(b *testing.B, size int, variants []transferVariant) {
 	fs := vfs.New("o")
 	k := kernel.New(fs, vclock.Default())
 	rootACL := &acl.ACL{}
@@ -194,20 +228,7 @@ func BenchmarkChirpWireThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	payload := bytes.Repeat([]byte("z"), 1<<20)
-	const wireLatency = 150 * time.Microsecond
-	variants := []struct {
-		// No "-N" suffix in sub-bench names: benchgate strips a trailing
-		// -digits as the GOMAXPROCS tail.
-		name    string
-		depth   int
-		latency time.Duration
-	}{
-		{"loopback", 1, 0},
-		{"serial", 1, wireLatency},
-		{"pipelined4", 4, wireLatency},
-		{"pipelined8", 8, wireLatency},
-	}
+	payload := bytes.Repeat([]byte("z"), size)
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			opts := chirp.ClientOptions{Window: v.depth}

@@ -11,22 +11,26 @@ import (
 
 // wireAllocBudget is the one table of heap-allocation budgets for an
 // operation, client and server together (they share the test's
-// process). The same budget holds on both framings, and with admission
-// control plus a deadline budget on the wire: tickets are pooled and the
-// deadline prefix is written into the call. A round trip allocates the
-// request line's string at the server, whose fields are substrings of it
-// split into the pooled request's argument array, and the reply's
-// rest-of-line string at the client, which a bare ok does without; the
-// rest is what the operation hands its caller. A budget is the measured
-// count plus one.
+// process). A row holds on both framings unless it names one, and with
+// admission control plus a deadline budget on the wire: tickets are
+// pooled and the deadline prefix is written into the call. A round trip
+// allocates the request line's string at the server, whose fields are
+// substrings of it split into the pooled request's argument array, and
+// the reply's rest-of-line string at the client, which a bare ok does
+// without; the rest is what the operation hands its caller. A budget is
+// the measured count plus one.
 var wireAllocBudget = []struct {
 	op     string
 	budget float64
+	proto  int // the one framing the row holds on; 0 for both
 }{
-	{"stat", 3},             // 2: the server's line, the client's rest of line
-	{"open+pread+close", 7}, // 6: three lines, pread's rest (a one-digit fd and a bare ok cost none), the descriptor and its handle
-	{"getdir", 8},           // 7: + vfs.ReadDir's listing and the client's entry slice (names are substrings of the rest)
-	{"getacl", 6},           // 5: + the body at the server, copied out of the client's scratch, and its string
+	{"stat", 3, 0},                 // 2: the server's line, the client's rest of line
+	{"open+pread+close", 7, 0},     // 6: three lines, pread's rest (a one-digit fd and a bare ok cost none), the descriptor and its handle
+	{"getdir", 8, 0},               // 7: + vfs.ReadDir's listing and the client's entry slice (names are substrings of the rest)
+	{"getacl", 6, 0},               // 5: + the body at the server, read into the client's own buffer, and its string
+	{"putfile 4k", 3, ProtocolV2},  // 2: the server's line and the payload it reads into; the file's buffer is reused, and a bare ok costs none
+	{"putfile 4k", 12, ProtocolV1}, // 11: the chunk path, open+pwrite+close, since putfile never rides v1
+	{"getfile", 5, 0},              // 4: the server's line and vfs.ReadFile's snapshot, the client's rest of line and the body read straight into its own buffer
 }
 
 // TestWireAllocBudget pins the wire path's allocations per operation.
@@ -52,6 +56,7 @@ func TestWireAllocBudget(t *testing.T) {
 				}
 			}
 			buf := make([]byte, 16)
+			page := bytes.Repeat([]byte("4"), 4<<10)
 			ops := map[string]func() error{
 				"stat": func() error { _, err := cl.Stat("/d/a"); return err },
 				"open+pread+close": func() error {
@@ -64,10 +69,15 @@ func TestWireAllocBudget(t *testing.T) {
 					}
 					return cl.CloseFD(fd)
 				},
-				"getdir": func() error { _, err := cl.ReadDir("/d"); return err },
-				"getacl": func() error { _, err := cl.GetACL("/d"); return err },
+				"getdir":     func() error { _, err := cl.ReadDir("/d"); return err },
+				"getacl":     func() error { _, err := cl.GetACL("/d"); return err },
+				"putfile 4k": func() error { return cl.PutFile("/d/p", page, 0o644) },
+				"getfile":    func() error { _, err := cl.GetFile("/d/a"); return err },
 			}
 			for _, b := range wireAllocBudget {
+				if b.proto != 0 && b.proto != proto {
+					continue
+				}
 				op := ops[b.op]
 				got := testing.AllocsPerRun(200, func() {
 					if err := op(); err != nil {

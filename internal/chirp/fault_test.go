@@ -156,11 +156,13 @@ func figure3Workflow(cl *Client) error {
 // chaosSchedule is the seeded acceptance schedule: every 3rd connection
 // is reset on its first write (it never even authenticates), and every
 // connection is reset once it has carried 220 client-written bytes —
-// the whole workflow writes several times that (v2 framing adds a ~22-
-// byte version exchange per connection and a 16-byte header per
-// request), so no single connection can carry it, while the largest
-// single retry sequence (~155 bytes from a fresh connection, auth and
-// version exchange included) always fits.
+// the whole workflow writes more than that (259 bytes on v1, which
+// stages through the chunk path; 315 on v2, which stages each file in
+// one putfile but adds a 21-byte version exchange per connection and a
+// 16-byte header per request), so no single connection can carry it,
+// while the largest single retry sequence (127 bytes: the tokened exec
+// from a fresh v2 connection, auth and version exchange included)
+// always fits.
 func chaosSchedule() *faultnet.Injector {
 	return faultnet.New(7,
 		faultnet.Rule{EveryNth: 3, Op: faultnet.OpWrite, Action: faultnet.Reset},

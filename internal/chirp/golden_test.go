@@ -93,10 +93,12 @@ func (c *recordedConn) Write(p []byte) (int, error) {
 // TestGoldenWireTranscript pins the bytes on the wire, both directions,
 // both framings: authentication, the version exchange, stat, open,
 // pread, close, getdir, getacl, setacl, a tokened mkdir and its replay,
-// and error replies. testdata/wire_v{1,2}.golden were written by this
-// same sequence at the commit before the append-encoded wire path (PR
-// 20), whose claim is that it changes no byte; any later change to them
-// is a protocol change old peers will see.
+// error replies, and whole-file putfile/getfile. testdata/wire_v{1,2}.golden
+// were written by this same sequence, less its whole-file tail, at the
+// commit before the append-encoded wire path, whose claim is that it
+// changes no byte; the tail's lines were appended when the whole-file
+// commands came, leaving every earlier line as it was. Any other change
+// to them is a protocol change old peers will see.
 func TestGoldenWireTranscript(t *testing.T) {
 	bothFramings(t, func(t *testing.T, proto int) {
 		srv, k, _ := testServer(t)
@@ -113,7 +115,14 @@ func TestGoldenWireTranscript(t *testing.T) {
 			}
 		}
 		must(cl.Mkdir("/data dir", 0o755))
-		must(cl.PutFile("/data dir/a \"quoted\" name\\.txt", []byte("hello, wire\n"), 0o644))
+		// The chunk path, step by step: the lines from here on were pinned
+		// when PutFile made exactly these calls.
+		wfd, err := cl.Open("/data dir/a \"quoted\" name\\.txt", kernel.OWronly|kernel.OCreat|kernel.OTrunc, 0o644)
+		must(err)
+		if n, err := cl.Pwrite(wfd, []byte("hello, wire\n"), 0); err != nil || n != 12 {
+			t.Fatalf("pwrite = %d, %v", n, err)
+		}
+		must(cl.CloseFD(wfd))
 		must(cl.Symlink("a \"quoted\" name\\.txt", "/data dir/link"))
 		if _, err := cl.Stat("/data dir/link"); err != nil {
 			t.Fatal(err)
@@ -167,6 +176,17 @@ func TestGoldenWireTranscript(t *testing.T) {
 		must(cl.Unlink("/data dir/b"))
 		if _, err := cl.Whoami(); err != nil {
 			t.Fatal(err)
+		}
+		// Whole-file staging, appended after the lines above: putfile and
+		// getfile on v2; on v1 PutFile takes the chunk path (putfile never
+		// rides a v1 session) and getfile, which carries no payload, is
+		// sent as is. A directory is refused as open refuses it.
+		must(cl.PutFile("/data dir/whole", []byte("one request\n"), 0o600))
+		if data, err := cl.GetFile("/data dir/whole"); err != nil || string(data) != "one request\n" {
+			t.Fatalf("GetFile = %q, %v", data, err)
+		}
+		if _, err := cl.GetFile("/data dir"); !errors.Is(err, vfs.ErrIsDir) {
+			t.Fatalf("GetFile of a directory = %v", err)
 		}
 
 		got := rec.transcript(root.Ino) // before Close: whether the farewell's reply is read is a race

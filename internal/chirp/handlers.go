@@ -160,6 +160,39 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		}
 		return hres{line: sc.ok().stat(d.h.Stat())}
 
+	case "putfile": // putfile <path> <mode> <len> + payload: open(O_WRONLY|O_CREAT|O_TRUNC)'s check, one MutCreate
+		mode, err := strconv.ParseUint(args[1], 8, 32)
+		if err != nil {
+			return sess.failf(sc, vfs.ErrInvalid, "bad mode")
+		}
+		if err := sess.check(args[0], acl.Write, policy.Follow); err != nil {
+			return sess.failf(sc, err, "putfile")
+		}
+		// An existing file keeps its inode, mode and owner, as an O_TRUNC
+		// open leaves them.
+		if err := tfs.WriteFile(args[0], payload, uint32(mode), s.opts.Owner); err != nil {
+			return sess.failf(sc, err, "putfile")
+		}
+		return hres{line: sc.ok()}
+
+	case "getfile": // getfile <path>: open(O_RDONLY)'s check, the whole file as the reply body
+		if err := sess.check(args[0], acl.Read, policy.Follow); err != nil {
+			return sess.failf(sc, err, "getfile")
+		}
+		// A file no reply can carry is refused before it is copied; the
+		// snapshot is checked again, as the file may grow in between.
+		if st, err := s.fs.Stat(args[0]); err == nil && st.Size > MaxPayload {
+			return sess.failf(sc, ErrFileTooBig, "getfile")
+		}
+		data, err := s.fs.ReadFile(args[0])
+		if err != nil {
+			return sess.failf(sc, err, "getfile")
+		}
+		if len(data) > MaxPayload {
+			return sess.failf(sc, ErrFileTooBig, "getfile")
+		}
+		return hres{line: sc.ok().int(int64(len(data))), body: data}
+
 	case "stat", "lstat":
 		if err := sess.check(args[0], acl.List, policy.Follow); err != nil {
 			return sess.failf(sc, err, "stat")

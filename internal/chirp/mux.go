@@ -33,7 +33,7 @@ type muxCall struct {
 	line     *lineBuf // the request line: the caller's buffer, only read here
 	sendBody []byte
 	recvInto []byte // reply payload lands here (zero-copy) when set
-	wantBody bool   // reply payload is copied out into body
+	wantBody bool   // reply payload is read into a fresh body
 	counted  bool   // occupies credit-window space
 	bytes    int64  // the call's charge against the byte budget
 
@@ -171,6 +171,9 @@ func (ms *muxSession) fail(err error) {
 // ops window, plus the byte budget — though one call is always
 // admitted, whatever its size, so a single fat transfer never wedges).
 func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
+	if c.framed && ms.proto != ProtocolV2 {
+		return nil, errUnframed
+	}
 	// Tracing activates per call: the session must have negotiated the
 	// capability and the call must carry an ID. The untraced path stamps
 	// nothing and sends the line unchanged.
@@ -196,6 +199,9 @@ func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
 		budgetMS = int64((remaining + time.Millisecond - 1) / time.Millisecond)
 	}
 	est := int64(len(c.sendBody)+len(c.recvInto)) + 256
+	if c.recvBody && string(c.line.cmd()) == "getfile" {
+		est += MaxPayload // the file's size is unknown until its reply
+	}
 	ms.mu.Lock()
 	for !ms.dead && (ms.inflight >= ms.window ||
 		(ms.inflight > 0 && ms.inflightBytes+est > ms.maxBytes)) {
@@ -505,15 +511,20 @@ func (ms *muxSession) readReply(call *muxCall, line []byte, payloadLen int) (res
 			}
 			return rest, nil, nil, nil
 		}
-		if payloadLen > 0 || call.wantBody {
-			raw, err := ms.c.readPayload(payloadLen)
-			if err != nil {
+		switch {
+		case call.wantBody:
+			// Straight into an exact-size buffer the caller keeps: a body
+			// never passes through, or grows, the codec's scratch.
+			if err := checkPayloadLen(payloadLen); err != nil {
 				return "", nil, nil, err
 			}
-			if call.wantBody {
-				// The scratch alias must not escape the reader loop: the
-				// next reply's reads reuse it.
-				body = append([]byte(nil), raw...)
+			body = make([]byte, payloadLen)
+			if err := ms.c.readPayloadInto(body); err != nil {
+				return "", nil, nil, err
+			}
+		case payloadLen > 0: // unasked for: drained to stay aligned
+			if _, err := ms.c.readPayload(payloadLen); err != nil {
+				return "", nil, nil, err
 			}
 		}
 		return rest, body, nil, nil

@@ -230,10 +230,10 @@ func TestMuxTransferConcurrentWithMetadata(t *testing.T) {
 }
 
 // TestMuxChaosTokenedExactlyOnce drives retries through seeded
-// mid-transfer connection resets: a windowed transfer is reset partway
-// through its in-flight chunks and restarts intact on a fresh session,
-// and a tokened exec whose request write is killed still runs exactly
-// once (dedupe on the retry path).
+// mid-transfer connection resets: a transfer is reset partway through
+// and restarts intact on a fresh session, and a tokened exec whose
+// request write is killed still runs exactly once (dedupe on the retry
+// path).
 func TestMuxChaosTokenedExactlyOnce(t *testing.T) {
 	bothFramings(t, func(t *testing.T, proto int) {
 		srv, k, _ := testServer(t)
@@ -243,7 +243,7 @@ func TestMuxChaosTokenedExactlyOnce(t *testing.T) {
 			return 0
 		})
 		inj := faultnet.New(11,
-			faultnet.Rule{Conn: 1, Op: faultnet.OpWrite, AfterBytes: 150_000, Action: faultnet.Reset})
+			faultnet.Rule{Conn: 1, Op: faultnet.OpWrite, AfterBytes: 30_000, Action: faultnet.Reset})
 		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
 			ClientOptions{Protocol: proto, Window: 8, Dialer: inj.Dialer("tcp")})
 		if err != nil {
@@ -253,8 +253,11 @@ func TestMuxChaosTokenedExactlyOnce(t *testing.T) {
 		if cl.Protocol() != proto {
 			t.Fatalf("chaos client speaks v%d, want v%d", cl.Protocol(), proto)
 		}
-		// 6 chunks: on v2 (window 8) the whole transfer is in flight when
-		// the 150KB write reset hits mid-window; on v1 it hits mid-transfer.
+		// 384 KiB: on v2 one putfile frame, which the client's 32 KiB
+		// buffered writer sends as a buffer-full and then the rest in one
+		// write; the 30 000-byte reset cuts that second write, mid-frame,
+		// so the server never executes the request. On v1 the chunk path
+		// carries it, and the reset cuts the first pwrite's payload.
 		data := patterned(6 * transferChunk)
 		if err := cl.PutFile("/blob", data, 0o644); err != nil {
 			t.Fatalf("PutFile through mid-window reset: %v", err)

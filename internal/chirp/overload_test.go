@@ -605,10 +605,12 @@ func TestSlowLorisSeveredNotServed(t *testing.T) {
 		// From here one write trickles at a byte per 5ms tick, so that
 		// request cannot arrive inside the 100ms request deadline. On v2
 		// the deadline runs from the frame header, so the very next frame
-		// (PutFile's open) is cut. v1 has no header to anchor on — the
-		// deadline runs from the command line's arrival — so the trickle
-		// skips the payload-less open and lands on the pwrite, whose 2 KiB
-		// payload cannot follow its line in time.
+		// (PutFile's putfile, 2 KiB of payload in it) is cut. v1 has no
+		// header to anchor on — the deadline runs from the command line's
+		// arrival — and PutFile takes the chunk path there (putfile never
+		// rides a v1 session), so the trickle skips the payload-less open
+		// and lands on the pwrite, whose 2 KiB payload cannot follow its
+		// line in time.
 		skip := 0
 		if proto == ProtocolV1 {
 			skip = 1

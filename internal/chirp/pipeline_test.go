@@ -68,9 +68,11 @@ func TestPipelinedPutGetRoundTrip(t *testing.T) {
 
 // TestPipelinedTransferUnderFaults resets the first connection part-way
 // through a windowed transfer; the composite layer must restart it on a
-// fresh session and deliver intact bytes.
+// fresh session and deliver intact bytes. The file is over MaxPayload, so
+// both directions take the chunk path, and the 150 000-byte reset lands
+// among its in-flight chunks.
 func TestPipelinedTransferUnderFaults(t *testing.T) {
-	data := patterned(6 * transferChunk)
+	data := patterned(MaxPayload + 2*transferChunk + 123)
 	t.Run("put", func(t *testing.T) {
 		srv, _, _ := testServer(t)
 		inj := faultnet.New(1, faultnet.Rule{Conn: 1, Op: faultnet.OpWrite, AfterBytes: 150_000, Action: faultnet.Reset})

@@ -70,6 +70,7 @@ var errnoTable = []struct {
 	{"ENOTPRIMARY", ErrNotPrimary, classRedirect},
 	{"EDEADLINE", ErrDeadline, classFinal},
 	{"EBUSY", ErrBusy, classRetrySafe},
+	{"EFBIG", ErrFileTooBig, classFinal},
 	{"EIO", errors.New("input/output error"), classFinal},
 }
 
@@ -90,6 +91,11 @@ var ErrDeadline = errors.New("chirp: deadline budget exhausted")
 // <N>ms" hint; RetryAfterFromError extracts it. EBUSY is always safe
 // to retry, whatever the command, because nothing ran.
 var ErrBusy = errors.New("chirp: server overloaded")
+
+// ErrFileTooBig means a whole-file reply (getfile) would exceed
+// MaxPayload; the file can still be read in chunks through a descriptor,
+// which Client.GetFile falls back on.
+var ErrFileTooBig = errors.New("chirp: file too big for one reply")
 
 // retryAfterMarker introduces the backoff hint in an EBUSY message.
 const retryAfterMarker = "retry after "
@@ -283,6 +289,10 @@ var commandTable = []cmdSpec{
 	{name: "link", nargs: 2, flags: fMutating | fTokenable},
 	{name: "symlink", nargs: 2, flags: fMutating | fTokenable},
 	{name: "exec", nargs: 2, flags: fMutating | fTokenable | fVarArgs},
+	// Whole-file staging: putfile writes a file in one step, getfile
+	// returns one in one reply. Each makes exactly the check open makes.
+	{name: "putfile", nargs: 3, flags: fMutating | fTokenable | fIdempotent, payloadArg: 2, payloadMax: MaxPayload},
+	{name: "getfile", nargs: 1, flags: fIdempotent},
 }
 
 var commandByName = make(map[string]*cmdSpec, len(commandTable))
@@ -506,14 +516,23 @@ func (c *codec) scratchBuf(n int) []byte { return c.scratch.bytes(n) }
 // call on this codec — callers that retain the bytes past the current
 // exchange must copy them.
 func (c *codec) readPayload(n int) ([]byte, error) {
-	if n < 0 || n > MaxPayload {
-		return nil, fmt.Errorf("chirp: protocol error: payload length %d outside [0, %d]", n, MaxPayload)
+	if err := checkPayloadLen(n); err != nil {
+		return nil, err
 	}
 	buf := c.scratchBuf(n)
 	if _, err := io.ReadFull(c.r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// checkPayloadLen refuses a wire-supplied payload length outside
+// [0, MaxPayload] before anything is read or allocated for it.
+func checkPayloadLen(n int) error {
+	if n < 0 || n > MaxPayload {
+		return fmt.Errorf("chirp: protocol error: payload length %d outside [0, %d]", n, MaxPayload)
+	}
+	return nil
 }
 
 // readPayloadInto receives exactly len(dst) payload bytes directly into

@@ -137,9 +137,9 @@ type ClientOptions struct {
 	// Window is the credit window this client advertises during v2
 	// negotiation: the most tags it will keep in flight on one session
 	// (default DefaultWindow). The server advertises its own cap and the
-	// minimum wins. The negotiated window is also the transfer depth:
-	// GetFile and PutFile keep that many chunk calls in flight. Set by
-	// cmd/chirp -window.
+	// minimum wins. The negotiated window is also the chunk path's
+	// depth: a GetFile or PutFile that takes it keeps that many chunk
+	// calls in flight. Set by cmd/chirp -window.
 	Window int
 	// MaxInflightBytes bounds the request+reply payload bytes in flight
 	// on a v2 session (default DefaultMaxInflightBytes), so a deep

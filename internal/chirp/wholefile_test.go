@@ -1,0 +1,221 @@
+package chirp
+
+import (
+	"bytes"
+	"errors"
+	"net"
+	"strings"
+	"testing"
+
+	"identitybox/internal/acl"
+	"identitybox/internal/auth"
+	"identitybox/internal/kernel"
+	"identitybox/internal/vclock"
+	"identitybox/internal/vfs"
+)
+
+// TestPutFileV1NeverSendsPutfile: an old v1 server does not know that an
+// unknown command carries a payload, so it would read a putfile's bytes
+// as request lines under the caller's identity. Whether the client is
+// pinned to v1 or falls back to it against a v1-only server, PutFile
+// takes the chunk path and no putfile reaches the wire; getfile, which
+// carries no payload, does.
+func TestPutFileV1NeverSendsPutfile(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		client, serverMax int
+	}{
+		{"client-pinned", ProtocolV1, 0},
+		{"server-pinned", ProtocolV2, ProtocolV1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _, _ := testServer(t)
+			srv.opts.MaxProtocol = tc.serverMax
+			rec := &wireRecorder{}
+			cl := adminClient(t, srv, ClientOptions{Protocol: tc.client, Dialer: rec.dial})
+			if cl.Protocol() != ProtocolV1 {
+				t.Fatalf("session speaks v%d, want v1", cl.Protocol())
+			}
+			data := patterned(3*transferChunk + 5)
+			if err := cl.PutFile("/f", data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := cl.GetFile("/f")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("GetFile = %d bytes, %v", len(got), err)
+			}
+			sent := rec.transcript(0)
+			if strings.Contains(sent, `C "putfile`) {
+				t.Fatal("a v1 session carried putfile")
+			}
+			if !strings.Contains(sent, `C "open `) || !strings.Contains(sent, `C "getfile `) {
+				t.Fatalf("want the chunk path's open and one getfile on the wire:\n%s", sent)
+			}
+		})
+	}
+}
+
+// renamer is a dialer whose connections rewrite the client's putfile and
+// getfile command words to names of the same length the server does not
+// know. Frame lengths stay right, so the server reads the frame — payload
+// included — and answers ENOSYS, exactly as a server whose command table
+// lacks the two rows does.
+func renamer(addr string) (net.Conn, error) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return renamedConn{c}, nil
+}
+
+type renamedConn struct{ net.Conn }
+
+func (c renamedConn) Write(p []byte) (int, error) {
+	q := bytes.ReplaceAll(p, []byte("putfile "), []byte("pxtfile "))
+	q = bytes.ReplaceAll(q, []byte("getfile "), []byte("gxtfile "))
+	return c.Conn.Write(q)
+}
+
+// TestWholeFileFallsBackOnENOSYS: against a server without putfile and
+// getfile, a v2 PutFile and GetFile fall back on the chunk path at the
+// first ENOSYS, remember it for the session (the next transfer offers no
+// whole-file command), and leave the tree exactly as the whole-file
+// commands would.
+func TestWholeFileFallsBackOnENOSYS(t *testing.T) {
+	srv, k, _ := testServer(t)
+	cl := adminClient(t, srv, ClientOptions{Dialer: renamer})
+	if cl.Protocol() != ProtocolV2 {
+		t.Fatalf("session speaks v%d, want v2", cl.Protocol())
+	}
+	unknown := func() int64 { return srv.metrics.unknownCmd.Value() }
+	small, big := []byte("staged input\n"), patterned(2*transferChunk+7)
+	if err := cl.PutFile("/small", small, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if n := unknown(); n != 1 {
+		t.Fatalf("server saw %d unknown commands after the first PutFile, want 1", n)
+	}
+	if err := cl.PutFile("/big", big, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string][]byte{"/small": small, "/big": big} {
+		got, err := cl.GetFile(path)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("GetFile(%s) = %d bytes, %v", path, len(got), err)
+		}
+		if onServer, err := k.FS().ReadFile(path); err != nil || !bytes.Equal(onServer, want) {
+			t.Fatalf("%s on the server = %d bytes, %v", path, len(onServer), err)
+		}
+	}
+	if st, err := k.FS().Stat("/small"); err != nil || st.Mode != 0o640 || st.Owner != "chirpowner" {
+		t.Fatalf("/small = %+v, %v", st, err)
+	}
+	if n := unknown(); n != 1 {
+		t.Fatalf("server saw %d unknown commands, want 1: the ENOSYS is remembered for the session", n)
+	}
+}
+
+// TestPutFileReplacesInPlace: putfile makes open(O_TRUNC)'s promise — an
+// existing file keeps its inode, mode and owner, only its bytes change —
+// and creates a missing one with the given mode. Either way it is one
+// journal record and one durability wait: the barrier, or a tokened
+// request's own dedupe append.
+func TestPutFileReplacesInPlace(t *testing.T) {
+	fs := vfs.New("owner")
+	log := &mutationLog{}
+	fs.SetJournal(log)
+	var order callOrder
+	rootACL := &acl.ACL{}
+	rootACL.Set("unix:admin", acl.All, acl.None)
+	srv, err := NewServer(kernel.New(fs, vclock.Default()), ServerOptions{
+		Owner:         "owner",
+		RootACL:       rootACL,
+		Verifiers:     map[auth.Method]auth.Verifier{auth.MethodUnix: &auth.UnixVerifier{}},
+		Durability:    &order,
+		DedupeJournal: &order,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl := adminClient(t, srv, ClientOptions{MaxRetries: -1})
+	if err := fs.WriteFile("/kept", []byte("old contents, longer"), 0o600, "someone"); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := fs.Stat("/kept")
+	log.take()
+	oneStep := func(what, wait string) {
+		t.Helper()
+		if muts := log.take(); len(muts) != 1 || muts[0].Op != vfs.MutCreate {
+			t.Fatalf("%s journaled %+v, want one MutCreate", what, muts)
+		}
+		if calls := order.take(); len(calls) != 1 || calls[0] != wait {
+			t.Fatalf("%s made the durability calls %v, want [%s]", what, calls, wait)
+		}
+	}
+	if err := cl.PutFile("/kept", []byte("new"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	oneStep("putfile over a file", "barrier")
+	after, err := fs.Stat("/kept")
+	if err != nil || after.Ino != before.Ino || after.Mode != 0o600 || after.Owner != "someone" || after.Size != 3 {
+		t.Fatalf("after putfile /kept = %+v, %v; before %+v", after, err, before)
+	}
+	if re := rawCall(t, cl, []byte("fresh"), "token", q(NewRequestToken()), "putfile", q("/made"), "640", "5"); re != nil {
+		t.Fatal(re)
+	}
+	oneStep("a tokened putfile", "dedupe")
+	if st, err := fs.Stat("/made"); err != nil || st.Mode != 0o640 || st.Owner != "owner" || st.Size != 5 {
+		t.Fatalf("/made = %+v, %v", st, err)
+	}
+}
+
+// TestGetFileOverMaxPayload: getfile refuses a file no reply can carry
+// with EFBIG, and GetFile reads it through the chunk path instead.
+func TestGetFileOverMaxPayload(t *testing.T) {
+	srv, k, _ := testServer(t)
+	cl := adminClient(t, srv, ClientOptions{MaxRetries: -1})
+	data := patterned(MaxPayload + 1)
+	if err := k.FS().WriteFile("/huge", data, 0o644, "chirpowner"); err != nil {
+		t.Fatal(err)
+	}
+	if re := rawCall(t, cl, nil, "getfile", q("/huge")); re == nil || !errors.Is(re, ErrFileTooBig) {
+		t.Fatalf("getfile of a %d-byte file = %v, want EFBIG", len(data), re)
+	}
+	got, err := cl.GetFile("/huge")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("GetFile over MaxPayload = %d bytes, %v", len(got), err)
+	}
+	if _, err := cl.GetFile("/missing"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("GetFile of a missing file = %v", err)
+	}
+}
+
+// TestReplyBodySkipsScratch: a reply body — getfile's, getacl's — is read
+// straight into a buffer the caller keeps, so a large one neither grows
+// the client codec's scratch, which the connection would pin for its
+// life, nor passes through it.
+func TestReplyBodySkipsScratch(t *testing.T) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		srv, _, _ := testServer(t)
+		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		data := patterned(256 << 10)
+		if err := cl.PutFile("/staged", data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cl.mu.Lock()
+		scratch := cl.mux.c.scratch
+		cl.mu.Unlock()
+		before := cap(scratch.buf)
+		got, err := cl.GetFile("/staged")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("GetFile = %d bytes, %v", len(got), err)
+		}
+		if after := cap(scratch.buf); after != before {
+			t.Fatalf("client scratch went from %d to %d bytes for a %d-byte body", before, after, len(data))
+		}
+	})
+}

@@ -2,6 +2,7 @@ package durable_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -246,7 +247,8 @@ func collectACLs(t *testing.T, fs *vfs.FS) map[string]string {
 // its ancestor's. Every recovered dedupe entry finds the outputs of
 // the exec it answers (/work/out.dat): the entry lands on the one log
 // after them, which is what lets a tokened reply wait on its entry
-// alone.
+// alone. Each staged file (sim.exe, input.dat) is absent or whole at
+// every cut, never a prefix: PutFile stages it as one record.
 func TestKillAtEveryWALOffset(t *testing.T) {
 	liveDir := t.TempDir()
 	srv, store, _ := startDurableServer(t, liveDir)
@@ -308,6 +310,11 @@ func TestKillAtEveryWALOffset(t *testing.T) {
 		t.Fatalf("workload made no directory with an ACL: %v", aclDirs)
 	}
 
+	staged := map[string][]byte{
+		"/work/sim.exe":   kernel.ExecutableBytes("sim"),
+		"/work/input.dat": []byte("signal data"),
+	}
+
 	// The matrix: every byte offset is a crash point.
 	cutDir := t.TempDir()
 	dedupeCuts := 0
@@ -349,6 +356,12 @@ func TestKillAtEveryWALOffset(t *testing.T) {
 		for dir := range aclDirs {
 			if s.FS().Exists(dir) && !s.FS().Exists(vfs.Join(dir, acl.FileName)) {
 				t.Fatalf("cut %d: %s recovered without its ACL", cut, dir)
+			}
+		}
+		for path, whole := range staged {
+			got, err := s.FS().ReadFile(path)
+			if (err == nil && !bytes.Equal(got, whole)) || (err != nil && !errors.Is(err, vfs.ErrNotExist)) {
+				t.Fatalf("cut %d: %s recovered as %q (%v); want it absent or whole", cut, path, got, err)
 			}
 		}
 		for key := range s.DedupeEntries() {
