@@ -146,7 +146,7 @@ func figure5a(metricsOut string) {
 	if metricsOut != "" {
 		reg = obs.NewRegistry()
 	}
-	rows, err := harness.RunFigure5aObserved(reg)
+	rows, err := harness.RunFigure5a(reg, nil)
 	if err != nil {
 		log.Fatalf("figure 5a: %v", err)
 	}

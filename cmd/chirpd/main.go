@@ -28,11 +28,13 @@
 // and with -catalog and -name the server contends for the set's write
 // lease (-lease-ttl the term). -replica-of starts this server as a
 // follower of the named primary instead (implies -replicate): it
-// bootstraps from the primary's WAL tail or snapshot, applies the
-// replicated stream into its own -state, serves reads (with waitlsn
-// read barriers), refuses writes with ENOTPRIMARY, and stands for
-// election when its stream breaks — winning promotes it to primary
-// within roughly one lease TTL, with tokened retries exactly-once
+// serves from the start and catches up from the primary's WAL tail or
+// a snapshot, at its first dial or any later one (an unreachable
+// primary is retried, not fatal), applies the replicated stream into
+// its own -state, serves reads (with waitlsn read barriers), refuses
+// writes with ENOTPRIMARY, and, once it has followed the primary,
+// stands for election when its stream breaks — winning promotes it to
+// primary within roughly one lease TTL, with tokened retries exactly-once
 // across the switch because the dedupe journal replicates with the
 // WAL. A fenced former primary refuses writes until restarted as a
 // follower of the new one.
@@ -195,53 +197,23 @@ func main() {
 		pub.Bind(store)
 	}
 
-	// A follower bootstraps BEFORE the kernel is built: loading a
-	// primary snapshot replaces the store's file-system tree, which is
-	// only legal while nothing else holds the pointer.
-	clientAuths := []auth.Authenticator{&auth.UnixClient{User: *owner}, &auth.HostnameClient{}}
-	var firstStream *chirp.ReplicaSession
-	if *replicaOf != "" {
-		rs, err := chirp.DialReplica(*replicaOf, clientAuths, store.AppliedLSN(), *leaseTTL+5*time.Second)
-		if err != nil {
-			log.Fatalf("chirpd: bootstrapping from primary %s: %v", *replicaOf, err)
-		}
-		rs.IdleTimeout = *leaseTTL
-		if rs.Snap != nil {
-			if err := store.LoadReplicaSnapshot(rs.Snap); err != nil {
-				log.Fatalf("chirpd: loading snapshot from %s: %v", *replicaOf, err)
-			}
-			fs = store.FS()
-			fmt.Printf("chirpd: bootstrapped from %s snapshot (lsn %d, epoch %d)\n", *replicaOf, rs.SnapLSN, rs.Epoch)
-		} else {
-			fmt.Printf("chirpd: following %s from lsn %d (epoch %d)\n", *replicaOf, store.AppliedLSN(), rs.Epoch)
-		}
-		firstStream = rs
-	}
 	k := kernel.New(fs, vclock.Default())
 	registerDemoPrograms(k)
 
 	// The replication node runs this server's role: lease renewal as a
 	// primary, stream-apply and election as a follower. It is created
-	// before the server, whose options point at it.
+	// before the server, whose options point at it. A follower's state
+	// comes through the node alone, at its first dial or any later one.
 	var node *replica.Node
 	if *replicate {
+		clientAuths := []auth.Authenticator{&auth.UnixClient{User: *owner}, &auth.HostnameClient{}}
+		// Any dial may bring a snapshot, so each has the time one takes.
 		dial := func(target string, fromLSN uint64) (replica.Stream, error) {
-			if s := firstStream; s != nil {
-				firstStream = nil
-				return s, nil
-			}
-			rs, err := chirp.DialReplica(target, clientAuths, fromLSN, *leaseTTL)
+			rs, err := chirp.DialReplica(target, clientAuths, fromLSN, *leaseTTL+5*time.Second)
 			if err != nil {
 				return nil, err
 			}
 			rs.IdleTimeout = *leaseTTL
-			if rs.Snap != nil {
-				// A snapshot would replace the file-system tree, which is
-				// impossible under a live kernel: this follower fell behind
-				// the primary's compacted WAL and must re-bootstrap.
-				rs.Close()
-				return nil, fmt.Errorf("primary %s demands a snapshot bootstrap; restart this follower with a fresh -state", target)
-			}
 			return rs, nil
 		}
 		node, err = replica.Start(replica.Config{

@@ -27,6 +27,10 @@ var (
 	refDocs    = []string{"README.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"}
 )
 
+// designMaxBytes caps DESIGN.md: a change that adds to it makes room by
+// saying something else in fewer words, or raises the cap on purpose.
+const designMaxBytes = 48 << 10
+
 // knobStructs maps the struct names the DESIGN.md knob table uses to
 // the package directory and type that declare them.
 var knobStructs = map[string][2]string{
@@ -57,6 +61,9 @@ func TestDocsNameOnlyRealThings(t *testing.T) {
 	docs := readDocs(t)
 	for _, p := range lintDocs(facts, docs) {
 		t.Error(p)
+	}
+	if n := len(docs["DESIGN.md"]); n > designMaxBytes {
+		t.Errorf("DESIGN.md is %d bytes, over its %d-byte cap", n, designMaxBytes)
 	}
 
 	t.Run("planted faults", func(t *testing.T) {

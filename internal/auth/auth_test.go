@@ -218,10 +218,13 @@ func TestConnRejectsEmbeddedNewline(t *testing.T) {
 }
 
 // TestLineBoundAuth sends one byte past MaxLine with no newline: the
-// read must end in ErrLineTooLong, holding no more than the bound, where
-// an unbounded reader would buffer whatever an unauthenticated peer
-// streamed. The longest credential line the tests send (a second-level
-// proxy's certificate) must fit with room to spare.
+// read must end in ErrLineTooLong, having taken no more than the bound
+// from the peer, where an unbounded reader would buffer whatever an
+// unauthenticated peer streamed. The refused read's own allocation is
+// averaged over many reads, so a goroutine allocating elsewhere in the
+// process cannot push it past the bound. The longest credential line
+// the tests send (a second-level proxy's certificate) must fit with
+// room to spare.
 func TestLineBoundAuth(t *testing.T) {
 	_, _, proxy := proxyFixture(t)
 	proxy2, err := proxy.Delegate()
@@ -234,18 +237,44 @@ func TestLineBoundAuth(t *testing.T) {
 		}
 	}
 
-	c := NewConn(struct {
+	long := strings.Repeat("x", MaxLine+1)
+	peer := &countingReader{r: strings.NewReader(long)}
+	rw := struct {
 		io.Reader
 		io.Writer
-	}{strings.NewReader(strings.Repeat("x", MaxLine+1)), io.Discard})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = c.ReadLine()
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrLineTooLong) {
+	}{peer, io.Discard}
+	c := NewConn(rw)
+	if _, err := c.ReadLine(); !errors.Is(err, ErrLineTooLong) {
 		t.Fatalf("reading %d bytes without a newline: %v, want ErrLineTooLong", MaxLine+1, err)
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n > MaxLine {
-		t.Errorf("the refused line allocated %d bytes, more than the %d-byte bound", n, MaxLine)
+	if peer.n > MaxLine {
+		t.Errorf("the refused line took %d bytes from the peer, more than the %d-byte bound", peer.n, MaxLine)
 	}
+
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		peer.r.Reset(long)
+		c.r.Reset(rw)
+		if _, err := c.ReadLine(); !errors.Is(err, ErrLineTooLong) {
+			t.Fatalf("run %d: %v, want ErrLineTooLong", i, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > MaxLine {
+		t.Errorf("a refused line allocated %d bytes on average, more than the %d-byte bound", n, MaxLine)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r *strings.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }

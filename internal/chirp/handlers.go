@@ -375,7 +375,7 @@ func (sess *session) replSubscribe(sc *payloadScratch, arg string) hres {
 	if sess.replSub != nil {
 		return sess.failf(sc, vfs.ErrInvalid, "session already subscribed")
 	}
-	sub, catchup, snap, snapLSN, err := pub.Subscribe(from)
+	sub, catchup, err := pub.Subscribe(from)
 	if err != nil {
 		return sess.failf(sc, err, "replsub")
 	}
@@ -385,16 +385,13 @@ func (sess *session) replSubscribe(sc *payloadScratch, arg string) hres {
 		sess.pushWG.Add(1)
 		go sess.replPush(sub)
 	}}
-	switch {
-	case snap != nil:
-		res.line = sc.ok().str("snap").uint(pub.Epoch()).uint(snapLSN).int(int64(len(snap)))
-		res.body = snap
-	case catchup != nil:
+	if catchup.Snap != nil {
+		res.line = sc.ok().str("snap").uint(catchup.Epoch).uint(catchup.Last).int(int64(len(catchup.Snap)))
+		res.body = catchup.Snap
+	} else {
 		res.line = sc.ok().str("tail").uint(catchup.Epoch).uint(catchup.First).uint(catchup.Last).
 			int(int64(catchup.Records)).int(int64(len(catchup.Frames)))
 		res.body = catchup.Frames
-	default:
-		res.line = sc.ok().str("tail").uint(pub.Epoch()).int(0).int(0).int(0).int(0)
 	}
 	return res
 }

@@ -42,9 +42,10 @@ func freePort(t *testing.T) string {
 }
 
 // replMember is one replica-set member wired exactly like chirpd does
-// it: durable store shipping into a publisher, a replication node
-// running the role, and a server whose durability/dedupe/role hooks all
-// point at the node.
+// it: durable store shipping into a publisher, a kernel over the
+// store's file system, a replication node running the role (a follower
+// gets its state from the node's first dial, as chirpd's does), and a
+// server whose durability/dedupe/role hooks all point at the node.
 type replMember struct {
 	t       *testing.T
 	name    string
@@ -67,6 +68,23 @@ type replMember struct {
 
 	killOnce sync.Once
 	trigOnce sync.Once
+
+	// streamGate, held for writing, stalls this follower's replication
+	// stream before its next batch, as a slow follower would stall.
+	streamGate sync.RWMutex
+}
+
+// gatedStream is a follower's replication stream that waits at gate
+// before each batch.
+type gatedStream struct {
+	replica.Stream
+	gate *sync.RWMutex
+}
+
+func (g gatedStream) Next() (replica.Batch, error) {
+	g.gate.RLock()
+	g.gate.RUnlock()
+	return g.Stream.Next()
 }
 
 // armKill schedules this member's death right after the next `after`
@@ -105,23 +123,6 @@ func startReplMember(t *testing.T, name, catalogAddr, replicaOf string) *replMem
 	t.Cleanup(func() { store.Close() })
 	m.pub.Bind(store)
 
-	// Follower bootstrap happens before the kernel is built, mirroring
-	// chirpd: a snapshot load replaces the file-system tree.
-	var firstStream *ReplicaSession
-	if replicaOf != "" {
-		rs, err := DialReplica(replicaOf, adminAuth(), store.AppliedLSN(), 2*time.Second)
-		if err != nil {
-			t.Fatalf("bootstrap dial %s: %v", replicaOf, err)
-		}
-		rs.IdleTimeout = replTTL
-		if rs.Snap != nil {
-			if err := store.LoadReplicaSnapshot(rs.Snap); err != nil {
-				t.Fatal(err)
-			}
-		}
-		firstStream = rs
-	}
-
 	k := kernel.New(store.FS(), vclock.Default())
 	k.RegisterProgram("sim", func(p *kernel.Proc, args []string) int {
 		m.execs.Add(1)
@@ -137,20 +138,12 @@ func startReplMember(t *testing.T, name, catalogAddr, replicaOf string) *replMem
 
 	m.addr = freePort(t)
 	dial := func(target string, fromLSN uint64) (replica.Stream, error) {
-		if s := firstStream; s != nil {
-			firstStream = nil
-			return s, nil
-		}
 		rs, err := DialReplica(target, adminAuth(), fromLSN, 2*time.Second)
 		if err != nil {
 			return nil, err
 		}
 		rs.IdleTimeout = replTTL
-		if rs.Snap != nil {
-			rs.Close()
-			return nil, errors.New("re-dial demanded a snapshot bootstrap")
-		}
-		return rs, nil
+		return gatedStream{rs, &m.streamGate}, nil
 	}
 	node, err := replica.Start(replica.Config{
 		Name:        name,
@@ -327,6 +320,15 @@ func TestFollowerBootstrapFromSnapshot(t *testing.T) {
 	}
 	follower := startReplMember(t, "vol", "", primary.addr)
 	fcl := adminClient(t, follower.srv, ClientOptions{})
+	// The follower serves before its node has loaded the snapshot; a
+	// read of the bootstrapped state waits for the primary's horizon.
+	pst, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fcl.WaitLSN(pst.AppliedLSN, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	data, err := fcl.GetFile("/pre-compaction")
 	if err != nil || string(data) != "early history" {
 		t.Fatalf("bootstrapped read = %q, %v", data, err)
@@ -344,6 +346,113 @@ func TestFollowerBootstrapFromSnapshot(t *testing.T) {
 	}
 	if data, err := fcl.GetFile("/post-snapshot"); err != nil || string(data) != "later" {
 		t.Fatalf("post-snapshot read = %q, %v", data, err)
+	}
+}
+
+// TestFollowerRejoinsThroughSnapshot cuts a stalled follower loose
+// while its primary compacts past the follower's applied LSN. Without
+// a restart the follower resubscribes, loads the primary's snapshot
+// into the file system its kernel and server already serve, and then
+// serves a file written after the compaction.
+func TestFollowerRejoinsThroughSnapshot(t *testing.T) {
+	primary := startReplMember(t, "vol", "", "")
+	follower := startReplMember(t, "vol", "", primary.addr)
+	pollUntil(t, 2*time.Second, "follower subscription", func() bool { return primary.pub.Subscribers() == 1 })
+	cl := adminClient(t, primary.srv, ClientOptions{})
+	fcl := adminClient(t, follower.srv, ClientOptions{})
+	fs := follower.store.FS()
+	if err := cl.PutFile("/before", []byte("streamed"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stall the follower and flood the primary's file system directly
+	// (no semi-sync wait), one commit group per write, until the
+	// publisher cuts the follower loose: the socket's buffers and the
+	// subscriber's queue are both full.
+	follower.streamGate.Lock()
+	gated := true
+	defer func() {
+		if gated {
+			follower.streamGate.Unlock()
+		}
+	}()
+	chunk := bytes.Repeat([]byte("f"), 64<<10)
+	for i := 0; primary.pub.Subscribers() != 0; i++ {
+		if i == 5000 {
+			t.Fatal("the stalled follower was never cut loose")
+		}
+		if err := primary.store.FS().WriteFile("/flood", chunk, 0o644, "owner"); err != nil {
+			t.Fatal(err)
+		}
+		if err := primary.store.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.PutFile("/after", []byte("past the compaction"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied := follower.store.AppliedLSN(); applied >= st.AppliedLSN {
+		t.Fatalf("stalled follower applied %d, primary at %d", applied, st.AppliedLSN)
+	}
+
+	gated = false
+	follower.streamGate.Unlock()
+	if _, err := fcl.WaitLSN(st.AppliedLSN, 10*time.Second); err != nil {
+		t.Fatalf("follower did not rejoin: %v", err)
+	}
+	for path, want := range map[string]string{"/before": "streamed", "/after": "past the compaction"} {
+		if data, err := fcl.GetFile(path); err != nil || string(data) != want {
+			t.Fatalf("follower read of %s = %q, %v", path, data, err)
+		}
+	}
+	if follower.store.FS() != fs {
+		t.Fatal("the snapshot load replaced the file system the server holds")
+	}
+	if follower.role() != replica.RoleFollower {
+		t.Fatalf("follower role = %s", follower.role())
+	}
+}
+
+// TestUnfollowedFollowerNeverClaims: a follower whose primary has been
+// unreachable since it started keeps re-dialling and never claims the
+// lease, although nobody holds it: its state may be arbitrarily stale.
+func TestUnfollowedFollowerNeverClaims(t *testing.T) {
+	cat := NewCatalog()
+	cat.LeaseTTL = replTTL
+	if err := cat.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	follower := startReplMember(t, "vol", cat.Addr(), freePort(t))
+	fcl := adminClient(t, follower.srv, ClientOptions{})
+	// Several lease terms: a follower that stood for election would
+	// have won the free lease and promoted within one.
+	deadline := time.Now().Add(8 * replTTL)
+	for time.Now().Before(deadline) {
+		if holder, _ := cat.LeaseHolder("vol"); holder != "" {
+			t.Fatalf("lease claimed by %s", holder)
+		}
+		if follower.role() != replica.RoleFollower {
+			t.Fatalf("follower became %s", follower.role())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := follower.reg.Counter(replica.MetricPromotions).Value(); got != 0 {
+		t.Fatalf("%s = %d, want 0", replica.MetricPromotions, got)
+	}
+	// It serves meanwhile, and refuses writes.
+	if _, err := fcl.Whoami(); err != nil {
+		t.Fatalf("read against the unfollowed follower: %v", err)
+	}
+	if err := fcl.Mkdir("/nope", 0o755); !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("write against the unfollowed follower = %v, want ErrNotPrimary", err)
 	}
 }
 

@@ -38,27 +38,23 @@ type ReplicaSession struct {
 	// cluster leaderless because no follower noticed the stream died.
 	IdleTimeout time.Duration
 
-	// Bootstrap state from the subscribe reply: a snapshot to load
-	// before applying the stream (nil when the WAL tail sufficed), and
-	// the primary's epoch at subscribe time.
-	Snap    []byte
-	SnapLSN uint64
-	Epoch   uint64
+	// Snap is the snapshot the subscribe reply carried, nil when the
+	// WAL tail sufficed. The first Next delivers it as a snapshot batch.
+	Snap []byte
 
 	mu      sync.Mutex // guards nextTag, line and write interleaving (Ack vs Close)
 	nextTag uint64
 	line    lineBuf // the request being sent
 	closed  bool
 
-	catchup *replica.Batch // WAL-tail catch-up, delivered by the first Next
+	first *replica.Batch // the subscribe reply, delivered by the first Next
 }
 
 // DialReplica opens a replication subscription to the primary at addr,
 // authenticating like any client, negotiating protocol v2 with the
-// repl capability, and subscribing from fromLSN. The returned session
-// carries the catch-up the server computed: check Snap — when non-nil
-// the follower must load it (durable.LoadReplicaSnapshot) before
-// consuming the stream.
+// repl capability, and subscribing from fromLSN. The session's first
+// Next returns the catch-up the server computed: a snapshot batch, the
+// WAL tail past fromLSN, or an empty batch when the follower is current.
 func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeout time.Duration) (*ReplicaSession, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -121,22 +117,23 @@ func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeou
 		if err := c.readPayloadInto(blob); err != nil {
 			return fail(err)
 		}
-		rs.Epoch, rs.Snap, rs.SnapLSN = epoch, blob, lsn
+		rs.Snap = blob
+		rs.first = &replica.Batch{Epoch: epoch, Last: lsn, Snap: blob}
 	case len(fields) == 7 && fields[1] == "tail": // ok tail <epoch> <first> <last> <records> <len>
 		epoch, _ := strconv.ParseUint(fields[2], 10, 64)
 		first, _ := strconv.ParseUint(fields[3], 10, 64)
 		last, _ := strconv.ParseUint(fields[4], 10, 64)
 		records, _ := strconv.Atoi(fields[5])
-		rs.Epoch = epoch
+		b := replica.Batch{Epoch: epoch}
 		if records > 0 {
-			frames := make([]byte, h.payloadLen)
-			if err := c.readPayloadInto(frames); err != nil {
+			b = replica.Batch{Epoch: epoch, First: first, Last: last, Records: records, Frames: make([]byte, h.payloadLen)}
+			if err := c.readPayloadInto(b.Frames); err != nil {
 				return fail(err)
 			}
-			rs.catchup = &replica.Batch{Epoch: epoch, First: first, Last: last, Records: records, Frames: frames}
 		} else if err := rs.discard(h.payloadLen); err != nil {
 			return fail(err)
 		}
+		rs.first = &b
 	default:
 		rs.discard(h.payloadLen)
 		return fail(fmt.Errorf("chirp: malformed replsub reply %q", fields))
@@ -185,13 +182,13 @@ func (rs *ReplicaSession) discard(n int) error {
 	return err
 }
 
-// Next blocks for the next pushed batch (replica.Stream). Reply frames
-// for this session's own replacks are skipped; a "replgap" push
-// surfaces as ErrReplGap, telling the follower to resubscribe from its
-// applied LSN.
+// Next returns the subscribe reply's batch first, then blocks for the
+// next pushed batch (replica.Stream). Reply frames for this session's
+// own replacks are skipped; a "replgap" push surfaces as ErrReplGap,
+// telling the follower to resubscribe from its applied LSN.
 func (rs *ReplicaSession) Next() (replica.Batch, error) {
-	if b := rs.catchup; b != nil {
-		rs.catchup = nil
+	if b := rs.first; b != nil {
+		rs.first = nil
 		return *b, nil
 	}
 	for {

@@ -189,8 +189,12 @@ func TestFollowerWriteFaultDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := f.FS()
 	if err := f.LoadReplicaSnapshot(blob); err != nil {
 		t.Fatal(err)
+	}
+	if f.FS() != fs {
+		t.Fatal("the snapshot load replaced the file system instead of its tree")
 	}
 	if err := f.Err(); err != nil {
 		t.Fatalf("snapshot bootstrap left the follower degraded: %v", err)

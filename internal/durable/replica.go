@@ -198,44 +198,47 @@ func (s *Store) ReplSnapshot() (blob []byte, lsn, epoch uint64, err error) {
 }
 
 // LoadReplicaSnapshot bootstraps a follower from a primary's
-// ReplSnapshot image: the in-memory state, dedupe table, epoch and
-// applied horizon are replaced wholesale, the image is persisted as
-// this store's own snapshot, and the local log is reset. Only valid in
-// replica mode, and only before the recovered file system has been
-// shared (the *vfs.FS pointer changes); callers bootstrap first, then
-// build the kernel and server on top.
+// ReplSnapshot image: the file-system tree is replaced in place
+// (vfs.FS.Restore, so the kernel and server holding FS keep serving,
+// now from the image), the dedupe table, epoch and applied horizon are
+// replaced wholesale, the image is persisted as this store's own
+// snapshot, and the local log is reset. Only valid in replica mode.
+// It takes the journal lock, then Store.mu, the order ReplSnapshot
+// uses.
 func (s *Store) LoadReplicaSnapshot(blob []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.replica {
-		return ErrNotReplica
-	}
 	snap, fs, err := decodeSnapshot(blob)
 	if err != nil {
 		return err
 	}
-	if snap.Epoch < s.epoch {
-		return fmt.Errorf("%w: snapshot epoch %d, follower epoch %d", ErrStaleEpoch, snap.Epoch, s.epoch)
-	}
-	if err := s.publishSnapshotLocked(blob, snap.LSN); err != nil {
-		return err
-	}
-	// Local history before the bootstrap point is superseded: seal the
-	// active segment, jump the LSN cursor to the snapshot's position,
-	// and prune everything the snapshot covers.
-	if err := s.wal.resetForCompact(snap.LSN); err != nil {
-		s.logf("durable: sealing wal segment after replica bootstrap: %v", err)
-	}
-	s.pruneLocked()
-	s.fs = fs
-	s.dedupe = make(map[string][]string, len(snap.Dedupe))
-	for k, v := range snap.Dedupe {
-		s.dedupe[k] = v
-	}
-	s.epoch = snap.Epoch
-	s.lastApplied = snap.LSN
-	s.wakeAppliedLocked()
-	return nil
+	return s.fs.Quiesce(func() error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.replica {
+			return ErrNotReplica
+		}
+		if snap.Epoch < s.epoch {
+			return fmt.Errorf("%w: snapshot epoch %d, follower epoch %d", ErrStaleEpoch, snap.Epoch, s.epoch)
+		}
+		if err := s.publishSnapshotLocked(blob, snap.LSN); err != nil {
+			return err
+		}
+		// Local history before the bootstrap point is superseded: seal
+		// the active segment, jump the LSN cursor to the snapshot's
+		// position, and prune everything the snapshot covers.
+		if err := s.wal.resetForCompact(snap.LSN); err != nil {
+			s.logf("durable: sealing wal segment after replica bootstrap: %v", err)
+		}
+		s.pruneLocked()
+		s.fs.Restore(fs)
+		s.dedupe = make(map[string][]string, len(snap.Dedupe))
+		for k, v := range snap.Dedupe {
+			s.dedupe[k] = v
+		}
+		s.epoch = snap.Epoch
+		s.lastApplied = snap.LSN
+		s.wakeAppliedLocked()
+		return nil
+	})
 }
 
 // WALTailSince re-encodes every logged record past lsn, for catching a

@@ -85,26 +85,14 @@ type Fig5aRow struct {
 	PaperBoxedUS  float64
 }
 
-// RunFigure5a measures every microbenchmark natively and boxed.
-func RunFigure5a() ([]Fig5aRow, error) {
-	return RunFigure5aObserved(nil)
-}
-
-// RunFigure5aObserved is RunFigure5a with every boxed run recording
-// into reg (when non-nil): afterwards the registry's per-class latency
-// histograms cover all seven Figure 5(a) syscall classes. Because
-// instrumentation charges no virtual time, the rows are identical with
-// and without a registry.
-func RunFigure5aObserved(reg *obs.Registry) ([]Fig5aRow, error) {
-	return RunFigure5aTraced(reg, nil)
-}
-
-// RunFigure5aTraced is RunFigure5aObserved with every boxed run also
-// recording a wall-clock "box.run" span into spans (when non-nil).
-// Span recording never touches the virtual clock, so the rows — which
-// are virtual-clock measurements — are bit-identical with and without
-// a span ring; TestTracedFigure5aTickIdentical holds that invariant.
-func RunFigure5aTraced(reg *obs.Registry, spans *obs.SpanRing) ([]Fig5aRow, error) {
+// RunFigure5a measures every microbenchmark natively and boxed. Every
+// boxed run records into reg and spans, each when non-nil: afterwards
+// the registry's per-class latency histograms cover all seven Figure
+// 5(a) syscall classes, and spans holds a wall-clock "box.run" span
+// per run. Neither charges virtual time, so the rows, which are
+// virtual-clock measurements, are bit-identical with and without them;
+// TestTracedFigure5aTickIdentical holds that invariant.
+func RunFigure5a(reg *obs.Registry, spans *obs.SpanRing) ([]Fig5aRow, error) {
 	var rows []Fig5aRow
 	for _, m := range workload.Micros() {
 		nw, err := NewWorld()

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFigure5aShape(t *testing.T) {
-	rows, err := RunFigure5a()
+	rows, err := RunFigure5a(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFigure4Mechanism(t *testing.T) {
 func TestOrderOfMagnitudeSlowdown(t *testing.T) {
 	// Section 7's headline: "Each call is slowed down by an order of
 	// magnitude." Checked on the geometric mean of the metadata calls.
-	rows, err := RunFigure5a()
+	rows, err := RunFigure5a(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,12 +16,12 @@ func TestFigure5aObservedIsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full microbenchmark sweep")
 	}
-	plain, err := RunFigure5a()
+	plain, err := RunFigure5a(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	observed, err := RunFigure5aObserved(reg)
+	observed, err := RunFigure5a(reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +49,12 @@ func TestFigure5aObservedIsDeterministic(t *testing.T) {
 // span recorder ever read or charged the virtual clock, the boxed
 // microsecond columns here would drift and this test would fail.
 func TestTracedFigure5aTickIdentical(t *testing.T) {
-	plain, err := RunFigure5a()
+	plain, err := RunFigure5a(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spans := obs.NewSpanRing(1024)
-	traced, err := RunFigure5aTraced(nil, spans)
+	traced, err := RunFigure5a(nil, spans)
 	if err != nil {
 		t.Fatal(err)
 	}

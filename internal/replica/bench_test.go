@@ -28,11 +28,11 @@ func BenchmarkReplicationLag(b *testing.B) {
 	}
 	defer follower.Close()
 
-	sub, catchup, snap, _, err := pub.Subscribe(store.DurableLSN())
+	sub, catchup, err := pub.Subscribe(store.DurableLSN())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if catchup != nil || snap != nil {
+	if catchup.Records != 0 || catchup.Snap != nil {
 		b.Fatal("fresh subscription wanted catch-up")
 	}
 	applied := make(chan struct{})

@@ -284,13 +284,15 @@ func (n *Node) claimAsPrimary() {
 
 // followerLoop streams from the primary and applies every batch; when
 // the stream dies it stands for election, promoting on a grant and
-// re-targeting the new holder on a denial.
+// re-targeting the new holder on a denial. Until it has followed a
+// primary in this process it only re-dials: its state may be stale.
 func (n *Node) followerLoop() {
 	defer n.wg.Done()
 	retry := n.cfg.TTL / 4
 	if retry <= 0 {
 		retry = 100 * time.Millisecond
 	}
+	followed := false
 	for {
 		select {
 		case <-n.stop:
@@ -301,14 +303,14 @@ func (n *Node) followerLoop() {
 		upstream := n.primaryAddr
 		n.mu.Unlock()
 		if upstream != "" && upstream != n.cfg.Addr {
-			n.streamFrom(upstream)
+			followed = n.streamFrom(upstream) || followed
 		}
 		select {
 		case <-n.stop:
 			return
 		default:
 		}
-		if n.standForElection() {
+		if followed && n.standForElection() {
 			n.wg.Add(1)
 			go n.primaryLoop()
 			return
@@ -321,12 +323,14 @@ func (n *Node) followerLoop() {
 	}
 }
 
-// streamFrom applies the primary's feed until it breaks.
-func (n *Node) streamFrom(addr string) {
+// streamFrom applies the primary's feed until it breaks, loading a
+// snapshot batch only when it is ahead of the applied horizon. It
+// reports whether a batch was taken in: whether this node followed addr.
+func (n *Node) streamFrom(addr string) (followed bool) {
 	stream, err := n.cfg.Dial(addr, n.cfg.Store.AppliedLSN())
 	if err != nil {
 		n.logf("replica: streaming from %s: %v", addr, err)
-		return
+		return false
 	}
 	defer stream.Close()
 	n.logf("replica: following %s from lsn %d", addr, n.cfg.Store.AppliedLSN())
@@ -341,7 +345,15 @@ func (n *Node) streamFrom(addr string) {
 			n.logf("replica: stream from %s ended: %v", addr, err)
 			return
 		}
-		if _, err := n.cfg.Store.ApplyReplicated(b.Epoch, b.First, b.Last, b.Frames); err != nil {
+		switch {
+		case b.Snap == nil:
+			_, err = n.cfg.Store.ApplyReplicated(b.Epoch, b.First, b.Last, b.Frames)
+		case b.Last > n.cfg.Store.AppliedLSN():
+			if err = n.cfg.Store.LoadReplicaSnapshot(b.Snap); err == nil {
+				n.logf("replica: loaded %s's snapshot at lsn %d (epoch %d)", addr, b.Last, b.Epoch)
+			}
+		}
+		if err != nil {
 			n.logf("replica: applying batch [%d,%d] epoch %d: %v", b.First, b.Last, b.Epoch, err)
 			if errors.Is(err, durable.ErrStaleEpoch) {
 				// The stream's source is a fenced primary; drop it and let
@@ -353,6 +365,7 @@ func (n *Node) streamFrom(addr string) {
 			}
 			continue
 		}
+		followed = true
 		if err := stream.Ack(n.cfg.Store.AppliedLSN()); err != nil {
 			n.logf("replica: acking %s: %v", addr, err)
 			return

@@ -207,19 +207,19 @@ func (sub *Subscription) Close() {
 }
 
 // Subscribe registers a follower whose applied horizon is fromLSN and
-// computes its catch-up: the WAL tail past fromLSN when the log still
-// holds it (catchup non-nil when non-empty), or a full snapshot when
-// compaction already truncated that history (snapshot non-nil; the
-// follower bootstraps from it at snapLSN and receives the stream from
-// there). Registration happens before the catch-up is computed, so no
-// group can fall between them; any overlap between the catch-up and
+// computes its catch-up, the subscription's first batch: the WAL tail
+// past fromLSN when the log still holds it (empty when there is none),
+// or a snapshot batch when compaction already truncated that history
+// (the follower loads it and receives the stream from its Last).
+// Registration happens before the catch-up is computed, so no group
+// can fall between them; any overlap between the catch-up and
 // already-buffered live batches is dropped idempotently by the
 // follower's ApplyReplicated.
-func (p *Publisher) Subscribe(fromLSN uint64) (sub *Subscription, catchup *Batch, snapshot []byte, snapLSN uint64, err error) {
+func (p *Publisher) Subscribe(fromLSN uint64) (sub *Subscription, catchup Batch, err error) {
 	p.mu.Lock()
 	if p.closed || p.store == nil {
 		p.mu.Unlock()
-		return nil, nil, nil, 0, ErrPublisherClosed
+		return nil, Batch{}, ErrPublisherClosed
 	}
 	store := p.store
 	id := p.nextID
@@ -230,23 +230,19 @@ func (p *Publisher) Subscribe(fromLSN uint64) (sub *Subscription, catchup *Batch
 	sub = &Subscription{C: s.ch, id: id, pub: p}
 	p.mu.Unlock()
 
-	frames, first, last, records, terr := store.WALTailSince(fromLSN)
-	if terr != nil {
-		if !errors.Is(terr, durable.ErrReplicaGap) {
-			sub.Close()
-			return nil, nil, nil, 0, terr
-		}
-		blob, lsn, _, serr := store.ReplSnapshot()
-		if serr != nil {
-			sub.Close()
-			return nil, nil, nil, 0, serr
-		}
-		return sub, nil, blob, lsn, nil
+	frames, first, last, records, err := store.WALTailSince(fromLSN)
+	if errors.Is(err, durable.ErrReplicaGap) {
+		var blob []byte
+		blob, last, _, err = store.ReplSnapshot()
+		catchup = Batch{Epoch: p.Epoch(), Last: last, Snap: blob}
+	} else {
+		catchup = Batch{Epoch: p.Epoch(), First: first, Last: last, Records: records, Frames: frames}
 	}
-	if records > 0 {
-		catchup = &Batch{Epoch: p.Epoch(), First: first, Last: last, Records: records, Frames: frames}
+	if err != nil {
+		sub.Close()
+		return nil, Batch{}, err
 	}
-	return sub, catchup, nil, 0, nil
+	return sub, catchup, nil
 }
 
 // Subscribers reports how many followers are currently attached.

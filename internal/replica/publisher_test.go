@@ -58,13 +58,13 @@ func TestPublisherFanOutAndAck(t *testing.T) {
 	pub := NewPublisher(reg, time.Second)
 	store := openPrimary(t, pub)
 
-	sub, catchup, snap, _, err := pub.Subscribe(store.DurableLSN())
+	sub, catchup, err := pub.Subscribe(store.DurableLSN())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if catchup != nil || snap != nil {
-		t.Fatalf("subscribe from the durable horizon returned catch-up %v / snapshot %d bytes", catchup, len(snap))
+	if catchup.Records != 0 || catchup.Snap != nil {
+		t.Fatalf("subscribe from the durable horizon returned catch-up %d records / snapshot %d bytes", catchup.Records, len(catchup.Snap))
 	}
 
 	mutate(t, store, "/a")
@@ -108,7 +108,7 @@ func TestWaitShippedDegrades(t *testing.T) {
 		t.Fatalf("no-subscriber wait counted as a timeout")
 	}
 
-	sub, _, _, _, err := pub.Subscribe(store.DurableLSN())
+	sub, _, err := pub.Subscribe(store.DurableLSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestWaitShippedManyWaitersOneAck(t *testing.T) {
 	reg := obs.NewRegistry()
 	pub := NewPublisher(reg, time.Minute)
 	store := openPrimary(t, pub)
-	sub, _, _, _, err := pub.Subscribe(store.DurableLSN())
+	sub, _, err := pub.Subscribe(store.DurableLSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func waitParked(pub *Publisher) bool {
 func TestWaitShippedParkedAllocs(t *testing.T) {
 	pub := NewPublisher(nil, time.Minute)
 	store := openPrimary(t, pub)
-	sub, _, _, _, err := pub.Subscribe(store.DurableLSN())
+	sub, _, err := pub.Subscribe(store.DurableLSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestSubscriberOverflowCutLoose(t *testing.T) {
 	reg := obs.NewRegistry()
 	pub := NewPublisher(reg, time.Second)
 	store := openPrimary(t, pub)
-	sub, _, _, _, err := pub.Subscribe(store.DurableLSN())
+	sub, _, err := pub.Subscribe(store.DurableLSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,15 +280,15 @@ func TestSubscribeCatchUpTail(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mutate(t, store, fmt.Sprintf("/f%d", i))
 	}
-	sub, catchup, snap, _, err := pub.Subscribe(0)
+	sub, catchup, err := pub.Subscribe(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if snap != nil {
+	if catchup.Snap != nil {
 		t.Fatalf("uncompacted log answered with a snapshot")
 	}
-	if catchup == nil || catchup.Records < 3 {
+	if catchup.Records < 3 {
 		t.Fatalf("catch-up = %+v, want >= 3 records", catchup)
 	}
 	follower := openFollower(t)
@@ -314,19 +314,20 @@ func TestSubscribeCatchUpSnapshot(t *testing.T) {
 	if err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	sub, catchup, snap, snapLSN, err := pub.Subscribe(0)
+	sub, catchup, err := pub.Subscribe(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if catchup != nil {
+	if catchup.Frames != nil {
 		t.Fatalf("compacted log still answered with a tail")
 	}
-	if snap == nil || snapLSN == 0 {
+	snapLSN := catchup.Last
+	if catchup.Snap == nil || snapLSN == 0 {
 		t.Fatalf("no snapshot for a follower behind the compacted log (lsn %d)", snapLSN)
 	}
 	follower := openFollower(t)
-	if err := follower.LoadReplicaSnapshot(snap); err != nil {
+	if err := follower.LoadReplicaSnapshot(catchup.Snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := follower.FS().Stat("/pre"); err != nil {

@@ -29,18 +29,22 @@ import "time"
 
 // Batch is one shipped commit group: the encoded WAL frames exactly as
 // the primary wrote them, bound to the epoch the primary held when it
-// shipped and the contiguous LSN range the frames cover.
+// shipped and the contiguous LSN range the frames cover. A snapshot
+// batch carries a durable.Store.ReplSnapshot image in Snap instead,
+// covering history up to Last.
 type Batch struct {
 	Epoch   uint64
 	First   uint64
 	Last    uint64
 	Records int
 	Frames  []byte
+	Snap    []byte
 }
 
 // Stream is a follower's view of the primary's replication feed. Next
-// blocks for the next batch (an error means the stream is dead and the
-// follower should re-dial or stand for election); Ack reports the
+// returns the subscription's catch-up first (Publisher.Subscribe), then
+// blocks for each pushed batch (an error means the stream is dead and
+// the follower should re-dial or stand for election); Ack reports the
 // follower's applied horizon back to the primary, releasing semi-sync
 // waiters there.
 type Stream interface {

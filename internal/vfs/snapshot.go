@@ -146,3 +146,17 @@ func Load(r io.Reader) (*FS, error) {
 	fs.clock.Store(img.Clock)
 	return fs, nil
 }
+
+// Restore replaces fs's tree with from's in place, under the exclusive
+// tree lock: every holder of fs sees the old tree or the new one, never
+// a mix. The clock only moves forward, so no tick is reused, even on an
+// old inode an open handle still reaches. from must be fresh from Load
+// and unused afterwards; fs keeps its journal.
+func (fs *FS) Restore(from *FS) {
+	fs.treeMu.Lock()
+	defer fs.treeMu.Unlock()
+	fs.root = from.root
+	c := from.clock.Load()
+	for cur := fs.clock.Load(); c > cur && !fs.clock.CompareAndSwap(cur, c); cur = fs.clock.Load() {
+	}
+}

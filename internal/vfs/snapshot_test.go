@@ -2,7 +2,10 @@ package vfs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -189,5 +192,105 @@ func TestLoadRejectsTruncatedSnapshot(t *testing.T) {
 	half := buf.Bytes()[:buf.Len()/2]
 	if _, err := Load(bytes.NewReader(half)); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+}
+
+// TestRestoreUnderConcurrentReaders swaps whole trees under readers:
+// every listing and every read through a two-level path sees the old
+// tree or the new one, never a mix, and the clock never moves back.
+func TestRestoreUnderConcurrentReaders(t *testing.T) {
+	image := func(gen string) []byte {
+		fs := New("owner")
+		if err := fs.MkdirAll("/d/e", 0o755, "owner"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := fs.WriteFile(fmt.Sprintf("/%s-%d", gen, i), []byte(gen), 0o644, "owner"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.WriteFile("/d/e/f", []byte(gen), 0o644, "owner"); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := fs.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	images := map[string][]byte{"old": image("old"), "new": image("new")}
+	fs, err := Load(bytes.NewReader(images["old"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ents, err := fs.ReadDir("/")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				gen := ""
+				for _, e := range ents {
+					if e.Name == "d" {
+						continue
+					}
+					g, _, _ := strings.Cut(e.Name, "-")
+					if gen != "" && g != gen {
+						t.Errorf("one listing mixes trees: %v", ents)
+						return
+					}
+					gen = g
+				}
+				if len(ents) != 9 {
+					t.Errorf("listing has %d entries, want 9: %v", len(ents), ents)
+					return
+				}
+				if data, err := fs.ReadFile("/d/e/f"); err != nil || (string(data) != "old" && string(data) != "new") {
+					t.Errorf("read through the swap = %q, %v", data, err)
+					return
+				}
+			}
+		}()
+	}
+	clock := fs.clock.Load()
+	for i := 0; i < 200; i++ {
+		gen := "new"
+		if i%2 == 1 {
+			gen = "old"
+		}
+		from, err := Load(bytes.NewReader(images[gen]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			// The live tree is the old one on even rounds. A write ticks
+			// its clock past both images', so the restore below must keep
+			// the live clock rather than take the image's.
+			if err := fs.WriteFile("/d/e/f", []byte("old"), 0o644, "owner"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.Restore(from)
+		if now := fs.clock.Load(); now < clock {
+			t.Fatalf("clock moved back from %d to %d", clock, now)
+		}
+		clock = fs.clock.Load()
+	}
+	close(stop)
+	wg.Wait()
+	if data, err := fs.ReadFile("/old-3"); err != nil || string(data) != "old" {
+		t.Fatalf("after the last restore /old-3 = %q, %v", data, err)
 	}
 }
