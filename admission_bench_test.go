@@ -24,7 +24,12 @@ import (
 // every right and returns admin's session; admitted turns on admission
 // control and the deadline budget on the wire.
 func statServer(tb testing.TB, admitted bool) *chirp.Client {
-	k := kernel.New(vfs.New("owner"), vclock.Default())
+	return loopbackServer(tb, kernel.New(vfs.New("owner"), vclock.Default()), admitted)
+}
+
+// loopbackServer is statServer over a kernel of the caller's, which may
+// have programs registered for exec.
+func loopbackServer(tb testing.TB, k *kernel.Kernel, admitted bool) *chirp.Client {
 	rootACL := &acl.ACL{}
 	rootACL.Set("unix:admin", acl.All, acl.None)
 	sopts := chirp.ServerOptions{

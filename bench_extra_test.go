@@ -186,6 +186,46 @@ func BenchmarkChirpWireThroughput(b *testing.B) {
 	})
 }
 
+// BenchmarkChirpExec is one Figure 3 exec over one v2 session: the
+// staged program runs in the session's identity box and reads its
+// 256 KiB input through ordinary 8 KiB reads. Staging happens once,
+// before the timer; each op is the exec RPC, client and server
+// together. Its allocations are gated in BENCH_baseline.json: a box
+// made per exec, or an audit line rendered per trapped call, shows
+// there.
+func BenchmarkChirpExec(b *testing.B) {
+	const inputSize = 256 << 10
+	k := kernel.New(vfs.New("owner"), vclock.Default())
+	k.RegisterProgram("readinput", func(p *kernel.Proc, _ []string) int {
+		in, err := p.ReadFile("input.dat")
+		if err != nil || len(in) != inputSize {
+			return 1
+		}
+		return 0
+	})
+	cl := loopbackServer(b, k, false)
+	if cl.Protocol() != 2 {
+		b.Fatalf("session speaks v%d, want v2", cl.Protocol())
+	}
+	if err := cl.Mkdir("/job", 0o755); err != nil {
+		b.Fatal(err)
+	}
+	if err := cl.PutFile("/job/input.dat", make([]byte, inputSize), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	if err := cl.PutFile("/job/prog.exe", kernel.ExecutableBytes("readinput"), 0o755); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := cl.Exec("/job", "/job/prog.exe")
+		if err != nil || res.Code != 0 {
+			b.Fatalf("exec = %+v, %v", res, err)
+		}
+	}
+}
+
 // BenchmarkChirpChunkWindow measures the chunk path over the simulated
 // high-latency link: a file over MaxPayload, which GetFile reads in
 // 64 KiB preads after getfile's EFBIG. The serial client pays the stall

@@ -217,15 +217,11 @@ func TestConnRejectsEmbeddedNewline(t *testing.T) {
 	}
 }
 
-// TestLineBoundAuth sends one byte past MaxLine with no newline: the
-// read must end in ErrLineTooLong, having taken no more than the bound
-// from the peer, where an unbounded reader would buffer whatever an
-// unauthenticated peer streamed. The refused read's own allocation is
-// averaged over many reads, so a goroutine allocating elsewhere in the
-// process cannot push it past the bound. The longest credential line
-// the tests send (a second-level proxy's certificate) must fit with
-// room to spare.
-func TestLineBoundAuth(t *testing.T) {
+// TestCertificateLinesFitMaxLine: the longest credential line the
+// tests send (a second-level proxy's certificate) fits MaxLine with
+// room to spare. It generates RSA keys, so it stays out of
+// TestLineBoundAuth, which CI repeats many times.
+func TestCertificateLinesFitMaxLine(t *testing.T) {
 	_, _, proxy := proxyFixture(t)
 	proxy2, err := proxy.Delegate()
 	if err != nil {
@@ -236,7 +232,15 @@ func TestLineBoundAuth(t *testing.T) {
 			t.Fatalf("certificate line of %d bytes leaves MaxLine (%d) no margin", n, MaxLine)
 		}
 	}
+}
 
+// TestLineBoundAuth sends one byte past MaxLine with no newline: the
+// read must end in ErrLineTooLong, having taken no more than the bound
+// from the peer, where an unbounded reader would buffer whatever an
+// unauthenticated peer streamed. The refused read's own allocation is
+// averaged over many reads, so a goroutine allocating elsewhere in the
+// process cannot push it past the bound.
+func TestLineBoundAuth(t *testing.T) {
 	long := strings.Repeat("x", MaxLine+1)
 	peer := &countingReader{r: strings.NewReader(long)}
 	rw := struct {

@@ -535,28 +535,44 @@ func (sess *session) mkdir(path string, mode uint32, trace uint64) error {
 	return s.fs.Traced(trace).MkdirWithFile(path, mode, s.opts.Owner, acl.FileName, []byte(childACL.String()))
 }
 
-// execAuditLimit bounds the audit ring of the box each exec builds.
-// Nothing reads that ring — the box lives only as long as the call — so
-// it is kept small rather than zeroing the default 10 000 records per
-// job.
-const execAuditLimit = 64
+// execAuditLimit bounds the audit ring of a session's exec box. The
+// server reads nothing back from it, and the ring stays live as long
+// as the session does, so it holds the last few calls rather than the
+// default 10 000 records.
+const execAuditLimit = 16
 
-// exec runs the staged program at path inside an identity box carrying
-// the session's principal, with the given working directory: the heart
-// of Figure 3.
+// execBox returns the session's identity box, making it at the first
+// exec. Every later exec, concurrent ones included, runs as one more
+// process in it. A failed core.New is not kept: the next exec tries
+// again.
+func (sess *session) execBox() (*core.Box, error) {
+	sess.boxMu.Lock()
+	defer sess.boxMu.Unlock()
+	if sess.box == nil {
+		box, err := core.New(sess.s.k, sess.s.opts.Owner, sess.ident, core.Options{
+			HomeBase:   "/.boxhomes",
+			ShadowDir:  "/.boxshadow",
+			AuditLimit: execAuditLimit,
+		})
+		if err != nil {
+			return nil, err
+		}
+		sess.box = box
+	}
+	return sess.box, nil
+}
+
+// exec runs the staged program at path inside the session's identity
+// box, which carries the session's principal, with the given working
+// directory: the heart of Figure 3.
 func (sess *session) exec(cwd, path string, args []string) (code int, runtimeSeconds float64, err error) {
-	s := sess.s
 	if err := sess.check(path, acl.Read, policy.Follow); err != nil {
 		return 0, 0, err
 	}
 	if err := sess.check(path, acl.Execute, policy.Follow); err != nil {
 		return 0, 0, err
 	}
-	box, err := core.New(s.k, s.opts.Owner, sess.ident, core.Options{
-		HomeBase:   "/.boxhomes",
-		ShadowDir:  "/.boxshadow",
-		AuditLimit: execAuditLimit,
-	})
+	box, err := sess.execBox()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"identitybox/internal/acl"
 	"identitybox/internal/auth"
 	"identitybox/internal/faultnet"
 	"identitybox/internal/identity"
@@ -499,6 +500,98 @@ func TestMuxSessionBarriersOverlap(t *testing.T) {
 	dur.mu.Unlock()
 	if peak != 3 {
 		t.Fatalf("peak barrier waiters on one session = %d, want 3", peak)
+	}
+}
+
+// TestMuxConcurrentExecsOneBox runs eight execs at once on one v2
+// session, each reading its own 64 KiB input and writing a transform of
+// it, and checks every output. The session makes one identity box, at
+// its first exec, and every exec runs as a process in it: a home ACL
+// edited after that first exec outlives all eight (a new box would
+// reset it, TestBoxScaffoldingWrittenOnce), and a second session's
+// first exec does reset it.
+func TestMuxConcurrentExecsOneBox(t *testing.T) {
+	const jobs, size = 8, 64 << 10
+	srv, k, _ := testServer(t)
+	k.RegisterProgram("xform", func(p *kernel.Proc, args []string) int {
+		in, err := p.ReadFile(args[0])
+		if err != nil {
+			return 1
+		}
+		for i := range in {
+			in[i] ^= 0x5a
+		}
+		if err := p.WriteFile(args[1], in, 0o644); err != nil {
+			return 2
+		}
+		return 0
+	})
+	cl := adminClient(t, srv, ClientOptions{})
+	if cl.Protocol() != 2 {
+		t.Fatalf("session speaks v%d, want v2", cl.Protocol())
+	}
+	if err := cl.PutFile("/xform.exe", kernel.ExecutableBytes("xform"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	home := "/.boxhomes/" + identity.Principal(cl.Identity()).Sanitized()
+	if err := cl.PutFile("/seed", []byte("seed"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := cl.Exec("/", "/xform.exe", "/seed", "/seed.out"); err != nil || res.Code != 0 {
+		t.Fatalf("first exec = %+v, %v", res, err)
+	}
+	homeACL := home + "/" + acl.FileName
+	made, err := k.FS().ReadFile(homeACL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := append(append([]byte(nil), made...), "unix:nobody rl\n"...)
+	if err := k.FS().WriteFile(homeACL, edited, 0o644, "chirpowner"); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for j := 0; j < jobs; j++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			in := make([]byte, size)
+			for i := range in {
+				in[i] = byte(j*31 + i%251)
+			}
+			inName, outName := fmt.Sprintf("%s/in%d", home, j), fmt.Sprintf("%s/out%d", home, j)
+			if err := cl.PutFile(inName, in, 0o644); err != nil {
+				t.Errorf("job %d: put: %v", j, err)
+				return
+			}
+			if res, err := cl.Exec(home, "/xform.exe", inName, outName); err != nil || res.Code != 0 {
+				t.Errorf("job %d: exec = %+v, %v", j, res, err)
+				return
+			}
+			out, err := cl.GetFile(outName)
+			if err != nil || len(out) != size {
+				t.Errorf("job %d: output of %d bytes, %v", j, len(out), err)
+				return
+			}
+			for i := range out {
+				if out[i] != in[i]^0x5a {
+					t.Errorf("job %d: output byte %d = %#x, want %#x", j, i, out[i], in[i]^0x5a)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, err := k.FS().ReadFile(homeACL); err != nil || !bytes.Equal(got, edited) {
+		t.Errorf("home ACL after the session's later execs = %q, %v; want the edit %q kept (a box was made again)", got, err, edited)
+	}
+
+	other := adminClient(t, srv, ClientOptions{})
+	if res, err := other.Exec("/", "/xform.exe", "/seed", "/seed.out"); err != nil || res.Code != 0 {
+		t.Fatalf("second session's exec = %+v, %v", res, err)
+	}
+	if got, err := k.FS().ReadFile(homeACL); err != nil || !bytes.Equal(got, made) {
+		t.Errorf("home ACL after a second session's first exec = %q, %v; want it reset to %q", got, err, made)
 	}
 }
 

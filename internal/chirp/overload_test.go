@@ -430,14 +430,19 @@ func TestBusyRetryAfterHintHonored(t *testing.T) {
 
 // TestDeadlineShedAtDispatchNeverExecutes: a budgeted request queued
 // behind a slot hog is shed with EDEADLINE when its budget expires in
-// the dispatch queue — before its handler runs, and well before the hog
-// finishes. v2 only: the budget rides the deadline capability.
+// the dispatch queue — before its handler runs, and while the hog still
+// holds the slot: the hog runs until the test releases it, after the
+// shed reply. v2 only: the budget rides the deadline capability.
 func TestDeadlineShedAtDispatchNeverExecutes(t *testing.T) {
 	srv, k, ca := testServer(t)
 	adm := admission.New(admission.Options{MaxQueue: 8, ExecSlots: 1})
 	srv.opts.Admission = adm
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseHog := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(releaseHog) // a failed test must not leave the hog parked
 	k.RegisterProgram("block", func(p *kernel.Proc, args []string) int {
-		time.Sleep(400 * time.Millisecond)
+		<-release
 		return 0
 	})
 	var ran atomic.Int64
@@ -460,15 +465,19 @@ func TestDeadlineShedAtDispatchNeverExecutes(t *testing.T) {
 	}()
 	waitFor(t, "hog to hold the exec slot", func() bool { return adm.Stats().ExecBusy == 1 })
 
-	start := time.Now()
 	_, err := cl.Exec(dir, path)
-	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("budgeted exec = %v, want EDEADLINE", err)
 	}
-	if elapsed >= 350*time.Millisecond {
-		t.Fatalf("EDEADLINE took %v; the shed must not wait out the slot hog", elapsed)
+	select {
+	case err := <-done:
+		t.Fatalf("hog exec returned (%v) before the shed reply; the shed must not wait out the slot hog", err)
+	default:
 	}
+	if busy := adm.Stats().ExecBusy; busy != 1 {
+		t.Fatalf("exec slots busy at the shed reply = %d, want the hog's 1", busy)
+	}
+	releaseHog()
 	if err := <-done; err != nil {
 		t.Fatalf("hog exec = %v", err)
 	}

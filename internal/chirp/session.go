@@ -11,6 +11,7 @@ import (
 
 	"identitybox/internal/admission"
 	"identitybox/internal/auth"
+	"identitybox/internal/core"
 	"identitybox/internal/identity"
 	"identitybox/internal/kernel"
 	"identitybox/internal/obs"
@@ -45,6 +46,11 @@ type session struct {
 	fdMu   sync.RWMutex // guards fds and nextFD
 	fds    map[int]*sessionFD
 	nextFD int
+
+	// box is the identity box the session's execs run in, made by the
+	// first exec (execBox); boxMu guards making it.
+	boxMu sync.Mutex
+	box   *core.Box
 
 	// grants are CAS-granted rights, verified against CASTrust.
 	grantsMu sync.RWMutex

@@ -8,8 +8,9 @@ import (
 
 // TestBoxedSyscallAllocBudget pins the heap allocations of one trapped
 // call in a box built with no options: an 8 KiB pread moves its bytes
-// through the reused I/O channel and allocates only its audit line, and
-// so does a stat: its policy check reads each ACL's memoised parse.
+// through the process's reused channel region and allocates nothing,
+// and neither does a stat: its policy check reads each ACL's memoised
+// parse, and the audit record is kept as a value.
 func TestBoxedSyscallAllocBudget(t *testing.T) {
 	k := newWorld(t)
 	b := newBox(t, k, "Freddy", Options{})
@@ -29,8 +30,8 @@ func TestBoxedSyscallAllocBudget(t *testing.T) {
 			budget float64
 			call   func() error
 		}{
-			{"pread 8 KiB", 1, func() error { _, err := p.Pread(fd, buf, 4096); return err }},
-			{"stat", 1, func() error { _, err := p.Stat(path); return err }},
+			{"pread 8 KiB", 0, func() error { _, err := p.Pread(fd, buf, 4096); return err }},
+			{"stat", 0, func() error { _, err := p.Stat(path); return err }},
 		} {
 			var callErr error
 			got := testing.AllocsPerRun(100, func() {
@@ -48,4 +49,45 @@ func TestBoxedSyscallAllocBudget(t *testing.T) {
 		}
 		return 0
 	})
+}
+
+// TestAuditRecordingAllocatesNothing: a boxed program making 100 stat
+// calls costs exactly the allocations of one making 10. The box keeps
+// each call's audit record as a value and renders no text until the
+// log is read.
+func TestAuditRecordingAllocatesNothing(t *testing.T) {
+	k := newWorld(t)
+	b := newBox(t, k, "Freddy", Options{})
+	path := b.Home() + "/data"
+	if err := k.FS().WriteFile(path, []byte("x"), 0o644, "dthain"); err != nil {
+		t.Fatal(err)
+	}
+	stats := func(n int) kernel.Program {
+		return func(p *kernel.Proc, _ []string) int {
+			for i := 0; i < n; i++ {
+				if _, err := p.Stat(path); err != nil {
+					return 1
+				}
+			}
+			return 0
+		}
+	}
+	ten, hundred := stats(10), stats(100)
+	var bad bool
+	run := func(prog kernel.Program) func() {
+		return func() {
+			if st := b.Run(prog); st.Code != 0 {
+				bad = true
+			}
+		}
+	}
+	a10 := testing.AllocsPerRun(50, run(ten))
+	a100 := testing.AllocsPerRun(50, run(hundred))
+	if bad {
+		t.Fatal("a stat failed")
+	}
+	if a10 != a100 {
+		t.Errorf("a boxed run allocates %.1f with 10 stat calls, %.1f with 100: recording allocates per call", a10, a100)
+	}
+	t.Logf("boxed run: %.1f allocs with 10 stats, %.1f with 100", a10, a100)
 }

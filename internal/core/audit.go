@@ -29,8 +29,9 @@ type AuditSnapshotter interface {
 
 // AuditRing is a fixed-capacity in-memory audit sink: eviction is O(1)
 // and the backing array never grows or retains evicted records. It is
-// an obs.Ring itself rather than a wrapper around one, because every
-// exec builds a box and so a ring: one allocation fewer per exec.
+// an obs.Ring itself rather than a wrapper around one: one allocation
+// fewer per box. A record holds its call as a value, so recording one
+// allocates nothing.
 type AuditRing obs.Ring[AuditRecord]
 
 // NewAuditRing creates a ring holding up to capacity records

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"identitybox/internal/kernel"
 )
 
 // syncRecorder is a file-like writer that counts Sync calls and can be
@@ -44,7 +46,7 @@ func (w *syncRecorder) contents() string {
 	return w.buf.String()
 }
 
-func auditRec(call string) AuditRecord { return AuditRecord{Call: call} }
+func auditRec(call string) AuditRecord { return AuditRecord{Call: kernel.NoteCall(call)} }
 
 // TestFileJSONLSinkBuffersUntilFlush: the buffered variant holds lines
 // in memory; Flush pushes them out and fsyncs when asked.

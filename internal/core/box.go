@@ -114,11 +114,14 @@ func (o *Options) fillDefaults() {
 // descriptor quota (EMFILE).
 var ErrTooManyFiles = errors.New("too many open files")
 
-// AuditRecord is one entry of the box's forensic log.
+// AuditRecord is one entry of the box's forensic log. Call holds the
+// trapped call's fields as values; its text, e.g.
+// `open("/work/sim.exe", 0x0) = 3`, is rendered only when read
+// (Call.String, and a JSONLSink line carries it as one string).
 type AuditRecord struct {
 	PID      int
 	Identity identity.Principal
-	Call     string // rendered syscall, e.g. `open("/work/sim.exe", 0x0) = 3`
+	Call     kernel.Call
 	Denied   bool
 }
 
@@ -130,8 +133,8 @@ type Stats struct {
 }
 
 // Box is an identity-box supervisor. One Box contains any number of
-// processes, all carrying the same visiting identity. A server hosting
-// several visitors gives each their own Box.
+// processes, all carrying the same visiting identity, concurrent ones
+// included. A server hosting several visitors gives each their own Box.
 type Box struct {
 	k     *kernel.Kernel
 	ident identity.Principal
@@ -141,7 +144,6 @@ type Box struct {
 	model   vclock.CostModel
 	mounts  *parrot.MountTable
 	local   *parrot.LocalDriver
-	channel *trap.Channel
 	opts    Options
 
 	home         string // visitor's fresh home directory
@@ -173,8 +175,12 @@ type procState struct {
 	src     boxSource // the process's view for policy checks
 	fds     map[int]*boxFD
 	nextFD  int
-	pending *pendingWrite
+	pending pendingWrite // a bulk write between entry and exit; fd nil when none
 	scratch []byte
+	// channel is the process's own region of the I/O channel: allocated
+	// at its first bulk transfer, so processes running at once in one
+	// box never stage their bytes in the same memory.
+	channel trap.Channel
 
 	// Per-call observation state, valid between SyscallEntry and
 	// SyscallExit of one trapped call.
@@ -217,7 +223,6 @@ func New(k *kernel.Kernel, account string, ident identity.Principal, opts Option
 		account: account,
 		model:   k.Model(),
 		mounts:  &parrot.MountTable{},
-		channel: trap.NewChannel(trap.DefaultChannelBytes),
 		opts:    opts,
 		procs:   make(map[*kernel.Proc]*procState),
 		trace:   opts.Trace,
@@ -358,7 +363,7 @@ func (b *Box) Stats() Stats {
 // syscalls. Notes cost zero virtual ticks: they record that the fabric
 // hiccupped, without charging the boxed program for it.
 func (b *Box) Note(event string) {
-	b.sink.Record(AuditRecord{Identity: b.ident, Call: event})
+	b.sink.Record(AuditRecord{Identity: b.ident, Call: kernel.NoteCall(event)})
 }
 
 // Audit returns a copy of the forensic log, oldest record first. It
@@ -386,7 +391,7 @@ func (b *Box) recordAudit(p *kernel.Proc, f *kernel.Frame) {
 	b.sink.Record(AuditRecord{
 		PID:      p.PID(),
 		Identity: b.ident,
-		Call:     f.Describe(),
+		Call:     f.Call(),
 		Denied:   denied,
 	})
 }

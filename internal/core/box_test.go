@@ -636,10 +636,10 @@ func TestAuditLogRecordsDenials(t *testing.T) {
 		if rec.Identity != "JoeHacker" {
 			t.Fatalf("audit identity = %q", rec.Identity)
 		}
-		if rec.Denied && strings.Contains(rec.Call, "secret") {
+		if rec.Denied && strings.Contains(rec.Call.String(), "secret") {
 			sawDenied = true
 		}
-		if strings.Contains(rec.Call, "open") {
+		if strings.Contains(rec.Call.String(), "open") {
 			sawOpen = true
 		}
 	}
@@ -852,7 +852,7 @@ func TestBoxRefusesPtraceAndMount(t *testing.T) {
 	})
 	var sawPtrace bool
 	for _, rec := range b.Audit() {
-		if strings.HasPrefix(rec.Call, "ptrace") {
+		if strings.HasPrefix(rec.Call.String(), "ptrace") {
 			sawPtrace = true
 		}
 	}

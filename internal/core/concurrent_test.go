@@ -10,6 +10,7 @@ import (
 
 	"identitybox/internal/identity"
 	"identitybox/internal/kernel"
+	"identitybox/internal/trap"
 	"identitybox/internal/vfs"
 )
 
@@ -138,7 +139,7 @@ func TestConcurrentBoxedProcesses(t *testing.T) {
 		// The audit trail names the program of every spawn.
 		spawns := 0
 		for _, rec := range bs[i].Audit() {
-			if strings.HasPrefix(rec.Call, `spawn("/tmp/stamp.exe") = `) {
+			if strings.HasPrefix(rec.Call.String(), `spawn("/tmp/stamp.exe") = `) {
 				spawns++
 			}
 		}
@@ -146,4 +147,116 @@ func TestConcurrentBoxedProcesses(t *testing.T) {
 			t.Errorf("box %d: audit names %d spawns of /tmp/stamp.exe, want %d", i, spawns, rounds)
 		}
 	}
+}
+
+// TestBoxBulkIOConcurrentProcesses runs four processes at once in one
+// box, each moving transfers above trap.BulkThreshold through read,
+// write, pread and pwrite on a file of its own, and checks every byte
+// it gets back is its own: each process stages bulk data in a channel
+// region of its own, never in one shared by the box.
+func TestBoxBulkIOConcurrentProcesses(t *testing.T) {
+	const procs, rounds, size = 4, 150, 4096
+	k := newWorld(t)
+	b := newBox(t, k, "Freddy", Options{})
+	var wg sync.WaitGroup
+	for i := 0; i < procs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := fmt.Sprintf("%s/bulk%d", b.Home(), i)
+			st := b.Run(func(p *kernel.Proc, _ []string) int {
+				fd, err := p.Open(name, kernel.ORdwr|kernel.OCreat|kernel.OTrunc, 0o644)
+				if err != nil {
+					t.Errorf("proc %d: open: %v", i, err)
+					return 1
+				}
+				want := make([]byte, size)
+				got := make([]byte, size)
+				for r := 0; r < rounds; r++ {
+					for j := range want {
+						want[j] = byte(i*64 + r + j%7)
+					}
+					if r%2 == 0 {
+						if _, err := p.Lseek(fd, 0, kernel.SeekSet); err != nil {
+							t.Errorf("proc %d: lseek: %v", i, err)
+							return 1
+						}
+						if n, err := p.Write(fd, want); err != nil || n != size {
+							t.Errorf("proc %d round %d: write = %d, %v", i, r, n, err)
+							return 1
+						}
+					} else if n, err := p.Pwrite(fd, want, 0); err != nil || n != size {
+						t.Errorf("proc %d round %d: pwrite = %d, %v", i, r, n, err)
+						return 1
+					}
+					if n, err := p.Pread(fd, got, 0); err != nil || n != size || !bytes.Equal(got, want) {
+						t.Errorf("proc %d round %d: pread = %d, %v, own bytes %v", i, r, n, err, bytes.Equal(got, want))
+						return 1
+					}
+					if _, err := p.Lseek(fd, 0, kernel.SeekSet); err != nil {
+						t.Errorf("proc %d: lseek: %v", i, err)
+						return 1
+					}
+					if n, err := p.Read(fd, got); err != nil || n != size || !bytes.Equal(got, want) {
+						t.Errorf("proc %d round %d: read = %d, %v, own bytes %v", i, r, n, err, bytes.Equal(got, want))
+						return 1
+					}
+				}
+				if err := p.Close(fd); err != nil {
+					t.Errorf("proc %d: close: %v", i, err)
+				}
+				data, err := p.ReadFile(name)
+				if err != nil || len(data) != size || data[0] != byte(i*64+rounds-1) {
+					t.Errorf("proc %d: file holds %d bytes starting %v, %v", i, len(data), data[:min(len(data), 1)], err)
+				}
+				return 0
+			})
+			if st.Code != 0 {
+				t.Errorf("proc %d: exit %d", i, st.Code)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestBoxedReadOverChannelCapacity: a read asking for more than the I/O
+// channel holds returns short, and reading on delivers every byte once.
+func TestBoxedReadOverChannelCapacity(t *testing.T) {
+	k := newWorld(t)
+	b := newBox(t, k, "Freddy", Options{})
+	path := b.Home() + "/big"
+	want := make([]byte, 3*trap.DefaultChannelBytes)
+	for i := range want {
+		want[i] = byte(i % 251)
+	}
+	if err := k.FS().WriteFile(path, want, 0o644, "dthain"); err != nil {
+		t.Fatal(err)
+	}
+	b.Run(func(p *kernel.Proc, _ []string) int {
+		fd, err := p.Open(path, kernel.ORdonly, 0)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return 1
+		}
+		buf := make([]byte, 2*trap.DefaultChannelBytes)
+		var got []byte
+		for {
+			n, err := p.Read(fd, buf)
+			if err != nil {
+				t.Errorf("read: %v", err)
+				return 1
+			}
+			if n == 0 {
+				break
+			}
+			if n > trap.DefaultChannelBytes {
+				t.Errorf("read returned %d bytes, more than the channel's %d", n, trap.DefaultChannelBytes)
+			}
+			got = append(got, buf[:n]...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("read back %d bytes, want the file's %d intact", len(got), len(want))
+		}
+		return 0
+	})
 }

@@ -210,10 +210,10 @@ func (b *Box) syscallEntry(p *kernel.Proc, f *kernel.Frame, st *procState) kerne
 // the application experienced.
 func (b *Box) SyscallExit(p *kernel.Proc, f *kernel.Frame) {
 	st := b.state(p)
-	if pw := st.pending; pw != nil {
-		st.pending = nil
+	if pw := st.pending; pw.fd != nil {
+		st.pending = pendingWrite{}
 		if f.Err == nil && f.Ret > 0 {
-			data := b.channel.CollectWrite(p, b.model, pw.region[:f.Ret])
+			data := st.channel.CollectWrite(p, b.model, pw.region[:f.Ret])
 			b.emitPhase(p, obs.PhaseChannelCollect, f.Sys.String(), pw.fd.path, len(data))
 			n, err := pw.fd.file.WriteAt(data, pw.off)
 			if err != nil {
@@ -410,10 +410,16 @@ func (b *Box) entryRead(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.E
 	if f.Sys == kernel.SysPread {
 		off = f.Off
 	}
-	if cap(st.scratch) < len(f.Buf) {
-		st.scratch = make([]byte, len(f.Buf))
+	// A read moves at most one channel's worth: a larger one returns
+	// short, so the descriptor never advances past the bytes delivered.
+	size := len(f.Buf)
+	if !b.opts.ForcePeekPoke {
+		size = min(size, trap.DefaultChannelBytes)
 	}
-	buf := st.scratch[:len(f.Buf)]
+	if cap(st.scratch) < size {
+		st.scratch = make([]byte, size)
+	}
+	buf := st.scratch[:size]
 	var n int
 	var err error
 	if fd.pipe != nil {
@@ -446,7 +452,7 @@ func (b *Box) entryRead(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.E
 	}
 	// Bulk transfer: stage in the I/O channel; the kernel performs the
 	// final copy into the application buffer.
-	f.ChanData = b.channel.StageRead(p, b.model, buf[:n])
+	f.ChanData = st.channel.StageRead(p, b.model, buf[:n])
 	b.emitPhase(p, obs.PhaseChannelStage, f.Sys.String(), fd.path, n)
 	return kernel.ActionChannelRead
 }
@@ -515,9 +521,9 @@ func (b *Box) entryWrite(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.
 	// Bulk transfer: the call is rewritten to a pwrite on the channel;
 	// the kernel copies the application data out, and the supervisor
 	// completes the driver write at syscall exit.
-	region := b.channel.ReserveWrite(len(f.Buf))
+	region := st.channel.ReserveWrite(len(f.Buf))
 	f.ChanData = region
-	st.pending = &pendingWrite{
+	st.pending = pendingWrite{
 		fd:         fd,
 		off:        off,
 		region:     region,

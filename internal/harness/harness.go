@@ -314,8 +314,8 @@ func RunFigure4() (Fig4Result, error) {
 	audit := box.Audit()
 	line := ""
 	for _, rec := range audit {
-		if strings.HasPrefix(rec.Call, "stat") {
-			line = rec.Call
+		if rec.Call.Sys == kernel.SysStat {
+			line = rec.Call.String()
 		}
 	}
 	return Fig4Result{

@@ -49,57 +49,115 @@ type Frame struct {
 }
 
 // Describe renders the frame for audit logs and traces, e.g.
-// "open("/work/sim.exe", 0x0) = 3". It runs at every trapped call's
-// exit, so it appends into a stack buffer and allocates only the
-// returned string (plus whatever the result error's Error builds).
-func (f *Frame) Describe() string {
+// "open("/work/sim.exe", 0x0) = 3": f.Call().String().
+func (f *Frame) Describe() string { return f.Call().String() }
+
+// Call is one system call's arguments and result as values: what an
+// audit log keeps of a trapped call. Taking one allocates nothing; the
+// text is rendered only when something reads it (String, MarshalText).
+type Call struct {
+	Sys    Sysno
+	Path   string // primary pathname
+	Path2  string // secondary pathname (rename, link, symlink target)
+	Str    string // setacl's ACL text or a string result; a note's whole text (NoteCall)
+	FD     int
+	BufLen int // length of the user buffer, not its bytes
+	Off    int64
+	Flags  int
+	PID    int // target of kill/wait
+	Sig    int
+	Ret    int64
+	Err    error
+}
+
+// sysNote marks a Call that is a note, not a system call: its text is
+// Str, rendered as is.
+const sysNote Sysno = -1
+
+// NoteCall makes a Call that renders as text: an out-of-band audit
+// event, or a record read back from a rendered log.
+func NoteCall(text string) Call { return Call{Sys: sysNote, Str: text} }
+
+// Call returns the frame's call as a value.
+func (f *Frame) Call() Call {
+	return Call{
+		Sys: f.Sys, Path: f.Path, Path2: f.Path2, Str: f.Str,
+		FD: f.FD, BufLen: len(f.Buf), Off: f.Off, Flags: f.Flags,
+		PID: f.PID, Sig: f.Sig, Ret: f.Ret, Err: f.Err,
+	}
+}
+
+// String renders the call, e.g. "open("/work/sim.exe", 0x0) = 3". It
+// appends into a stack buffer and allocates only the returned string
+// (plus whatever the result error's Error builds).
+func (c Call) String() string {
+	if c.Sys == sysNote {
+		return c.Str
+	}
 	var buf [128]byte
-	b := append(buf[:0], f.Sys.String()...)
+	return string(c.appendText(buf[:0]))
+}
+
+// MarshalText implements encoding.TextMarshaler: the String form, so a
+// JSON audit line carries the call as one string.
+func (c Call) MarshalText() ([]byte, error) { return c.appendText(nil), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler: the text comes
+// back as a note that renders exactly as it was written.
+func (c *Call) UnmarshalText(text []byte) error {
+	*c = NoteCall(string(text))
+	return nil
+}
+
+// appendText appends the String form to b.
+func (c Call) appendText(b []byte) []byte {
+	if c.Sys == sysNote {
+		return append(b, c.Str...)
+	}
+	b = append(b, c.Sys.String()...)
 	b = append(b, '(')
-	switch f.Sys {
+	switch c.Sys {
 	case SysStat, SysLstat, SysAccess, SysMkdir, SysRmdir, SysUnlink,
 		SysReadlink, SysChmod, SysTruncate, SysGetdents, SysChdir,
 		SysGetACL, SysSpawn:
-		b = strconv.AppendQuote(b, f.Path)
+		b = strconv.AppendQuote(b, c.Path)
 	case SysOpen:
-		b = strconv.AppendQuote(b, f.Path)
+		b = strconv.AppendQuote(b, c.Path)
 		b = append(b, ", "...)
-		b = appendHex(b, f.Flags)
+		b = appendHex(b, c.Flags)
 	case SysRename, SysLink, SysSymlink:
-		b = strconv.AppendQuote(b, f.Path)
+		b = strconv.AppendQuote(b, c.Path)
 		b = append(b, ", "...)
-		b = strconv.AppendQuote(b, f.Path2)
+		b = strconv.AppendQuote(b, c.Path2)
 	case SysSetACL:
-		b = strconv.AppendQuote(b, f.Path)
+		b = strconv.AppendQuote(b, c.Path)
 		b = append(b, ", "...)
-		b = strconv.AppendQuote(b, f.Str)
+		b = strconv.AppendQuote(b, c.Str)
 	case SysRead, SysWrite, SysPread, SysPwrite:
-		b = strconv.AppendInt(b, int64(f.FD), 10)
+		b = strconv.AppendInt(b, int64(c.FD), 10)
 		b = append(b, ", ["...)
-		b = strconv.AppendInt(b, int64(len(f.Buf)), 10)
+		b = strconv.AppendInt(b, int64(c.BufLen), 10)
 		b = append(b, " bytes]"...)
 	case SysClose, SysFstat, SysDup:
-		b = strconv.AppendInt(b, int64(f.FD), 10)
+		b = strconv.AppendInt(b, int64(c.FD), 10)
 	case SysLseek:
-		b = strconv.AppendInt(b, int64(f.FD), 10)
+		b = strconv.AppendInt(b, int64(c.FD), 10)
 		b = append(b, ", "...)
-		b = strconv.AppendInt(b, f.Off, 10)
+		b = strconv.AppendInt(b, c.Off, 10)
 		b = append(b, ", "...)
-		b = strconv.AppendInt(b, int64(f.Flags), 10)
+		b = strconv.AppendInt(b, int64(c.Flags), 10)
 	case SysKill:
-		b = strconv.AppendInt(b, int64(f.PID), 10)
+		b = strconv.AppendInt(b, int64(c.PID), 10)
 		b = append(b, ", "...)
-		b = strconv.AppendInt(b, int64(f.Sig), 10)
+		b = strconv.AppendInt(b, int64(c.Sig), 10)
 	case SysWait:
-		b = strconv.AppendInt(b, int64(f.PID), 10)
+		b = strconv.AppendInt(b, int64(c.PID), 10)
 	}
 	b = append(b, ") = "...)
-	if f.Err != nil {
-		b = append(b, f.Err.Error()...)
-	} else {
-		b = strconv.AppendInt(b, f.Ret, 10)
+	if c.Err != nil {
+		return append(b, c.Err.Error()...)
 	}
-	return string(b)
+	return strconv.AppendInt(b, c.Ret, 10)
 }
 
 // appendHex appends v as fmt's %#x renders an int: "0x" and lower-case

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -371,16 +372,30 @@ func (p *Proc) WriteFile(path string, data []byte, mode uint32) error {
 	return p.Close(fd)
 }
 
-// ReadFile reads the whole file through ordinary syscalls.
+// ReadFile reads the whole file through ordinary syscalls, 8 KiB per
+// read. Each read lands straight in the result, whose capacity doubles
+// when it is full; a read made with the result full goes through a
+// separate 8 KiB buffer, so the last, empty read grows nothing.
 func (p *Proc) ReadFile(path string) ([]byte, error) {
+	const chunk = 8192
 	fd, err := p.Open(path, ORdonly, 0)
 	if err != nil {
 		return nil, err
 	}
-	var out []byte
-	buf := make([]byte, 8192)
+	out := make([]byte, 0, chunk)
+	var spare []byte
 	for {
-		n, err := p.Read(fd, buf)
+		full := cap(out)-len(out) < chunk
+		var dst []byte
+		if full {
+			if spare == nil {
+				spare = make([]byte, chunk)
+			}
+			dst = spare
+		} else {
+			dst = out[len(out) : len(out)+chunk]
+		}
+		n, err := p.Read(fd, dst)
 		if err != nil {
 			p.Close(fd)
 			return nil, err
@@ -388,7 +403,11 @@ func (p *Proc) ReadFile(path string) ([]byte, error) {
 		if n == 0 {
 			break
 		}
-		out = append(out, buf[:n]...)
+		if full {
+			out = append(slices.Grow(out, cap(out)), dst[:n]...)
+		} else {
+			out = out[:len(out)+n]
+		}
 	}
 	return out, p.Close(fd)
 }

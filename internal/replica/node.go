@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -293,6 +294,7 @@ func (n *Node) followerLoop() {
 		retry = 100 * time.Millisecond
 	}
 	followed := false
+	var dials dialLog
 	for {
 		select {
 		case <-n.stop:
@@ -303,7 +305,7 @@ func (n *Node) followerLoop() {
 		upstream := n.primaryAddr
 		n.mu.Unlock()
 		if upstream != "" && upstream != n.cfg.Addr {
-			followed = n.streamFrom(upstream) || followed
+			followed = n.streamFrom(upstream, &dials) || followed
 		}
 		select {
 		case <-n.stop:
@@ -323,14 +325,31 @@ func (n *Node) followerLoop() {
 	}
 }
 
+// dialLog keeps a follower's re-dials of a primary it cannot reach to
+// two log lines: a failure is logged when its text first appears, its
+// identical repeats are only counted, and the dial that succeeds logs
+// how many failed before it.
+type dialLog struct {
+	last  string // text of the last failure logged; "" after a success
+	fails int    // failed dials since the last success
+}
+
 // streamFrom applies the primary's feed until it breaks, loading a
 // snapshot batch only when it is ahead of the applied horizon. It
 // reports whether a batch was taken in: whether this node followed addr.
-func (n *Node) streamFrom(addr string) (followed bool) {
+func (n *Node) streamFrom(addr string, dials *dialLog) (followed bool) {
 	stream, err := n.cfg.Dial(addr, n.cfg.Store.AppliedLSN())
 	if err != nil {
-		n.logf("replica: streaming from %s: %v", addr, err)
+		dials.fails++
+		if text := fmt.Sprintf("replica: streaming from %s: %v", addr, err); text != dials.last {
+			dials.last = text
+			n.logf("%s", text)
+		}
 		return false
+	}
+	if dials.fails > 0 {
+		n.logf("replica: dialled %s after %d failed attempts", addr, dials.fails)
+		*dials = dialLog{}
 	}
 	defer stream.Close()
 	n.logf("replica: following %s from lsn %d", addr, n.cfg.Store.AppliedLSN())

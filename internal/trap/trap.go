@@ -5,9 +5,10 @@
 // Small amounts of data (registers, stat buffers, path strings) move by
 // peeking and poking one word at a time, each word charged to the child.
 // Bulk data moves through the I/O channel: an in-memory file shared
-// between the supervisor and all of its children. The supervisor copies
-// data into the channel, rewrites the child's read into a pread on the
-// channel descriptor, and the kernel performs the final copy into the
+// between the supervisor and its children, in which each child has a
+// region of its own. The supervisor copies data into the child's
+// region, rewrites the child's read into a pread on the channel
+// descriptor, and the kernel performs the final copy into the
 // application's buffer — one extra copy compared to a native read, which
 // is exactly the overhead the paper measures on 8 kB transfers.
 package trap
@@ -67,28 +68,32 @@ func PeekBytes(p *kernel.Proc, m vclock.CostModel, dst, src []byte) int {
 // staging the channel.
 const BulkThreshold = 256
 
-// Channel is the shared in-memory file used for bulk data movement
-// between a supervisor and its children. One channel serves all children
-// of a supervisor, as in Parrot.
+// Channel is one child's region of the I/O channel, the in-memory file
+// a supervisor moves bulk data through (Parrot's channel is one file
+// for all children; a region per child keeps children that run at once
+// out of each other's bytes). The zero value is ready to use and holds
+// no memory until the first transfer: the region is then sized to the
+// transfer, grown on demand, and never larger than DefaultChannelBytes.
+// A Channel serves one child, whose calls arrive one at a time, so it
+// takes no lock.
 type Channel struct {
 	buf []byte
 }
 
-// DefaultChannelBytes is the channel buffer size: comfortably bigger than
+// DefaultChannelBytes is the channel capacity: comfortably bigger than
 // the largest single transfer in the evaluation (8 kB reads/writes).
 const DefaultChannelBytes = 1 << 20
 
-// NewChannel allocates an I/O channel of the given size (0 means
-// DefaultChannelBytes).
-func NewChannel(size int) *Channel {
-	if size <= 0 {
-		size = DefaultChannelBytes
+// region returns the first n bytes of the buffer, n truncated to the
+// capacity, growing the buffer to at least twice its old size when it
+// is too small.
+func (c *Channel) region(n int) []byte {
+	n = min(n, DefaultChannelBytes)
+	if cap(c.buf) < n {
+		c.buf = make([]byte, min(max(n, 2*cap(c.buf)), DefaultChannelBytes))
 	}
-	return &Channel{buf: make([]byte, size)}
+	return c.buf[:n]
 }
-
-// Size reports the channel capacity in bytes.
-func (c *Channel) Size() int { return len(c.buf) }
 
 // StageRead copies data the supervisor fetched (from its driver) into
 // the channel, charging the child for the extra copy, and returns the
@@ -96,20 +101,16 @@ func (c *Channel) Size() int { return len(c.buf) }
 // Data longer than the channel is truncated to the channel size; callers
 // loop for larger transfers.
 func (c *Channel) StageRead(p *kernel.Proc, m vclock.CostModel, data []byte) []byte {
-	n := copy(c.buf, data)
+	region := c.region(len(data))
+	n := copy(region, data)
 	p.Charge(m.ChannelPerByte * vclock.Micros(n))
-	return c.buf[:n]
+	return region
 }
 
 // ReserveWrite returns a channel region of up to n bytes for the kernel
 // to copy application data into; the supervisor then completes the write
 // from that region at syscall exit via CollectWrite.
-func (c *Channel) ReserveWrite(n int) []byte {
-	if n > len(c.buf) {
-		n = len(c.buf)
-	}
-	return c.buf[:n]
-}
+func (c *Channel) ReserveWrite(n int) []byte { return c.region(n) }
 
 // CollectWrite charges the child for the supervisor's copy out of the
 // channel (toward its driver) and returns the data.

@@ -78,32 +78,52 @@ func TestPokePeekBytesChargeAndCopy(t *testing.T) {
 	}
 }
 
+// TestChannelDefaults: a zero Channel holds no buffer until its first
+// transfer, and then no more than the transfer.
 func TestChannelDefaults(t *testing.T) {
-	c := NewChannel(0)
-	if c.Size() != DefaultChannelBytes {
-		t.Fatalf("default size = %d", c.Size())
+	_, p := testProc(t)
+	var c Channel
+	if cap(c.buf) != 0 {
+		t.Fatalf("zero channel holds %d bytes", cap(c.buf))
 	}
-	c2 := NewChannel(4096)
-	if c2.Size() != 4096 {
-		t.Fatalf("explicit size = %d", c2.Size())
+	if staged := c.StageRead(p, vclock.Default(), make([]byte, 300)); len(staged) != 300 || cap(c.buf) != 300 {
+		t.Fatalf("first transfer: staged %d, buffer %d; want 300, 300", len(staged), cap(c.buf))
+	}
+}
+
+// TestChannelRegionGrowsOnDemand: a region grows to at least twice its
+// size when a larger transfer comes, reuses its buffer for smaller
+// ones, and never exceeds DefaultChannelBytes.
+func TestChannelRegionGrowsOnDemand(t *testing.T) {
+	var c Channel
+	c.ReserveWrite(300)
+	if region := c.ReserveWrite(400); len(region) != 400 || cap(c.buf) != 600 {
+		t.Fatalf("larger transfer: region %d, buffer %d; want 400, 600", len(region), cap(c.buf))
+	}
+	first := &c.buf[0]
+	if region := c.ReserveWrite(100); len(region) != 100 || &region[0] != first {
+		t.Fatal("a smaller transfer did not reuse the buffer")
+	}
+	if region := c.ReserveWrite(2 * DefaultChannelBytes); len(region) != DefaultChannelBytes || cap(c.buf) != DefaultChannelBytes {
+		t.Fatalf("oversized transfer: region %d, buffer %d; want both %d", len(region), cap(c.buf), DefaultChannelBytes)
 	}
 }
 
 func TestChannelStageReadTruncatesToCapacity(t *testing.T) {
 	_, p := testProc(t)
 	m := vclock.Default()
-	c := NewChannel(16)
-	data := bytes.Repeat([]byte("x"), 100)
+	var c Channel
+	data := bytes.Repeat([]byte("x"), DefaultChannelBytes+100)
 	staged := c.StageRead(p, m, data)
-	if len(staged) != 16 {
-		t.Fatalf("staged %d bytes, want 16 (channel capacity)", len(staged))
+	if len(staged) != DefaultChannelBytes {
+		t.Fatalf("staged %d bytes, want %d (channel capacity)", len(staged), DefaultChannelBytes)
 	}
 }
 
 func TestChannelWriteRoundTrip(t *testing.T) {
 	_, p := testProc(t)
 	m := vclock.Default()
-	c := NewChannel(0)
+	var c Channel
 	region := c.ReserveWrite(8192)
 	if len(region) != 8192 {
 		t.Fatalf("reserve = %d", len(region))
