@@ -61,6 +61,7 @@ func BenchmarkVFSSnapshot(b *testing.B) {
 		fs.MkdirAll(fmt.Sprintf("/d%02d", i), 0o755, "u")
 		fs.WriteFile(fmt.Sprintf("/d%02d/f", i), bytes.Repeat([]byte("y"), 1024), 0o644, "u")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer

@@ -1,13 +1,13 @@
 // Package durable makes a Chirp server's state survive crashes. It
 // pairs a checksummed, length-prefixed write-ahead log — journaling
 // every VFS namespace mutation, data write, ACL edit and tokened-reply
-// dedupe entry — with periodic snapshot compaction (full tree image,
-// atomic rename-into-place, WAL reset past the snapshot LSN). Recovery
-// loads the newest snapshot, replays the WAL after its LSN, and
-// truncates any torn or corrupt tail at the last valid record, so a
-// crash at any byte of the log yields a state that is an exact prefix
-// of the mutation history: no partial record is ever applied, and in
-// particular no ACL is ever widened by one.
+// dedupe entry — with periodic snapshot compaction (a checksummed
+// full tree image, atomic rename-into-place, WAL reset past the
+// snapshot LSN). Recovery loads the newest snapshot, replays the WAL
+// after its LSN, and truncates any torn or corrupt tail at the last
+// valid record, so a crash at any byte of the log yields a state that
+// is an exact prefix of the mutation history: no partial record is
+// ever applied, and in particular no ACL is ever widened by one.
 //
 // Replay charges zero virtual ticks: it drives the VFS directly, below
 // the kernel's cost model, so a recovered server's virtual clock
@@ -21,6 +21,7 @@ import (
 	"hash/crc32"
 	"sync"
 
+	"identitybox/internal/binenc"
 	"identitybox/internal/vfs"
 )
 
@@ -79,18 +80,6 @@ func (r Record) IsMutation() bool { return r.Type >= 1 && r.Type <= 11 }
 // Replay treats it as the crash point and truncates the log there.
 var ErrTorn = errors.New("durable: torn or corrupt record")
 
-// appendString appends a length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// appendBytes appends a length-prefixed byte slice.
-func appendBytes(b []byte, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
 // bodyPool recycles encode scratch across EncodeRecord calls so the
 // framer does not allocate a fresh body buffer per record. Buffers that
 // grew past maxPooledBody are dropped rather than pinned in the pool.
@@ -110,19 +99,19 @@ func EncodeRecord(dst []byte, rec Record) []byte {
 	switch {
 	case rec.IsMutation():
 		m := rec.Mut
-		body = appendString(body, m.Path)
-		body = appendString(body, m.Path2)
+		body = binenc.AppendString(body, m.Path)
+		body = binenc.AppendString(body, m.Path2)
 		body = binary.AppendUvarint(body, uint64(m.Mode))
-		body = appendString(body, m.Owner)
-		body = appendString(body, m.Group)
+		body = binenc.AppendString(body, m.Owner)
+		body = binenc.AppendString(body, m.Group)
 		body = binary.AppendVarint(body, m.Off)
 		body = binary.AppendVarint(body, m.Size)
-		body = appendBytes(body, m.Data)
+		body = binenc.AppendBytes(body, m.Data)
 	case rec.Type == DedupeType:
-		body = appendString(body, rec.DedupeKey)
+		body = binenc.AppendString(body, rec.DedupeKey)
 		body = binary.AppendUvarint(body, uint64(len(rec.DedupeReply)))
 		for _, f := range rec.DedupeReply {
-			body = appendString(body, f)
+			body = binenc.AppendString(body, f)
 		}
 	case rec.Type == EpochType:
 		body = binary.AppendUvarint(body, rec.Epoch)
@@ -139,105 +128,48 @@ func EncodeRecord(dst []byte, rec Record) []byte {
 	return dst
 }
 
-// bodyReader walks a record body with bounds checking; any overrun
-// flips err, and every accessor returns a zero value thereafter.
-type bodyReader struct {
-	b   []byte
-	off int
-	err bool
-}
-
-func (r *bodyReader) byte() byte {
-	if r.err || r.off >= len(r.b) {
-		r.err = true
-		return 0
-	}
-	c := r.b[r.off]
-	r.off++
-	return c
-}
-
-func (r *bodyReader) uvarint() uint64 {
-	if r.err {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.err = true
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *bodyReader) varint() int64 {
-	if r.err {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.err = true
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *bodyReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err || n > uint64(len(r.b)-r.off) {
-		r.err = true
-		return nil
-	}
-	p := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return p
-}
-
-func (r *bodyReader) string() string { return string(r.bytes()) }
-
 // decodeBody parses one record body (already checksum-verified).
 func decodeBody(body []byte) (Record, error) {
-	r := bodyReader{b: body}
-	ver := r.byte()
-	typ := r.byte()
-	if r.err || ver != recVersion {
+	r := binenc.Reader{B: body}
+	ver := r.Byte()
+	typ := r.Byte()
+	if r.Err || ver != recVersion {
 		return Record{}, fmt.Errorf("%w: version %d", ErrTorn, ver)
 	}
-	r.byte() // flags
+	r.Byte() // flags
 	rec := Record{Type: typ}
-	rec.LSN = r.uvarint()
+	rec.LSN = r.Uvarint()
 	switch {
 	case rec.IsMutation():
 		rec.Mut.Op = vfs.MutOp(typ)
-		rec.Mut.Path = r.string()
-		rec.Mut.Path2 = r.string()
-		rec.Mut.Mode = uint32(r.uvarint())
-		rec.Mut.Owner = r.string()
-		rec.Mut.Group = r.string()
-		rec.Mut.Off = r.varint()
-		rec.Mut.Size = r.varint()
-		rec.Mut.Data = append([]byte(nil), r.bytes()...)
+		rec.Mut.Path = r.Str()
+		rec.Mut.Path2 = r.Str()
+		rec.Mut.Mode = uint32(r.Uvarint())
+		rec.Mut.Owner = r.Str()
+		rec.Mut.Group = r.Str()
+		rec.Mut.Off = r.Varint()
+		rec.Mut.Size = r.Varint()
+		rec.Mut.Data = append([]byte(nil), r.Bytes()...)
 	case typ == DedupeType:
-		rec.DedupeKey = r.string()
-		n := r.uvarint()
+		rec.DedupeKey = r.Str()
+		n := r.Uvarint()
 		if n > uint64(len(body)) { // each field takes >= 1 byte
 			return Record{}, fmt.Errorf("%w: dedupe field count %d", ErrTorn, n)
 		}
 		rec.DedupeReply = make([]string, 0, n)
 		for i := uint64(0); i < n; i++ {
-			rec.DedupeReply = append(rec.DedupeReply, r.string())
+			rec.DedupeReply = append(rec.DedupeReply, r.Str())
 		}
 	case typ == EpochType:
-		rec.Epoch = r.uvarint()
+		rec.Epoch = r.Uvarint()
 	default:
 		return Record{}, fmt.Errorf("%w: unknown type %d", ErrTorn, typ)
 	}
-	if r.err {
+	if r.Err {
 		return Record{}, fmt.Errorf("%w: truncated body", ErrTorn)
 	}
-	if r.off != len(body) {
-		return Record{}, fmt.Errorf("%w: %d trailing body bytes", ErrTorn, len(body)-r.off)
+	if r.Off != len(body) {
+		return Record{}, fmt.Errorf("%w: %d trailing body bytes", ErrTorn, len(body)-r.Off)
 	}
 	return rec, nil
 }

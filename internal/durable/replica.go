@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"identitybox/internal/vfs"
@@ -183,32 +185,39 @@ func (s *Store) WaitApplied(lsn uint64, timeout time.Duration) error {
 
 // ReplSnapshot serializes the current state for bootstrapping a
 // follower that is too far behind the log: the same image Compact
-// publishes, bound to the LSN and epoch it covers. Taken under
-// quiesce + barrier so the image is a clean prefix of history.
+// publishes, bound to the LSN and epoch it covers, encoded into memory
+// because it ships as bytes. Taken under quiesce + barrier so the image
+// is a clean prefix of history.
 func (s *Store) ReplSnapshot() (blob []byte, lsn, epoch uint64, err error) {
 	err = s.fs.Quiesce(func() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		epoch = s.epoch
-		var err error
-		blob, lsn, err = s.encodeSnapshotLocked()
-		return err
+		meta := s.imageMetaLocked()
+		var buf bytes.Buffer
+		if _, err := s.fs.WriteImage(&buf, meta); err != nil {
+			return fmt.Errorf("durable: encoding snapshot: %w", err)
+		}
+		blob, lsn, epoch = buf.Bytes(), meta.LSN, meta.Epoch
+		return nil
 	})
 	return blob, lsn, epoch, err
 }
 
 // LoadReplicaSnapshot bootstraps a follower from a primary's
-// ReplSnapshot image: the file-system tree is replaced in place
-// (vfs.FS.Restore, so the kernel and server holding FS keep serving,
-// now from the image), the dedupe table, epoch and applied horizon are
-// replaced wholesale, the image is persisted as this store's own
-// snapshot, and the local log is reset. Only valid in replica mode.
-// It takes the journal lock, then Store.mu, the order ReplSnapshot
-// uses.
+// ReplSnapshot image. The image is decoded, checksum first, before
+// anything changes: a corrupt or truncated blob returns an error and
+// leaves the tree, dedupe table, epoch, applied horizon and snapshot
+// file as they were. A good one is published as this store's own
+// snapshot through the same path Compact uses, the local log is reset,
+// the file-system tree is replaced in place (vfs.FS.Restore, so the
+// kernel and server holding FS keep serving, now from the image), and
+// the dedupe table, epoch and applied horizon are replaced wholesale.
+// Only valid in replica mode. It takes the journal lock, then Store.mu,
+// the order ReplSnapshot uses.
 func (s *Store) LoadReplicaSnapshot(blob []byte) error {
-	snap, fs, err := decodeSnapshot(blob)
+	fs, meta, err := vfs.ReadImage(blob)
 	if err != nil {
-		return err
+		return fmt.Errorf("durable: replica snapshot: %w", err)
 	}
 	return s.fs.Quiesce(func() error {
 		s.mu.Lock()
@@ -216,26 +225,26 @@ func (s *Store) LoadReplicaSnapshot(blob []byte) error {
 		if !s.replica {
 			return ErrNotReplica
 		}
-		if snap.Epoch < s.epoch {
-			return fmt.Errorf("%w: snapshot epoch %d, follower epoch %d", ErrStaleEpoch, snap.Epoch, s.epoch)
+		if meta.Epoch < s.epoch {
+			return fmt.Errorf("%w: snapshot epoch %d, follower epoch %d", ErrStaleEpoch, meta.Epoch, s.epoch)
 		}
-		if err := s.publishSnapshotLocked(blob, snap.LSN); err != nil {
+		if err := s.publishSnapshotLocked(meta.LSN, func(w io.Writer) (int64, error) {
+			n, err := w.Write(blob)
+			return int64(n), err
+		}); err != nil {
 			return err
 		}
 		// Local history before the bootstrap point is superseded: seal
 		// the active segment, jump the LSN cursor to the snapshot's
 		// position, and prune everything the snapshot covers.
-		if err := s.wal.resetForCompact(snap.LSN); err != nil {
+		if err := s.wal.resetForCompact(meta.LSN); err != nil {
 			s.logf("durable: sealing wal segment after replica bootstrap: %v", err)
 		}
 		s.pruneLocked()
 		s.fs.Restore(fs)
-		s.dedupe = make(map[string][]string, len(snap.Dedupe))
-		for k, v := range snap.Dedupe {
-			s.dedupe[k] = v
-		}
-		s.epoch = snap.Epoch
-		s.lastApplied = snap.LSN
+		s.dedupe = meta.Dedupe
+		s.epoch = meta.Epoch
+		s.lastApplied = meta.LSN
 		s.wakeAppliedLocked()
 		return nil
 	})

@@ -75,7 +75,7 @@ func scanSegments(dir string) ([]segmentRef, error) {
 			continue
 		}
 		if strings.HasPrefix(name, "wal.c") && strings.HasSuffix(name, ".seg") {
-			return nil, fmt.Errorf("%s is a segment of a sharded log, which this version cannot read; to migrate, open the directory once with the previous release set to one WAL shard and let it compact, which replays every shard and prunes their segments", filepath.Join(dir, name))
+			return nil, fmt.Errorf("%s is a segment of a sharded log, which this version cannot read", filepath.Join(dir, name))
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })

@@ -1,10 +1,9 @@
 package durable
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -187,20 +186,6 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		commitLat:   reg.Histogram(MetricCommitLatencyUs, commitLatBuckets),
 	}
 }
-
-// snapFile is the serialized snapshot: the VFS image from vfs.Save plus
-// the dedupe table, bound to the log position they cover. Epoch is the
-// replication fencing term at snapshot time (0 on pre-replication
-// snapshots, which gob decodes as the zero value).
-type snapFile struct {
-	Version int
-	LSN     uint64
-	Epoch   uint64
-	Dedupe  map[string][]string
-	FS      []byte
-}
-
-const snapFileVersion = 1
 
 // sealedSeg is one sealed (no longer written) log file: a rotated-away
 // segment, a compaction-reset active segment, or a pre-existing file
@@ -412,24 +397,29 @@ func (s *Store) noteSealed(path string, lastLSN uint64, size int64) {
 }
 
 // loadSnapshot reads snapshot.img if present, returning the rebuilt
-// file system (nil when no snapshot exists) and filling dedupe/snapLSN.
+// file system (nil when no snapshot exists) and filling dedupe, snapLSN
+// and epoch. An image that fails its checksum or does not parse fails
+// Open, naming the file: loading it would serve whatever the damage
+// left, and the log below it has been pruned.
 func (s *Store) loadSnapshot() (*vfs.FS, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, SnapshotName))
+	path := filepath.Join(s.dir, SnapshotName)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("durable: reading snapshot: %w", err)
 	}
-	snap, fs, err := decodeSnapshot(data)
+	fs, meta, err := vfs.ReadImage(data)
+	if errors.Is(err, vfs.ErrNotImage) {
+		return nil, fmt.Errorf("durable: %s is not a binary snapshot image (a gob-encoded snapshot from before that format, or not a snapshot), which this version cannot read: %w", path, err)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("durable: %s: %w", path, err)
 	}
-	for k, v := range snap.Dedupe {
-		s.dedupe[k] = v
-	}
-	s.snapLSN = snap.LSN
-	s.epoch = snap.Epoch
+	s.dedupe = meta.Dedupe
+	s.snapLSN = meta.LSN
+	s.epoch = meta.Epoch
 	s.metrics.snapBytes.Set(int64(len(data)))
 	return fs, nil
 }
@@ -551,16 +541,16 @@ func (s *Store) Segments() int {
 //  1. quiesce journaled mutations (the journal lock) and take s.mu,
 //     excluding dedupe appends; barrier the WAL so the committer is
 //     provably idle;
-//  2. serialize the tree + dedupe table bound to the current LSN;
-//  3. write snapshot.tmp, fsync it;
-//  4. rename snapshot.tmp over snapshot.img (atomic publication) and
+//  2. stream the tree + dedupe table, bound to the current LSN, into
+//     snapshot.tmp and fsync it;
+//  3. rename snapshot.tmp over snapshot.img (atomic publication) and
 //     fsync the directory so the rename itself is durable;
-//  5. seal the active segment (clearing any degraded state —
+//  4. seal the active segment (clearing any degraded state —
 //     the snapshot captures everything a failed log lost) and prune
 //     sealed segments up to min(snapshot LSN, RetainLSN()).
 //
-// A crash before (4) leaves the old snapshot + full log: recovery
-// replays as if no compaction happened. A crash between (4) and (5)
+// A crash before (3) leaves the old snapshot + full log: recovery
+// replays as if no compaction happened. A crash between (3) and (4)
 // leaves the new snapshot + stale segments: recovery skips every
 // record at or below the snapshot LSN. Either way, no state is lost
 // and nothing is applied twice.
@@ -569,14 +559,13 @@ func (s *Store) Compact() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 
-		blob, lsn, err := s.encodeSnapshotLocked()
-		if err != nil {
+		meta := s.imageMetaLocked()
+		if err := s.publishSnapshotLocked(meta.LSN, func(w io.Writer) (int64, error) {
+			return s.fs.WriteImage(w, meta)
+		}); err != nil {
 			return err
 		}
-		if err := s.publishSnapshotLocked(blob, lsn); err != nil {
-			return err
-		}
-		if err := s.wal.resetForCompact(lsn); err != nil {
+		if err := s.wal.resetForCompact(meta.LSN); err != nil {
 			s.logf("durable: sealing wal segment after snapshot: %v", err)
 		}
 		s.pruneLocked()
@@ -585,44 +574,16 @@ func (s *Store) Compact() error {
 	})
 }
 
-// encodeSnapshotLocked serializes the tree and dedupe table bound to
-// the LSN and epoch they cover: the image Compact publishes and
-// ReplSnapshot ships. The caller holds the quiesce and s.mu, which
-// exclude every append source, so the barrier here is final: once it
-// returns the committer is provably idle (and the active segment can be
-// sealed underneath it). A degraded WAL returns an error from its
-// barrier — ignored, because the image captures everything its log
-// lost.
-func (s *Store) encodeSnapshotLocked() (blob []byte, lsn uint64, err error) {
+// imageMetaLocked binds a snapshot image to the LSN and epoch it covers:
+// what Compact publishes and ReplSnapshot ships. The caller holds the
+// quiesce and s.mu, which exclude every append source, so the barrier
+// here is final: once it returns the committer is provably idle (and
+// the active segment can be sealed underneath it). A degraded WAL
+// returns an error from its barrier — ignored, because the image
+// captures everything its log lost.
+func (s *Store) imageMetaLocked() vfs.ImageMeta {
 	s.wal.Barrier()
-	lsn = s.wal.lsnCursor()
-	var img bytes.Buffer
-	if err := s.fs.Save(&img); err != nil {
-		return nil, 0, fmt.Errorf("durable: serializing tree: %w", err)
-	}
-	snap := snapFile{Version: snapFileVersion, LSN: lsn, Epoch: s.epoch, Dedupe: s.dedupe, FS: img.Bytes()}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		return nil, 0, fmt.Errorf("durable: encoding snapshot: %w", err)
-	}
-	return buf.Bytes(), lsn, nil
-}
-
-// decodeSnapshot parses and version-checks an encodeSnapshotLocked
-// image and rebuilds its file system.
-func decodeSnapshot(blob []byte) (snapFile, *vfs.FS, error) {
-	var snap snapFile
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
-		return snap, nil, fmt.Errorf("durable: decoding snapshot: %w", err)
-	}
-	if snap.Version != snapFileVersion {
-		return snap, nil, fmt.Errorf("durable: unsupported snapshot version %d", snap.Version)
-	}
-	fs, err := vfs.Load(bytes.NewReader(snap.FS))
-	if err != nil {
-		return snap, nil, fmt.Errorf("durable: snapshot image: %w", err)
-	}
-	return snap, fs, nil
+	return vfs.ImageMeta{LSN: s.wal.lsnCursor(), Epoch: s.epoch, Dedupe: s.dedupe}
 }
 
 // pruneLocked removes sealed segments whose records are all covered by
@@ -655,17 +616,19 @@ func (s *Store) pruneLocked() {
 	s.sealed = kept
 }
 
-// publishSnapshotLocked atomically publishes an encoded snapshot:
-// snapshot.tmp written and fsynced, renamed over snapshot.img with a
-// directory sync. Caller holds s.mu with appends excluded and handles
-// the log (sealing, pruning) afterwards.
-func (s *Store) publishSnapshotLocked(encoded []byte, lsn uint64) error {
+// publishSnapshotLocked atomically publishes the snapshot image write
+// produces, covering the log through lsn: snapshot.tmp written and
+// fsynced, renamed over snapshot.img with a directory sync. Caller
+// holds s.mu with appends excluded and handles the log (sealing,
+// pruning) afterwards.
+func (s *Store) publishSnapshotLocked(lsn uint64, write func(io.Writer) (int64, error)) error {
 	tmpPath := filepath.Join(s.dir, snapshotTmp)
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: snapshot tmp: %w", err)
 	}
-	if _, err := tmp.Write(encoded); err != nil {
+	n, err := write(tmp)
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("durable: writing snapshot: %w", err)
 	}
@@ -681,7 +644,7 @@ func (s *Store) publishSnapshotLocked(encoded []byte, lsn uint64) error {
 	}
 	syncDir(s.dir)
 	s.snapLSN = lsn
-	s.metrics.snapBytes.Set(int64(len(encoded)))
+	s.metrics.snapBytes.Set(n)
 	return nil
 }
 
