@@ -22,15 +22,13 @@ import (
 var wireAllocBudget = []struct {
 	op     string
 	budget float64
-	proto  int // the one framing the row holds on; 0 for both
 }{
-	{"stat", 3, 0},                 // 2: the server's line, the client's rest of line
-	{"open+pread+close", 7, 0},     // 6: three lines, pread's rest (a one-digit fd and a bare ok cost none), the descriptor and its handle
-	{"getdir", 8, 0},               // 7: + vfs.ReadDir's listing and the client's entry slice (names are substrings of the rest)
-	{"getacl", 6, 0},               // 5: + the body at the server, read into the client's own buffer, and its string
-	{"putfile 4k", 3, ProtocolV2},  // 2: the server's line and the payload it reads into; the file's buffer is reused, and a bare ok costs none
-	{"putfile 4k", 12, ProtocolV1}, // 11: the chunk path, open+pwrite+close, since putfile never rides v1
-	{"getfile", 5, 0},              // 4: the server's line and vfs.ReadFile's snapshot, the client's rest of line and the body read straight into its own buffer
+	{"stat", 3},             // 2: the server's line, the client's rest of line
+	{"open+pread+close", 7}, // 6: three lines, pread's rest (a one-digit fd and a bare ok cost none), the descriptor and its handle
+	{"getdir", 8},           // 7: + vfs.ReadDir's listing and the client's entry slice (names are substrings of the rest)
+	{"getacl", 6},           // 5: + the body at the server, read into the client's own buffer, and its string
+	{"putfile 4k", 3},       // 2: the server's line and the payload it reads into; the file's buffer is reused, and a bare ok costs none
+	{"getfile", 5},          // 4: the server's line and vfs.ReadFile's snapshot, the client's rest of line and the body read straight into its own buffer
 }
 
 // TestWireAllocBudget pins the wire path's allocations per operation.
@@ -75,9 +73,6 @@ func TestWireAllocBudget(t *testing.T) {
 				"getfile":    func() error { _, err := cl.GetFile("/d/a"); return err },
 			}
 			for _, b := range wireAllocBudget {
-				if b.proto != 0 && b.proto != proto {
-					continue
-				}
 				op := ops[b.op]
 				got := testing.AllocsPerRun(200, func() {
 					if err := op(); err != nil {

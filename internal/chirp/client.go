@@ -43,10 +43,6 @@ type Client struct {
 	dialed bool // first connection established (later dials count as redials)
 
 	closing atomic.Bool // set by Close before taking mu, aborts retry loops
-	// chunked: the current session's server answered putfile or getfile
-	// with ENOSYS, so whole-file transfers take the chunk path until the
-	// next session (connectLocked clears it).
-	chunked atomic.Bool
 
 	ident identity.Principal
 	addr  string
@@ -207,7 +203,6 @@ func (cl *Client) connectLocked() error {
 		conn.SetDeadline(time.Time{})
 	}
 	cl.conn, cl.broken, cl.ident, cl.proto = conn, false, ident, f.proto
-	cl.chunked.Store(false)
 	cl.mux = newMuxSession(cl, conn, c, f)
 	cl.m.negWindow.Set(int64(f.window))
 	cl.m.negMaxBytes.Set(f.maxBytes)
@@ -346,7 +341,6 @@ type wireCall struct {
 	recvBody bool      // reply carries a counted payload (sized by reply[0] on v1)
 	recvInto []byte    // reply payload is read directly into this buffer instead
 	noRetry  bool      // this call is not idempotent though its command usually is
-	framed   bool      // only the v2 framing may carry it: a v1 session refuses it unsent (errUnframed)
 	trace    uint64    // request-tracing ID (0 untraced); only v2 traced sessions send it
 	deadline time.Time // logical-call deadline (zero = unbounded); v2 deadlined sessions send the remaining budget
 }
@@ -460,8 +454,6 @@ func (cl *Client) do(c wireCall) (rest string, body []byte, retried bool, err er
 			// sent: the session is fine, the caller is just out of time.
 			cl.m.deadline.Inc()
 			return "", nil, retried, aerr
-		case errors.Is(aerr, errUnframed):
-			return "", nil, retried, aerr // nothing was sent; the session is fine
 		}
 		// Transport failure: the session is dead. Every in-flight call
 		// sees it; only the first observer counts it against the breaker.
@@ -929,59 +921,30 @@ func (cl *Client) exec(token, cwd, path string, args []string) (ExecResult, erro
 // exchange per 64 KiB.
 const transferChunk = 65536
 
-// errUnframed refuses, before anything is sent, a call only the v2
-// framing may carry (wireCall.framed) on a v1 session.
-var errUnframed = errors.New("chirp: command needs the v2 framing")
-
 // PutFile stages a whole file onto the server. A file up to MaxPayload
-// goes as one putfile: one request, one journal record and one
-// durability wait, retried transparently like any idempotent call. The
-// chunk path (putChunks) carries the rest: a file over MaxPayload, any
-// file on a v1 session — an old v1 server does not know that an unknown
-// command carries a payload and would read the file's bytes as request
-// lines — and any file once the session's server has answered a
-// whole-file command with ENOSYS.
+// goes as one putfile, in either framing: one request, one journal
+// record and one durability wait, retried transparently like any
+// idempotent call. A larger file takes the chunk path (putChunks).
 func (cl *Client) PutFile(path string, data []byte, mode uint32) error {
-	if len(data) <= MaxPayload && !cl.chunked.Load() {
-		_, _, _, err := cl.do(wireCall{
-			line:     newLine("putfile").quoted(path).oct(mode).int(int64(len(data))),
-			sendBody: data,
-			framed:   true,
-		})
-		if !cl.chunkFallback(err) {
-			return err
-		}
+	if len(data) > MaxPayload {
+		return cl.putChunks(path, data, mode)
 	}
-	return cl.putChunks(path, data, mode)
+	_, _, _, err := cl.do(wireCall{
+		line:     newLine("putfile").quoted(path).oct(mode).int(int64(len(data))),
+		sendBody: data,
+	})
+	return err
 }
 
 // GetFile fetches a whole remote file: one getfile, whose reply body is
 // the file, retried transparently like any idempotent call. A file over
-// MaxPayload (EFBIG) and a server without the command (ENOSYS) take the
-// chunk path (getChunks).
+// MaxPayload (EFBIG) takes the chunk path (getChunks).
 func (cl *Client) GetFile(path string) ([]byte, error) {
-	if !cl.chunked.Load() {
-		_, body, _, err := cl.do(wireCall{line: newLine("getfile").quoted(path), recvBody: true})
-		if !cl.chunkFallback(err) {
-			return body, err
-		}
+	_, body, _, err := cl.do(wireCall{line: newLine("getfile").quoted(path), recvBody: true})
+	if errors.Is(err, ErrFileTooBig) {
+		return cl.getChunks(path)
 	}
-	return cl.getChunks(path)
-}
-
-// chunkFallback reports whether a whole-file call's outcome sends the
-// transfer down the chunk path: the call needed the v2 framing, the file
-// is over MaxPayload, or the server predates the whole-file commands —
-// which is remembered for the session.
-func (cl *Client) chunkFallback(err error) bool {
-	switch {
-	case errors.Is(err, kernel.ErrNoSys):
-		cl.chunked.Store(true)
-		return true
-	case errors.Is(err, errUnframed), errors.Is(err, ErrFileTooBig):
-		return true
-	}
-	return false
+	return body, err
 }
 
 // putChunks is PutFile's chunk path: an O_TRUNC open, the chunk writes

@@ -155,18 +155,17 @@ func figure3Workflow(cl *Client) error {
 
 // chaosSchedule is the seeded acceptance schedule: every 3rd connection
 // is reset on its first write (it never even authenticates), and every
-// connection is reset once it has carried 220 client-written bytes —
-// the whole workflow writes more than that (259 bytes on v1, which
-// stages through the chunk path; 315 on v2, which stages each file in
-// one putfile but adds a 21-byte version exchange per connection and a
-// 16-byte header per request), so no single connection can carry it,
-// while the largest single retry sequence (127 bytes: the tokened exec
-// from a fresh v2 connection, auth and version exchange included)
-// always fits.
+// connection is reset at its first write once it has carried 160
+// client-written bytes. The workflow has written more than that before
+// its last request (192 bytes before the getfile on v1; 191 before the
+// tokened exec on v2, which adds a 21-byte version exchange per
+// connection and a 16-byte header per request), so no single connection
+// can carry it, while what is left after a redial always fits (at most
+// 127 bytes before the getfile, on v2 after the exec's redial).
 func chaosSchedule() *faultnet.Injector {
 	return faultnet.New(7,
 		faultnet.Rule{EveryNth: 3, Op: faultnet.OpWrite, Action: faultnet.Reset},
-		faultnet.Rule{Op: faultnet.OpWrite, AfterBytes: 220, Action: faultnet.Reset},
+		faultnet.Rule{Op: faultnet.OpWrite, AfterBytes: 160, Action: faultnet.Reset},
 	)
 }
 
@@ -594,6 +593,101 @@ func TestFailoverReadRejoinsAfterCooloff(t *testing.T) {
 		}
 		if st := c1.Breaker().State(); st != BreakerClosed {
 			t.Fatalf("primary breaker after the probe = %v, want closed", st)
+		}
+	})
+}
+
+// mutedConn drops every write once muted is set, reporting it sent: the
+// server never sees another request, so a client talking through it
+// meets a primary that accepts connections and never answers.
+type mutedConn struct {
+	net.Conn
+	muted *atomic.Bool
+}
+
+func (c mutedConn) Write(p []byte) (int, error) {
+	if c.muted.Load() {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+// TestFailoverBreakerSkipsHungPrimary is the client breaker's ablation
+// row: a primary that accepts connections and never answers costs the
+// failover driver one ClientOptions.Timeout. The read that waits it out
+// trips the threshold-1 breaker, and the reads after it go straight to
+// the replica: n of them in well under n timeouts, where without the
+// breaker each would wait the timeout out again.
+func TestFailoverBreakerSkipsHungPrimary(t *testing.T) {
+	bothFramings(t, func(t *testing.T, proto int) {
+		const timeout, n = 100 * time.Millisecond, 10
+		srv1, _, _ := testServer(t)
+		srv2, _, _ := testServer(t)
+		opts := ClientOptions{
+			Protocol:         proto,
+			Timeout:          timeout,
+			MaxRetries:       -1,
+			BreakerThreshold: 1,
+			BreakerCooloff:   time.Hour,
+		}
+		c2 := adminClient(t, srv2, opts)
+		var muted atomic.Bool
+		opts.Dialer = func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return mutedConn{c, &muted}, nil
+		}
+		c1 := adminClient(t, srv1, opts)
+		for cl, tag := range map[*Client]string{c1: "from-primary", c2: "from-replica"} {
+			if err := cl.Mkdir("/pub", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.PutFile("/pub/data", []byte(tag), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fd := NewFailoverDriver(
+			[]*Driver{NewDriver(c1, vclock.Default()), NewDriver(c2, vclock.Default())}, nil)
+		box, err := core.New(kernel.New(vfs.New("dthain"), vclock.Default()), "dthain", "unix:admin", core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func() (string, time.Duration) {
+			var data []byte
+			var rerr error
+			start := time.Now()
+			box.Run(func(p *kernel.Proc, _ []string) int {
+				data, rerr = readThrough(p, fd, "/pub/data")
+				return 0
+			})
+			if rerr != nil {
+				t.Fatalf("read through the failover driver: %v", rerr)
+			}
+			return string(data), time.Since(start)
+		}
+		if got, _ := read(); got != "from-primary" {
+			t.Fatalf("healthy read = %q, want from-primary", got)
+		}
+		muted.Store(true)
+		if got, took := read(); got != "from-replica" || took < timeout {
+			t.Fatalf("first read of a hung primary = %q after %v, want from-replica after the %v timeout", got, took, timeout)
+		}
+		if st := c1.Breaker().State(); st != BreakerOpen {
+			t.Fatalf("primary breaker after the timeout = %v, want open", st)
+		}
+		var total time.Duration
+		for i := 0; i < n; i++ {
+			got, took := read()
+			if got != "from-replica" {
+				t.Fatalf("read %d with the breaker open = %q, want from-replica", i, got)
+			}
+			total += took
+		}
+		t.Logf("%d reads with the primary's breaker open took %v", n, total)
+		if total >= n*timeout/2 {
+			t.Fatalf("%d reads with the breaker open took %v, want well under %d × %v", n, total, n, timeout)
 		}
 	})
 }

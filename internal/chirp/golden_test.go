@@ -97,8 +97,9 @@ func (c *recordedConn) Write(p []byte) (int, error) {
 // were written by this same sequence, less its whole-file tail, at the
 // commit before the append-encoded wire path, whose claim is that it
 // changes no byte; the tail's lines were appended when the whole-file
-// commands came, leaving every earlier line as it was. Any other change
-// to them is a protocol change old peers will see.
+// commands came, leaving every earlier line as it was, and v1's PutFile
+// lines became one putfile when v1 sessions began to send it. Any other
+// change to them is a protocol change old peers will see.
 func TestGoldenWireTranscript(t *testing.T) {
 	bothFramings(t, func(t *testing.T, proto int) {
 		srv, k, _ := testServer(t)
@@ -178,9 +179,8 @@ func TestGoldenWireTranscript(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Whole-file staging, appended after the lines above: putfile and
-		// getfile on v2; on v1 PutFile takes the chunk path (putfile never
-		// rides a v1 session) and getfile, which carries no payload, is
-		// sent as is. A directory is refused as open refuses it.
+		// getfile, in either framing. A directory is refused as open
+		// refuses it.
 		must(cl.PutFile("/data dir/whole", []byte("one request\n"), 0o600))
 		if data, err := cl.GetFile("/data dir/whole"); err != nil || string(data) != "one request\n" {
 			t.Fatalf("GetFile = %q, %v", data, err)

@@ -171,9 +171,6 @@ func (ms *muxSession) fail(err error) {
 // ops window, plus the byte budget — though one call is always
 // admitted, whatever its size, so a single fat transfer never wedges).
 func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
-	if c.framed && ms.proto != ProtocolV2 {
-		return nil, errUnframed
-	}
 	// Tracing activates per call: the session must have negotiated the
 	// capability and the call must carry an ID. The untraced path stamps
 	// nothing and sends the line unchanged.

@@ -254,11 +254,10 @@ func TestMuxChaosTokenedExactlyOnce(t *testing.T) {
 		if cl.Protocol() != proto {
 			t.Fatalf("chaos client speaks v%d, want v%d", cl.Protocol(), proto)
 		}
-		// 384 KiB: on v2 one putfile frame, which the client's 32 KiB
-		// buffered writer sends as a buffer-full and then the rest in one
-		// write; the 30 000-byte reset cuts that second write, mid-frame,
-		// so the server never executes the request. On v1 the chunk path
-		// carries it, and the reset cuts the first pwrite's payload.
+		// 384 KiB: one putfile in either framing, which the client's
+		// 32 KiB buffered writer sends as a buffer-full and then the rest
+		// in one write; the 30 000-byte reset cuts that second write,
+		// mid-payload, so the server never executes the request.
 		data := patterned(6 * transferChunk)
 		if err := cl.PutFile("/blob", data, 0o644); err != nil {
 			t.Fatalf("PutFile through mid-window reset: %v", err)

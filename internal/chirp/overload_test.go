@@ -612,19 +612,12 @@ func TestSlowLorisSeveredNotServed(t *testing.T) {
 			t.Fatal(err) // handshake and negotiation run at full speed
 		}
 		// From here one write trickles at a byte per 5ms tick, so that
-		// request cannot arrive inside the 100ms request deadline. On v2
-		// the deadline runs from the frame header, so the very next frame
-		// (PutFile's putfile, 2 KiB of payload in it) is cut. v1 has no
-		// header to anchor on — the deadline runs from the command line's
-		// arrival — and PutFile takes the chunk path there (putfile never
-		// rides a v1 session), so the trickle skips the payload-less open
-		// and lands on the pwrite, whose 2 KiB payload cannot follow its
-		// line in time.
-		skip := 0
-		if proto == ProtocolV1 {
-			skip = 1
-		}
-		inj.InjectOnce(faultnet.OpWrite, skip, faultnet.Trickle, 5*time.Millisecond)
+		// request cannot arrive inside the 100ms request deadline: the
+		// very next write, PutFile's putfile with 2 KiB of payload in it.
+		// On v2 the deadline runs from the frame header; v1 has no header
+		// to anchor on, so it runs from the command line's arrival, and
+		// the payload cannot follow the line in time.
+		inj.InjectOnce(faultnet.OpWrite, 0, faultnet.Trickle, 5*time.Millisecond)
 		lorisErr := make(chan error, 1)
 		go func() {
 			err := slow.PutFile("/loris.dat", make([]byte, 2<<10), 0o644)

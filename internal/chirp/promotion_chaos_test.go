@@ -184,7 +184,7 @@ func TestPromotionChaosMatrix(t *testing.T) {
 				// Every mutation the dead primary acked must already be on the
 				// promoted follower, before any retry runs.
 				fcl := adminClient(t, follower.srv, ClientOptions{Protocol: proto})
-				ackChecks := []struct {
+				ackedSteps := []struct {
 					path string
 					want string // "" = existence only
 				}{
@@ -193,7 +193,7 @@ func TestPromotionChaosMatrix(t *testing.T) {
 					{"/work/input.dat", "signal data"},
 					{"/work/out.dat", "SIGNAL DATA"},
 				}
-				for i, c := range ackChecks {
+				for i, c := range ackedSteps {
 					if acked < i+1 {
 						break
 					}

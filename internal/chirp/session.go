@@ -250,14 +250,14 @@ func (req *request) recycle() {
 // tagged frames, where the credit window applies backpressure by simply
 // not reading the next frame.
 func (sess *session) loop() {
-	var ln lanes
-	defer ln.close() // all replies flushed before the codec is released
-	for !sess.s.isDraining() && sess.step(&ln) {
+	var wk workers
+	defer wk.close() // all replies flushed before the codec is released
+	for !sess.s.isDraining() && sess.step(&wk) {
 	}
 }
 
 // step reads and dispatches one request; false ends the session.
-func (sess *session) step(ln *lanes) bool {
+func (sess *session) step(wk *workers) bool {
 	s := sess.s
 	// The reader's own replies (farewell, refusals, the version exchange)
 	// are built in the codec's scratch, which on v2 only the reader uses.
@@ -280,7 +280,7 @@ func (sess *session) step(ln *lanes) bool {
 		defer sess.state.busy.Store(false)
 	}
 	if req.cmd == "quit" && req.bad == "" {
-		ln.close() // every pending reply precedes the farewell ack
+		wk.close() // every pending reply precedes the farewell ack
 		sess.reply(req.tag, hres{line: sc.ok()})
 		return false
 	}
@@ -302,7 +302,7 @@ func (sess *session) step(ln *lanes) bool {
 		return sess.reply(req.tag, sess.failf(sc, vfs.ErrInvalid, req.bad)) == nil
 	}
 	if req.cmd == "version" && sess.v2 == nil {
-		return sess.serveVersion(req.args, ln) == nil
+		return sess.serveVersion(req.args, wk) == nil
 	}
 	// Admission: the overload controller sheds expired work and rejects
 	// over a bounded queue here, before the request consumes a window
@@ -329,7 +329,7 @@ func (sess *session) step(ln *lanes) bool {
 		return false // server severing this session: stop reading
 	}
 	queued = true
-	ln.pool <- req
+	wk.pool <- req
 	return true
 }
 
@@ -470,7 +470,7 @@ func (sess *session) boundRead(on bool) {
 // itself is v1: one line, one reply. A server pinned to v1 answers
 // ENOSYS exactly as an old binary (which has no "version" command at
 // all) would, and the client falls back.
-func (sess *session) serveVersion(args []string, ln *lanes) error {
+func (sess *session) serveVersion(args []string, wk *workers) error {
 	s, sc := sess.s, sess.c.scratch
 	if s.maxProtocol() < ProtocolV2 {
 		return sess.reply(0, sess.failf(sc, kernel.ErrNoSys, "unknown command version"))
@@ -508,47 +508,47 @@ func (sess *session) serveVersion(args []string, ln *lanes) error {
 	sess.v2 = conf
 	s.metrics.v2Sessions.Inc()
 	sess.log.printf("upgraded to protocol 2 (window=%d maxbytes=%d traced=%v)", conf.window, conf.maxBytes, conf.traced)
-	ln.start(sess, conf.window, s.workers())
+	wk.start(sess, conf.window, s.workers())
 	return nil
 }
 
 var errSevered = errors.New("chirp: session severed")
 
-// lanes is a v2 session's executor: one pool of workers runs every
+// workers is a v2 session's executor: one pool of workers runs every
 // request, in no promised order. A client that needs one request to
 // follow another waits for the first reply, as Client does; so the
 // barrier waits of a session's callers overlap and share commit groups,
 // and a slow exec holds one worker, not the session.
-type lanes struct {
+type workers struct {
 	pool chan *request
 	wg   sync.WaitGroup
 	once sync.Once
 }
 
-func (ln *lanes) start(sess *session, window, workers int) {
-	ln.pool = make(chan *request, window)
-	ln.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go sess.worker(ln)
+func (wk *workers) start(sess *session, window, n int) {
+	wk.pool = make(chan *request, window)
+	wk.wg.Add(n)
+	for i := 0; i < n; i++ {
+		go sess.worker(wk)
 	}
 }
 
 // close stops the workers and waits for every queued reply to flush. It
 // is a no-op on a session that never upgraded.
-func (ln *lanes) close() {
-	ln.once.Do(func() {
-		if ln.pool != nil {
-			close(ln.pool)
-			ln.wg.Wait()
+func (wk *workers) close() {
+	wk.once.Do(func() {
+		if wk.pool != nil {
+			close(wk.pool)
+			wk.wg.Wait()
 		}
 	})
 }
 
-func (sess *session) worker(ln *lanes) {
-	defer ln.wg.Done()
+func (sess *session) worker(wk *workers) {
+	defer wk.wg.Done()
 	sc := scratchPool.Get().(*payloadScratch)
 	defer scratchPool.Put(sc)
-	for req := range ln.pool {
+	for req := range wk.pool {
 		if sess.isStopping() {
 			// Severed: the socket is gone, no reply can reach the
 			// client — drop queued work instead of executing it.

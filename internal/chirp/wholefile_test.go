@@ -3,7 +3,6 @@ package chirp
 import (
 	"bytes"
 	"errors"
-	"net"
 	"strings"
 	"testing"
 
@@ -14,13 +13,12 @@ import (
 	"identitybox/internal/vfs"
 )
 
-// TestPutFileV1NeverSendsPutfile: an old v1 server does not know that an
-// unknown command carries a payload, so it would read a putfile's bytes
-// as request lines under the caller's identity. Whether the client is
-// pinned to v1 or falls back to it against a v1-only server, PutFile
-// takes the chunk path and no putfile reaches the wire; getfile, which
-// carries no payload, does.
-func TestPutFileV1NeverSendsPutfile(t *testing.T) {
+// TestPutFileV1SendsPutfile: putfile carries its payload counted in
+// either framing, as cctools' Chirp line protocol sends it, so a v1
+// session stages a file of up to MaxPayload in one putfile, whether the
+// client is pinned to v1 or falls back to it against a v1-only server,
+// and the file, its mode and its owner land as v2's would.
+func TestPutFileV1SendsPutfile(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		client, serverMax int
@@ -29,7 +27,7 @@ func TestPutFileV1NeverSendsPutfile(t *testing.T) {
 		{"server-pinned", ProtocolV2, ProtocolV1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, _, _ := testServer(t)
+			srv, k, _ := testServer(t)
 			srv.opts.MaxProtocol = tc.serverMax
 			rec := &wireRecorder{}
 			cl := adminClient(t, srv, ClientOptions{Protocol: tc.client, Dialer: rec.dial})
@@ -37,81 +35,24 @@ func TestPutFileV1NeverSendsPutfile(t *testing.T) {
 				t.Fatalf("session speaks v%d, want v1", cl.Protocol())
 			}
 			data := patterned(3*transferChunk + 5)
-			if err := cl.PutFile("/f", data, 0o644); err != nil {
+			if err := cl.PutFile("/f", data, 0o640); err != nil {
 				t.Fatal(err)
 			}
 			got, err := cl.GetFile("/f")
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("GetFile = %d bytes, %v", len(got), err)
 			}
-			sent := rec.transcript(0)
-			if strings.Contains(sent, `C "putfile`) {
-				t.Fatal("a v1 session carried putfile")
+			if st, err := k.FS().Stat("/f"); err != nil || st.Mode != 0o640 || st.Owner != "chirpowner" {
+				t.Fatalf("/f = %+v, %v", st, err)
 			}
-			if !strings.Contains(sent, `C "open `) || !strings.Contains(sent, `C "getfile `) {
-				t.Fatalf("want the chunk path's open and one getfile on the wire:\n%s", sent)
+			sent := rec.transcript(0)
+			if strings.Count(sent, `C "putfile `) != 1 || strings.Count(sent, `C "getfile `) != 1 {
+				t.Fatalf("want one putfile and one getfile on the wire:\n%s", sent)
+			}
+			if strings.Contains(sent, `C "open `) || strings.Contains(sent, `C "pwrite `) {
+				t.Fatalf("a v1 PutFile took the chunk path:\n%s", sent)
 			}
 		})
-	}
-}
-
-// renamer is a dialer whose connections rewrite the client's putfile and
-// getfile command words to names of the same length the server does not
-// know. Frame lengths stay right, so the server reads the frame — payload
-// included — and answers ENOSYS, exactly as a server whose command table
-// lacks the two rows does.
-func renamer(addr string) (net.Conn, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return renamedConn{c}, nil
-}
-
-type renamedConn struct{ net.Conn }
-
-func (c renamedConn) Write(p []byte) (int, error) {
-	q := bytes.ReplaceAll(p, []byte("putfile "), []byte("pxtfile "))
-	q = bytes.ReplaceAll(q, []byte("getfile "), []byte("gxtfile "))
-	return c.Conn.Write(q)
-}
-
-// TestWholeFileFallsBackOnENOSYS: against a server without putfile and
-// getfile, a v2 PutFile and GetFile fall back on the chunk path at the
-// first ENOSYS, remember it for the session (the next transfer offers no
-// whole-file command), and leave the tree exactly as the whole-file
-// commands would.
-func TestWholeFileFallsBackOnENOSYS(t *testing.T) {
-	srv, k, _ := testServer(t)
-	cl := adminClient(t, srv, ClientOptions{Dialer: renamer})
-	if cl.Protocol() != ProtocolV2 {
-		t.Fatalf("session speaks v%d, want v2", cl.Protocol())
-	}
-	unknown := func() int64 { return srv.metrics.unknownCmd.Value() }
-	small, big := []byte("staged input\n"), patterned(2*transferChunk+7)
-	if err := cl.PutFile("/small", small, 0o640); err != nil {
-		t.Fatal(err)
-	}
-	if n := unknown(); n != 1 {
-		t.Fatalf("server saw %d unknown commands after the first PutFile, want 1", n)
-	}
-	if err := cl.PutFile("/big", big, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	for path, want := range map[string][]byte{"/small": small, "/big": big} {
-		got, err := cl.GetFile(path)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("GetFile(%s) = %d bytes, %v", path, len(got), err)
-		}
-		if onServer, err := k.FS().ReadFile(path); err != nil || !bytes.Equal(onServer, want) {
-			t.Fatalf("%s on the server = %d bytes, %v", path, len(onServer), err)
-		}
-	}
-	if st, err := k.FS().Stat("/small"); err != nil || st.Mode != 0o640 || st.Owner != "chirpowner" {
-		t.Fatalf("/small = %+v, %v", st, err)
-	}
-	if n := unknown(); n != 1 {
-		t.Fatalf("server saw %d unknown commands, want 1: the ENOSYS is remembered for the session", n)
 	}
 }
 

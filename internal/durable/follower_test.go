@@ -2,6 +2,7 @@ package durable
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,35 +82,48 @@ func applyAll(t *testing.T, f *Store, groups []shipped) {
 }
 
 // TestAppliedBatchWakesWithoutAllocating: a batch applied while nobody
-// waits makes no wake channel; a parked WaitApplied makes the one its
-// batch closes, and the apply clears it for the next parker.
+// waits parks nobody; a parked WaitApplied is woken by the batch that
+// covers it; and a wait that parks and is released by the applied
+// horizon's advance allocates nothing, its waiter and timer pooled.
 func TestAppliedBatchWakesWithoutAllocating(t *testing.T) {
 	groups := openTestPrimary(t).writeFiles(t, 4)
 	f := openStore(t, t.TempDir(), Options{ReplicaMode: true})
 	defer f.Close()
-	channel := func() chan struct{} {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return f.appliedCh
-	}
 	applyAll(t, f, groups[:len(groups)-1])
-	if channel() != nil {
-		t.Fatal("batches nobody waited for made a wake channel")
+	if n := f.applied.Parked(); n != 0 {
+		t.Fatalf("%d waits parked with nobody waiting", n)
 	}
 	last := groups[len(groups)-1]
 	done := make(chan error, 1)
 	go func() { done <- f.WaitApplied(last.last, 5*time.Second) }()
-	for deadline := time.Now().Add(5 * time.Second); channel() == nil; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("WaitApplied never parked")
-		}
-	}
+	awaitParked(t, &f.applied, 1)
 	applyAll(t, f, []shipped{last})
 	if err := <-done; err != nil {
 		t.Fatalf("parked WaitApplied = %v", err)
 	}
-	if channel() != nil {
-		t.Fatal("the applied batch left its wake channel for the next parker")
+
+	lsn := last.last
+	parked, released := make(chan uint64), make(chan struct{})
+	go func() { // the apply loop: advances the horizon once each wait parks
+		for l := range parked {
+			for f.applied.Parked() == 0 {
+				runtime.Gosched()
+			}
+			f.applied.Set(l)
+			released <- struct{}{}
+		}
+	}()
+	defer close(parked)
+	got := testing.AllocsPerRun(100, func() {
+		lsn++
+		parked <- lsn
+		if err := f.WaitApplied(lsn, 5*time.Second); err != nil {
+			t.Error(err)
+		}
+		<-released
+	})
+	if got > 0 {
+		t.Fatalf("a parked-then-applied WaitApplied allocates %.1f, want 0", got)
 	}
 }
 

@@ -42,7 +42,7 @@ func (s *Store) AppliedLSN() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.replica {
-		return s.lastApplied
+		return s.applied.LSN()
 	}
 	return s.wal.lsnCursor()
 }
@@ -94,11 +94,12 @@ func (s *Store) ApplyReplicated(epoch, first, last uint64, frames []byte) (appli
 		// before this batch's epoch record is applied.
 		s.epoch = epoch
 	}
-	if last <= s.lastApplied {
+	horizon := s.applied.LSN()
+	if last <= horizon {
 		return 0, nil // already applied (stream overlap after resubscribe)
 	}
-	if first > s.lastApplied+1 {
-		return 0, fmt.Errorf("%w: batch starts at lsn %d, applied horizon %d", ErrReplicaGap, first, s.lastApplied)
+	if first > horizon+1 {
+		return 0, fmt.Errorf("%w: batch starts at lsn %d, applied horizon %d", ErrReplicaGap, first, horizon)
 	}
 	recs, valid, torn := DecodeAll(frames)
 	if torn || int64(len(frames)) != valid {
@@ -115,10 +116,10 @@ func (s *Store) ApplyReplicated(epoch, first, last uint64, frames []byte) (appli
 	// Drop the already-applied prefix of a partially overlapping batch,
 	// re-encoding the suffix so the local log never holds duplicates.
 	durableFrames := frames
-	if first <= s.lastApplied {
+	if first <= horizon {
 		keep := recs[:0]
 		for _, rec := range recs {
-			if rec.LSN > s.lastApplied {
+			if rec.LSN > horizon {
 				keep = append(keep, rec)
 			}
 		}
@@ -140,18 +141,8 @@ func (s *Store) ApplyReplicated(epoch, first, last uint64, frames []byte) (appli
 		}
 		applied++
 	}
-	s.lastApplied = last
-	s.wakeAppliedLocked()
+	s.applied.Set(last)
 	return applied, nil
-}
-
-// wakeAppliedLocked releases WaitApplied parkers to re-check the
-// applied horizon and the replica flag. Caller holds s.mu.
-func (s *Store) wakeAppliedLocked() {
-	if s.appliedCh != nil {
-		close(s.appliedCh)
-		s.appliedCh = nil
-	}
 }
 
 // WaitApplied blocks until the follower's applied horizon reaches lsn,
@@ -161,26 +152,10 @@ func (s *Store) wakeAppliedLocked() {
 // saw the primary acknowledge LSN n can demand a follower read reflect
 // it.
 func (s *Store) WaitApplied(lsn uint64, timeout time.Duration) error {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		s.mu.Lock()
-		if !s.replica || s.lastApplied >= lsn {
-			s.mu.Unlock()
-			return nil
-		}
-		if s.appliedCh == nil {
-			s.appliedCh = make(chan struct{})
-		}
-		ch := s.appliedCh
-		applied := s.lastApplied
-		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-deadline.C:
-			return fmt.Errorf("durable: applied horizon %d short of demanded lsn %d after %v", applied, lsn, timeout)
-		}
+	if _, timedOut := s.applied.Wait(lsn, max(timeout, 0)); timedOut {
+		return fmt.Errorf("durable: applied horizon %d short of demanded lsn %d after %v", s.applied.LSN(), lsn, timeout)
 	}
+	return nil
 }
 
 // ReplSnapshot serializes the current state for bootstrapping a
@@ -244,8 +219,7 @@ func (s *Store) LoadReplicaSnapshot(blob []byte) error {
 		s.fs.Restore(fs)
 		s.dedupe = meta.Dedupe
 		s.epoch = meta.Epoch
-		s.lastApplied = meta.LSN
-		s.wakeAppliedLocked()
+		s.applied.Set(meta.LSN)
 		return nil
 	})
 }
@@ -311,7 +285,7 @@ func (s *Store) Promote(epoch uint64) error {
 	s.wal.startCommitter()
 	// Promotion satisfies any parked freshness demand: the local state
 	// is authoritative now.
-	s.wakeAppliedLocked()
+	s.applied.Release(true)
 	s.mu.Unlock()
 	if err := s.SetEpochDurable(epoch); err != nil {
 		return err

@@ -225,15 +225,12 @@ type Store struct {
 	// Replication state. epoch is the fencing term this store last saw
 	// (recovered from the snapshot and epoch records, advanced by
 	// SetEpochDurable on a primary and by replicated epoch records on a
-	// follower). replica marks follower mode until Promote; lastApplied
-	// is the follower's applied-LSN horizon. appliedCh, made by the
-	// first WaitApplied to park, is closed and cleared whenever the
-	// horizon advances or promotion ends replica mode; a batch nobody
-	// waits for allocates none.
-	epoch       uint64
-	replica     bool
-	lastApplied uint64
-	appliedCh   chan struct{}
+	// follower). replica marks follower mode until Promote; applied is
+	// the follower's applied-LSN horizon, moved under mu and released
+	// while the store is a primary.
+	epoch   uint64
+	replica bool
+	applied Horizon
 
 	metrics  *storeMetrics
 	recovery RecoveryInfo
@@ -285,6 +282,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
+	s.applied.Release(!s.replica)
 
 	// A crash may have left a half-written snapshot.tmp; it was never
 	// renamed into place, so it is garbage.
@@ -380,7 +378,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		// A follower applies pre-encoded records from the primary; its
 		// own file system is never journaled, and its applied horizon
 		// resumes where the recovered log ended.
-		s.lastApplied = lastLSN
+		s.applied.Set(lastLSN)
 		return s, nil
 	}
 	fs.SetJournal(s)

@@ -57,13 +57,10 @@ type WAL struct {
 	dirty    bool
 	err      error
 	// durable is the highest LSN on stable storage (per the sync
-	// policy). A failed group never advances it, so it stays below the
-	// first LSN a degradation lost until compaction resets the log.
-	durable uint64
-	// advanceCh, made by the first waiter to park, is closed and cleared
-	// whenever durable advances or the WAL degrades, waking every
-	// WaitDurable parked on it. A group nobody waits for allocates none.
-	advanceCh chan struct{}
+	// policy), and carries err for WaitDurable. A failed group never
+	// advances it, so it stays below the first LSN a degradation lost
+	// until compaction resets the log. Moved only with mu held.
+	durable Horizon
 	// follower selects the role: set, only AppendFrames writes; clear,
 	// only the committer does. startCommitter clears it.
 	follower bool
@@ -130,11 +127,10 @@ type rotator struct {
 // WAL starts as a follower's log with no batch window; set the
 // committer's fields, then call startCommitter to make it a primary's.
 func newWAL(f File, lastLSN uint64, syncEach bool, rot *rotator) *WAL {
-	return &WAL{
+	w := &WAL{
 		f:        f,
 		lastLSN:  lastLSN,
 		syncEach: syncEach,
-		durable:  lastLSN,
 		follower: true,
 		maxBatch: DefaultCommitBatch,
 		kick:     make(chan struct{}, 1),
@@ -142,6 +138,8 @@ func newWAL(f File, lastLSN uint64, syncEach bool, rot *rotator) *WAL {
 		done:     make(chan struct{}),
 		rot:      rot,
 	}
+	w.durable.Set(lastLSN)
+	return w
 }
 
 // ErrWALClosed is reported by appends after Close. The other two are
@@ -246,7 +244,7 @@ func (w *WAL) commit(g group) error {
 	if err != nil {
 		// The caller claimed g only from a healthy WAL, so this is the
 		// degradation's first error.
-		w.err = err
+		w.failLocked(err)
 		w.dropQueueLocked() // the log must not grow past the failed group
 		w.mu.Unlock()
 		if w.onError != nil {
@@ -254,7 +252,7 @@ func (w *WAL) commit(g group) error {
 		}
 		return err
 	}
-	w.durable = g.last
+	w.durable.Set(g.last)
 	w.lastLSN = max(w.lastLSN, g.last)
 	if !g.replicated {
 		w.lastGroup = g.records
@@ -264,7 +262,6 @@ func (w *WAL) commit(g group) error {
 			w.recycle = g.frames[:0]
 		}
 	}
-	w.advanceLocked()
 	w.maybeRotateLocked()
 	w.mu.Unlock()
 	return nil
@@ -292,22 +289,18 @@ func (w *WAL) runHooks(g group, start time.Time, synced bool) {
 	}
 }
 
-// dropQueueLocked fails every queued record, waking their waiters with
-// the sticky error rather than stranding them. Caller holds mu.
+// dropQueueLocked discards every queued record. Caller holds mu.
 func (w *WAL) dropQueueLocked() {
 	w.queue = w.queue[:0]
 	w.queued = 0
 	w.traced = w.traced[:0]
-	w.advanceLocked()
 }
 
-// advanceLocked publishes a durability change (progress or failure) to
-// every parked waiter. Caller holds mu.
-func (w *WAL) advanceLocked() {
-	if w.advanceCh != nil {
-		close(w.advanceCh)
-		w.advanceCh = nil
-	}
+// failLocked makes err the WAL's sticky error, failing every waiter
+// the durable horizon does not cover. Caller holds mu.
+func (w *WAL) failLocked(err error) {
+	w.err = err
+	w.durable.Fail(err)
 }
 
 // WaitDurable blocks until the record with the given LSN is durable per
@@ -316,25 +309,8 @@ func (w *WAL) advanceLocked() {
 // The durable horizon is checked before the sticky error so a record
 // that made it to disk reports success even if a later group failed.
 func (w *WAL) WaitDurable(lsn uint64) error {
-	w.mu.Lock()
-	for {
-		if w.durable >= lsn {
-			w.mu.Unlock()
-			return nil
-		}
-		if w.err != nil {
-			err := w.err
-			w.mu.Unlock()
-			return err
-		}
-		if w.advanceCh == nil {
-			w.advanceCh = make(chan struct{})
-		}
-		ch := w.advanceCh
-		w.mu.Unlock()
-		<-ch
-		w.mu.Lock()
-	}
+	err, _ := w.durable.Wait(lsn, -1)
+	return err
 }
 
 // Barrier blocks until every record appended before the call is
@@ -351,11 +327,7 @@ func (w *WAL) lsnCursor() uint64 {
 }
 
 // durableLSN reports the highest LSN through which the log is durable.
-func (w *WAL) durableLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.durable
-}
+func (w *WAL) durableLSN() uint64 { return w.durable.LSN() }
 
 // syncDirtyLocked fsyncs if bytes were written since the last sync. The
 // caller holds mu and emits the onSync hook after unlocking when synced
@@ -365,7 +337,7 @@ func (w *WAL) syncDirtyLocked() (synced bool, err error) {
 		return false, nil
 	}
 	if err := w.f.Sync(); err != nil {
-		w.err = err
+		w.failLocked(err)
 		return false, err
 	}
 	w.dirty = false
@@ -411,7 +383,7 @@ func (w *WAL) Close() error {
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
-	w.err = ErrWALClosed
+	w.failLocked(ErrWALClosed)
 	onSync := w.onSync
 	w.mu.Unlock()
 	if synced && err == nil && onSync != nil {
@@ -446,7 +418,7 @@ func (w *WAL) rotateLocked() {
 	path := filepath.Join(rot.dir, segmentFileName(next))
 	f, err := rot.open(path)
 	if err != nil {
-		w.err = err
+		w.failLocked(err)
 		return
 	}
 	syncDir(rot.dir)
@@ -467,9 +439,8 @@ func (w *WAL) rotateLocked() {
 // degraded state: the sealed (possibly failed) segment becomes
 // immediately prunable, queued-but-unwritten records are dropped (the
 // snapshot carries their effects), and the LSN cursor and durable
-// horizon jump to lsn, releasing any waiter a degraded pipeline
-// stranded. The caller must have excluded all appends (quiesce + store
-// lock) and drained the committer (Barrier).
+// horizon jump to lsn. The caller must have excluded all appends
+// (quiesce + store lock) and drained the committer (Barrier).
 func (w *WAL) resetForCompact(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -479,14 +450,14 @@ func (w *WAL) resetForCompact(lsn uint64) error {
 		w.rotateLocked()
 		if w.err != nil {
 			if hadErr != nil {
-				w.err = hadErr
+				w.failLocked(hadErr)
 			}
 			return w.err
 		}
 	}
-	w.err = nil
+	w.failLocked(nil)
 	w.lastLSN = lsn
-	w.durable = lsn
+	w.durable.Set(lsn)
 	w.dropQueueLocked()
 	return nil
 }

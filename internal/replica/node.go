@@ -170,19 +170,24 @@ func (n *Node) PrimaryAddr() string {
 // wire only once the mutation's group is on stable storage here AND
 // acknowledged by a follower (when one is subscribed).
 func (n *Node) Barrier() error {
-	if err := n.cfg.Store.Barrier(); err != nil {
-		return err
-	}
-	return n.cfg.Publisher.WaitShipped(n.cfg.Store.DurableLSN())
+	return n.shipped(n.cfg.Store.Barrier())
 }
 
 // BarrierTraced is Barrier for traced requests: the durable store's
 // commit-group latency, then the semi-sync wait.
 func (n *Node) BarrierTraced() (commit time.Duration, err error) {
-	if commit, err = n.cfg.Store.BarrierTraced(); err != nil {
-		return commit, err
+	commit, err = n.cfg.Store.BarrierTraced()
+	return commit, n.shipped(err)
+}
+
+// shipped follows a local durability wait that returned err with the
+// semi-sync wait for the store's durable horizon, which covers the
+// caller's records.
+func (n *Node) shipped(err error) error {
+	if err != nil {
+		return err
 	}
-	return commit, n.cfg.Publisher.WaitShipped(n.cfg.Store.DurableLSN())
+	return n.cfg.Publisher.WaitShipped(n.cfg.Store.DurableLSN())
 }
 
 // LookupDedupe implements the chirp server's DedupeJournal hook by
@@ -200,10 +205,7 @@ func (n *Node) LookupDedupe(key string) ([]string, bool) {
 // retries exactly-once ACROSS a promotion: the promoted follower's
 // dedupe table already holds every acknowledged reply.
 func (n *Node) AppendDedupe(key string, reply []string) error {
-	if err := n.cfg.Store.AppendDedupe(key, reply); err != nil {
-		return err
-	}
-	return n.cfg.Publisher.WaitShipped(n.cfg.Store.DurableLSN())
+	return n.shipped(n.cfg.Store.AppendDedupe(key, reply))
 }
 
 // --- primary ------------------------------------------------------------

@@ -39,15 +39,10 @@ type Publisher struct {
 	nextID int64
 	closed bool
 
-	// ackCh, made by the first WaitShipped to park, is closed and
-	// cleared whenever a follower acknowledgement or a subscriber
-	// departure may release a waiter. An ack nobody waits for allocates
-	// none.
-	ackCh chan struct{}
-	// idle holds stopped, drained sync-timeout timers for WaitShipped to
-	// reuse, so a parked wait arms no fresh timer. It grows to the most
-	// waiters ever parked at once.
-	idle []*time.Timer
+	// acked is the highest LSN any subscriber has acknowledged, the
+	// horizon WaitShipped parks on; it is released while no subscriber
+	// is left to wait for. Moved only with mu held (publishLocked).
+	acked durable.Horizon
 
 	// epoch is the fencing term stamped on every shipped batch header.
 	// The node updates it after SetEpochDurable/Promote; Ship must not
@@ -99,6 +94,7 @@ func NewPublisher(reg *obs.Registry, syncTimeout time.Duration) *Publisher {
 		subsGauge:   reg.Gauge(MetricSubscribers),
 	}
 	reg.GaugeFunc(MetricLag, p.lag)
+	p.acked.Release(true)
 	return p
 }
 
@@ -149,25 +145,29 @@ func (p *Publisher) Ship(first, last uint64, records int, frames []byte) {
 			// The follower is not draining; cut it loose with a gap
 			// signal (channel close) so it resubscribes from its applied
 			// LSN instead of buffering without bound. Its departure may
-			// leave no subscriber to wait for, so waiters re-check; a
-			// ship alone never raises an acked horizon and wakes nobody.
+			// lower the acked horizon or leave no subscriber to wait
+			// for; a ship alone never moves the horizon.
 			p.overflows.Inc()
 			sub.gone = true
 			close(sub.ch)
 			delete(p.subs, id)
 			p.subsGauge.Dec()
-			p.wakeAckedLocked()
+			p.publishLocked()
 		}
 	}
 	p.mu.Unlock()
 }
 
-// wakeAckedLocked releases WaitShipped waiters to re-check state.
-func (p *Publisher) wakeAckedLocked() {
-	if p.ackCh != nil {
-		close(p.ackCh)
-		p.ackCh = nil
+// publishLocked moves the acked horizon to the highest acknowledgement
+// of any subscriber, releasing it when none is left to wait for (or the
+// publisher is closed). Caller holds mu.
+func (p *Publisher) publishLocked() {
+	var high uint64
+	for _, s := range p.subs {
+		high = max(high, s.acked)
 	}
+	p.acked.Set(high)
+	p.acked.Release(p.closed || len(p.subs) == 0)
 }
 
 // Subscription is one follower's registration with the publisher. C
@@ -187,7 +187,7 @@ func (sub *Subscription) Ack(lsn uint64) {
 	p.mu.Lock()
 	if s, ok := p.subs[sub.id]; ok && lsn > s.acked {
 		s.acked = lsn
-		p.wakeAckedLocked()
+		p.publishLocked()
 	}
 	p.mu.Unlock()
 }
@@ -201,7 +201,7 @@ func (sub *Subscription) Close() {
 		close(s.ch)
 		delete(p.subs, sub.id)
 		p.subsGauge.Dec()
-		p.wakeAckedLocked()
+		p.publishLocked()
 	}
 	p.mu.Unlock()
 }
@@ -227,6 +227,7 @@ func (p *Publisher) Subscribe(fromLSN uint64) (sub *Subscription, catchup Batch,
 	s := &subscriber{id: id, ch: make(chan Batch, subChanDepth), acked: fromLSN}
 	p.subs[id] = s
 	p.subsGauge.Inc()
+	p.publishLocked()
 	sub = &Subscription{C: s.ch, id: id, pub: p}
 	p.mu.Unlock()
 
@@ -254,17 +255,7 @@ func (p *Publisher) Subscribers() int {
 
 // MaxAcked reports the highest LSN any subscribed follower has
 // acknowledged (0 with no subscribers).
-func (p *Publisher) MaxAcked() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var max uint64
-	for _, s := range p.subs {
-		if s.acked > max {
-			max = s.acked
-		}
-	}
-	return max
-}
+func (p *Publisher) MaxAcked() uint64 { return p.acked.LSN() }
 
 // MinAcked reports the lowest LSN any subscribed follower has
 // acknowledged — the retention horizon for WAL segment pruning: a
@@ -292,75 +283,10 @@ func (p *Publisher) MinAcked() uint64 {
 // A timeout likewise degrades to async — counted, so the operator can
 // see the guarantee thinning — rather than failing the write.
 func (p *Publisher) WaitShipped(lsn uint64) error {
-	var deadline *time.Timer // taken at the first park, so the bound runs from there
-	for {
-		p.mu.Lock()
-		if p.shippedLocked(lsn) {
-			p.mu.Unlock()
-			if deadline != nil {
-				p.putTimer(deadline, false)
-			}
-			return nil
-		}
-		if p.ackCh == nil {
-			p.ackCh = make(chan struct{})
-		}
-		ch := p.ackCh
-		if deadline == nil {
-			deadline = p.takeTimerLocked()
-		}
-		p.mu.Unlock()
-		select {
-		case <-ch:
-		case <-deadline.C:
-			p.timeouts.Inc()
-			p.putTimer(deadline, true)
-			return nil
-		}
+	if _, timedOut := p.acked.Wait(lsn, p.syncTimeout); timedOut {
+		p.timeouts.Inc()
 	}
-}
-
-// shippedLocked reports whether a WaitShipped for lsn is released: some
-// follower acknowledged it, or none is subscribed (or the publisher is
-// closed) to wait for. Caller holds mu.
-func (p *Publisher) shippedLocked(lsn uint64) bool {
-	if p.closed || len(p.subs) == 0 {
-		return true
-	}
-	for _, s := range p.subs {
-		if s.acked >= lsn {
-			return true
-		}
-	}
-	return false
-}
-
-// takeTimerLocked starts a sync-timeout timer, reusing an idle one.
-// Caller holds mu.
-func (p *Publisher) takeTimerLocked() *time.Timer {
-	n := len(p.idle)
-	if n == 0 {
-		return time.NewTimer(p.syncTimeout)
-	}
-	t := p.idle[n-1]
-	p.idle = p.idle[:n-1]
-	t.Reset(p.syncTimeout)
-	return t
-}
-
-// putTimer returns a timer from takeTimerLocked to the idle list,
-// stopped and drained; fired says its value was already received.
-// go.mod pins pre-1.23 timer semantics, under which a Stop that returns
-// false means the timer fired and its value sits in the channel: it
-// must be drained, or the next wait to take the timer would read that
-// stale value and time out at once.
-func (p *Publisher) putTimer(t *time.Timer, fired bool) {
-	if !fired && !t.Stop() {
-		<-t.C
-	}
-	p.mu.Lock()
-	p.idle = append(p.idle, t)
-	p.mu.Unlock()
+	return nil
 }
 
 // lag samples how many records the slowest subscribed follower trails
@@ -369,19 +295,12 @@ func (p *Publisher) putTimer(t *time.Timer, fired bool) {
 func (p *Publisher) lag() int64 {
 	p.mu.Lock()
 	store := p.store
-	minAcked := uint64(0)
-	first := true
-	for _, s := range p.subs {
-		if first || s.acked < minAcked {
-			minAcked = s.acked
-			first = false
-		}
-	}
 	p.mu.Unlock()
-	if first || store == nil {
+	if store == nil {
 		return 0
 	}
-	durableLSN := store.DurableLSN()
+	// MinAcked is MaxUint64 with nothing subscribed, which reads 0 too.
+	minAcked, durableLSN := p.MinAcked(), store.DurableLSN()
 	if durableLSN <= minAcked {
 		return 0
 	}
@@ -399,7 +318,7 @@ func (p *Publisher) Close() {
 			delete(p.subs, id)
 		}
 		p.subsGauge.Set(0)
-		p.wakeAckedLocked()
+		p.publishLocked()
 	}
 	p.mu.Unlock()
 }

@@ -129,30 +129,40 @@ func TestWaitShippedDegrades(t *testing.T) {
 	}
 }
 
-// TestWaitShippedTimerReuseNoStaleFire: a wait released by an ack just
-// as its timer fired leaves the fired value in the timer's channel. The
-// timer goes back to the idle list drained, so the next wait to take it
-// does not time out at once on that stale value.
+// TestWaitShippedTimerReuseNoStaleFire: an ack that lands at the edge of
+// a wait's sync timeout settles the wait either way round, and the next
+// wait, which reuses the pooled waiter and its timer, still waits its
+// own full timeout: no fired value is left behind for it to read.
 func TestWaitShippedTimerReuseNoStaleFire(t *testing.T) {
-	pub := NewPublisher(nil, 30*time.Millisecond)
-	pub.mu.Lock()
-	timer := pub.takeTimerLocked()
-	pub.mu.Unlock()
-	time.Sleep(60 * time.Millisecond) // it fires; nobody receives
-	pub.putTimer(timer, false)
+	const timeout = 30 * time.Millisecond
+	pub := NewPublisher(nil, timeout)
+	store := openPrimary(t, pub)
+	sub, _, err := pub.Subscribe(store.DurableLSN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	lsn := store.DurableLSN()
+	for _, edge := range []time.Duration{25, 28, 30, 32, 35} {
+		lsn++
+		done := make(chan struct{})
+		go func() {
+			pub.WaitShipped(lsn)
+			close(done)
+		}()
+		if !waitParked(pub, 1) {
+			t.Fatal("the wait never parked")
+		}
+		time.Sleep(edge * time.Millisecond)
+		sub.Ack(lsn)
+		<-done
 
-	pub.mu.Lock()
-	again := pub.takeTimerLocked()
-	pub.mu.Unlock()
-	if again != timer {
-		t.Fatal("the idle timer was not reused")
+		start := time.Now()
+		pub.WaitShipped(lsn + 1)
+		if took := time.Since(start); took < timeout*2/3 {
+			t.Fatalf("after an ack at %dms, the next wait timed out in %v: a stale timer value survived", edge, took)
+		}
 	}
-	start := time.Now()
-	<-again.C
-	if took := time.Since(start); took < 20*time.Millisecond {
-		t.Fatalf("reused timer fired after %v: a stale value survived", took)
-	}
-	pub.putTimer(again, true)
 }
 
 // TestWaitShippedManyWaitersOneAck: one acknowledgement releases every
@@ -176,10 +186,9 @@ func TestWaitShippedManyWaitersOneAck(t *testing.T) {
 			done <- struct{}{}
 		}()
 	}
-	if !waitParked(pub) {
-		t.Fatal("no waiter parked")
+	if !waitParked(pub, waiters) {
+		t.Fatal("not every waiter parked")
 	}
-	time.Sleep(20 * time.Millisecond) // let the rest park too; a straggler finds the ack anyway
 	sub.Ack(103)
 	for i := 0; i < waiters; i++ {
 		select {
@@ -193,14 +202,11 @@ func TestWaitShippedManyWaitersOneAck(t *testing.T) {
 	}
 }
 
-// waitParked polls until some WaitShipped has parked on pub, reporting
-// false if none does within five seconds.
-func waitParked(pub *Publisher) bool {
+// waitParked polls until n WaitShipped calls have parked on pub,
+// reporting false if they do not within five seconds.
+func waitParked(pub *Publisher, n int) bool {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
-		pub.mu.Lock()
-		parked := pub.ackCh != nil
-		pub.mu.Unlock()
-		if parked {
+		if pub.acked.Parked() == n {
 			return true
 		}
 	}
@@ -208,8 +214,9 @@ func waitParked(pub *Publisher) bool {
 }
 
 // TestWaitShippedParkedAllocs pins the cost of a semi-sync wait that
-// parks and is released by an ack: the one wake channel the waiter
-// makes, and nothing else — no timer, no deferred closure.
+// parks and is released by an ack: nothing. The wait reuses a pooled
+// waiter, wake channel and timer included, and the ack wakes it without
+// a fresh channel.
 func TestWaitShippedParkedAllocs(t *testing.T) {
 	pub := NewPublisher(nil, time.Minute)
 	store := openPrimary(t, pub)
@@ -222,7 +229,7 @@ func TestWaitShippedParkedAllocs(t *testing.T) {
 	parked, released := make(chan uint64), make(chan struct{})
 	go func() { // the follower: acks each wait once it has parked
 		for l := range parked {
-			if !waitParked(pub) {
+			if !waitParked(pub, 1) {
 				t.Error("the wait never parked")
 			}
 			sub.Ack(l)
@@ -236,8 +243,8 @@ func TestWaitShippedParkedAllocs(t *testing.T) {
 		pub.WaitShipped(lsn)
 		<-released
 	})
-	if got > 1 {
-		t.Fatalf("a parked-then-acked WaitShipped allocates %.1f, want at most its wake channel (1)", got)
+	if got > 0 {
+		t.Fatalf("a parked-then-acked WaitShipped allocates %.1f, want 0", got)
 	}
 }
 
