@@ -108,7 +108,7 @@ func statACLServer(tb testing.TB, entries int) (cl *chirp.Client, path string) {
 
 // BenchmarkChirpStatACL is the same-run A/B for the policy check: one
 // stat round trip under a 2-entry and under a 64-entry ACL. The ACL is
-// parsed once per version of its file (vfs.Memo), not once per check,
+// parsed once per version of its file (vfs.FS.MemoIn), not once per check,
 // so the two rows differ only by the linear match — and not at all in
 // allocations (TestChirpStatACLAllocsEqual).
 func BenchmarkChirpStatACL(b *testing.B) {

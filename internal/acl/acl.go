@@ -224,7 +224,7 @@ func Parse(text string) (*ACL, error) {
 }
 
 // Version is one content version of an ACL file, parsed: the value
-// vfs.FS.Memo keeps on the file's inode for every reader of that file
+// vfs.FS.MemoIn keeps on the file's inode for every reader of that file
 // system — the Chirp server's checks and any identity box on the same
 // kernel alike, so all of them must memoise this one type, built by
 // MemoVersion. It is shared by every check that finds that version, so
@@ -250,7 +250,7 @@ func ParseVersion(data []byte) *Version {
 	return &Version{ACL: a, Text: text, Raw: raw}
 }
 
-// MemoVersion is ParseVersion as a vfs.FS.Memo derive step, the one
+// MemoVersion is ParseVersion as a vfs.FS.MemoIn derive step, the one
 // every reader of an ACL file passes.
 func MemoVersion(data []byte) any { return ParseVersion(data) }
 

@@ -19,7 +19,7 @@ import (
 
 // The server memoises each parsed ACL on the ACL file's inode and
 // validates the memo against the inode's mtime at every check
-// (vfs.Memo). These tests pin the consequence: whoever rewrites,
+// (vfs.FS.MemoIn). These tests pin the consequence: whoever rewrites,
 // moves, links or removes an ACL file — a handler, or a writer no
 // handler sees — is honoured by the very next check, on either framing.
 

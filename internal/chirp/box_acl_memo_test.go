@@ -225,7 +225,7 @@ func TestBoxAndServerShareOneParsePerVersion(t *testing.T) {
 			if got := parses.Value() - p0; got != want {
 				t.Errorf("version %d (server first %v): %s rose by %d, want %d", i, serverFirst, MetricACLParses, got, want)
 			}
-			fromServer, err := w.srv.aclFor("/d")
+			fromServer, err := vfs.Lookup(w.srv.fs.Traced(0), w.srv, (*Server).aclFor, "/d")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -155,17 +155,16 @@ func figure3Workflow(cl *Client) error {
 
 // chaosSchedule is the seeded acceptance schedule: every 3rd connection
 // is reset on its first write (it never even authenticates), and every
-// connection is reset at its first write once it has carried 160
-// client-written bytes. The workflow has written more than that before
-// its last request (192 bytes before the getfile on v1; 191 before the
-// tokened exec on v2, which adds a 21-byte version exchange per
-// connection and a 16-byte header per request), so no single connection
-// can carry it, while what is left after a redial always fits (at most
-// 127 bytes before the getfile, on v2 after the exec's redial).
+// connection is reset at its 7th write. The client writes each request
+// whole, in one write, after an authentication of two writes (three on
+// v2, which adds the version exchange), so the 7th write is a request:
+// a connection carries at most four of the workflow's five requests on
+// v1 (the getfile is reset) and three on v2 (the tokened exec is), while
+// what is left after one redial always fits.
 func chaosSchedule() *faultnet.Injector {
 	return faultnet.New(7,
 		faultnet.Rule{EveryNth: 3, Op: faultnet.OpWrite, Action: faultnet.Reset},
-		faultnet.Rule{Op: faultnet.OpWrite, AfterBytes: 160, Action: faultnet.Reset},
+		faultnet.Rule{Op: faultnet.OpWrite, AfterOps: 7, Action: faultnet.Reset},
 	)
 }
 

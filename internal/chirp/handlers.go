@@ -17,9 +17,10 @@ import (
 	"identitybox/internal/vfs"
 )
 
-// This file is what the pipeline executes: the command handlers, the
+// This file is what the pipeline executes: the command handlers; the
 // permission check they share (internal/policy over the server's source,
-// then community grants), and the replication subscription commands.
+// then community grants), a guard each vfs step runs in its own hold;
+// and the replication subscription commands.
 
 // handle executes one request and produces its reply. It touches no
 // wire state — the request payload arrives pre-read, and pread reply
@@ -28,13 +29,14 @@ import (
 // command table, so cases index args freely. Session state goes through
 // the fdMu/grantsMu accessors, making concurrent v2 execution safe.
 //
+// A checked command is one vfs step made through sess.guarded's view: the
+// step runs the check inside its own hold of the tree lock, then acts.
 // trace is the request's trace ID (zero when untraced); mutating
 // commands stamp it onto the journal mutations they emit so a trace
 // can be followed into the WAL group-commit pipeline. A zero-trace
 // view is the plain FS, so untraced behavior is unchanged.
 func (sess *session) handle(cmd string, args []string, payload []byte, sc *payloadScratch, trace uint64) hres {
 	s := sess.s
-	tfs := s.fs.Traced(trace)
 	switch cmd {
 	case "whoami":
 		return hres{line: sc.ok().quoted(sess.ident.String())}
@@ -100,11 +102,23 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		if err1 != nil || err2 != nil {
 			return sess.failf(sc, vfs.ErrInvalid, "bad open args")
 		}
-		fd, err := sess.open(args[2], flags, uint32(mode), trace)
+		// Reading takes r and writing w (a create is a write; an access
+		// mode of 3 is both).
+		var want acl.Rights
+		if flags&3 != kernel.OWronly {
+			want |= acl.Read
+		}
+		if flags&3 != kernel.ORdonly || flags&kernel.OCreat != 0 {
+			want |= acl.Write
+		}
+		h, err := sess.guarded(sc, trace, access{args[2], want, policy.Follow}).OpenFile(args[2], flags, uint32(mode), s.opts.Owner)
+		if err == nil && h.IsDir() { // the server opens files only, a directory in no mode
+			err = vfs.ErrIsDir
+		}
 		if err != nil {
 			return sess.failf(sc, err, "open")
 		}
-		return hres{line: sc.ok().int(int64(fd))}
+		return hres{line: sc.ok().int(int64(sess.addFD(&sessionFD{h: h, flags: flags})))}
 
 	case "close":
 		fd, err := strconv.Atoi(args[0])
@@ -117,15 +131,21 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		return hres{line: sc.ok()}
 
 	case "pread": // pread <fd> <len> <off>
-		fd, _ := strconv.Atoi(args[0])
-		n, _ := strconv.Atoi(args[1])
-		off, _ := strconv.ParseInt(args[2], 10, 64)
+		fd, err1 := strconv.Atoi(args[0])
+		n, err2 := strconv.Atoi(args[1])
+		off, err3 := strconv.ParseInt(args[2], 10, 64)
+		if err1 != nil || err2 != nil || err3 != nil {
+			return sess.failf(sc, vfs.ErrInvalid, "bad pread args")
+		}
 		d, ok := sess.lookupFD(fd)
 		if !ok {
 			return sess.failf(sc, kernel.ErrBadFD, "pread")
 		}
 		if n < 0 || n > MaxPayload {
 			return sess.failf(sc, vfs.ErrInvalid, "pread size")
+		}
+		if d.flags&3 == kernel.OWronly {
+			return sess.failf(sc, kernel.ErrBadFD, "fd not readable")
 		}
 		// Pooled scratch: the payload is written to the wire before the
 		// caller's scratch is reused.
@@ -137,8 +157,11 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		return hres{line: sc.ok().int(int64(rn)), body: b[:rn]}
 
 	case "pwrite": // pwrite <fd> <off> <len> + payload (len checked against the table)
-		fd, _ := strconv.Atoi(args[0])
-		off, _ := strconv.ParseInt(args[1], 10, 64)
+		fd, err1 := strconv.Atoi(args[0])
+		off, err2 := strconv.ParseInt(args[1], 10, 64)
+		if err1 != nil || err2 != nil {
+			return sess.failf(sc, vfs.ErrInvalid, "bad pwrite args")
+		}
 		d, ok := sess.lookupFD(fd)
 		if !ok {
 			return sess.failf(sc, kernel.ErrBadFD, "pwrite")
@@ -153,7 +176,10 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		return hres{line: sc.ok().int(int64(wn))}
 
 	case "fstat":
-		fd, _ := strconv.Atoi(args[0])
+		fd, err := strconv.Atoi(args[0])
+		if err != nil {
+			return sess.failf(sc, vfs.ErrInvalid, "bad fd")
+		}
 		d, ok := sess.lookupFD(fd)
 		if !ok {
 			return sess.failf(sc, kernel.ErrBadFD, "fstat")
@@ -165,55 +191,37 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		if err != nil {
 			return sess.failf(sc, vfs.ErrInvalid, "bad mode")
 		}
-		if err := sess.check(args[0], acl.Write, policy.Follow); err != nil {
-			return sess.failf(sc, err, "putfile")
-		}
 		// An existing file keeps its inode, mode and owner, as an O_TRUNC
 		// open leaves them.
-		if err := tfs.WriteFile(args[0], payload, uint32(mode), s.opts.Owner); err != nil {
+		if err := sess.guarded(sc, trace, access{args[0], acl.Write, policy.Follow}).WriteFile(args[0], payload, uint32(mode), s.opts.Owner); err != nil {
 			return sess.failf(sc, err, "putfile")
 		}
 		return hres{line: sc.ok()}
 
 	case "getfile": // getfile <path>: open(O_RDONLY)'s check, the whole file as the reply body
-		if err := sess.check(args[0], acl.Read, policy.Follow); err != nil {
-			return sess.failf(sc, err, "getfile")
-		}
-		// A file no reply can carry is refused before it is copied; the
-		// snapshot is checked again, as the file may grow in between.
-		if st, err := s.fs.Stat(args[0]); err == nil && st.Size > MaxPayload {
+		// A file no reply can carry is refused before it is copied.
+		data, err := sess.guarded(sc, trace, access{args[0], acl.Read, policy.Follow}).ReadFile(args[0], MaxPayload)
+		if errors.Is(err, vfs.ErrTooBig) {
 			return sess.failf(sc, ErrFileTooBig, "getfile")
 		}
-		data, err := s.fs.ReadFile(args[0])
 		if err != nil {
 			return sess.failf(sc, err, "getfile")
-		}
-		if len(data) > MaxPayload {
-			return sess.failf(sc, ErrFileTooBig, "getfile")
 		}
 		return hres{line: sc.ok().int(int64(len(data))), body: data}
 
 	case "stat", "lstat":
-		if err := sess.check(args[0], acl.List, policy.Follow); err != nil {
-			return sess.failf(sc, err, "stat")
+		lookup := vfs.Locked.Stat
+		if cmd == "lstat" {
+			lookup = vfs.Locked.Lstat
 		}
-		var st vfs.Stat
-		var err error
-		if cmd == "stat" {
-			st, err = s.fs.Stat(args[0])
-		} else {
-			st, err = s.fs.Lstat(args[0])
-		}
+		st, err := vfs.Lookup(sess.guarded(sc, trace, access{args[0], acl.List, policy.Follow}), s.src.Locked, lookup, args[0])
 		if err != nil {
 			return sess.failf(sc, err, "stat")
 		}
 		return hres{line: sc.ok().stat(st)}
 
 	case "getdir":
-		if err := sess.check(args[0], acl.List, policy.Dir); err != nil {
-			return sess.failf(sc, err, "getdir")
-		}
-		ents, err := s.fs.ReadDir(args[0])
+		ents, err := sess.guarded(sc, trace, access{args[0], acl.List, policy.Dir}).ReadDir(args[0])
 		if err != nil {
 			return sess.failf(sc, err, "getdir")
 		}
@@ -223,74 +231,54 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		}
 		return hres{line: ok}
 
-	case "mkdir": // mkdir <mode> <path>
+	case "mkdir": // mkdir <mode> <path>: policy.Mkdir decides, and derives the child's ACL, in the step
 		mode, err := strconv.ParseUint(args[0], 8, 32)
 		if err != nil {
 			return sess.failf(sc, vfs.ErrInvalid, "bad mode")
 		}
-		if err := sess.mkdir(args[1], uint32(mode), trace); err != nil {
+		v := sess.guarded(sc, trace)
+		sc.guard.mkdir = args[1]
+		if err := v.MkdirWithFile(args[1], uint32(mode), s.opts.Owner, acl.FileName, nil); err != nil {
 			return sess.failf(sc, err, "mkdir")
 		}
 		return hres{line: sc.ok()}
 
 	case "rmdir":
-		if err := sess.check(args[0], acl.Write, policy.NoFollow); err != nil {
-			return sess.failf(sc, err, "rmdir")
-		}
 		// A directory holding only its ACL file counts as empty: the
 		// ACL goes with the directory, in one step.
-		if _, err := tfs.RmdirWithFile(args[0], acl.FileName); err != nil {
+		if _, err := sess.guarded(sc, trace, access{args[0], acl.Write, policy.NoFollow}).RmdirWithFile(args[0], acl.FileName); err != nil {
 			return sess.failf(sc, err, "rmdir")
 		}
 		return hres{line: sc.ok()}
 
 	case "unlink":
-		if err := sess.check(args[0], acl.Write, policy.NoFollow); err != nil {
-			return sess.failf(sc, err, "unlink")
-		}
-		if err := tfs.Unlink(args[0]); err != nil {
+		if err := sess.guarded(sc, trace, access{args[0], acl.Write, policy.NoFollow}).Unlink(args[0]); err != nil {
 			return sess.failf(sc, err, "unlink")
 		}
 		return hres{line: sc.ok()}
 
 	case "rename":
-		if err := sess.check(args[0], acl.Write, policy.NoFollow); err != nil {
-			return sess.failf(sc, err, "rename")
-		}
-		if err := sess.check(args[1], acl.Write, policy.NoFollow); err != nil {
-			return sess.failf(sc, err, "rename")
-		}
-		if err := tfs.Rename(args[0], args[1]); err != nil {
+		v := sess.guarded(sc, trace, access{args[0], acl.Write, policy.NoFollow}, access{args[1], acl.Write, policy.NoFollow})
+		if err := v.Rename(args[0], args[1]); err != nil {
 			return sess.failf(sc, err, "rename")
 		}
 		return hres{line: sc.ok()}
 
 	case "link": // link <old> <new>: refuse links to unreadable files
-		if err := sess.check(args[0], acl.Read, policy.LinkOld); err != nil {
-			return sess.failf(sc, err, "link")
-		}
-		if err := sess.check(args[1], acl.Write, policy.NoFollow); err != nil {
-			return sess.failf(sc, err, "link")
-		}
-		if err := tfs.Link(args[0], args[1]); err != nil {
+		v := sess.guarded(sc, trace, access{args[0], acl.Read, policy.LinkOld}, access{args[1], acl.Write, policy.NoFollow})
+		if err := v.Link(args[0], args[1]); err != nil {
 			return sess.failf(sc, err, "link")
 		}
 		return hres{line: sc.ok()}
 
 	case "symlink": // symlink <target> <link>
-		if err := sess.check(args[1], acl.Write, policy.NoFollow); err != nil {
-			return sess.failf(sc, err, "symlink")
-		}
-		if err := tfs.Symlink(args[0], args[1], s.opts.Owner); err != nil {
+		if err := sess.guarded(sc, trace, access{args[1], acl.Write, policy.NoFollow}).Symlink(args[0], args[1], s.opts.Owner); err != nil {
 			return sess.failf(sc, err, "symlink")
 		}
 		return hres{line: sc.ok()}
 
 	case "readlink":
-		if err := sess.check(args[0], acl.List, policy.NoFollow); err != nil {
-			return sess.failf(sc, err, "readlink")
-		}
-		t, err := s.fs.Readlink(args[0])
+		t, err := vfs.Lookup(sess.guarded(sc, trace, access{args[0], acl.List, policy.NoFollow}), s.src.Locked, vfs.Locked.Readlink, args[0])
 		if err != nil {
 			return sess.failf(sc, err, "readlink")
 		}
@@ -301,33 +289,28 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		if err != nil {
 			return sess.failf(sc, vfs.ErrInvalid, "bad size")
 		}
-		if err := sess.check(args[0], acl.Write, policy.Follow); err != nil {
-			return sess.failf(sc, err, "truncate")
-		}
-		if err := tfs.Truncate(args[0], size); err != nil {
+		if err := sess.guarded(sc, trace, access{args[0], acl.Write, policy.Follow}).Truncate(args[0], size); err != nil {
 			return sess.failf(sc, err, "truncate")
 		}
 		return hres{line: sc.ok()}
 
 	case "getacl":
-		if err := sess.check(args[0], acl.List, policy.Dir); err != nil {
-			return sess.failf(sc, err, "getacl")
-		}
-		a, err := s.aclFor(args[0])
+		a, err := vfs.Lookup(sess.guarded(sc, trace, access{args[0], acl.List, policy.Dir}), s, (*Server).aclFor, args[0])
 		if err != nil {
 			return sess.failf(sc, err, "getacl")
 		}
 		return hres{line: sc.ok().int(int64(len(a.Text))), body: []byte(a.Text)}
 
 	case "setacl": // setacl <path> <len> + payload
-		if err := sess.check(args[0], acl.Admin, policy.Dir); err != nil {
-			return sess.failf(sc, err, "setacl")
-		}
+		v := sess.guarded(sc, trace, access{args[0], acl.Admin, policy.Dir})
 		if _, err := acl.Parse(string(payload)); err != nil {
+			// A refusal outranks a malformed ACL.
+			if err := v.Check(); err != nil {
+				return sess.failf(sc, err, "setacl")
+			}
 			return sess.failf(sc, vfs.ErrInvalid, "malformed ACL")
 		}
-		aclPath := vfs.Join(args[0], acl.FileName)
-		if err := tfs.WriteFile(aclPath, payload, 0o644, s.opts.Owner); err != nil {
+		if err := v.WriteFile(vfs.Join(args[0], acl.FileName), payload, 0o644, s.opts.Owner); err != nil {
 			return sess.failf(sc, err, "setacl")
 		}
 		return hres{line: sc.ok()}
@@ -340,7 +323,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		return hres{line: sc.ok().quoted(community)}
 
 	case "exec": // exec <cwd> <path> [args...]
-		code, runtime, err := sess.exec(args[0], args[1], args[2:])
+		code, runtime, err := sess.exec(sc, args[0], args[1], args[2:])
 		if err != nil {
 			return sess.failf(sc, err, "exec")
 		}
@@ -432,33 +415,6 @@ func (sess *session) replPush(sub *replica.Subscription) {
 	sess.reply(replPushTag, hres{line: line.start("replgap")})
 }
 
-// open authorizes and opens a file for the session.
-func (sess *session) open(path string, flags int, mode uint32, trace uint64) (int, error) {
-	s := sess.s
-	// Read, then write (a create is a write) — one check per class, not
-	// one OR-ed mask: a community grant may cover one class and the
-	// local ACL the other.
-	acc := flags & 3
-	if acc == kernel.ORdonly || acc == kernel.ORdwr {
-		if err := sess.check(path, acl.Read, policy.Follow); err != nil {
-			return 0, err
-		}
-	}
-	if acc == kernel.OWronly || acc == kernel.ORdwr || flags&kernel.OCreat != 0 {
-		if err := sess.check(path, acl.Write, policy.Follow); err != nil {
-			return 0, err
-		}
-	}
-	h, err := s.fs.Traced(trace).OpenFile(path, flags, mode, s.opts.Owner)
-	if err != nil {
-		return 0, err
-	}
-	if h.IsDir() { // the server opens files only, a directory in no mode
-		return 0, vfs.ErrIsDir
-	}
-	return sess.addFD(&sessionFD{h: h, path: path, flags: flags}), nil
-}
-
 // present verifies a CAS assertion and installs its grants.
 func (sess *session) present(data []byte) (community string, err error) {
 	s := sess.s
@@ -505,26 +461,63 @@ func (sess *session) grantsAllow(final string, want acl.Rights) bool {
 	return false
 }
 
-// check is the per-session permission check: the local ACLs first
-// (policy.Check over the server's source), then community grants, held
-// to the same object and the same right policy demanded of it.
-func (sess *session) check(path string, want acl.Rights, how policy.How) error {
-	src := &sess.s.src
-	if policy.Check(src, sess.ident, path, want, how) == nil {
-		return nil
-	}
-	if sess.grantsAllow(policy.Subject(src, path, want, how)) {
-		return nil
-	}
-	return vfs.ErrPermission
+// access is one path a request's step checks: path, wanting want,
+// named as how says. A zero want checks nothing.
+type access struct {
+	path string
+	want acl.Rights
+	how  policy.How
 }
 
-// mkdir implements the reserve-right semantics on the server side.
-func (sess *session) mkdir(path string, mode uint32, trace uint64) error {
-	s := sess.s
-	childACL, parentACL, err := policy.Mkdir(&s.src, sess.ident, path)
+// guard is a request's permission check, run by the vfs step it
+// authorises inside that step's hold of the tree lock (vfs.Guard), so
+// nothing lands between the decision and the act. It lives in the
+// worker's scratch: arming it allocates nothing.
+type guard struct {
+	sess   *session
+	checks [2]access
+	mkdir  string // mkdir's path: policy.Mkdir decides it...
+	child  []byte // ...and derives the ACL the new directory gets
+}
+
+// guarded arms sc's guard with checks and returns the view whose vfs
+// steps run it. A mkdir sets sc.guard.mkdir after.
+func (sess *session) guarded(sc *payloadScratch, trace uint64, checks ...access) vfs.TracedView {
+	sc.guard = guard{sess: sess}
+	copy(sc.guard.checks[:], checks)
+	return sess.s.fs.Traced(trace).Guarded(&sc.guard)
+}
+
+// Allow checks each right an access wants on its own, in the order of
+// their bits, not as one OR-ed mask (a community grant may cover one
+// and the local ACL another): the local ACLs first (policy.Check over
+// the server's source, which reads the locked view), then community
+// grants, held to the same object and the same right policy demanded.
+func (g *guard) Allow() error {
+	if g.mkdir != "" {
+		return g.allowMkdir()
+	}
+	sess, src := g.sess, &g.sess.s.src
+	for _, c := range g.checks {
+		for r := acl.Read; r != 0 && r <= c.want; r <<= 1 {
+			if c.want&r != 0 && policy.Check(src, sess.ident, c.path, r, c.how) != nil &&
+				!sess.grantsAllow(policy.Subject(src, c.path, r, c.how)) {
+				return vfs.ErrPermission
+			}
+		}
+	}
+	return nil
+}
+
+// File is the ACL a guarded mkdir installs (vfs.FileGuard).
+func (g *guard) File() []byte { return g.child }
+
+// allowMkdir implements the reserve-right semantics on the server side.
+func (g *guard) allowMkdir() error {
+	sess, src := g.sess, &g.sess.s.src
+	childACL, parentACL, err := policy.Mkdir(src, sess.ident, g.mkdir)
 	if err != nil {
-		if parentACL == nil || !sess.grantsAllow(policy.Resolve(&s.src, vfs.Dir(path)), acl.Write) {
+		if parentACL == nil || !sess.grantsAllow(policy.Resolve(src, vfs.Dir(g.mkdir)), acl.Write) {
 			return err
 		}
 		// Community-granted write: inherit like a local w holder, and
@@ -532,7 +525,8 @@ func (sess *session) mkdir(path string, mode uint32, trace uint64) error {
 		childACL = parentACL.Clone()
 		childACL.Set(sess.ident.String(), acl.All, acl.None)
 	}
-	return s.fs.Traced(trace).MkdirWithFile(path, mode, s.opts.Owner, acl.FileName, []byte(childACL.String()))
+	g.child = []byte(childACL.String())
+	return nil
 }
 
 // execAuditLimit bounds the audit ring of a session's exec box. The
@@ -565,11 +559,10 @@ func (sess *session) execBox() (*core.Box, error) {
 // exec runs the staged program at path inside the session's identity
 // box, which carries the session's principal, with the given working
 // directory: the heart of Figure 3.
-func (sess *session) exec(cwd, path string, args []string) (code int, runtimeSeconds float64, err error) {
-	if err := sess.check(path, acl.Read, policy.Follow); err != nil {
-		return 0, 0, err
-	}
-	if err := sess.check(path, acl.Execute, policy.Follow); err != nil {
+// The server's check runs alone, in its own hold: the box checks again
+// as it runs the program, through its mounts.
+func (sess *session) exec(sc *payloadScratch, cwd, path string, args []string) (code int, runtimeSeconds float64, err error) {
+	if err := sess.guarded(sc, 0, access{path, acl.Read | acl.Execute, policy.Follow}).Check(); err != nil {
 		return 0, 0, err
 	}
 	box, err := sess.execBox()
@@ -595,7 +588,7 @@ func (sess *session) exec(cwd, path string, args []string) (code int, runtimeSec
 // emptyACL grants nothing: no ACL file anywhere up to the root.
 var emptyACL = &acl.Version{ACL: &acl.ACL{}}
 
-// parseACLVersion is the server's vfs.Memo derive step: acl.MemoVersion,
+// parseACLVersion is the server's vfs.FS.MemoIn derive step: acl.MemoVersion,
 // counted. An identity box on the server's kernel memoises the same
 // files through acl.MemoVersion itself, so each version is parsed once
 // by whichever reader meets it first, and the other reuses that parse.
@@ -610,11 +603,12 @@ func (s *Server) parseACLVersion(data []byte) any {
 // on the ACL file's inode and validated against its mtime on every
 // call, so whoever rewrote the file — setacl, a boxed program, the
 // replication apply loop, recovery — is honoured by the next check.
+// It reads through the locked view: callers hold the tree lock.
 func (s *Server) aclFor(dir string) (*acl.Version, error) {
 	s.metrics.aclChecks.Inc()
 	dir = vfs.Clean(dir)
 	for {
-		v, err := s.fs.MemoIn(dir, acl.FileName, s.parseACL)
+		v, err := s.src.MemoIn(dir, acl.FileName, s.parseACL)
 		if err == nil {
 			return v.(*acl.Version), nil
 		}
@@ -628,13 +622,14 @@ func (s *Server) aclFor(dir string) (*acl.Version, error) {
 	}
 }
 
-// source is the server's policy.Source: the exported file system's own
-// Lstat, Stat and Readlink, and aclFor. aclFor never reports "no ACL" —
-// a directory without a file of its own is governed by its nearest
+// source is the server's policy.Source: the exported file system's
+// locked view — Lstat, Stat and Readlink under the hold of the step a
+// guard runs in — and aclFor. aclFor never reports "no ACL" — a
+// directory without a file of its own is governed by its nearest
 // ancestor's, an empty ACL at worst — so policy's Unix fallback cannot
 // be reached from here.
 type source struct {
-	*vfs.FS
+	vfs.Locked
 	s *Server
 }
 

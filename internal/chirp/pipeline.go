@@ -145,6 +145,7 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 	}
 	st.handler = time.Now()
 	res := sess.handle(req.cmd, req.args, req.payload, sc, req.trace)
+	sc.guard = guard{} // a guard lives one request: a pooled scratch must not pin its session
 	st.handled = time.Now()
 	if dk != "" {
 		// The reply is recorded before it reaches the wire, and that

@@ -23,10 +23,12 @@ const wireBufSize = 32 << 10
 // announces) the line a server handler encodes its reply into. Each codec owns one for its lifetime, each v2
 // session worker one more, and the wrapper returns to scratchPool on
 // release so connections recycle each other's grown buffers instead of
-// allocating per call.
+// allocating per call. The guard beside them is the check of the
+// request the goroutine is handling, which its vfs step runs.
 type payloadScratch struct {
-	buf  []byte
-	line lineBuf
+	buf   []byte
+	line  lineBuf
+	guard guard
 }
 
 // ok begins a success reply in the scratch's line.

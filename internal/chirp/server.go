@@ -392,7 +392,7 @@ func NewServer(k *kernel.Kernel, opts ServerOptions) (*Server, error) {
 	}
 	s.metrics = newSrvMetrics(reg)
 	s.parseACL = s.parseACLVersion
-	s.src = source{s.fs, s}
+	s.src = source{s.fs.Locked(), s}
 	s.dedupe = opts.DedupeJournal
 	if s.dedupe == nil && opts.Durability != nil {
 		return nil, errors.New("chirp: Durability needs a DedupeJournal: a tokened reply is made durable by its journal append")

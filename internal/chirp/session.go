@@ -132,7 +132,6 @@ func (sess *session) grantCount() int {
 
 type sessionFD struct {
 	h     *vfs.Handle
-	path  string
 	flags int
 }
 

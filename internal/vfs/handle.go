@@ -41,49 +41,43 @@ func (fs *FS) OpenHandle(path string) (*Handle, error) {
 // one it emptied), and an open that can change nothing takes no journal
 // lock. Permission checks are the caller's.
 func (fs *FS) OpenFile(path string, flags int, mode uint32, owner string) (*Handle, error) {
-	return fs.openFile(path, flags, mode, owner, 0)
+	return fs.Traced(0).OpenFile(path, flags, mode, owner)
 }
 
-func (fs *FS) openFile(path string, flags int, mode uint32, owner string, trace uint64) (*Handle, error) {
-	n, err := fs.open(path, flags, mode, owner, trace)
+// OpenFile is FS.OpenFile through the view. The existence test and
+// what follows from it happen under one hold of the namespace lock, so
+// two racing O_CREAT|O_EXCL opens of a missing name have one winner.
+func (v TracedView) OpenFile(path string, flags int, mode uint32, owner string) (*Handle, error) {
+	fs := v.fs
+	writable := flags&3 != ORdonly
+	trunc := writable && flags&OTrunc != 0
+	if flags&OCreat == 0 && !trunc {
+		fs.treeMu.RLock()
+		defer fs.treeMu.RUnlock()
+	} else {
+		defer fs.endJournal(fs.beginJournal())
+		fs.treeMu.Lock()
+		defer fs.treeMu.Unlock()
+	}
+	if err := v.allow(); err != nil {
+		return nil, err
+	}
+	n, parent, _, err := fs.resolve(path, true, 0)
+	switch {
+	case err != nil && flags&OCreat != 0 && parent != nil && errors.Is(err, ErrNotExist):
+		n, err = fs.create(path, nil, mode, owner, v.trace)
+	case err != nil:
+	case flags&(OCreat|OExcl) == OCreat|OExcl:
+		err = ErrExist
+	case writable && n.ftype == TypeDir:
+		err = ErrIsDir
+	case trunc:
+		err = fs.edit(n, Mutation{Op: MutTruncate, Path: path, Trace: v.trace})
+	}
 	if err != nil {
 		return nil, &PathError{"open", path, err}
 	}
 	return &Handle{fs: fs, n: n, path: Clean(path)}, nil
-}
-
-// open resolves, and for O_CREAT makes, the file an open names. Both
-// the existence test and what follows from it happen under one hold of
-// the namespace lock, so two racing O_CREAT|O_EXCL opens of a missing
-// name have one winner.
-func (fs *FS) open(path string, flags int, mode uint32, owner string, trace uint64) (*Inode, error) {
-	writable := flags&3 != ORdonly
-	trunc := writable && flags&OTrunc != 0
-	if flags&OCreat == 0 && !trunc {
-		n, err := fs.resolveShared(path, true)
-		if err == nil && writable && n.ftype == TypeDir {
-			err = ErrIsDir
-		}
-		return n, err
-	}
-	defer fs.endJournal(fs.beginJournal())
-	fs.treeMu.Lock()
-	defer fs.treeMu.Unlock()
-	n, parent, _, err := fs.resolve(path, true, 0)
-	switch {
-	case err != nil:
-		if flags&OCreat != 0 && parent != nil && errors.Is(err, ErrNotExist) {
-			return fs.create(path, nil, mode, owner, trace)
-		}
-		return nil, err
-	case flags&(OCreat|OExcl) == OCreat|OExcl:
-		return nil, ErrExist
-	case writable && n.ftype == TypeDir:
-		return nil, ErrIsDir
-	case trunc:
-		return n, fs.edit(n, Mutation{Op: MutTruncate, Path: path, Trace: trace})
-	}
-	return n, nil
 }
 
 // Stat reports the pinned inode's metadata. The link count is read under
@@ -100,20 +94,7 @@ func (h *Handle) IsDir() bool { return h.n.ftype == TypeDir }
 
 // ReadAt copies data starting at off into p. Reads at or past EOF return
 // 0, nil.
-func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
-	if h.n.ftype == TypeDir {
-		return 0, &PathError{"read", "(fd)", ErrIsDir}
-	}
-	if off < 0 {
-		return 0, &PathError{"read", "(fd)", ErrInvalid}
-	}
-	h.n.mu.RLock()
-	defer h.n.mu.RUnlock()
-	if off >= int64(len(h.n.data)) {
-		return 0, nil
-	}
-	return copy(p, h.n.data[off:]), nil
-}
+func (h *Handle) ReadAt(p []byte, off int64) (int, error) { return h.n.readAt("(fd)", p, off) }
 
 // WriteAt writes p at off, extending the file (zero-filled) as needed.
 // A journaled write is attributed to the handle's open-time path; see

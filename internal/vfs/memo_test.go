@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestMemoOneVersionOneValue pins the invariant FS.Memo rests on: a
+// TestMemoOneVersionOneValue pins the invariant FS.MemoIn rests on: a
 // stamp (an inode's mtime as read under its lock) names one content
 // version. Writers alternate two contents through WriteFile (one
 // replace of an existing file) and through a handle (truncate, write),
@@ -24,7 +24,9 @@ func TestMemoOneVersionOneValue(t *testing.T) {
 	if err := fs.WriteFile(path, contents[0], 0o644, "root"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := fs.resolveShared(path, true)
+	fs.treeMu.RLock()
+	n, _, _, err := fs.resolve(path, true, 0)
+	fs.treeMu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestMemoOneVersionOneValue(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := fs.Memo(path, derive); err != nil {
+				if _, err := fs.MemoIn(Dir(path), Base(path), derive); err != nil {
 					t.Error(err)
 					return
 				}
@@ -118,7 +120,7 @@ func TestMemoOneVersionOneValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := fs.Memo(path, derive); err != nil || got.(int) != len(want) {
+	if got, err := fs.MemoIn(Dir(path), Base(path), derive); err != nil || got.(int) != len(want) {
 		t.Fatalf("memo after the writers stopped = %v bytes, %v; file holds %d", got, err, len(want))
 	}
 }
@@ -132,15 +134,7 @@ func TestMemoFollowsTheInode(t *testing.T) {
 	derive := func(data []byte) any { derives++; return string(data) }
 	memo := func(path, want string, wantDerives int) {
 		t.Helper()
-		got, err := fs.Memo(path, derive)
-		if err != nil || got.(string) != want {
-			t.Fatalf("Memo(%s) = %v, %v; want %q", path, got, err, want)
-		}
-		if derives != wantDerives {
-			t.Fatalf("Memo(%s): %d derives so far, want %d", path, derives, wantDerives)
-		}
-		// MemoIn reaches the same inode through its directory.
-		got, err = fs.MemoIn(Dir(path), Base(path), derive)
+		got, err := fs.MemoIn(Dir(path), Base(path), derive)
 		if err != nil || got.(string) != want || derives != wantDerives {
 			t.Fatalf("MemoIn(%s, %s) = %v, %v after %d derives; want %q after %d",
 				Dir(path), Base(path), got, err, derives, want, wantDerives)
@@ -183,9 +177,6 @@ func TestMemoFollowsTheInode(t *testing.T) {
 		{"/missing", "f", ErrNotExist},
 		{"/g", "f", ErrNotDir},
 	} {
-		if _, err := fs.Memo(Join(c.dir, c.name), derive); err != c.want {
-			t.Errorf("Memo(%s) = %v, want %v", Join(c.dir, c.name), err, c.want)
-		}
 		if _, err := fs.MemoIn(c.dir, c.name, derive); err != c.want {
 			t.Errorf("MemoIn(%s, %s) = %v, want %v", c.dir, c.name, err, c.want)
 		}
@@ -369,10 +360,9 @@ func TestPathWalkAllocatesNothing(t *testing.T) {
 		{"Clean", func() { sink += len(Clean(path)) }},
 		{"Dir", func() { sink += len(Dir(path)) }},
 		{"Base", func() { sink += len(Base(path)) }},
-		{"Memo hit", func() { v, _ := fs.Memo(path, derive); sink += v.(int) }},
 		{"MemoIn hit", func() { v, _ := fs.MemoIn("/a/b/c", "f", derive); sink += v.(int) }},
 	} {
-		c.fn() // warm: the first Memo call is the miss
+		c.fn() // warm: the first MemoIn call is the miss
 		if got := testing.AllocsPerRun(100, c.fn); got != 0 {
 			t.Errorf("%s on a canonical path: %v allocs/op, want 0", c.name, got)
 		}

@@ -14,7 +14,9 @@
 // Access control is intentionally split: the VFS enforces nothing by
 // itself. Unix-permission checks and ACL checks are made by the callers
 // (the kernel for ordinary processes; the identity-box supervisor for
-// boxed processes), mirroring how Parrot sits above the real kernel.
+// boxed processes), mirroring how Parrot sits above the real kernel. A
+// caller may hand a step its check as a Guard, which the step runs
+// under its own lock (the Chirp server does).
 package vfs
 
 import (
@@ -58,6 +60,7 @@ var (
 	ErrLoop        = errors.New("too many levels of symbolic links")
 	ErrPermission  = errors.New("permission denied")
 	ErrCrossDevice = errors.New("invalid cross-device link")
+	ErrTooBig      = errors.New("file too large")
 )
 
 // PathError annotates an error with the operation and path, matching the
@@ -98,7 +101,7 @@ func nextIno() uint64 { return inoCounter.Add(1) }
 //     version exactly;
 //   - memo: a value derived from data, stamped with the mtime it was
 //     derived at; written and read atomically, valid only while the
-//     stamp equals mtime (see FS.Memo). Dies with the inode.
+//     stamp equals mtime (see FS.MemoIn). Dies with the inode.
 //
 // Callers outside this package must treat inodes as opaque except
 // through FS methods and the Stat result.
@@ -153,9 +156,10 @@ type DirEntry struct {
 // Locking: treeMu is the read-mostly namespace lock, taken shared for
 // path resolution and directory listing and exclusively only by
 // operations that change the tree shape (create, unlink, mkdir, rmdir,
-// link, symlink, rename). Per-file I/O resolves the path under the
-// shared lock and then operates under the target inode's own lock, so
-// data operations on distinct files run fully in parallel.
+// link, symlink, rename). Per-file I/O by path resolves under the
+// shared lock and keeps it through the target inode's own lock, so
+// data operations on distinct files run fully in parallel and a step's
+// Guard decides on the tree the step acts on.
 type FS struct {
 	treeMu sync.RWMutex
 	root   *Inode
@@ -331,18 +335,6 @@ func (fs *FS) resolve(path string, followLast bool, depth int) (node, parent *In
 	return cur, par, comp, nil
 }
 
-// resolveShared resolves path to an existing inode under the shared
-// namespace lock, releasing it before returning. The caller then
-// operates on the inode under its own lock; an inode unlinked in the
-// window behaves like an open descriptor to a removed file, exactly as
-// in Unix.
-func (fs *FS) resolveShared(path string, followLast bool) (*Inode, error) {
-	fs.treeMu.RLock()
-	n, _, _, err := fs.resolve(path, followLast, 0)
-	fs.treeMu.RUnlock()
-	return n, err
-}
-
 // lookupDir resolves path to an existing directory. Callers hold
 // fs.treeMu.
 func (fs *FS) lookupDir(op, path string) (*Inode, error) {
@@ -358,7 +350,7 @@ func (fs *FS) lookupDir(op, path string) (*Inode, error) {
 
 // Mkdir creates a directory. The parent must exist.
 func (fs *FS) Mkdir(path string, mode uint32, owner string) error {
-	return fs.mkdir(Mutation{Op: MutMkdir, Path: path, Mode: mode, Owner: owner})
+	return fs.Traced(0).MkdirWithFile(path, mode, owner, "", nil)
 }
 
 // MkdirWithFile creates a directory holding one regular file, name,
@@ -368,17 +360,28 @@ func (fs *FS) Mkdir(path string, mode uint32, owner string) error {
 // file, Data carries its bytes), so no reader and no recovery ever
 // meets the directory without the file. An empty name makes no file:
 // MkdirWithFile(path, mode, owner, "", nil) is Mkdir.
+//
+// Through a view whose Guard is a FileGuard, the file's contents are
+// the guard's File, decided under the step's hold, not data.
 func (fs *FS) MkdirWithFile(path string, mode uint32, owner, name string, data []byte) error {
-	return fs.mkdir(Mutation{Op: MutMkdir, Path: path, Mode: mode, Owner: owner, Path2: name, Data: data})
+	return fs.Traced(0).MkdirWithFile(path, mode, owner, name, data)
 }
 
-func (fs *FS) mkdir(m Mutation) error {
-	if m.Path2 != "" && (strings.IndexByte(m.Path2, '/') >= 0 || !cleanComponents(m.Path2)) {
-		return &PathError{"mkdir", m.Path, ErrInvalid} // the file is one name inside the directory
+func (v TracedView) MkdirWithFile(path string, mode uint32, owner, name string, data []byte) error {
+	m := Mutation{Op: MutMkdir, Path: path, Mode: mode, Owner: owner, Path2: name, Data: data, Trace: v.trace}
+	if name != "" && (strings.IndexByte(name, '/') >= 0 || !cleanComponents(name)) {
+		return &PathError{"mkdir", path, ErrInvalid} // the file is one name inside the directory
 	}
+	fs := v.fs
 	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
+	if err := v.allow(); err != nil {
+		return err
+	}
+	if fg, ok := v.guard.(FileGuard); ok {
+		m.Data = fg.File()
+	}
 	_, parent, base, err := fs.resolve(m.Path, true, 0)
 	if err == nil {
 		return &PathError{"mkdir", m.Path, ErrExist}
@@ -470,18 +473,26 @@ func (fs *FS) addFile(dir *Inode, name string, data []byte, mode uint32, owner s
 	return n
 }
 
+// MaxFileSize is the largest a file may grow: a write ending past it,
+// or a truncate to a length above it, is refused with ErrInvalid, as
+// truncate(2) refuses a length past the largest file, before anything
+// is allocated. A file is one slice in memory, so a size is an
+// allocation. DESIGN.md §6 gives the reason for the value.
+const MaxFileSize = 1 << 30
+
 // edit applies one data mutation to a regular file and journals it:
 // MutWrite copies Data in at Off, MutTruncate sets the length to Size,
 // MutCreate replaces the contents with a copy of Data. Growth is
-// zero-filled. It is the one writer of an existing inode's data (path
-// and handle writes, truncates, create over an existing file), so every
-// such write publishes a fresh mtime before it releases the inode lock
-// — the memo-validity invariant on Inode. Callers hold the journal lock.
+// zero-filled, up to MaxFileSize. It is the one writer of an existing
+// inode's data (path and handle writes, truncates, create over an
+// existing file), so every such write publishes a fresh mtime before it
+// releases the inode lock — the memo-validity invariant on Inode.
+// Callers hold the journal lock.
 func (fs *FS) edit(n *Inode, m Mutation) error {
 	if n.ftype == TypeDir {
 		return &PathError{m.Op.String(), m.Path, ErrIsDir}
 	}
-	if m.Off < 0 || m.Size < 0 {
+	if m.Off < 0 || m.Size < 0 || m.Size > MaxFileSize || (m.Op == MutWrite && m.Off > MaxFileSize-int64(len(m.Data))) {
 		return &PathError{m.Op.String(), m.Path, ErrInvalid}
 	}
 	n.mu.Lock()
@@ -540,24 +551,12 @@ func (fs *FS) statOf(n *Inode, nlink int) Stat {
 
 // Stat follows symlinks and reports metadata for path.
 func (fs *FS) Stat(path string) (Stat, error) {
-	fs.treeMu.RLock()
-	defer fs.treeMu.RUnlock()
-	n, _, _, err := fs.resolve(path, true, 0)
-	if err != nil {
-		return Stat{}, &PathError{"stat", path, err}
-	}
-	return fs.statOf(n, n.nlink), nil
+	return Lookup(fs.Traced(0), fs.Locked(), Locked.Stat, path)
 }
 
 // Lstat reports metadata for path without following a final symlink.
 func (fs *FS) Lstat(path string) (Stat, error) {
-	fs.treeMu.RLock()
-	defer fs.treeMu.RUnlock()
-	n, _, _, err := fs.resolve(path, false, 0)
-	if err != nil {
-		return Stat{}, &PathError{"lstat", path, err}
-	}
-	return fs.statOf(n, n.nlink), nil
+	return Lookup(fs.Traced(0), fs.Locked(), Locked.Lstat, path)
 }
 
 // Exists reports whether path resolves to an object.
@@ -567,9 +566,15 @@ func (fs *FS) Exists(path string) bool {
 }
 
 // ReadDir lists a directory in sorted order.
-func (fs *FS) ReadDir(path string) ([]DirEntry, error) {
+func (fs *FS) ReadDir(path string) ([]DirEntry, error) { return fs.Traced(0).ReadDir(path) }
+
+func (v TracedView) ReadDir(path string) ([]DirEntry, error) {
+	fs := v.fs
 	fs.treeMu.RLock()
 	defer fs.treeMu.RUnlock()
+	if err := v.allow(); err != nil {
+		return nil, err
+	}
 	dir, err := fs.lookupDir("readdir", path)
 	if err != nil {
 		return nil, err
@@ -586,10 +591,17 @@ func (fs *FS) ReadDir(path string) ([]DirEntry, error) {
 // of bytes copied. Reading at or past EOF returns 0, nil (the kernel
 // layers EOF semantics above this).
 func (fs *FS) ReadAt(path string, p []byte, off int64) (int, error) {
-	n, err := fs.resolveShared(path, true)
+	fs.treeMu.RLock()
+	defer fs.treeMu.RUnlock()
+	n, _, _, err := fs.resolve(path, true, 0)
 	if err != nil {
 		return 0, &PathError{"read", path, err}
 	}
+	return n.readAt(path, p, off)
+}
+
+// readAt is ReadAt on a resolved inode, path naming it in errors.
+func (n *Inode) readAt(path string, p []byte, off int64) (int, error) {
 	if n.ftype == TypeDir {
 		return 0, &PathError{"read", path, ErrIsDir}
 	}
@@ -608,7 +620,9 @@ func (fs *FS) ReadAt(path string, p []byte, off int64) (int, error) {
 // needed, and reports the number of bytes written.
 func (fs *FS) WriteAt(path string, p []byte, off int64) (int, error) {
 	defer fs.endJournal(fs.beginJournal())
-	n, err := fs.resolveShared(path, true)
+	fs.treeMu.RLock()
+	defer fs.treeMu.RUnlock()
+	n, _, _, err := fs.resolve(path, true, 0)
 	if err != nil {
 		return 0, &PathError{"write", path, err}
 	}
@@ -619,28 +633,34 @@ func (fs *FS) WriteAt(path string, p []byte, off int64) (int, error) {
 }
 
 // Truncate sets the file's length, extending with zeros if needed.
-func (fs *FS) Truncate(path string, size int64) error {
-	return fs.truncate(path, size, 0)
-}
+func (fs *FS) Truncate(path string, size int64) error { return fs.Traced(0).Truncate(path, size) }
 
-func (fs *FS) truncate(path string, size int64, trace uint64) error {
+func (v TracedView) Truncate(path string, size int64) error {
+	fs := v.fs
 	defer fs.endJournal(fs.beginJournal())
-	n, err := fs.resolveShared(path, true)
+	fs.treeMu.RLock()
+	defer fs.treeMu.RUnlock()
+	if err := v.allow(); err != nil {
+		return err
+	}
+	n, _, _, err := fs.resolve(path, true, 0)
 	if err != nil {
 		return &PathError{"truncate", path, err}
 	}
-	return fs.edit(n, Mutation{Op: MutTruncate, Path: path, Size: size, Trace: trace})
+	return fs.edit(n, Mutation{Op: MutTruncate, Path: path, Size: size, Trace: v.trace})
 }
 
 // Unlink removes a file or symlink (not a directory).
-func (fs *FS) Unlink(path string) error {
-	return fs.unlink(path, 0)
-}
+func (fs *FS) Unlink(path string) error { return fs.Traced(0).Unlink(path) }
 
-func (fs *FS) unlink(path string, trace uint64) error {
+func (v TracedView) Unlink(path string) error {
+	fs := v.fs
 	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
+	if err := v.allow(); err != nil {
+		return err
+	}
 	n, parent, base, err := fs.resolve(path, false, 0)
 	if err != nil {
 		return &PathError{"unlink", path, err}
@@ -651,13 +671,13 @@ func (fs *FS) unlink(path string, trace uint64) error {
 	delete(parent.children, base)
 	n.nlink--
 	parent.mtime.Store(fs.tick())
-	fs.record(Mutation{Op: MutUnlink, Path: path, Trace: trace})
+	fs.record(Mutation{Op: MutUnlink, Path: path, Trace: v.trace})
 	return nil
 }
 
 // Rmdir removes an empty directory.
 func (fs *FS) Rmdir(path string) error {
-	_, err := fs.rmdir(Mutation{Op: MutRmdir, Path: path})
+	_, err := fs.RmdirWithFile(path, "")
 	return err
 }
 
@@ -669,13 +689,18 @@ func (fs *FS) Rmdir(path string) error {
 // directory held (0 when path is not a directory), what a listing of it
 // would have counted. An empty name is Rmdir.
 func (fs *FS) RmdirWithFile(path, name string) (int, error) {
-	return fs.rmdir(Mutation{Op: MutRmdir, Path: path, Path2: name})
+	return fs.Traced(0).RmdirWithFile(path, name)
 }
 
-func (fs *FS) rmdir(m Mutation) (int, error) {
+func (v TracedView) RmdirWithFile(path, name string) (int, error) {
+	m := Mutation{Op: MutRmdir, Path: path, Path2: name, Trace: v.trace}
+	fs := v.fs
 	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
+	if err := v.allow(); err != nil {
+		return 0, err
+	}
 	n, parent, base, err := fs.resolve(m.Path, false, 0)
 	if err != nil {
 		return 0, &PathError{"rmdir", m.Path, err}
@@ -706,13 +731,17 @@ func (fs *FS) rmdir(m Mutation) (int, error) {
 
 // Symlink creates a symbolic link at linkPath pointing at target.
 func (fs *FS) Symlink(target, linkPath string, owner string) error {
-	return fs.symlink(target, linkPath, owner, 0)
+	return fs.Traced(0).Symlink(target, linkPath, owner)
 }
 
-func (fs *FS) symlink(target, linkPath string, owner string, trace uint64) error {
+func (v TracedView) Symlink(target, linkPath string, owner string) error {
+	fs := v.fs
 	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
+	if err := v.allow(); err != nil {
+		return err
+	}
 	_, parent, base, err := fs.resolve(linkPath, false, 0)
 	if err == nil {
 		return &PathError{"symlink", linkPath, ErrExist}
@@ -731,32 +760,27 @@ func (fs *FS) symlink(target, linkPath string, owner string, trace uint64) error
 	child.mtime.Store(fs.tick())
 	parent.children[base] = child
 	parent.mtime.Store(fs.tick())
-	fs.record(Mutation{Op: MutSymlink, Path: linkPath, Path2: target, Owner: owner, Trace: trace})
+	fs.record(Mutation{Op: MutSymlink, Path: linkPath, Path2: target, Owner: owner, Trace: v.trace})
 	return nil
 }
 
 // Readlink reports the target of a symlink.
 func (fs *FS) Readlink(path string) (string, error) {
-	n, err := fs.resolveShared(path, false)
-	if err != nil {
-		return "", &PathError{"readlink", path, err}
-	}
-	if n.ftype != TypeSymlink {
-		return "", &PathError{"readlink", path, ErrInvalid}
-	}
-	return n.target, nil
+	return Lookup(fs.Traced(0), fs.Locked(), Locked.Readlink, path)
 }
 
 // Link creates a hard link newPath referring to the same inode as
 // oldPath. Directories cannot be hard-linked.
-func (fs *FS) Link(oldPath, newPath string) error {
-	return fs.link(oldPath, newPath, 0)
-}
+func (fs *FS) Link(oldPath, newPath string) error { return fs.Traced(0).Link(oldPath, newPath) }
 
-func (fs *FS) link(oldPath, newPath string, trace uint64) error {
+func (v TracedView) Link(oldPath, newPath string) error {
+	fs := v.fs
 	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
+	if err := v.allow(); err != nil {
+		return err
+	}
 	src, _, _, err := fs.resolve(oldPath, true, 0)
 	if err != nil {
 		return &PathError{"link", oldPath, err}
@@ -774,20 +798,22 @@ func (fs *FS) link(oldPath, newPath string, trace uint64) error {
 	parent.children[base] = src
 	src.nlink++
 	parent.mtime.Store(fs.tick())
-	fs.record(Mutation{Op: MutLink, Path: oldPath, Path2: newPath, Trace: trace})
+	fs.record(Mutation{Op: MutLink, Path: oldPath, Path2: newPath, Trace: v.trace})
 	return nil
 }
 
 // Rename atomically moves oldPath to newPath, replacing a non-directory
 // target if one exists.
-func (fs *FS) Rename(oldPath, newPath string) error {
-	return fs.rename(oldPath, newPath, 0)
-}
+func (fs *FS) Rename(oldPath, newPath string) error { return fs.Traced(0).Rename(oldPath, newPath) }
 
-func (fs *FS) rename(oldPath, newPath string, trace uint64) error {
+func (v TracedView) Rename(oldPath, newPath string) error {
+	fs := v.fs
 	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
+	if err := v.allow(); err != nil {
+		return err
+	}
 	src, srcParent, srcBase, err := fs.resolve(oldPath, false, 0)
 	if err != nil {
 		return &PathError{"rename", oldPath, err}
@@ -834,7 +860,7 @@ func (fs *FS) rename(oldPath, newPath string, trace uint64) error {
 	}
 	srcParent.mtime.Store(fs.tick())
 	dstParent.mtime.Store(fs.tick())
-	fs.record(Mutation{Op: MutRename, Path: oldPath, Path2: newPath, Trace: trace})
+	fs.record(Mutation{Op: MutRename, Path: oldPath, Path2: newPath, Trace: v.trace})
 	return nil
 }
 
@@ -857,34 +883,35 @@ func (fs *FS) isAncestor(maybeAncestor, n *Inode) bool {
 
 // Chmod sets the permission bits.
 func (fs *FS) Chmod(path string, mode uint32) error {
-	defer fs.endJournal(fs.beginJournal())
-	n, err := fs.resolveShared(path, true)
-	if err != nil {
-		return &PathError{"chmod", path, err}
-	}
-	n.mu.Lock()
-	n.mode = mode & 0o7777
-	n.mtime.Store(fs.tick())
-	n.mu.Unlock()
-	fs.record(Mutation{Op: MutChmod, Path: path, Mode: mode})
-	return nil
+	return fs.chattr(Mutation{Op: MutChmod, Path: path, Mode: mode})
 }
 
 // Chown sets the owner (and optionally group) of path.
 func (fs *FS) Chown(path, owner, group string) error {
+	return fs.chattr(Mutation{Op: MutChown, Path: path, Owner: owner, Group: group})
+}
+
+// chattr applies a MutChmod or a MutChown to the inode path names.
+func (fs *FS) chattr(m Mutation) error {
 	defer fs.endJournal(fs.beginJournal())
-	n, err := fs.resolveShared(path, true)
+	fs.treeMu.RLock()
+	defer fs.treeMu.RUnlock()
+	n, _, _, err := fs.resolve(m.Path, true, 0)
 	if err != nil {
-		return &PathError{"chown", path, err}
+		return &PathError{m.Op.String(), m.Path, err}
 	}
 	n.mu.Lock()
-	n.owner = owner
-	if group != "" {
-		n.group = group
+	if m.Op == MutChmod {
+		n.mode = m.Mode & 0o7777
+	} else {
+		n.owner = m.Owner
+		if m.Group != "" {
+			n.group = m.Group
+		}
 	}
 	n.mtime.Store(fs.tick())
 	n.mu.Unlock()
-	fs.record(Mutation{Op: MutChown, Path: path, Owner: owner, Group: group})
+	fs.record(m)
 	return nil
 }
 
@@ -892,20 +919,34 @@ func (fs *FS) Chown(path, owner, group string) error {
 // one journaled step: a reader sees the old contents or the new, never
 // an empty file in between. The file keeps a private copy of data.
 func (fs *FS) WriteFile(path string, data []byte, mode uint32, owner string) error {
-	return fs.writeFile(path, data, mode, owner, 0)
+	return fs.Traced(0).WriteFile(path, data, mode, owner)
 }
 
-func (fs *FS) writeFile(path string, data []byte, mode uint32, owner string, trace uint64) error {
+func (v TracedView) WriteFile(path string, data []byte, mode uint32, owner string) error {
+	fs := v.fs
 	defer fs.endJournal(fs.beginJournal())
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
-	_, err := fs.create(path, data, mode, owner, trace)
+	if err := v.allow(); err != nil {
+		return err
+	}
+	_, err := fs.create(path, data, mode, owner, v.trace)
 	return err
 }
 
 // ReadFile returns the full contents of a file.
-func (fs *FS) ReadFile(path string) ([]byte, error) {
-	n, err := fs.resolveShared(path, true)
+func (fs *FS) ReadFile(path string) ([]byte, error) { return fs.Traced(0).ReadFile(path, MaxFileSize) }
+
+// ReadFile is FS.ReadFile for a file of at most max bytes: a longer one
+// is refused with ErrTooBig before anything is copied.
+func (v TracedView) ReadFile(path string, max int) ([]byte, error) {
+	fs := v.fs
+	fs.treeMu.RLock()
+	defer fs.treeMu.RUnlock()
+	if err := v.allow(); err != nil {
+		return nil, err
+	}
+	n, _, _, err := fs.resolve(path, true, 0)
 	if err != nil {
 		return nil, &PathError{"read", path, err}
 	}
@@ -914,52 +955,29 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
+	if len(n.data) > max {
+		return nil, &PathError{"read", path, ErrTooBig}
+	}
 	return append([]byte(nil), n.data...), nil
 }
 
-// Memo returns a value derived from the contents of the file at path,
-// deriving it once per content version (readers that miss together each
+// MemoIn returns a value derived from the contents of the file name in
+// directory dir — the per-directory ACL file, looked up on every
+// permission check — found through the directory's inode. It derives
+// the value once per content version (readers that miss together each
 // derive; their values are interchangeable). The value lives on the
 // file's inode stamped with the mtime it was derived at, and is handed
 // back only while that stamp is still the inode's mtime — it is
 // validated on every call, never invalidated, so every writer is
 // honoured (handles, replay, snapshot load, a rename or a hard link of
 // the file) without any of them knowing the memo exists. derive runs
-// under the inode's read lock: it must not retain data or call back
-// into the FS. All callers naming one file must pass the same derive.
-// Errors are the bare sentinels.
-func (fs *FS) Memo(path string, derive func(data []byte) any) (any, error) {
-	n, err := fs.resolveShared(path, true)
-	if err != nil {
-		return nil, err
-	}
-	return n.memoise(derive)
-}
-
-// MemoIn is Memo(Join(dir, name), derive) for a caller that holds the
-// directory and the entry name apart — the per-directory ACL file,
-// looked up on every permission check — found through the directory's
-// inode instead of a path built for the purpose.
+// under the inode's read lock and the shared tree lock: it must not
+// retain data or call back into the FS. All callers naming one file
+// must pass the same derive. Errors are the bare sentinels.
 func (fs *FS) MemoIn(dir, name string, derive func(data []byte) any) (any, error) {
 	fs.treeMu.RLock()
-	n, _, _, err := fs.resolve(dir, true, 0)
-	if err == nil {
-		switch child := n.children[name]; {
-		case n.ftype != TypeDir:
-			err = ErrNotDir
-		case child == nil:
-			err = ErrNotExist
-		case child.ftype == TypeSymlink: // rare: let the path walk follow it
-			n, _, _, err = fs.resolve(Join(dir, name), true, 0)
-		default:
-			n = child
-		}
-	}
-	fs.treeMu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	return n.memoise(derive)
+	defer fs.treeMu.RUnlock()
+	return Locked{fs}.MemoIn(dir, name, derive)
 }
 
 // memoise returns the inode's memoised value for its current content
