@@ -24,8 +24,10 @@ package acl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"unicode"
 
 	"identitybox/internal/identity"
 )
@@ -59,16 +61,21 @@ func (r Rights) Has(want Rights) bool { return r&want == want }
 // String renders the rights in the canonical order "rwlaxv". The reserve
 // right renders as a bare "v"; use Entry.String for the v(...) form.
 func (r Rights) String() string {
+	return string(r.AppendText(make([]byte, 0, len(rightLetters))))
+}
+
+// AppendText appends r as String renders it to dst and returns the
+// extended buffer.
+func (r Rights) AppendText(dst []byte) []byte {
 	if r == None {
-		return "-"
+		return append(dst, '-')
 	}
-	var b strings.Builder
 	for _, f := range rightLetters {
 		if r.Has(f.bit) {
-			b.WriteByte(f.letter)
+			dst = append(dst, f.letter)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 var rightLetters = []struct {
@@ -129,42 +136,51 @@ func (e Entry) Matches(p identity.Principal) bool {
 	return identity.Match(e.Pattern, p)
 }
 
+// lineTail is the most an entry's line adds to its pattern: the
+// separating space, the longest rights field and the newline.
+const lineTail = len(" rwlaxv(rwlaxv)\n")
+
 // String renders the entry in the file format, e.g.
 // "globus:/O=UnivNowhere/* rlv(rwlax)".
 func (e Entry) String() string {
-	var b strings.Builder
-	b.WriteString(e.Pattern)
-	b.WriteByte(' ')
+	return string(e.AppendText(make([]byte, 0, len(e.Pattern)+lineTail)))
+}
+
+// AppendText appends e as String renders it to dst and returns the
+// extended buffer.
+func (e Entry) AppendText(dst []byte) []byte {
+	dst = append(dst, e.Pattern...)
+	return e.appendRights(append(dst, ' '))
+}
+
+// appendRights appends the entry's rights field: the plain rights, then
+// v or v(<reserve rights>), or "-" when it grants nothing.
+func (e Entry) appendRights(dst []byte) []byte {
 	plain := e.Rights &^ Reserve
 	if plain != None {
-		b.WriteString(plain.String())
+		dst = plain.AppendText(dst)
 	}
 	if e.Rights.Has(Reserve) {
-		b.WriteByte('v')
+		dst = append(dst, 'v')
 		if e.ReserveRights != None {
-			b.WriteByte('(')
-			b.WriteString(e.ReserveRights.String())
-			b.WriteByte(')')
+			dst = append(e.ReserveRights.AppendText(append(dst, '(')), ')')
 		}
 	}
 	if plain == None && !e.Rights.Has(Reserve) {
-		b.WriteByte('-')
+		dst = append(dst, '-')
 	}
-	return b.String()
+	return dst
 }
 
-// ParseEntry parses one ACL line: "<pattern> <rights>", where rights is
-// a run of right letters optionally containing v(<rights>).
+// ParseEntry parses one ACL line: "<pattern> <rights>", separated by
+// white space (unicode.IsSpace), where rights is a run of right letters
+// optionally containing v(<rights>).
 func ParseEntry(line string) (Entry, error) {
-	fields := strings.Fields(line)
-	if len(fields) != 2 {
+	pattern, s, ok := twoFields(line)
+	if !ok {
 		return Entry{}, fmt.Errorf("acl: malformed entry %q: want \"pattern rights\"", line)
 	}
-	e := Entry{Pattern: fields[0]}
-	if e.Pattern == "" {
-		return Entry{}, fmt.Errorf("acl: empty pattern in %q", line)
-	}
-	s := fields[1]
+	e := Entry{Pattern: pattern}
 	if s == "-" {
 		return e, nil
 	}
@@ -198,6 +214,19 @@ func ParseEntry(line string) (Entry, error) {
 	return e, nil
 }
 
+// twoFields splits line around runs of white space (unicode.IsSpace)
+// as strings.Fields does, and reports whether it held exactly two
+// fields. The fields are substrings of line.
+func twoFields(line string) (first, second string, ok bool) {
+	line = strings.TrimSpace(line)
+	i := strings.IndexFunc(line, unicode.IsSpace)
+	if i < 0 {
+		return "", "", false
+	}
+	first, second = line[:i], strings.TrimLeftFunc(line[i:], unicode.IsSpace)
+	return first, second, strings.IndexFunc(second, unicode.IsSpace) < 0
+}
+
 // ACL is an ordered list of entries. The rights of a principal are the
 // union of all matching entries. The zero value is an empty ACL that
 // grants nothing.
@@ -206,21 +235,44 @@ type ACL struct {
 }
 
 // Parse reads an ACL from its file representation. Blank lines and lines
-// starting with '#' are ignored.
+// starting with '#' are ignored. The patterns are substrings of text,
+// and Entries is sized once, to the count of entry lines: a parse costs
+// the same few allocations whatever the entry count, and never holds
+// room for more entries than the text has.
 func Parse(text string) (*ACL, error) {
 	a := &ACL{}
-	for ln, line := range strings.Split(text, "\n") {
+	if n := entryLines(text); n > 0 {
+		a.Entries = make([]Entry, 0, n)
+	}
+	for ln := 1; text != ""; ln++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		e, err := ParseEntry(line)
 		if err != nil {
-			return nil, fmt.Errorf("acl: line %d: %v", ln+1, err)
+			return nil, fmt.Errorf("acl: line %d: %v", ln, err)
 		}
 		a.Entries = append(a.Entries, e)
 	}
 	return a, nil
+}
+
+// entryLines counts the lines of text that Parse reads as entries: those
+// neither blank nor comments. For an ACL that parses, that is exactly
+// its entry count.
+func entryLines(text string) int {
+	n := 0
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		if line = strings.TrimSpace(line); line != "" && line[0] != '#' {
+			n++
+		}
+	}
+	return n
 }
 
 // Version is one content version of an ACL file, parsed: the value
@@ -236,18 +288,43 @@ type Version struct {
 }
 
 // ParseVersion parses one version of an ACL file. A malformed file
-// grants nothing (fail closed): its Version holds an empty ACL.
-func ParseVersion(data []byte) *Version {
-	raw := string(data)
+// grants nothing (fail closed): its Version holds an empty ACL. A
+// canonical file costs four allocations whatever its entry count — the
+// string, the ACL, its entries and the Version — and a non-canonical one
+// a rendered Text on top.
+func ParseVersion(data []byte) *Version { return ParseVersionString(string(data)) }
+
+// ParseVersionString is ParseVersion of a file's bytes already held as
+// a string, which the Version keeps as Raw.
+func ParseVersionString(raw string) *Version {
 	a, err := Parse(raw)
 	if err != nil {
 		return &Version{ACL: &ACL{}, Raw: raw}
 	}
-	text := a.String()
-	if text == raw {
-		text = raw // a canonical file: keep the one copy the patterns already point into
+	text := raw // a canonical file: keep the one copy the patterns already point into
+	if !a.rendersAs(raw) {
+		text = a.String()
 	}
 	return &Version{ACL: a, Text: text, Raw: raw}
+}
+
+// rendersAs reports whether raw is exactly a's rendering. It compares
+// entry by entry, each pattern in place and each rights field rendered
+// into one stack buffer, so it builds no second copy of the text.
+func (a *ACL) rendersAs(raw string) bool {
+	var tail [lineTail]byte
+	for _, e := range a.Entries {
+		rest, ok := strings.CutPrefix(raw, e.Pattern)
+		if !ok {
+			return false
+		}
+		t := append(e.appendRights(append(tail[:0], ' ')), '\n')
+		if len(rest) < len(t) || rest[:len(t)] != string(t) {
+			return false
+		}
+		raw = rest[len(t):]
+	}
+	return raw == ""
 }
 
 // MemoVersion is ParseVersion as a vfs.FS.MemoIn derive step, the one
@@ -260,12 +337,25 @@ func (a *ACL) String() string {
 	if a == nil || len(a.Entries) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	for _, e := range a.Entries {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
+	return string(a.AppendText(nil))
+}
+
+// AppendText appends a as String renders it to dst and returns the
+// extended buffer: the encoder every rendering of an ACL goes through.
+// It grows dst at most once, up front, to a bound on the text's length.
+func (a *ACL) AppendText(dst []byte) []byte {
+	if a == nil {
+		return dst
 	}
-	return b.String()
+	n := 0
+	for _, e := range a.Entries {
+		n += len(e.Pattern) + lineTail
+	}
+	dst = slices.Grow(dst, n)
+	for _, e := range a.Entries {
+		dst = append(e.AppendText(dst), '\n')
+	}
+	return dst
 }
 
 // Clone returns a deep copy of the ACL.

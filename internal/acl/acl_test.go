@@ -214,6 +214,36 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestValidOwnerRoundTrips: for any valid principal, its own ACL
+// (ForOwner) derives a version that grants it every right, so a box
+// home or a reserved directory never locks its owner out. Candidates mix
+// plain letters with white space of several scripts, '#', '*', control
+// bytes and bytes that are not UTF-8.
+func TestValidOwnerRoundTrips(t *testing.T) {
+	alphabet := []string{"a", "Z", "/", "=", ":", "@", "#", "*", "-", "v(", ")",
+		" ", "\t", "\x7f", "\x00", "\u0085", "\u00a0", "\u2003", "\u3000", "é", "\xff", "\xe2\x80"}
+	r := rand.New(rand.NewSource(1))
+	valid := 0
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		for n := 1 + r.Intn(8); n > 0; n-- {
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		p := identity.Principal(b.String())
+		if !p.Valid() {
+			continue
+		}
+		valid++
+		v := ParseVersion([]byte(ForOwner(p).String()))
+		if got, _ := v.ACL.Lookup(p); got != All || v.Text != v.Raw {
+			t.Fatalf("ForOwner(%q) derives %q granting %v; want canonical, %v", p, v.Raw, got, All)
+		}
+	}
+	if valid < 1000 {
+		t.Fatalf("only %d valid candidates; the alphabet tests too little", valid)
+	}
+}
+
 func TestReserveChild(t *testing.T) {
 	// Section 4: Fred mkdirs /work holding v(rwlax); the new ACL grants
 	// exactly rwlax to Fred and nothing else.

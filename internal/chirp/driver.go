@@ -150,7 +150,7 @@ func (d *Driver) ReadACL(p *kernel.Proc, dir string) (*acl.Version, error) {
 	if err != nil {
 		return nil, err
 	}
-	return acl.ParseVersion([]byte(text)), nil
+	return acl.ParseVersionString(text), nil
 }
 
 // WriteFileSmall implements parrot.Driver. Writes of ACL files map onto

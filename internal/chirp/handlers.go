@@ -102,13 +102,8 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		if err1 != nil || err2 != nil {
 			return sess.failf(sc, vfs.ErrInvalid, "bad open args")
 		}
-		// Reading takes r and writing w (a create is a write; an access
-		// mode of 3 is both).
-		var want acl.Rights
-		if flags&3 != kernel.OWronly {
-			want |= acl.Read
-		}
-		if flags&3 != kernel.ORdonly || flags&kernel.OCreat != 0 {
+		want := policy.OpenWants(flags)
+		if flags&kernel.OCreat != 0 { // a create is a write
 			want |= acl.Write
 		}
 		h, err := sess.guarded(sc, trace, access{args[2], want, policy.Follow}).OpenFile(args[2], flags, uint32(mode), s.opts.Owner)
@@ -525,7 +520,7 @@ func (g *guard) allowMkdir() error {
 		childACL = parentACL.Clone()
 		childACL.Set(sess.ident.String(), acl.All, acl.None)
 	}
-	g.child = []byte(childACL.String())
+	g.child = childACL.AppendText(nil)
 	return nil
 }
 

@@ -253,7 +253,7 @@ func (b *Box) setupHome() error {
 	if err := fs.MkdirAll(b.opts.HomeBase, 0o755, b.account); err != nil {
 		return fmt.Errorf("core: creating home %s: %w", home, err)
 	}
-	homeACL := []byte(acl.ForOwner(b.ident).String())
+	homeACL := acl.ForOwner(b.ident).AppendText(nil)
 	err := fs.MkdirWithFile(home, 0o755, b.account, acl.FileName, homeACL)
 	if errors.Is(err, vfs.ErrExist) { // a returning visitor's home
 		err = writeIfChanged(fs, vfs.Join(home, acl.FileName), homeACL, b.account)

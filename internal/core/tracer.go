@@ -351,15 +351,16 @@ func (b *Box) entryAccess(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 
 func (b *Box) entryOpen(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	// Read, then write, then the directory write a create implies — each
-	// its own evaluation, charged as such, even when O_CREAT repeats the
-	// write an O_WRONLY open already passed.
+	// Read, then write, as the access mode wants them (policy.OpenWants),
+	// then the directory write a create implies — each its own
+	// evaluation, charged as such, even when O_CREAT repeats the write an
+	// O_WRONLY open already passed.
 	var err error
-	acc := f.Flags & 3
-	if acc == kernel.ORdonly || acc == kernel.ORdwr {
+	acc := policy.OpenWants(f.Flags)
+	if acc.Has(acl.Read) {
 		err = b.check(p, path, acl.Read, policy.Follow)
 	}
-	if err == nil && (acc == kernel.OWronly || acc == kernel.ORdwr) {
+	if err == nil && acc.Has(acl.Write) {
 		err = b.check(p, path, acl.Write, policy.Follow)
 	}
 	if err == nil && f.Flags&kernel.OCreat != 0 {

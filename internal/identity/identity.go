@@ -17,6 +17,7 @@ package identity
 
 import (
 	"strings"
+	"unicode"
 )
 
 // Principal is a high-level identity string. The zero value is the
@@ -58,15 +59,17 @@ func (p Principal) Subject() string {
 func (p Principal) IsZero() bool { return p == "" }
 
 // Valid reports whether the principal is usable in an ACL or an identity
-// box: non-empty, no whitespace or control characters (the ACL file
-// format is whitespace-delimited), and no '*' (wildcards belong in
-// patterns, not in concrete identities).
+// box: non-empty, no white space of any script (unicode.IsSpace: the ACL
+// file format splits its lines there) and no control characters, no
+// leading '#' (the ACL file format's comment), and no '*' (wildcards
+// belong in patterns, not in concrete identities). A valid principal's
+// own ACL line, acl.ForOwner, parses back to an entry naming it.
 func (p Principal) Valid() bool {
-	if p == "" {
+	if p == "" || p[0] == '#' {
 		return false
 	}
 	for _, r := range string(p) {
-		if r <= ' ' || r == 0x7f || r == '*' {
+		if r <= ' ' || r == 0x7f || r == '*' || unicode.IsSpace(r) {
 			return false
 		}
 	}

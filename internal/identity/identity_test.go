@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestNewWithMethod(t *testing.T) {
@@ -46,10 +47,31 @@ func TestValid(t *testing.T) {
 			t.Errorf("%q should be valid", p)
 		}
 	}
-	invalid := []Principal{"", "has space", "tab\tname", "star*name", "new\nline"}
+	invalid := []Principal{"", "has space", "tab\tname", "star*name", "new\nline", "#comment", "#"}
 	for _, p := range invalid {
 		if p.Valid() {
 			t.Errorf("%q should be invalid", p)
+		}
+	}
+}
+
+// TestValidRefusesEverySpace: the ACL file format splits a line at every
+// rune unicode.IsSpace reports, so a principal holding one would not
+// survive as its own pattern; each such rune makes a principal invalid.
+func TestValidRefusesEverySpace(t *testing.T) {
+	named := []rune{0x85, 0xa0, 0x1680, 0x2000, 0x2001, 0x2002, 0x2003, 0x2004, 0x2005,
+		0x2006, 0x2007, 0x2008, 0x2009, 0x200a, 0x2028, 0x2029, 0x202f, 0x205f, 0x3000}
+	for _, r := range named {
+		if !unicode.IsSpace(r) {
+			t.Errorf("U+%04X is not white space; the table is wrong", r)
+		}
+	}
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if !unicode.IsSpace(r) {
+			continue
+		}
+		if p := New("unix", "fred"+string(r)+"x"); p.Valid() {
+			t.Errorf("%q (U+%04X) should be invalid", p, r)
 		}
 	}
 }

@@ -779,13 +779,14 @@ func (k *Kernel) execOpen(p *Proc, f *Frame) {
 
 // OpenAllowed applies Unix permission bits to an open by account:
 // creating a missing file takes write permission on its directory,
-// opening an existing one the access its flags ask for. An open that
+// opening an existing one the access its flags ask for (read and write
+// both for an access mode of 3, as policy.OpenWants has it). An open that
 // vfs.FS.OpenFile refuses whatever the bits say (O_CREAT|O_EXCL of an
 // existing name, a writable open of a directory) passes here, so its
 // own error comes first.
 func OpenAllowed(fs *vfs.FS, path string, flags int, account string) error {
 	st, err := fs.Stat(path)
-	want := [4]uint32{ORdonly: 4, OWronly: 2, ORdwr: 6}[flags&3]
+	want := [4]uint32{ORdonly: 4, OWronly: 2, ORdwr: 6, 3: 6}[flags&3]
 	switch {
 	case err != nil && flags&OCreat != 0:
 		if st, err = fs.Stat(vfs.Dir(path)); err != nil {

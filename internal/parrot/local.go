@@ -101,7 +101,7 @@ func (d *LocalDriver) Mkdir(p *kernel.Proc, path string, mode uint32, childACL *
 	if childACL == nil {
 		return d.fs.Mkdir(path, mode, d.account)
 	}
-	text := []byte(childACL.String())
+	text := childACL.AppendText(nil)
 	if err := d.fs.MkdirWithFile(path, mode, d.account, acl.FileName, text); err != nil {
 		return err
 	}

@@ -138,11 +138,13 @@ func Check(src Source, who identity.Principal, path string, want acl.Rights, how
 }
 
 // Mkdir authorizes creating the directory path and reports the ACL it
-// should receive: a copy of the parent's when who holds w there, or the
+// should receive: the parent's own when who holds w there, or the
 // reserve set when who holds only v(...) — the amplification of the
 // paper's Section 4. parent is the ACL consulted, returned on a refusal
 // too so a caller with other grounds to allow the mkdir can still
-// inherit from it. Both are nil where no ACL governs the parent.
+// inherit from it. Both are nil where no ACL governs the parent. The
+// parent's ACL is a memoised acl.Version's, shared and immutable, so
+// child may be that very ACL: render it, or Clone it before an edit.
 func Mkdir(src Source, who identity.Principal, path string) (child, parent *acl.ACL, err error) {
 	dir := vfs.Dir(vfs.Clean(path))
 	parent, err = src.ACL(dir)
@@ -162,11 +164,25 @@ func Mkdir(src Source, who identity.Principal, path string) (child, parent *acl.
 	rights, reserve := parent.Lookup(who)
 	switch {
 	case rights.Has(acl.Write):
-		return parent.Clone(), parent, nil
+		return parent, parent, nil
 	case rights.Has(acl.Reserve):
 		return acl.ReserveChild(who, reserve), parent, nil
 	}
 	return nil, parent, vfs.ErrPermission
+}
+
+// OpenWants reports the rights the access mode of an open with flags
+// takes: r to read and w to write, both for mode 3 (which names neither
+// O_RDONLY, O_WRONLY nor O_RDWR; Linux checks it for both, open(2)).
+// Other flags add nothing here: each caller checks a create its own way.
+func OpenWants(flags int) acl.Rights {
+	switch flags & 3 {
+	case vfs.ORdonly:
+		return acl.Read
+	case vfs.OWronly:
+		return acl.Write
+	}
+	return acl.Read | acl.Write
 }
 
 // unixAsNobody is the rule where no ACL exists: Unix permission bits
