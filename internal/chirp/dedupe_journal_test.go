@@ -366,9 +366,10 @@ func TestTokenedAppendIsBarrierWaitPhase(t *testing.T) {
 }
 
 // TestReadOnlyOpenSkipsBarrier: an open whose flags are read-only
-// without create or truncate changes nothing, so its reply waits for no
-// durability barrier. An open that may create or truncate, and any
-// other mutation, still barriers once.
+// without create changes nothing (O_TRUNC truncates only a writable
+// open), so its reply waits for no durability barrier. A writable open,
+// one that may create or truncate, and any other mutation, still
+// barriers once.
 func TestReadOnlyOpenSkipsBarrier(t *testing.T) {
 	bothFramings(t, func(t *testing.T, proto int) {
 		srv, k, _ := testServer(t)
@@ -393,7 +394,10 @@ func TestReadOnlyOpenSkipsBarrier(t *testing.T) {
 			want  int
 		}{
 			{"O_RDONLY", kernel.ORdonly, 0},
+			{"O_RDONLY|O_TRUNC", kernel.ORdonly | kernel.OTrunc, 0},
 			{"O_RDONLY|O_CREAT", kernel.ORdonly | kernel.OCreat, 1},
+			{"O_WRONLY", kernel.OWronly, 1},
+			{"O_RDWR", kernel.ORdwr, 1},
 			{"O_WRONLY|O_TRUNC", kernel.OWronly | kernel.OTrunc, 1},
 		} {
 			fd, err := cl.Open("/f", c.flags, 0o644)

@@ -156,10 +156,12 @@ func (f *FailoverDriver) probePrimary() *Driver {
 	return nil
 }
 
-// Open implements parrot.Driver. Read-only opens may fail over;
-// anything that can mutate (write access, create, truncate) is a write.
+// Open implements parrot.Driver. An open that is no write
+// (vfs.Access.Writes) may fail over; one that may write through its
+// descriptor, create or truncate is a write. Access mode 3 is no write,
+// and whichever member gets it refuses it.
 func (f *FailoverDriver) Open(p *kernel.Proc, path string, flags int, mode uint32) (parrot.File, error) {
-	if flags&3 == kernel.ORdonly && flags&(kernel.OCreat|kernel.OTrunc) == 0 {
+	if acc, _ := vfs.OpenAccess(flags); !acc.Writes() {
 		return readVia(f, "open "+path, func(d *Driver) (parrot.File, error) { return d.Open(p, path, flags, mode) })
 	}
 	var file parrot.File

@@ -530,6 +530,24 @@ func TestFailoverReadsToReplica(t *testing.T) {
 				t.Errorf("degraded write = %v, want ErrDegraded", err)
 				return 4
 			}
+			// A writable open is a write, even without create or truncate.
+			for _, flags := range []int{kernel.OWronly, kernel.ORdwr} {
+				if _, err := fd.Open(p, "/pub/data", flags, 0); !errors.Is(err, ErrDegraded) {
+					t.Errorf("open with flags %#o = %v, want ErrDegraded", flags, err)
+					return 5
+				}
+			}
+			// O_RDONLY|O_TRUNC truncates nothing: a read, served by the replica.
+			f, err := fd.Open(p, "/pub/data", kernel.ORdonly|kernel.OTrunc, 0)
+			if err != nil {
+				t.Errorf("O_RDONLY|O_TRUNC open = %v, want the replica to serve it", err)
+				return 6
+			}
+			f.Close()
+			if data, err := readThrough(p, fd, "/pub/data"); err != nil || string(data) != "from-replica" {
+				t.Errorf("read after the O_RDONLY|O_TRUNC open = %q, %v; want it unchanged", data, err)
+				return 7
+			}
 			return 0
 		})
 		if st.Code != 0 {

@@ -99,11 +99,15 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 	case "open": // open <flags> <mode> <path>
 		flags, err1 := strconv.Atoi(args[0])
 		mode, err2 := strconv.ParseUint(args[1], 8, 32)
-		if err1 != nil || err2 != nil {
+		acc, err3 := vfs.OpenAccess(flags) // access mode 3 is EINVAL, unchecked
+		if err1 != nil || err2 != nil || err3 != nil {
 			return sess.failf(sc, vfs.ErrInvalid, "bad open args")
 		}
-		want := policy.OpenWants(flags)
-		if flags&kernel.OCreat != 0 { // a create is a write
+		var want acl.Rights
+		if acc&vfs.MayRead != 0 {
+			want = acl.Read
+		}
+		if acc.Writes() {
 			want |= acl.Write
 		}
 		h, err := sess.guarded(sc, trace, access{args[2], want, policy.Follow}).OpenFile(args[2], flags, uint32(mode), s.opts.Owner)
@@ -113,7 +117,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		if err != nil {
 			return sess.failf(sc, err, "open")
 		}
-		return hres{line: sc.ok().int(int64(sess.addFD(&sessionFD{h: h, flags: flags})))}
+		return hres{line: sc.ok().int(int64(sess.addFD(&sessionFD{h: h, acc: acc})))}
 
 	case "close":
 		fd, err := strconv.Atoi(args[0])
@@ -132,15 +136,12 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		if err1 != nil || err2 != nil || err3 != nil {
 			return sess.failf(sc, vfs.ErrInvalid, "bad pread args")
 		}
-		d, ok := sess.lookupFD(fd)
-		if !ok {
-			return sess.failf(sc, kernel.ErrBadFD, "pread")
-		}
 		if n < 0 || n > MaxPayload {
 			return sess.failf(sc, vfs.ErrInvalid, "pread size")
 		}
-		if d.flags&3 == kernel.OWronly {
-			return sess.failf(sc, kernel.ErrBadFD, "fd not readable")
+		d, ok := sess.lookupFD(fd)
+		if !ok || d.acc&vfs.MayRead == 0 {
+			return sess.failf(sc, kernel.ErrBadFD, "pread")
 		}
 		// Pooled scratch: the payload is written to the wire before the
 		// caller's scratch is reused.
@@ -158,11 +159,8 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 			return sess.failf(sc, vfs.ErrInvalid, "bad pwrite args")
 		}
 		d, ok := sess.lookupFD(fd)
-		if !ok {
+		if !ok || d.acc&vfs.MayWrite == 0 {
 			return sess.failf(sc, kernel.ErrBadFD, "pwrite")
-		}
-		if d.flags&3 == kernel.ORdonly {
-			return sess.failf(sc, kernel.ErrBadFD, "fd not writable")
 		}
 		wn, err := d.h.WriteAtTraced(payload, off, trace)
 		if err != nil {

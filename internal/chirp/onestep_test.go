@@ -317,7 +317,8 @@ func TestMalformedNumbersRefused(t *testing.T) {
 // TestDescriptorRightsFollowTheOpenCheck: a descriptor reads only if
 // its open was checked for r and writes only if it was checked for w.
 // An access mode of 3, which names neither O_RDONLY, O_WRONLY nor
-// O_RDWR, is checked for both; a write-only descriptor does not read.
+// O_RDWR, is refused with EINVAL before any check (vfs.OpenAccess) and
+// leaves the file unchanged; a write-only descriptor does not read.
 func TestDescriptorRightsFollowTheOpenCheck(t *testing.T) {
 	bothFramings(t, func(t *testing.T, proto int) {
 		srv, _, _ := testServer(t)
@@ -336,9 +337,12 @@ func TestDescriptorRightsFollowTheOpenCheck(t *testing.T) {
 		}
 		bob := unixClient(t, srv, "bob", proto)
 		for _, path := range []string{"/drop/f", "/ro/f"} {
-			if _, err := bob.Open(path, 3, 0); !errors.Is(err, vfs.ErrPermission) {
-				t.Errorf("open %s with access mode 3 = %v, want EPERM", path, err)
+			if _, err := bob.Open(path, 3|kernel.OTrunc, 0); !errors.Is(err, vfs.ErrInvalid) {
+				t.Errorf("open %s with access mode 3 = %v, want EINVAL", path, err)
 			}
+		}
+		if data, err := admin.GetFile("/drop/f"); err != nil || string(data) != "not bob's to read" {
+			t.Errorf("/drop/f after the mode-3 open = %q, %v; want it unchanged", data, err)
 		}
 		fd, err := bob.Open("/drop/f", kernel.OWronly, 0)
 		if err != nil {

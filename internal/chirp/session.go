@@ -131,8 +131,8 @@ func (sess *session) grantCount() int {
 }
 
 type sessionFD struct {
-	h     *vfs.Handle
-	flags int
+	h   *vfs.Handle
+	acc vfs.Access
 }
 
 func (s *Server) serveConn(conn net.Conn, st *connState) {
@@ -420,14 +420,16 @@ func (sess *session) readInto(req *request) error {
 			req.bad = "command not tokenable: " + req.cmd
 		}
 	}
-	// An open whose flags parse as read-only without create or truncate
-	// mutates nothing: followers serve it (bounded-staleness reads are
-	// what read replicas are for) and its reply waits for no barrier.
-	// Malformed flags count as mutating.
+	// An open that is no write (vfs.Access.Writes) changes nothing:
+	// followers serve it (bounded-staleness reads are what read replicas
+	// are for) and its reply waits for no barrier. Flags that are no
+	// number count as mutating; access mode 3 is no write, and is refused
+	// anywhere.
 	req.mutating = req.spec.has(fMutating)
 	if req.mutating && req.cmd == "open" && len(req.args) > 0 {
 		flags, err := strconv.Atoi(req.args[0])
-		req.mutating = err != nil || flags&3 != kernel.ORdonly || flags&(kernel.OCreat|kernel.OTrunc) != 0
+		acc, _ := vfs.OpenAccess(flags)
+		req.mutating = err != nil || acc.Writes()
 	}
 	if n, ok := req.spec.payloadLen(req.args); ok && v2 == nil {
 		// Consume exactly what the line announces so the wire stays

@@ -195,7 +195,8 @@ type boxFD struct {
 	path  string
 	off   int64
 	flags int
-	refs  int // descriptors (dup, inheritance) sharing this description
+	acc   vfs.Access // what the open granted; pipe ends get their direction
+	refs  int        // descriptors (dup, inheritance) sharing this description
 }
 
 // pendingWrite carries a bulk write between syscall entry and exit: the

@@ -861,6 +861,43 @@ func TestBoxRefusesPtraceAndMount(t *testing.T) {
 	}
 }
 
+// TestPipeEndsOneDescriptorCheck: a pipe end is a descriptor like any
+// other. The native kernel and the box refuse the wrong end with the
+// same check at the same point (EBADF before ESPIPE), and a positioned
+// call on the right end is ESPIPE in both.
+func TestPipeEndsOneDescriptorCheck(t *testing.T) {
+	k := newWorld(t)
+	verdicts := func(p *kernel.Proc) []error {
+		r, w, err := p.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 1)
+		var errs []error
+		for _, call := range []func() (int, error){
+			func() (int, error) { return p.Read(w, buf) },
+			func() (int, error) { return p.Pread(w, buf, 0) },
+			func() (int, error) { return p.Write(r, buf) },
+			func() (int, error) { return p.Pwrite(r, buf, 0) },
+			func() (int, error) { return p.Pread(r, buf, 0) },
+			func() (int, error) { return p.Pwrite(w, buf, 0) },
+		} {
+			_, err := call()
+			errs = append(errs, err)
+		}
+		return errs
+	}
+	want := []error{kernel.ErrBadFD, kernel.ErrBadFD, kernel.ErrBadFD, kernel.ErrBadFD, vfs.ErrInvalid, vfs.ErrInvalid}
+	var native, boxed []error
+	k.Run(kernel.ProcSpec{Account: "dthain"}, func(p *kernel.Proc, _ []string) int { native = verdicts(p); return 0 })
+	newBox(t, k, "Freddy", Options{}).Run(func(p *kernel.Proc, _ []string) int { boxed = verdicts(p); return 0 })
+	for i := range want {
+		if !errors.Is(native[i], want[i]) || !errors.Is(boxed[i], want[i]) {
+			t.Errorf("call %d: native %v, boxed %v; want %v in both", i, native[i], boxed[i], want[i])
+		}
+	}
+}
+
 func TestPipeInsideBox(t *testing.T) {
 	// IPC within the box: a parent and its spawned child communicate
 	// through an inherited pipe, all under the same identity.

@@ -100,8 +100,8 @@ func (b *Box) syscallEntry(p *kernel.Proc, f *kernel.Frame, st *procState) kerne
 		rfd := st.nextFD
 		wfd := st.nextFD + 1
 		st.nextFD += 2
-		st.fds[rfd] = &boxFD{pipe: r, path: "pipe:[r]", flags: kernel.ORdonly, refs: 1}
-		st.fds[wfd] = &boxFD{pipe: w, path: "pipe:[w]", flags: kernel.OWronly, refs: 1}
+		st.fds[rfd] = &boxFD{pipe: r, path: "pipe:[r]", acc: vfs.MayRead, refs: 1}
+		st.fds[wfd] = &boxFD{pipe: w, path: "pipe:[w]", acc: vfs.MayWrite, refs: 1}
 		f.SetResult(int64(rfd))
 		f.FD = wfd
 		return kernel.ActionNullify
@@ -351,19 +351,18 @@ func (b *Box) entryAccess(p *kernel.Proc, f *kernel.Frame) kernel.EntryAction {
 
 func (b *Box) entryOpen(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.EntryAction {
 	path := b.rewritePath(f.Path)
-	// Read, then write, as the access mode wants them (policy.OpenWants),
-	// then the directory write a create implies — each its own
-	// evaluation, charged as such, even when O_CREAT repeats the write an
-	// O_WRONLY open already passed.
-	var err error
-	acc := policy.OpenWants(f.Flags)
-	if acc.Has(acl.Read) {
+	// Read for MayRead, then write for a write (vfs.Access.Writes), each
+	// its own charged evaluation; access mode 3 is refused first,
+	// unchecked. A writable open that may create is evaluated for write
+	// twice, once for its descriptor and once for the name it makes.
+	acc, err := vfs.OpenAccess(f.Flags)
+	if err == nil && acc&vfs.MayRead != 0 {
 		err = b.check(p, path, acl.Read, policy.Follow)
 	}
-	if err == nil && acc.Has(acl.Write) {
+	if err == nil && acc.Writes() {
 		err = b.check(p, path, acl.Write, policy.Follow)
 	}
-	if err == nil && f.Flags&kernel.OCreat != 0 {
+	if err == nil && acc&vfs.MayWrite != 0 && f.Flags&kernel.OCreat != 0 {
 		err = b.check(p, path, acl.Write, policy.Follow)
 	}
 	if err != nil {
@@ -386,7 +385,7 @@ func (b *Box) entryOpen(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.E
 	}
 	fd := st.nextFD
 	st.nextFD++
-	bfd := &boxFD{file: file, path: path, flags: f.Flags, refs: 1}
+	bfd := &boxFD{file: file, path: path, flags: f.Flags, acc: acc, refs: 1}
 	if f.Flags&kernel.OAppend != 0 {
 		if s, serr := file.Stat(); serr == nil {
 			bfd.off = s.Size
@@ -399,11 +398,7 @@ func (b *Box) entryOpen(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.E
 
 func (b *Box) entryRead(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.EntryAction {
 	fd, ok := st.fds[f.FD]
-	if !ok {
-		f.SetError(kernel.ErrBadFD)
-		return kernel.ActionNullify
-	}
-	if fd.flags&3 == kernel.OWronly {
+	if !ok || fd.acc&vfs.MayRead == 0 {
 		f.SetError(kernel.ErrBadFD)
 		return kernel.ActionNullify
 	}
@@ -460,11 +455,7 @@ func (b *Box) entryRead(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.E
 
 func (b *Box) entryWrite(p *kernel.Proc, f *kernel.Frame, st *procState) kernel.EntryAction {
 	fd, ok := st.fds[f.FD]
-	if !ok {
-		f.SetError(kernel.ErrBadFD)
-		return kernel.ActionNullify
-	}
-	if fd.flags&3 == kernel.ORdonly {
+	if !ok || fd.acc&vfs.MayWrite == 0 {
 		f.SetError(kernel.ErrBadFD)
 		return kernel.ActionNullify
 	}

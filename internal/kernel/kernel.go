@@ -439,92 +439,8 @@ func (k *Kernel) execute(p *Proc, f *Frame) {
 		}
 		f.SetResult(0)
 
-	case SysRead, SysPread:
-		d, ok := p.fds[f.FD]
-		if !ok {
-			p.Charge(m.SyscallFixed)
-			f.SetError(ErrBadFD)
-			return
-		}
-		if d.pipe != nil {
-			if f.Sys == SysPread {
-				p.Charge(m.SyscallFixed)
-				f.SetError(vfs.ErrInvalid) // ESPIPE
-				return
-			}
-			n, err := d.pipe.Read(p, f.Buf)
-			p.Charge(pipeIOCost(m, n))
-			if err != nil {
-				f.SetError(err)
-				return
-			}
-			f.SetResult(int64(n))
-			return
-		}
-		if d.flags&3 == OWronly {
-			p.Charge(m.SyscallFixed)
-			f.SetError(ErrBadFD)
-			return
-		}
-		off := d.off
-		if f.Sys == SysPread {
-			off = f.Off
-		}
-		n, err := d.h.ReadAt(f.Buf, off)
-		p.Charge(m.SyscallFixed + m.ReadFixed + m.CopyPerByte*vclock.Micros(n))
-		if err != nil {
-			f.SetError(err)
-			return
-		}
-		if f.Sys == SysRead {
-			d.off += int64(n)
-		}
-		f.SetResult(int64(n))
-
-	case SysWrite, SysPwrite:
-		d, ok := p.fds[f.FD]
-		if !ok {
-			p.Charge(m.SyscallFixed)
-			f.SetError(ErrBadFD)
-			return
-		}
-		if d.pipe != nil {
-			if f.Sys == SysPwrite {
-				p.Charge(m.SyscallFixed)
-				f.SetError(vfs.ErrInvalid) // ESPIPE
-				return
-			}
-			n, err := d.pipe.Write(p, f.Buf)
-			p.Charge(pipeIOCost(m, n))
-			if err != nil {
-				f.SetError(err)
-				return
-			}
-			f.SetResult(int64(n))
-			return
-		}
-		if d.flags&3 == ORdonly {
-			p.Charge(m.SyscallFixed)
-			f.SetError(ErrBadFD)
-			return
-		}
-		off := d.off
-		if d.flags&OAppend != 0 {
-			off = d.h.Size()
-		}
-		if f.Sys == SysPwrite {
-			off = f.Off
-		}
-		n, err := d.h.WriteAt(f.Buf, off)
-		p.Charge(m.SyscallFixed + m.WriteFixed + m.CopyPerByte*vclock.Micros(n))
-		if err != nil {
-			f.SetError(err)
-			return
-		}
-		if f.Sys == SysWrite {
-			d.off = off + int64(n)
-		}
-		f.SetResult(int64(n))
+	case SysRead, SysPread, SysWrite, SysPwrite:
+		k.execIO(p, f)
 
 	case SysLseek:
 		p.Charge(m.SyscallFixed)
@@ -581,8 +497,8 @@ func (k *Kernel) execute(p *Proc, f *Frame) {
 		rfd := p.nextFD
 		wfd := p.nextFD + 1
 		p.nextFD += 2
-		p.fds[rfd] = &fdesc{pipe: r, path: "pipe:[r]", flags: ORdonly, refs: 1}
-		p.fds[wfd] = &fdesc{pipe: w, path: "pipe:[w]", flags: OWronly, refs: 1}
+		p.fds[rfd] = &fdesc{pipe: r, path: "pipe:[r]", acc: vfs.MayRead, refs: 1}
+		p.fds[wfd] = &fdesc{pipe: w, path: "pipe:[w]", acc: vfs.MayWrite, refs: 1}
 		f.SetResult(int64(rfd))
 		f.FD = wfd
 
@@ -761,8 +677,70 @@ func (k *Kernel) execute(p *Proc, f *Frame) {
 // kernel is below the policy layer; it only knows where the file lives).
 const ACLFileName = ".__acl"
 
+// execIO runs a read or write, plain or positioned, on a descriptor.
+// One check comes first, for a file and a pipe end alike: the descriptor
+// reads only with vfs.MayRead and writes only with vfs.MayWrite, or the
+// call is EBADF. A refused plain call on a pipe end is charged as a
+// transfer of no bytes, any other refusal the fixed syscall charge.
+func (k *Kernel) execIO(p *Proc, f *Frame) {
+	m := k.model
+	write := f.Sys == SysWrite || f.Sys == SysPwrite
+	positioned := f.Sys == SysPread || f.Sys == SysPwrite
+	want := vfs.MayRead
+	if write {
+		want = vfs.MayWrite
+	}
+	d, ok := p.fds[f.FD]
+	switch {
+	case !ok || d.acc&want == 0:
+		if ok && d.pipe != nil && !positioned {
+			p.Charge(pipeIOCost(m, 0))
+		} else {
+			p.Charge(m.SyscallFixed)
+		}
+		f.SetError(ErrBadFD)
+		return
+	case d.pipe != nil && positioned:
+		p.Charge(m.SyscallFixed)
+		f.SetError(vfs.ErrInvalid) // ESPIPE
+		return
+	}
+	off := d.off
+	switch {
+	case positioned:
+		off = f.Off
+	case write && d.flags&OAppend != 0:
+		off = d.h.Size()
+	}
+	var n int
+	var err error
+	switch {
+	case d.pipe != nil && write:
+		n, err = d.pipe.Write(p, f.Buf)
+		p.Charge(pipeIOCost(m, n))
+	case d.pipe != nil:
+		n, err = d.pipe.Read(p, f.Buf)
+		p.Charge(pipeIOCost(m, n))
+	case write:
+		n, err = d.h.WriteAt(f.Buf, off)
+		p.Charge(m.SyscallFixed + m.WriteFixed + m.CopyPerByte*vclock.Micros(n))
+	default:
+		n, err = d.h.ReadAt(f.Buf, off)
+		p.Charge(m.SyscallFixed + m.ReadFixed + m.CopyPerByte*vclock.Micros(n))
+	}
+	if err != nil {
+		f.SetError(err)
+		return
+	}
+	if d.pipe == nil && !positioned {
+		d.off = off + int64(n)
+	}
+	f.SetResult(int64(n))
+}
+
 func (k *Kernel) execOpen(p *Proc, f *Frame) {
-	if err := OpenAllowed(k.fs, f.Path, f.Flags, p.account); err != nil {
+	acc, err := OpenAllowed(k.fs, f.Path, f.Flags, p.account)
+	if err != nil {
 		f.SetError(err)
 		return
 	}
@@ -773,33 +751,43 @@ func (k *Kernel) execOpen(p *Proc, f *Frame) {
 	}
 	fd := p.nextFD
 	p.nextFD++
-	p.fds[fd] = &fdesc{h: h, path: f.Path, flags: f.Flags, refs: 1}
+	p.fds[fd] = &fdesc{h: h, path: f.Path, flags: f.Flags, acc: acc, refs: 1}
 	f.SetResult(int64(fd))
 }
 
-// OpenAllowed applies Unix permission bits to an open by account:
+// OpenAllowed reads the access an open's flags ask for (vfs.OpenAccess,
+// which refuses access mode 3) and applies Unix permission bits to it:
 // creating a missing file takes write permission on its directory,
-// opening an existing one the access its flags ask for (read and write
-// both for an access mode of 3, as policy.OpenWants has it). An open that
-// vfs.FS.OpenFile refuses whatever the bits say (O_CREAT|O_EXCL of an
-// existing name, a writable open of a directory) passes here, so its
-// own error comes first.
-func OpenAllowed(fs *vfs.FS, path string, flags int, account string) error {
+// opening an existing one read for MayRead and write for a write
+// (vfs.Access.Writes). An open that vfs.FS.OpenFile
+// refuses whatever the bits say (O_CREAT|O_EXCL of an existing name, a
+// writable open of a directory) passes here, so its own error comes first.
+func OpenAllowed(fs *vfs.FS, path string, flags int, account string) (vfs.Access, error) {
+	acc, err := vfs.OpenAccess(flags)
+	if err != nil {
+		return 0, &vfs.PathError{Op: "open", Path: path, Err: err}
+	}
+	var want uint32 // Unix bits: 4 to read, 2 to write
+	if acc&vfs.MayRead != 0 {
+		want = 4
+	}
+	if acc.Writes() {
+		want |= 2
+	}
 	st, err := fs.Stat(path)
-	want := [4]uint32{ORdonly: 4, OWronly: 2, ORdwr: 6, 3: 6}[flags&3]
 	switch {
 	case err != nil && flags&OCreat != 0:
 		if st, err = fs.Stat(vfs.Dir(path)); err != nil {
-			return err
+			return 0, err
 		}
 		want = 2
-	case err != nil, flags&(OCreat|OExcl) == OCreat|OExcl, st.IsDir() && flags&3 != ORdonly:
-		return nil
+	case err != nil, flags&(OCreat|OExcl) == OCreat|OExcl, st.IsDir() && acc&vfs.MayWrite != 0:
+		return acc, nil
 	}
 	if !UnixAllows(st, account, want) {
-		return ErrPermission
+		return 0, ErrPermission
 	}
-	return nil
+	return acc, nil
 }
 
 func (k *Kernel) execSpawn(p *Proc, f *Frame) {

@@ -93,10 +93,8 @@ func (e *PipeEnd) Unref() {
 }
 
 // Read blocks until data, EOF (no writers), or a fatal signal on p.
+// The descriptor holding the end checks its direction (vfs.MayRead).
 func (e *PipeEnd) Read(pr *Proc, b []byte) (int, error) {
-	if e.write {
-		return 0, ErrBadFD
-	}
 	pp := e.p
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
@@ -120,11 +118,9 @@ func (e *PipeEnd) Read(pr *Proc, b []byte) (int, error) {
 	}
 }
 
-// Write blocks until all of b is accepted or there are no readers.
+// Write blocks until all of b is accepted or there are no readers. The
+// descriptor holding the end checks its direction (vfs.MayWrite).
 func (e *PipeEnd) Write(pr *Proc, b []byte) (int, error) {
-	if !e.write {
-		return 0, ErrBadFD
-	}
 	pp := e.p
 	pp.mu.Lock()
 	defer pp.mu.Unlock()

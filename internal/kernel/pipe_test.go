@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"identitybox/internal/vclock"
 	"identitybox/internal/vfs"
 )
 
@@ -35,6 +36,51 @@ func TestPipeWithinProcess(t *testing.T) {
 		p.Close(r2)
 		if _, err := p.Write(w2, []byte("x")); !errors.Is(err, ErrPipe) {
 			t.Fatalf("write to readerless pipe = %v, want EPIPE", err)
+		}
+		return 0
+	})
+}
+
+// TestRefusedDescriptorCharges pins what a read or write refused with
+// EBADF costs: the fixed syscall charge, and for a plain read or write
+// of the wrong pipe end the pipe transfer of no bytes.
+func TestRefusedDescriptorCharges(t *testing.T) {
+	k := newKernel()
+	m := k.Model()
+	if err := k.FS().WriteFile("/f", []byte("x"), 0o666, "u"); err != nil {
+		t.Fatal(err)
+	}
+	run(t, k, "u", func(p *Proc, _ []string) int {
+		r, w, _ := p.Pipe()
+		ro, err := p.Open("/f", ORdonly, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wo, err := p.Open("/f", OWronly, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 1)
+		for _, c := range []struct {
+			name string
+			call func() (int, error)
+			cost vclock.Micros
+		}{
+			{"read of the write end", func() (int, error) { return p.Read(w, buf) }, m.SyscallFixed + m.ReadFixed},
+			{"write of the read end", func() (int, error) { return p.Write(r, buf) }, m.SyscallFixed + m.ReadFixed},
+			{"pread of the write end", func() (int, error) { return p.Pread(w, buf, 0) }, m.SyscallFixed},
+			{"pwrite of the read end", func() (int, error) { return p.Pwrite(r, buf, 0) }, m.SyscallFixed},
+			{"read of a write-only file", func() (int, error) { return p.Read(wo, buf) }, m.SyscallFixed},
+			{"write of a read-only file", func() (int, error) { return p.Write(ro, buf) }, m.SyscallFixed},
+			{"read of no descriptor", func() (int, error) { return p.Read(99, buf) }, m.SyscallFixed},
+		} {
+			before := p.Clock().Now()
+			if _, err := c.call(); !errors.Is(err, ErrBadFD) {
+				t.Errorf("%s = %v, want EBADF", c.name, err)
+			}
+			if now := p.Clock().Now(); now != before+c.cost {
+				t.Errorf("%s charged %v, want %v", c.name, now-before, c.cost)
+			}
 		}
 		return 0
 	})

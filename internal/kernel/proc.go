@@ -61,7 +61,8 @@ type fdesc struct {
 	path  string
 	off   int64
 	flags int
-	refs  int // descriptors (across dup and inheritance) sharing this
+	acc   vfs.Access // what the open granted; pipe ends get their direction
+	refs  int        // descriptors (across dup and inheritance) sharing this
 }
 
 // PID reports the process id.

@@ -50,7 +50,7 @@ func (f *localFile) Close() error                             { return nil }
 // Open implements Driver.
 func (d *LocalDriver) Open(p *kernel.Proc, path string, flags int, mode uint32) (File, error) {
 	p.Charge(d.model.SyscallFixed + d.model.Open + d.pathCost(path))
-	if err := kernel.OpenAllowed(d.fs, path, flags, d.account); err != nil {
+	if _, err := kernel.OpenAllowed(d.fs, path, flags, d.account); err != nil {
 		return nil, err
 	}
 	h, err := d.fs.OpenFile(path, flags, mode, d.account)

@@ -171,20 +171,6 @@ func Mkdir(src Source, who identity.Principal, path string) (child, parent *acl.
 	return nil, parent, vfs.ErrPermission
 }
 
-// OpenWants reports the rights the access mode of an open with flags
-// takes: r to read and w to write, both for mode 3 (which names neither
-// O_RDONLY, O_WRONLY nor O_RDWR; Linux checks it for both, open(2)).
-// Other flags add nothing here: each caller checks a create its own way.
-func OpenWants(flags int) acl.Rights {
-	switch flags & 3 {
-	case vfs.ORdonly:
-		return acl.Read
-	case vfs.OWronly:
-		return acl.Write
-	}
-	return acl.Read | acl.Write
-}
-
 // unixAsNobody is the rule where no ACL exists: Unix permission bits
 // with the visitor as the unprivileged user "nobody" — the owner bits
 // of what nobody owns, the other bits of everything else — so the

@@ -13,6 +13,36 @@ const (
 	OExcl   = 0x80
 )
 
+// Access is what an open's flags grant: the one reading of its access
+// mode that the kernel, the box, the server and the policy all share.
+type Access uint8
+
+const (
+	MayRead   Access = 1 << iota // the descriptor may read
+	MayWrite                     // the descriptor may write
+	MayMutate                    // the open itself may change the tree: O_CREAT, or O_TRUNC with MayWrite
+)
+
+// OpenAccess reads the access an open with flags asks for. Access mode 3
+// names none of O_RDONLY, O_WRONLY and O_RDWR: it grants nothing and is
+// refused with ErrInvalid, before any permission check, as FreeBSD's
+// open(2) refuses it.
+func OpenAccess(flags int) (Access, error) {
+	acc := [4]Access{ORdonly: MayRead, OWronly: MayWrite, ORdwr: MayRead | MayWrite}[flags&3]
+	if acc == 0 {
+		return 0, ErrInvalid
+	}
+	if flags&OCreat != 0 || acc&MayWrite != 0 && flags&OTrunc != 0 {
+		acc |= MayMutate
+	}
+	return acc, nil
+}
+
+// Writes reports whether an open with this access is a write: it may
+// write through its descriptor or change the tree. Such an open needs
+// write permission, and a replica set serves it on its primary alone.
+func (acc Access) Writes() bool { return acc&(MayWrite|MayMutate) != 0 }
+
 // Handle pins an inode, giving file-descriptor semantics: I/O through a
 // handle keeps working after the name is renamed or unlinked, exactly as
 // an open fd does in Unix. The kernel's file-descriptor table and the
@@ -33,13 +63,13 @@ func (fs *FS) OpenHandle(path string) (*Handle, error) {
 	return fs.OpenFile(path, ORdonly, 0, "")
 }
 
-// OpenFile is open(2)'s namespace rule in one step: O_CREAT makes a
-// missing regular file with mode and owner, O_CREAT|O_EXCL refuses an
-// existing one, O_TRUNC on a writable open empties the file, and a
-// directory opens read-only only. Symlinks are followed. It journals
-// at most one mutation (MutCreate for a file it made, MutTruncate for
-// one it emptied), and an open that can change nothing takes no journal
-// lock. Permission checks are the caller's.
+// OpenFile is open(2)'s namespace rule in one step: OpenAccess reads the
+// flags, O_CREAT makes a missing regular file with mode and owner,
+// O_CREAT|O_EXCL refuses an existing one, O_TRUNC on a writable open
+// empties the file, and a directory opens read-only only. Symlinks are
+// followed. It journals at most one mutation (MutCreate for a file it
+// made, MutTruncate for one it emptied), and an open without MayMutate
+// takes no journal lock. Permission checks are the caller's.
 func (fs *FS) OpenFile(path string, flags int, mode uint32, owner string) (*Handle, error) {
 	return fs.Traced(0).OpenFile(path, flags, mode, owner)
 }
@@ -49,9 +79,11 @@ func (fs *FS) OpenFile(path string, flags int, mode uint32, owner string) (*Hand
 // two racing O_CREAT|O_EXCL opens of a missing name have one winner.
 func (v TracedView) OpenFile(path string, flags int, mode uint32, owner string) (*Handle, error) {
 	fs := v.fs
-	writable := flags&3 != ORdonly
-	trunc := writable && flags&OTrunc != 0
-	if flags&OCreat == 0 && !trunc {
+	acc, err := OpenAccess(flags)
+	if err != nil {
+		return nil, &PathError{"open", path, err}
+	}
+	if acc&MayMutate == 0 {
 		fs.treeMu.RLock()
 		defer fs.treeMu.RUnlock()
 	} else {
@@ -69,9 +101,9 @@ func (v TracedView) OpenFile(path string, flags int, mode uint32, owner string) 
 	case err != nil:
 	case flags&(OCreat|OExcl) == OCreat|OExcl:
 		err = ErrExist
-	case writable && n.ftype == TypeDir:
+	case acc&MayWrite != 0 && n.ftype == TypeDir:
 		err = ErrIsDir
-	case trunc:
+	case acc&MayWrite != 0 && flags&OTrunc != 0:
 		err = fs.edit(n, Mutation{Op: MutTruncate, Path: path, Trace: v.trace})
 	}
 	if err != nil {

@@ -21,7 +21,7 @@ package vfs
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -583,7 +583,7 @@ func (v TracedView) ReadDir(path string) ([]DirEntry, error) {
 	for name, child := range dir.children {
 		out = append(out, DirEntry{Name: name, Type: child.ftype})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 

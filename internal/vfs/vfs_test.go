@@ -396,6 +396,29 @@ func TestCleanIdempotentProperty(t *testing.T) {
 	}
 }
 
+// TestReadDirAllocatesOnlyItsResult: a readdir allocates the slice it
+// returns and nothing else; the sort works in place.
+func TestReadDirAllocatesOnlyItsResult(t *testing.T) {
+	fs := newFS(t)
+	if err := fs.Mkdir("/d", 0o755, "u"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"f", "b", "e", "a", "d", "c"} {
+		if _, err := fs.Create("/d/"+name, 0o644, "u"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ents []DirEntry
+	if got := testing.AllocsPerRun(100, func() { ents, _ = fs.ReadDir("/d") }); got != 1 {
+		t.Errorf("ReadDir of 6 entries allocates %.0f, want 1 (its result)", got)
+	}
+	for i, want := range []string{"a", "b", "c", "d", "e", "f"} {
+		if ents[i].Name != want {
+			t.Fatalf("ReadDir order = %v, want sorted", ents)
+		}
+	}
+}
+
 // TestPathComponentsMatchesSplitPath: the counting scan agrees with
 // the length of SplitPath's slice on every path built from up to five
 // of "", ".", "..", "a" and "bc", rooted or relative, with or without a

@@ -6,6 +6,7 @@ import (
 
 	"identitybox/internal/kernel"
 	"identitybox/internal/vclock"
+	"identitybox/internal/vfs"
 )
 
 // Recorder is a kernel.Tracer that captures a program's system calls
@@ -87,14 +88,15 @@ func (r *Recorder) SyscallExit(p *kernel.Proc, f *kernel.Frame) {
 		name := fmt.Sprintf("h%d", r.nextH)
 		r.handles[int(f.Ret)] = name
 		mode := "ro"
+		acc, _ := vfs.OpenAccess(f.Flags) // the open succeeded, so its mode is valid
 		switch {
 		case f.Flags&kernel.OCreat != 0 && f.Flags&kernel.OAppend != 0:
 			mode = "app"
 		case f.Flags&kernel.OCreat != 0:
 			mode = "creat"
-		case f.Flags&3 == kernel.OWronly:
+		case acc&vfs.MayRead == 0:
 			mode = "wo"
-		case f.Flags&3 == kernel.ORdwr:
+		case acc&vfs.MayWrite != 0:
 			mode = "rw"
 		}
 		r.ops = append(r.ops, TraceOp{Verb: "open", Handle: name, Path: f.Path, Flags: openFlagNames[mode]})
