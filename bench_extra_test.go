@@ -205,9 +205,6 @@ func BenchmarkChirpExec(b *testing.B) {
 		return 0
 	})
 	cl := loopbackServer(b, k, false)
-	if cl.Protocol() != 2 {
-		b.Fatalf("session speaks v%d, want v2", cl.Protocol())
-	}
 	if err := cl.Mkdir("/job", 0o755); err != nil {
 		b.Fatal(err)
 	}

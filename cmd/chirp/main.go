@@ -25,8 +25,8 @@
 //	metrics                     dump the server's metric registry
 //	                            (Prometheus text exposition)
 //	ping [n]                    n whoami round trips (default 5) plus
-//	                            the negotiated protocol version, window
-//	                            state, client retry/breaker counters and
+//	                            the negotiated window state, client
+//	                            retry/breaker counters and
 //	                            the server's fault-tolerance series
 //	trace [hexid]               without an id: run a traced mkdir+rmdir
 //	                            probe and print the full span chain —
@@ -44,12 +44,14 @@
 // transparent retries of idempotent calls (0: none, so the first
 // transport failure surfaces).
 //
-// Protocol: v2 tagged multiplexing is negotiated by default. -window
-// and -max-inflight request smaller credit-window caps (the server's
-// caps still bound them); -proto 1 pins the classic lock-step protocol.
+// Protocol: every session negotiates Chirp v2, tagged multiplexing
+// under a credit window. -window and -max-inflight request smaller caps
+// (the server's caps still bound them); -window 1 keeps one call in
+// flight.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -71,9 +73,8 @@ func main() {
 	user := flag.String("user", "", "unix user to authenticate as (empty: hostname method)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-call deadline on each wire exchange (0: none)")
 	retries := flag.Int("retries", 3, "max transparent retries for idempotent calls (0: none)")
-	window := flag.Int("window", 0, "requested v2 credit window, tags in flight (0: the built-in default)")
-	maxInflight := flag.Int64("max-inflight", 0, "requested v2 in-flight byte budget (0: the built-in default)")
-	proto := flag.Int("proto", 0, "pin the protocol version (1: classic lock-step; 0: negotiate)")
+	window := flag.Int("window", 0, "requested credit window, tags in flight (0: the built-in default)")
+	maxInflight := flag.Int64("max-inflight", 0, "requested in-flight byte budget (0: the built-in default)")
 	deadlineBudget := flag.Duration("deadline-budget", 0, "wall-clock budget per logical call, retries included; propagated so the server sheds expired work (0: none)")
 	flag.Parse()
 	args := flag.Args()
@@ -89,8 +90,7 @@ func main() {
 	auths = append(auths, &auth.HostnameClient{})
 
 	opts := chirp.ClientOptions{Timeout: *timeout, MaxRetries: *retries,
-		Window: *window, MaxInflightBytes: *maxInflight, Protocol: *proto,
-		DeadlineBudget: *deadlineBudget}
+		Window: *window, MaxInflightBytes: *maxInflight, DeadlineBudget: *deadlineBudget}
 	if *retries <= 0 {
 		opts.MaxRetries = -1 // the library reads 0 as its default
 	}
@@ -300,7 +300,7 @@ var traceRing *obs.SpanRing
 // handler, WAL group-commit, durability barrier and reply timings.
 func traceProbe(cl *chirp.Client) error {
 	if ws := cl.WindowStats(); !ws.Traced {
-		return fmt.Errorf("tracing not negotiated (v%d session; the server must run with tracing enabled and speak v2)", ws.Protocol)
+		return errors.New("tracing not negotiated (the server must run with tracing enabled)")
 	}
 	id := obs.NewTraceID()
 	cl.SetTrace(id)
@@ -370,12 +370,8 @@ func ping(cl *chirp.Client, n int) error {
 	}
 	fmt.Printf("%d round trips: min %v  avg %v  max %v\n", n, min, total/time.Duration(n), max)
 	ws := cl.WindowStats()
-	if ws.Protocol == chirp.ProtocolV2 {
-		fmt.Printf("protocol: v%d  window %d tags / %d bytes  in flight %d  stalls %d\n",
-			ws.Protocol, ws.Window, ws.MaxInflightBytes, ws.InFlight, ws.Stalls)
-	} else {
-		fmt.Printf("protocol: v%d (lock-step)\n", ws.Protocol)
-	}
+	fmt.Printf("protocol: v%d  window %d tags / %d bytes  in flight %d  stalls %d\n",
+		chirp.ProtocolV2, ws.Window, ws.MaxInflightBytes, ws.InFlight, ws.Stalls)
 	if st, err := cl.Stats(); err == nil && st.Role != "" {
 		fmt.Printf("role: %s  epoch %d  applied lsn %d\n", st.Role, st.Epoch, st.AppliedLSN)
 	}

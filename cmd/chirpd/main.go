@@ -39,18 +39,18 @@
 // WAL. A fenced former primary refuses writes until restarted as a
 // follower of the new one.
 //
-// -req-timeout bounds the wire I/O of each request once its command
-// line arrives, so a stalled client cannot pin a session goroutine.
+// -req-timeout bounds the wire I/O of each request once its frame
+// header arrives, so a stalled client cannot pin a session goroutine.
 // On SIGINT the server drains gracefully: in-flight RPCs finish, new
 // connections are refused, and after -drain stragglers are severed.
 // A second SIGINT during the drain escalates: the drain is abandoned
 // and every session severed immediately (the escalation is logged).
 //
-// Sessions negotiate the v2 tagged protocol when the client supports
-// it: requests are multiplexed out of order under a per-session credit
-// window and served by a per-session pool of workers. Old
-// lock-step v1 clients speak the same wire as ever and pass through the
-// same pipeline, admission control included, one request at a time.
+// Every session negotiates the v2 tagged protocol: requests are
+// multiplexed out of order under a per-session credit window and served
+// by a per-session pool of workers. A client whose first line after
+// authentication is not the version exchange (an old v1 client) gets
+// one error line and is disconnected, its request never run.
 //
 // -admit-queue turns on overload protection: requests are admitted
 // against a queue of that depth and a payload byte budget (EBUSY with a
@@ -65,7 +65,7 @@
 // ?format=json). The same counters are also reachable over the Chirp
 // wire ("chirp stats" / "chirp metrics").
 //
-// Request tracing is on by default: v2 clients that ask for the
+// Request tracing is on by default: clients that ask for the
 // "trace" capability get per-request server spans — lane queue wait,
 // handler, WAL group-commit and durability-barrier timing, reply
 // flush — retained in a bounded ring (-trace-spans) and fetchable by
@@ -121,7 +121,7 @@ func main() {
 	traceSpans := flag.Int("trace-spans", obs.DefaultSpanCapacity, "retained request spans (0: disable request tracing)")
 	traceLog := flag.String("trace-log", "", "append slow traced requests to this JSONL file")
 	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond, "log traced requests at least this slow to -trace-log (0: log every traced request)")
-	reqTimeout := flag.Duration("req-timeout", 30*time.Second, "per-request wire deadline after the command line arrives (0: none)")
+	reqTimeout := flag.Duration("req-timeout", 30*time.Second, "per-request wire deadline after the frame header arrives (0: none)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain budget before severing sessions")
 	admitQueue := flag.Int("admit-queue", 0, "bounded admit-queue depth for overload protection (0: admission control off)")
 	verbose := flag.Bool("v", false, "log every request")

@@ -6,6 +6,7 @@ package identitybox
 
 import (
 	"bufio"
+	"encoding/binary"
 	"io"
 	"net"
 	"os"
@@ -246,9 +247,9 @@ func TestChirpDaemonCrashRecovery(t *testing.T) {
 
 // TestChirpDaemonSecondInterruptForcesShutdown: a second SIGINT during
 // the drain abandons it and severs sessions immediately. A raw wire
-// connection authenticates, announces a counted setacl payload and
-// never sends it, pinning a session busy in the payload read so the
-// drain genuinely hangs until the escalation.
+// connection authenticates, asks for more getfile replies than the
+// socket holds and never reads them, pinning a session busy in its
+// reply write so the drain genuinely hangs until the escalation.
 func TestChirpDaemonSecondInterruptForcesShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real daemons")
@@ -299,19 +300,20 @@ func TestChirpDaemonSecondInterruptForcesShutdown(t *testing.T) {
 		}
 	}
 
-	// Hold a session busy: speak the wire protocol by hand, then stall
-	// inside a request. setacl announces a counted payload; withholding
-	// it leaves the session goroutine blocked (and marked busy) in the
-	// payload read for the full -req-timeout.
+	// Hold a session busy: speak the wire protocol by hand, then stop
+	// reading. Sixteen getfile replies of a 4 MiB file, 64 MiB, are more
+	// than the socket buffers hold, so a worker blocks in its reply write
+	// for the full -req-timeout, and the requests keep the session's
+	// window slots (and so the session busy) meanwhile.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	say := func(s string) {
+	send := func(b []byte) {
 		t.Helper()
-		if _, err := conn.Write([]byte(s + "\n")); err != nil {
+		if _, err := conn.Write(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,13 +327,29 @@ func TestChirpDaemonSecondInterruptForcesShutdown(t *testing.T) {
 			t.Fatalf("wire reply %q, want prefix %q", l, prefix)
 		}
 	}
-	say("auth unix")
+	send([]byte("auth unix\n"))
 	expect("yes")
-	say("user alice")
+	send([]byte("user alice\n"))
 	expect("ok unix:alice")
-	say(`setacl "/" 512`) // payload never follows
-	// Give the server a moment to read the line and mark the session
-	// busy; otherwise the drain nudge could pop the idle read first.
+	send([]byte("version 2 64 8388608\n"))
+	expect("ok 2 ")
+	// frame is one request: u64 tag | u32 line length | u32 payload length.
+	frame := func(tag uint64, line string, payload []byte) {
+		hdr := binary.BigEndian.AppendUint64(nil, tag)
+		hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(line)))
+		hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))
+		send(append(append(hdr, line...), payload...))
+	}
+	frame(1, `putfile "/big" 644 4194304`, make([]byte, 4<<20))
+	reply := make([]byte, 16+2) // its header and "ok"
+	if _, err := io.ReadFull(br, reply); err != nil || string(reply[16:]) != "ok" {
+		t.Fatalf("putfile reply %q, %v", reply, err)
+	}
+	for tag := uint64(2); tag < 18; tag++ {
+		frame(tag, `getfile "/big"`, nil)
+	}
+	// Give the workers a moment to fill the socket and block; otherwise
+	// the drain nudge could find the session idle first.
 	time.Sleep(500 * time.Millisecond)
 
 	if err := srv.Process.Signal(syscall.SIGINT); err != nil {

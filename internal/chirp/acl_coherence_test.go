@@ -21,32 +21,26 @@ import (
 // validates the memo against the inode's mtime at every check
 // (vfs.FS.MemoIn). These tests pin the consequence: whoever rewrites,
 // moves, links or removes an ACL file — a handler, or a writer no
-// handler sees — is honoured by the very next check, on either framing.
+// handler sees — is honoured by the very next check, at either window.
 
 const (
 	aclAdminOnly = "unix:admin rwlax\n"
 	aclWithBob   = "unix:admin rwlax\nunix:bob rl\n"
 )
 
-// unixClient dials as unix:<user> speaking the given framing.
-func unixClient(t *testing.T, srv *Server, user string, proto int) *Client {
-	t.Helper()
-	cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: user}}, ClientOptions{Protocol: proto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
+// unixClient dials as unix:<user>, asking for credit window win (0: the default).
+func unixClient(t *testing.T, srv *Server, user string, win int) *Client {
+	return dialAs(t, srv, &auth.UnixClient{User: user}, ClientOptions{Window: win})
 }
 
 // coherenceFixture starts a server with /d/f owned by unix:admin (the
 // root ACL gives unix:bob nothing) and returns admin's and bob's
 // sessions.
-func coherenceFixture(t *testing.T, proto int) (srv *Server, k *kernel.Kernel, admin, bob *Client) {
+func coherenceFixture(t *testing.T, win int) (srv *Server, k *kernel.Kernel, admin, bob *Client) {
 	t.Helper()
 	srv, k, _ = testServer(t)
-	admin = unixClient(t, srv, "admin", proto)
-	bob = unixClient(t, srv, "bob", proto)
+	admin = unixClient(t, srv, "admin", win)
+	bob = unixClient(t, srv, "bob", win)
 	if err := admin.Mkdir("/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +84,8 @@ func readChecks(t *testing.T, cl *Client, dir string, allowed bool, wantACL stri
 // A grant and a revoke made on session A are honoured by session B's
 // next request; checks that find an unchanged ACL file do not parse it.
 func TestACLCoherenceSetACLAcrossSessions(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
-		srv, _, admin, bob := coherenceFixture(t, proto)
+	bothWindows(t, func(t *testing.T, win int) {
+		srv, _, admin, bob := coherenceFixture(t, win)
 		readChecks(t, bob, "/d", false, "")
 		if err := admin.SetACL("/d", aclWithBob); err != nil {
 			t.Fatal(err)
@@ -124,8 +118,8 @@ func TestACLCoherenceSetACLAcrossSessions(t *testing.T) {
 // Writers no handler sees: the benchmark loader's fs.WriteFile straight
 // into the tree, and a boxed program's setacl through the kernel.
 func TestACLCoherenceWritersBehindTheServer(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
-		_, k, admin, bob := coherenceFixture(t, proto)
+	bothWindows(t, func(t *testing.T, win int) {
+		_, k, admin, bob := coherenceFixture(t, win)
 		readChecks(t, bob, "/d", false, "") // memoise the admin-only version
 
 		if err := k.FS().WriteFile("/d/"+acl.FileName, []byte(aclWithBob), 0o644, "chirpowner"); err != nil {
@@ -152,8 +146,8 @@ func TestACLCoherenceWritersBehindTheServer(t *testing.T) {
 // Namespace changes around a memoised ACL: the memo lives on the inode,
 // so a path that now names a different inode (or none) never sees it.
 func TestACLCoherenceNamespaceChanges(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
-		_, k, admin, bob := coherenceFixture(t, proto)
+	bothWindows(t, func(t *testing.T, win int) {
+		_, k, admin, bob := coherenceFixture(t, win)
 		fs := k.FS()
 		if err := admin.SetACL("/d", aclWithBob); err != nil {
 			t.Fatal(err)
@@ -234,8 +228,8 @@ func TestACLCoherenceNamespaceChanges(t *testing.T) {
 // A malformed ACL fails closed — even for its administrator — until it
 // is repaired.
 func TestACLCoherenceMalformedThenRepaired(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
-		_, k, admin, bob := coherenceFixture(t, proto)
+	bothWindows(t, func(t *testing.T, win int) {
+		_, k, admin, bob := coherenceFixture(t, win)
 		readChecks(t, admin, "/d", true, aclAdminOnly)
 		if err := k.FS().WriteFile("/d/"+acl.FileName, []byte("unix:bob rl trailing-garbage\n"), 0o644, "chirpowner"); err != nil {
 			t.Fatal(err)
@@ -254,13 +248,13 @@ func TestACLCoherenceMalformedThenRepaired(t *testing.T) {
 // any handler of its own server; its read checks follow the ACL it just
 // applied.
 func TestACLCoherenceOnFollower(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		primary := startReplMember(t, "vol", "", "")
 		follower := startReplMember(t, "vol", "", primary.addr)
 		pollUntil(t, 2*time.Second, "follower subscription", func() bool { return primary.pub.Subscribers() == 1 })
 
-		admin := unixClient(t, primary.srv, "admin", proto)
-		bob := unixClient(t, follower.srv, "bob", proto)
+		admin := unixClient(t, primary.srv, "admin", win)
+		bob := unixClient(t, follower.srv, "bob", win)
 		caughtUp := func() {
 			t.Helper()
 			st, err := admin.Stats()
@@ -302,15 +296,15 @@ func TestACLCoherenceHammer(t *testing.T) {
 		textA = "unix:admin rwlax\nunix:bob rl\n"
 		textB = "unix:admin rwlax\nunix:bob rlx\nunix:carol r\n"
 	)
-	bothFramings(t, func(t *testing.T, proto int) {
-		srv, _, admin, _ := coherenceFixture(t, proto)
+	bothWindows(t, func(t *testing.T, win int) {
+		srv, _, admin, _ := coherenceFixture(t, win)
 		if err := admin.SetACL("/d", textA); err != nil {
 			t.Fatal(err)
 		}
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for r := 0; r < 3; r++ {
-			bob := unixClient(t, srv, "bob", proto)
+			bob := unixClient(t, srv, "bob", win)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -344,7 +338,7 @@ func TestACLCoherenceHammer(t *testing.T) {
 		close(stop)
 		wg.Wait()
 		for _, user := range []string{"bob", "admin"} {
-			readChecks(t, unixClient(t, srv, user, proto), "/d", true, last)
+			readChecks(t, unixClient(t, srv, user, win), "/d", true, last)
 		}
 	})
 }
@@ -382,15 +376,15 @@ func jitter(r *rand.Rand) {
 // The server's rmdir against a put over a second session, jittered in
 // half the rounds so it lands at different points of the rmdir.
 func TestRmdirRacingPutKeepsTheACL(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, _ := testServer(t)
 		fs := k.FS()
-		admin := unixClient(t, srv, "admin", proto)
-		putter := unixClient(t, srv, "admin", proto)
+		admin := unixClient(t, srv, "admin", win)
+		putter := unixClient(t, srv, "admin", win)
 		if err := admin.Mkdir("/r", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		r := rand.New(rand.NewSource(int64(proto)))
+		r := rand.New(rand.NewSource(int64(2 - win))) // seed 1 for "v1", 2 for "v2"
 		for i := 0; i < 300; i++ {
 			dir := fmt.Sprintf("/r/d%d", i)
 			if err := admin.Mkdir(dir, 0o755); err != nil {

@@ -90,16 +90,16 @@ func (fx aliasFixture) verify(cl *Client, fd int) error {
 // TestReplyBuffersNeverShared is the test of buffer reuse on the wire
 // path, whose failure mode is a well-formed reply to someone else's
 // request. Sixteen callers pipeline stat, getdir, pread, getacl and a
-// failing stat through one session — one worker and eight, both
-// framings — and every reply must be the caller's own: reply lines are
+// failing stat through one session — one worker and eight, at either
+// window — and every reply must be the caller's own: reply lines are
 // encoded in per-worker buffers, request lines in pooled ones, calls are
 // recycled, and none of it may be visible.
 func TestReplyBuffersNeverShared(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		for _, workers := range []int{1, 8} {
 			srv, _, _ := testServer(t)
 			srv.opts.Workers = workers
-			cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+			cl := adminClient(t, srv, ClientOptions{Window: win})
 			runAliasCallers(t, cl, true, 40, nil)
 		}
 	})
@@ -111,11 +111,11 @@ func TestReplyBuffersNeverShared(t *testing.T) {
 // kept for it, on a fresh session, while the dead session's writer may
 // still hold the old attempt. Every answer must still be the caller's.
 func TestRetainedLineResentAfterFault(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
 		loser := &replyLoser{}
 		cl := adminClient(t, srv, ClientOptions{
-			Protocol: proto, Dialer: loser.dial,
+			Window: win, Dialer: loser.dial,
 			MaxRetries: 50, RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
 			BreakerThreshold: 1 << 20,
 		})

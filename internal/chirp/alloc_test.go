@@ -11,7 +11,7 @@ import (
 
 // wireAllocBudget is the one table of heap-allocation budgets for an
 // operation, client and server together (they share the test's
-// process). A row holds on both framings unless it names one, and with
+// process). A row holds at either window, and with
 // admission control plus a deadline budget on the wire: tickets are
 // pooled and the deadline prefix is written into the call. A round trip
 // allocates the request line's string at the server, whose fields are
@@ -36,10 +36,10 @@ func TestWireAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		for _, admitted := range []bool{false, true} {
 			srv, _, _ := testServer(t)
-			opts := ClientOptions{Protocol: proto}
+			opts := ClientOptions{Window: win}
 			if admitted {
 				srv.opts.Admission = admission.New(admission.Options{})
 				opts.DeadlineBudget = time.Minute

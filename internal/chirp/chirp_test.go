@@ -187,20 +187,12 @@ func TestHostnameUsersLimitedToRX(t *testing.T) {
 	srv, k, _ := testServer(t)
 	// The admin stages a program at the top level.
 	k.RegisterProgram("hello", func(p *kernel.Proc, _ []string) int { return 42 })
-	admin, err := Dial(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
+	admin := adminClient(t, srv, ClientOptions{})
 	if err := admin.PutFile("/hello.exe", kernel.ExecutableBytes("hello"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 
-	host, err := Dial(srv.Addr(), []auth.Authenticator{&auth.HostnameClient{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
+	host := dialAs(t, srv, &auth.HostnameClient{}, ClientOptions{})
 	if host.Identity() != "hostname:localhost.nowhere.edu" {
 		t.Fatalf("hostname identity = %q", host.Identity())
 	}
@@ -301,11 +293,7 @@ func TestMetadataOpsOverWire(t *testing.T) {
 		t.Fatalf("rmdir without w in parent = %v, want EPERM", err)
 	}
 	// The admin (rwlax at the root) may remove it.
-	admin, err := Dial(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
+	admin := adminClient(t, srv, ClientOptions{})
 	if err := admin.Rmdir("/m"); err != nil {
 		t.Fatal(err)
 	}

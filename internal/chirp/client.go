@@ -21,9 +21,8 @@ import (
 // Client is one authenticated connection to a Chirp server. Methods
 // mirror the Unix-like protocol. A Client is safe for concurrent use by
 // any number of goroutines: every exchange runs on the session engine
-// (muxSession), which multiplexes calls up to the negotiated window on
-// a v2 session and serializes them (window 1) on a v1 one, so one
-// connection can back a whole mount table or a pool of workers.
+// (muxSession), which multiplexes calls up to the negotiated window, so
+// one connection can back a whole mount table or a pool of workers.
 //
 // The client is fault tolerant: each wire exchange runs under an
 // optional deadline, a dead connection is re-dialed and
@@ -34,10 +33,9 @@ import (
 // redials consume wall-clock time only — nothing here touches the
 // virtual clock, so instrumented retries charge zero virtual ticks.
 type Client struct {
-	mu     sync.Mutex // guards conn, mux, proto, broken, closed
+	mu     sync.Mutex // guards conn, mux, broken, closed
 	conn   net.Conn
 	mux    *muxSession // session engine for the live connection (nil when none)
-	proto  int         // negotiated protocol version for the current session
 	closed bool
 	broken bool // the transport failed; the next call redials
 	dialed bool // first connection established (later dials count as redials)
@@ -190,19 +188,17 @@ func (cl *Client) connectLocked() error {
 		return fmt.Errorf("chirp: redial authenticated as %q, session was %q", ident, cl.ident)
 	}
 	c := newCodec(conn)
-	f := lineFraming
-	if cl.opts.Protocol != ProtocolV1 {
-		if f, err = cl.negotiateVersion(c); err != nil {
-			conn.Close()
-			c.release()
-			cl.brk.Fail()
-			return err
-		}
+	f, err := cl.negotiateVersion(c)
+	if err != nil {
+		conn.Close()
+		c.release()
+		cl.brk.Fail()
+		return err
 	}
 	if cl.opts.Timeout > 0 {
 		conn.SetDeadline(time.Time{})
 	}
-	cl.conn, cl.broken, cl.ident, cl.proto = conn, false, ident, f.proto
+	cl.conn, cl.broken, cl.ident = conn, false, ident
 	cl.mux = newMuxSession(cl, conn, c, f)
 	cl.m.negWindow.Set(int64(f.window))
 	cl.m.negMaxBytes.Set(f.maxBytes)
@@ -219,16 +215,12 @@ func (cl *Client) connectLocked() error {
 	return nil
 }
 
-// negotiateVersion runs the protocol version exchange on a freshly
-// authenticated connection. The exchange itself is lock-step v1 — one
-// line out, one reply back — so a v1 server sees nothing unusual: it
-// answers the unknown "version" command with ENOSYS and the client
-// stays on the line framing (window 1). A v2 server replies "ok 2 <window>
-// <maxbytes> [caps...]" with its own caps; each side then uses the
-// minimum and all subsequent traffic is framed. When the client wants
-// request tracing (ClientOptions.Spans) it appends the trace capability
-// token; tracing activates only if the server echoes it back, so an
-// older v2 server silently leaves it off.
+// negotiateVersion runs the version exchange on a freshly
+// authenticated connection (exchangeVersion); each side then uses the
+// minimum of the two windows and byte budgets, and all subsequent
+// traffic is framed. When the client wants request tracing
+// (ClientOptions.Spans) or deadline budgets it appends that capability
+// token; either activates only if the server echoes it back.
 func (cl *Client) negotiateVersion(c *codec) (framing, error) {
 	cl.sent.Add(1)
 	var caps []string
@@ -238,39 +230,13 @@ func (cl *Client) negotiateVersion(c *codec) (framing, error) {
 	if cl.opts.DeadlineBudget > 0 {
 		caps = append(caps, capDeadline)
 	}
-	if err := c.writeLine(versionLine(cl.opts.Window, cl.opts.MaxInflightBytes, caps...)); err != nil {
-		return framing{}, err
-	}
-	line, err := c.readLine()
+	w, b, echoed, err := exchangeVersion(c, cl.opts.Window, cl.opts.MaxInflightBytes, caps...)
 	if err != nil {
 		return framing{}, err
-	}
-	parts, err := splitFields(string(line))
-	if err != nil || len(parts) == 0 || (parts[0] != "ok" && parts[0] != "err") {
-		return framing{}, fmt.Errorf("chirp: malformed version reply %q", line)
-	}
-	if parts[0] == "err" {
-		// An old (or v1-pinned) server treats "version" as an unknown
-		// command; that error reply is the fallback signal.
-		return lineFraming, nil
-	}
-	v, w, b, echoed, err := parseVersionArgs(parts[1:])
-	if err != nil {
-		return framing{}, err
-	}
-	if v != ProtocolV2 {
-		return framing{}, fmt.Errorf("chirp: server negotiated unsupported protocol %d", v)
-	}
-	if w > cl.opts.Window {
-		w = cl.opts.Window
-	}
-	if b > cl.opts.MaxInflightBytes {
-		b = cl.opts.MaxInflightBytes
 	}
 	return framing{
-		proto:     ProtocolV2,
-		window:    w,
-		maxBytes:  b,
+		window:    min(w, cl.opts.Window),
+		maxBytes:  min(b, cl.opts.MaxInflightBytes),
 		traced:    cl.opts.Spans != nil && hasCap(echoed, capTrace),
 		deadlined: cl.opts.DeadlineBudget > 0 && hasCap(echoed, capDeadline),
 	}, nil
@@ -338,11 +304,11 @@ func (cl *Client) replayAssertionsLocked() error {
 type wireCall struct {
 	line     *lineBuf  // the encoded request line, from newLine: do owns it for every attempt and recycles it
 	sendBody []byte    // counted payload sent with the request
-	recvBody bool      // reply carries a counted payload (sized by reply[0] on v1)
+	recvBody bool      // reply carries a counted payload
 	recvInto []byte    // reply payload is read directly into this buffer instead
 	noRetry  bool      // this call is not idempotent though its command usually is
-	trace    uint64    // request-tracing ID (0 untraced); only v2 traced sessions send it
-	deadline time.Time // logical-call deadline (zero = unbounded); v2 deadlined sessions send the remaining budget
+	trace    uint64    // request-tracing ID (0 untraced); only traced sessions send it
+	deadline time.Time // logical-call deadline (zero = unbounded); deadlined sessions send the remaining budget
 }
 
 // do runs one logical RPC: deadline per attempt, redial on a broken
@@ -922,7 +888,7 @@ func (cl *Client) exec(token, cwd, path string, args []string) (ExecResult, erro
 const transferChunk = 65536
 
 // PutFile stages a whole file onto the server. A file up to MaxPayload
-// goes as one putfile, in either framing: one request, one journal
+// goes as one putfile: one request, one journal
 // record and one durability wait, retried transparently like any
 // idempotent call. A larger file takes the chunk path (putChunks).
 func (cl *Client) PutFile(path string, data []byte, mode uint32) error {
@@ -1016,8 +982,8 @@ func (cl *Client) getChunks(path string) ([]byte, error) {
 // eachChunk calls fn for chunk indexes [0, n), keeping min(window, n)
 // calls in flight, where window is the current session's negotiated
 // credit window — each an independent call on the session engine, whose
-// credit window does all the flow control. A v1 session (window 1) and
-// a one-chunk transfer run the serial loop and spawn no goroutine. It
+// credit window does all the flow control. A window of one and a
+// one-chunk transfer run the serial loop and spawn no goroutine. It
 // stops issuing chunks at the first error and reports the earliest
 // failed chunk's.
 func (cl *Client) eachChunk(n int, fn func(i int) error) error {

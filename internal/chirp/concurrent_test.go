@@ -202,11 +202,11 @@ func TestSharedClientConcurrentUse(t *testing.T) {
 // so a second winner would hand one name to two owners.
 func TestOpenExclusiveOneWinner(t *testing.T) {
 	const sessions, rounds = 4, 2000
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
 		var cls [sessions]*Client
 		for i := range cls {
-			cls[i] = unixClient(t, srv, "admin", proto)
+			cls[i] = unixClient(t, srv, "admin", win)
 		}
 		if err := cls[0].Mkdir("/excl", 0o755); err != nil {
 			t.Fatal(err)

@@ -92,10 +92,10 @@ func dedupeServer(t *testing.T, j DedupeJournal, seed map[string][]string, reg *
 // TestDedupeJournalReceivesTokenedReplies: every tokened reply reaches
 // the journal under the principal-scoped key.
 func TestDedupeJournalReceivesTokenedReplies(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		j := newMemJournal()
 		srv, _ := dedupeServer(t, j, nil, nil, nil)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		cl := adminClient(t, srv, ClientOptions{Window: win})
 		token := NewRequestToken()
 		if _, err := cl.ExecToken(token, "/", "/sim.exe"); err != nil {
 			t.Fatal(err)
@@ -116,10 +116,10 @@ func TestDedupeJournalReceivesTokenedReplies(t *testing.T) {
 // across a restart: a retry of an already-journaled token against a
 // freshly seeded server replays the reply and never runs the program.
 func TestDedupeSeedAnswersRetryWithoutExecution(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		j := newMemJournal()
 		srv1, execs1 := dedupeServer(t, j, nil, nil, nil)
-		cl1 := adminClient(t, srv1, ClientOptions{Protocol: proto})
+		cl1 := adminClient(t, srv1, ClientOptions{Window: win})
 		token := NewRequestToken()
 		res1, err := cl1.ExecToken(token, "/", "/sim.exe")
 		if err != nil {
@@ -131,7 +131,7 @@ func TestDedupeSeedAnswersRetryWithoutExecution(t *testing.T) {
 
 		// "Restart": a brand-new server seeded from the journal.
 		srv2, execs2 := dedupeServer(t, nil, j.snapshot(), nil, nil)
-		cl2 := adminClient(t, srv2, ClientOptions{Protocol: proto})
+		cl2 := adminClient(t, srv2, ClientOptions{Window: win})
 		res2, err := cl2.ExecToken(token, "/", "/sim.exe")
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +148,7 @@ func TestDedupeSeedAnswersRetryWithoutExecution(t *testing.T) {
 // TestDedupeJournalFailureDoesNotBlockReply: a failing journal degrades
 // durability (counted, logged), never availability.
 func TestDedupeJournalFailureDoesNotBlockReply(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		j := newMemJournal()
 		j.failNext = true
 		reg := obs.NewRegistry()
@@ -160,7 +160,7 @@ func TestDedupeJournalFailureDoesNotBlockReply(t *testing.T) {
 			lines = append(lines, format)
 		}
 		srv, _ := dedupeServer(t, j, nil, reg, logf)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		cl := adminClient(t, srv, ClientOptions{Window: win})
 		if _, err := cl.ExecToken(NewRequestToken(), "/", "/sim.exe"); err != nil {
 			t.Fatalf("reply must still be delivered: %v", err)
 		}
@@ -214,11 +214,11 @@ func (o *callOrder) take() (calls []string) {
 // Durability but no journal would have no durable append to wait on,
 // so NewServer refuses it.
 func TestBarrierPrecedesDedupeAppend(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		var order callOrder
 		srv, execs := dedupeServer(t, &order, nil, nil, nil)
 		srv.opts.Durability = &order
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		cl := adminClient(t, srv, ClientOptions{Window: win})
 		if _, err := cl.ExecToken(NewRequestToken(), "/", "/sim.exe"); err != nil {
 			t.Fatal(err)
 		}
@@ -267,17 +267,17 @@ func (j *parkedJournal) Barrier() error {
 // waits out its fsync and follower ack, and a crash in that window
 // would lose a write the client saw acknowledged.
 func TestDedupeReplayWaitsForDurability(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		j := &parkedJournal{memJournal: newMemJournal(), entered: make(chan struct{}, 1), release: make(chan struct{})}
 		srv, execs := dedupeServer(t, j, nil, nil, nil)
 		srv.opts.Durability = j
 		token := NewRequestToken()
-		first, err := adminClient(t, srv, ClientOptions{Protocol: proto}).ExecToken(token, "/", "/sim.exe")
+		first, err := adminClient(t, srv, ClientOptions{Window: win}).ExecToken(token, "/", "/sim.exe")
 		if err != nil {
 			t.Fatal(err)
 		}
 		j.parked.Store(true)
-		retry := adminClient(t, srv, ClientOptions{Protocol: proto})
+		retry := adminClient(t, srv, ClientOptions{Window: win})
 		type outcome struct {
 			res ExecResult
 			err error
@@ -371,14 +371,14 @@ func TestTokenedAppendIsBarrierWaitPhase(t *testing.T) {
 // one that may create or truncate, and any other mutation, still
 // barriers once.
 func TestReadOnlyOpenSkipsBarrier(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, _ := testServer(t)
 		if err := k.FS().WriteFile("/f", []byte("x"), 0o644, "chirpowner"); err != nil {
 			t.Fatal(err)
 		}
 		var order callOrder
 		srv.opts.Durability = &order
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		cl := adminClient(t, srv, ClientOptions{Window: win})
 		barriers := func() (n int) {
 			for _, c := range order.take() {
 				if c == "barrier" {

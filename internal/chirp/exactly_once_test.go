@@ -108,13 +108,13 @@ func TestExactlyOnceOnFollowerAndPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cat.Close()
-	bothFramings(t, func(t *testing.T, proto int) {
-		name := fmt.Sprintf("vol-v%d", proto) // one lease per framing
+	bothWindows(t, func(t *testing.T, win int) {
+		name := fmt.Sprintf("vol-w%d", win) // one lease per subtest
 		primary := startReplMember(t, name, cat.Addr(), "")
 		follower := startReplMember(t, name, cat.Addr(), primary.addr)
 		pollUntil(t, 2*time.Second, "follower subscription", func() bool { return primary.pub.Subscribers() == 1 })
 
-		cl := adminClient(t, primary.srv, ClientOptions{Protocol: proto})
+		cl := adminClient(t, primary.srv, ClientOptions{Window: win})
 		if err := cl.Mkdir("/work", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestExactlyOnceOnFollowerAndPromotion(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		fcl := adminClient(t, follower.srv, ClientOptions{Protocol: proto})
+		fcl := adminClient(t, follower.srv, ClientOptions{Window: win})
 		if _, err := fcl.WaitLSN(st.AppliedLSN, 2*time.Second); err != nil {
 			t.Fatalf("waitlsn: %v", err)
 		}

@@ -3,7 +3,6 @@ package chirp
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -52,13 +51,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// bothFramings runs fn once per wire framing, as subtests "v1" and
-// "v2": every guarantee the suites check must hold whichever framing
-// the client speaks. proto goes into ClientOptions.Protocol.
-func bothFramings(t *testing.T, fn func(t *testing.T, proto int)) {
-	for _, proto := range []int{ProtocolV1, ProtocolV2} {
-		proto := proto
-		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) { fn(t, proto) })
+// bothWindows runs fn twice, at both ends of the client's credit
+// window: every guarantee the suites check must hold whether a session
+// keeps one call in flight or pipelines. Subtest "v1" passes win 1, the
+// lock-step exchange (the serial chunk path, replies in request order)
+// that the retired v1 line framing gave and whose name the subtest
+// keeps; "v2" passes 0, the default window. win goes into
+// ClientOptions.Window.
+func bothWindows(t *testing.T, fn func(t *testing.T, win int)) {
+	for _, w := range []struct {
+		name string
+		win  int
+	}{{"v1", 1}, {"v2", 0}} {
+		t.Run(w.name, func(t *testing.T) { fn(t, w.win) })
 	}
 }
 
@@ -66,9 +71,8 @@ func bothFramings(t *testing.T, fn func(t *testing.T, proto int)) {
 // armed, the next bytes the server sends are dropped and the connection
 // dies — the request reached the server and ran, its answer never
 // reaches the client. faultnet decides read faults on entry to Read, so
-// it cannot touch a reader already parked there (the v2 reply loop);
-// this drops on the way out, which places the fault identically on both
-// framings.
+// it cannot touch a reader already parked there (the client's reply
+// loop); this drops on the way out instead.
 type replyLoser struct{ armed atomic.Bool }
 
 func (l *replyLoser) loseNext() { l.armed.Store(true) }
@@ -95,16 +99,22 @@ func (c *lossyConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// adminClient dials as unix:admin (rwlax at the root, and the shortest
-// auth handshake — fault schedules key on client-written bytes).
-func adminClient(t *testing.T, srv *Server, opts ClientOptions) *Client {
+// dialAs dials srv as a with opts; the client is closed when the test
+// ends.
+func dialAs(t *testing.T, srv *Server, a auth.Authenticator, opts ClientOptions) *Client {
 	t.Helper()
-	cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}}, opts)
+	cl, err := DialOpts(srv.Addr(), []auth.Authenticator{a}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
 	return cl
+}
+
+// adminClient dials as unix:admin (rwlax at the root, and the shortest
+// auth handshake — fault schedules key on client-written bytes).
+func adminClient(t *testing.T, srv *Server, opts ClientOptions) *Client {
+	return dialAs(t, srv, &auth.UnixClient{User: "admin"}, opts)
 }
 
 // registerSim installs the Figure-3 simulation program: reads its
@@ -156,11 +166,10 @@ func figure3Workflow(cl *Client) error {
 // chaosSchedule is the seeded acceptance schedule: every 3rd connection
 // is reset on its first write (it never even authenticates), and every
 // connection is reset at its 7th write. The client writes each request
-// whole, in one write, after an authentication of two writes (three on
-// v2, which adds the version exchange), so the 7th write is a request:
-// a connection carries at most four of the workflow's five requests on
-// v1 (the getfile is reset) and three on v2 (the tokened exec is), while
-// what is left after one redial always fits.
+// whole, in one write, after an authentication of two writes and the
+// version exchange, so the 7th write is a request: a connection carries
+// at most three of the workflow's five requests (the tokened exec is
+// reset), while what is left after one redial always fits.
 func chaosSchedule() *faultnet.Injector {
 	return faultnet.New(7,
 		faultnet.Rule{EveryNth: 3, Op: faultnet.OpWrite, Action: faultnet.Reset},
@@ -171,14 +180,14 @@ func chaosSchedule() *faultnet.Injector {
 // TestFigure3UnderFaults is the acceptance test: under the seeded chaos
 // schedule the retrying client completes the full Figure-3 workflow
 // with no caller-visible errors, while the same schedule with retries
-// disabled fails — over either framing.
+// disabled fails — at either window.
 func TestFigure3UnderFaults(t *testing.T) {
 	t.Run("retries-on", func(t *testing.T) {
-		bothFramings(t, func(t *testing.T, proto int) {
+		bothWindows(t, func(t *testing.T, win int) {
 			srv, k, _ := testServer(t)
 			registerSim(k)
 			inj := chaosSchedule()
-			cl := adminClient(t, srv, ClientOptions{Dialer: inj.Dialer("tcp"), Protocol: proto})
+			cl := adminClient(t, srv, ClientOptions{Dialer: inj.Dialer("tcp"), Window: win})
 			if err := figure3Workflow(cl); err != nil {
 				t.Fatalf("workflow under faults: %v", err)
 			}
@@ -197,12 +206,12 @@ func TestFigure3UnderFaults(t *testing.T) {
 		})
 	})
 	t.Run("retries-off", func(t *testing.T) {
-		bothFramings(t, func(t *testing.T, proto int) {
+		bothWindows(t, func(t *testing.T, win int) {
 			srv, k, _ := testServer(t)
 			registerSim(k)
 			inj := chaosSchedule()
 			cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-				ClientOptions{Dialer: inj.Dialer("tcp"), MaxRetries: -1, Protocol: proto})
+				ClientOptions{Dialer: inj.Dialer("tcp"), MaxRetries: -1, Window: win})
 			if err != nil {
 				return // even the dial may die; that also demonstrates the point
 			}
@@ -219,11 +228,11 @@ func TestFigure3UnderFaults(t *testing.T) {
 // transparent success, including the lost-reply mkdir/unlink cases
 // where the retry observes the first attempt's effect.
 func TestRetryTransparentForIdempotent(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
 		inj := faultnet.New(1)
 		var loser replyLoser
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, Dialer: func(addr string) (net.Conn, error) {
+		cl := adminClient(t, srv, ClientOptions{Window: win, Dialer: func(addr string) (net.Conn, error) {
 			c, err := loser.dial(addr)
 			if err != nil {
 				return nil, err
@@ -274,7 +283,7 @@ func TestRetryTransparentForIdempotent(t *testing.T) {
 // and expects the typed refusal — with the first attempt's effect
 // visible, proving the client was right not to re-send blindly.
 func TestRetryNotSafeForMutating(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, _ := testServer(t)
 		var execs atomic.Int64
 		k.RegisterProgram("cnt", func(p *kernel.Proc, _ []string) int {
@@ -282,7 +291,7 @@ func TestRetryNotSafeForMutating(t *testing.T) {
 			return 0
 		})
 		var loser replyLoser
-		cl := adminClient(t, srv, ClientOptions{Dialer: loser.dial, Protocol: proto})
+		cl := adminClient(t, srv, ClientOptions{Dialer: loser.dial, Window: win})
 		if err := cl.PutFile("/a", []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +325,7 @@ func TestRetryNotSafeForMutating(t *testing.T) {
 // and the server answers from its dedupe table instead of running the
 // job twice.
 func TestRetryTokenDedupe(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, _ := testServer(t)
 		var execs atomic.Int64
 		k.RegisterProgram("cnt", func(p *kernel.Proc, _ []string) int {
@@ -324,7 +333,7 @@ func TestRetryTokenDedupe(t *testing.T) {
 			return 0
 		})
 		var loser replyLoser
-		cl := adminClient(t, srv, ClientOptions{Dialer: loser.dial, Protocol: proto})
+		cl := adminClient(t, srv, ClientOptions{Dialer: loser.dial, Window: win})
 		if err := cl.PutFile("/cnt.exe", kernel.ExecutableBytes("cnt"), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -362,12 +371,12 @@ func TestRetryTokenDedupe(t *testing.T) {
 // against a dead server: capped exponential, half fixed + half jitter,
 // so sleep n lands in [d/2, d] for d = min(base<<(n-1), max).
 func TestRetryBackoffSchedule(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
 		var sleeps []time.Duration
 		base, max := 100*time.Millisecond, 400*time.Millisecond
 		cl := adminClient(t, srv, ClientOptions{
-			Protocol:  proto,
+			Window:    win,
 			RetryBase: base,
 			RetryMax:  max,
 			Sleep:     func(d time.Duration) { sleeps = append(sleeps, d) },
@@ -392,10 +401,10 @@ func TestRetryBackoffSchedule(t *testing.T) {
 // server and expects subsequent calls to fail fast with the typed
 // error, without redial attempts.
 func TestRetryBreakerFailsFast(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
 		cl := adminClient(t, srv, ClientOptions{
-			Protocol:         proto,
+			Window:           win,
 			BreakerThreshold: 2,
 			BreakerCooloff:   time.Hour,
 			Sleep:            func(time.Duration) {},
@@ -424,10 +433,10 @@ func TestRetryBreakerFailsFast(t *testing.T) {
 // whose transport already failed must not surface the farewell write
 // error, and double-close is a no-op.
 func TestRetryCloseAfterFault(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
 		cl := adminClient(t, srv, ClientOptions{
-			Protocol:   proto,
+			Window:     win,
 			MaxRetries: 1,
 			Sleep:      func(time.Duration) {},
 		})
@@ -473,11 +482,11 @@ func TestRetryDedupeTableBounded(t *testing.T) {
 // failover driver: with the primary dead and its breaker open, reads
 // come from the replica and writes degrade with the typed error.
 func TestFailoverReadsToReplica(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv1, _, _ := testServer(t)
 		srv2, _, _ := testServer(t)
 		fast := ClientOptions{
-			Protocol:         proto,
+			Window:           win,
 			MaxRetries:       1,
 			BreakerThreshold: 1,
 			BreakerCooloff:   time.Hour,
@@ -567,11 +576,11 @@ func TestFailoverReadsToReplica(t *testing.T) {
 // MountAll path starts none. The read after the cooloff is the breaker's
 // half-open probe; it lands on the primary and closes the breaker.
 func TestFailoverReadRejoinsAfterCooloff(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		const cooloff = 50 * time.Millisecond
 		srv1, _, _ := testServer(t)
 		srv2, _, _ := testServer(t)
-		opts := ClientOptions{Protocol: proto, BreakerThreshold: 1, BreakerCooloff: cooloff}
+		opts := ClientOptions{Window: win, BreakerThreshold: 1, BreakerCooloff: cooloff}
 		c1 := adminClient(t, srv1, opts)
 		c2 := adminClient(t, srv2, opts)
 		for cl, tag := range map[*Client]string{c1: "from-primary", c2: "from-replica"} {
@@ -636,12 +645,12 @@ func (c mutedConn) Write(p []byte) (int, error) {
 // the replica: n of them in well under n timeouts, where without the
 // breaker each would wait the timeout out again.
 func TestFailoverBreakerSkipsHungPrimary(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		const timeout, n = 100 * time.Millisecond, 10
 		srv1, _, _ := testServer(t)
 		srv2, _, _ := testServer(t)
 		opts := ClientOptions{
-			Protocol:         proto,
+			Window:           win,
 			Timeout:          timeout,
 			MaxRetries:       -1,
 			BreakerThreshold: 1,
@@ -712,13 +721,13 @@ func TestFailoverBreakerSkipsHungPrimary(t *testing.T) {
 // TestFaultServerDrainFinishesInflight starts a slow exec, then drains:
 // the in-flight job completes and new connections are refused.
 func TestFaultServerDrainFinishesInflight(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, _ := testServer(t)
 		k.RegisterProgram("slow", func(p *kernel.Proc, _ []string) int {
 			time.Sleep(150 * time.Millisecond)
 			return 0
 		})
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1})
+		cl := adminClient(t, srv, ClientOptions{Window: win, MaxRetries: -1})
 		if err := cl.PutFile("/slow.exe", kernel.ExecutableBytes("slow"), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -753,30 +762,15 @@ func TestFaultServerDrainFinishesInflight(t *testing.T) {
 	})
 }
 
-// TestFaultStalledRequestTimesOut checks the per-request read deadline:
-// a client that announces a payload and stalls is disconnected. Pinned
-// to v1 because it pokes raw protocol lines at the codec; the v2 frame
-// equivalent is TestMuxStalledFrameTimesOut.
+// TestFaultStalledRequestTimesOut checks the per-request read deadline
+// on a payload: a client that announces a pwrite payload of 100 bytes in
+// a frame and never sends it is disconnected.
 func TestFaultStalledRequestTimesOut(t *testing.T) {
 	srv, _, _ := testServer(t)
 	srv.opts.RequestTimeout = 100 * time.Millisecond
-	cl := adminClient(t, srv, ClientOptions{MaxRetries: -1, Protocol: ProtocolV1})
-	// Announce a pwrite payload of 100 bytes and send nothing.
-	cl.mu.Lock()
-	err := cl.mux.c.writeLine([]byte("pwrite 1 0 100"))
-	cl.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	cl.mu.Lock()
-	cl.conn.SetReadDeadline(deadline)
-	_, rerr := cl.mux.c.readLine()
-	cl.mu.Unlock()
-	if rerr == nil {
-		t.Fatal("server should have dropped the stalled session")
-	}
-	if time.Now().After(deadline) {
-		t.Fatal("server did not enforce the request deadline")
-	}
+	conn, _ := rawV2Session(t, srv)
+	line := "pwrite 1 0 100"
+	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(line))
+	putFrameHeader(frame, 1, len(line), 100)
+	expectDropped(t, conn, append(frame, line...))
 }

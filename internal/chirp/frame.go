@@ -7,15 +7,13 @@ import (
 	"strconv"
 )
 
-// Protocol versions. Version 1 is the paper's lock-step line protocol:
-// one request line (plus optional counted payload), one reply, strictly
-// alternating. Version 2 keeps the same line grammar but wraps every
-// line+payload in a tagged binary frame, so many requests can be in
-// flight on one session and replies may return out of order.
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-)
+// ProtocolV2 is the one protocol version a session negotiates. It keeps
+// the paper's Chirp line grammar but wraps every line+payload in a
+// tagged binary frame, so many requests can be in flight on one session
+// and replies may return out of order. A session opens with one plain
+// line each way, the version exchange (versionLine); a peer that sends
+// anything else first is refused.
+const ProtocolV2 = 2
 
 // MaxLine bounds the protocol-line portion of a v2 frame. Lines carry
 // commands, quoted paths and directory listings; 64 KiB is far beyond
@@ -55,7 +53,7 @@ func putFrameHeader(b []byte, tag uint64, lineLen, payloadLen int) {
 // parseFrameHeader validates a wire-supplied header before anything is
 // allocated or read: a zero tag, an empty or oversized line, or a
 // payload beyond MaxPayload mean the peer is malformed or hostile, and
-// the session must drop. This is the v2 mirror of readPayload's cap.
+// the session must drop. The payload bound is readPayload's.
 func parseFrameHeader(b []byte) (frameHeader, error) {
 	if len(b) < frameHeaderSize {
 		return frameHeader{}, fmt.Errorf("chirp: protocol error: short frame header (%d bytes)", len(b))
@@ -127,8 +125,7 @@ func (c *codec) readFrameLine(n int) ([]byte, error) {
 // of the version exchange to request (client) or confirm (server)
 // per-request trace-context propagation. A peer that does not know the
 // token simply never echoes it, so tracing degrades to off against old
-// binaries with no extra round trip — the same ENOSYS-style safety the
-// version exchange itself has against v1 servers.
+// binaries with no extra round trip.
 const capTrace = "trace"
 
 // capDeadline is the capability token a peer appends to its half of the
@@ -153,11 +150,10 @@ const capRepl = "repl"
 // small positive integers; the top-bit tag can never collide with one.
 const replPushTag = uint64(1) << 63
 
-// versionLine builds the v1-style negotiation line a v2 client sends as
-// its first request: "version 2 <window> <maxbytes> [caps...]". A v1
-// server answers it with ENOSYS like any unknown command, which is the
-// fallback signal. Capability tokens ride after the byte budget; peers
-// ignore tokens they do not recognize.
+// versionLine builds the negotiation line a client sends as its first
+// request, before any frame: "version 2 <window> <maxbytes> [caps...]".
+// Capability tokens ride after the byte budget; peers ignore tokens
+// they do not recognize.
 func versionLine(window int, maxBytes int64, caps ...string) []byte {
 	l := new(lineBuf).start("version").int(ProtocolV2).int(int64(window)).int(maxBytes)
 	for _, c := range caps {
@@ -186,6 +182,35 @@ func parseVersionArgs(args []string) (version, window int, maxBytes int64, caps 
 		return 0, 0, 0, nil, fmt.Errorf("chirp: bad byte budget %q", args[2])
 	}
 	return version, window, maxBytes, args[3:], nil
+}
+
+// exchangeVersion is a client's half of the version exchange, run on a
+// freshly authenticated connection before any frame: it sends the
+// version line advertising window, maxBytes and caps, and reads the one
+// line the server answers, "ok 2 <window> <maxbytes> [caps...]". It
+// returns the server's caps on window and byte budget and the
+// capabilities it echoed. Any other answer is an error: the server
+// ends a session whose version exchange it refuses.
+func exchangeVersion(c *codec, window int, maxBytes int64, caps ...string) (w int, b int64, echoed []string, err error) {
+	if err := c.writeLine(versionLine(window, maxBytes, caps...)); err != nil {
+		return 0, 0, nil, err
+	}
+	line, err := c.readLine()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	parts, err := splitFields(string(line))
+	if err != nil || len(parts) == 0 || parts[0] != "ok" {
+		return 0, 0, nil, fmt.Errorf("chirp: version exchange refused: server said %q", line)
+	}
+	v, w, b, echoed, err := parseVersionArgs(parts[1:])
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if v != ProtocolV2 {
+		return 0, 0, nil, fmt.Errorf("chirp: server negotiated unsupported protocol %d", v)
+	}
+	return w, b, echoed, nil
 }
 
 // hasCap reports whether a capability token list contains cap.

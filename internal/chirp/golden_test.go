@@ -44,10 +44,10 @@ func (r *wireRecorder) add(dir byte, p []byte) {
 	r.runs = append(r.runs, string(dir)+string(p))
 }
 
-// statReply matches a whole server run that is one stat-shaped reply, in
-// either framing: [tag, line length, payload length] "ok <ino> <type>
-// <mode> "owner" ...".
-var statReply = regexp.MustCompile(`(?s)^(?:(.{8}).{4}(\x00{4}))?ok (\d+)( \d+ [0-7]+ ".*)$`)
+// statReply matches a whole server run that is one stat-shaped reply
+// frame: [tag, line length, payload length] "ok <ino> <type> <mode>
+// "owner" ...".
+var statReply = regexp.MustCompile(`(?s)^(.{8}).{4}(\x00{4})ok (\d+)( \d+ [0-7]+ ".*)$`)
 
 // transcript renders the runs. Inode numbers come from a process-wide
 // counter, so each is rewritten as its offset from rootIno (and a
@@ -61,9 +61,7 @@ func (r *wireRecorder) transcript(rootIno uint64) string {
 		if m := statReply.FindStringSubmatch(data); m != nil && dir == 'S' {
 			ino, _ := strconv.ParseUint(m[3], 10, 64)
 			data = "ok " + strconv.FormatUint(ino-rootIno, 10) + m[4]
-			if m[1] != "" {
-				data = m[1] + string(binary.BigEndian.AppendUint32(nil, uint32(len(data)))) + m[2] + data
-			}
+			data = m[1] + string(binary.BigEndian.AppendUint32(nil, uint32(len(data)))) + m[2] + data
 		}
 		fmt.Fprintf(&b, "%c %q\n", dir, data)
 	}
@@ -90,25 +88,25 @@ func (c *recordedConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestGoldenWireTranscript pins the bytes on the wire, both directions,
-// both framings: authentication, the version exchange, stat, open,
-// pread, close, getdir, getacl, setacl, a tokened mkdir and its replay,
-// error replies, and whole-file putfile/getfile. testdata/wire_v{1,2}.golden
-// were written by this same sequence, less its whole-file tail, at the
-// commit before the append-encoded wire path, whose claim is that it
-// changes no byte; the tail's lines were appended when the whole-file
-// commands came, leaving every earlier line as it was, and v1's PutFile
-// lines became one putfile when v1 sessions began to send it. Any other
-// change to them is a protocol change old peers will see.
+// TestGoldenWireTranscript pins the bytes on the wire, both directions:
+// authentication, the version exchange, stat, open, pread, close,
+// getdir, getacl, setacl, a tokened mkdir and its replay, error replies,
+// and whole-file putfile/getfile. testdata/wire_v2.golden was written by
+// this same sequence, less its whole-file tail, at the commit before the
+// append-encoded wire path, whose claim is that it changes no byte; the
+// tail's lines were appended when the whole-file commands came, leaving
+// every earlier line as it was. Any other change to it is a protocol
+// change old peers will see. A window of one call ("v1") puts the same
+// bytes on the wire but for the window each side advertises.
 func TestGoldenWireTranscript(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, _ := testServer(t)
 		root, err := k.FS().Stat("/")
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := &wireRecorder{}
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1, Dialer: rec.dial})
+		cl := adminClient(t, srv, ClientOptions{Window: win, MaxRetries: -1, Dialer: rec.dial})
 		must := func(err error) {
 			t.Helper()
 			if err != nil {
@@ -179,8 +177,7 @@ func TestGoldenWireTranscript(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Whole-file staging, appended after the lines above: putfile and
-		// getfile, in either framing. A directory is refused as open
-		// refuses it.
+		// getfile. A directory is refused as open refuses it.
 		must(cl.PutFile("/data dir/whole", []byte("one request\n"), 0o600))
 		if data, err := cl.GetFile("/data dir/whole"); err != nil || string(data) != "one request\n" {
 			t.Fatalf("GetFile = %q, %v", data, err)
@@ -190,13 +187,19 @@ func TestGoldenWireTranscript(t *testing.T) {
 		}
 
 		got := rec.transcript(root.Ino) // before Close: whether the farewell's reply is read is a race
-		path := filepath.Join("testdata", fmt.Sprintf("wire_v%d.golden", proto))
-		want, err := os.ReadFile(path)
+		path := filepath.Join("testdata", "wire_v2.golden")
+		golden, err := os.ReadFile(path)
 		must(err)
-		if got == string(want) {
+		want := string(golden)
+		if win > 0 {
+			adv := fmt.Sprintf(" 2 %d ", win)
+			want = strings.Replace(want, `C "version 2 64 `, `C "version`+adv, 1)
+			want = strings.Replace(want, `S "ok 2 64 `, `S "ok`+adv, 1)
+		}
+		if got == want {
 			return
 		}
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 		for i := 0; i < len(gl) || i < len(wl); i++ {
 			var g, w string
 			if i < len(gl) {

@@ -339,7 +339,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 // not, is refused under replMu.
 func (sess *session) replSubscribe(sc *payloadScratch, arg string) hres {
 	pub := sess.s.opts.Repl
-	if pub == nil || sess.v2 == nil || !sess.v2.repl {
+	if pub == nil || !sess.conf.repl {
 		return sess.failf(sc, kernel.ErrNoSys, "replication not negotiated")
 	}
 	from, err := strconv.ParseUint(arg, 10, 64)

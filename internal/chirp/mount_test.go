@@ -235,9 +235,9 @@ func TestBoxedRemoteMetadataOps(t *testing.T) {
 // can remove over Chirp directly: no readdir, and no unlink of the ACL
 // file, which the server would gate on a.
 func TestBoxRmdirOverChirpIsOneRPC(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		admin := unixClient(t, srv, "admin", proto)
+		admin := unixClient(t, srv, "admin", win)
 		if err := admin.Mkdir("/shared", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestBoxRmdirOverChirpIsOneRPC(t *testing.T) {
 			t.Fatal(err)
 		}
 		mnt := "/chirp/" + srv.Addr()
-		box.Mount(mnt, NewDriver(unixClient(t, srv, "visitor", proto), vclock.Default()))
+		box.Mount(mnt, NewDriver(unixClient(t, srv, "visitor", win), vclock.Default()))
 
 		count := func(cmd string) int64 {
 			return srv.Metrics().Counter(obs.With(MetricRequests, "cmd", cmd)).Value()

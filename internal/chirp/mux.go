@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,28 +63,20 @@ func (call *muxCall) recycle() {
 	}
 }
 
-// framing is what a connection negotiated: the protocol version and,
-// on v2, the credit window, byte budget and capabilities. The v1 line
-// framing negotiates nothing: its window is 1 (lock-step).
+// framing is what a connection's version exchange negotiated: the
+// credit window, byte budget and capabilities.
 type framing struct {
-	proto     int
 	window    int   // calls in flight at once
 	maxBytes  int64 // in-flight payload byte budget
 	traced    bool  // server echoed the trace capability
 	deadlined bool  // server echoed the deadline capability
 }
 
-// lineFraming is what a v1 session speaks.
-var lineFraming = framing{proto: ProtocolV1, window: 1}
-
-// muxSession is the client's one exchange engine, for either framing: a
-// writer goroutine batching requests into shared flushes, a reader
-// goroutine completing calls from replies, and a credit window bounding
-// calls and payload bytes in flight. On v2 requests and replies are
-// tagged frames and replies match by tag, in any order. On v1 they are
-// a line plus counted payload, the window is 1, and replies match in
-// FIFO order — the reader only reads while a call awaits its reply,
-// exactly the lock-step exchange an old server expects.
+// muxSession is the client's one exchange engine: a writer goroutine
+// batching requests into shared flushes, a reader goroutine completing
+// calls from replies, and a credit window bounding calls and payload
+// bytes in flight. Requests and replies are tagged frames, and replies
+// match by tag, in any order.
 //
 // Lock order: a goroutine holds at most one of cl.mu and ms.mu at a
 // time — the session never calls back into the client under its own
@@ -109,10 +100,9 @@ type muxSession struct {
 
 	stalls atomic.Int64 // submits that waited for window space
 
-	sendq    chan *muxCall
-	awaiting chan *muxCall // v1: calls on the wire, in the order their replies will come
-	closed   chan struct{} // closed by fail(); stops the writer
-	wg       sync.WaitGroup
+	sendq  chan *muxCall
+	closed chan struct{} // closed by fail(); stops the writer
+	wg     sync.WaitGroup
 }
 
 func newMuxSession(cl *Client, conn net.Conn, c *codec, f framing) *muxSession {
@@ -124,9 +114,8 @@ func newMuxSession(cl *Client, conn net.Conn, c *codec, f framing) *muxSession {
 		spans:   cl.opts.Spans,
 		pending: make(map[uint64]*muxCall),
 		// One beyond the window: the uncounted farewell.
-		sendq:    make(chan *muxCall, f.window+1),
-		awaiting: make(chan *muxCall, f.window+1),
-		closed:   make(chan struct{}),
+		sendq:  make(chan *muxCall, f.window+1),
+		closed: make(chan struct{}),
 	}
 	ms.cond = sync.NewCond(&ms.mu)
 	ms.wg.Add(2)
@@ -311,7 +300,7 @@ func (ms *muxSession) observeCall(call *muxCall) {
 
 // sendQuit queues the protocol farewell and reports the write outcome
 // once the writer has flushed it. It does not wait for the server's
-// reply (the v1 farewell never did either).
+// reply.
 func (ms *muxSession) sendQuit() error {
 	ms.mu.Lock()
 	if ms.dead {
@@ -344,7 +333,7 @@ func (ms *muxSession) sendQuit() error {
 // costs one syscall instead of one per call.
 func (ms *muxSession) writeLoop() {
 	defer ms.wg.Done()
-	var flushed []*muxCall // calls with post-flush work (farewells; every v1 call)
+	var flushed []*muxCall // farewells, whose senders wait for the flush
 	var stamped []*muxCall // traced calls awaiting their flush stamp
 	for {
 		var call *muxCall
@@ -357,8 +346,8 @@ func (ms *muxSession) writeLoop() {
 			// Everything the writer needs of the call is read before its
 			// bytes can reach the wire: once they have, a reply may complete
 			// the call and its waiter recycle it.
-			afterFlush, traced := call.written != nil || ms.proto == ProtocolV1, call.trace != 0
-			if err := ms.c.queueMessage(ms.proto == ProtocolV2, call.tag, call.pre, call.line.b, call.sendBody); err != nil {
+			afterFlush, traced := call.written != nil, call.trace != 0
+			if err := ms.c.queueFrame(call.tag, call.pre, call.line.b, call.sendBody); err != nil {
 				ms.fail(err)
 				return
 			}
@@ -386,14 +375,7 @@ func (ms *muxSession) writeLoop() {
 			stamped = stamped[:0]
 		}
 		for _, f := range flushed {
-			if f.written != nil {
-				close(f.written)
-			}
-			if ms.proto == ProtocolV1 {
-				// Only now may the reader start on this call's reply: a
-				// v1 peer never sees a read race ahead of its request.
-				ms.awaiting <- f
-			}
+			close(f.written)
 		}
 		flushed = flushed[:0]
 	}
@@ -431,44 +413,26 @@ func (ms *muxSession) readLoop() {
 	}
 }
 
-// nextReply is the reply side of the framing adapter: it claims the
-// call the next reply answers and reads that reply's line, which is
-// valid only until the codec's next read (readReply copies what it
-// keeps). v2 reads a frame header and matches its tag; the header
-// carries the payload length. v1 waits for the oldest call on the wire,
-// then reads a line; payloadLen is -1 because the reply line itself
-// announces the length. The call is removed from pending, so fail() can
-// no longer complete it.
+// nextReply reads the next reply frame's header and line and claims
+// the call its tag answers. The line is valid only until the codec's
+// next read (readReply copies what it keeps). The call is removed from
+// pending, so fail() can no longer complete it.
 func (ms *muxSession) nextReply() (call *muxCall, line []byte, payloadLen int, err error) {
-	var tag uint64
-	if ms.proto == ProtocolV2 {
-		h, err := ms.c.readFrameHeader()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		tag, payloadLen = h.tag, h.payloadLen
-		if line, err = ms.c.readFrameLine(h.lineLen); err != nil {
-			return nil, nil, 0, err
-		}
-	} else {
-		select {
-		case call = <-ms.awaiting:
-		case <-ms.closed:
-			return nil, nil, 0, errSessionLost
-		}
-		tag, payloadLen = call.tag, -1
-		if line, err = ms.c.readLine(); err != nil {
-			return nil, nil, 0, err
-		}
+	h, err := ms.c.readFrameHeader()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if line, err = ms.c.readFrameLine(h.lineLen); err != nil {
+		return nil, nil, 0, err
 	}
 	ms.mu.Lock()
-	call = ms.pending[tag]
-	delete(ms.pending, tag)
+	call = ms.pending[h.tag]
+	delete(ms.pending, h.tag)
 	ms.mu.Unlock()
 	if call == nil {
-		return nil, nil, 0, fmt.Errorf("chirp: protocol error: reply for unknown tag %d", tag)
+		return nil, nil, 0, fmt.Errorf("chirp: protocol error: reply for unknown tag %d", h.tag)
 	}
-	return call, line, payloadLen, nil
+	return call, line, h.payloadLen, nil
 }
 
 // readReply decodes one reply line for call and consumes its payload.
@@ -485,18 +449,6 @@ func (ms *muxSession) readReply(call *muxCall, line []byte, payloadLen int) (res
 	}
 	switch string(word) {
 	case "ok":
-		if payloadLen < 0 {
-			if payloadLen = 0; call.wantBody || call.recvInto != nil {
-				n, _, _ := strings.Cut(strings.TrimLeft(rest, " "), " ")
-				if n == "" {
-					return "", nil, nil, fmt.Errorf("chirp: reply missing payload length")
-				}
-				var err error
-				if payloadLen, err = strconv.Atoi(n); err != nil || payloadLen < 0 {
-					return "", nil, nil, fmt.Errorf("chirp: bad payload length %q", n)
-				}
-			}
-		}
 		if payloadLen > 0 && call.recvInto != nil {
 			// Zero-copy receive: the payload lands in the caller's
 			// buffer, no scratch and no per-call allocation.
@@ -526,8 +478,8 @@ func (ms *muxSession) readReply(call *muxCall, line []byte, payloadLen int) (res
 		}
 		return rest, body, nil, nil
 	case "err":
-		// Error replies are line-only; drain any stray frame payload to
-		// stay aligned anyway.
+		// Error replies are line-only; drain any stray payload to stay
+		// aligned anyway.
 		if payloadLen > 0 {
 			if _, err := ms.c.readPayload(payloadLen); err != nil {
 				return "", nil, nil, err
@@ -551,11 +503,9 @@ func (ms *muxSession) readReply(call *muxCall, line []byte, payloadLen int) (res
 	}
 }
 
-// WindowStats is a live snapshot of a client's negotiated v2 window
-// state (zero-valued beyond Protocol on a v1 session, which negotiates
-// nothing).
+// WindowStats is a live snapshot of a client's negotiated credit
+// window (zero-valued between sessions).
 type WindowStats struct {
-	Protocol         int   // negotiated protocol version (1 or 2)
 	Window           int   // negotiated credit window (tags in flight)
 	MaxInflightBytes int64 // negotiated in-flight byte budget
 	InFlight         int   // tags currently awaiting replies
@@ -563,28 +513,18 @@ type WindowStats struct {
 	Traced           bool  // both ends negotiated the trace capability
 }
 
-// Protocol reports the protocol version the current session negotiated
-// (ProtocolV1 or ProtocolV2).
-func (cl *Client) Protocol() int {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.proto
-}
-
 // WindowStats reports the live credit-window state of the current
 // session.
 func (cl *Client) WindowStats() WindowStats {
 	cl.mu.Lock()
 	ms := cl.mux
-	proto := cl.proto
 	cl.mu.Unlock()
-	if ms == nil || ms.proto == ProtocolV1 {
-		return WindowStats{Protocol: proto}
+	if ms == nil {
+		return WindowStats{}
 	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	return WindowStats{
-		Protocol:         ProtocolV2,
 		Window:           ms.window,
 		MaxInflightBytes: ms.maxBytes,
 		InFlight:         ms.inflight,

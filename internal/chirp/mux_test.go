@@ -2,7 +2,12 @@ package chirp
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,51 +18,37 @@ import (
 	"identitybox/internal/faultnet"
 	"identitybox/internal/identity"
 	"identitybox/internal/kernel"
+	"identitybox/internal/vfs"
 )
 
-// TestMuxNegotiationMatrix covers every protocol pairing: v2<->v2
-// upgrades with the minimum window winning, a v1-pinned client works
-// against a v2 server untouched, and a v2 client falls back cleanly
-// when the server answers the version exchange like an old binary.
+// TestMuxNegotiationMatrix covers every pairing the version exchange
+// meets: a v2 client and server settle on the smaller window and byte
+// budget, a peer that skips or lowers the exchange is refused by the
+// server, and a client facing a server that will not speak v2 fails its
+// dial instead of falling back to another framing.
 func TestMuxNegotiationMatrix(t *testing.T) {
-	// Every client pin against every server cap: the session speaks the
-	// lower of the two, and a multi-chunk transfer plus a tokened exec
-	// behave the same whichever framing that turns out to be.
-	for _, c := range []struct{ client, server, want int }{
-		{ProtocolV1, ProtocolV1, ProtocolV1},
-		{ProtocolV1, ProtocolV2, ProtocolV1},
-		{ProtocolV2, ProtocolV1, ProtocolV1}, // ENOSYS fallback
-		{ProtocolV2, ProtocolV2, ProtocolV2},
-	} {
-		c := c
-		t.Run(fmt.Sprintf("client-v%d-server-v%d", c.client, c.server), func(t *testing.T) {
-			srv, k, _ := testServer(t)
-			registerSim(k)
-			srv.opts.MaxProtocol = c.server
-			cl := adminClient(t, srv, ClientOptions{Protocol: c.client, Window: 4})
-			if got := cl.Protocol(); got != c.want {
-				t.Fatalf("Protocol() = %d, want %d", got, c.want)
-			}
-			data := patterned(2*transferChunk + 7)
-			if err := cl.PutFile("/blob", data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if got, err := cl.GetFile("/blob"); err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("round trip: %d bytes, %v", len(got), err)
-			}
-			if err := figure3Workflow(cl); err != nil {
-				t.Fatalf("Figure 3 workflow: %v", err)
-			}
-		})
-	}
+	t.Run("client-v2-server-v2", func(t *testing.T) {
+		// A multi-chunk transfer and a tokened exec over the negotiated
+		// session.
+		srv, k, _ := testServer(t)
+		registerSim(k)
+		cl := adminClient(t, srv, ClientOptions{Window: 4})
+		data := patterned(2*transferChunk + 7)
+		if err := cl.PutFile("/blob", data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := cl.GetFile("/blob"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("round trip: %d bytes, %v", len(got), err)
+		}
+		if err := figure3Workflow(cl); err != nil {
+			t.Fatalf("Figure 3 workflow: %v", err)
+		}
+	})
 	t.Run("v2-v2-min-window", func(t *testing.T) {
 		srv, _, _ := testServer(t)
 		srv.opts.Window = 8
 		srv.opts.MaxInflightBytes = 1 << 20
 		cl := adminClient(t, srv, ClientOptions{Window: 32, MaxInflightBytes: 4 << 20})
-		if got := cl.Protocol(); got != ProtocolV2 {
-			t.Fatalf("Protocol() = %d, want %d", got, ProtocolV2)
-		}
 		ws := cl.WindowStats()
 		if ws.Window != 8 || ws.MaxInflightBytes != 1<<20 {
 			t.Fatalf("negotiated window = %+v, want the server's smaller caps (8, 1MiB)", ws)
@@ -74,66 +65,133 @@ func TestMuxNegotiationMatrix(t *testing.T) {
 			t.Fatalf("negotiated window = %+v, want the client's smaller caps (4, 512KiB)", ws)
 		}
 	})
-	t.Run("v1-client-v2-server", func(t *testing.T) {
-		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: ProtocolV1})
-		if got := cl.Protocol(); got != ProtocolV1 {
-			t.Fatalf("Protocol() = %d, want pinned v1", got)
-		}
-		if ws := cl.WindowStats(); ws.Protocol != ProtocolV1 || ws.Window != 0 {
-			t.Fatalf("v1 WindowStats = %+v, want zero-valued", ws)
-		}
-		data := patterned(2*transferChunk + 7)
-		if err := cl.PutFile("/v1blob", data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := cl.GetFile("/v1blob")
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("v1 round trip against v2 server: %d bytes, %v", len(got), err)
-		}
+	// A v1 client opens with a request line; one that asks for version 1
+	// is no better off.
+	for name, first := range map[string]string{"client-v1-server-v2": `stat "/"`, "v1-client-v2-server": "version 1 1 1048576"} {
+		t.Run(name, func(t *testing.T) {
+			srv, _, _ := testServer(t)
+			refusedFirstLine(t, srv, first)
+		})
+	}
+	// A v1 server answers the version line like any unknown command; a
+	// server that answers it with a lower version is refused by the
+	// client in turn.
+	for _, old := range []struct{ name, reply, want string }{
+		{"client-v2-server-v1", `err ENOSYS "unknown command version"`, "version exchange refused"},
+		{"v2-client-v1-server-fallback", "ok 1 1 1048576", "unsupported protocol 1"},
+	} {
+		t.Run(old.name, func(t *testing.T) {
+			_, err := Dial(oldServer(t, old.reply), []auth.Authenticator{&auth.UnixClient{User: "admin"}})
+			if err == nil || !strings.Contains(err.Error(), old.want) {
+				t.Fatalf("dial of a server answering %q = %v, want %q and no fallback", old.reply, err, old.want)
+			}
+		})
+	}
+}
+
+// TestFirstLineMustBeVersion: a session whose first line after
+// authentication is a request, not the version exchange, gets one err
+// line and is closed. The request is neither executed nor counted.
+func TestFirstLineMustBeVersion(t *testing.T) {
+	srv, k, _ := testServer(t)
+	refusedFirstLine(t, srv, `mkdir 755 "/x"`)
+	if _, err := k.FS().Stat("/x"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("stat /x after the refused session = %v, want ENOENT", err)
+	}
+}
+
+// refusedFirstLine opens an authenticated session on srv, sends line
+// where the version exchange belongs, and checks that the server answers
+// one EINVAL err line, counts no request, and closes the session.
+func refusedFirstLine(t *testing.T, srv *Server, line string) {
+	t.Helper()
+	before := srv.RequestCount()
+	conn, c := rawSession(t, srv)
+	if err := c.writeLine([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := c.readLine()
+	if err != nil || !strings.HasPrefix(string(reply), "err EINVAL ") {
+		t.Fatalf("reply to %q = %q, %v; want one EINVAL err line", line, reply, err)
+	}
+	if extra, err := c.readLine(); err != io.EOF {
+		t.Fatalf("after the refusal the session read %q, %v; want EOF", extra, err)
+	}
+	if n := srv.RequestCount() - before; n != 0 {
+		t.Fatalf("the refused line counted %d requests, want 0", n)
+	}
+}
+
+// rawSession dials srv and authenticates as unix:admin, returning the
+// connection and a codec over it before any version exchange, for tests
+// that write bytes a Client never would.
+func rawSession(t *testing.T, srv *Server) (net.Conn, *codec) {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := auth.ClientNegotiate(auth.NewConn(conn), []auth.Authenticator{&auth.UnixClient{User: "admin"}}); err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	c := newCodec(conn)
+	t.Cleanup(func() {
+		conn.Close()
+		c.release()
 	})
-	t.Run("v2-client-v1-server-fallback", func(t *testing.T) {
-		srv, _, _ := testServer(t)
-		srv.opts.MaxProtocol = ProtocolV1 // simulate an old server binary
-		cl := adminClient(t, srv, ClientOptions{})
-		if got := cl.Protocol(); got != ProtocolV1 {
-			t.Fatalf("Protocol() = %d, want v1 fallback", got)
-		}
-		data := patterned(transferChunk + 3)
-		if err := cl.PutFile("/fallback", data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := cl.GetFile("/fallback")
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("fallback round trip: %d bytes, %v", len(got), err)
-		}
+	return conn, c
+}
+
+// rawV2Session is rawSession past the version exchange: the caller
+// speaks frames.
+func rawV2Session(t *testing.T, srv *Server) (net.Conn, *codec) {
+	t.Helper()
+	conn, c := rawSession(t, srv)
+	if _, _, _, err := exchangeVersion(c, 4, 1<<20); err != nil {
+		t.Fatalf("version exchange: %v", err)
+	}
+	return conn, c
+}
+
+// oldServer serves one connection as a server that predates v2 would:
+// it authenticates the client and answers its version line with reply.
+func oldServer(t *testing.T, reply string) (addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		ln.Close()
+		<-done // the client hangs up on the reply, or never dialled
 	})
-	t.Run("cross-protocol-interop", func(t *testing.T) {
-		// A v1 client reads what a v2 client wrote, and vice versa.
-		srv, _, _ := testServer(t)
-		v1 := adminClient(t, srv, ClientOptions{Protocol: ProtocolV1})
-		v2 := adminClient(t, srv, ClientOptions{Window: 4})
-		data := patterned(3 * transferChunk)
-		if err := v2.PutFile("/x", data, 0o644); err != nil {
-			t.Fatal(err)
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
-		if got, err := v1.GetFile("/x"); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("v1 read of v2 write: %d bytes, %v", len(got), err)
+		defer conn.Close()
+		ac := auth.NewConn(conn)
+		verifiers := map[auth.Method]auth.Verifier{auth.MethodUnix: &auth.UnixVerifier{}}
+		if _, err := auth.ServerNegotiate(ac, verifiers, "127.0.0.1"); err != nil {
+			return
 		}
-		if err := v1.PutFile("/y", data, 0o644); err != nil {
-			t.Fatal(err)
+		if _, err := ac.ReadLine(); err == nil {
+			ac.WriteLine(reply)
+			ac.ReadLine() // until the client hangs up
 		}
-		if got, err := v2.GetFile("/y"); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("v2 read of v1 write: %d bytes, %v", len(got), err)
-		}
-	})
+	}()
+	return ln.Addr().String()
 }
 
 // TestMuxSlowOpDoesNotBlockMetadata parks an exec on one of the
 // session's workers behind a gate, then proves the same session still
 // answers metadata and read traffic: the other workers are not
-// head-of-line blocked by a slow operation. On the v1 lock-step
-// protocol every one of these calls would be stuck behind the exec.
+// head-of-line blocked by a slow operation.
 func TestMuxSlowOpDoesNotBlockMetadata(t *testing.T) {
 	srv, k, _ := testServer(t)
 	release := make(chan struct{})
@@ -145,9 +203,6 @@ func TestMuxSlowOpDoesNotBlockMetadata(t *testing.T) {
 	})
 	defer close(release)
 	cl := adminClient(t, srv, ClientOptions{})
-	if cl.Protocol() != ProtocolV2 {
-		t.Fatalf("default client should negotiate v2, got %d", cl.Protocol())
-	}
 	if err := cl.PutFile("/gate.exe", kernel.ExecutableBytes("gate"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +291,7 @@ func TestMuxTransferConcurrentWithMetadata(t *testing.T) {
 // request write is killed still runs exactly once (dedupe on the retry
 // path).
 func TestMuxChaosTokenedExactlyOnce(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, _ := testServer(t)
 		var execs atomic.Int64
 		k.RegisterProgram("cnt", func(p *kernel.Proc, _ []string) int {
@@ -245,16 +300,8 @@ func TestMuxChaosTokenedExactlyOnce(t *testing.T) {
 		})
 		inj := faultnet.New(11,
 			faultnet.Rule{Conn: 1, Op: faultnet.OpWrite, AfterBytes: 30_000, Action: faultnet.Reset})
-		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-			ClientOptions{Protocol: proto, Window: 8, Dialer: inj.Dialer("tcp")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		if cl.Protocol() != proto {
-			t.Fatalf("chaos client speaks v%d, want v%d", cl.Protocol(), proto)
-		}
-		// 384 KiB: one putfile in either framing, which the client's
+		cl := adminClient(t, srv, ClientOptions{Window: cmp.Or(win, 8), Dialer: inj.Dialer("tcp")})
+		// 384 KiB: one putfile, which the client's
 		// 32 KiB buffered writer sends as a buffer-full and then the rest
 		// in one write; the 30 000-byte reset cuts that second write,
 		// mid-payload, so the server never executes the request.
@@ -292,39 +339,32 @@ func TestMuxChaosTokenedExactlyOnce(t *testing.T) {
 	})
 }
 
-// TestMuxStalledFrameTimesOut is the v2 mirror of the stalled-request
-// deadline: a peer that announces a frame and never sends its body is
-// disconnected by the per-request read deadline.
+// TestMuxStalledFrameTimesOut checks the per-request read deadline on a
+// frame's line: a peer that announces a frame and never sends its body
+// is disconnected.
 func TestMuxStalledFrameTimesOut(t *testing.T) {
 	srv, _, _ := testServer(t)
 	srv.opts.RequestTimeout = 100 * time.Millisecond
-	// A v1-pinned client keeps the codec caller-owned; upgrade by hand so
-	// raw frame bytes can be written directly.
-	cl := adminClient(t, srv, ClientOptions{MaxRetries: -1, Protocol: ProtocolV1})
-	cl.mu.Lock()
-	err := cl.mux.c.writeLine(versionLine(4, 1<<20))
-	if err == nil {
-		_, err = cl.mux.c.readLine() // "ok 2 4 1048576"
-	}
-	cl.mu.Unlock()
-	if err != nil {
-		t.Fatalf("manual version exchange: %v", err)
-	}
+	conn, _ := rawV2Session(t, srv)
 	var hdr [frameHeaderSize]byte
 	putFrameHeader(hdr[:], 1, 20, 0) // announce a 20-byte line, send nothing
-	deadline := time.Now().Add(2 * time.Second)
-	cl.mu.Lock()
-	_, err = cl.conn.Write(hdr[:])
-	if err == nil {
-		cl.conn.SetReadDeadline(deadline)
-		_, err = cl.conn.Read(make([]byte, 1))
+	expectDropped(t, conn, hdr[:])
+}
+
+// expectDropped writes b to conn and checks that the server closes the
+// session promptly, within two seconds.
+func expectDropped(t *testing.T, conn net.Conn, b []byte) {
+	t.Helper()
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
 	}
-	cl.mu.Unlock()
-	if err == nil {
-		t.Fatal("server should have dropped the stalled v2 session")
+	deadline := time.Now().Add(2 * time.Second)
+	conn.SetReadDeadline(deadline)
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server kept the session open")
 	}
 	if time.Now().After(deadline) {
-		t.Fatal("server did not enforce the request deadline on a stalled frame")
+		t.Fatal("server took more than two seconds to close the session")
 	}
 }
 
@@ -471,9 +511,6 @@ func TestMuxSessionBarriersOverlap(t *testing.T) {
 	dur := &overlapBarrier{want: 3, full: make(chan struct{})}
 	srv.opts.Durability = dur
 	cl := adminClient(t, srv, ClientOptions{})
-	if cl.Protocol() != ProtocolV2 {
-		t.Fatalf("client speaks v%d, want v2", cl.Protocol())
-	}
 	ops := []func() error{
 		func() error { return cl.Mkdir("/dir", 0o755) },
 		func() error { return cl.Rename("/old", "/new") },
@@ -526,9 +563,6 @@ func TestMuxConcurrentExecsOneBox(t *testing.T) {
 		return 0
 	})
 	cl := adminClient(t, srv, ClientOptions{})
-	if cl.Protocol() != 2 {
-		t.Fatalf("session speaks v%d, want v2", cl.Protocol())
-	}
 	if err := cl.PutFile("/xform.exe", kernel.ExecutableBytes("xform"), 0o755); err != nil {
 		t.Fatal(err)
 	}

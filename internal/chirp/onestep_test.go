@@ -38,10 +38,10 @@ func TestSymlinkRetargetNeverCrossesACL(t *testing.T) {
 		secret = "the refused file's bytes"
 		mine   = "bob's own file"
 	)
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, _ := testServer(t)
 		fs := k.FS()
-		admin := unixClient(t, srv, "admin", proto)
+		admin := unixClient(t, srv, "admin", win)
 		for _, step := range []error{
 			admin.Mkdir("/secret", 0o755),
 			admin.SetACL("/secret", "unix:admin rwlax\n"),
@@ -57,8 +57,8 @@ func TestSymlinkRetargetNeverCrossesACL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		retargeter := unixClient(t, srv, "bob", proto)
-		bob := unixClient(t, srv, "bob", proto)
+		retargeter := unixClient(t, srv, "bob", win)
+		bob := unixClient(t, srv, "bob", win)
 		if err := bob.PutFile("/freds/ok", []byte(mine), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestRevocationOrdersAgainstSteps(t *testing.T) {
 		revoke = "unix:admin rwlax\nunix:bob rl\n"
 		rounds = 1000
 	)
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		fs := vfs.New("chirpowner")
 		log := &mutationLog{}
 		fs.SetJournal(log)
@@ -194,8 +194,8 @@ func TestRevocationOrdersAgainstSteps(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		admin := unixClient(t, srv, "admin", proto)
-		bob := unixClient(t, srv, "bob", proto)
+		admin := unixClient(t, srv, "admin", win)
+		bob := unixClient(t, srv, "bob", win)
 		if err := admin.Mkdir("/shared", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -255,9 +255,9 @@ func TestRevocationOrdersAgainstSteps(t *testing.T) {
 // grow a file past vfs.MaxFileSize is refused before anything is
 // allocated, and the session that sent it goes on serving.
 func TestHugeSizeRefusedSessionLives(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1})
+		cl := adminClient(t, srv, ClientOptions{Window: win, MaxRetries: -1})
 		if err := cl.PutFile("/big", []byte("small"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -285,9 +285,9 @@ func TestHugeSizeRefusedSessionLives(t *testing.T) {
 // TestMalformedNumbersRefused: a descriptor command whose number does
 // not parse is refused EINVAL, never read as 0.
 func TestMalformedNumbersRefused(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1})
+		cl := adminClient(t, srv, ClientOptions{Window: win, MaxRetries: -1})
 		if err := cl.PutFile("/f", []byte("before"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -320,9 +320,9 @@ func TestMalformedNumbersRefused(t *testing.T) {
 // O_RDWR, is refused with EINVAL before any check (vfs.OpenAccess) and
 // leaves the file unchanged; a write-only descriptor does not read.
 func TestDescriptorRightsFollowTheOpenCheck(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		admin := unixClient(t, srv, "admin", proto)
+		admin := unixClient(t, srv, "admin", win)
 		for _, step := range []error{
 			admin.Mkdir("/drop", 0o755),
 			admin.SetACL("/drop", "unix:admin rwlax\nunix:bob w\n"),
@@ -335,7 +335,7 @@ func TestDescriptorRightsFollowTheOpenCheck(t *testing.T) {
 				t.Fatal(step)
 			}
 		}
-		bob := unixClient(t, srv, "bob", proto)
+		bob := unixClient(t, srv, "bob", win)
 		for _, path := range []string{"/drop/f", "/ro/f"} {
 			if _, err := bob.Open(path, 3|kernel.OTrunc, 0); !errors.Is(err, vfs.ErrInvalid) {
 				t.Errorf("open %s with access mode 3 = %v, want EINVAL", path, err)

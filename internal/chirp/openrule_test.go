@@ -189,12 +189,12 @@ func TestOpenRuleOneVerdict(t *testing.T) {
 // it like any read-only open and the file is unchanged. A writable
 // open, with O_TRUNC or without, is still the primary's alone.
 func TestFollowerServesReadOnlyTruncOpen(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		primary := startReplMember(t, "vol", "", "")
 		follower := startReplMember(t, "vol", "", primary.addr)
 		pollUntil(t, 2*time.Second, "follower subscription", func() bool { return primary.pub.Subscribers() == 1 })
-		admin := unixClient(t, primary.srv, "admin", proto)
-		reader := unixClient(t, follower.srv, "admin", proto)
+		admin := unixClient(t, primary.srv, "admin", win)
+		reader := unixClient(t, follower.srv, "admin", win)
 		if err := admin.Mkdir("/d", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -25,12 +25,7 @@ func gsiClientOpts(t *testing.T, srv *Server, ca *auth.CA, subject string, opts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.GSIClient{Cred: cred}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
+	return dialAs(t, srv, &auth.GSIClient{Cred: cred}, opts)
 }
 
 // stageWork creates a per-principal directory and stages the named
@@ -58,10 +53,6 @@ func stageWork(t *testing.T, cl *Client, dir, prog string) (string, string) {
 //
 // Set CHIRP_OVERLOAD_SOAK to a duration (e.g. 30s) to stretch the
 // saturation window for soak runs.
-//
-// v2 only: the flooders' tight budgets ride the deadline capability,
-// which the v1 framing cannot negotiate. TestV1FlooderShedLikeV2 covers
-// what admission does for a v1 peer.
 func TestOverloadGoodputFairnessAndShedding(t *testing.T) {
 	srv, k, ca := testServer(t)
 	reg := obs.NewRegistry()
@@ -252,14 +243,14 @@ func TestOverloadGoodputFairnessAndShedding(t *testing.T) {
 }
 
 // TestV1FlooderShedLikeV2: admission and fairness apply to a session
-// whatever framing it speaks. A flooder principal piles a dozen
-// sessions of exec traffic onto a two-slot server next to two
-// one-session victims; whether the flooder negotiates v2 or never sends
-// "version" at all, it is rejected EBUSY with a retry-after hint, every
-// victim keeps at least half a fair share of what executes, and
-// nothing that was rejected ever ran.
+// at any window. A flooder principal piles a dozen sessions of exec
+// traffic onto a two-slot server next to two one-session victims;
+// whether its sessions keep one call in flight ("v1", as the retired v1
+// framing did) or pipeline, it is rejected EBUSY with a retry-after
+// hint, every victim keeps at least half a fair share of what executes,
+// and nothing that was rejected ever ran.
 func TestV1FlooderShedLikeV2(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, ca := testServer(t)
 		adm := admission.New(admission.Options{MaxQueue: 8, ExecSlots: 2, FairShare: 2})
 		srv.opts.Admission = adm
@@ -311,9 +302,9 @@ func TestV1FlooderShedLikeV2(t *testing.T) {
 		const flooder = "/O=UnivNowhere/CN=Flood"
 		dir, path := stageWork(t, gsiClient(t, srv, ca, flooder), "/f", "work")
 		for s := 0; s < floodSessions; s++ {
-			cl := gsiClientOpts(t, srv, ca, flooder, ClientOptions{Protocol: proto, MaxRetries: -1})
-			if cl.Protocol() != proto {
-				t.Fatalf("flooder session speaks v%d, want v%d", cl.Protocol(), proto)
+			cl := gsiClientOpts(t, srv, ca, flooder, ClientOptions{Window: win, MaxRetries: -1})
+			if ws := cl.WindowStats(); win > 0 && ws.Window != win {
+				t.Fatalf("flooder session negotiated window %d, want %d", ws.Window, win)
 			}
 			wg.Add(1)
 			go run(cl, dir, path)
@@ -351,7 +342,7 @@ func TestV1FlooderShedLikeV2(t *testing.T) {
 // retries with the server's retry-after hint as a backoff floor and
 // succeeds once capacity frees up — without tripping the breaker.
 func TestBusyRetryAfterHintHonored(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, ca := testServer(t)
 		adm := admission.New(admission.Options{MaxQueue: 1, ExecSlots: 1, FairShare: 100})
 		srv.opts.Admission = adm
@@ -360,19 +351,19 @@ func TestBusyRetryAfterHintHonored(t *testing.T) {
 			return 0
 		})
 
-		blocker := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Blocker", ClientOptions{Protocol: proto})
+		blocker := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Blocker", ClientOptions{Window: win})
 		bdir, bpath := stageWork(t, blocker, "/blk", "block")
 		// A second blocker principal fills the light-principal overflow
 		// headroom (hard bound 2x MaxQueue), so the patient's admit is a
 		// genuine EBUSY rejection rather than an overflow seat.
-		blocker2 := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Blocker2", ClientOptions{Protocol: proto})
+		blocker2 := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Blocker2", ClientOptions{Window: win})
 		b2dir, b2path := stageWork(t, blocker2, "/blk2", "block")
 		// Stage the patient's files before the slot is hogged: staging
 		// traffic is admission-controlled too.
 		var sleeps []time.Duration
 		var mu sync.Mutex
 		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Patient", ClientOptions{
-			Protocol:   proto,
+			Window:     win,
 			MaxRetries: 8,
 			Sleep: func(d time.Duration) {
 				mu.Lock()
@@ -432,7 +423,7 @@ func TestBusyRetryAfterHintHonored(t *testing.T) {
 // behind a slot hog is shed with EDEADLINE when its budget expires in
 // the dispatch queue — before its handler runs, and while the hog still
 // holds the slot: the hog runs until the test releases it, after the
-// shed reply. v2 only: the budget rides the deadline capability.
+// shed reply.
 func TestDeadlineShedAtDispatchNeverExecutes(t *testing.T) {
 	srv, k, ca := testServer(t)
 	adm := admission.New(admission.Options{MaxQueue: 8, ExecSlots: 1})
@@ -495,8 +486,7 @@ func TestDeadlineShedAtDispatchNeverExecutes(t *testing.T) {
 // TestSeverWakesParkedReader (the acquireSlot teardown fix): with the
 // session's credit window full of slow execs, the reader goroutine is
 // parked in acquireSlot. Close must wake it and drop the queued work
-// instead of executing the whole backlog toward a dead socket. v2 only:
-// a v1 session's window is 1, so its reader never parks on it.
+// instead of executing the whole backlog toward a dead socket.
 func TestSeverWakesParkedReader(t *testing.T) {
 	srv, k, ca := testServer(t)
 	srv.opts.Window = 4
@@ -544,12 +534,11 @@ func TestSeverWakesParkedReader(t *testing.T) {
 	}
 }
 
-// TestDrainCompletesUnderBackpressure (shutdown vs v2 backpressure):
+// TestDrainCompletesUnderBackpressure (shutdown vs backpressure):
 // a graceful drain racing a client that has the credit window pinned
 // full must finish the admitted work, unwind the reader without
 // executing the backlog, and come back well inside the drain budget —
-// with an idle second session nudged out rather than severed. v2 only,
-// like TestSeverWakesParkedReader.
+// with an idle second session nudged out rather than severed.
 func TestDrainCompletesUnderBackpressure(t *testing.T) {
 	srv, k, ca := testServer(t)
 	srv.opts.Window = 2
@@ -597,26 +586,24 @@ func TestDrainCompletesUnderBackpressure(t *testing.T) {
 // wire deadline instead of pinning server resources, while a healthy
 // session on the same server stays fully served throughout.
 func TestSlowLorisSeveredNotServed(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
 		srv.opts.RequestTimeout = 100 * time.Millisecond
 
-		healthy := adminClient(t, srv, ClientOptions{Protocol: proto})
+		healthy := adminClient(t, srv, ClientOptions{Window: win})
 		if _, err := healthy.Whoami(); err != nil {
 			t.Fatal(err)
 		}
 
 		inj := faultnet.New(1)
-		slow := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1, Dialer: inj.Dialer("tcp")})
+		slow := adminClient(t, srv, ClientOptions{Window: win, MaxRetries: -1, Dialer: inj.Dialer("tcp")})
 		if _, err := slow.Whoami(); err != nil {
 			t.Fatal(err) // handshake and negotiation run at full speed
 		}
 		// From here one write trickles at a byte per 5ms tick, so that
 		// request cannot arrive inside the 100ms request deadline: the
 		// very next write, PutFile's putfile with 2 KiB of payload in it.
-		// On v2 the deadline runs from the frame header; v1 has no header
-		// to anchor on, so it runs from the command line's arrival, and
-		// the payload cannot follow the line in time.
+		// The deadline runs from the frame header's arrival.
 		inj.InjectOnce(faultnet.OpWrite, 0, faultnet.Trickle, 5*time.Millisecond)
 		lorisErr := make(chan error, 1)
 		go func() {

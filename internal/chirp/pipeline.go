@@ -13,7 +13,7 @@ import (
 	"identitybox/internal/vfs"
 )
 
-// This file is the request pipeline both framings feed: serve → execute
+// This file is the request pipeline every session's workers feed: serve → execute
 // (table check, dedupe replay, role gate, execution slot, handler, the
 // one durability wait) → reply, and the refusals built along the way.
 // The handlers themselves are in handlers.go.
@@ -34,8 +34,8 @@ type stamps struct {
 	commitLat                   time.Duration
 }
 
-// serve is the one request pipeline, run for every admitted request of
-// either framing: execute produces the reply, serve delivers it and
+// serve is the one request pipeline, run for every admitted request:
+// execute produces the reply, serve delivers it and
 // accounts for it. sc is the caller's scratch: the reply line and a
 // pread body are built in it, and it is reused only for the caller's
 // next request, after this reply is flushed.
@@ -195,8 +195,7 @@ func (sess *session) barrier(d interface{ Barrier() error }) (commit time.Durati
 	return commit
 }
 
-// reply writes one reply in the session's framing — a tagged frame on
-// v2, a line then its counted payload on v1 — under writeMu, so
+// reply writes one reply frame, carrying tag, under writeMu, so
 // concurrent workers and the replication pusher interleave whole
 // replies, and under the per-request write deadline.
 func (sess *session) reply(tag uint64, res hres) error {
@@ -215,7 +214,7 @@ func (sess *session) reply(tag uint64, res hres) error {
 			}
 		}()
 	}
-	if err := sess.c.queueMessage(sess.v2 != nil, tag, nil, res.line.b, res.body); err != nil {
+	if err := sess.c.queueFrame(tag, nil, res.line.b, res.body); err != nil {
 		return err
 	}
 	return sess.c.flush()
@@ -224,7 +223,7 @@ func (sess *session) reply(tag uint64, res hres) error {
 // hres is one handled request's outcome: a complete reply line
 // (starting "ok" or "err"), encoded in the scratch of whoever handled
 // it, plus an optional counted payload. The handler produces it; reply
-// delivers it in the session's framing.
+// delivers it.
 type hres struct {
 	line  *lineBuf
 	body  []byte

@@ -8,22 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"identitybox/internal/auth"
 	"identitybox/internal/faultnet"
 	"identitybox/internal/kernel"
 )
-
-// pipelinedClient dials as unix:admin with a pipelining window.
-func pipelinedClient(t *testing.T, srv *Server, depth int) *Client {
-	t.Helper()
-	cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-		ClientOptions{Window: depth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
-}
 
 // patterned builds a non-repeating test payload so any chunk landing at
 // the wrong offset changes the bytes.
@@ -40,8 +27,8 @@ func patterned(n int) []byte {
 // checked by a serial client reading the same files.
 func TestPipelinedPutGetRoundTrip(t *testing.T) {
 	srv, _, _ := testServer(t)
-	pipe := pipelinedClient(t, srv, 4)
-	serial := pipelinedClient(t, srv, 1)
+	pipe := adminClient(t, srv, ClientOptions{Window: 4})
+	serial := adminClient(t, srv, ClientOptions{Window: 1})
 	sizes := []int{0, 1, transferChunk - 1, transferChunk, transferChunk + 1, 4*transferChunk + 123}
 	for i, size := range sizes {
 		path := fmt.Sprintf("/f%d", i)
@@ -76,12 +63,7 @@ func TestPipelinedTransferUnderFaults(t *testing.T) {
 	t.Run("put", func(t *testing.T) {
 		srv, _, _ := testServer(t)
 		inj := faultnet.New(1, faultnet.Rule{Conn: 1, Op: faultnet.OpWrite, AfterBytes: 150_000, Action: faultnet.Reset})
-		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-			ClientOptions{Window: 8, Dialer: inj.Dialer("tcp")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
+		cl := adminClient(t, srv, ClientOptions{Window: 8, Dialer: inj.Dialer("tcp")})
 		if err := cl.PutFile("/blob", data, 0o644); err != nil {
 			t.Fatalf("PutFile under faults: %v", err)
 		}
@@ -96,12 +78,7 @@ func TestPipelinedTransferUnderFaults(t *testing.T) {
 	t.Run("get", func(t *testing.T) {
 		srv, _, _ := testServer(t)
 		inj := faultnet.New(1, faultnet.Rule{Conn: 1, Op: faultnet.OpRead, AfterBytes: 150_000, Action: faultnet.Reset})
-		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}},
-			ClientOptions{Window: 8, Dialer: inj.Dialer("tcp")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
+		cl := adminClient(t, srv, ClientOptions{Window: 8, Dialer: inj.Dialer("tcp")})
 		if err := cl.PutFile("/blob", data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +100,7 @@ func TestPipelinedTransferUnderFaults(t *testing.T) {
 // the drained wire leaves the session usable.
 func TestPipelinedRemoteErrorDrainsWindow(t *testing.T) {
 	srv, _, _ := testServer(t)
-	cl := pipelinedClient(t, srv, 4)
+	cl := adminClient(t, srv, ClientOptions{Window: 4})
 	fd, err := cl.Open("/dead", kernel.OWronly|kernel.OCreat, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +127,7 @@ func TestPipelinedRemoteErrorDrainsWindow(t *testing.T) {
 // drain the overhanging replies without losing wire alignment.
 func TestPipelinedGetShrunkFile(t *testing.T) {
 	srv, _, _ := testServer(t)
-	cl := pipelinedClient(t, srv, 4)
+	cl := adminClient(t, srv, ClientOptions{Window: 4})
 	orig := patterned(3*transferChunk + 100)
 	if err := cl.PutFile("/shrink", orig, 0o644); err != nil {
 		t.Fatal(err)
@@ -208,7 +185,7 @@ func (r *loopReader) Read(p []byte) (int, error) {
 }
 
 // TestCodecPooledPathZeroAlloc asserts the pooled wire path is
-// allocation-free in steady state, in both framings: payload reads
+// allocation-free in steady state: payload reads
 // serve from the codec scratch, payload writes go straight through the
 // pooled bufio, and a frame's header is staged in the codec on the way
 // in and on the way out. (Turning a frame's line into a string is the
@@ -243,9 +220,6 @@ func TestCodecPooledPathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := c.queueFrame(h.tag, prefix, line, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.queueMessage(false, 0, nil, line, payload); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.flush(); err != nil {

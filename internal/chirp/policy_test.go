@@ -14,7 +14,7 @@ import (
 
 // The server enforces the paper's access rule through internal/policy,
 // the evaluator the identity box uses. These tests pin, over the wire
-// and on either framing, the cases where the server's own copy of the
+// and at either window, the cases where the server's own copy of the
 // rule used to differ from the box's.
 
 // runConformance plays internal/policy/testdata/conformance.txt (the
@@ -74,7 +74,7 @@ func runConformance(t *testing.T, fs *vfs.FS, run func(who identity.Principal, o
 // read row through GetFile and every create row through PutFile, which
 // must meet the verdicts of the opens they make the checks of.
 func TestWireConformance(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		for _, pass := range []string{"open", "whole-file"} {
 			t.Run(pass, func(t *testing.T) {
 				srv, k, _ := testServer(t)
@@ -82,7 +82,7 @@ func TestWireConformance(t *testing.T) {
 				runConformance(t, k.FS(), func(who identity.Principal, op string, a []string) error {
 					cl := clients[who]
 					if cl == nil {
-						cl = unixClient(t, srv, strings.TrimPrefix(who.String(), "unix:"), proto)
+						cl = unixClient(t, srv, strings.TrimPrefix(who.String(), "unix:"), win)
 						clients[who] = cl
 					}
 					if pass == "whole-file" {
@@ -161,10 +161,10 @@ func wireOp(cl *Client, op string, a []string) error {
 
 // sharedFixture starts a server where unix:bob holds the given rights on
 // /shared, next to unix:admin's rwlax, and returns the ACL text installed.
-func sharedFixture(t *testing.T, proto int, bobRights string) (k *kernel.Kernel, admin, bob *Client, installed string) {
+func sharedFixture(t *testing.T, win int, bobRights string) (k *kernel.Kernel, admin, bob *Client, installed string) {
 	t.Helper()
 	srv, k, _ := testServer(t)
-	admin, bob = unixClient(t, srv, "admin", proto), unixClient(t, srv, "bob", proto)
+	admin, bob = unixClient(t, srv, "admin", win), unixClient(t, srv, "bob", win)
 	installed = aclAdminOnly + "unix:bob " + bobRights + "\n"
 	if err := admin.Mkdir("/shared", 0o755); err != nil {
 		t.Fatal(err)
@@ -179,8 +179,8 @@ func sharedFixture(t *testing.T, proto int, bobRights string) (k *kernel.Kernel,
 // a directory's ACL file without the Admin right is refused, whatever
 // name the route goes by, and the ACL stays as its administrator left it.
 func TestACLFileNeedsAdminOverTheWire(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
-		_, admin, bob, installed := sharedFixture(t, proto, "rwl")
+	bothWindows(t, func(t *testing.T, win int) {
+		_, admin, bob, installed := sharedFixture(t, win, "rwl")
 		const aclPath = "/shared/" + acl.FileName
 		if err := bob.PutFile("/shared/other", []byte("unix:bob rwlax\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -227,9 +227,9 @@ func TestACLFileNeedsAdminOverTheWire(t *testing.T) {
 // points, and a writer of /work can remove a link of his own that points
 // somewhere he cannot write. Calls that go through the link still follow.
 func TestUnlinkRenameJudgeTheLinkNotItsTarget(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		admin, bob := unixClient(t, srv, "admin", proto), unixClient(t, srv, "bob", proto)
+		admin, bob := unixClient(t, srv, "admin", win), unixClient(t, srv, "bob", win)
 		for dir, rights := range map[string]string{"/pub": "rl", "/work": "rwlax"} {
 			if err := admin.Mkdir(dir, 0o755); err != nil {
 				t.Fatal(err)
@@ -279,8 +279,8 @@ func TestUnlinkRenameJudgeTheLinkNotItsTarget(t *testing.T) {
 // administrator's own use — two directories sharing one ACL inode —
 // keeps working and opens no route: both names are still ACL files.
 func TestHardLinkToACLFileNeedsAdmin(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
-		k, admin, bob, installed := sharedFixture(t, proto, "rwl")
+	bothWindows(t, func(t *testing.T, win int) {
+		k, admin, bob, installed := sharedFixture(t, win, "rwl")
 		const aclPath = "/shared/" + acl.FileName
 		for _, newName := range []string{"/shared/y", "/tmp/y"} {
 			if err := bob.Link(aclPath, newName); !errors.Is(err, vfs.ErrPermission) {

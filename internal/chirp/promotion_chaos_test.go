@@ -155,8 +155,8 @@ func TestPromotionChaosMatrix(t *testing.T) {
 	for _, k := range kills {
 		k := k
 		t.Run(fmt.Sprintf("kill-after-group-%d", k), func(t *testing.T) {
-			// The client speaks either framing; the guarantees are the server's.
-			bothFramings(t, func(t *testing.T, proto int) {
+			// The client keeps one call in flight or pipelines; the guarantees are the server's.
+			bothWindows(t, func(t *testing.T, win int) {
 				rng := rand.New(rand.NewSource(seed + k))
 				cat := leaseCatalog(t)
 				primary := startReplMember(t, "vol", cat.Addr(), "")
@@ -170,7 +170,7 @@ func TestPromotionChaosMatrix(t *testing.T) {
 
 				token := NewRequestToken()
 				opts := fastChaosOpts()
-				opts.Protocol = proto
+				opts.Window = win
 				cl := adminClient(t, primary.srv, opts)
 				acked, err := replWorkflow(cl, token)
 				if err != nil {
@@ -183,7 +183,7 @@ func TestPromotionChaosMatrix(t *testing.T) {
 
 				// Every mutation the dead primary acked must already be on the
 				// promoted follower, before any retry runs.
-				fcl := adminClient(t, follower.srv, ClientOptions{Protocol: proto})
+				fcl := adminClient(t, follower.srv, ClientOptions{Window: win})
 				ackedSteps := []struct {
 					path string
 					want string // "" = existence only
@@ -319,8 +319,8 @@ func TestMountAllReplicatedV2Pipelining(t *testing.T) {
 		t.Fatalf("mounted %d clients, want 2", len(clients))
 	}
 	for _, cl := range clients {
-		if cl.Protocol() != ProtocolV2 {
-			t.Fatalf("%s negotiated protocol %d, want v2", cl.Addr(), cl.Protocol())
+		if ws := cl.WindowStats(); ws.Window != DefaultWindow {
+			t.Fatalf("%s negotiated window %d, want %d", cl.Addr(), ws.Window, DefaultWindow)
 		}
 	}
 

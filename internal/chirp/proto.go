@@ -220,9 +220,7 @@ func (c *cmdSpec) argsOK(args []string) bool {
 }
 
 // payloadLen reports the payload length a request line announces, when
-// the line is well formed enough to announce one. The v1 framing reads
-// (or, past payloadMax, discards) exactly that many bytes after the
-// line; a malformed line announces nothing and nothing is consumed.
+// the line is well formed enough to announce one.
 func (c *cmdSpec) payloadLen(args []string) (n int, ok bool) {
 	if c == nil || c.payloadMax == 0 || !c.argsOK(args) {
 		return 0, false
@@ -407,9 +405,9 @@ func (l *lineBuf) cmd() []byte {
 	return l.b
 }
 
-// checkLine refuses line bytes carrying a raw newline, which would end a
-// v1 line early and is never legitimate: fields that may hold one are
-// quoted.
+// checkLine refuses line bytes carrying a raw newline, which would end
+// the version exchange's plain line early and is never legitimate in a
+// frame either: fields that may hold one are quoted.
 func checkLine(parts ...[]byte) error {
 	for _, p := range parts {
 		if bytes.ContainsAny(p, "\n\r") {
@@ -419,30 +417,26 @@ func checkLine(parts ...[]byte) error {
 	return nil
 }
 
-// queueLine buffers a protocol line without flushing, so a pipelining
-// caller can push several exchanges into one wire write.
-func (c *codec) queueLine(line []byte) error {
+// writeLine writes and flushes one plain protocol line, as the version
+// exchange sends them.
+func (c *codec) writeLine(line []byte) error {
 	if err := checkLine(line); err != nil {
 		return err
 	}
 	if _, err := c.w.Write(line); err != nil {
 		return err
 	}
-	return c.w.WriteByte('\n')
-}
-
-func (c *codec) writeLine(line []byte) error {
-	if err := c.queueLine(line); err != nil {
+	if err := c.w.WriteByte('\n'); err != nil {
 		return err
 	}
 	return c.w.Flush()
 }
 
-// errLineTooLong ends a session whose peer sends a v1 line longer than
-// MaxLine, the bound a v2 frame header enforces on its line.
+// errLineTooLong ends a session whose peer sends a plain line longer
+// than MaxLine, the bound a frame header enforces on its line.
 var errLineTooLong = fmt.Errorf("chirp: protocol error: line longer than %d bytes", MaxLine)
 
-// readLine reads one v1 line without its terminator. A line that fits
+// readLine reads one plain line without its terminator. A line that fits
 // the reader's buffer is returned in place; a longer one is gathered in
 // the codec's scratch (readLongLine). Either way the bytes are valid
 // only until the next read on this codec.
@@ -484,21 +478,6 @@ func (c *codec) readLongLine(head []byte) ([]byte, error) {
 			return acc, nil
 		}
 	}
-}
-
-// queueMessage buffers one request or reply — a line (the client's
-// per-attempt prefix ahead of it, if any) plus optional counted payload —
-// in either framing: a tagged frame, or the v1 line followed by its
-// payload (the tag is implicit there, and v1 negotiates no prefix).
-func (c *codec) queueMessage(framed bool, tag uint64, prefix, line, payload []byte) error {
-	if framed {
-		return c.queueFrame(tag, prefix, line, payload)
-	}
-	if err := c.queueLine(line); err != nil || payload == nil {
-		return err
-	}
-	_, err := c.w.Write(payload)
-	return err
 }
 
 // flush pushes everything queued to the transport.

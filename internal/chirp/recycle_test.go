@@ -26,10 +26,10 @@ func TestRecycledArgsNotKept(t *testing.T) {
 		t.Fatalf("a recycled request's arguments read %q, want the poison", arr)
 	}
 
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _ := dedupeServer(t, nil, nil, nil, nil) // the in-memory dedupe table
 		srv.opts.Spans = obs.NewSpanRing(1024)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, Spans: obs.NewSpanRing(1024)})
+		cl := adminClient(t, srv, ClientOptions{Window: win, Spans: obs.NewSpanRing(1024)})
 		const clients, rounds = 4, 6
 		tokens := make([][]string, clients)
 		var wg sync.WaitGroup
@@ -101,9 +101,6 @@ func TestRecycledArgsNotKept(t *testing.T) {
 			if strings.Contains(e.Name, recycledArg) {
 				t.Errorf("the root holds a poisoned name %q", e.Name)
 			}
-		}
-		if proto == ProtocolV1 {
-			return // tracing is a v2 capability: a v1 session records no spans
 		}
 		// A server span is recorded once its reply is flushed, which may
 		// be after the client holds the reply: poll for the last ones.

@@ -73,21 +73,10 @@ func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeou
 		conn.Close()
 		return nil, err
 	}
-	// Version exchange, lock-step like any v2 client, demanding repl.
-	if err := c.writeLine(versionLine(DefaultWindow, DefaultMaxInflightBytes, capRepl)); err != nil {
-		return fail(err)
-	}
-	line, err := c.readLine()
+	// The version exchange any client runs, demanding repl.
+	_, _, caps, err := exchangeVersion(c, DefaultWindow, DefaultMaxInflightBytes, capRepl)
 	if err != nil {
 		return fail(err)
-	}
-	parts, err := splitFields(string(line))
-	if err != nil || len(parts) < 1 || parts[0] != "ok" {
-		return fail(fmt.Errorf("chirp: replication needs protocol v2; server said %q", line))
-	}
-	v, _, _, caps, err := parseVersionArgs(parts[1:])
-	if err != nil || v != ProtocolV2 {
-		return fail(fmt.Errorf("chirp: replication needs protocol v2; server said %q", line))
 	}
 	if !hasCap(caps, capRepl) {
 		return fail(errors.New("chirp: server did not offer the repl capability"))

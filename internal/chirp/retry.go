@@ -49,8 +49,8 @@ const (
 	MetricClientInflightBytes = "chirp_client_inflight_bytes"
 	// Negotiated v2 session limits, as gauges so operators can see the
 	// effective window without running chirp ping: the min of what the
-	// client advertised and what the server offered. Zero until a v2
-	// session is established (or forever, on a v1 fallback).
+	// client advertised and what the server offered. Zero until a
+	// session is established.
 	MetricClientWindow         = "chirp_client_negotiated_window"
 	MetricClientMaxBytes       = "chirp_client_negotiated_max_bytes"
 	MetricClientRequestLatency = "chirp_client_request_latency_us"
@@ -81,7 +81,6 @@ const (
 	MetricTagsInFlight       = "chirp_tags_inflight"
 	MetricBackpressureStalls = "chirp_backpressure_stalls_total"
 	MetricWindowOccupancy    = "chirp_window_occupancy"
-	MetricV2Sessions         = "chirp_v2_sessions_total"
 	// End-to-end server-side request latency (lane queue wait included),
 	// in microseconds, with per-bucket trace-ID exemplars when the
 	// request carried trace context.
@@ -128,12 +127,6 @@ type ClientOptions struct {
 	// Sleep replaces time.Sleep for backoff waits, letting tests record
 	// the schedule instead of waiting it out. Test seam.
 	Sleep func(time.Duration)
-	// Protocol pins the wire framing: ProtocolV1 forces the lock-step
-	// line framing, ProtocolV2 (or 0, the default) negotiates tagged
-	// async multiplexing and falls back to v1 when the server answers
-	// the version exchange with ENOSYS (an old server treats it as an
-	// unknown command). Set by cmd/chirp -proto.
-	Protocol int
 	// Window is the credit window this client advertises during v2
 	// negotiation: the most tags it will keep in flight on one session
 	// (default DefaultWindow). The server advertises its own cap and the
@@ -152,9 +145,8 @@ type ClientOptions struct {
 	// with a trace ID, and records one client-side span per call (with
 	// submit-stall, write, and await phases) into this ring. Nil (the
 	// default) keeps the wire format and the hot path exactly as before;
-	// tracing never activates on a v1 session or against a server that
-	// does not echo the capability. Set by cmd/chirp trace and
-	// benchmark/cluster.go.
+	// tracing never activates against a server that does not echo the
+	// capability. Set by cmd/chirp trace and benchmark/cluster.go.
 	Spans *obs.SpanRing
 	// DeadlineBudget, when > 0, bounds each logical call (all retries and
 	// backoff sleeps included) by a wall-clock budget. The client requests
@@ -201,9 +193,6 @@ func (o *ClientOptions) withDefaults() {
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
 	}
-	if o.Protocol == 0 {
-		o.Protocol = ProtocolV2
-	}
 	if o.Window == 0 {
 		o.Window = DefaultWindow
 	}
@@ -235,8 +224,8 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 	reg.Help(MetricClientTagsInFlight, "Tagged calls currently awaiting replies.")
 	reg.Help(MetricClientWindowStalls, "Submits that waited for credit-window space.")
 	reg.Help(MetricClientInflightBytes, "Request+reply payload bytes currently in flight.")
-	reg.Help(MetricClientWindow, "Credit window of the current session (1 on the v1 line framing).")
-	reg.Help(MetricClientMaxBytes, "Negotiated v2 in-flight byte budget (0 on the v1 line framing).")
+	reg.Help(MetricClientWindow, "Credit window of the current session.")
+	reg.Help(MetricClientMaxBytes, "Negotiated in-flight byte budget of the current session.")
 	reg.Help(MetricClientRequestLatency, "Client-observed tagged-call latency, submit to reply, in microseconds.")
 	reg.Help(MetricClientBusy, "EBUSY overload rejections received (retried with the server's retry-after hint).")
 	reg.Help(MetricClientDeadlineExpired, "Calls abandoned because the deadline budget ran out (server shed or client-side).")

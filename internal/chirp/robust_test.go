@@ -25,7 +25,7 @@ import (
 // TestConcurrentClients hammers one server from many goroutines, each
 // with its own identity and reserved directory.
 func TestConcurrentClients(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, ca := testServer(t)
 		const n = 8
 		const filesPer = 10
@@ -41,7 +41,7 @@ func TestConcurrentClients(t *testing.T) {
 					errs <- err
 					return
 				}
-				cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.GSIClient{Cred: cred}}, ClientOptions{Protocol: proto})
+				cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.GSIClient{Cred: cred}}, ClientOptions{Window: win})
 				if err != nil {
 					errs <- err
 					return
@@ -78,7 +78,7 @@ func TestConcurrentClients(t *testing.T) {
 // TestConcurrentRemoteExec runs several remote executions in parallel,
 // each inside its own identity box on the server.
 func TestConcurrentRemoteExec(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, k, ca := testServer(t)
 		k.RegisterProgram("job", func(p *kernel.Proc, args []string) int {
 			who := p.GetUserName()
@@ -97,7 +97,7 @@ func TestConcurrentRemoteExec(t *testing.T) {
 				defer wg.Done()
 				subject := fmt.Sprintf("/O=UnivNowhere/CN=Exec%d", i)
 				cred, _ := ca.Issue(subject)
-				cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.GSIClient{Cred: cred}}, ClientOptions{Protocol: proto})
+				cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.GSIClient{Cred: cred}}, ClientOptions{Window: win})
 				if err != nil {
 					errs <- err
 					return
@@ -139,7 +139,7 @@ func TestConcurrentRemoteExec(t *testing.T) {
 // TestServerSurvivesGarbage sends malformed bytes; the server must drop
 // the connection without taking down other sessions.
 func TestServerSurvivesGarbage(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, ca := testServer(t)
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
@@ -148,7 +148,7 @@ func TestServerSurvivesGarbage(t *testing.T) {
 		conn.Write([]byte("\x00\xff garbage \n\n\x07not a protocol\n"))
 		conn.Close()
 		// A legitimate session still works afterwards.
-		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Protocol: proto})
+		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Window: win})
 		if _, err := cl.Whoami(); err != nil {
 			t.Fatalf("healthy session after garbage: %v", err)
 		}
@@ -157,9 +157,9 @@ func TestServerSurvivesGarbage(t *testing.T) {
 
 // TestServerRejectsOversizeTransfers exercises the protocol limits.
 func TestServerRejectsOversizeTransfers(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, ca := testServer(t)
-		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Protocol: proto})
+		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Window: win})
 		cl.Mkdir("/big", 0o755)
 		fd, err := cl.Open("/big/f", kernel.OWronly|kernel.OCreat, 0o644)
 		if err != nil {
@@ -179,14 +179,9 @@ func TestServerRejectsOversizeTransfers(t *testing.T) {
 // TestClientSeesServerShutdown verifies in-flight clients fail cleanly
 // when the server goes away.
 func TestClientSeesServerShutdown(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, ca := testServer(t)
-		cred, _ := ca.Issue("/O=UnivNowhere/CN=Fred")
-		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.GSIClient{Cred: cred}}, ClientOptions{Protocol: proto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
+		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Window: win})
 		if err := cl.Mkdir("/pre", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -291,15 +286,10 @@ func TestMountAllFromCatalog(t *testing.T) {
 // TestBoxedUserBlockedFromForeignMount verifies an identity without
 // rights on a mounted server is refused through the mount.
 func TestBoxedUserBlockedFromForeignMount(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, ca := testServer(t)
 		// eve authenticates from an untrusted org: no rights at the root.
-		cred, _ := ca.Issue("/O=Hostile/CN=Eve")
-		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.GSIClient{Cred: cred}}, ClientOptions{Protocol: proto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
+		cl := gsiClientOpts(t, srv, ca, "/O=Hostile/CN=Eve", ClientOptions{Window: win})
 
 		clientFS := vfs.New("dthain")
 		clientK := kernel.New(clientFS, vclock.Default())
@@ -332,7 +322,7 @@ func aclAllowAll() *acl.ACL {
 // delegated GSI proxy: the recorded principal is the base identity, so
 // ACLs written for the user keep working for their jobs.
 func TestProxyCredentialOverChirp(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, ca := testServer(t)
 		cred, err := ca.Issue("/O=UnivNowhere/CN=Fred")
 		if err != nil {
@@ -342,11 +332,7 @@ func TestProxyCredentialOverChirp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.GSIProxyClient{Proxy: proxy}}, ClientOptions{Protocol: proto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
+		cl := dialAs(t, srv, &auth.GSIProxyClient{Proxy: proxy}, ClientOptions{Window: win})
 		who, err := cl.Whoami()
 		if err != nil || who != "globus:/O=UnivNowhere/CN=Fred" {
 			t.Fatalf("whoami via proxy = %q, %v", who, err)
@@ -357,7 +343,7 @@ func TestProxyCredentialOverChirp(t *testing.T) {
 		}
 		// And a directly-authenticated session for the same user sees it
 		// as its own.
-		direct := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Protocol: proto})
+		direct := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Window: win})
 		if err := direct.PutFile("/proxywork/f", []byte("x"), 0o644); err != nil {
 			t.Fatalf("direct write into proxy-created dir: %v", err)
 		}
@@ -369,7 +355,7 @@ func TestProxyCredentialOverChirp(t *testing.T) {
 // rights; non-members, forged assertions, and expired assertions gain
 // nothing.
 func TestCommunityAuthorization(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		cas, err := auth.NewCAS("physics-community")
 		if err != nil {
 			t.Fatal(err)
@@ -405,11 +391,7 @@ func TestCommunityAuthorization(t *testing.T) {
 		defer srv.Close()
 
 		// The admin prepares the community area.
-		admin, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}}, ClientOptions{Protocol: proto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer admin.Close()
+		admin := adminClient(t, srv, ClientOptions{Window: win})
 		if err := admin.Mkdir("/data", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -420,12 +402,7 @@ func TestCommunityAuthorization(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cred, _ := ca.Issue("/O=UnivNowhere/CN=Fred")
-		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.GSIClient{Cred: cred}}, ClientOptions{Protocol: proto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
+		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Window: win})
 
 		// Before presenting the assertion: nothing.
 		if _, err := cl.GetFile("/data/cms/events.dat"); !errors.Is(err, vfs.ErrPermission) {
@@ -485,7 +462,7 @@ func TestCommunityAuthorization(t *testing.T) {
 
 // TestCASExpiredAssertionRejected checks expiry handling.
 func TestCASExpiredAssertionRejected(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		cas, _ := auth.NewCAS("c")
 		fred := identity.Principal("unix:fred")
 		cas.AddMember(fred, "grp", []auth.Grant{{PathPrefix: "/", Rights: "rl"}})
@@ -504,17 +481,13 @@ func TestCASExpiredAssertionRejected(t *testing.T) {
 // directory holding only its ACL file is removable by a w holder in
 // the parent... but visitors without w in "/" cannot; the admin can.
 func TestRmdirOnlyACLInside(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, ca := testServer(t)
-		fred := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Protocol: proto})
+		fred := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Window: win})
 		if err := fred.Mkdir("/tidy", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		admin, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "admin"}}, ClientOptions{Protocol: proto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer admin.Close()
+		admin := adminClient(t, srv, ClientOptions{Window: win})
 		if err := admin.Rmdir("/tidy"); err != nil {
 			t.Fatalf("admin rmdir of ACL-only dir: %v", err)
 		}
@@ -522,9 +495,9 @@ func TestRmdirOnlyACLInside(t *testing.T) {
 }
 
 func TestStatsCommand(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, ca := testServer(t)
-		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Protocol: proto})
+		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Fred", ClientOptions{Window: win})
 		cl.Mkdir("/s", 0o755)
 		fd, err := cl.Open("/s/f", kernel.OWronly|kernel.OCreat, 0o644)
 		if err != nil {
@@ -552,7 +525,7 @@ func TestStatsCommand(t *testing.T) {
 // socket that sends nothing is dropped after AuthTimeout rather than
 // pinning a server goroutine forever.
 func TestAuthTimeoutDropsSilentConnections(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		fs := vfs.New("o")
 		k := kernel.New(fs, vclock.Default())
 		rootACL := &acl.ACL{}
@@ -584,11 +557,7 @@ func TestAuthTimeoutDropsSilentConnections(t *testing.T) {
 		}
 		// A prompt, legitimate session still works (the deadline is lifted
 		// after auth).
-		cl, err := DialOpts(srv.Addr(), []auth.Authenticator{&auth.UnixClient{User: "x"}}, ClientOptions{Protocol: proto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
+		cl := unixClient(t, srv, "x", win)
 		time.Sleep(150 * time.Millisecond) // outlive the auth deadline
 		if _, err := cl.Whoami(); err != nil {
 			t.Fatalf("authenticated session hit the auth deadline: %v", err)
@@ -597,9 +566,10 @@ func TestAuthTimeoutDropsSilentConnections(t *testing.T) {
 }
 
 // TestLineBoundV1 sends one byte past MaxLine with no newline, the bound
-// a v2 frame header already enforces. The v1 line reader must refuse it
-// holding no more than the bound, and a server must end the session
-// rather than keep buffering an authenticated peer's endless line.
+// a frame header already enforces, where the version line belongs. The
+// plain-line reader must refuse it holding no more than the bound, and a
+// server must end the session rather than keep buffering an
+// authenticated peer's endless line.
 func TestLineBoundV1(t *testing.T) {
 	longest, huge := strings.Repeat("y", MaxLine), strings.Repeat("x", MaxLine+1)
 	c := newCodec(struct {
@@ -622,20 +592,6 @@ func TestLineBoundV1(t *testing.T) {
 	}
 
 	srv, _, _ := testServer(t)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := auth.ClientNegotiate(auth.NewConn(conn), []auth.Authenticator{&auth.UnixClient{User: "admin"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.WriteString(conn, huge); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var ne net.Error
-	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
-		t.Fatalf("after an over-long line the server kept the session open (read: %v)", err)
-	}
+	conn, _ := rawSession(t, srv)
+	expectDropped(t, conn, []byte(huge))
 }

@@ -52,8 +52,8 @@ type ServerOptions struct {
 	// exported over the wire by the "metrics" command.
 	Metrics *obs.Registry
 	// RequestTimeout bounds the wire I/O of each request after its
-	// command line arrives (payload read and reply write), so a client
-	// that announces a payload and stalls cannot pin a session
+	// frame header arrives (line and payload read, reply write), so a
+	// client that announces a frame and stalls cannot pin a session
 	// goroutine. Zero means no per-request deadline.
 	RequestTimeout time.Duration
 	// Admission, when set, turns on overload protection: every normal
@@ -108,11 +108,6 @@ type ServerOptions struct {
 	// by waiting for the first reply. One session's barrier waits
 	// overlap up to Workers at a time.
 	Workers int
-	// MaxProtocol caps the protocol version the server negotiates: 0 or
-	// ProtocolV2 accept tagged v2 sessions, ProtocolV1 pins the server
-	// to the lock-step line protocol (simulating an old server; v2
-	// clients fall back transparently).
-	MaxProtocol int
 	// Spans, when set, turns on server-side request tracing: the server
 	// echoes the trace capability to v2 clients that request it, strips
 	// the per-frame trace prefix, records one "server" span per traced
@@ -250,7 +245,6 @@ type srvMetrics struct {
 	tagsInFlight  *obs.Gauge
 	bpStalls      *obs.Counter
 	occupancy     *obs.Histogram
-	v2Sessions    *obs.Counter
 	requestLat    *obs.Histogram
 	aclChecks     *obs.Counter
 	aclParses     *obs.Counter
@@ -275,7 +269,6 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 	reg.Help(MetricTagsInFlight, "Tagged requests currently admitted across v2 sessions.")
 	reg.Help(MetricBackpressureStalls, "Frames that waited for credit-window space before dispatch.")
 	reg.Help(MetricWindowOccupancy, "Window occupancy observed at each v2 frame admission.")
-	reg.Help(MetricV2Sessions, "Sessions that negotiated protocol v2 since start.")
 	reg.Help(MetricRequestLatency, "Request latency, arrival to reply flushed, in microseconds (traced requests leave exemplars).")
 	reg.Help(MetricACLChecks, "Effective-ACL lookups made by permission checks, getacl and mkdir.")
 	reg.Help(MetricACLParses, "ACL file versions the server's checks parsed (found no memoised parse; a version a box on the same file system parsed first is reused, not counted).")
@@ -304,7 +297,6 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 		tagsInFlight:  reg.Gauge(MetricTagsInFlight),
 		bpStalls:      reg.Counter(MetricBackpressureStalls),
 		occupancy:     reg.Histogram(MetricWindowOccupancy, []float64{1, 2, 4, 8, 16, 32, 64}),
-		v2Sessions:    reg.Counter(MetricV2Sessions),
 		requestLat:    reg.Histogram(MetricRequestLatency, requestLatencyBuckets()),
 		aclChecks:     reg.Counter(MetricACLChecks),
 		aclParses:     reg.Counter(MetricACLParses),
@@ -331,13 +323,6 @@ func (s *Server) workers() int {
 		return s.opts.Workers
 	}
 	return 4
-}
-
-func (s *Server) maxProtocol() int {
-	if s.opts.MaxProtocol > 0 {
-		return s.opts.MaxProtocol
-	}
-	return ProtocolV2
 }
 
 // Server is a Chirp file server exporting the file system of a simulated
@@ -524,8 +509,8 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	ln := s.ln
 	for c, st := range s.conns {
 		if !st.busy.Load() {
-			// An idle session is parked in readLine; expiring its read
-			// deadline pops it out so the goroutine can exit. Busy
+			// An idle session is parked reading its next request; expiring
+			// its read deadline pops it out so the goroutine can exit. Busy
 			// sessions notice draining after their current dispatch.
 			c.SetReadDeadline(time.Now())
 		}

@@ -13,26 +13,24 @@ import (
 	"identitybox/internal/auth"
 	"identitybox/internal/core"
 	"identitybox/internal/identity"
-	"identitybox/internal/kernel"
 	"identitybox/internal/obs"
 	"identitybox/internal/replica"
 	"identitybox/internal/vfs"
 )
 
 // This file is the session: one authenticated connection's state, its
-// reader (framing adapter, admission, version exchange) and, on v2, the
-// worker pool and credit window that feed the pipeline in pipeline.go.
+// version exchange, its frame reader (admission, credit window) and the
+// worker pool that feeds the pipeline in pipeline.go.
 
 // session is one authenticated connection.
 //
-// The connection goroutine is the session's reader. On a v1 session it
-// also runs each request inline (the framing's window is 1), so it owns
-// everything. A session that upgrades to v2 becomes concurrent: the
-// reader owns the codec's read side, workers share the write side under
-// writeMu, and the descriptor table and CAS grants get their own
-// RWMutexes. Lock order: fdMu and grantsMu are leaves (nothing else is
-// acquired under them); writeMu is taken only around one reply's
-// queue+flush and never with another session lock held.
+// The connection goroutine is the session's reader: it runs the version
+// exchange, then reads frames. Workers execute the requests and share
+// the codec's write side under writeMu; the descriptor table and CAS
+// grants get their own RWMutexes. Lock order: fdMu and grantsMu are
+// leaves (nothing else is acquired under them); writeMu is taken only
+// around one reply's queue+flush and never with another session lock
+// held.
 type session struct {
 	s     *Server
 	id    int64 // session sequence number, for log correlation
@@ -56,13 +54,12 @@ type session struct {
 	grantsMu sync.RWMutex
 	grants   []auth.Grant
 
-	// v2 is the framing the session speaks: nil is the v1 line framing,
-	// non-nil the tagged frames a successful version exchange negotiated.
-	// The reader sets it before starting the workers, so they (and the
-	// replication pusher) read it without a lock.
-	v2 *v2Conf
+	// conf is what the version exchange negotiated. The reader sets it
+	// before starting the workers, so they (and the replication pusher)
+	// read it without a lock.
+	conf sessionConf
 
-	// v2 credit-window state: slotMu/slotCond gate frame admission so at
+	// Credit-window state: slotMu/slotCond gate frame admission so at
 	// most window requests are in flight per session. stopping is set
 	// by abort() when the server severs the connection: it wakes a
 	// reader parked on a full window and tells the workers to
@@ -81,8 +78,8 @@ type session struct {
 	pushWG  sync.WaitGroup
 }
 
-// v2Conf is the outcome of a version negotiation.
-type v2Conf struct {
+// sessionConf is the outcome of a version negotiation.
+type sessionConf struct {
 	window    int
 	maxBytes  int64
 	traced    bool // both sides negotiated the trace capability
@@ -90,7 +87,7 @@ type v2Conf struct {
 	deadlined bool // both sides negotiated the deadline capability
 }
 
-// --- session state accessors (v2 workers run concurrently) -------------
+// --- session state accessors (workers run concurrently) ----------------
 
 func (sess *session) lookupFD(fd int) (*sessionFD, bool) {
 	sess.fdMu.RLock()
@@ -189,13 +186,12 @@ func (sess *session) closeReplSub() {
 	}
 }
 
-// request is one parsed request on its way through the pipeline,
-// whichever framing carried it. The payload is request-owned (freshly
-// allocated by the reader), so workers never share buffers. Requests
-// are pooled: the reader takes one per line and whoever answers it
-// recycles it.
+// request is one parsed request on its way through the pipeline. The
+// payload is request-owned (freshly allocated by the reader), so
+// workers never share buffers. Requests are pooled: the reader takes
+// one per frame and whoever answers it recycles it.
 type request struct {
-	tag      uint64   // frame tag; 0 on v1, where replies match by order
+	tag      uint64   // frame tag: the reply carries it back
 	spec     *cmdSpec // the command's table row (nil: unknown command)
 	cmd      string   // the command, unwrapped from any token prefix
 	args     []string
@@ -241,16 +237,16 @@ func (req *request) recycle() {
 	requestPool.Put(req)
 }
 
-// loop is the session's reader, the same for both framings: it pulls
-// one request at a time through the framing adapter (readRequest),
-// counts it, passes it through admission, and hands it to the one
-// pipeline (serve) — inline on a v1 session, whose window is 1, or on
-// the worker pool once a version exchange has upgraded the session to
-// tagged frames, where the credit window applies backpressure by simply
-// not reading the next frame.
+// loop is the session's reader: after the version exchange it pulls
+// one frame at a time (readRequest), counts the request, passes it
+// through admission, and hands it to the worker pool, where the credit
+// window applies backpressure by simply not reading the next frame.
 func (sess *session) loop() {
 	var wk workers
 	defer wk.close() // all replies flushed before the codec is released
+	if sess.s.isDraining() || !sess.negotiate(&wk) {
+		return
+	}
 	for !sess.s.isDraining() && sess.step(&wk) {
 	}
 }
@@ -258,8 +254,8 @@ func (sess *session) loop() {
 // step reads and dispatches one request; false ends the session.
 func (sess *session) step(wk *workers) bool {
 	s := sess.s
-	// The reader's own replies (farewell, refusals, the version exchange)
-	// are built in the codec's scratch, which on v2 only the reader uses.
+	// The reader's own replies (farewell, refusals) are built in the
+	// codec's scratch, which only the reader uses.
 	sc := sess.c.scratch
 	req, err := sess.readRequest()
 	if err != nil {
@@ -273,35 +269,16 @@ func (sess *session) step(wk *workers) bool {
 			req.recycle()
 		}
 	}()
-	if sess.v2 == nil {
-		// A v1 session is busy from the line's arrival until its reply;
-		// v2 sessions track busy by window occupancy (acquireSlot).
-		defer sess.state.busy.Store(false)
-	}
 	if req.cmd == "quit" && req.bad == "" {
 		wk.close() // every pending reply precedes the farewell ack
 		sess.reply(req.tag, hres{line: sc.ok()})
 		return false
 	}
 	if req.cmd != "" {
-		s.requests.Add(1)
-		sess.reqs++
-		if req.spec != nil {
-			s.metrics.requests[req.spec.idx].Inc()
-		} else {
-			// One series for every unknown name: a peer must not be able
-			// to mint registry entries by inventing commands.
-			s.metrics.unknownCmd.Inc()
-		}
-		if sess.log.on() {
-			sess.log.printf("req=%d tag=%d %s: %s %v", sess.reqs, req.tag, sess.ident, req.cmd, req.args)
-		}
+		sess.count(req)
 	}
 	if req.bad != "" {
 		return sess.reply(req.tag, sess.failf(sc, vfs.ErrInvalid, req.bad)) == nil
-	}
-	if req.cmd == "version" && sess.v2 == nil {
-		return sess.serveVersion(req.args, wk) == nil
 	}
 	// Admission: the overload controller sheds expired work and rejects
 	// over a bounded queue here, before the request consumes a window
@@ -319,11 +296,7 @@ func (sess *session) step(wk *workers) bool {
 		}
 		req.ticket = tk
 	}
-	if sess.v2 == nil {
-		sess.serve(req, sc)
-		return true
-	}
-	if !sess.acquireSlot(sess.v2.window) {
+	if !sess.acquireSlot(sess.conf.window) {
 		req.ticket.Done()
 		return false // server severing this session: stop reading
 	}
@@ -332,16 +305,31 @@ func (sess *session) step(wk *workers) bool {
 	return true
 }
 
-// readRequest is the framing adapter: it reads the next request off the
-// wire in whichever framing the session speaks and parses it against
-// the command table. v1: a line, then the counted payload the table
-// says the line announces; no tag, no prefixes. v2: one tagged frame
-// carrying line and payload, the line optionally led by the negotiated
-// "trace <id>" and "deadline <ms>" prefixes. RequestTimeout bounds what
-// is read after the first bytes (the line, or the frame header) have
-// arrived, so a peer that announces a payload and stalls cannot pin
-// the session. A request the reader refuses comes back with bad set;
-// an error means the session is over.
+// count records one request the reader parsed: the server's request
+// counters and, when logging is on, one log line.
+func (sess *session) count(req *request) {
+	s := sess.s
+	s.requests.Add(1)
+	sess.reqs++
+	if req.spec != nil {
+		s.metrics.requests[req.spec.idx].Inc()
+	} else {
+		// One series for every unknown name: a peer must not be able
+		// to mint registry entries by inventing commands.
+		s.metrics.unknownCmd.Inc()
+	}
+	if sess.log.on() {
+		sess.log.printf("req=%d tag=%d %s: %s %v", sess.reqs, req.tag, sess.ident, req.cmd, req.args)
+	}
+}
+
+// readRequest reads the next tagged frame, carrying line and payload,
+// and parses its line against the command table; the line may be led
+// by the negotiated "trace <id>" and "deadline <ms>" prefixes.
+// RequestTimeout bounds what is read after the frame header has
+// arrived, so a peer that announces a frame and stalls cannot pin the
+// session. A request the reader refuses comes back with bad set; an
+// error means the session is over.
 func (sess *session) readRequest() (*request, error) {
 	req := requestPool.Get().(*request)
 	if err := sess.readInto(req); err != nil {
@@ -355,35 +343,24 @@ func (sess *session) readRequest() (*request, error) {
 // costs one string, which every field is a substring of; the fields go
 // into the request's reused array.
 func (sess *session) readInto(req *request) error {
-	var line string
-	v2 := sess.v2
-	if v2 == nil {
-		b, err := sess.c.readLine()
-		if err != nil {
-			return err
-		}
-		line = string(b)
-		sess.state.busy.Store(true)
-	} else {
-		h, err := sess.c.readFrameHeader()
-		if err != nil {
-			return err
-		}
-		req.tag = h.tag
-		sess.boundRead(true)
-		b, err := sess.c.readFrameLine(h.lineLen)
-		if err != nil {
-			return err
-		}
-		line = string(b)
-		if h.payloadLen > 0 {
-			req.payload = make([]byte, h.payloadLen)
-			if err := sess.c.readPayloadInto(req.payload); err != nil {
-				return err
-			}
-		}
-		sess.boundRead(false)
+	h, err := sess.c.readFrameHeader()
+	if err != nil {
+		return err
 	}
+	req.tag = h.tag
+	sess.boundRead(true)
+	b, err := sess.c.readFrameLine(h.lineLen)
+	if err != nil {
+		return err
+	}
+	line := string(b)
+	if h.payloadLen > 0 {
+		req.payload = make([]byte, h.payloadLen)
+		if err := sess.c.readPayloadInto(req.payload); err != nil {
+			return err
+		}
+	}
+	sess.boundRead(false)
 	req.arrived = time.Now()
 	fields, perr := appendFields(req.fields[:0], line, true)
 	req.fields = fields
@@ -395,12 +372,12 @@ func (sess *session) readInto(req *request) error {
 	// the trace-fetch RPC and a malformed bare line is never mistaken
 	// for a prefix. They are stripped here: everything downstream sees
 	// the plain line.
-	if v2 != nil && v2.traced && len(fields) >= 3 && fields[0] == capTrace {
+	if sess.conf.traced && len(fields) >= 3 && fields[0] == capTrace {
 		if id, perr := obs.ParseTraceID(fields[1]); perr == nil && id != 0 {
 			req.trace, fields = id, fields[2:]
 		}
 	}
-	if v2 != nil && v2.deadlined && len(fields) >= 3 && fields[0] == capDeadline {
+	if sess.conf.deadlined && len(fields) >= 3 && fields[0] == capDeadline {
 		if ms, perr := strconv.ParseUint(fields[1], 10, 32); perr == nil {
 			req.deadline = req.arrived.Add(time.Duration(ms) * time.Millisecond)
 			fields = fields[2:]
@@ -431,23 +408,6 @@ func (sess *session) readInto(req *request) error {
 		acc, _ := vfs.OpenAccess(flags)
 		req.mutating = err != nil || acc.Writes()
 	}
-	if n, ok := req.spec.payloadLen(req.args); ok && v2 == nil {
-		// Consume exactly what the line announces so the wire stays
-		// aligned whatever becomes of the request; a length over the
-		// command's limit is discarded unbuffered and refused by serve.
-		sess.boundRead(true)
-		var err error
-		if n > req.spec.payloadMax {
-			_, err = sess.c.r.Discard(n)
-		} else {
-			req.payload = make([]byte, n)
-			err = sess.c.readPayloadInto(req.payload)
-		}
-		if err != nil {
-			return err // transport failure mid-payload
-		}
-		sess.boundRead(false)
-	}
 	return nil
 }
 
@@ -466,33 +426,41 @@ func (sess *session) boundRead(on bool) {
 	}
 }
 
-// serveVersion answers the protocol negotiation a v2 client opens with,
-// and on success switches the session to tagged frames. The exchange
-// itself is v1: one line, one reply. A server pinned to v1 answers
-// ENOSYS exactly as an old binary (which has no "version" command at
-// all) would, and the client falls back.
-func (sess *session) serveVersion(args []string, wk *workers) error {
-	s, sc := sess.s, sess.c.scratch
-	if s.maxProtocol() < ProtocolV2 {
-		return sess.reply(0, sess.failf(sc, kernel.ErrNoSys, "unknown command version"))
+// negotiate runs the server's half of the version exchange, the one
+// plain line each way before any frame. A first line of the form
+// "version 2 <window> <maxbytes> [caps...]" is counted as a version
+// request, answered "ok 2 <window> <maxbytes> [caps...]" with each side's
+// minimum and the capabilities both sides support, and switches the
+// session to tagged frames. Anything else is answered with one err line
+// and ends the session, neither admitted, executed nor counted. false
+// ends the session.
+func (sess *session) negotiate(wk *workers) bool {
+	s, l := sess.s, &sess.c.scratch.line
+	line, err := sess.c.readLine()
+	if err != nil {
+		return false // connection closed (or drain nudge expired the read)
 	}
-	v, w, b, caps, err := parseVersionArgs(args)
+	fields, err := appendFields(nil, string(line), true)
+	var v, w int
+	var b int64
+	var caps []string
+	if err == nil && len(fields) > 0 && fields[0] == "version" {
+		v, w, b, caps, err = parseVersionArgs(fields[1:])
+	}
 	if err != nil || v < ProtocolV2 {
-		return sess.reply(0, sess.failf(sc, vfs.ErrInvalid, "bad version exchange"))
+		sess.log.printf("refused: first request is no version exchange: %q", line)
+		sess.c.writeLine(l.start("err").str(nameForError(vfs.ErrInvalid)).
+			quoted("protocol 2 required: the first request must be a version exchange").b)
+		return false
 	}
-	conf := &v2Conf{window: s.window(), maxBytes: s.maxInflightBytes()}
-	if w < conf.window {
-		conf.window = w
-	}
-	if b < conf.maxBytes {
-		conf.maxBytes = b
-	}
+	sess.count(&request{cmd: fields[0], args: fields[1:], spec: commandByName[fields[0]]})
+	conf := sessionConf{window: min(w, s.window()), maxBytes: min(b, s.maxInflightBytes())}
 	// Capability tokens: echoed only when both sides support them, so a
 	// client never sends trace context to a server that cannot strip it.
 	conf.traced = s.opts.Spans != nil && hasCap(caps, capTrace)
 	conf.repl = s.opts.Repl != nil && hasCap(caps, capRepl)
 	conf.deadlined = s.opts.Admission != nil && hasCap(caps, capDeadline)
-	ok := sc.ok().int(ProtocolV2).int(int64(conf.window)).int(conf.maxBytes)
+	ok := l.start("ok").int(ProtocolV2).int(int64(conf.window)).int(conf.maxBytes)
 	if conf.traced {
 		ok.str(capTrace)
 	}
@@ -502,20 +470,19 @@ func (sess *session) serveVersion(args []string, wk *workers) error {
 	if conf.deadlined {
 		ok.str(capDeadline)
 	}
-	if err := sess.reply(0, hres{line: ok}); err != nil {
-		return err
+	if err := sess.c.writeLine(ok.b); err != nil {
+		return false
 	}
 	// The ok went out as a line; everything from here on is tagged frames.
-	sess.v2 = conf
-	s.metrics.v2Sessions.Inc()
-	sess.log.printf("upgraded to protocol 2 (window=%d maxbytes=%d traced=%v)", conf.window, conf.maxBytes, conf.traced)
+	sess.conf = conf
+	sess.log.printf("negotiated protocol 2 (window=%d maxbytes=%d traced=%v)", conf.window, conf.maxBytes, conf.traced)
 	wk.start(sess, conf.window, s.workers())
-	return nil
+	return true
 }
 
 var errSevered = errors.New("chirp: session severed")
 
-// workers is a v2 session's executor: one pool of workers runs every
+// workers is a session's executor: one pool of workers runs every
 // request, in no promised order. A client that needs one request to
 // follow another waits for the first reply, as Client does; so the
 // barrier waits of a session's callers overlap and share commit groups,
@@ -535,7 +502,7 @@ func (wk *workers) start(sess *session, window, n int) {
 }
 
 // close stops the workers and waits for every queued reply to flush. It
-// is a no-op on a session that never upgraded.
+// is a no-op on a session that never negotiated.
 func (wk *workers) close() {
 	wk.once.Do(func() {
 		if wk.pool != nil {
@@ -606,7 +573,7 @@ func (sess *session) isStopping() bool { return sess.stopping.Load() || sess.s.s
 // releaseSlot returns a worker's slot after its reply is on the wire.
 // When the last in-flight request completes during a drain, the blocked
 // frame reader cannot see the drain flag, so the release expires its
-// read — the v2 equivalent of Shutdown's nudge to idle v1 sessions.
+// read, as Shutdown's nudge does for a session that is idle already.
 func (sess *session) releaseSlot() {
 	sess.slotMu.Lock()
 	sess.inflight--

@@ -82,9 +82,9 @@ func TestCommandTableRows(t *testing.T) {
 // gets ENOSYS for each, and all of them are counted under one series —
 // it used to mint a registry series, and a /metrics line, per name.
 func TestUnknownCommandsShareOneSeries(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1})
+		cl := adminClient(t, srv, ClientOptions{Window: win, MaxRetries: -1})
 		if _, err := cl.Whoami(); err != nil {
 			t.Fatal(err)
 		}
@@ -148,13 +148,13 @@ func rawCall(t *testing.T, cl *Client, body []byte, fields ...string) *RemoteErr
 // TestCommandTablePayloadLimits walks the command table: for every
 // command that carries a request payload, a length one over its limit
 // is refused EINVAL — the same way on first execution and, for
-// tokenable commands, on a dedupe replay of the same token — in both
-// framings, and the bytes that followed the line are consumed so the
-// session's next request parses.
+// tokenable commands, on a dedupe replay of the same token — at either
+// window, and the frame's payload is consumed so the session's next
+// request parses.
 func TestCommandTablePayloadLimits(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1})
+		cl := adminClient(t, srv, ClientOptions{Window: win, MaxRetries: -1})
 		for i := range commandTable {
 			c := &commandTable[i]
 			if c.payloadMax == 0 {
@@ -166,10 +166,10 @@ func TestCommandTablePayloadLimits(t *testing.T) {
 				fields = append(fields, "1")
 			}
 			fields[1+c.payloadArg] = strconv.Itoa(over)
-			// v1 sends exactly what the line announces. A v2 frame cannot
-			// carry more than MaxPayload, so there the line over-announces.
+			// A frame cannot carry more than MaxPayload, so past it the
+			// line over-announces.
 			body := make([]byte, over)
-			if proto == ProtocolV2 && over > MaxPayload {
+			if over > MaxPayload {
 				body = body[:16]
 			}
 			if c.has(fTokenable) {
@@ -194,9 +194,9 @@ func TestCommandTablePayloadLimits(t *testing.T) {
 // refused EINVAL by the table check; no handler ever indexes past the
 // arguments it was given.
 func TestCommandTableArgCounts(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto, MaxRetries: -1})
+		cl := adminClient(t, srv, ClientOptions{Window: win, MaxRetries: -1})
 		for i := range commandTable {
 			c := &commandTable[i]
 			if c.nargs == 0 {
@@ -210,12 +210,12 @@ func TestCommandTableArgCounts(t *testing.T) {
 }
 
 // TestRequestLatencyCoversEveryRequest: the server-side latency
-// histogram observes untraced requests on either framing, not only
-// traced v2 ones.
+// histogram observes untraced requests at either window, not only
+// traced ones.
 func TestRequestLatencyCoversEveryRequest(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		cl := adminClient(t, srv, ClientOptions{Window: win})
 		before := srv.metrics.requestLat.Count()
 		const calls = 5
 		for i := 0; i < calls; i++ {

@@ -13,26 +13,27 @@ import (
 	"identitybox/internal/vfs"
 )
 
-// TestPutFileV1SendsPutfile: putfile carries its payload counted in
-// either framing, as cctools' Chirp line protocol sends it, so a v1
-// session stages a file of up to MaxPayload in one putfile, whether the
-// client is pinned to v1 or falls back to it against a v1-only server,
-// and the file, its mode and its owner land as v2's would.
+// TestPutFileV1SendsPutfile: a session whose credit window is one call
+// (the lock-step exchange of the retired v1 framing, whose name the test
+// keeps) stages a file of up to MaxPayload in one putfile, not by the
+// serial chunk path, whether the client or the server caps the window,
+// and the file, its mode and its owner land as a pipelined session's
+// would.
 func TestPutFileV1SendsPutfile(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		client, serverMax int
 	}{
-		{"client-pinned", ProtocolV1, 0},
-		{"server-pinned", ProtocolV2, ProtocolV1},
+		{"client-pinned", 1, 0},
+		{"server-pinned", 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, k, _ := testServer(t)
-			srv.opts.MaxProtocol = tc.serverMax
+			srv.opts.Window = tc.serverMax
 			rec := &wireRecorder{}
-			cl := adminClient(t, srv, ClientOptions{Protocol: tc.client, Dialer: rec.dial})
-			if cl.Protocol() != ProtocolV1 {
-				t.Fatalf("session speaks v%d, want v1", cl.Protocol())
+			cl := adminClient(t, srv, ClientOptions{Window: tc.client, Dialer: rec.dial})
+			if ws := cl.WindowStats(); ws.Window != 1 {
+				t.Fatalf("session negotiated window %d, want 1", ws.Window)
 			}
 			data := patterned(3*transferChunk + 5)
 			if err := cl.PutFile("/f", data, 0o640); err != nil {
@@ -46,11 +47,11 @@ func TestPutFileV1SendsPutfile(t *testing.T) {
 				t.Fatalf("/f = %+v, %v", st, err)
 			}
 			sent := rec.transcript(0)
-			if strings.Count(sent, `C "putfile `) != 1 || strings.Count(sent, `C "getfile `) != 1 {
-				t.Fatalf("want one putfile and one getfile on the wire:\n%s", sent)
+			if n, m := strings.Count(sent, `putfile \"/f\" `), strings.Count(sent, `getfile \"/f\"`); n != 1 || m != 1 {
+				t.Fatalf("%d putfiles and %d getfiles on the wire, want one of each", n, m)
 			}
-			if strings.Contains(sent, `C "open `) || strings.Contains(sent, `C "pwrite `) {
-				t.Fatalf("a v1 PutFile took the chunk path:\n%s", sent)
+			if strings.Contains(sent, "open ") || strings.Contains(sent, "pwrite ") {
+				t.Fatal("a window-1 PutFile took the chunk path")
 			}
 		})
 	}
@@ -140,9 +141,9 @@ func TestGetFileOverMaxPayload(t *testing.T) {
 // the client codec's scratch, which the connection would pin for its
 // life, nor passes through it.
 func TestReplyBodySkipsScratch(t *testing.T) {
-	bothFramings(t, func(t *testing.T, proto int) {
+	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{Protocol: proto})
+		cl := adminClient(t, srv, ClientOptions{Window: win})
 		data := patterned(256 << 10)
 		if err := cl.PutFile("/staged", data, 0o644); err != nil {
 			t.Fatal(err)

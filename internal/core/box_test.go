@@ -789,6 +789,57 @@ func TestRevocationByAnotherBoxSeenAtNextOpen(t *testing.T) {
 	})
 }
 
+// TestBoxDescriptorRightsFollowTheOpenCheck is the boxed twin of the
+// Chirp server's TestDescriptorRightsFollowTheOpenCheck, over the box's
+// LocalDriver: a descriptor reads only if its open was checked for r
+// and writes only if it was checked for w, and an access mode of 3,
+// which names neither O_RDONLY, O_WRONLY nor O_RDWR, is refused with
+// EINVAL before any check and leaves the file unchanged.
+func TestBoxDescriptorRightsFollowTheOpenCheck(t *testing.T) {
+	k := newWorld(t)
+	fs := k.FS()
+	for dir, rights := range map[string]string{"/drop": "Bob w\n", "/ro": "Bob r\n"} {
+		for _, err := range []error{
+			fs.MkdirAll(dir, 0o755, "dthain"),
+			fs.WriteFile(dir+"/"+acl.FileName, []byte("dthain rwlax\n"+rights), 0o644, "dthain"),
+			fs.WriteFile(dir+"/f", []byte("unchanged"), 0o644, "dthain"),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	newBox(t, k, "Bob", Options{}).Run(func(p *kernel.Proc, _ []string) int {
+		for _, path := range []string{"/drop/f", "/ro/f"} {
+			if _, err := p.Open(path, 3|kernel.OTrunc, 0); !errors.Is(err, vfs.ErrInvalid) {
+				t.Errorf("open %s with access mode 3 = %v, want EINVAL", path, err)
+			}
+		}
+		wfd, werr := p.Open("/drop/f", kernel.OWronly, 0)
+		rfd, rerr := p.Open("/ro/f", kernel.ORdonly, 0)
+		if werr != nil || rerr != nil {
+			t.Fatalf("open /drop/f write-only: %v; /ro/f read-only: %v", werr, rerr)
+		}
+		buf := make([]byte, 16)
+		for what, call := range map[string]func() (int, error){
+			"read on the write-only descriptor":  func() (int, error) { return p.Read(wfd, buf) },
+			"pread on the write-only descriptor": func() (int, error) { return p.Pread(wfd, buf, 0) },
+			"write on the read-only descriptor":  func() (int, error) { return p.Write(rfd, buf) },
+			"pwrite on the read-only descriptor": func() (int, error) { return p.Pwrite(rfd, buf, 0) },
+		} {
+			if _, err := call(); !errors.Is(err, kernel.ErrBadFD) {
+				t.Errorf("%s = %v, want EBADF", what, err)
+			}
+		}
+		return 0
+	})
+	for _, path := range []string{"/drop/f", "/ro/f"} {
+		if data, err := fs.ReadFile(path); err != nil || string(data) != "unchanged" {
+			t.Errorf("%s after the refusals = %q, %v; want it unchanged", path, data, err)
+		}
+	}
+}
+
 func TestTwoBoxesShareDataViaACL(t *testing.T) {
 	// The headline capability missing from every baseline except group
 	// accounts: two grid users privately sharing data on one host with
