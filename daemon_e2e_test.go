@@ -247,16 +247,54 @@ func TestChirpDaemonCrashRecovery(t *testing.T) {
 
 // TestChirpDaemonSecondInterruptForcesShutdown: a second SIGINT during
 // the drain abandons it and severs sessions immediately. A raw wire
-// connection authenticates, asks for more getfile replies than the
-// socket holds and never reads them, pinning a session busy in its
-// reply write so the drain genuinely hangs until the escalation.
+// connection authenticates and pins its session busy, so the drain
+// genuinely hangs until the escalation: in one case by asking for more
+// getfile replies than the socket holds and never reading them, in the
+// other by sending a frame's header and line and withholding its
+// payload (a session is busy from the arrival of a frame header).
 func TestChirpDaemonSecondInterruptForcesShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real daemons")
 	}
 	bins := buildTools(t, "chirpd")
+	for _, tc := range []struct {
+		name string
+		pin  func(t *testing.T, frame framer, br *bufio.Reader)
+	}{
+		{"getfile", func(t *testing.T, frame framer, br *bufio.Reader) {
+			// Sixteen getfile replies of a 4 MiB file, 64 MiB, are more
+			// than the socket buffers hold, so a worker blocks in its reply
+			// write for the full -req-timeout, and the requests keep the
+			// session busy meanwhile.
+			frame(1, `putfile "/big" 644 4194304`, 4<<20, make([]byte, 4<<20))
+			reply := make([]byte, 16+2) // its header and "ok"
+			if _, err := io.ReadFull(br, reply); err != nil || string(reply[16:]) != "ok" {
+				t.Fatalf("putfile reply %q, %v", reply, err)
+			}
+			for tag := uint64(2); tag < 18; tag++ {
+				frame(tag, `getfile "/big"`, 0, nil)
+			}
+		}},
+		{"setacl-payload-withheld", func(t *testing.T, frame framer, br *bufio.Reader) {
+			frame(1, `setacl "/" 512`, 512, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			secondInterrupt(t, bins["chirpd"], tc.pin)
+		})
+	}
+}
+
+// framer sends one request frame: u64 tag | u32 line length | u32
+// payload length, then the line and as much of the payload as given.
+type framer func(tag uint64, line string, payloadLen int, payload []byte)
+
+// secondInterrupt runs one TestChirpDaemonSecondInterruptForcesShutdown
+// case: pin holds a session busy, and chirpd must keep draining past
+// the first SIGINT and exit promptly at the second.
+func secondInterrupt(t *testing.T, chirpd string, pin func(t *testing.T, frame framer, br *bufio.Reader)) {
 	addr := freePort(t)
-	srv := exec.Command(bins["chirpd"],
+	srv := exec.Command(chirpd,
 		"-addr", addr,
 		"-owner", "daemonowner",
 		"-root-acl", "unix:* rwlax",
@@ -301,10 +339,7 @@ func TestChirpDaemonSecondInterruptForcesShutdown(t *testing.T) {
 	}
 
 	// Hold a session busy: speak the wire protocol by hand, then stop
-	// reading. Sixteen getfile replies of a 4 MiB file, 64 MiB, are more
-	// than the socket buffers hold, so a worker blocks in its reply write
-	// for the full -req-timeout, and the requests keep the session's
-	// window slots (and so the session busy) meanwhile.
+	// reading.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -333,35 +368,32 @@ func TestChirpDaemonSecondInterruptForcesShutdown(t *testing.T) {
 	expect("ok unix:alice")
 	send([]byte("version 2 64 8388608\n"))
 	expect("ok 2 ")
-	// frame is one request: u64 tag | u32 line length | u32 payload length.
-	frame := func(tag uint64, line string, payload []byte) {
+	pin(t, func(tag uint64, line string, payloadLen int, payload []byte) {
 		hdr := binary.BigEndian.AppendUint64(nil, tag)
 		hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(line)))
-		hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))
+		hdr = binary.BigEndian.AppendUint32(hdr, uint32(payloadLen))
 		send(append(append(hdr, line...), payload...))
-	}
-	frame(1, `putfile "/big" 644 4194304`, make([]byte, 4<<20))
-	reply := make([]byte, 16+2) // its header and "ok"
-	if _, err := io.ReadFull(br, reply); err != nil || string(reply[16:]) != "ok" {
-		t.Fatalf("putfile reply %q, %v", reply, err)
-	}
-	for tag := uint64(2); tag < 18; tag++ {
-		frame(tag, `getfile "/big"`, nil)
-	}
-	// Give the workers a moment to fill the socket and block; otherwise
-	// the drain nudge could find the session idle first.
+	}, br)
+	// Give the server a moment to take the frames in (and the workers to
+	// fill the socket and block); otherwise the drain nudge could find
+	// the session idle first.
 	time.Sleep(500 * time.Millisecond)
 
 	if err := srv.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
 	waitLine("draining")
+	done := make(chan error, 1)
+	go func() { done <- srv.Wait() }()
+	select {
+	case err := <-done:
+		t.Fatalf("chirpd exited at the first interrupt (%v): the drain did not wait for the busy session", err)
+	case <-time.After(300 * time.Millisecond):
+	}
 	if err := srv.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
 	waitLine("second interrupt")
-	done := make(chan error, 1)
-	go func() { done <- srv.Wait() }()
 	select {
 	case <-done: // exited long before the 60s drain budget: escalation worked
 	case <-time.After(10 * time.Second):

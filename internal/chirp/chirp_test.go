@@ -21,6 +21,16 @@ import (
 // hostname users read/list, mirroring the Figure-3 configuration.
 func testServer(t *testing.T) (*Server, *kernel.Kernel, *auth.CA) {
 	t.Helper()
+	srv, k, ca := unstartedServer(t)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	return srv, k, ca
+}
+
+// unstartedServer is testServer before Listen.
+func unstartedServer(t *testing.T) (*Server, *kernel.Kernel, *auth.CA) {
+	t.Helper()
 	fs := vfs.New("chirpowner")
 	k := kernel.New(fs, vclock.Default())
 	if err := fs.MkdirAll("/tmp", 0o777, "chirpowner"); err != nil {
@@ -47,9 +57,6 @@ func testServer(t *testing.T) (*Server, *kernel.Kernel, *auth.CA) {
 		},
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })

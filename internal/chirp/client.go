@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
-	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -33,14 +32,13 @@ import (
 // redials consume wall-clock time only — nothing here touches the
 // virtual clock, so instrumented retries charge zero virtual ticks.
 type Client struct {
-	mu     sync.Mutex // guards conn, mux, broken, closed
-	conn   net.Conn
-	mux    *muxSession // session engine for the live connection (nil when none)
-	closed bool
-	broken bool // the transport failed; the next call redials
+	mu sync.Mutex // guards mux and dialed
+	// mux is the live connection's session engine, nil once the
+	// transport failed (the next call redials) or the client closed.
+	mux    *muxSession
 	dialed bool // first connection established (later dials count as redials)
 
-	closing atomic.Bool // set by Close before taking mu, aborts retry loops
+	closing atomic.Bool // set once, by Close before taking mu; aborts retry loops
 
 	ident identity.Principal
 	addr  string
@@ -133,28 +131,23 @@ func (cl *Client) TraceSpans(id uint64) ([]obs.Span, error) {
 // when the connection was otherwise healthy — a session torn down after
 // a transport fault closes silently rather than masking the real error.
 func (cl *Client) Close() error {
-	cl.closing.Store(true) // aborts backoff loops waiting on cl.mu
+	if cl.closing.Swap(true) { // aborts backoff loops waiting on cl.mu
+		return nil
+	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if cl.closed {
+	ms := cl.mux
+	if ms == nil {
+		// The transport already failed and was closed; a farewell could
+		// only mask the original fault with noise.
 		return nil
 	}
-	cl.closed = true
-	if cl.conn == nil {
-		return nil
-	}
-	if cl.broken {
-		// The transport already failed and was closed; a farewell (or a
-		// second close) could only mask the original fault with noise.
-		cl.conn.Close()
-		return nil
-	}
+	cl.mux = nil
 	// The farewell rides the writer loop; closing the connection then
 	// unwinds both loops, which release the codec once neither is
 	// touching it.
-	qerr := cl.mux.sendQuit()
-	cerr := cl.conn.Close()
-	cl.mux = nil
+	qerr := ms.sendQuit()
+	cerr := ms.conn.Close()
 	if qerr != nil {
 		return qerr
 	}
@@ -198,14 +191,17 @@ func (cl *Client) connectLocked() error {
 	if cl.opts.Timeout > 0 {
 		conn.SetDeadline(time.Time{})
 	}
-	cl.conn, cl.broken, cl.ident = conn, false, ident
+	cl.ident = ident
 	cl.mux = newMuxSession(cl, conn, c, f)
 	cl.m.negWindow.Set(int64(f.window))
 	cl.m.negMaxBytes.Set(f.maxBytes)
 	if cl.dialed {
 		cl.m.redials.Inc()
 		if err := cl.replayAssertionsLocked(); err != nil {
-			cl.breakConnLocked()
+			// fail closes the connection and unwinds both loops, which
+			// release the codec; the next call redials.
+			cl.mux.fail(errors.New("chirp: connection broken"))
+			cl.mux = nil
 			cl.brk.Fail()
 			return err
 		}
@@ -245,21 +241,10 @@ func (cl *Client) negotiateVersion(c *codec) (framing, error) {
 // ensureConnLocked makes sure a healthy authenticated connection is in
 // place, redialing if the previous one broke.
 func (cl *Client) ensureConnLocked() error {
-	if cl.mux != nil && !cl.broken {
+	if cl.mux != nil {
 		return nil
 	}
 	return cl.connectLocked()
-}
-
-// breakConnLocked marks the transport dead; the next call redials. The
-// session engine owns the codec: fail() closes the connection, unwinds
-// both loops, and they release the buffers to the pools.
-func (cl *Client) breakConnLocked() {
-	cl.broken = true
-	if cl.mux != nil {
-		cl.mux.fail(errors.New("chirp: connection broken"))
-		cl.mux = nil
-	}
 }
 
 // dropMux detaches a failed session so the next call redials. The
@@ -273,7 +258,6 @@ func (cl *Client) dropMux(ms *muxSession) bool {
 	cl.mu.Lock()
 	dropped := cl.mux == ms
 	if dropped {
-		cl.broken = true
 		cl.mux = nil
 	}
 	cl.mu.Unlock()
@@ -376,7 +360,7 @@ func (cl *Client) do(c wireCall) (rest string, body []byte, retried bool, err er
 			}
 		}
 		cl.mu.Lock()
-		if cl.closed {
+		if cl.closing.Load() {
 			cl.mu.Unlock()
 			return "", nil, retried, ErrClientClosed
 		}

@@ -774,3 +774,121 @@ func TestFaultStalledRequestTimesOut(t *testing.T) {
 	putFrameHeader(frame, 1, len(line), 100)
 	expectDropped(t, conn, append(frame, line...))
 }
+
+// TestFaultDrainAnswersMidFrameRequest: a session is busy from the
+// arrival of a frame header, so a drain that begins while the frame's
+// payload is still on its way waits for it and answers the request,
+// whatever the RequestTimeout. A payload that never comes holds the
+// drain until its timeout, which then severs the session.
+func TestFaultDrainAnswersMidFrameRequest(t *testing.T) {
+	const acl = "unix:admin rwlax\n"
+	line := `setacl "/" 17`
+	// sendHead sends the frame's header and line, withholding the
+	// payload, and returns once the server has read them.
+	sendHead := func(t *testing.T, srv *Server) (net.Conn, *codec) {
+		conn, c := rawV2Session(t, srv)
+		frame := make([]byte, frameHeaderSize, frameHeaderSize+len(line))
+		putFrameHeader(frame, 1, len(line), len(acl))
+		frame = append(frame, line...)
+		before := srv.rxBytes.Load()
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the frame header to arrive", func() bool { return srv.rxBytes.Load() >= before+int64(len(frame)) })
+		return conn, c
+	}
+	// drain starts Shutdown and returns once the listener is closed, and
+	// so every idle session nudged.
+	drain := func(t *testing.T, srv *Server, timeout time.Duration) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- srv.Shutdown(timeout) }()
+		waitFor(t, "the listener to close", func() bool {
+			c, err := net.Dial("tcp", srv.Addr())
+			if err == nil {
+				c.Close()
+			}
+			return err != nil
+		})
+		return done
+	}
+	for _, rt := range []time.Duration{0, 2 * time.Second} {
+		t.Run("answered/timeout="+rt.String(), func(t *testing.T) {
+			srv, _, _ := testServer(t)
+			srv.opts.RequestTimeout = rt
+			conn, c := sendHead(t, srv)
+			done := drain(t, srv, time.Second)
+			if _, err := conn.Write([]byte(acl)); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			h, err := c.readFrameHeader()
+			if err != nil {
+				t.Fatalf("reply to a request whose payload came during the drain: %v", err)
+			}
+			if reply, err := c.readFrameLine(h.lineLen); err != nil || string(reply) != "ok" {
+				t.Fatalf("reply = %q, %v; want ok", reply, err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("Shutdown = %v, want a clean drain", err)
+			}
+		})
+	}
+	t.Run("withheld", func(t *testing.T) {
+		srv, _, _ := testServer(t)
+		sendHead(t, srv)
+		err := <-drain(t, srv, 200*time.Millisecond)
+		if err == nil || !strings.Contains(err.Error(), "drain timed out") {
+			t.Fatalf("Shutdown with a frame's payload withheld = %v, want the drain to time out", err)
+		}
+	})
+}
+
+// failingListener fails Accept while fails is positive, then accepts
+// from the listener it wraps.
+type failingListener struct {
+	net.Listener
+	fails atomic.Int32
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, errors.New("accept4: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// TestAcceptLoopSurvivesFailedAccept: a failed Accept is logged through
+// the server's logger and retried after a pause, and the server goes on
+// serving; it stops accepting only when it stops.
+func TestAcceptLoopSurvivesFailedAccept(t *testing.T) {
+	srv, _, _ := unstartedServer(t)
+	var logged atomic.Int32
+	srv.log = logger{sink: func(format string, args ...any) {
+		if strings.HasPrefix(format, "accept:") {
+			logged.Add(1)
+		}
+	}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &failingListener{Listener: ln}
+	fl.fails.Store(3)
+	srv.ln = fl
+	srv.wg.Add(1)
+	go srv.acceptLoop()
+	cl := adminClient(t, srv, ClientOptions{Timeout: 2 * time.Second, MaxRetries: -1})
+	if _, err := cl.Whoami(); err != nil {
+		t.Fatalf("whoami after failed accepts: %v", err)
+	}
+	if n := logged.Load(); n != 3 {
+		t.Fatalf("logged %d accept failures, want 3", n)
+	}
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v", took)
+	}
+}

@@ -3,7 +3,6 @@ package chirp
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -330,25 +329,22 @@ func (s *Server) workers() int {
 // ordinary-user operation, and visiting users are admitted purely by
 // ACL policy over their authenticated identities.
 // Connection goroutines share only the kernel/VFS (internally locked),
-// the connection registry under s.mu, and atomic counters; every other
-// piece of session state (descriptor table, CAS grants, codec) is owned
-// by its single connection goroutine.
+// the connection registry under s.mu, the phase, and atomic counters;
+// every other piece of session state (descriptor table, CAS grants,
+// codec) is owned by its session.
 type Server struct {
 	k    *kernel.Kernel
 	fs   *vfs.FS
 	opts ServerOptions
 
-	ln       net.Listener
-	mu       sync.Mutex // guards closed, draining and conns
-	closed   bool
-	draining bool // refusing new connections, finishing in-flight RPCs
-	conns    map[net.Conn]*connState
-	wg       sync.WaitGroup
-	stop     chan struct{} // closed once, when Close or Shutdown begins
-	stopOnce sync.Once
-	// severed is set by severAll before it severs any one session, so
-	// every session stops acknowledging at once (see severAll).
-	severed atomic.Bool
+	ln    net.Listener
+	phase atomic.Int32 // phaseServing, then phaseDraining, then phaseClosed; moved under mu
+	mu    sync.Mutex   // guards conns and every phase change
+	// conns holds every live connection's session, nil until the
+	// connection authenticates.
+	conns map[net.Conn]*session
+	wg    sync.WaitGroup
+	stop  chan struct{} // closed when the server leaves phaseServing
 
 	log      logger
 	metrics  *srvMetrics
@@ -363,13 +359,20 @@ type Server struct {
 	txBytes  atomic.Int64 // wire bytes sent to clients
 }
 
+// A server's phases, in the only order it passes through them.
+const (
+	phaseServing  int32 = iota // accepting connections and serving them
+	phaseDraining              // refusing connections; sessions finish what they have begun
+	phaseClosed                // severed: no session writes another reply
+)
+
 // NewServer creates a server exporting k's file system. The root ACL is
 // installed if the export root has none.
 func NewServer(k *kernel.Kernel, opts ServerOptions) (*Server, error) {
 	if opts.Owner == "" {
 		opts.Owner = "chirp"
 	}
-	s := &Server{k: k, fs: k.FS(), opts: opts, conns: make(map[net.Conn]*connState), stop: make(chan struct{})}
+	s := &Server{k: k, fs: k.FS(), opts: opts, conns: make(map[net.Conn]*session), stop: make(chan struct{})}
 	s.log = logger{sink: opts.Logf}
 	reg := opts.Metrics
 	if reg == nil {
@@ -447,126 +450,97 @@ func (s *Server) Addr() string {
 }
 
 // Close stops accepting, severs live sessions immediately, and waits
-// for the connection goroutines to drain. For a graceful stop that
+// for the connection goroutines to exit. For a graceful stop that
 // lets in-flight RPCs finish, use Shutdown.
-func (s *Server) Close() error {
-	s.stopOnce.Do(func() { close(s.stop) })
-	already := s.severAll()
-	var err error
-	if s.ln != nil && !already {
-		err = s.ln.Close()
+func (s *Server) Close() error { return s.shutdown(false, 0) }
+
+// Shutdown drains the server gracefully: it stops accepting new
+// connections, lets every request a session has begun finish, nudges
+// idle sessions off their blocking reads, and waits up to timeout for
+// the connection goroutines to exit before severing stragglers. It
+// returns an error if any session had to be severed. On a server that
+// is already stopping it is Close.
+func (s *Server) Shutdown(timeout time.Duration) error { return s.shutdown(true, timeout) }
+
+// shutdown is the one stop path. The call that takes the server out of
+// phaseServing closes the listener and the stop channel; with drain
+// set it also nudges every idle session and waits up to timeout for
+// the connection goroutines. Every call then severs what is left and
+// waits for the goroutines to exit.
+func (s *Server) shutdown(drain bool, timeout time.Duration) error {
+	s.mu.Lock()
+	first := s.phase.CompareAndSwap(phaseServing, phaseDraining)
+	drain = drain && first
+	if drain {
+		s.metrics.draining.Set(1)
+		for c, sess := range s.conns {
+			if sess == nil {
+				expireRead(c) // still authenticating
+			} else {
+				sess.nudge()
+			}
+		}
 	}
+	s.mu.Unlock()
+	var err error
+	if first {
+		close(s.stop)
+		if s.ln != nil {
+			err = s.ln.Close()
+		}
+	}
+	if drain {
+		done := make(chan struct{})
+		go func() {
+			s.wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(timeout):
+			err = fmt.Errorf("chirp: drain timed out after %v; severed remaining sessions", timeout)
+		}
+	}
+	s.severAll()
 	s.wg.Wait()
 	return err
 }
 
-// severAll marks the server closed and cuts every live session,
-// reporting whether the server was closed already. Every session is
-// marked severed before any connection is closed: a severed session
-// writes no more replies, so one connection going away (a follower's
-// ship stream, say, whose loss degrades the semi-sync barrier to local
-// durability) can never let another session acknowledge work in the
-// gap before its own connection closes. Severing one session is not
-// enough to mark it: a severed replication pusher drops its
-// subscription at once, which also releases semi-sync waits, so the
-// server-wide severed flag silences every session before the first is
-// severed.
-func (s *Server) severAll() (already bool) {
-	s.mu.Lock()
-	already = s.closed
-	s.closed = true
-	s.severed.Store(true)
-	conns := make(map[net.Conn]*connState, len(s.conns))
-	for c, st := range s.conns {
-		conns[c] = st
-	}
-	s.mu.Unlock()
-	// Sever outside s.mu: the abort hook takes the session slot mutex,
-	// which workers hold while consulting server state.
-	for _, st := range conns {
-		st.sever()
-	}
-	for c := range conns {
-		c.Close()
-	}
-	return already
-}
-
-// Shutdown drains the server gracefully: it stops accepting new
-// connections, lets every in-flight RPC finish, nudges idle sessions
-// off their blocking reads, and waits up to timeout for the connection
-// goroutines to exit before severing stragglers. It returns an error
-// if any session had to be severed.
-func (s *Server) Shutdown(timeout time.Duration) error {
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return s.Close()
-	}
-	s.draining = true
-	s.metrics.draining.Set(1)
-	ln := s.ln
-	for c, st := range s.conns {
-		if !st.busy.Load() {
-			// An idle session is parked reading its next request; expiring
-			// its read deadline pops it out so the goroutine can exit. Busy
-			// sessions notice draining after their current dispatch.
-			c.SetReadDeadline(time.Now())
-		}
-	}
-	s.mu.Unlock()
-	var lnErr error
-	if ln != nil {
-		lnErr = ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	severed := false
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		severed = true
-	}
-	s.severAll()
-	s.wg.Wait()
-	if severed {
-		return fmt.Errorf("chirp: drain timed out after %v; severed remaining sessions", timeout)
-	}
-	return lnErr
-}
-
-// connState is the server's per-connection bookkeeping shared with the
-// drain path: busy is true while a request is being dispatched, and
-// abort (set once the connection has authenticated into a session)
-// marks the session severed when the server cuts the connection.
-type connState struct {
-	busy  atomic.Bool
-	abort atomic.Value // func()
-}
-
-// sever calls the session's abort hook, if one is registered.
-func (st *connState) sever() {
-	if f, ok := st.abort.Load().(func()); ok {
-		f()
-	}
-}
-
-// track registers a live connection; it reports nil when the server is
-// closing or draining (the caller should drop the connection).
-func (s *Server) track(c net.Conn) *connState {
+// severAll enters phaseClosed and cuts every live session. The phase
+// changes before any connection is closed, and every session reads it
+// before it replies: a closed server writes no more replies, so one
+// connection going away (a follower's ship stream, say, whose loss
+// degrades the semi-sync barrier to local durability) can never let
+// another session acknowledge work in the gap before its own
+// connection closes.
+func (s *Server) severAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return nil
+	s.phase.Store(phaseClosed)
+	for c, sess := range s.conns {
+		if sess != nil {
+			sess.abort()
+		}
+		c.Close()
 	}
-	st := &connState{}
-	s.conns[c] = st
+}
+
+// expireRead pops whoever is blocked reading c off its read.
+func expireRead(c net.Conn) {
+	c.SetReadDeadline(time.Now()) // a closed connection has nothing to pop
+}
+
+// track registers a live connection; it reports false once the server
+// has left phaseServing (the caller should drop the connection).
+func (s *Server) track(c net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.phase.Load() != phaseServing {
+		return false
+	}
+	s.conns[c] = nil
 	s.metrics.conns.Inc()
-	return st
+	return true
 }
 
 func (s *Server) untrack(c net.Conn) {
@@ -626,22 +600,30 @@ func (c countingConn) Write(p []byte) (int, error) {
 // supplied via ServerOptions.Metrics, or the server's private one).
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
+// acceptLoop accepts connections until the server leaves
+// phaseServing. A failed Accept is retried after a pause that starts
+// at 5 ms and doubles up to a second, as net/http's server does, so a
+// transient failure (out of descriptors, say) stops no server whose
+// heartbeats still advertise it.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	var pause time.Duration
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			stopping := s.closed || s.draining
-			s.mu.Unlock()
-			if stopping {
+			if s.phase.Load() != phaseServing {
 				return
 			}
-			log.Printf("chirp: accept: %v", err)
-			return
+			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+			s.log.printf("accept: %v; retrying in %v", err, pause)
+			select {
+			case <-time.After(pause):
+			case <-s.stop:
+			}
+			continue
 		}
-		st := s.track(conn)
-		if st == nil {
+		pause = 0
+		if !s.track(conn) {
 			conn.Close()
 			return
 		}
@@ -650,17 +632,14 @@ func (s *Server) acceptLoop() {
 			defer s.wg.Done()
 			defer s.untrack(conn)
 			defer conn.Close()
-			s.serveConn(conn, st)
+			s.serveConn(conn)
 		}()
 	}
 }
 
-// isDraining reports whether the server has begun a graceful shutdown.
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+// isDraining reports whether the server has left phaseServing: its
+// sessions finish what they have begun and read no further request.
+func (s *Server) isDraining() bool { return s.phase.Load() != phaseServing }
 
 // RequestCount reports the number of requests dispatched across all
 // sessions since the server started.

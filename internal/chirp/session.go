@@ -6,7 +6,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"identitybox/internal/admission"
@@ -37,8 +36,7 @@ type session struct {
 	log   logger
 	reqs  int64 // requests dispatched on this session (reader-owned)
 	ident identity.Principal
-	conn  net.Conn   // for per-request deadlines
-	state *connState // busy flag shared with the drain path
+	conn  net.Conn // for per-request deadlines and drain nudges
 	c     *codec
 
 	fdMu   sync.RWMutex // guards fds and nextFD
@@ -59,15 +57,15 @@ type session struct {
 	// read it without a lock.
 	conf sessionConf
 
-	// Credit-window state: slotMu/slotCond gate frame admission so at
-	// most window requests are in flight per session. stopping is set
-	// by abort() when the server severs the connection: it wakes a
-	// reader parked on a full window and tells the workers to
-	// drop queued jobs instead of executing them toward a dead socket.
+	// busy counts the session's requests from the arrival of a frame
+	// header to the flush of the reply (or of the reader's own
+	// refusal): the session is idle, and a drain may expire its read,
+	// only at zero. It also gates frame admission: the reader queues a
+	// request only while the others number fewer than the window, and
+	// waits on slotCond otherwise.
 	slotMu   sync.Mutex
 	slotCond *sync.Cond
-	inflight int
-	stopping atomic.Bool
+	busy     int
 
 	writeMu sync.Mutex // serializes replies on the shared codec
 
@@ -132,7 +130,7 @@ type sessionFD struct {
 	acc vfs.Access
 }
 
-func (s *Server) serveConn(conn net.Conn, st *connState) {
+func (s *Server) serveConn(conn net.Conn) {
 	remoteHost, _, _ := net.SplitHostPort(conn.RemoteAddr().String())
 	wire := countingConn{Conn: conn, s: s}
 	authTimeout := s.opts.AuthTimeout
@@ -160,13 +158,14 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 		log:    s.log.with(fmt.Sprintf("sid=%d", sid)),
 		ident:  ident,
 		conn:   conn,
-		state:  st,
 		c:      newCodec(wire),
 		fds:    make(map[int]*sessionFD),
 		nextFD: 1,
 	}
 	sess.slotCond = sync.NewCond(&sess.slotMu)
-	st.abort.Store(func() { sess.abort() })
+	s.mu.Lock()
+	s.conns[conn] = sess // so a drain can nudge it and a sever wake it
+	s.mu.Unlock()
 	sess.log.printf("session for %s from %s", ident, remoteHost)
 	sess.loop()
 	sess.closeReplSub()
@@ -261,12 +260,13 @@ func (sess *session) step(wk *workers) bool {
 	if err != nil {
 		return false // connection closed (or drain nudge expired the read)
 	}
-	// Answered here, the request is recycled on the way out; queued, the
-	// worker that serves it recycles it.
+	// Answered here, the request is recycled and its busy span ended on
+	// the way out; queued, the worker that serves it does both.
 	queued := false
 	defer func() {
 		if !queued {
 			req.recycle()
+			sess.done()
 		}
 	}()
 	if req.cmd == "quit" && req.bad == "" {
@@ -325,11 +325,11 @@ func (sess *session) count(req *request) {
 
 // readRequest reads the next tagged frame, carrying line and payload,
 // and parses its line against the command table; the line may be led
-// by the negotiated "trace <id>" and "deadline <ms>" prefixes.
-// RequestTimeout bounds what is read after the frame header has
-// arrived, so a peer that announces a frame and stalls cannot pin the
-// session. A request the reader refuses comes back with bad set; an
-// error means the session is over.
+// by the negotiated "trace <id>" and "deadline <ms>" prefixes. The
+// session is busy from the frame header's arrival, and RequestTimeout
+// bounds what is read after it, so a peer that announces a frame and
+// stalls cannot pin the session. A request the reader refuses comes
+// back with bad set; an error means the session is over.
 func (sess *session) readRequest() (*request, error) {
 	req := requestPool.Get().(*request)
 	if err := sess.readInto(req); err != nil {
@@ -348,7 +348,7 @@ func (sess *session) readInto(req *request) error {
 		return err
 	}
 	req.tag = h.tag
-	sess.boundRead(true)
+	sess.begin()
 	b, err := sess.c.readFrameLine(h.lineLen)
 	if err != nil {
 		return err
@@ -360,7 +360,7 @@ func (sess *session) readInto(req *request) error {
 			return err
 		}
 	}
-	sess.boundRead(false)
+	sess.armRead(false)
 	req.arrived = time.Now()
 	fields, perr := appendFields(req.fields[:0], line, true)
 	req.fields = fields
@@ -411,14 +411,28 @@ func (sess *session) readInto(req *request) error {
 	return nil
 }
 
-// boundRead arms (or clears) the per-request read deadline.
-func (sess *session) boundRead(on bool) {
+// begin marks the session busy with the frame whose header just
+// arrived, then arms the read deadline for the rest of the frame. A
+// drain nudge that raced the header is thereby undone, and no later one
+// comes while the session is busy, so a drain never cuts a frame short.
+func (sess *session) begin() {
+	sess.slotMu.Lock()
+	sess.busy++
+	sess.slotMu.Unlock()
+	sess.armRead(true)
+}
+
+// armRead sets the read deadline for the frame being read:
+// RequestTimeout from now while on, none once the frame is in. Arming
+// without a RequestTimeout still clears the deadline a nudge may have
+// set.
+func (sess *session) armRead(on bool) {
 	rt := sess.s.opts.RequestTimeout
-	if rt <= 0 {
-		return
+	if !on && rt <= 0 {
+		return // nothing was armed
 	}
 	var t time.Time
-	if on {
+	if on && rt > 0 {
 		t = time.Now().Add(rt)
 	}
 	if err := sess.conn.SetReadDeadline(t); err != nil {
@@ -529,67 +543,68 @@ func (sess *session) worker(wk *workers) {
 	}
 }
 
-// acquireSlot blocks until the session's credit window has room, then
-// claims a slot. Called only by the frame reader, so blocking here is
-// the backpressure: the next frame is not read until a slot frees.
+// acquireSlot blocks until the session's credit window has room for
+// the request the reader holds, which is busy already, then claims a
+// slot for it. Called only by the frame reader, so blocking here is the
+// backpressure: the next frame is not read until a slot frees.
 func (sess *session) acquireSlot(window int) bool {
 	sess.slotMu.Lock()
-	for sess.inflight >= window && !sess.stopping.Load() {
+	defer sess.slotMu.Unlock()
+	for sess.busy > window && !sess.isStopping() {
 		sess.s.metrics.bpStalls.Inc()
 		sess.slotCond.Wait()
 	}
-	if sess.stopping.Load() {
-		sess.slotMu.Unlock()
+	if sess.isStopping() {
 		return false
 	}
-	sess.inflight++
-	sess.s.metrics.occupancy.Observe(float64(sess.inflight))
+	sess.s.metrics.occupancy.Observe(float64(sess.busy))
 	sess.s.metrics.tagsInFlight.Inc()
-	if sess.inflight == 1 {
-		sess.state.busy.Store(true)
-	}
-	sess.slotMu.Unlock()
 	return true
 }
 
-// abort marks the session severed: it silences reply, wakes a frame
-// reader parked on the credit window (acquireSlot returns false) and
-// makes the workers drop queued jobs. Called by Close and by
-// Shutdown's sever path; without it a reader parked behind a window
-// full of slow work would hold its connection goroutine — and
-// therefore Close — hostage until every queued job had executed toward
-// the already-dead socket.
+// abort wakes a frame reader parked on the credit window. severAll
+// calls it once the server is closed, so the reader sees isStopping and
+// stops reading, and the workers drop queued jobs; without it a reader
+// parked behind a window full of slow work would hold its connection
+// goroutine, and therefore Close, hostage until every queued job had
+// executed toward the already-dead socket.
 func (sess *session) abort() {
 	sess.slotMu.Lock()
-	sess.stopping.Store(true)
 	sess.slotCond.Broadcast()
 	sess.slotMu.Unlock()
 }
 
-// isStopping reports whether abort has severed this session, or
-// severAll has begun severing every session.
-func (sess *session) isStopping() bool { return sess.stopping.Load() || sess.s.severed.Load() }
+// isStopping reports whether the server has severed its sessions.
+func (sess *session) isStopping() bool { return sess.s.phase.Load() == phaseClosed }
 
 // releaseSlot returns a worker's slot after its reply is on the wire.
-// When the last in-flight request completes during a drain, the blocked
-// frame reader cannot see the drain flag, so the release expires its
-// read, as Shutdown's nudge does for a session that is idle already.
 func (sess *session) releaseSlot() {
-	sess.slotMu.Lock()
-	sess.inflight--
-	idle := sess.inflight == 0
-	if idle {
-		sess.state.busy.Store(false)
-	}
 	sess.s.metrics.tagsInFlight.Dec()
+	sess.done()
+}
+
+// done ends one request's busy span, once its reply is flushed. During
+// a drain the session is then nudged, since its reader, blocked on the
+// next frame header, cannot see the drain.
+func (sess *session) done() {
+	sess.slotMu.Lock()
+	sess.busy--
 	sess.slotCond.Signal()
 	sess.slotMu.Unlock()
-	// The drain check must run outside slotMu: Close and Shutdown sever
-	// sessions (taking slotMu) while holding the server mutex isDraining
-	// needs, so nesting the two here would invert the lock order.
-	if idle && sess.s.isDraining() {
-		if err := sess.conn.SetReadDeadline(time.Now()); err != nil {
-			sess.log.printf("drain nudge: %v", err)
-		}
+	if sess.s.isDraining() {
+		sess.nudge()
 	}
+}
+
+// nudge expires the reader's read if the session is idle, so a reader
+// waiting for its next frame header during a drain wakes and exits. The
+// check and the expiry share one slotMu hold, so a frame header cannot
+// be counted between them; begin re-arms the deadline after counting
+// one, which undoes a nudge that beat it.
+func (sess *session) nudge() {
+	sess.slotMu.Lock()
+	if sess.busy == 0 {
+		expireRead(sess.conn)
+	}
+	sess.slotMu.Unlock()
 }
