@@ -342,11 +342,8 @@ func (cl *Client) do(c wireCall) (rest string, body []byte, retried bool, err er
 			retried = true
 			cl.m.retries.Inc()
 			cl.mu.Lock()
-			d := backoff(cl.rng, cl.opts.RetryBase, cl.opts.RetryMax, attempt)
+			d := max(backoff(cl.rng, cl.opts.RetryBase, cl.opts.RetryMax, attempt), busyHint)
 			cl.mu.Unlock()
-			if busyHint > d {
-				d = busyHint
-			}
 			busyHint = 0
 			if !c.deadline.IsZero() && time.Now().Add(d).After(c.deadline) {
 				// The wait alone would outlive the caller's budget; fail
@@ -392,7 +389,7 @@ func (cl *Client) do(c wireCall) (rest string, body []byte, retried bool, err er
 			cl.brk.Success()
 			if class == classRetrySafe {
 				cl.m.busy.Inc()
-				busyHint = RetryAfterFromError(aerr)
+				busyHint = re.RetryAfter
 				continue
 			}
 			if re.Err == ErrDeadline {
@@ -888,10 +885,10 @@ func (cl *Client) PutFile(path string, data []byte, mode uint32) error {
 
 // GetFile fetches a whole remote file: one getfile, whose reply body is
 // the file, retried transparently like any idempotent call. A file over
-// MaxPayload (EFBIG) takes the chunk path (getChunks).
+// MaxPayload (EFBIG, vfs.ErrTooBig) takes the chunk path (getChunks).
 func (cl *Client) GetFile(path string) ([]byte, error) {
 	_, body, _, err := cl.do(wireCall{line: newLine("getfile").quoted(path), recvBody: true})
-	if errors.Is(err, ErrFileTooBig) {
+	if errors.Is(err, vfs.ErrTooBig) {
 		return cl.getChunks(path)
 	}
 	return body, err

@@ -84,7 +84,7 @@ func readVia[T any](f *FailoverDriver, what string, read func(d *Driver) (T, err
 			continue
 		}
 		v, err := read(d)
-		if err == nil || !isTransient(err) {
+		if !isTransient(err) {
 			if i != start {
 				f.notef("chirp failover: %s served by replica %s", what, d.Client().Addr())
 			}
@@ -115,8 +115,8 @@ func (f *FailoverDriver) writeDriver(op func(d *Driver) error) error {
 		}
 	}
 	err := op(primary)
-	if errors.Is(err, ErrNotPrimary) {
-		if addr := PrimaryFromError(err); addr != "" && f.setPrimaryAddr(addr) {
+	if cls, re := classOf(err); cls == classRedirect {
+		if re.Primary != "" && f.setPrimaryAddr(re.Primary) {
 			next := f.Primary()
 			if rerr := op(next); !isTransient(rerr) && !errors.Is(rerr, ErrNotPrimary) {
 				return rerr

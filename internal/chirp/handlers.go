@@ -46,7 +46,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		conns := len(s.conns)
 		s.mu.Unlock()
 		ok := sc.ok().int(int64(conns)).int(int64(sess.fdCount())).int(int64(sess.grantCount())).
-			quoted(s.opts.Name).int(s.requests.Load()).int(s.errors.Load()).int(s.sessions.Load()).
+			quoted(s.opts.Name).int(s.requests.Load()).int(s.ErrorCount()).int(s.sessions.Load()).
 			int(s.rxBytes.Load()).int(s.txBytes.Load())
 		// Replication-aware servers append role, epoch and applied LSN;
 		// old clients that expect exactly nine fields never see them
@@ -61,7 +61,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		lsn, err1 := strconv.ParseUint(args[0], 10, 64)
 		ms, err2 := strconv.ParseInt(args[1], 10, 64)
 		if err1 != nil || err2 != nil || ms < 0 {
-			return sess.failf(sc, vfs.ErrInvalid, "bad waitlsn args")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		rs := s.opts.Role
 		if rs == nil {
@@ -69,7 +69,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 			return hres{line: sc.ok().int(0)}
 		}
 		if err := rs.WaitApplied(lsn, time.Duration(ms)*time.Millisecond); err != nil {
-			return sess.failf(sc, err, "waitlsn")
+			return sess.fail(sc, fmt.Errorf("%w: %v", ErrDeadline, err)) // the horizon did not arrive in time
 		}
 		return hres{line: sc.ok().uint(rs.AppliedLSN())}
 
@@ -80,13 +80,13 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 	case "trace": // trace <id>: server-side spans for one trace, as JSON
 		id, err := obs.ParseTraceID(args[0])
 		if err != nil || id == 0 {
-			return sess.failf(sc, vfs.ErrInvalid, "bad trace id")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		// A nil ring (tracing not enabled) yields no spans, same as an
 		// unknown ID: an empty JSON array, not an error.
 		data, err := json.Marshal(s.opts.Spans.Trace(id))
 		if err != nil {
-			return sess.failf(sc, vfs.ErrInvalid, "trace encode")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		return hres{line: sc.ok().int(int64(len(data))), body: data}
 
@@ -101,7 +101,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		mode, err2 := strconv.ParseUint(args[1], 8, 32)
 		acc, err3 := vfs.OpenAccess(flags) // access mode 3 is EINVAL, unchecked
 		if err1 != nil || err2 != nil || err3 != nil {
-			return sess.failf(sc, vfs.ErrInvalid, "bad open args")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		var want acl.Rights
 		if acc&vfs.MayRead != 0 {
@@ -115,17 +115,17 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 			err = vfs.ErrIsDir
 		}
 		if err != nil {
-			return sess.failf(sc, err, "open")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok().int(int64(sess.addFD(&sessionFD{h: h, acc: acc})))}
 
 	case "close":
 		fd, err := strconv.Atoi(args[0])
 		if err != nil {
-			return sess.failf(sc, vfs.ErrInvalid, "bad fd")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		if !sess.removeFD(fd) {
-			return sess.failf(sc, kernel.ErrBadFD, "close")
+			return sess.fail(sc, kernel.ErrBadFD)
 		}
 		return hres{line: sc.ok()}
 
@@ -134,21 +134,21 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		n, err2 := strconv.Atoi(args[1])
 		off, err3 := strconv.ParseInt(args[2], 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil {
-			return sess.failf(sc, vfs.ErrInvalid, "bad pread args")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		if n < 0 || n > MaxPayload {
-			return sess.failf(sc, vfs.ErrInvalid, "pread size")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		d, ok := sess.lookupFD(fd)
 		if !ok || d.acc&vfs.MayRead == 0 {
-			return sess.failf(sc, kernel.ErrBadFD, "pread")
+			return sess.fail(sc, kernel.ErrBadFD)
 		}
 		// Pooled scratch: the payload is written to the wire before the
 		// caller's scratch is reused.
 		b := sc.bytes(n)
 		rn, err := d.h.ReadAt(b, off)
 		if err != nil {
-			return sess.failf(sc, err, "pread")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok().int(int64(rn)), body: b[:rn]}
 
@@ -156,49 +156,46 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		fd, err1 := strconv.Atoi(args[0])
 		off, err2 := strconv.ParseInt(args[1], 10, 64)
 		if err1 != nil || err2 != nil {
-			return sess.failf(sc, vfs.ErrInvalid, "bad pwrite args")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		d, ok := sess.lookupFD(fd)
 		if !ok || d.acc&vfs.MayWrite == 0 {
-			return sess.failf(sc, kernel.ErrBadFD, "pwrite")
+			return sess.fail(sc, kernel.ErrBadFD)
 		}
 		wn, err := d.h.WriteAtTraced(payload, off, trace)
 		if err != nil {
-			return sess.failf(sc, err, "pwrite")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok().int(int64(wn))}
 
 	case "fstat":
 		fd, err := strconv.Atoi(args[0])
 		if err != nil {
-			return sess.failf(sc, vfs.ErrInvalid, "bad fd")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		d, ok := sess.lookupFD(fd)
 		if !ok {
-			return sess.failf(sc, kernel.ErrBadFD, "fstat")
+			return sess.fail(sc, kernel.ErrBadFD)
 		}
 		return hres{line: sc.ok().stat(d.h.Stat())}
 
 	case "putfile": // putfile <path> <mode> <len> + payload: open(O_WRONLY|O_CREAT|O_TRUNC)'s check, one MutCreate
 		mode, err := strconv.ParseUint(args[1], 8, 32)
 		if err != nil {
-			return sess.failf(sc, vfs.ErrInvalid, "bad mode")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		// An existing file keeps its inode, mode and owner, as an O_TRUNC
 		// open leaves them.
 		if err := sess.guarded(sc, trace, access{args[0], acl.Write, policy.Follow}).WriteFile(args[0], payload, uint32(mode), s.opts.Owner); err != nil {
-			return sess.failf(sc, err, "putfile")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok()}
 
 	case "getfile": // getfile <path>: open(O_RDONLY)'s check, the whole file as the reply body
 		// A file no reply can carry is refused before it is copied.
 		data, err := sess.guarded(sc, trace, access{args[0], acl.Read, policy.Follow}).ReadFile(args[0], MaxPayload)
-		if errors.Is(err, vfs.ErrTooBig) {
-			return sess.failf(sc, ErrFileTooBig, "getfile")
-		}
 		if err != nil {
-			return sess.failf(sc, err, "getfile")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok().int(int64(len(data))), body: data}
 
@@ -209,14 +206,14 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		}
 		st, err := vfs.Lookup(sess.guarded(sc, trace, access{args[0], acl.List, policy.Follow}), s.src.Locked, lookup, args[0])
 		if err != nil {
-			return sess.failf(sc, err, "stat")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok().stat(st)}
 
 	case "getdir":
 		ents, err := sess.guarded(sc, trace, access{args[0], acl.List, policy.Dir}).ReadDir(args[0])
 		if err != nil {
-			return sess.failf(sc, err, "getdir")
+			return sess.fail(sc, err)
 		}
 		ok := sc.ok().int(int64(len(ents)))
 		for _, e := range ents {
@@ -227,12 +224,12 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 	case "mkdir": // mkdir <mode> <path>: policy.Mkdir decides, and derives the child's ACL, in the step
 		mode, err := strconv.ParseUint(args[0], 8, 32)
 		if err != nil {
-			return sess.failf(sc, vfs.ErrInvalid, "bad mode")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		v := sess.guarded(sc, trace)
 		sc.guard.mkdir = args[1]
 		if err := v.MkdirWithFile(args[1], uint32(mode), s.opts.Owner, acl.FileName, nil); err != nil {
-			return sess.failf(sc, err, "mkdir")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok()}
 
@@ -240,57 +237,57 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		// A directory holding only its ACL file counts as empty: the
 		// ACL goes with the directory, in one step.
 		if _, err := sess.guarded(sc, trace, access{args[0], acl.Write, policy.NoFollow}).RmdirWithFile(args[0], acl.FileName); err != nil {
-			return sess.failf(sc, err, "rmdir")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok()}
 
 	case "unlink":
 		if err := sess.guarded(sc, trace, access{args[0], acl.Write, policy.NoFollow}).Unlink(args[0]); err != nil {
-			return sess.failf(sc, err, "unlink")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok()}
 
 	case "rename":
 		v := sess.guarded(sc, trace, access{args[0], acl.Write, policy.NoFollow}, access{args[1], acl.Write, policy.NoFollow})
 		if err := v.Rename(args[0], args[1]); err != nil {
-			return sess.failf(sc, err, "rename")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok()}
 
 	case "link": // link <old> <new>: refuse links to unreadable files
 		v := sess.guarded(sc, trace, access{args[0], acl.Read, policy.LinkOld}, access{args[1], acl.Write, policy.NoFollow})
 		if err := v.Link(args[0], args[1]); err != nil {
-			return sess.failf(sc, err, "link")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok()}
 
 	case "symlink": // symlink <target> <link>
 		if err := sess.guarded(sc, trace, access{args[1], acl.Write, policy.NoFollow}).Symlink(args[0], args[1], s.opts.Owner); err != nil {
-			return sess.failf(sc, err, "symlink")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok()}
 
 	case "readlink":
 		t, err := vfs.Lookup(sess.guarded(sc, trace, access{args[0], acl.List, policy.NoFollow}), s.src.Locked, vfs.Locked.Readlink, args[0])
 		if err != nil {
-			return sess.failf(sc, err, "readlink")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok().quoted(t)}
 
 	case "truncate": // truncate <path> <size>
 		size, err := strconv.ParseInt(args[1], 10, 64)
 		if err != nil {
-			return sess.failf(sc, vfs.ErrInvalid, "bad size")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		if err := sess.guarded(sc, trace, access{args[0], acl.Write, policy.Follow}).Truncate(args[0], size); err != nil {
-			return sess.failf(sc, err, "truncate")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok()}
 
 	case "getacl":
 		a, err := vfs.Lookup(sess.guarded(sc, trace, access{args[0], acl.List, policy.Dir}), s, (*Server).aclFor, args[0])
 		if err != nil {
-			return sess.failf(sc, err, "getacl")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok().int(int64(len(a.Text))), body: []byte(a.Text)}
 
@@ -299,31 +296,31 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		if _, err := acl.Parse(string(payload)); err != nil {
 			// A refusal outranks a malformed ACL.
 			if err := v.Check(); err != nil {
-				return sess.failf(sc, err, "setacl")
+				return sess.fail(sc, err)
 			}
-			return sess.failf(sc, vfs.ErrInvalid, "malformed ACL")
+			return sess.fail(sc, vfs.ErrInvalid)
 		}
 		if err := v.WriteFile(vfs.Join(args[0], acl.FileName), payload, 0o644, s.opts.Owner); err != nil {
-			return sess.failf(sc, err, "setacl")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok()}
 
 	case "assert": // assert <len> + JSON assertion payload
 		community, err := sess.present(payload)
 		if err != nil {
-			return sess.failf(sc, vfs.ErrPermission, err.Error())
+			return sess.fail(sc, vfs.ErrPermission)
 		}
 		return hres{line: sc.ok().quoted(community)}
 
 	case "exec": // exec <cwd> <path> [args...]
 		code, runtime, err := sess.exec(sc, args[0], args[1], args[2:])
 		if err != nil {
-			return sess.failf(sc, err, "exec")
+			return sess.fail(sc, err)
 		}
 		return hres{line: sc.ok().int(int64(code)).str(strconv.FormatFloat(runtime, 'f', -1, 64))}
 
 	default:
-		return sess.failf(sc, kernel.ErrNoSys, "unknown command "+cmd)
+		return sess.fail(sc, kernel.ErrNoSys)
 	}
 }
 
@@ -340,20 +337,20 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 func (sess *session) replSubscribe(sc *payloadScratch, arg string) hres {
 	pub := sess.s.opts.Repl
 	if pub == nil || !sess.conf.repl {
-		return sess.failf(sc, kernel.ErrNoSys, "replication not negotiated")
+		return sess.fail(sc, kernel.ErrNoSys)
 	}
 	from, err := strconv.ParseUint(arg, 10, 64)
 	if err != nil {
-		return sess.failf(sc, vfs.ErrInvalid, "bad replsub lsn")
+		return sess.fail(sc, vfs.ErrInvalid)
 	}
 	sess.replMu.Lock()
 	defer sess.replMu.Unlock()
 	if sess.replSub != nil {
-		return sess.failf(sc, vfs.ErrInvalid, "session already subscribed")
+		return sess.fail(sc, vfs.ErrInvalid)
 	}
 	sub, catchup, err := pub.Subscribe(from)
 	if err != nil {
-		return sess.failf(sc, err, "replsub")
+		return sess.fail(sc, err)
 	}
 	sess.replSub = sub
 	sess.log.printf("replication subscriber from lsn %d (%s)", from, sess.ident)
@@ -377,13 +374,13 @@ func (sess *session) replSubscribe(sc *payloadScratch, arg string) hres {
 func (sess *session) replAck(sc *payloadScratch, arg string) hres {
 	lsn, err := strconv.ParseUint(arg, 10, 64)
 	if err != nil {
-		return sess.failf(sc, vfs.ErrInvalid, "bad replack lsn")
+		return sess.fail(sc, vfs.ErrInvalid)
 	}
 	sess.replMu.Lock()
 	sub := sess.replSub
 	sess.replMu.Unlock()
 	if sub == nil {
-		return sess.failf(sc, vfs.ErrInvalid, "no replication subscription")
+		return sess.fail(sc, vfs.ErrInvalid)
 	}
 	sub.Ack(lsn)
 	return hres{line: sc.ok()}
@@ -425,10 +422,21 @@ func (sess *session) present(data []byte) (community string, err error) {
 		return "", err
 	}
 	sess.grantsMu.Lock()
-	sess.grants = append(sess.grants, a.Grants...)
+	for _, g := range a.Grants {
+		// Rights that do not parse could never match: the grant is dropped.
+		if r, err := acl.ParseRights(g.Rights); err == nil {
+			sess.grants = append(sess.grants, grant{vfs.Clean(g.PathPrefix), r})
+		}
+	}
 	sess.grantsMu.Unlock()
 	sess.log.printf("%s: presented CAS assertion from %s (%s), %d grants", sess.ident, a.CAS, a.Community, len(a.Grants))
 	return a.Community, nil
+}
+
+// grant is one verified CAS grant, parsed when it was presented.
+type grant struct {
+	prefix string // cleaned path prefix
+	rights acl.Rights
 }
 
 // grantsAllow reports whether a verified CAS grant covers final — a
@@ -438,16 +446,9 @@ func (sess *session) grantsAllow(final string, want acl.Rights) bool {
 	sess.grantsMu.RLock()
 	defer sess.grantsMu.RUnlock()
 	for _, g := range sess.grants {
-		prefix := vfs.Clean(g.PathPrefix)
-		if !(prefix == "/" || final == prefix ||
-			(len(final) > len(prefix) && final[:len(prefix)] == prefix && final[len(prefix)] == '/')) {
-			continue
-		}
-		r, err := acl.ParseRights(g.Rights)
-		if err != nil {
-			continue
-		}
-		if r.Has(want) {
+		p := g.prefix
+		if (p == "/" || final == p || (len(final) > len(p) && final[:len(p)] == p && final[len(p)] == '/')) &&
+			g.rights.Has(want) {
 			return true
 		}
 	}

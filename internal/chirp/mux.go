@@ -490,14 +490,9 @@ func (ms *muxSession) readReply(call *muxCall, line []byte, payloadLen int) (res
 		if err != nil {
 			return "", nil, nil, fmt.Errorf("chirp: malformed reply %q", "err "+rest)
 		}
-		name, msg := "EIO", "unknown"
-		if len(parts) > 0 {
-			name = parts[0]
-		}
-		if len(parts) > 1 {
-			msg = parts[1]
-		}
-		return "", nil, remoteError(name, msg), nil
+		f := [2]string{"EIO", "unknown"} // what a bare "err" stands for
+		copy(f[:], parts)
+		return "", nil, remoteError(f[0], f[1]), nil
 	default:
 		return "", nil, nil, fmt.Errorf("chirp: malformed reply %q", line)
 	}

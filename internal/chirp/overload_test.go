@@ -280,7 +280,7 @@ func TestV1FlooderShedLikeV2(t *testing.T) {
 					successes.Add(1)
 				case errors.Is(err, ErrBusy):
 					busy.Add(1)
-					if RetryAfterFromError(err) > 0 {
+					if _, re := classOf(err); re.RetryAfter > 0 {
 						hinted.Add(1)
 					}
 					time.Sleep(500 * time.Microsecond)
@@ -432,7 +432,9 @@ func TestDeadlineShedAtDispatchNeverExecutes(t *testing.T) {
 	var releaseOnce sync.Once
 	releaseHog := func() { releaseOnce.Do(func() { close(release) }) }
 	t.Cleanup(releaseHog) // a failed test must not leave the hog parked
+	started := make(chan struct{}, 1)
 	k.RegisterProgram("block", func(p *kernel.Proc, args []string) int {
+		started <- struct{}{}
 		<-release
 		return 0
 	})
@@ -454,7 +456,17 @@ func TestDeadlineShedAtDispatchNeverExecutes(t *testing.T) {
 		_, err := blocker.Exec(bdir, bpath)
 		done <- err
 	}()
-	waitFor(t, "hog to hold the exec slot", func() bool { return adm.Stats().ExecBusy == 1 })
+	// The hog's program running proves it holds the only slot: a stager's
+	// ticket, released only once its reply has flushed, may still show
+	// as ExecBusy == 1 before the hog has even been admitted.
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("hog exec never started")
+	}
+	if busy := adm.Stats().ExecBusy; busy != 1 {
+		t.Fatalf("exec slots busy with the hog running = %d, want 1", busy)
+	}
 
 	_, err := cl.Exec(dir, path)
 	if !errors.Is(err, ErrDeadline) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"identitybox/internal/admission"
@@ -104,8 +103,8 @@ func (sess *session) serve(req *request, sc *payloadScratch) {
 // on its own dedupe record; an untokened mutation on the barrier.
 func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres {
 	s := sess.s
-	if msg := req.spec.refusal(req.args, req.payload); msg != "" {
-		return sess.failf(sc, vfs.ErrInvalid, msg)
+	if !req.spec.shapeOK(req.args, req.payload) {
+		return sess.fail(sc, vfs.ErrInvalid)
 	}
 	// A tokened request already answered for this principal is replayed
 	// without re-executing: a lost reply does not become a second
@@ -141,7 +140,7 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 	// EDEADLINE if the budget runs out in the queue — the handler (and
 	// any WAL work) never runs for shed requests.
 	if err := req.ticket.Acquire(); err != nil {
-		return sess.failf(sc, fmt.Errorf("%w awaiting dispatch", ErrDeadline), "")
+		return sess.fail(sc, fmt.Errorf("%w awaiting dispatch", ErrDeadline))
 	}
 	st.handler = time.Now()
 	res := sess.handle(req.cmd, req.args, req.payload, sc, req.trace)
@@ -166,7 +165,7 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 			// answer EDEADLINE instead of parking on the WAL —
 			// applied-but-unacknowledged, exactly a client timeout's
 			// semantics.
-			return sess.failf(sc, fmt.Errorf("%w before durability barrier", ErrDeadline), "")
+			return sess.fail(sc, fmt.Errorf("%w before durability barrier", ErrDeadline))
 		}
 		// The acknowledgement must not outrun the log: wait until every
 		// mutation this request made is durable.
@@ -230,21 +229,21 @@ type hres struct {
 	after func() // run once the reply is on the wire (replsub's pusher)
 }
 
-// failf builds an error result in sc, counting it.
-func (sess *session) failf(sc *payloadScratch, err error, context string) hres {
-	msg := context
-	if err != nil {
-		msg = err.Error()
-	}
-	sess.s.errors.Add(1)
-	sess.s.metrics.errors.Inc()
-	return hres{line: sc.line.start("err").str(nameForError(err)).quoted(msg)}
+// fail builds err's reply in sc, counting it under its errno.
+func (sess *session) fail(sc *payloadScratch, err error) hres {
+	return sess.failWith(sc, err, errFields{})
+}
+
+// failWith is fail for a reply that carries its row's field.
+func (sess *session) failWith(sc *payloadScratch, err error, f errFields) hres {
+	sess.s.metrics.errors[appendErr(&sc.line, err, f)].Inc()
+	return hres{line: &sc.line}
 }
 
 // roleRefusal reports the refusal for a mutating command when this
 // server is not the primary replica (a follower, or a fenced former
-// primary), nil when the command may proceed. The error message names
-// the current primary so a failover-aware client can re-target; this
+// primary), nil when the command may proceed. The reply names the
+// current primary so a failover-aware client can re-target; this
 // check is the server half of epoch fencing — a deposed primary
 // answers every write with it, no matter how stale its own view is.
 func (sess *session) roleRefusal(req *request, sc *payloadScratch) *hres {
@@ -256,43 +255,21 @@ func (sess *session) roleRefusal(req *request, sc *payloadScratch) *hres {
 	if role == "" || role == replica.RolePrimary {
 		return nil
 	}
-	err := ErrNotPrimary
-	if p := rs.PrimaryAddr(); p != "" {
-		err = fmt.Errorf("%w (%s); primary is %s", ErrNotPrimary, role, p)
+	err, p := ErrNotPrimary, rs.PrimaryAddr()
+	if p != "" {
+		err = fmt.Errorf("%w (%s)", ErrNotPrimary, role)
 	}
-	res := sess.failf(sc, err, "not primary")
+	res := sess.failWith(sc, err, errFields{Primary: p})
 	return &res
 }
 
-// PrimaryFromError extracts the primary address a server named in an
-// ENOTPRIMARY refusal, or "" when the error is something else (or the
-// refusing server did not know the holder).
-func PrimaryFromError(err error) string {
-	cls, re := classOf(err)
-	if cls != classRedirect {
-		return ""
-	}
-	const marker = "primary is "
-	i := strings.LastIndex(re.Message, marker)
-	if i < 0 {
-		return ""
-	}
-	return strings.TrimSpace(re.Message[i+len(marker):])
-}
-
 // admissionRefusal builds the typed rejection for an admission failure:
-// EBUSY with the controller's retry-after hint, or EDEADLINE for a
-// budget already expired at admit.
+// EBUSY with the controller's retry-after hint (at least 1 ms), or
+// EDEADLINE for a budget already expired at admit.
 func (sess *session) admissionRefusal(sc *payloadScratch, aerr error) hres {
 	var be *admission.BusyError
 	if errors.As(aerr, &be) {
-		ms := be.RetryAfter.Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		// The hint rides in the error text (failf sends err.Error() as
-		// the wire message); RetryAfterFromError parses it back out.
-		return sess.failf(sc, fmt.Errorf("%w; %s%dms", ErrBusy, retryAfterMarker, ms), "")
+		return sess.failWith(sc, ErrBusy, errFields{RetryAfter: max(be.RetryAfter, time.Millisecond)})
 	}
-	return sess.failf(sc, fmt.Errorf("%w before admit", ErrDeadline), "")
+	return sess.fail(sc, fmt.Errorf("%w before admit", ErrDeadline))
 }

@@ -18,11 +18,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"identitybox/internal/admission"
+	"identitybox/internal/durable"
 	"identitybox/internal/kernel"
+	"identitybox/internal/replica"
 	"identitybox/internal/vfs"
 )
 
@@ -36,7 +40,7 @@ const (
 	// idempotent or not — may be re-sent.
 	classRetrySafe
 	// classRedirect: refused by a replica that is not the primary; the
-	// message names the server to re-target (PrimaryFromError).
+	// reply names the server to re-target (RemoteError.Primary).
 	classRedirect
 	// classTransient: no server answer at all (dial error, reset,
 	// timeout, open breaker) — a candidate for retry or failover. No
@@ -45,96 +49,112 @@ const (
 	classTransient
 )
 
-// errnoTable is the one place wire errno names, the sentinels they map
-// to, and the client's reaction to them meet: nameForError encodes from
-// it, remoteError decodes through it, and the retry ladder acts on the
-// class. Order matters only to nameForError (first match wins); EIO,
-// the catch-all, has a sentinel nothing else wraps.
-var errnoTable = []struct {
-	name  string
-	err   error
-	class errClass
-}{
-	{"ENOENT", vfs.ErrNotExist, classFinal},
-	{"EEXIST", vfs.ErrExist, classFinal},
-	{"EPERM", vfs.ErrPermission, classFinal},
-	{"EISDIR", vfs.ErrIsDir, classFinal},
-	{"ENOTDIR", vfs.ErrNotDir, classFinal},
-	{"ENOTEMPTY", vfs.ErrNotEmpty, classFinal},
-	{"EINVAL", vfs.ErrInvalid, classFinal},
-	{"ELOOP", vfs.ErrLoop, classFinal},
-	{"EXDEV", vfs.ErrCrossDevice, classFinal},
-	{"EBADF", kernel.ErrBadFD, classFinal},
-	{"ESRCH", kernel.ErrSearch, classFinal},
-	{"ENOSYS", kernel.ErrNoSys, classFinal},
-	{"ENOTPRIMARY", ErrNotPrimary, classRedirect},
-	{"EDEADLINE", ErrDeadline, classFinal},
-	{"EBUSY", ErrBusy, classRetrySafe},
-	{"EFBIG", ErrFileTooBig, classFinal},
-	{"EIO", errors.New("input/output error"), classFinal},
+// errField names the one structured field a row's replies carry: its
+// value ends the message, after "; " and the field's marker.
+type errField uint8
+
+const (
+	fieldRetryAfter errField = iota + 1 // RemoteError.RetryAfter, "<N>ms"
+	fieldPrimary                        // RemoteError.Primary, an address
+)
+
+const retryAfterMarker, primaryMarker = "retry after ", "primary is "
+
+type errFields struct {
+	RetryAfter time.Duration // EBUSY: back off at least this long (0: no hint)
+	Primary    string        // ENOTPRIMARY: where writes go ("": unknown)
 }
+
+// errno is one row of the errno table.
+type errno struct {
+	name  string
+	errs  []error // sentinels that encode to name; a reply decodes to the first
+	class errClass
+	field errField
+}
+
+// errnoTable is the one place an error's wire name, sentinels, class and
+// field meet: appendErr encodes from it (first match wins), remoteError
+// decodes through it, and the server counts replies per row. It lists
+// every sentinel a handler can return (TestErrnoTable). EIO, last, is
+// storage failure, a disk's own error included, and any unknown name.
+var errnoTable = []errno{
+	{name: "ENOENT", errs: []error{vfs.ErrNotExist}},
+	{name: "EEXIST", errs: []error{vfs.ErrExist}},
+	{name: "EPERM", errs: []error{vfs.ErrPermission}},
+	{name: "EISDIR", errs: []error{vfs.ErrIsDir}},
+	{name: "ENOTDIR", errs: []error{vfs.ErrNotDir}},
+	{name: "ENOTEMPTY", errs: []error{vfs.ErrNotEmpty}},
+	{name: "EINVAL", errs: []error{vfs.ErrInvalid}},
+	{name: "ELOOP", errs: []error{vfs.ErrLoop}},
+	{name: "EXDEV", errs: []error{vfs.ErrCrossDevice}},
+	{name: "EBADF", errs: []error{kernel.ErrBadFD}},
+	{name: "ESRCH", errs: []error{kernel.ErrSearch}},
+	{name: "ENOSYS", errs: []error{kernel.ErrNoSys}},
+	{name: "ENOTPRIMARY", errs: []error{ErrNotPrimary}, class: classRedirect, field: fieldPrimary},
+	{name: "EDEADLINE", errs: []error{ErrDeadline, admission.ErrExpired}},
+	{name: "EBUSY", errs: []error{ErrBusy}, class: classRetrySafe, field: fieldRetryAfter},
+	{name: "EFBIG", errs: []error{vfs.ErrTooBig}},
+	{name: "EIO", errs: []error{errors.New("input/output error"),
+		replica.ErrPublisherClosed, durable.ErrWALClosed, durable.ErrTorn}},
+}
+
+var eio = len(errnoTable) - 1
 
 // ErrNotPrimary means a mutating command reached a replica that does
 // not hold the write lease (a follower, or a fenced former primary).
-// The RemoteError message names the current primary's address when the
+// The reply's RemoteError.Primary names the current primary when the
 // server knows it, so a failover-aware client can re-target.
 var ErrNotPrimary = errors.New("chirp: not the primary replica")
 
 // ErrDeadline means the request's deadline budget was exhausted before
 // the server finished it; shed at the admit or dispatch hop the work
 // never executed, shed at the durability barrier it executed but was
-// never acknowledged (the same semantics as a client-side timeout).
+// never acknowledged (the same semantics as a client-side timeout). A
+// waitlsn whose horizon does not arrive in time answers it too.
 var ErrDeadline = errors.New("chirp: deadline budget exhausted")
 
 // ErrBusy means the server's admit queue rejected the request before
-// any of it executed. The RemoteError message carries a "retry after
-// <N>ms" hint; RetryAfterFromError extracts it. EBUSY is always safe
-// to retry, whatever the command, because nothing ran.
+// any of it executed; the reply's RemoteError.RetryAfter is the
+// server's backoff hint. EBUSY is always safe to retry, whatever the
+// command, because nothing ran.
 var ErrBusy = errors.New("chirp: server overloaded")
 
-// ErrFileTooBig means a whole-file reply (getfile) would exceed
-// MaxPayload; the file can still be read in chunks through a descriptor,
-// which Client.GetFile falls back on.
-var ErrFileTooBig = errors.New("chirp: file too big for one reply")
-
-// retryAfterMarker introduces the backoff hint in an EBUSY message.
-const retryAfterMarker = "retry after "
-
-// RetryAfterFromError extracts the server's retry-after hint from an
-// EBUSY reply, or 0 when the error carries none.
-func RetryAfterFromError(err error) time.Duration {
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Err != ErrBusy {
-		return 0
+// rowFor finds err's row, by index: the first that lists it, or EIO's.
+func rowFor(err error) int {
+	is := func(s error) bool { return errors.Is(err, s) }
+	if i := slices.IndexFunc(errnoTable, func(e errno) bool { return slices.ContainsFunc(e.errs, is) }); i >= 0 {
+		return i
 	}
-	i := strings.LastIndex(re.Message, retryAfterMarker)
-	if i < 0 {
-		return 0
-	}
-	rest := strings.TrimSuffix(re.Message[i+len(retryAfterMarker):], "ms")
-	ms, perr := strconv.ParseInt(rest, 10, 64)
-	if perr != nil || ms < 0 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
+	return eio
 }
 
 // nameForError picks the wire name for an error.
-func nameForError(err error) string {
-	for _, e := range errnoTable {
-		if errors.Is(err, e.err) {
-			return e.name
-		}
+func nameForError(err error) string { return errnoTable[rowFor(err)].name }
+
+// appendErr encodes err's reply onto l — "err", the row's name and the
+// quoted message: err's text, then the row's field from f when set —
+// and returns the row's index.
+func appendErr(l *lineBuf, err error, f errFields) int {
+	i := rowFor(err)
+	row, msg := &errnoTable[i], err.Error()
+	switch {
+	case row.field == fieldRetryAfter && f.RetryAfter > 0:
+		msg += "; " + retryAfterMarker + strconv.FormatInt(f.RetryAfter.Milliseconds(), 10) + "ms"
+	case row.field == fieldPrimary && f.Primary != "":
+		msg += "; " + primaryMarker + f.Primary
 	}
-	return "EIO"
+	l.start("err").str(row.name).quoted(msg)
+	return i
 }
 
 // RemoteError is an error reported by a Chirp server.
 type RemoteError struct {
-	Name    string // wire errno name
-	Message string
-	Err     error // mapped sentinel
-	class   errClass
+	Name      string // wire errno name
+	Message   string
+	Err       error // mapped sentinel
+	errFields       // RetryAfter (EBUSY) and Primary (ENOTPRIMARY), when the reply carried them
+	class     errClass
 }
 
 func (e *RemoteError) Error() string {
@@ -144,17 +164,25 @@ func (e *RemoteError) Error() string {
 // Unwrap lets errors.Is match the sentinel (e.g. vfs.ErrPermission).
 func (e *RemoteError) Unwrap() error { return e.Err }
 
-// remoteError decodes an error reply; names this binary does not know
-// map to EIO's sentinel and class.
+// remoteError decodes an error reply, and the field its row carries;
+// names this binary does not know map to EIO's sentinel and class.
 func remoteError(name, msg string) *RemoteError {
-	entry := errnoTable[len(errnoTable)-1]
-	for _, e := range errnoTable {
-		if e.name == name {
-			entry = e
-			break
+	row := &errnoTable[eio]
+	if i := slices.IndexFunc(errnoTable, func(e errno) bool { return e.name == name }); i >= 0 {
+		row = &errnoTable[i]
+	}
+	re := &RemoteError{Name: name, Message: msg, Err: row.errs[0], class: row.class}
+	switch row.field {
+	case fieldRetryAfter:
+		if i := strings.LastIndex(msg, retryAfterMarker); i >= 0 {
+			re.RetryAfter, _ = time.ParseDuration(msg[i+len(retryAfterMarker):]) // 0 unless it parses
+		}
+	case fieldPrimary:
+		if i := strings.LastIndex(msg, primaryMarker); i >= 0 {
+			re.Primary = msg[i+len(primaryMarker):]
 		}
 	}
-	return &RemoteError{Name: name, Message: msg, Err: entry.err, class: entry.class}
+	return re
 }
 
 // classOf reports an error's class, and the server's reply when the
@@ -229,25 +257,22 @@ func (c *cmdSpec) payloadLen(args []string) (n int, ok bool) {
 	return n, err == nil && n >= 0
 }
 
-// refusal checks a request's shape against its row — argument count,
+// shapeOK checks a request's shape against its row — argument count,
 // announced payload length within the limit and equal to what the
-// framing delivered — and returns the EINVAL message for a bad one.
-func (c *cmdSpec) refusal(args []string, payload []byte) string {
+// framing delivered; a bad one is answered EINVAL. An unknown command
+// passes: the handler answers ENOSYS.
+func (c *cmdSpec) shapeOK(args []string, payload []byte) bool {
 	if c == nil {
-		return "" // unknown command: the handler answers ENOSYS
+		return true
 	}
 	if !c.argsOK(args) {
-		return fmt.Sprintf("%s wants %d args", c.name, c.nargs)
+		return false
 	}
 	if c.payloadMax == 0 {
-		return ""
+		return true
 	}
-	if n, ok := c.payloadLen(args); !ok || n > c.payloadMax {
-		return c.name + ": bad payload length"
-	} else if n != len(payload) {
-		return c.name + ": payload length mismatch"
-	}
-	return ""
+	n, ok := c.payloadLen(args)
+	return ok && n <= c.payloadMax && n == len(payload)
 }
 
 const aclPayloadMax = 1 << 20

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -284,8 +285,8 @@ func TestReplicationEndToEnd(t *testing.T) {
 	if !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("follower write = %v, want ErrNotPrimary", err)
 	}
-	if got := PrimaryFromError(err); got != primary.addr {
-		t.Fatalf("PrimaryFromError = %q, want %q", got, primary.addr)
+	if _, re := classOf(err); re.Primary != primary.addr {
+		t.Fatalf("ENOTPRIMARY names primary %q, want %q", re.Primary, primary.addr)
 	}
 
 	// Semi-sync: the follower has acked the durable horizon (the write
@@ -304,6 +305,24 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}
 	if sst, err := scl.Stats(); err != nil || sst.Role != "" {
 		t.Fatalf("standalone stats role = %q, %v", sst.Role, err)
+	}
+}
+
+// TestWaitLSNTimeoutIsDeadline: a waitlsn whose horizon does not
+// arrive in time answers EDEADLINE — the read barrier's budget ran out —
+// with the follower's account of its horizon in the message.
+func TestWaitLSNTimeoutIsDeadline(t *testing.T) {
+	primary := startReplMember(t, "vol", "", "")
+	follower := startReplMember(t, "vol", "", primary.addr)
+	pollUntil(t, 2*time.Second, "follower subscription", func() bool { return primary.pub.Subscribers() == 1 })
+
+	fcl := adminClient(t, follower.srv, ClientOptions{})
+	_, err := fcl.WaitLSN(1<<40, 20*time.Millisecond)
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("waitlsn past the horizon = %v, want EDEADLINE", err)
+	}
+	if _, re := classOf(err); re.Name != "EDEADLINE" || !strings.Contains(re.Message, "short of demanded lsn") {
+		t.Fatalf("waitlsn refusal = %v, want EDEADLINE naming the horizon", err)
 	}
 }
 
@@ -555,8 +574,8 @@ func TestFencingAfterPartitionHeals(t *testing.T) {
 	if !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("fenced write = %v, want ErrNotPrimary", err)
 	}
-	if got := PrimaryFromError(err); got != a.addr {
-		t.Fatalf("fenced refusal names %q, want %q", got, a.addr)
+	if _, re := classOf(err); re.Primary != a.addr {
+		t.Fatalf("fenced refusal names %q, want %q", re.Primary, a.addr)
 	}
 	// Reads still serve (the fenced state is stale, not gone).
 	if _, err := bcl.Whoami(); err != nil {

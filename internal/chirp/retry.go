@@ -297,9 +297,6 @@ func deadlineErr(budget time.Duration, lastErr error) error {
 // a server. Remote error replies are final; everything else — dial
 // errors, resets, deadline expiries, breaker trips — is transient.
 func isTransient(err error) bool {
-	if err == nil {
-		return false
-	}
 	class, _ := classOf(err)
-	return class == classTransient
+	return err != nil && class == classTransient
 }

@@ -363,6 +363,8 @@ func TestCommunityAuthorization(t *testing.T) {
 		fred := identity.Principal("globus:/O=UnivNowhere/CN=Fred")
 		cas.AddMember(fred, "cms-experiment", []auth.Grant{
 			{PathPrefix: "/data/cms", Rights: "rwlx"},
+			// Rights that do not parse: dropped when presented, never a match.
+			{PathPrefix: "/", Rights: "rwq"},
 		})
 
 		fs := vfs.New("owner")
@@ -417,6 +419,9 @@ func TestCommunityAuthorization(t *testing.T) {
 		community, err := cl.PresentAssertion(blob)
 		if err != nil || community != "cms-experiment" {
 			t.Fatalf("present = %q, %v", community, err)
+		}
+		if st, err := cl.Stats(); err != nil || st.Grants != 1 {
+			t.Fatalf("grants installed = %d, %v; want the one whose rights parse", st.Grants, err)
 		}
 
 		// Granted: read/write under /data/cms, including mkdir.

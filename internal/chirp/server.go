@@ -149,8 +149,8 @@ type RoleSource interface {
 	Role() (string, uint64)
 	// AppliedLSN reports the highest LSN applied to local state.
 	AppliedLSN() uint64
-	// WaitApplied blocks until local state reflects lsn (bounded by
-	// timeout) — the waitlsn read barrier.
+	// WaitApplied blocks until local state reflects lsn — the waitlsn
+	// read barrier; it fails only when timeout passes first (EDEADLINE).
 	WaitApplied(lsn uint64, timeout time.Duration) error
 	// PrimaryAddr reports where writes should be sent.
 	PrimaryAddr() string
@@ -229,7 +229,7 @@ type srvMetrics struct {
 	reg           *obs.Registry
 	requests      []*obs.Counter // per command, indexed by cmdSpec.idx
 	unknownCmd    *obs.Counter   // every name the table does not know, as one series
-	errors        *obs.Counter
+	errors        []*obs.Counter // per errno, indexed like errnoTable
 	sessions      *obs.Counter
 	rxBytes       *obs.Counter
 	txBytes       *obs.Counter
@@ -251,7 +251,7 @@ type srvMetrics struct {
 
 func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 	reg.Help(MetricRequests, "Requests dispatched, by command.")
-	reg.Help(MetricErrors, "Requests answered with an error reply.")
+	reg.Help(MetricErrors, "Requests answered with an error reply, by errno.")
 	reg.Help(MetricSessions, "Sessions authenticated since start.")
 	reg.Help(MetricRxBytes, "Bytes received on client connections.")
 	reg.Help(MetricTxBytes, "Bytes sent on client connections.")
@@ -275,13 +275,17 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 	for i, c := range commandTable {
 		requests[i] = reg.Counter(obs.With(MetricRequests, "cmd", c.name))
 	}
+	errs := make([]*obs.Counter, len(errnoTable))
+	for i, e := range errnoTable {
+		errs[i] = reg.Counter(obs.With(MetricErrors, "errno", e.name))
+	}
 	reg.GaugeFunc(MetricPayloadPoolHits, poolHits.Load)
 	reg.GaugeFunc(MetricPayloadPoolMisses, poolMisses.Load)
 	return &srvMetrics{
 		requests:      requests,
 		unknownCmd:    reg.Counter(obs.With(MetricRequests, "cmd", "unknown")),
 		reg:           reg,
-		errors:        reg.Counter(MetricErrors),
+		errors:        errs,
 		sessions:      reg.Counter(MetricSessions),
 		rxBytes:       reg.Counter(MetricRxBytes),
 		txBytes:       reg.Counter(MetricTxBytes),
@@ -354,7 +358,6 @@ type Server struct {
 
 	requests atomic.Int64 // requests dispatched, across all sessions
 	sessions atomic.Int64 // authenticated sessions accepted, lifetime
-	errors   atomic.Int64 // error replies sent, across all sessions
 	rxBytes  atomic.Int64 // wire bytes received from clients
 	txBytes  atomic.Int64 // wire bytes sent to clients
 }
@@ -650,5 +653,10 @@ func (s *Server) RequestCount() int64 { return s.requests.Load() }
 func (s *Server) SessionCount() int64 { return s.sessions.Load() }
 
 // ErrorCount reports the number of error replies sent since the server
-// started.
-func (s *Server) ErrorCount() int64 { return s.errors.Load() }
+// started: the sum of chirp_errors_total over its errno series.
+func (s *Server) ErrorCount() (n int64) {
+	for _, c := range s.metrics.errors {
+		n += c.Value()
+	}
+	return n
+}

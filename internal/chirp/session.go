@@ -50,7 +50,7 @@ type session struct {
 
 	// grants are CAS-granted rights, verified against CASTrust.
 	grantsMu sync.RWMutex
-	grants   []auth.Grant
+	grants   []grant
 
 	// conf is what the version exchange negotiated. The reader sets it
 	// before starting the workers, so they (and the replication pusher)
@@ -201,7 +201,7 @@ type request struct {
 	deadline time.Time // budget anchored at arrival (zero: none)
 	arrived  time.Time // when the request was read off the wire
 	ticket   *admission.Ticket
-	bad      string // why the reader refuses it (EINVAL), if it does
+	bad      bool // the reader refuses it (EINVAL): malformed, or a bad token wrapper
 	// fields is the line's tokens, in an array reused from request to
 	// request: cmd, token and args are views of it. The tokens are
 	// substrings of the line's own string, which nothing reuses, so a
@@ -269,7 +269,7 @@ func (sess *session) step(wk *workers) bool {
 			sess.done()
 		}
 	}()
-	if req.cmd == "quit" && req.bad == "" {
+	if req.cmd == "quit" && !req.bad {
 		wk.close() // every pending reply precedes the farewell ack
 		sess.reply(req.tag, hres{line: sc.ok()})
 		return false
@@ -277,8 +277,8 @@ func (sess *session) step(wk *workers) bool {
 	if req.cmd != "" {
 		sess.count(req)
 	}
-	if req.bad != "" {
-		return sess.reply(req.tag, sess.failf(sc, vfs.ErrInvalid, req.bad)) == nil
+	if req.bad {
+		return sess.reply(req.tag, sess.fail(sc, vfs.ErrInvalid)) == nil
 	}
 	// Admission: the overload controller sheds expired work and rejects
 	// over a bounded queue here, before the request consumes a window
@@ -365,7 +365,7 @@ func (sess *session) readInto(req *request) error {
 	fields, perr := appendFields(req.fields[:0], line, true)
 	req.fields = fields
 	if perr != nil || len(fields) == 0 {
-		req.bad = "malformed request"
+		req.bad = true
 		return nil
 	}
 	// Prefixes need at least 3 fields, so a bare "trace <id>" line stays
@@ -389,13 +389,12 @@ func (sess *session) readInto(req *request) error {
 		// `token <id> <cmd> ...`: the inner command is what is counted,
 		// admitted and executed; the token keys its reply for replay.
 		if len(req.args) < 2 {
-			req.bad = "token wants a token and a command"
+			req.bad = true
 			return nil
 		}
 		req.token, req.cmd, req.args = req.args[0], req.args[1], req.args[2:]
-		if req.spec = commandByName[req.cmd]; !req.spec.has(fTokenable) {
-			req.bad = "command not tokenable: " + req.cmd
-		}
+		req.spec = commandByName[req.cmd]
+		req.bad = !req.spec.has(fTokenable)
 	}
 	// An open that is no write (vfs.Access.Writes) changes nothing:
 	// followers serve it (bounded-staleness reads are what read replicas

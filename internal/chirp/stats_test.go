@@ -2,6 +2,8 @@ package chirp
 
 import (
 	"crypto/rsa"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -95,6 +97,45 @@ func TestStatsCountErrors(t *testing.T) {
 	}
 	if got := srv.ErrorCount(); got != st.Errors {
 		t.Errorf("ErrorCount() = %d, stats reply says %d", got, st.Errors)
+	}
+
+	// chirp_errors_total has one series per errno row, registered up
+	// front: 1 000 distinct bogus commands answer ENOSYS under one of
+	// them, and the family's series count does not move.
+	series := func() map[string]int64 {
+		out := make(map[string]int64)
+		for name, v := range srv.Metrics().Snapshot().Counters {
+			if strings.HasPrefix(name, MetricErrors+"{") {
+				out[name] = v
+			}
+		}
+		return out
+	}
+	if n := len(series()); n != len(errnoTable) {
+		t.Fatalf("%s has %d series before the flood, want one per row (%d)", MetricErrors, n, len(errnoTable))
+	}
+	for i := 0; i < 1000; i++ {
+		if re := rawCall(t, cl, nil, fmt.Sprintf("bogus%d", i)); !errors.Is(re, kernel.ErrNoSys) {
+			t.Fatalf("bogus command = %v, want ENOSYS", re)
+		}
+	}
+	st, err = cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := series()
+	var sum int64
+	for _, v := range fam {
+		sum += v
+	}
+	if len(fam) != len(errnoTable) {
+		t.Errorf("%s has %d series after 1 000 bogus commands, want %d", MetricErrors, len(fam), len(errnoTable))
+	}
+	if n := fam[obs.With(MetricErrors, "errno", "ENOSYS")]; n != 1000 {
+		t.Errorf("ENOSYS series = %d, want 1000", n)
+	}
+	if got := srv.ErrorCount(); got != st.Errors || got != sum {
+		t.Errorf("ErrorCount() = %d, stats reply says %d, the family sums to %d; want one count", got, st.Errors, sum)
 	}
 }
 

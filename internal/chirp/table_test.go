@@ -3,37 +3,81 @@ package chirp
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
+	"identitybox/internal/admission"
+	"identitybox/internal/durable"
 	"identitybox/internal/kernel"
 	"identitybox/internal/obs"
+	"identitybox/internal/replica"
 	"identitybox/internal/vfs"
 )
 
+// handlerSentinels is every exported sentinel a handler can return,
+// with the errno its reply carries.
+var handlerSentinels = map[error]string{
+	vfs.ErrNotExist:            "ENOENT",
+	vfs.ErrExist:               "EEXIST",
+	vfs.ErrPermission:          "EPERM",
+	vfs.ErrIsDir:               "EISDIR",
+	vfs.ErrNotDir:              "ENOTDIR",
+	vfs.ErrNotEmpty:            "ENOTEMPTY",
+	vfs.ErrInvalid:             "EINVAL",
+	vfs.ErrLoop:                "ELOOP",
+	vfs.ErrCrossDevice:         "EXDEV",
+	vfs.ErrTooBig:              "EFBIG",
+	kernel.ErrBadFD:            "EBADF",
+	kernel.ErrSearch:           "ESRCH",
+	kernel.ErrNoSys:            "ENOSYS",
+	ErrNotPrimary:              "ENOTPRIMARY",
+	ErrDeadline:                "EDEADLINE",
+	ErrBusy:                    "EBUSY",
+	admission.ErrExpired:       "EDEADLINE",
+	replica.ErrPublisherClosed: "EIO",
+	durable.ErrWALClosed:       "EIO",
+	durable.ErrTorn:            "EIO",
+}
+
 // TestErrnoTable checks the one errno table: names are unique, every
-// sentinel encodes to its name and decodes back to itself (wrapped or
-// not), names this binary does not know decode to EIO, and the classes
-// the retry ladder acts on are where it expects them.
+// sentinel a handler can return is listed by the row of its errno and
+// encodes to that name (wrapped or not), each row's reply decodes back
+// to its sentinel and class, names this binary does not know decode to
+// EIO, and only errors no row lists — a disk's own — reach EIO unlisted.
 func TestErrnoTable(t *testing.T) {
-	seen := make(map[string]bool)
+	seen, listedBy := make(map[string]bool), make(map[error]string)
 	for _, e := range errnoTable {
 		if seen[e.name] {
 			t.Errorf("errno name %s appears twice", e.name)
 		}
 		seen[e.name] = true
-		for _, err := range []error{e.err, fmt.Errorf("open /x: %w", e.err)} {
-			if got := nameForError(err); got != e.name {
-				t.Errorf("nameForError(%v) = %s, want %s", err, got, e.name)
+		listed := e.errs
+		if e.name == "EIO" { // EIO's first sentinel is what decoding yields; nothing returns it
+			listed = listed[1:]
+		}
+		for _, s := range listed {
+			listedBy[s] = e.name
+			if want, ok := handlerSentinels[s]; !ok || want != e.name {
+				t.Errorf("row %s lists %v, which handlerSentinels gives %q", e.name, s, want)
 			}
 		}
 		re := remoteError(e.name, "msg")
-		if re.Err != e.err || !errors.Is(re, e.err) {
-			t.Errorf("remoteError(%s) carries sentinel %v, want %v", e.name, re.Err, e.err)
+		if re.Err != e.errs[0] || !errors.Is(re, e.errs[0]) {
+			t.Errorf("remoteError(%s) carries sentinel %v, want %v", e.name, re.Err, e.errs[0])
 		}
 		if class, got := classOf(re); class != e.class || got != re {
 			t.Errorf("classOf(%s) = %v, want %v", e.name, class, e.class)
+		}
+	}
+	for s, name := range handlerSentinels {
+		for _, err := range []error{s, fmt.Errorf("open /x: %w", s)} {
+			if got := nameForError(err); got != name || listedBy[s] != name {
+				t.Errorf("%v encodes as %s, listed by row %q; want %s by its own row", err, got, listedBy[s], name)
+			}
 		}
 	}
 	eio := remoteError("EIO", "")
@@ -42,8 +86,9 @@ func TestErrnoTable(t *testing.T) {
 			t.Errorf("remoteError(%q) = %+v, want EIO's sentinel under the original name", name, re)
 		}
 	}
-	if got := nameForError(errors.New("disk on fire")); got != "EIO" {
-		t.Errorf("an unmapped error encodes as %s, want EIO", got)
+	disk := &fs.PathError{Op: "open", Path: "/state/wal.c01.s00.1.seg", Err: syscall.EIO}
+	if got := nameForError(disk); got != "EIO" {
+		t.Errorf("a disk error encodes as %s, want EIO", got)
 	}
 	for name, want := range map[string]errClass{"EBUSY": classRetrySafe, "ENOTPRIMARY": classRedirect, "EDEADLINE": classFinal, "EPERM": classFinal} {
 		if class, _ := classOf(remoteError(name, "")); class != want {
@@ -56,6 +101,45 @@ func TestErrnoTable(t *testing.T) {
 	}
 	if !isTransient(transport) || isTransient(nil) || isTransient(remoteError("EBUSY", "")) {
 		t.Error("isTransient must hold for transport errors only")
+	}
+}
+
+// TestErrnoFieldsRoundTrip: a row's one structured field is encoded
+// into the reply's message and decoded back into RemoteError's field,
+// with the reply's bytes those the server has always sent; a reply
+// without the field, or with an unparsable one, decodes to the zero.
+func TestErrnoFieldsRoundTrip(t *testing.T) {
+	busy := errFields{RetryAfter: 7 * time.Millisecond}
+	primary := errFields{Primary: "10.0.0.1:9094"}
+	for _, c := range []struct {
+		err     error
+		f, want errFields // encoded, then decoded
+		line    string
+	}{
+		{ErrBusy, busy, busy, `err EBUSY "chirp: server overloaded; retry after 7ms"`},
+		{ErrBusy, errFields{}, errFields{}, `err EBUSY "chirp: server overloaded"`},
+		{fmt.Errorf("%w (follower)", ErrNotPrimary), primary, primary,
+			`err ENOTPRIMARY "chirp: not the primary replica (follower); primary is 10.0.0.1:9094"`},
+		{ErrNotPrimary, errFields{}, errFields{}, `err ENOTPRIMARY "chirp: not the primary replica"`},
+		// A field only its own row carries.
+		{vfs.ErrPermission, errFields{RetryAfter: time.Second, Primary: "x"}, errFields{}, `err EPERM "permission denied"`},
+	} {
+		var l lineBuf
+		appendErr(&l, c.err, c.f)
+		if string(l.b) != c.line {
+			t.Errorf("appendErr(%v, %+v) = %s, want %s", c.err, c.f, l.b, c.line)
+			continue
+		}
+		parts, err := splitFields(string(l.b))
+		if err != nil || len(parts) != 3 {
+			t.Fatalf("%s: %v", l.b, err)
+		}
+		if re := remoteError(parts[1], parts[2]); re.errFields != c.want {
+			t.Errorf("%s decodes fields %+v, want %+v", l.b, re.errFields, c.want)
+		}
+	}
+	if re := remoteError("EBUSY", "chirp: server overloaded; retry after soon"); re.RetryAfter != 0 {
+		t.Errorf("an unparsable hint decodes as %v, want 0", re.RetryAfter)
 	}
 }
 

@@ -124,7 +124,7 @@ func TestGetFileOverMaxPayload(t *testing.T) {
 	if err := k.FS().WriteFile("/huge", data, 0o644, "chirpowner"); err != nil {
 		t.Fatal(err)
 	}
-	if re := rawCall(t, cl, nil, "getfile", q("/huge")); re == nil || !errors.Is(re, ErrFileTooBig) {
+	if re := rawCall(t, cl, nil, "getfile", q("/huge")); re == nil || !errors.Is(re, vfs.ErrTooBig) {
 		t.Fatalf("getfile of a %d-byte file = %v, want EFBIG", len(data), re)
 	}
 	got, err := cl.GetFile("/huge")

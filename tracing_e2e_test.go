@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ type tracedWorld struct {
 	store   *durable.Store
 	spans   *obs.SpanRing
 	reg     *obs.Registry
-	slowLog *bytes.Buffer
+	slowLog *syncWriter
 }
 
 func newTracedWorld(t testing.TB) *tracedWorld {
@@ -44,7 +45,7 @@ func newTracedWorld(t testing.TB) *tracedWorld {
 	w := &tracedWorld{
 		reg:     obs.NewRegistry(),
 		spans:   obs.NewSpanRing(4096),
-		slowLog: &bytes.Buffer{},
+		slowLog: &syncWriter{},
 	}
 	store, err := durable.Open(filepath.Join(t.TempDir(), "state"), durable.Options{
 		Owner:   "owner",
@@ -65,7 +66,7 @@ func newTracedWorld(t testing.TB) *tracedWorld {
 		Verifiers:     map[auth.Method]auth.Verifier{auth.MethodUnix: &auth.UnixVerifier{}},
 		Metrics:       w.reg,
 		Spans:         w.spans,
-		TraceLog:      core.NewJSONLSink(&syncWriter{buf: w.slowLog}),
+		TraceLog:      core.NewJSONLSink(w.slowLog),
 		TraceSlow:     0, // log every traced request
 		DedupeJournal: store,
 		Durability:    store,
@@ -81,12 +82,25 @@ func newTracedWorld(t testing.TB) *tracedWorld {
 	return w
 }
 
-// syncWriter makes a bytes.Buffer safe behind the JSONL sink when
-// session workers log concurrently (the sink serializes, but keep the
-// write path obviously race-free for -race).
-type syncWriter struct{ buf *bytes.Buffer }
+// syncWriter is the slow-request log's buffer. The server writes a
+// request's span after its reply has flushed, so the test may read
+// while a session worker writes: both take the lock.
+type syncWriter struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
 
-func (s *syncWriter) Write(p []byte) (int, error) { return s.buf.Write(p) }
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.Write(p)
+}
+
+func (s *syncWriter) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.String()
+}
 
 // phaseNames flattens a span's phase names for containment checks.
 func phaseNames(s obs.Span) map[string]bool {
@@ -214,15 +228,24 @@ func TestTracingEndToEnd(t *testing.T) {
 	}
 
 	// The slow log (threshold 0) captured every traced server request,
-	// as JSONL span records carrying their trace IDs.
-	lines := strings.Split(strings.TrimSpace(w.slowLog.String()), "\n")
+	// as JSONL span records carrying their trace IDs. A span is logged
+	// after its reply has flushed: poll until every trace is there.
 	logged := make(map[string]bool)
-	for _, line := range lines {
-		var sp obs.Span
-		if err := json.Unmarshal([]byte(line), &sp); err != nil {
-			t.Fatalf("bad slow-log line %q: %v", line, err)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		for _, line := range strings.Split(strings.TrimSpace(w.slowLog.String()), "\n") {
+			var sp obs.Span
+			if err := json.Unmarshal([]byte(line), &sp); err != nil {
+				t.Fatalf("bad slow-log line %q: %v", line, err)
+			}
+			logged[sp.TraceS] = true
 		}
-		logged[sp.TraceS] = true
+		all := true
+		for _, id := range traces {
+			all = all && logged[obs.FormatTraceID(id)]
+		}
+		if all || time.Now().After(deadline) {
+			break
+		}
 	}
 	for i, id := range traces {
 		if !logged[obs.FormatTraceID(id)] {
@@ -240,7 +263,7 @@ func TestTracingEndToEnd(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "spans.json"), all, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "slow_requests.jsonl"), w.slowLog.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "slow_requests.jsonl"), []byte(w.slowLog.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
