@@ -285,6 +285,8 @@ func benchTransfer(b *testing.B, size int, variants []transferVariant) {
 			}
 			b.SetBytes(int64(len(payload)))
 			b.ReportAllocs()
+			flushes := srv.Metrics().Counter(chirp.MetricFlushes)
+			flushed, replied := flushes.Value(), srv.RequestCount()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				data, err := cl.GetFile("/blob")
@@ -292,6 +294,9 @@ func benchTransfer(b *testing.B, size int, variants []transferVariant) {
 					b.Fatalf("get = %d bytes, %v", len(data), err)
 				}
 			}
+			// Every request gets one reply; replies written while another
+			// waits for the session's frame writer share its flush.
+			b.ReportMetric(float64(flushes.Value()-flushed)/float64(srv.RequestCount()-replied), "flushes/reply")
 		})
 	}
 }

@@ -457,15 +457,6 @@ func (t *Ticket) ExpiredAtBarrier() bool {
 	return true
 }
 
-// Deadline returns the request's absolute deadline (zero when no
-// budget was attached).
-func (t *Ticket) Deadline() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.deadline
-}
-
 // Done releases the ticket: the execution slot (waking the next fair
 // waiter), the queue accounting, and the completion/service-time
 // bookkeeping. It is idempotent.

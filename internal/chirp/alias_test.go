@@ -107,10 +107,16 @@ func TestReplyBuffersNeverShared(t *testing.T) {
 
 // TestRetainedLineResentAfterFault loses replies under the same callers
 // (retries on, pread left out): each lost reply kills the session, and
-// every caller in flight re-sends its request from the line buffer do
-// kept for it, on a fresh session, while the dead session's writer may
-// still hold the old attempt. Every answer must still be the caller's.
+// every caller in flight re-sends its request on a fresh session from
+// the line buffer do keeps until the call is over, whose previous
+// attempt's frame left it before submit returned. A loss is armed each
+// time the client has sent lossEvery more requests, so however fast a
+// run goes, its 25 rounds lose replies. Every answer must still be the
+// caller's.
 func TestRetainedLineResentAfterFault(t *testing.T) {
+	// A redial takes a few requests (the version exchange among them):
+	// leave it room to finish between losses.
+	const lossEvery = 64
 	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
 		loser := &replyLoser{}
@@ -120,14 +126,18 @@ func TestRetainedLineResentAfterFault(t *testing.T) {
 			BreakerThreshold: 1 << 20,
 		})
 		runAliasCallers(t, cl, false, 25, func(stop <-chan struct{}) {
-			tick := time.NewTicker(15 * time.Millisecond) // a redial takes a few reads: leave it room to finish
+			next := cl.RequestCount() + lossEvery
+			tick := time.NewTicker(100 * time.Microsecond)
 			defer tick.Stop()
 			for {
 				select {
 				case <-stop:
 					return
 				case <-tick.C:
+				}
+				if n := cl.RequestCount(); n >= next {
 					loser.loseNext()
+					next = n + lossEvery
 				}
 			}
 		})

@@ -98,20 +98,17 @@ func TestReplicaPushAllocs(t *testing.T) {
 	}
 	const runs = 100
 	var wire bytes.Buffer
-	w := newCodec(&wire)
+	w := &frameWriter{c: newCodec(&wire)}
 	var line lineBuf
 	for i := 1; i <= runs+1; i++ {
 		frames := []byte("0123456789abcdef")
-		if err := w.queueFrame(uint64(i), nil, line.start("ok").b, nil); err != nil {
+		if err := w.write(uint64(i), nil, line.start("ok").b, nil); err != nil {
 			t.Fatal(err)
 		}
 		line.start("replpush").uint(7).uint(uint64(10 * i)).uint(uint64(10*i + 9)).int(10).int(int64(len(frames)))
-		if err := w.queueFrame(replPushTag, nil, line.b, frames); err != nil {
+		if err := w.write(replPushTag, nil, line.b, frames); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.flush(); err != nil {
-		t.Fatal(err)
 	}
 	w.release()
 	rs := &ReplicaSession{c: newCodec(&wire)}

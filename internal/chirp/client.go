@@ -143,9 +143,8 @@ func (cl *Client) Close() error {
 		return nil
 	}
 	cl.mux = nil
-	// The farewell rides the writer loop; closing the connection then
-	// unwinds both loops, which release the codec once neither is
-	// touching it.
+	// Closing the connection after the farewell unwinds the reader, which
+	// releases the codec.
 	qerr := ms.sendQuit()
 	cerr := ms.conn.Close()
 	if qerr != nil {
@@ -198,8 +197,8 @@ func (cl *Client) connectLocked() error {
 	if cl.dialed {
 		cl.m.redials.Inc()
 		if err := cl.replayAssertionsLocked(); err != nil {
-			// fail closes the connection and unwinds both loops, which
-			// release the codec; the next call redials.
+			// fail closes the connection and unwinds the reader, which
+			// releases the codec; the next call redials.
 			cl.mux.fail(errors.New("chirp: connection broken"))
 			cl.mux = nil
 			cl.brk.Fail()
@@ -302,16 +301,9 @@ type wireCall struct {
 // so callers can map retried mkdir/unlink outcomes (EEXIST/ENOENT after
 // a lost reply mean the earlier attempt won).
 func (cl *Client) do(c wireCall) (rest string, body []byte, retried bool, err error) {
-	// The line goes back to the pool when the call is over — unless an
-	// attempt died with its session, whose writer may still be reading
-	// the bytes: re-sends only read them too, but the next owner would
-	// write.
-	lineIdle := true
-	defer func() {
-		if lineIdle {
-			linePool.Put(c.line)
-		}
-	}()
+	// Once submit has returned, nothing reads the line: it goes back to
+	// the pool when the call is over, however the call ended.
+	defer linePool.Put(c.line)
 	// Stamp a trace ID once per logical call, so every retry of the same
 	// request shows up under one trace. The ID only reaches the wire on
 	// a session that negotiated the trace capability.
@@ -322,40 +314,19 @@ func (cl *Client) do(c wireCall) (rest string, body []byte, retried bool, err er
 	}
 	// Stamp the logical-call deadline once: every retry and backoff sleep
 	// of this call spends from the same budget.
-	if cl.opts.DeadlineBudget > 0 && c.deadline.IsZero() {
-		c.deadline = time.Now().Add(cl.opts.DeadlineBudget)
+	if c.deadline.IsZero() {
+		c.deadline = cl.budgetDeadline()
 	}
-	attempts := 1 + cl.opts.MaxRetries
 	var lastErr error
 	// busyHint is the server's EBUSY retry-after hint, consumed as a
 	// floor on the next backoff sleep.
 	var busyHint time.Duration
-	for attempt := 0; attempt < attempts; attempt++ {
-		if cl.closing.Load() {
-			return "", nil, retried, ErrClientClosed
+	for attempt := 0; attempt < 1+cl.opts.MaxRetries; attempt++ {
+		retried = attempt > 0
+		if err := cl.pause(attempt, busyHint, c.deadline, lastErr); err != nil {
+			return "", nil, retried, err
 		}
-		if !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
-			cl.m.deadline.Inc()
-			return "", nil, retried, deadlineErr(cl.opts.DeadlineBudget, lastErr)
-		}
-		if attempt > 0 {
-			retried = true
-			cl.m.retries.Inc()
-			cl.mu.Lock()
-			d := max(backoff(cl.rng, cl.opts.RetryBase, cl.opts.RetryMax, attempt), busyHint)
-			cl.mu.Unlock()
-			busyHint = 0
-			if !c.deadline.IsZero() && time.Now().Add(d).After(c.deadline) {
-				// The wait alone would outlive the caller's budget; fail
-				// fast instead of sleeping toward a guaranteed miss.
-				cl.m.deadline.Inc()
-				return "", nil, retried, deadlineErr(cl.opts.DeadlineBudget, lastErr)
-			}
-			cl.opts.Sleep(d)
-			if cl.closing.Load() {
-				return "", nil, retried, ErrClientClosed
-			}
-		}
+		busyHint = 0
 		cl.mu.Lock()
 		if cl.closing.Load() {
 			cl.mu.Unlock()
@@ -404,7 +375,6 @@ func (cl *Client) do(c wireCall) (rest string, body []byte, retried bool, err er
 		}
 		// Transport failure: the session is dead. Every in-flight call
 		// sees it; only the first observer counts it against the breaker.
-		lineIdle = false
 		if cl.dropMux(mux) {
 			cl.brk.Fail()
 		}
@@ -422,6 +392,48 @@ func (cl *Client) do(c wireCall) (rest string, body []byte, retried bool, err er
 		}
 	}
 	return "", nil, retried, lastErr
+}
+
+// budgetDeadline is the deadline of a logical call that starts now:
+// DeadlineBudget from now, or zero (none) without a budget.
+func (cl *Client) budgetDeadline() time.Time {
+	if cl.opts.DeadlineBudget <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(cl.opts.DeadlineBudget)
+}
+
+// pause is the one retry rule, run before every attempt of both retry
+// loops (do and composite). It refuses an attempt the client is closing
+// under or whose deadline has passed; before a retry it sleeps the
+// backoff, floored at hint, unless the sleep alone would outlive the
+// deadline, in which case it fails fast instead of sleeping toward a
+// guaranteed miss. A non-nil result is the call's error.
+func (cl *Client) pause(attempt int, hint time.Duration, deadline time.Time, lastErr error) error {
+	if cl.closing.Load() {
+		return ErrClientClosed
+	}
+	missed := func(at time.Time) bool { return !deadline.IsZero() && !at.Before(deadline) }
+	if missed(time.Now()) {
+		cl.m.deadline.Inc()
+		return deadlineErr(cl.opts.DeadlineBudget, lastErr)
+	}
+	if attempt == 0 {
+		return nil
+	}
+	cl.m.retries.Inc()
+	cl.mu.Lock()
+	d := max(backoff(cl.rng, cl.opts.RetryBase, cl.opts.RetryMax, attempt), hint)
+	cl.mu.Unlock()
+	if missed(time.Now().Add(d)) {
+		cl.m.deadline.Inc()
+		return deadlineErr(cl.opts.DeadlineBudget, lastErr)
+	}
+	cl.opts.Sleep(d)
+	if cl.closing.Load() {
+		return ErrClientClosed
+	}
+	return nil
 }
 
 // newLine starts a request line in a pooled buffer; Client.do returns
@@ -462,22 +474,16 @@ func (cl *Client) RequestCount() int64 { return cl.sent.Load() }
 // descriptor-level steps are not. Mid-transfer transport faults
 // (surfaced as ErrRetryNotSafe on descriptor ops) and EBADF from a
 // descriptor that died with a redialed session both restart it from
-// scratch.
-func (cl *Client) composite(op func() error) error {
-	attempts := 1 + cl.opts.MaxRetries
+// scratch. The operation gets one deadline, stamped here, which every
+// call it makes and every restart spends from.
+func (cl *Client) composite(op func(deadline time.Time) error) error {
+	deadline := cl.budgetDeadline()
 	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			cl.m.retries.Inc()
-			cl.mu.Lock()
-			d := backoff(cl.rng, cl.opts.RetryBase, cl.opts.RetryMax, attempt)
-			cl.mu.Unlock()
-			cl.opts.Sleep(d)
+	for attempt := 0; attempt < 1+cl.opts.MaxRetries; attempt++ {
+		if perr := cl.pause(attempt, 0, deadline, err); perr != nil {
+			return perr
 		}
-		if cl.closing.Load() {
-			return ErrClientClosed
-		}
-		if err = op(); !errors.Is(err, ErrRetryNotSafe) && !errors.Is(err, kernel.ErrBadFD) {
+		if err = op(deadline); !errors.Is(err, ErrRetryNotSafe) && !errors.Is(err, kernel.ErrBadFD) {
 			return err
 		}
 	}
@@ -590,20 +596,26 @@ func (cl *Client) Whoami() (identity.Principal, error) {
 // transparently (a fresh descriptor on a fresh session is equivalent)
 // unless O_EXCL makes a lost-reply retry observable.
 func (cl *Client) Open(path string, flags int, mode uint32) (int, error) {
-	rest, _, _, err := cl.do(wireCall{
-		line:    newLine("open").int(int64(flags)).oct(mode).quoted(path),
-		noRetry: flags&kernel.OExcl != 0,
+	return cl.open(path, flags, mode, time.Time{})
+}
+
+// open, closeFD, pread, pwrite and fstatFD are the descriptor calls
+// under a caller's deadline: the chunk paths pass the transfer's, the
+// exported methods zero (do stamps the call's own).
+func (cl *Client) open(path string, flags int, mode uint32, deadline time.Time) (int, error) {
+	return cl.intCall("open", wireCall{
+		line:     newLine("open").int(int64(flags)).oct(mode).quoted(path),
+		noRetry:  flags&kernel.OExcl != 0,
+		deadline: deadline,
 	})
-	if err != nil {
-		return 0, err
-	}
-	return atoiReply("open", rest)
 }
 
 // CloseFD releases a remote descriptor. Descriptors are session state:
 // after a redial the old descriptor is gone, so no blind retry.
-func (cl *Client) CloseFD(fd int) error {
-	_, _, _, err := cl.do(wireCall{line: newLine("close").int(int64(fd))})
+func (cl *Client) CloseFD(fd int) error { return cl.closeFD(fd, time.Time{}) }
+
+func (cl *Client) closeFD(fd int, deadline time.Time) error {
+	_, _, _, err := cl.do(wireCall{line: newLine("close").int(int64(fd)), deadline: deadline})
 	return err
 }
 
@@ -612,33 +624,46 @@ func (cl *Client) CloseFD(fd int) error {
 // surfaces ErrRetryNotSafe (GetFile restarts the whole transfer
 // instead).
 func (cl *Client) Pread(fd int, buf []byte, off int64) (int, error) {
-	rest, _, _, err := cl.do(wireCall{
+	return cl.pread(fd, buf, off, time.Time{})
+}
+
+func (cl *Client) pread(fd int, buf []byte, off int64, deadline time.Time) (int, error) {
+	return cl.intCall("pread", wireCall{
 		line:     newLine("pread").int(int64(fd)).int(int64(len(buf))).int(off),
 		recvInto: buf,
+		deadline: deadline,
 	})
-	if err != nil {
-		return 0, err
-	}
-	return atoiReply("pread", rest)
 }
 
 // Pwrite writes buf at off. Descriptor-bound and non-idempotent: a
 // transport fault surfaces ErrRetryNotSafe (PutFile restarts the whole
 // transfer instead).
 func (cl *Client) Pwrite(fd int, buf []byte, off int64) (int, error) {
-	rest, _, _, err := cl.do(wireCall{
+	return cl.pwrite(fd, buf, off, time.Time{})
+}
+
+func (cl *Client) pwrite(fd int, buf []byte, off int64, deadline time.Time) (int, error) {
+	return cl.intCall("pwrite", wireCall{
 		line:     newLine("pwrite").int(int64(fd)).int(off).int(int64(len(buf))),
 		sendBody: buf,
+		deadline: deadline,
 	})
+}
+
+// intCall runs c and returns its reply's one integer field.
+func (cl *Client) intCall(cmd string, c wireCall) (int, error) {
+	rest, _, _, err := cl.do(c)
 	if err != nil {
 		return 0, err
 	}
-	return atoiReply("pwrite", rest)
+	return atoiReply(cmd, rest)
 }
 
 // FstatFD reports metadata for an open descriptor.
-func (cl *Client) FstatFD(fd int) (vfs.Stat, error) {
-	rest, _, _, err := cl.do(wireCall{line: newLine("fstat").int(int64(fd))})
+func (cl *Client) FstatFD(fd int) (vfs.Stat, error) { return cl.fstatFD(fd, time.Time{}) }
+
+func (cl *Client) fstatFD(fd int, deadline time.Time) (vfs.Stat, error) {
+	rest, _, _, err := cl.do(wireCall{line: newLine("fstat").int(int64(fd)), deadline: deadline})
 	if err != nil {
 		return vfs.Stat{}, err
 	}
@@ -895,40 +920,41 @@ func (cl *Client) GetFile(path string) ([]byte, error) {
 }
 
 // putChunks is PutFile's chunk path: an O_TRUNC open, the chunk writes
-// keeping up to the session's window in flight, and a close. The
-// sequence is idempotent as a whole (O_TRUNC restarts it), so a
-// connection dying mid-transfer restarts it on a fresh session rather
-// than surfacing the descriptor fault.
+// keeping up to the session's window in flight, and a close, all under
+// the transfer's one deadline. The sequence is idempotent as a whole
+// (O_TRUNC restarts it), so a connection dying mid-transfer restarts it
+// on a fresh session rather than surfacing the descriptor fault.
 func (cl *Client) putChunks(path string, data []byte, mode uint32) error {
-	return cl.composite(func() error {
-		fd, err := cl.Open(path, kernel.OWronly|kernel.OCreat|kernel.OTrunc, mode)
+	return cl.composite(func(dl time.Time) error {
+		fd, err := cl.open(path, kernel.OWronly|kernel.OCreat|kernel.OTrunc, mode, dl)
 		if err != nil {
 			return err
 		}
-		if err := cl.pwriteAll(fd, data); err != nil {
-			cl.CloseFD(fd)
+		if err := cl.pwriteAll(fd, data, dl); err != nil {
+			cl.CloseFD(fd) // on its own budget: the transfer's may be spent
 			return err
 		}
-		return cl.CloseFD(fd)
+		return cl.closeFD(fd, dl)
 	})
 }
 
 // getChunks is GetFile's chunk path: an open, an fstat, the chunk reads
 // keeping up to the session's window in flight, a serial tail to EOF,
-// and a close, restarted as a whole if the connection dies mid-transfer.
+// and a close, under the transfer's one deadline, restarted as a whole
+// if the connection dies mid-transfer.
 func (cl *Client) getChunks(path string) ([]byte, error) {
 	var out []byte
-	err := cl.composite(func() error {
-		fd, err := cl.Open(path, kernel.ORdonly, 0)
+	err := cl.composite(func(dl time.Time) error {
+		fd, err := cl.open(path, kernel.ORdonly, 0, dl)
 		if err != nil {
 			return err
 		}
-		defer cl.CloseFD(fd)
-		st, err := cl.FstatFD(fd)
+		defer cl.CloseFD(fd) // on its own budget: the transfer's may be spent
+		st, err := cl.fstatFD(fd, dl)
 		if err != nil {
 			return err
 		}
-		out, err = cl.preadAll(fd, st.Size)
+		out, err = cl.preadAll(fd, st.Size, dl)
 		if err != nil {
 			return err
 		}
@@ -941,7 +967,7 @@ func (cl *Client) getChunks(path string) ([]byte, error) {
 		buf := make([]byte, transferChunk)
 		off := int64(len(out))
 		for {
-			n, err := cl.Pread(fd, buf, off)
+			n, err := cl.pread(fd, buf, off, dl)
 			if err != nil {
 				return err
 			}
@@ -1023,11 +1049,11 @@ func chunkSpan(i int, size int64) (off, end int64) {
 }
 
 // pwriteAll writes data to fd in transferChunk pieces.
-func (cl *Client) pwriteAll(fd int, data []byte) error {
+func (cl *Client) pwriteAll(fd int, data []byte, deadline time.Time) error {
 	size := int64(len(data))
 	return cl.eachChunk(int((size+transferChunk-1)/transferChunk), func(i int) error {
 		off, end := chunkSpan(i, size)
-		n, err := cl.Pwrite(fd, data[off:end], off)
+		n, err := cl.pwrite(fd, data[off:end], off, deadline)
 		if err == nil && int64(n) != end-off {
 			err = fmt.Errorf("chirp: short pwrite: %d of %d bytes", n, end-off)
 		}
@@ -1040,13 +1066,13 @@ func (cl *Client) pwriteAll(fd int, data []byte) error {
 // copies). A short read means the file shrank after the stat: the
 // result is truncated at the earliest short chunk (later chunks simply
 // read zero bytes, so no abort is needed).
-func (cl *Client) preadAll(fd int, size int64) ([]byte, error) {
+func (cl *Client) preadAll(fd int, size int64, deadline time.Time) ([]byte, error) {
 	out := make([]byte, size)
 	var mu sync.Mutex
 	shortEnd := size
 	err := cl.eachChunk(int((size+transferChunk-1)/transferChunk), func(i int) error {
 		off, end := chunkSpan(i, size)
-		n, err := cl.Pread(fd, out[off:end], off)
+		n, err := cl.pread(fd, out[off:end], off, deadline)
 		if err == nil && int64(n) < end-off {
 			mu.Lock()
 			if off+int64(n) < shortEnd {

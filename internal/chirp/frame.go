@@ -4,7 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"identitybox/internal/obs"
 )
 
 // ProtocolV2 is the one protocol version a session negotiates. It keeps
@@ -97,6 +103,67 @@ func (c *codec) queueFrame(tag uint64, prefix, line, payload []byte) error {
 		}
 	}
 	return nil
+}
+
+// frameWriter is the one way a connection end writes tagged frames:
+// whoever has a frame writes it under mu, and the last writer in
+// flushes. A writer that finds another waiting for the lock leaves its
+// frame in the buffer for that waiter, so a burst of frames is one
+// flush, and no goroutine exists only to write. Two rules hold:
+//   - a frame left to a waiter is flushed no later than the waiter's
+//     own, even when the waiter's frame fails validation: whoever holds
+//     the lock with no one behind it flushes everything queued;
+//   - once severed reports true, nothing more is written, queued frames
+//     included.
+type frameWriter struct {
+	mu      sync.Mutex
+	c       *codec        // its write half: w and whdr
+	conn    net.Conn      // carries the write deadline
+	timeout time.Duration // the deadline armed at each batch's first frame (0: none)
+	severed func() bool   // nil: never
+	flushes *obs.Counter  // nil: uncounted
+	waiting atomic.Int32  // writers that want mu and do not hold it yet
+}
+
+// write queues one frame and flushes it, with every frame queued before
+// it, unless another writer is waiting. Either way, on return the frame's
+// bytes are on the wire or in the buffer of the writer who will flush
+// them, and none of its slices is read again.
+func (w *frameWriter) write(tag uint64, prefix, line, payload []byte) error {
+	w.waiting.Add(1)
+	w.mu.Lock()
+	w.waiting.Add(-1)
+	defer w.mu.Unlock()
+	switch {
+	case w.c.w == nil:
+		return net.ErrClosed // released
+	case w.severed != nil && w.severed():
+		return errSevered
+	}
+	if w.timeout > 0 && w.c.w.Buffered() == 0 {
+		// A write failure on a closed connection reports itself below.
+		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
+	err := w.c.queueFrame(tag, prefix, line, payload)
+	if w.waiting.Load() > 0 {
+		return err
+	}
+	if w.flushes != nil {
+		w.flushes.Inc()
+	}
+	if ferr := w.c.flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// release returns the codec's buffers once no writer holds the lock;
+// every later write fails. Close the connection first, so a writer
+// blocked on it returns at once.
+func (w *frameWriter) release() {
+	w.mu.Lock()
+	w.c.release()
+	w.mu.Unlock()
 }
 
 // readFrameHeader reads and validates the next frame header. Callers

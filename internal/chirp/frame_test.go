@@ -3,9 +3,14 @@ package chirp
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"identitybox/internal/obs"
 )
 
 // TestFrameHeaderRoundTrip encodes and re-parses headers across the
@@ -84,19 +89,16 @@ func TestQueueFrameValidation(t *testing.T) {
 	}
 }
 
-// TestFrameWireRoundTrip queues frames through a codec and reads them
-// back, payloads included, in order.
+// TestFrameWireRoundTrip writes frames through a frame writer and reads
+// them back, payloads included, in order.
 func TestFrameWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := newCodec(&buf)
+	w := &frameWriter{c: newCodec(&buf)}
 	defer w.release()
-	if err := w.queueFrame(7, []byte("deadline 9 "), []byte("pwrite 1 0 5"), []byte("hello")); err != nil {
+	if err := w.write(7, []byte("deadline 9 "), []byte("pwrite 1 0 5"), []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.queueFrame(8, nil, []byte("whoami"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.flush(); err != nil {
+	if err := w.write(8, nil, []byte("whoami"), nil); err != nil {
 		t.Fatal(err)
 	}
 	r := newCodec(&buf)
@@ -122,6 +124,74 @@ func TestFrameWireRoundTrip(t *testing.T) {
 	}
 }
 
+// gatedWriter closes entered at its first Write and holds that Write
+// until gate is closed; it records everything written.
+type gatedWriter struct {
+	entered, gate chan struct{}
+	once          sync.Once
+	buf           bytes.Buffer
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.gate
+	})
+	return g.buf.Write(p)
+}
+
+// TestFrameWriterLastInFlushes pins the frame writer's two rules. A
+// writer whose frame is queued while another waits for the lock leaves
+// its flush to that waiter, and the waiter flushes it even when its own
+// frame fails validation; and a severed writer writes nothing.
+func TestFrameWriterLastInFlushes(t *testing.T) {
+	t.Run("left-to-a-failing-waiter", func(t *testing.T) {
+		gw := &gatedWriter{entered: make(chan struct{}), gate: make(chan struct{})}
+		var flushes obs.Counter
+		w := &frameWriter{c: newCodec(struct {
+			io.Reader
+			io.Writer
+		}{strings.NewReader(""), gw}), flushes: &flushes}
+		defer w.release()
+		// A payload past the bufio buffer makes the first writer's queue
+		// reach the wire, where the gate holds it inside the lock.
+		payload := bytes.Repeat([]byte("p"), wireBufSize+100)
+		first, second := make(chan error, 1), make(chan error, 1)
+		go func() { first <- w.write(1, nil, []byte("first"), payload) }()
+		<-gw.entered
+		go func() { second <- w.write(2, nil, []byte("bad\nline"), nil) }()
+		for w.waiting.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		close(gw.gate)
+		if err := <-first; err != nil {
+			t.Fatalf("first write = %v", err)
+		}
+		if err := <-second; err == nil || !strings.Contains(err.Error(), "embedded newline") {
+			t.Fatalf("second write = %v, want the validation error", err)
+		}
+		if n := flushes.Value(); n != 1 {
+			t.Fatalf("flushes = %d, want 1: the waiter's", n)
+		}
+		if got, want := gw.buf.Len(), frameHeaderSize+len("first")+len(payload); got != want {
+			t.Fatalf("the wire holds %d bytes, want the whole first frame's %d", got, want)
+		}
+		r := newCodec(&gw.buf)
+		defer r.release()
+		if h, err := r.readFrameHeader(); err != nil || h.tag != 1 || h.payloadLen != len(payload) {
+			t.Fatalf("frame = %+v, %v; want the first writer's", h, err)
+		}
+	})
+	t.Run("severed", func(t *testing.T) {
+		var wire bytes.Buffer
+		w := &frameWriter{c: newCodec(&wire), severed: func() bool { return true }}
+		defer w.release()
+		if err := w.write(1, nil, []byte("ok"), nil); !errors.Is(err, errSevered) || wire.Len() != 0 {
+			t.Fatalf("severed write = %v with %d bytes on the wire, want errSevered and none", err, wire.Len())
+		}
+	})
+}
+
 // FuzzFrameDecode throws arbitrary bytes at the v2 frame decoder: it
 // must never panic, and any header it does accept stays within the
 // validated bounds (so nothing downstream allocates beyond MaxLine +
@@ -130,10 +200,9 @@ func TestFrameWireRoundTrip(t *testing.T) {
 func FuzzFrameDecode(f *testing.F) {
 	// A valid frame, a truncated one, and hostile headers seed the corpus.
 	var valid bytes.Buffer
-	c := newCodec(&valid)
-	c.queueFrame(3, nil, []byte("stat /etc"), []byte("body"))
-	c.flush()
-	c.release()
+	w := &frameWriter{c: newCodec(&valid)}
+	w.write(3, nil, []byte("stat /etc"), []byte("body"))
+	w.release()
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:frameHeaderSize-2])
 	zeroTag := make([]byte, frameHeaderSize)

@@ -308,6 +308,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 	case "assert": // assert <len> + JSON assertion payload
 		community, err := sess.present(payload)
 		if err != nil {
+			sess.log.printf("%s: assertion refused: %v", sess.ident, err)
 			return sess.fail(sc, vfs.ErrPermission)
 		}
 		return hres{line: sc.ok().quoted(community)}
@@ -329,7 +330,7 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 // WAL tail past fromLSN ("ok tail <epoch> <first> <last> <records>
 // <len>" plus the frames) or, when compaction already dropped that
 // history, a full snapshot ("ok snap <epoch> <lsn> <len>" plus the
-// blob). Once that reply is on the wire every committed group is pushed
+// blob). Once that reply is written every committed group is pushed
 // to the session as a replPushTag frame until the session ends or the
 // subscriber falls too far behind (a "replgap" push tells it to
 // resubscribe). A second registration on the session, concurrent or

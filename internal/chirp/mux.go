@@ -14,39 +14,35 @@ import (
 )
 
 // errSessionLost is returned by submit when the session died before
-// the call was handed to the writer: nothing reached the wire, so even
-// mutating calls may safely retry on a fresh session.
+// the call was registered: nothing reached the wire, so even mutating
+// calls may safely retry on a fresh session.
 var errSessionLost = errors.New("chirp: session lost before send")
 
 // muxCall is one call in flight on a muxSession. Calls are pooled: done
 // is a reusable 1-buffered channel and completion is one send on it, by
 // the reader (a reply arrived) or by fail (the session died) — whichever
-// removed the call from pending. Only the goroutine that received that
-// completion may put the call back (recycle), and only a replied,
-// untraced one: after a reply nothing else still holds the call, whereas
-// a dead session's writer may, and so may the flush stamp of a traced one.
+// removed the call from pending. The goroutine that received that
+// completion puts the call back: it is the submitter, whose frame was
+// written before submit returned, so nothing else holds it.
 type muxCall struct {
 	tag      uint64
 	pre      []byte   // per-attempt "trace <id> deadline <ms> " prefix, in prefix
 	prefix   [64]byte // room for both prefixes at their longest
 	line     *lineBuf // the request line: the caller's buffer, only read here
-	sendBody []byte
-	recvInto []byte // reply payload lands here (zero-copy) when set
-	wantBody bool   // reply payload is read into a fresh body
-	counted  bool   // occupies credit-window space
-	bytes    int64  // the call's charge against the byte budget
+	recvInto []byte   // reply payload lands here (zero-copy) when set
+	wantBody bool     // reply payload is read into a fresh body
+	counted  bool     // occupies credit-window space
+	bytes    int64    // the call's charge against the byte budget
 
-	written chan struct{} // closed by the writer after flush (farewells)
-	done    chan struct{} // receives exactly one completion per use
+	done chan struct{} // receives exactly one completion per use
 
-	// Request-tracing state. start and stall are written in submit
-	// before the call is shared; writtenNanos is stamped by the writer
-	// goroutine after the frame's flush and read by the submitter after
-	// done, so it is atomic (zero means the stamp never landed).
-	trace        uint64
-	start        time.Time
-	stall        time.Duration
-	writtenNanos atomic.Int64
+	// Request-tracing state, written and read by the submitter only:
+	// sent is when its frame was flushed or left to the writer who
+	// flushes it (zero: the write failed).
+	trace uint64
+	start time.Time
+	stall time.Duration
+	sent  time.Duration
 
 	rest string // the reply line after "ok" (see readReply)
 	body []byte
@@ -54,14 +50,6 @@ type muxCall struct {
 }
 
 var callPool = sync.Pool{New: func() any { return &muxCall{done: make(chan struct{}, 1)} }}
-
-// recycle returns a completed call to the pool when nothing else can
-// still be holding it (see muxCall).
-func (call *muxCall) recycle() {
-	if _, replied := call.err.(*RemoteError); (call.err == nil || replied) && call.trace == 0 {
-		callPool.Put(call)
-	}
-}
 
 // framing is what a connection's version exchange negotiated: the
 // credit window, byte budget and capabilities.
@@ -72,21 +60,22 @@ type framing struct {
 	deadlined bool  // server echoed the deadline capability
 }
 
-// muxSession is the client's one exchange engine: a writer goroutine
-// batching requests into shared flushes, a reader goroutine completing
-// calls from replies, and a credit window bounding calls and payload
-// bytes in flight. Requests and replies are tagged frames, and replies
-// match by tag, in any order.
+// muxSession is the client's one exchange engine: each caller writes
+// its own request through the frame writer, one reader goroutine
+// completes calls from replies, and a credit window bounds calls and
+// payload bytes in flight. Requests and replies are tagged frames, and
+// replies match by tag, in any order.
 //
 // Lock order: a goroutine holds at most one of cl.mu and ms.mu at a
 // time — the session never calls back into the client under its own
 // lock, and the client only reads session state via methods that take
-// ms.mu internally.
+// ms.mu internally. w's lock is a leaf, never taken with ms.mu held.
 type muxSession struct {
 	framing
 	cl    *Client
 	conn  net.Conn
-	c     *codec        // writer goroutine owns c.w, reader owns c.r and scratch
+	c     *codec // the reader owns c.r and scratch, w the write half
+	w     frameWriter
 	spans *obs.SpanRing // client-side span sink (ClientOptions.Spans)
 
 	mu            sync.Mutex
@@ -99,10 +88,6 @@ type muxSession struct {
 	deadErr       error
 
 	stalls atomic.Int64 // submits that waited for window space
-
-	sendq  chan *muxCall
-	closed chan struct{} // closed by fail(); stops the writer
-	wg     sync.WaitGroup
 }
 
 func newMuxSession(cl *Client, conn net.Conn, c *codec, f framing) *muxSession {
@@ -113,25 +98,15 @@ func newMuxSession(cl *Client, conn net.Conn, c *codec, f framing) *muxSession {
 		c:       c,
 		spans:   cl.opts.Spans,
 		pending: make(map[uint64]*muxCall),
-		// One beyond the window: the uncounted farewell.
-		sendq:  make(chan *muxCall, f.window+1),
-		closed: make(chan struct{}),
 	}
+	ms.w.c, ms.w.conn, ms.w.timeout = c, conn, cl.opts.Timeout
 	ms.cond = sync.NewCond(&ms.mu)
-	ms.wg.Add(2)
-	go ms.writeLoop()
 	go ms.readLoop()
-	go func() {
-		// The codec's pooled buffers go back only after both loops are
-		// done touching them.
-		ms.wg.Wait()
-		c.release()
-	}()
 	return ms
 }
 
-// fail kills the session exactly once: the connection is closed, both
-// loops unwind, and every pending call completes with err.
+// fail kills the session exactly once: the connection is closed, the
+// reader unwinds, and every pending call completes with err.
 func (ms *muxSession) fail(err error) {
 	ms.mu.Lock()
 	if ms.dead {
@@ -146,7 +121,6 @@ func (ms *muxSession) fail(err error) {
 	ms.inflightBytes = 0
 	ms.cond.Broadcast()
 	ms.mu.Unlock()
-	close(ms.closed)
 	ms.conn.Close()
 	ms.cl.m.tagsInFlight.Set(0)
 	ms.cl.m.inflightBytes.Set(0)
@@ -158,7 +132,10 @@ func (ms *muxSession) fail(err error) {
 
 // submit registers a call, waiting for credit-window space (the
 // ops window, plus the byte budget — though one call is always
-// admitted, whatever its size, so a single fat transfer never wedges).
+// admitted, whatever its size, so a single fat transfer never wedges),
+// and writes its frame. On return nothing reads the call's line or
+// payload any more. A failed write kills the session, which completes
+// the call.
 func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
 	// Tracing activates per call: the session must have negotiated the
 	// capability and the call must carry an ID. The untraced path stamps
@@ -205,7 +182,6 @@ func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
 	*call = muxCall{
 		tag:      ms.nextTag,
 		line:     c.line,
-		sendBody: c.sendBody,
 		recvInto: c.recvInto,
 		wantBody: c.recvBody,
 		counted:  true,
@@ -231,7 +207,11 @@ func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
 	ms.cl.m.inflightBytes.Set(ms.inflightBytes)
 	ms.mu.Unlock()
 	ms.cl.sent.Add(1)
-	ms.sendq <- call
+	if err := ms.w.write(call.tag, call.pre, c.line.b, c.sendBody); err != nil {
+		ms.fail(err)
+	} else if trace != 0 {
+		call.sent = time.Since(start)
+	}
 	return call, nil
 }
 
@@ -259,7 +239,7 @@ func (ms *muxSession) roundTrip(c wireCall) (string, []byte, error) {
 		ms.observeCall(call)
 	}
 	rest, body, err := call.rest, call.body, call.err
-	call.recycle()
+	callPool.Put(call)
 	return rest, body, err
 }
 
@@ -286,21 +266,16 @@ func (ms *muxSession) observeCall(call *muxCall) {
 		sp.Err = call.err.Error()
 	}
 	sp.Phase("submit.stall", 0, call.stall)
-	// The writer stamps the flush time atomically; a session that died
-	// before flushing leaves it zero and the span shows no wire phases.
-	if w := call.writtenNanos.Load(); w != 0 {
-		off := time.Unix(0, w).Sub(call.start)
-		if off >= call.stall && off <= dur {
-			sp.Phase("send", call.stall, off-call.stall)
-			sp.Phase("await", off, dur-off)
-		}
+	// A failed write leaves sent zero and the span shows no wire phases.
+	if off := call.sent; off != 0 {
+		sp.Phase("send", call.stall, off-call.stall)
+		sp.Phase("await", off, dur-off)
 	}
 	ms.spans.Record(sp)
 }
 
-// sendQuit queues the protocol farewell and reports the write outcome
-// once the writer has flushed it. It does not wait for the server's
-// reply.
+// sendQuit writes the protocol farewell and reports the write's
+// outcome. It does not wait for the server's reply.
 func (ms *muxSession) sendQuit() error {
 	ms.mu.Lock()
 	if ms.dead {
@@ -309,83 +284,20 @@ func (ms *muxSession) sendQuit() error {
 		return err
 	}
 	ms.nextTag++
-	call := &muxCall{ // not pooled: sendQuit may stop waiting before the reply completes it
-		tag:     ms.nextTag,
-		line:    &lineBuf{b: []byte("quit")},
-		written: make(chan struct{}),
-		done:    make(chan struct{}, 1),
-	}
+	tag := ms.nextTag
 	// Registered so the server's ok reply is not an unknown tag, but
-	// uncounted: the farewell takes no credit-window space.
-	ms.pending[call.tag] = call
+	// uncounted: the farewell takes no credit-window space. Not pooled:
+	// nobody waits for its completion.
+	ms.pending[tag] = &muxCall{tag: tag, done: make(chan struct{}, 1)}
 	ms.mu.Unlock()
-	ms.sendq <- call
-	select {
-	case <-call.written:
-		return nil
-	case <-call.done:
-		return call.err
-	}
-}
-
-// writeLoop drains the submit queue into the wire, coalescing every
-// frame available at the moment into one flush so a pipelining burst
-// costs one syscall instead of one per call.
-func (ms *muxSession) writeLoop() {
-	defer ms.wg.Done()
-	var flushed []*muxCall // farewells, whose senders wait for the flush
-	var stamped []*muxCall // traced calls awaiting their flush stamp
-	for {
-		var call *muxCall
-		select {
-		case call = <-ms.sendq:
-		case <-ms.closed:
-			return
-		}
-		for call != nil {
-			// Everything the writer needs of the call is read before its
-			// bytes can reach the wire: once they have, a reply may complete
-			// the call and its waiter recycle it.
-			afterFlush, traced := call.written != nil, call.trace != 0
-			if err := ms.c.queueFrame(call.tag, call.pre, call.line.b, call.sendBody); err != nil {
-				ms.fail(err)
-				return
-			}
-			if afterFlush {
-				flushed = append(flushed, call)
-			}
-			if traced {
-				stamped = append(stamped, call)
-			}
-			select {
-			case call = <-ms.sendq:
-			default:
-				call = nil
-			}
-		}
-		if err := ms.c.flush(); err != nil {
-			ms.fail(err)
-			return
-		}
-		if len(stamped) > 0 {
-			now := time.Now().UnixNano()
-			for _, s := range stamped {
-				s.writtenNanos.Store(now)
-			}
-			stamped = stamped[:0]
-		}
-		for _, f := range flushed {
-			close(f.written)
-		}
-		flushed = flushed[:0]
-	}
+	return ms.w.write(tag, nil, []byte("quit"), nil)
 }
 
 // readLoop completes calls from replies. Any transport or protocol
 // fault kills the session: there is no wire realignment to attempt,
 // the retry layer redials instead.
 func (ms *muxSession) readLoop() {
-	defer ms.wg.Done()
+	defer ms.w.release() // after fail has closed the connection
 	for {
 		call, line, payloadLen, err := ms.nextReply()
 		if err != nil {

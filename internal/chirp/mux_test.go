@@ -3,10 +3,12 @@ package chirp
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +20,7 @@ import (
 	"identitybox/internal/faultnet"
 	"identitybox/internal/identity"
 	"identitybox/internal/kernel"
+	"identitybox/internal/obs"
 	"identitybox/internal/vfs"
 )
 
@@ -97,6 +100,19 @@ func TestFirstLineMustBeVersion(t *testing.T) {
 	refusedFirstLine(t, srv, `mkdir 755 "/x"`)
 	if _, err := k.FS().Stat("/x"); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("stat /x after the refused session = %v, want ENOENT", err)
+	}
+}
+
+// TestRefusedVersionExchangeCounted: the refusal of a first line that is
+// no version exchange is an error reply like any other, so it is counted
+// under its errno and in stats' Errors.
+func TestRefusedVersionExchangeCounted(t *testing.T) {
+	srv, _, _ := testServer(t)
+	einval := srv.Metrics().Counter(obs.With(MetricErrors, "errno", "EINVAL"))
+	before, beforeAll := einval.Value(), srv.ErrorCount()
+	refusedFirstLine(t, srv, `stat "/"`)
+	if n, all := einval.Value()-before, srv.ErrorCount()-beforeAll; n != 1 || all != 1 {
+		t.Fatalf("the refusal counted %d EINVAL and %d errors in all, want 1 and 1", n, all)
 	}
 }
 
@@ -667,4 +683,128 @@ func TestMuxConcurrentExecsOnePrincipal(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// labeledGoroutines counts the live goroutines carrying the pprof label
+// idle=id, which a goroutine inherits from the one that started it.
+func labeledGoroutines(id string) int {
+	var b strings.Builder
+	pprof.Lookup("goroutine").WriteTo(&b, 1)
+	n := 0
+	for _, group := range strings.Split(b.String(), "\n\n") {
+		if strings.Contains(group, `"idle":"`+id+`"`) {
+			_, stacks, _ := strings.Cut(group, "\n")
+			if strings.HasPrefix(group, "goroutine profile") {
+				group = stacks
+			}
+			var k int
+			fmt.Sscanf(group, "%d @", &k)
+			n += k
+		}
+	}
+	return n
+}
+
+// TestMuxIdleClientOneGoroutine: a connected client runs one goroutine,
+// its reader. Callers write their own frames, so nothing else waits on
+// an idle connection; and closing the client ends the reader. The
+// clients are dialled under a goroutine label, so only what they start
+// is counted, not the server's side of their sessions.
+func TestMuxIdleClientOneGoroutine(t *testing.T) {
+	srv, _, _ := testServer(t)
+	const n = 8
+	clients := make([]*Client, n)
+	pprof.Do(context.Background(), pprof.Labels("idle", t.Name()), func(context.Context) {
+		for i := range clients {
+			clients[i] = adminClient(t, srv, ClientOptions{})
+			if _, err := clients[i].Whoami(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if got := labeledGoroutines(t.Name()); got != n {
+		t.Fatalf("%d idle clients run %d goroutines, want %d", n, got, n)
+	}
+	for _, cl := range clients {
+		cl.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for labeledGoroutines(t.Name()) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("closed clients left %d goroutines running", labeledGoroutines(t.Name()))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// deafServer authenticates one client and answers its version exchange,
+// then reads nothing more, through a small receive buffer, until the
+// test ends.
+func deafServer(t *testing.T) (addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, hangUp := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() {
+		close(hangUp)
+		ln.Close()
+		<-done
+	})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+		ac := auth.NewConn(conn)
+		verifiers := map[auth.Method]auth.Verifier{auth.MethodUnix: &auth.UnixVerifier{}}
+		if _, err := auth.ServerNegotiate(ac, verifiers, "127.0.0.1"); err != nil {
+			return
+		}
+		if _, err := ac.ReadLine(); err == nil {
+			ac.WriteLine(fmt.Sprintf("ok %d %d %d", ProtocolV2, DefaultWindow, DefaultMaxInflightBytes))
+			<-hangUp
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestMuxWriteTimeoutAgainstDeafServer: against a server that stops
+// reading, a call's own write is what blocks, and ClientOptions.Timeout,
+// the frame writer's deadline, ends it within about that timeout.
+func TestMuxWriteTimeoutAgainstDeafServer(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	cl, err := DialOpts(deafServer(t), []auth.Authenticator{&auth.UnixClient{User: "admin"}}, ClientOptions{
+		Timeout: timeout, MaxRetries: -1,
+		Dialer: func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if err == nil {
+				c.(*net.TCPConn).SetWriteBuffer(4 << 10)
+			}
+			return c, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	start := time.Now()
+	errc := make(chan error, 1)
+	go func() { errc <- cl.PutFile("/big", make([]byte, MaxPayload), 0o644) }()
+	select {
+	case err := <-errc:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("putfile to a deaf server = %v, want its write's timeout", err)
+		}
+		if d := time.Since(start); d > 10*timeout {
+			t.Fatalf("putfile to a deaf server took %v, want about %v", d, timeout)
+		}
+	case <-time.After(20 * timeout):
+		t.Fatalf("putfile to a deaf server still blocked after %v", 20*timeout)
+	}
 }

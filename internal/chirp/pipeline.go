@@ -37,11 +37,11 @@ type stamps struct {
 // execute produces the reply, serve delivers it and
 // accounts for it. sc is the caller's scratch: the reply line and a
 // pread body are built in it, and it is reused only for the caller's
-// next request, after this reply is flushed.
+// next request, after reply has written them.
 func (sess *session) serve(req *request, sc *payloadScratch) {
 	s := sess.s
-	// The admission ticket is released when the reply (or shed) is on
-	// the wire, whatever path the request took; Done on a nil ticket
+	// The admission ticket is released when the reply (or shed) is
+	// written, whatever path the request took; Done on a nil ticket
 	// (admission off, or an exempt control command) is a no-op.
 	defer req.ticket.Done()
 	var st stamps
@@ -194,29 +194,10 @@ func (sess *session) barrier(d interface{ Barrier() error }) (commit time.Durati
 	return commit
 }
 
-// reply writes one reply frame, carrying tag, under writeMu, so
-// concurrent workers and the replication pusher interleave whole
-// replies, and under the per-request write deadline.
+// reply writes one reply frame, carrying tag, through the session's
+// frame writer: a severed session acknowledges nothing (see severAll).
 func (sess *session) reply(tag uint64, res hres) error {
-	if sess.isStopping() {
-		return errSevered // see severAll: a severed session acknowledges nothing
-	}
-	sess.writeMu.Lock()
-	defer sess.writeMu.Unlock()
-	if rt := sess.s.opts.RequestTimeout; rt > 0 {
-		if err := sess.conn.SetWriteDeadline(time.Now().Add(rt)); err != nil {
-			sess.log.printf("setting reply deadline: %v", err)
-		}
-		defer func() {
-			if err := sess.conn.SetWriteDeadline(time.Time{}); err != nil {
-				sess.log.printf("clearing reply deadline: %v", err)
-			}
-		}()
-	}
-	if err := sess.c.queueFrame(tag, nil, res.line.b, res.body); err != nil {
-		return err
-	}
-	return sess.c.flush()
+	return sess.w.write(tag, nil, res.line.b, res.body)
 }
 
 // hres is one handled request's outcome: a complete reply line
@@ -226,7 +207,7 @@ func (sess *session) reply(tag uint64, res hres) error {
 type hres struct {
 	line  *lineBuf
 	body  []byte
-	after func() // run once the reply is on the wire (replsub's pusher)
+	after func() // run once the reply is written (replsub's pusher)
 }
 
 // fail builds err's reply in sc, counting it under its errno.

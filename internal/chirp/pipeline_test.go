@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"identitybox/internal/faultnet"
 	"identitybox/internal/kernel"
@@ -108,13 +109,13 @@ func TestPipelinedRemoteErrorDrainsWindow(t *testing.T) {
 	if err := cl.CloseFD(fd); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.pwriteAll(fd, patterned(5*transferChunk)); !errors.Is(err, kernel.ErrBadFD) {
+	if err := cl.pwriteAll(fd, patterned(5*transferChunk), time.Time{}); !errors.Is(err, kernel.ErrBadFD) {
 		t.Fatalf("pwriteAll on closed fd = %v, want EBADF", err)
 	}
 	if _, err := cl.Whoami(); err != nil {
 		t.Fatalf("session unusable after drained pwrite window: %v", err)
 	}
-	if _, err := cl.preadAll(fd, 3*transferChunk); !errors.Is(err, kernel.ErrBadFD) {
+	if _, err := cl.preadAll(fd, 3*transferChunk, time.Time{}); !errors.Is(err, kernel.ErrBadFD) {
 		t.Fatalf("preadAll on closed fd: want EBADF")
 	}
 	if _, err := cl.Whoami(); err != nil {
@@ -141,7 +142,7 @@ func TestPipelinedGetShrunkFile(t *testing.T) {
 	if err := cl.Truncate("/shrink", newSize); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.preadAll(fd, int64(len(orig)))
+	got, err := cl.preadAll(fd, int64(len(orig)), time.Time{})
 	if err != nil {
 		t.Fatalf("preadAll after shrink: %v", err)
 	}
@@ -196,17 +197,17 @@ func TestCodecPooledPathZeroAlloc(t *testing.T) {
 	}
 	payload := make([]byte, transferChunk)
 	var frame bytes.Buffer
-	fc := newCodec(&frame)
-	if err := fc.queueFrame(9, nil, []byte("pwrite 1 0 65536"), payload); err != nil {
+	fw := &frameWriter{c: newCodec(&frame)}
+	if err := fw.write(9, nil, []byte("pwrite 1 0 65536"), payload); err != nil {
 		t.Fatal(err)
 	}
-	fc.flush()
-	fc.release()
+	fw.release()
 	c := newCodec(struct {
 		io.Reader
 		io.Writer
 	}{&loopReader{data: frame.Bytes()}, io.Discard})
 	defer c.release()
+	w := &frameWriter{c: c}
 	line, prefix := []byte("ok 65536"), []byte("deadline 2000 ")
 	exchange := func() {
 		h, err := c.readFrameHeader()
@@ -219,10 +220,7 @@ func TestCodecPooledPathZeroAlloc(t *testing.T) {
 		if _, err := c.readPayload(h.payloadLen); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.queueFrame(h.tag, prefix, line, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.flush(); err != nil {
+		if err := w.write(h.tag, prefix, line, payload); err != nil {
 			t.Fatal(err)
 		}
 	}

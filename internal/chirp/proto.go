@@ -330,9 +330,9 @@ func init() {
 // codec frames protocol lines and counted payloads over a transport.
 // Its bufio halves and scratch come from process-wide pools; call
 // release when the transport is done with to recycle them. The read half
-// (r, rhdr, scratch) and the write half (w, whdr) each belong to one
-// goroutine at a time — the session loop and whoever holds its write
-// mutex, or the client's reader and writer loops — so neither locks.
+// (r, rhdr, scratch) belongs to the connection's reader, and the write
+// half (w, whdr) to whoever holds its frameWriter's lock, so the codec
+// itself never locks.
 type codec struct {
 	r       *bufio.Reader
 	w       *bufio.Writer

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"sync"
 	"time"
 
 	"identitybox/internal/auth"
@@ -30,6 +29,7 @@ var ErrReplGap = errors.New("chirp: replication stream gap; resubscribe")
 type ReplicaSession struct {
 	conn net.Conn
 	c    *codec
+	w    frameWriter // writes replsub and replack, and releases c on Close
 
 	// IdleTimeout, when positive, bounds how long Next waits for a
 	// frame. On an idle volume nothing flows, so the expiry makes the
@@ -42,10 +42,8 @@ type ReplicaSession struct {
 	// WAL tail sufficed. The first Next delivers it as a snapshot batch.
 	Snap []byte
 
-	mu      sync.Mutex // guards nextTag, line and write interleaving (Ack vs Close)
-	nextTag uint64
-	line    lineBuf // the request being sent
-	closed  bool
+	nextTag uint64  // owned by the goroutine that calls Next and Ack
+	line    lineBuf // the request being sent, owned likewise
 
 	first *replica.Batch // the subscribe reply, delivered by the first Next
 }
@@ -82,6 +80,7 @@ func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeou
 		return fail(errors.New("chirp: server did not offer the repl capability"))
 	}
 	rs := &ReplicaSession{conn: conn, c: c, nextTag: 1}
+	rs.w.c, rs.w.conn = c, conn
 	// Subscribe and decode the catch-up reply.
 	if err := rs.send("replsub", fromLSN); err != nil {
 		return fail(err)
@@ -131,20 +130,11 @@ func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeou
 	return rs, nil
 }
 
-// send writes "<cmd> <arg>" as one frame under the next request tag,
-// flushed, under the write mutex.
+// send writes "<cmd> <arg>" as one frame under the next request tag.
 func (rs *ReplicaSession) send(cmd string, arg uint64) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.closed {
-		return errors.New("chirp: replica session closed")
-	}
 	tag := rs.nextTag
 	rs.nextTag++
-	if err := rs.c.queueFrame(tag, nil, rs.line.start(cmd).uint(arg).b, nil); err != nil {
-		return err
-	}
-	return rs.c.flush()
+	return rs.w.write(tag, nil, rs.line.start(cmd).uint(arg).b, nil)
 }
 
 // readFrame reads the next frame header and its line into the codec's
@@ -230,15 +220,13 @@ func (rs *ReplicaSession) Ack(lsn uint64) error {
 	return rs.send("replack", lsn)
 }
 
-// Close tears the session down (replica.Stream).
+// Close tears the session down (replica.Stream); closing twice is a
+// no-op.
 func (rs *ReplicaSession) Close() error {
-	rs.mu.Lock()
-	if rs.closed {
-		rs.mu.Unlock()
+	err := rs.conn.Close()
+	rs.w.release()
+	if errors.Is(err, net.ErrClosed) {
 		return nil
 	}
-	rs.closed = true
-	rs.c.release()
-	rs.mu.Unlock()
-	return rs.conn.Close()
+	return err
 }

@@ -93,9 +93,10 @@ const (
 // names its non-test caller, or says it is a test seam.
 type ClientOptions struct {
 	// Timeout bounds each wire exchange (one request/response, payload
-	// phases included) with a connection deadline. Zero means no
-	// deadline. Redial and re-authentication are bounded by the same
-	// timeout. Set by cmd/chirp -timeout.
+	// phases included): the request's write, as its connection's write
+	// deadline, and then the wait for its reply. Zero means no deadline.
+	// Redial and re-authentication are bounded by the same timeout. Set
+	// by cmd/chirp -timeout.
 	Timeout time.Duration
 	// MaxRetries is how many times a failed exchange is retried beyond
 	// the first attempt: zero means the default of 3, a negative value

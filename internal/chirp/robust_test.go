@@ -482,6 +482,42 @@ func TestCASExpiredAssertionRejected(t *testing.T) {
 	})
 }
 
+// TestAssertRefusalLogsReason: a refused assertion is answered with a
+// bare EPERM, and the server's log says why.
+func TestAssertRefusalLogsReason(t *testing.T) {
+	cas, _ := auth.NewCAS("c")
+	admin := identity.Principal("unix:admin")
+	cas.AddMember(admin, "grp", []auth.Grant{{PathPrefix: "/", Rights: "rl"}})
+	srv, _, _ := unstartedServer(t)
+	var mu sync.Mutex
+	var logged strings.Builder
+	srv.log = logger{sink: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(&logged, format+"\n", args...)
+	}}
+	srv.opts.CASTrust = &auth.CASVerifier{Trusted: map[string]*rsa.PublicKey{"c": cas.PublicKey()}}
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	cl := adminClient(t, srv, ClientOptions{})
+	forged, err := cas.Issue(admin, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.Grants[0].Rights = "rwlax" // after signing
+	blob, _ := forged.Encode()
+	var re *RemoteError
+	if _, err := cl.PresentAssertion(blob); !errors.As(err, &re) || re.Err != vfs.ErrPermission || re.Message != "permission denied" {
+		t.Fatalf("forged assertion = %v, want a bare EPERM", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(logged.String(), "assertion refused: ") || !strings.Contains(logged.String(), "bad CAS signature") {
+		t.Fatalf("the server log does not say why the assertion was refused:\n%s", logged.String())
+	}
+}
+
 // TestRmdirRemovesACLFileToo mirrors the box semantics server-side: a
 // directory holding only its ACL file is removable by a w holder in
 // the parent... but visitors without w in "/" cannot; the admin can.

@@ -216,6 +216,7 @@ const (
 	MetricRxBytes  = "chirp_rx_bytes_total"
 	MetricTxBytes  = "chirp_tx_bytes_total"
 	MetricConns    = "chirp_open_conns"
+	MetricFlushes  = "chirp_flushes_total"
 
 	// ACL directory lookups, and how many of them had to parse an ACL
 	// file because no parse of that file version was memoised: the
@@ -233,6 +234,7 @@ type srvMetrics struct {
 	sessions      *obs.Counter
 	rxBytes       *obs.Counter
 	txBytes       *obs.Counter
+	flushes       *obs.Counter
 	conns         *obs.Gauge
 	dedupeHits    *obs.Counter
 	dedupeEntries *obs.Gauge
@@ -256,6 +258,7 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 	reg.Help(MetricRxBytes, "Bytes received on client connections.")
 	reg.Help(MetricTxBytes, "Bytes sent on client connections.")
 	reg.Help(MetricConns, "Connections currently tracked.")
+	reg.Help(MetricFlushes, "Frame-writer flushes: frames queued while another writer waits share one.")
 	reg.Help(MetricDedupeHits, "Tokened retries answered from the dedupe table.")
 	reg.Help(MetricDedupeEntries, "Replies held in the in-memory dedupe table (0 when a DedupeJournal is the table).")
 	reg.Help(MetricDedupeBytes, "Approximate bytes held by the in-memory dedupe table (0 when a DedupeJournal is the table).")
@@ -289,6 +292,7 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 		sessions:      reg.Counter(MetricSessions),
 		rxBytes:       reg.Counter(MetricRxBytes),
 		txBytes:       reg.Counter(MetricTxBytes),
+		flushes:       reg.Counter(MetricFlushes),
 		conns:         reg.Gauge(MetricConns),
 		dedupeHits:    reg.Counter(MetricDedupeHits),
 		dedupeEntries: reg.Gauge(MetricDedupeEntries),

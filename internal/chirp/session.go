@@ -24,12 +24,13 @@ import (
 // session is one authenticated connection.
 //
 // The connection goroutine is the session's reader: it runs the version
-// exchange, then reads frames. Workers execute the requests and share
-// the codec's write side under writeMu; the descriptor table and CAS
-// grants get their own RWMutexes. Lock order: fdMu and grantsMu are
-// leaves (nothing else is acquired under them); writeMu is taken only
-// around one reply's queue+flush and never with another session lock
-// held.
+// exchange, then reads frames. Workers execute the requests; they, the
+// reader's refusals and the replication pusher write through w, the
+// session's one frame writer. The descriptor table and CAS grants get
+// their own RWMutexes. Lock order: fdMu and grantsMu are leaves (nothing
+// else is acquired under them); w's lock is taken around one frame's
+// queue (and the flush, for the last writer in) and never with another
+// session lock held.
 type session struct {
 	s     *Server
 	id    int64 // session sequence number, for log correlation
@@ -58,7 +59,7 @@ type session struct {
 	conf sessionConf
 
 	// busy counts the session's requests from the arrival of a frame
-	// header to the flush of the reply (or of the reader's own
+	// header to the write of the reply (or of the reader's own
 	// refusal): the session is idle, and a drain may expire its read,
 	// only at zero. It also gates frame admission: the reader queues a
 	// request only while the others number fewer than the window, and
@@ -67,7 +68,11 @@ type session struct {
 	slotCond *sync.Cond
 	busy     int
 
-	writeMu sync.Mutex // serializes replies on the shared codec
+	// w writes every frame. A writer that leaves its flush to a waiter is
+	// flushed before that waiter's busy span ends, or, when the waiter is
+	// the pusher, before serveConn releases the codec: busy 0 still means
+	// everything flushed that a request wrote.
+	w frameWriter
 
 	// replSub is the session's live replication subscription; pushWG
 	// tracks its pusher goroutine so the codec is not released under it.
@@ -163,6 +168,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		nextFD: 1,
 	}
 	sess.slotCond = sync.NewCond(&sess.slotMu)
+	sess.w = frameWriter{c: sess.c, conn: conn, timeout: s.opts.RequestTimeout, severed: sess.isStopping, flushes: s.metrics.flushes}
 	s.mu.Lock()
 	s.conns[conn] = sess // so a drain can nudge it and a sever wake it
 	s.mu.Unlock()
@@ -222,7 +228,7 @@ const maxPooledFields = 64
 const recycledArg = "\x00recycled"
 
 // recycle returns an answered request to the pool. Nothing may touch
-// req afterwards: serve has flushed its reply and run res.after, or the
+// req afterwards: serve has written its reply and run res.after, or the
 // session dropped it unanswered.
 func (req *request) recycle() {
 	for i := range req.fields {
@@ -444,11 +450,12 @@ func (sess *session) armRead(on bool) {
 // "version 2 <window> <maxbytes> [caps...]" is counted as a version
 // request, answered "ok 2 <window> <maxbytes> [caps...]" with each side's
 // minimum and the capabilities both sides support, and switches the
-// session to tagged frames. Anything else is answered with one err line
-// and ends the session, neither admitted, executed nor counted. false
-// ends the session.
+// session to tagged frames. Anything else is answered with one EINVAL
+// err line, counted like any error reply, and ends the session; the line
+// is neither admitted, executed nor counted as a request. false ends the
+// session.
 func (sess *session) negotiate(wk *workers) bool {
-	s, l := sess.s, &sess.c.scratch.line
+	s, sc := sess.s, sess.c.scratch
 	line, err := sess.c.readLine()
 	if err != nil {
 		return false // connection closed (or drain nudge expired the read)
@@ -462,8 +469,8 @@ func (sess *session) negotiate(wk *workers) bool {
 	}
 	if err != nil || v < ProtocolV2 {
 		sess.log.printf("refused: first request is no version exchange: %q", line)
-		sess.c.writeLine(l.start("err").str(nameForError(vfs.ErrInvalid)).
-			quoted("protocol 2 required: the first request must be a version exchange").b)
+		refusal := sess.fail(sc, fmt.Errorf("%w: protocol 2 required: the first request must be a version exchange", vfs.ErrInvalid))
+		sess.c.writeLine(refusal.line.b)
 		return false
 	}
 	sess.count(&request{cmd: fields[0], args: fields[1:], spec: commandByName[fields[0]]})
@@ -473,7 +480,7 @@ func (sess *session) negotiate(wk *workers) bool {
 	conf.traced = s.opts.Spans != nil && hasCap(caps, capTrace)
 	conf.repl = s.opts.Repl != nil && hasCap(caps, capRepl)
 	conf.deadlined = s.opts.Admission != nil && hasCap(caps, capDeadline)
-	ok := l.start("ok").int(ProtocolV2).int(int64(conf.window)).int(conf.maxBytes)
+	ok := sc.line.start("ok").int(ProtocolV2).int(int64(conf.window)).int(conf.maxBytes)
 	if conf.traced {
 		ok.str(capTrace)
 	}
@@ -514,7 +521,7 @@ func (wk *workers) start(sess *session, window, n int) {
 	}
 }
 
-// close stops the workers and waits for every queued reply to flush. It
+// close stops the workers and waits for every queued reply's write. It
 // is a no-op on a session that never negotiated.
 func (wk *workers) close() {
 	wk.once.Do(func() {
@@ -576,13 +583,13 @@ func (sess *session) abort() {
 // isStopping reports whether the server has severed its sessions.
 func (sess *session) isStopping() bool { return sess.s.phase.Load() == phaseClosed }
 
-// releaseSlot returns a worker's slot after its reply is on the wire.
+// releaseSlot returns a worker's slot after its reply is written.
 func (sess *session) releaseSlot() {
 	sess.s.metrics.tagsInFlight.Dec()
 	sess.done()
 }
 
-// done ends one request's busy span, once its reply is flushed. During
+// done ends one request's busy span, once its reply is written. During
 // a drain the session is then nudged, since its reader, blocked on the
 // next frame header, cannot see the drain.
 func (sess *session) done() {

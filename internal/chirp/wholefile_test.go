@@ -3,8 +3,11 @@ package chirp
 import (
 	"bytes"
 	"errors"
+	"net"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"identitybox/internal/acl"
 	"identitybox/internal/auth"
@@ -160,4 +163,49 @@ func TestReplyBodySkipsScratch(t *testing.T) {
 			t.Fatalf("client scratch went from %d to %d bytes for a %d-byte body", before, after, len(data))
 		}
 	})
+}
+
+// pwriteLoserConn loses the reply that follows the first pwrite it
+// carries: the request runs on the server and the connection dies.
+type pwriteLoserConn struct {
+	net.Conn
+	l    *replyLoser
+	once *sync.Once
+}
+
+func (c *pwriteLoserConn) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("pwrite")) {
+		c.once.Do(c.l.loseNext)
+	}
+	return c.Conn.Write(p)
+}
+
+// TestChunkTransferOneDeadline: a chunked transfer spends one deadline
+// budget, stamped at its start, and its restarts obey the same retry
+// rule as a single call's. With a backoff longer than the budget, a
+// transfer whose pwrite reply is lost fails with EDEADLINE at once: it
+// neither sleeps toward a certain miss nor restarts under a fresh budget.
+func TestChunkTransferOneDeadline(t *testing.T) {
+	srv, _, _ := testServer(t)
+	var loser replyLoser
+	var once sync.Once
+	var slept []time.Duration
+	cl := adminClient(t, srv, ClientOptions{
+		DeadlineBudget: 2 * time.Second, RetryBase: 5 * time.Second, RetryMax: 5 * time.Second,
+		Sleep: func(d time.Duration) { slept = append(slept, d) },
+		Dialer: func(addr string) (net.Conn, error) {
+			c, err := loser.dial(addr)
+			if err != nil {
+				return nil, err
+			}
+			return &pwriteLoserConn{Conn: c, l: &loser, once: &once}, nil
+		},
+	})
+	err := cl.PutFile("/huge", patterned(MaxPayload+1), 0o644)
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("chunked putfile after a lost pwrite reply = %v, want EDEADLINE", err)
+	}
+	if len(slept) != 0 {
+		t.Fatalf("the transfer slept %v, want no sleep past its budget", slept)
+	}
 }
