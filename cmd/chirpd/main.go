@@ -48,7 +48,8 @@
 //
 // Every session negotiates the v2 tagged protocol: requests are
 // multiplexed out of order under a per-session credit window and served
-// by a per-session pool of workers. A client whose first line after
+// by the session's workers, one started for each request in flight that
+// would otherwise wait. A client whose first line after
 // authentication is not the version exchange (an old v1 client) gets
 // one error line and is disconnected, its request never run.
 //

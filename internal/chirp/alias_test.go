@@ -90,18 +90,16 @@ func (fx aliasFixture) verify(cl *Client, fd int) error {
 // TestReplyBuffersNeverShared is the test of buffer reuse on the wire
 // path, whose failure mode is a well-formed reply to someone else's
 // request. Sixteen callers pipeline stat, getdir, pread, getacl and a
-// failing stat through one session — one worker and eight, at either
-// window — and every reply must be the caller's own: reply lines are
-// encoded in per-worker buffers, request lines in pooled ones, calls are
-// recycled, and none of it may be visible.
+// failing stat through one session, at either window — at window 1 one
+// worker serves them all, at the default one a worker per request in
+// flight — and every reply must be the caller's own: reply lines and
+// pread bodies are encoded in pooled requests, request lines in pooled
+// buffers, calls are recycled, and none of it may be visible.
 func TestReplyBuffersNeverShared(t *testing.T) {
 	bothWindows(t, func(t *testing.T, win int) {
-		for _, workers := range []int{1, 8} {
-			srv, _, _ := testServer(t)
-			srv.opts.Workers = workers
-			cl := adminClient(t, srv, ClientOptions{Window: win})
-			runAliasCallers(t, cl, true, 40, nil)
-		}
+		srv, _, _ := testServer(t)
+		cl := adminClient(t, srv, ClientOptions{Window: win})
+		runAliasCallers(t, cl, true, 80, nil)
 	})
 }
 

@@ -2,6 +2,7 @@ package chirp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -81,20 +82,24 @@ func parseFrameHeader(b []byte) (frameHeader, error) {
 	return h, nil
 }
 
+// errFrameShape is queueFrame's refusal of a frame the reader would
+// reject. Nothing of the frame is buffered, so the connection stays
+// aligned and the frame's tag can still be answered.
+var errFrameShape = errors.New("chirp: frame refused")
+
 // queueFrame buffers one tagged frame — header, line (prefix first, when
 // the client stamped one), payload — without flushing, so a pipelining
 // writer can pack several frames into one wire write. The bytes go
 // straight into the bufio writer: no intermediate line allocation.
 func (c *codec) queueFrame(tag uint64, prefix, line, payload []byte) error {
-	if err := checkLine(prefix, line); err != nil {
-		return err
-	}
 	lineLen := len(prefix) + len(line)
-	if lineLen < 1 || lineLen > MaxLine {
-		return fmt.Errorf("chirp: frame line length %d outside [1, %d]", lineLen, MaxLine)
-	}
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("chirp: frame payload %d exceeds %d", len(payload), MaxPayload)
+	switch {
+	case checkLine(prefix, line) != nil:
+		return fmt.Errorf("%w: embedded newline in its line", errFrameShape)
+	case lineLen < 1 || lineLen > MaxLine:
+		return fmt.Errorf("%w: line length %d outside [1, %d]", errFrameShape, lineLen, MaxLine)
+	case len(payload) > MaxPayload:
+		return fmt.Errorf("%w: payload %d exceeds %d", errFrameShape, len(payload), MaxPayload)
 	}
 	putFrameHeader(c.whdr[:], tag, lineLen, len(payload))
 	for _, part := range [...][]byte{c.whdr[:], prefix, line, payload} {

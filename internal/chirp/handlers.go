@@ -24,7 +24,7 @@ import (
 
 // handle executes one request and produces its reply. It touches no
 // wire state — the request payload arrives pre-read, and pread reply
-// bodies are built in the scratch the caller supplies — and execute has
+// bodies are built in the request's scratch, sc — and execute has
 // already checked the argument count and payload length against the
 // command table, so cases index args freely. Session state goes through
 // the fdMu/grantsMu accessors, making concurrent v2 execution safe.
@@ -143,8 +143,8 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		if !ok || d.acc&vfs.MayRead == 0 {
 			return sess.fail(sc, kernel.ErrBadFD)
 		}
-		// Pooled scratch: the payload is written to the wire before the
-		// caller's scratch is reused.
+		// The request's scratch: the payload is written to the wire before
+		// the request is recycled.
 		b := sc.bytes(n)
 		rn, err := d.h.ReadAt(b, off)
 		if err != nil {
@@ -218,6 +218,9 @@ func (sess *session) handle(cmd string, args []string, payload []byte, sc *paylo
 		ok := sc.ok().int(int64(len(ents)))
 		for _, e := range ents {
 			ok.quoted(e.Name).int(int64(e.Type))
+		}
+		if len(ok.b) > MaxLine { // no frame can carry the listing
+			return sess.fail(sc, &vfs.PathError{Op: "getdir", Path: args[0], Err: vfs.ErrTooBig})
 		}
 		return hres{line: ok}
 
@@ -467,7 +470,7 @@ type access struct {
 // guard is a request's permission check, run by the vfs step it
 // authorises inside that step's hold of the tree lock (vfs.Guard), so
 // nothing lands between the decision and the act. It lives in the
-// worker's scratch: arming it allocates nothing.
+// request's scratch: arming it allocates nothing.
 type guard struct {
 	sess   *session
 	checks [2]access

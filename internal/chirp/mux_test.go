@@ -555,6 +555,98 @@ func TestMuxSessionBarriersOverlap(t *testing.T) {
 	}
 }
 
+// TestControlAnswersPastParkedBarriers: eight mutations on one session
+// park in a durability barrier that holds them, and a whoami on the
+// same session still answers at once. The session starts a worker for
+// each request in flight, so none waits for a worker behind parked ones.
+func TestControlAnswersPastParkedBarriers(t *testing.T) {
+	const parked = 8
+	srv, _, _ := testServer(t)
+	dur := &overlapBarrier{want: parked + 1, full: make(chan struct{})}
+	srv.opts.Durability = dur
+	cl := adminClient(t, srv, ClientOptions{})
+	var wg sync.WaitGroup
+	errs := make([]error, parked)
+	for i := range parked {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = cl.Mkdir(fmt.Sprintf("/d%d", i), 0o755)
+		}()
+	}
+	inside := func() int {
+		dur.mu.Lock()
+		defer dur.mu.Unlock()
+		return dur.inside
+	}
+	for deadline := time.Now().Add(time.Second); inside() < parked && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	who := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := cl.Whoami()
+		who <- err
+	}()
+	var whoErr error
+	var waited time.Duration
+	select {
+	case whoErr = <-who:
+		waited = time.Since(start)
+	case <-time.After(time.Second):
+		waited = time.Since(start)
+	}
+	dur.once.Do(func() { close(dur.full) }) // release the barrier
+	wg.Wait()
+	if waited >= time.Second {
+		whoErr = <-who
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("mkdir %d: %v", i, err)
+		}
+	}
+	if whoErr != nil || waited >= time.Second {
+		t.Fatalf("whoami beside %d parked mutations answered after %v (%v), want within 1s", parked, waited, whoErr)
+	}
+	dur.mu.Lock()
+	peak := dur.peak
+	dur.mu.Unlock()
+	if peak != parked {
+		t.Fatalf("peak barrier waiters on one session = %d, want %d", peak, parked)
+	}
+}
+
+// TestIdleSessionFootprint: a session that served lock-step traffic and
+// went idle runs its reader and the one worker that traffic needed. One
+// more may have started when a request's header arrived before the
+// worker that answered the previous one had ended its busy span. The
+// server runs under a goroutine label, and only session goroutines are
+// counted.
+func TestIdleSessionFootprint(t *testing.T) {
+	const sessions, calls = 8, 100
+	var srv *Server
+	pprof.Do(context.Background(), pprof.Labels("idle", t.Name()), func(context.Context) {
+		srv, _, _ = testServer(t)
+	})
+	for range sessions {
+		cl := adminClient(t, srv, ClientOptions{})
+		for range calls {
+			if _, err := cl.Stat("/tmp"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := labeledGoroutines(t.Name(), "chirp.(*Server).serveConn", "chirp.(*session).worker")
+	if got > 3*sessions {
+		t.Fatalf("%d idle sessions run %d server goroutines, want at most %d: a reader and one worker each, and one more for a reply's race with the next header",
+			sessions, got, 3*sessions)
+	}
+	if got < 2*sessions {
+		t.Fatalf("%d idle sessions run %d server goroutines: the count missed a reader or a worker", sessions, got)
+	}
+}
+
 // TestMuxConcurrentExecsOneBox runs eight execs at once on one v2
 // session, each reading its own 64 KiB input and writing a transform of
 // it, and checks every output. The session makes one identity box, at
@@ -686,13 +778,18 @@ func TestMuxConcurrentExecsOnePrincipal(t *testing.T) {
 }
 
 // labeledGoroutines counts the live goroutines carrying the pprof label
-// idle=id, which a goroutine inherits from the one that started it.
-func labeledGoroutines(id string) int {
+// idle=id, which a goroutine inherits from the one that started it; with
+// frames, only those whose stack holds one of them.
+func labeledGoroutines(id string, frames ...string) int {
 	var b strings.Builder
 	pprof.Lookup("goroutine").WriteTo(&b, 1)
 	n := 0
 	for _, group := range strings.Split(b.String(), "\n\n") {
-		if strings.Contains(group, `"idle":"`+id+`"`) {
+		inFrames := len(frames) == 0
+		for _, f := range frames {
+			inFrames = inFrames || strings.Contains(group, f+"+")
+		}
+		if inFrames && strings.Contains(group, `"idle":"`+id+`"`) {
 			_, stacks, _ := strings.Cut(group, "\n")
 			if strings.HasPrefix(group, "goroutine profile") {
 				group = stacks

@@ -34,20 +34,24 @@ type stamps struct {
 }
 
 // serve is the one request pipeline, run for every admitted request:
-// execute produces the reply, serve delivers it and
-// accounts for it. sc is the caller's scratch: the reply line and a
-// pread body are built in it, and it is reused only for the caller's
-// next request, after reply has written them.
-func (sess *session) serve(req *request, sc *payloadScratch) {
+// execute produces the reply, serve delivers it and accounts for it.
+// The reply line and a pread body are built in the request's own
+// scratch, which is reused only once the request is recycled.
+func (sess *session) serve(req *request) {
 	s := sess.s
 	// The admission ticket is released when the reply (or shed) is
 	// written, whatever path the request took; Done on a nil ticket
 	// (admission off, or an exempt control command) is a no-op.
 	defer req.ticket.Done()
 	var st stamps
-	res := sess.execute(req, sc, &st)
+	res := sess.execute(req, &st)
 	replyStart := time.Now()
-	sess.reply(req.tag, res)
+	if err := sess.reply(req.tag, res); errors.Is(err, errFrameShape) {
+		// Nothing of it was written: the refusal answers the tag.
+		sess.log.printf("tag=%d %s: %s reply refused: %v", req.tag, sess.ident, req.cmd, err)
+		res = sess.fail(&req.sc, err)
+		sess.reply(req.tag, res)
+	}
 	now := time.Now()
 	if res.after != nil {
 		res.after()
@@ -101,8 +105,8 @@ func (sess *session) serve(req *request, sc *payloadScratch) {
 // check → token/dedupe replay → role gate → fair execution slot →
 // handler → the request's one durability wait. A tokened request waits
 // on its own dedupe record; an untokened mutation on the barrier.
-func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres {
-	s := sess.s
+func (sess *session) execute(req *request, st *stamps) hres {
+	s, sc := sess.s, &req.sc
 	if !req.spec.shapeOK(req.args, req.payload) {
 		return sess.fail(sc, vfs.ErrInvalid)
 	}
@@ -144,7 +148,6 @@ func (sess *session) execute(req *request, sc *payloadScratch, st *stamps) hres 
 	}
 	st.handler = time.Now()
 	res := sess.handle(req.cmd, req.args, req.payload, sc, req.trace)
-	sc.guard = guard{} // a guard lives one request: a pooled scratch must not pin its session
 	st.handled = time.Now()
 	if dk != "" {
 		// The reply is recorded before it reaches the wire, and that
@@ -201,9 +204,9 @@ func (sess *session) reply(tag uint64, res hres) error {
 }
 
 // hres is one handled request's outcome: a complete reply line
-// (starting "ok" or "err"), encoded in the scratch of whoever handled
-// it, plus an optional counted payload. The handler produces it; reply
-// delivers it.
+// (starting "ok" or "err"), encoded in the request's or the codec's
+// scratch, plus an optional counted payload. The handler produces it;
+// reply delivers it.
 type hres struct {
 	line  *lineBuf
 	body  []byte

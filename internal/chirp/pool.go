@@ -17,14 +17,14 @@ const MaxPayload = 1 << 22
 // two fills) without pinning much memory per idle connection.
 const wireBufSize = 32 << 10
 
-// payloadScratch is the reusable buffers of one goroutine on the wire
-// path: a buffer for payloads and the lines its codec reads, and beside
-// it (a different buffer, so a reply line never overlaps the body it
-// announces) the line a server handler encodes its reply into. Each codec owns one for its lifetime, each v2
-// session worker one more, and the wrapper returns to scratchPool on
-// release so connections recycle each other's grown buffers instead of
-// allocating per call. The guard beside them is the check of the
-// request the goroutine is handling, which its vfs step runs.
+// payloadScratch is reusable buffers on the wire path: a buffer for
+// payloads and the lines a codec reads, and beside it (a different
+// buffer, so a reply line never overlaps the body it announces) the line
+// a reply is encoded into. Each codec owns one for its lifetime, taken
+// from scratchPool and returned on release, so connections recycle each
+// other's grown buffers instead of allocating per call. Each pooled
+// request holds one more (request.sc), whose guard is the request's
+// check, which its vfs step runs.
 type payloadScratch struct {
 	buf   []byte
 	line  lineBuf

@@ -176,6 +176,53 @@ func TestServerRejectsOversizeTransfers(t *testing.T) {
 	})
 }
 
+// TestOversizeReplyLineAnswered: a reply no frame line can carry still
+// answers its tag. A getdir listing past MaxLine is refused EFBIG, as a
+// getfile past MaxPayload is; any other reply the frame writer refuses
+// (here a stats line carrying an oversize server name) is answered EIO.
+// Either way the caller hears well before its own timeout, and the
+// session goes on serving.
+func TestOversizeReplyLineAnswered(t *testing.T) {
+	const timeout = 2 * time.Second
+	srv, k, _ := testServer(t)
+	fs := k.FS()
+	if err := fs.MkdirAll("/big", 0o755, "chirpowner"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4000 {
+		if err := fs.WriteFile(fmt.Sprintf("/big/%033d", i), nil, 0o644, "chirpowner"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := adminClient(t, srv, ClientOptions{Timeout: timeout})
+	for _, c := range []struct {
+		what string
+		call func() error
+		want error
+	}{
+		{"getdir of 4000 entries", func() error { _, err := cl.ReadDir("/big"); return err }, vfs.ErrTooBig},
+		{"stats with an oversize name", func() error {
+			srv.opts.Name = strings.Repeat("n", MaxLine)
+			defer func() { srv.opts.Name = "testserver" }()
+			_, err := cl.Stats()
+			return err
+		}, remoteError("EIO", "").Err},
+	} {
+		start := time.Now()
+		err := c.call()
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Err != c.want {
+			t.Fatalf("%s = %v, want a RemoteError for %v", c.what, err, c.want)
+		}
+		if took := time.Since(start); took > timeout/2 {
+			t.Fatalf("%s answered after %v, against a %v timeout", c.what, took, timeout)
+		}
+		if _, err := cl.Whoami(); err != nil {
+			t.Fatalf("session after %s: %v", c.what, err)
+		}
+	}
+}
+
 // TestClientSeesServerShutdown verifies in-flight clients fail cleanly
 // when the server goes away.
 func TestClientSeesServerShutdown(t *testing.T) {

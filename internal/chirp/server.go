@@ -102,10 +102,10 @@ type ServerOptions struct {
 	// advertises during v2 negotiation (default
 	// DefaultMaxInflightBytes); the minimum of the two sides wins.
 	MaxInflightBytes int64
-	// Workers sizes the per-session pool that executes every v2 request
-	// (default 4), in no promised order: a client orders two requests
-	// by waiting for the first reply. One session's barrier waits
-	// overlap up to Workers at a time.
+	// Workers is ignored: a session starts a worker whenever a request
+	// would wait for one, up to its credit window. Only the benchmark
+	// module (benchmark/cluster.go) still sets it; the field goes once
+	// that setter does.
 	Workers int
 	// Spans, when set, turns on server-side request tracing: the server
 	// echoes the trace capability to v2 clients that request it, strips
@@ -323,13 +323,6 @@ func (s *Server) maxInflightBytes() int64 {
 		return s.opts.MaxInflightBytes
 	}
 	return DefaultMaxInflightBytes
-}
-
-func (s *Server) workers() int {
-	if s.opts.Workers > 0 {
-		return s.opts.Workers
-	}
-	return 4
 }
 
 // Server is a Chirp file server exporting the file system of a simulated

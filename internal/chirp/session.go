@@ -19,7 +19,7 @@ import (
 
 // This file is the session: one authenticated connection's state, its
 // version exchange, its frame reader (admission, credit window) and the
-// worker pool that feeds the pipeline in pipeline.go.
+// workers that feed the pipeline in pipeline.go.
 
 // session is one authenticated connection.
 //
@@ -191,10 +191,10 @@ func (sess *session) closeReplSub() {
 	}
 }
 
-// request is one parsed request on its way through the pipeline. The
-// payload is request-owned (freshly allocated by the reader), so
-// workers never share buffers. Requests are pooled: the reader takes
-// one per frame and whoever answers it recycles it.
+// request is one parsed request on its way through the pipeline. Its
+// payload (freshly allocated by the reader) and reply scratch are its
+// own, so workers never share buffers. Requests are pooled: the reader
+// takes one per frame and whoever answers it recycles it.
 type request struct {
 	tag      uint64   // frame tag: the reply carries it back
 	spec     *cmdSpec // the command's table row (nil: unknown command)
@@ -213,13 +213,22 @@ type request struct {
 	// substrings of the line's own string, which nothing reuses, so a
 	// handler may keep any of them; only the array goes back to the pool.
 	fields []string
+	// sc answers it: a reply line, a pread body, a guard. The line starts
+	// in lineArr, so a request made after a GC is still one allocation.
+	sc      payloadScratch
+	lineArr [128]byte
 }
 
-var requestPool = sync.Pool{New: func() any { return new(request) }}
+var requestPool = sync.Pool{New: func() any {
+	req := new(request)
+	req.sc.line.b = req.lineArr[:0]
+	return req
+}}
 
-// maxPooledFields bounds the argument array a pooled request may keep:
-// one grown past it (a long exec argv) is dropped at recycle.
-const maxPooledFields = 64
+// maxPooledFields bounds the argument array a pooled request may keep,
+// and maxPooledBody its pread body: one grown past it (a long exec
+// argv, a body over one transfer chunk) is dropped at recycle.
+const maxPooledFields, maxPooledBody = 64, transferChunk
 
 // recycledArg overwrites a recycled request's argument array. Clearing
 // it would do for the collector; a poison string makes a handler that
@@ -238,13 +247,17 @@ func (req *request) recycle() {
 	if cap(fields) > maxPooledFields {
 		fields = nil
 	}
-	*req = request{fields: fields}
+	body := req.sc.buf
+	if cap(body) > maxPooledBody {
+		body = nil
+	}
+	*req = request{fields: fields, sc: payloadScratch{buf: body, line: req.sc.line}}
 	requestPool.Put(req)
 }
 
 // loop is the session's reader: after the version exchange it pulls
 // one frame at a time (readRequest), counts the request, passes it
-// through admission, and hands it to the worker pool, where the credit
+// through admission, and hands it to the workers, where the credit
 // window applies backpressure by simply not reading the next frame.
 func (sess *session) loop() {
 	var wk workers
@@ -302,11 +315,17 @@ func (sess *session) step(wk *workers) bool {
 		}
 		req.ticket = tk
 	}
-	if !sess.acquireSlot(sess.conf.window) {
+	busy, ok := sess.acquireSlot(sess.conf.window)
+	if !ok {
 		req.ticket.Done()
 		return false // server severing this session: stop reading
 	}
 	queued = true
+	if busy > wk.n { // every worker started is busy: start one more
+		wk.n++
+		wk.wg.Add(1)
+		go sess.worker(wk)
+	}
 	wk.pool <- req
 	return true
 }
@@ -496,29 +515,23 @@ func (sess *session) negotiate(wk *workers) bool {
 	// The ok went out as a line; everything from here on is tagged frames.
 	sess.conf = conf
 	sess.log.printf("negotiated protocol 2 (window=%d maxbytes=%d traced=%v)", conf.window, conf.maxBytes, conf.traced)
-	wk.start(sess, conf.window, s.workers())
+	wk.pool = make(chan *request, conf.window)
 	return true
 }
 
 var errSevered = errors.New("chirp: session severed")
 
-// workers is a session's executor: one pool of workers runs every
-// request, in no promised order. A client that needs one request to
-// follow another waits for the first reply, as Client does; so the
-// barrier waits of a session's callers overlap and share commit groups,
-// and a slow exec holds one worker, not the session.
+// workers is a session's executor: its workers run every request, in
+// no promised order. A client that needs one request to follow another
+// waits for the first reply, as Client does; so the barrier waits of a
+// session's callers overlap and share commit groups, and a slow exec
+// holds one worker, not the session. It has as many as its most
+// requests in flight so far (step starts them), until the session ends.
 type workers struct {
 	pool chan *request
+	n    int // workers started; the reader's alone
 	wg   sync.WaitGroup
 	once sync.Once
-}
-
-func (wk *workers) start(sess *session, window, n int) {
-	wk.pool = make(chan *request, window)
-	wk.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go sess.worker(wk)
-	}
 }
 
 // close stops the workers and waits for every queued reply's write. It
@@ -534,15 +547,13 @@ func (wk *workers) close() {
 
 func (sess *session) worker(wk *workers) {
 	defer wk.wg.Done()
-	sc := scratchPool.Get().(*payloadScratch)
-	defer scratchPool.Put(sc)
 	for req := range wk.pool {
 		if sess.isStopping() {
 			// Severed: the socket is gone, no reply can reach the
 			// client — drop queued work instead of executing it.
 			req.ticket.Done()
 		} else {
-			sess.serve(req, sc)
+			sess.serve(req)
 		}
 		req.recycle()
 		sess.releaseSlot()
@@ -551,9 +562,9 @@ func (sess *session) worker(wk *workers) {
 
 // acquireSlot blocks until the session's credit window has room for
 // the request the reader holds, which is busy already, then claims a
-// slot for it. Called only by the frame reader, so blocking here is the
-// backpressure: the next frame is not read until a slot frees.
-func (sess *session) acquireSlot(window int) bool {
+// slot for it and reports busy. Called only by the frame reader, so
+// blocking here is the backpressure: the next frame waits for a slot.
+func (sess *session) acquireSlot(window int) (busy int, ok bool) {
 	sess.slotMu.Lock()
 	defer sess.slotMu.Unlock()
 	for sess.busy > window && !sess.isStopping() {
@@ -561,11 +572,11 @@ func (sess *session) acquireSlot(window int) bool {
 		sess.slotCond.Wait()
 	}
 	if sess.isStopping() {
-		return false
+		return 0, false
 	}
 	sess.s.metrics.occupancy.Observe(float64(sess.busy))
 	sess.s.metrics.tagsInFlight.Inc()
-	return true
+	return sess.busy, true
 }
 
 // abort wakes a frame reader parked on the credit window. severAll
