@@ -118,11 +118,11 @@ func TestRetainedLineResentAfterFault(t *testing.T) {
 	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
 		loser := &replyLoser{}
-		cl := adminClient(t, srv, ClientOptions{
+		// On a fake clock the backoffs take no time.
+		cl := adminClientOn(t, srv, ClientOptions{
 			Window: win, Dialer: loser.dial,
-			MaxRetries: 50, RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
-			BreakerThreshold: 1 << 20,
-		})
+			MaxRetries: 50, BreakerThreshold: 1 << 20,
+		}, newFakeClock())
 		runAliasCallers(t, cl, false, 25, func(stop <-chan struct{}) {
 			next := cl.RequestCount() + lossEvery
 			tick := time.NewTicker(100 * time.Microsecond)

@@ -34,7 +34,7 @@ func (s BreakerState) String() string {
 
 // Breaker is a small circuit breaker over one server connection: after
 // Threshold consecutive transport failures it opens and fails calls
-// fast (no dial, no backoff churn) until Cooloff elapses, then lets one
+// fast (no dial, no backoff churn) for breakerCooloff, then lets one
 // probe through. A probe success closes it; a probe failure re-opens
 // it. It feeds the client's obs registry (state gauge, opens counter)
 // and is consulted by the catalog-failover driver to route reads away
@@ -45,19 +45,19 @@ type Breaker struct {
 	state     BreakerState
 	failures  int
 	threshold int
-	cooloff   time.Duration
+	clk       clock // the client's: the cool-off runs on it
 	openedAt  time.Time
 
 	opens    *obs.Counter
 	stateGge *obs.Gauge
 }
 
-func newBreaker(threshold int, cooloff time.Duration, reg *obs.Registry) *Breaker {
+func newBreaker(threshold int, clk clock, reg *obs.Registry) *Breaker {
 	reg.Help(MetricClientBreakerOpens, "Times the client circuit breaker opened.")
 	reg.Help(MetricClientBreakerState, "Breaker state: 0 closed, 1 open, 2 half-open.")
 	return &Breaker{
 		threshold: threshold,
-		cooloff:   cooloff,
+		clk:       clk,
 		opens:     reg.Counter(MetricClientBreakerOpens),
 		stateGge:  reg.Gauge(MetricClientBreakerState),
 	}
@@ -73,7 +73,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed, BreakerHalfOpen:
 		return true
 	default: // open
-		if time.Since(b.openedAt) < b.cooloff {
+		if b.clk.now().Sub(b.openedAt) < breakerCooloff {
 			return false
 		}
 		b.setLocked(BreakerHalfOpen)
@@ -100,7 +100,7 @@ func (b *Breaker) Fail() {
 	defer b.mu.Unlock()
 	b.failures++
 	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.failures >= b.threshold) {
-		b.openedAt = time.Now()
+		b.openedAt = b.clk.now()
 		b.setLocked(BreakerOpen)
 	}
 }

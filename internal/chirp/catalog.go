@@ -1,6 +1,7 @@
 package chirp
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"sort"
@@ -10,23 +11,23 @@ import (
 	"time"
 
 	"identitybox/internal/obs"
+	"identitybox/internal/replica"
 )
 
 // Catalog collects heartbeats from Chirp servers over UDP and publishes
 // the set of available servers to interested parties over TCP, one
 // server per line: name address owner age-ms epoch lsn role.
 //
-// The same UDP socket arbitrates write leases for replica sets (see
-// the lease protocol in internal/replica): the primary renews a TTL'd
-// lease under the set's name; when renewals stop, the catalog opens a
-// short election window, collects claims from followers, and grants
-// the next epoch to the highest applied LSN — the epoch number fences
-// the deposed primary everywhere.
+// The same UDP socket carries the write leases of replica sets: the
+// catalog hands each claim to its replica.LeaseTable, sends the
+// datagrams the table returns, and closes an election window when the
+// table says it ends. The rule itself lives in internal/replica.
 type Catalog struct {
 	mu      sync.Mutex
 	servers map[string]*CatalogEntry
-	leases  map[string]*leaseState
-	now     func() time.Time
+	leases  *replica.LeaseTable
+	windows map[string]func() bool // stops each open election window's timer
+	clk     clock
 
 	udp    *net.UDPConn
 	tcp    net.Listener
@@ -37,16 +38,17 @@ type Catalog struct {
 	// 15 minutes, matching production Chirp catalogs).
 	Expiry time.Duration
 
-	// LeaseTTL is the write-lease term (default 3 seconds). A primary
-	// renews well inside it; failover latency is bounded by roughly one
-	// TTL plus the election window (TTL/4).
+	// LeaseTTL is the write-lease term (default 3 seconds), read by
+	// Listen. A primary renews well inside it; failover latency is
+	// bounded by roughly one TTL plus the election window (TTL/4).
 	LeaseTTL time.Duration
 
-	// Metrics, populated by SetMetrics; nil (and unrecorded) without it.
+	// Metrics, on a private registry until SetMetrics.
 	heartbeats *obs.Counter
 	malformed  *obs.Counter
 	queries    *obs.Counter
 	live       *obs.Gauge
+	claims     *obs.Counter
 	elections  *obs.Counter
 }
 
@@ -56,23 +58,26 @@ const (
 	MetricCatalogMalformed  = "catalog_heartbeats_malformed_total"
 	MetricCatalogQueries    = "catalog_queries_total"
 	MetricCatalogLive       = "catalog_servers_live"
+	MetricCatalogClaims     = "catalog_lease_claims_total"
 	MetricCatalogElections  = "catalog_lease_elections_total"
 )
 
 // SetMetrics registers the catalog's counters with a registry: accepted
 // and malformed heartbeat datagrams, served queries, a live-server
-// gauge refreshed on every expiry sweep, and lease elections run. Call
-// before Listen.
+// gauge refreshed on every expiry sweep, lease claims taken and lease
+// elections run. Call before Listen.
 func (c *Catalog) SetMetrics(reg *obs.Registry) {
 	reg.Help(MetricCatalogHeartbeats, "Heartbeat datagrams accepted.")
 	reg.Help(MetricCatalogMalformed, "Heartbeat datagrams dropped as malformed.")
 	reg.Help(MetricCatalogQueries, "Server-list queries served.")
 	reg.Help(MetricCatalogLive, "Servers currently live (refreshed on expiry sweeps).")
+	reg.Help(MetricCatalogClaims, "Write-lease claims and renewals taken.")
 	reg.Help(MetricCatalogElections, "Write-lease elections decided.")
 	c.heartbeats = reg.Counter(MetricCatalogHeartbeats)
 	c.malformed = reg.Counter(MetricCatalogMalformed)
 	c.queries = reg.Counter(MetricCatalogQueries)
 	c.live = reg.Gauge(MetricCatalogLive)
+	c.claims = reg.Counter(MetricCatalogClaims)
 	c.elections = reg.Counter(MetricCatalogElections)
 }
 
@@ -90,43 +95,21 @@ type CatalogEntry struct {
 	Role      string
 }
 
-// leaseState is one replica set's write lease.
-type leaseState struct {
-	holder   string // advertised address of the current primary
-	epoch    uint64
-	expiry   time.Time
-	election *leaseElection // non-nil while an election window is open
-}
-
-// leaseElection collects claims during the post-expiry window; replies
-// are deferred until the window closes and the winner is known.
-type leaseElection struct {
-	claims map[string]*leaseClaim // by claimant address
-}
-
-// leaseClaim is one follower's bid: its applied LSN decides the
-// election; src is where the grant or denial goes.
-type leaseClaim struct {
-	addr  string
-	lsn   uint64
-	epoch uint64
-	src   *net.UDPAddr
-}
-
 // NewCatalog creates an empty catalog.
-func NewCatalog() *Catalog {
-	return &Catalog{
-		servers:  make(map[string]*CatalogEntry),
-		leases:   make(map[string]*leaseState),
-		now:      time.Now,
-		Expiry:   15 * time.Minute,
-		LeaseTTL: 3 * time.Second,
-	}
-}
+func NewCatalog() *Catalog { return newCatalog(wallClock{}) }
 
-// SetClock overrides the catalog clock (tests). Lease expiry follows
-// the injected clock; election windows are real timers.
-func (c *Catalog) SetClock(now func() time.Time) { c.now = now }
+func newCatalog(clk clock) *Catalog {
+	c := &Catalog{
+		servers:  make(map[string]*CatalogEntry),
+		leases:   replica.NewLeaseTable(replica.DefaultLeaseTTL),
+		windows:  make(map[string]func() bool),
+		clk:      clk,
+		Expiry:   15 * time.Minute,
+		LeaseTTL: replica.DefaultLeaseTTL,
+	}
+	c.SetMetrics(obs.NewRegistry())
+	return c
+}
 
 // listenAttempts bounds how often Listen re-draws an ephemeral port
 // whose TCP side another socket already holds.
@@ -162,6 +145,7 @@ func (c *Catalog) Listen(addr string) error {
 			return err
 		}
 	}
+	c.leases = replica.NewLeaseTable(cmp.Or(c.LeaseTTL, replica.DefaultLeaseTTL))
 	c.wg.Add(2)
 	go c.heartbeatLoop()
 	go c.queryLoop()
@@ -177,10 +161,13 @@ func (c *Catalog) Addr() string {
 	return c.udp.LocalAddr().String()
 }
 
-// Close stops both listeners.
+// Close stops both listeners and every open election window.
 func (c *Catalog) Close() error {
 	c.mu.Lock()
 	c.closed = true
+	for _, stop := range c.windows {
+		stop() // and closed keeps new ones from opening
+	}
 	c.mu.Unlock()
 	if c.udp != nil {
 		c.udp.Close()
@@ -200,12 +187,12 @@ func (c *Catalog) heartbeatLoop() {
 		if err != nil {
 			return
 		}
-		line := strings.TrimSpace(string(buf[:n]))
-		if strings.HasPrefix(line, "lease ") {
-			c.handleLease(line, src)
+		line := string(buf[:n])
+		if claim, err := replica.ParseClaim(line); err == nil {
+			c.handleLease(claim, src)
 			continue
 		}
-		c.Record(line)
+		c.Record(line) // a malformed claim counts as a malformed heartbeat
 	}
 }
 
@@ -219,9 +206,7 @@ func (c *Catalog) heartbeatLoop() {
 func (c *Catalog) Record(datagram string) {
 	fields, err := splitFields(strings.TrimSpace(datagram))
 	if err != nil || len(fields) < 4 || fields[0] != "chirp" {
-		if c.malformed != nil {
-			c.malformed.Inc()
-		}
+		c.malformed.Inc()
 		return
 	}
 	e := &CatalogEntry{
@@ -243,12 +228,10 @@ func (c *Catalog) Record(datagram string) {
 			e.Role = v
 		}
 	}
-	if c.heartbeats != nil {
-		c.heartbeats.Inc()
-	}
+	c.heartbeats.Inc()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e.LastHeard = c.now()
+	e.LastHeard = c.clk.now()
 	c.servers[e.Addr] = e
 }
 
@@ -258,7 +241,7 @@ func (c *Catalog) Record(datagram string) {
 func (c *Catalog) Entries() []CatalogEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
+	now := c.clk.now()
 	out := make([]CatalogEntry, 0, len(c.servers))
 	for addr, e := range c.servers {
 		age := now.Sub(e.LastHeard)
@@ -271,128 +254,41 @@ func (c *Catalog) Entries() []CatalogEntry {
 		out = append(out, snap)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	if c.live != nil {
-		c.live.Set(int64(len(out)))
-	}
+	c.live.Set(int64(len(out)))
 	return out
 }
 
-// --- write leases -------------------------------------------------------
-
-// handleLease processes one `lease <name> <addr> <lsn> <epoch>` claim.
-// A live lease renews for its holder and denies everyone else; an
-// expired (or absent) lease opens an election window during which all
-// claims are collected, decided when the window closes.
-func (c *Catalog) handleLease(line string, src *net.UDPAddr) {
-	fields, err := splitFields(line)
-	if err != nil || len(fields) != 5 {
-		if c.malformed != nil {
-			c.malformed.Inc()
-		}
-		return
-	}
-	name, addr := fields[1], fields[2]
-	lsn, err1 := strconv.ParseUint(fields[3], 10, 64)
-	epoch, err2 := strconv.ParseUint(fields[4], 10, 64)
-	if err1 != nil || err2 != nil {
-		if c.malformed != nil {
-			c.malformed.Inc()
-		}
-		return
-	}
-	claim := &leaseClaim{addr: addr, lsn: lsn, epoch: epoch, src: src}
+// handleLease hands one claim to the lease table, sends its answers,
+// and arms the timer that closes a window the claim opened.
+func (c *Catalog) handleLease(claim replica.Claim, src *net.UDPAddr) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now()
-	ls := c.leases[name]
-	if ls != nil && ls.election != nil {
-		// Window open: collect (a repeated claim from the same address
-		// keeps its best LSN) and reply when it closes.
-		if prev, ok := ls.election.claims[addr]; !ok || lsn > prev.lsn {
-			ls.election.claims[addr] = claim
-		}
-		return
+	now := c.clk.now()
+	out, closeAt := c.leases.Claim(claim, src, now)
+	if !closeAt.IsZero() && !c.closed {
+		c.windows[claim.Name] = c.clk.afterFunc(closeAt.Sub(now), func() { c.closeElection(claim.Name) })
 	}
-	if ls != nil && now.Before(ls.expiry) {
-		if addr == ls.holder {
-			// Renewal: extend, and adopt a higher epoch the holder knows
-			// (it survives a catalog restart that forgot the term).
-			if epoch > ls.epoch {
-				ls.epoch = epoch
-			}
-			ls.expiry = now.Add(c.leaseTTL())
-			c.replyLease(src, fmt.Sprintf("grant %d %d", ls.epoch, c.leaseTTL().Milliseconds()))
-			return
-		}
-		c.replyLease(src, fmt.Sprintf("deny %d %s", ls.epoch, ls.holder))
-		return
-	}
-	// No live lease: open the election window with this first claim.
-	if ls == nil {
-		ls = &leaseState{}
-		c.leases[name] = ls
-	}
-	ls.election = &leaseElection{claims: map[string]*leaseClaim{addr: claim}}
-	window := c.leaseTTL() / 4
-	if window <= 0 {
-		window = 50 * time.Millisecond
-	}
-	time.AfterFunc(window, func() { c.closeElection(name) })
+	c.claims.Inc()
+	c.mu.Unlock()
+	c.send(out)
 }
 
-func (c *Catalog) leaseTTL() time.Duration {
-	if c.LeaseTTL > 0 {
-		return c.LeaseTTL
-	}
-	return 3 * time.Second
-}
-
-// closeElection decides an election window: the claim with the highest
-// applied LSN wins (ties break to the lexicographically smallest
-// address, so the outcome is deterministic), takes the next epoch, and
-// is granted; every other claimant is denied with the winner's name.
+// closeElection decides name's election window and sends its answers.
 func (c *Catalog) closeElection(name string) {
 	c.mu.Lock()
-	ls := c.leases[name]
-	if ls == nil || ls.election == nil {
-		c.mu.Unlock()
-		return
-	}
-	claims := ls.election.claims
-	ls.election = nil
-	var winner *leaseClaim
-	maxEpoch := ls.epoch
-	for _, cl := range claims {
-		if cl.epoch > maxEpoch {
-			maxEpoch = cl.epoch
-		}
-		if winner == nil || cl.lsn > winner.lsn || (cl.lsn == winner.lsn && cl.addr < winner.addr) {
-			winner = cl
-		}
-	}
-	ls.epoch = maxEpoch + 1
-	ls.holder = winner.addr
-	ls.expiry = c.now().Add(c.leaseTTL())
-	epoch, ttl := ls.epoch, c.leaseTTL()
-	if c.elections != nil {
+	delete(c.windows, name)
+	out := c.leases.Close(name, c.clk.now())
+	if out != nil {
 		c.elections.Inc()
 	}
 	c.mu.Unlock()
-	for _, cl := range claims {
-		if cl == winner {
-			c.replyLease(cl.src, fmt.Sprintf("grant %d %d", epoch, ttl.Milliseconds()))
-		} else {
-			c.replyLease(cl.src, fmt.Sprintf("deny %d %s", epoch, winner.addr))
-		}
-	}
+	c.send(out)
 }
 
-// replyLease sends one grant/deny datagram back to a claimant.
-func (c *Catalog) replyLease(src *net.UDPAddr, msg string) {
-	if c.udp == nil || src == nil {
-		return
+// send writes the lease table's answers.
+func (c *Catalog) send(out []replica.Reply) {
+	for _, r := range out {
+		c.udp.WriteTo(r.Msg, r.To)
 	}
-	c.udp.WriteToUDP([]byte(msg+"\n"), src)
 }
 
 // LeaseHolder reports the current holder and epoch of a named lease
@@ -400,11 +296,7 @@ func (c *Catalog) replyLease(src *net.UDPAddr, msg string) {
 func (c *Catalog) LeaseHolder(name string) (holder string, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ls := c.leases[name]
-	if ls == nil || !c.now().Before(ls.expiry) {
-		return "", 0
-	}
-	return ls.holder, ls.epoch
+	return c.leases.Holder(name, c.clk.now())
 }
 
 func (c *Catalog) queryLoop() {
@@ -418,9 +310,7 @@ func (c *Catalog) queryLoop() {
 		go func() {
 			defer c.wg.Done()
 			defer conn.Close()
-			if c.queries != nil {
-				c.queries.Inc()
-			}
+			c.queries.Inc()
 			for _, e := range c.Entries() {
 				fmt.Fprintf(conn, "%s %s %s %d %d %d %s\n",
 					q(e.Name), q(e.Addr), q(e.Owner), e.Age.Milliseconds(), e.Epoch, e.LSN, q(e.Role))

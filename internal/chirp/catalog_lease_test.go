@@ -2,6 +2,7 @@ package chirp
 
 import (
 	"net"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -10,10 +11,22 @@ import (
 	"identitybox/internal/replica"
 )
 
-// fakeClock is an injectable catalog clock.
+// fakeClock is the clock tests drive: its time moves only when the test
+// advances it or a client on it sleeps, and each afterFunc timer runs
+// inside the advance that reaches it. sleep records what it was asked
+// for and runs onSleep, when set, before it advances.
 type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+	mu      sync.Mutex
+	t       time.Time
+	timers  []*fakeTimer
+	slept   []time.Duration
+	onSleep func(time.Duration)
+}
+
+type fakeTimer struct {
+	at   time.Time
+	f    func()
+	done bool
 }
 
 func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_000_000, 0)} }
@@ -24,21 +37,96 @@ func (f *fakeClock) now() time.Time {
 	return f.t
 }
 
+func (f *fakeClock) afterFunc(d time.Duration, fn func()) func() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	tm := &fakeTimer{at: f.t.Add(d), f: fn}
+	f.timers = append(f.timers, tm)
+	return func() bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		stopped := !tm.done
+		tm.done = true
+		return stopped
+	}
+}
+
+// advance moves the time on by d and runs the timers it reaches, in
+// the order of their deadlines.
 func (f *fakeClock) advance(d time.Duration) {
 	f.mu.Lock()
 	f.t = f.t.Add(d)
+	var due []*fakeTimer
+	live := f.timers[:0]
+	for _, tm := range f.timers {
+		switch {
+		case tm.done:
+		case tm.at.After(f.t):
+			live = append(live, tm)
+		default:
+			tm.done = true
+			due = append(due, tm)
+		}
+	}
+	f.timers = live
 	f.mu.Unlock()
+	sort.Slice(due, func(i, j int) bool { return due[i].at.Before(due[j].at) })
+	for _, tm := range due {
+		tm.f()
+	}
 }
 
-// TestCatalogStalenessExpiry: entries age against the injected clock
-// and vanish from Entries once past the Expiry budget.
-func TestCatalogStalenessExpiry(t *testing.T) {
-	cat := NewCatalog()
-	clk := newFakeClock()
-	cat.SetClock(clk.now)
-	cat.Expiry = time.Minute
+// pending reports the timers that have neither run nor been stopped.
+func (f *fakeClock) pending() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	for _, tm := range f.timers {
+		if !tm.done {
+			n++
+		}
+	}
+	return n
+}
 
-	cat.Record(`chirp "fileserver" "127.0.0.1:9094" "fred"`)
+func (f *fakeClock) sleep(d time.Duration) {
+	f.mu.Lock()
+	f.slept = append(f.slept, d)
+	hook := f.onSleep
+	f.mu.Unlock()
+	if hook != nil {
+		hook(d)
+	}
+	f.advance(d)
+}
+
+// sleeps reports every sleep asked of the clock so far.
+func (f *fakeClock) sleeps() []time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]time.Duration(nil), f.slept...)
+}
+
+// TestCatalogStalenessExpiry: entries age against the catalog's clock
+// and vanish from Entries once past the Expiry budget, the default 15
+// minutes included; a fresh heartbeat brings one back.
+func TestCatalogStalenessExpiry(t *testing.T) {
+	clk := newFakeClock()
+	cat := newCatalog(clk)
+	const hb = `chirp "fileserver" "127.0.0.1:9094" "fred"`
+
+	cat.Record(hb)
+	clk.advance(15 * time.Minute)
+	if entries := cat.Entries(); len(entries) != 1 || entries[0].Age != 15*time.Minute {
+		t.Fatalf("entries at the default expiry = %+v, want the server aged 15m", entries)
+	}
+	clk.advance(time.Minute)
+	if entries := cat.Entries(); len(entries) != 0 {
+		t.Fatalf("server silent 16m still listed: %v", entries)
+	}
+
+	cat.Expiry = time.Minute
+	cat.Record(hb)
 	clk.advance(30 * time.Second)
 	entries := cat.Entries()
 	if len(entries) != 1 {
@@ -52,7 +140,7 @@ func TestCatalogStalenessExpiry(t *testing.T) {
 		t.Fatalf("stale server still listed: %v", entries)
 	}
 	// A fresh heartbeat resurrects it.
-	cat.Record(`chirp "fileserver" "127.0.0.1:9094" "fred"`)
+	cat.Record(hb)
 	if entries := cat.Entries(); len(entries) != 1 {
 		t.Fatalf("re-announced server missing: %v", entries)
 	}
@@ -98,31 +186,83 @@ func claimCatalog(cat *Catalog, addr string, lsn, epoch uint64) (replica.LeaseRe
 	return lc.Claim(lsn, epoch)
 }
 
-// TestLeaseGrantRenewDeny: the first claimant gets epoch 1, renewals
-// keep it, and a rival is denied with the holder named.
-func TestLeaseGrantRenewDeny(t *testing.T) {
-	cat := NewCatalog()
-	cat.LeaseTTL = time.Second
+// fakeLeaseCatalog starts a catalog on a fake clock with the given
+// lease term; its registry counts the claims it has taken.
+func fakeLeaseCatalog(t *testing.T, ttl time.Duration) (*Catalog, *fakeClock, *obs.Registry) {
+	t.Helper()
+	clk := newFakeClock()
+	cat := newCatalog(clk)
+	cat.LeaseTTL = ttl
 	reg := obs.NewRegistry()
 	cat.SetMetrics(reg)
 	if err := cat.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer cat.Close()
+	t.Cleanup(func() { cat.Close() })
+	return cat, clk, reg
+}
 
-	res, err := claimCatalog(cat, "127.0.0.1:1111", 5, 0)
-	if err != nil || !res.Granted {
-		t.Fatalf("first claim = %+v, %v", res, err)
+// claimant is one bid in an election.
+type claimant struct {
+	addr       string
+	lsn, epoch uint64
+}
+
+// elect sends every claim at once, waits until the catalog has taken
+// them all into the window the first one opens, then advances the
+// clock to the window's end, which answers them. It returns each
+// claimant's answer by address.
+func elect(t *testing.T, cat *Catalog, clk *fakeClock, reg *obs.Registry, claims ...claimant) map[string]replica.LeaseResult {
+	t.Helper()
+	taken := reg.Counter(MetricCatalogClaims)
+	want := taken.Value() + int64(len(claims))
+	type outcome struct {
+		addr string
+		res  replica.LeaseResult
+		err  error
 	}
-	if res.Epoch == 0 || res.TTL != time.Second {
-		t.Fatalf("grant = %+v", res)
+	results := make(chan outcome, len(claims))
+	for _, c := range claims {
+		go func() {
+			res, err := claimCatalog(cat, c.addr, c.lsn, c.epoch)
+			results <- outcome{c.addr, res, err}
+		}()
+	}
+	waitFor(t, "the catalog to take every claim", func() bool { return taken.Value() == want })
+	if n := clk.pending(); n != 1 {
+		t.Fatalf("%d timers pending after the claims, want the one election window", n)
+	}
+	clk.advance(cat.LeaseTTL / 4)
+	out := map[string]replica.LeaseResult{}
+	for range claims {
+		o := <-results
+		if o.err != nil {
+			t.Fatalf("claim from %s: %v", o.addr, o.err)
+		}
+		out[o.addr] = o.res
+	}
+	return out
+}
+
+// TestLeaseGrantRenewDeny: the first claimant gets epoch 1 once its
+// window closes, renewals keep it, and a rival is denied with the
+// holder named.
+func TestLeaseGrantRenewDeny(t *testing.T) {
+	cat, clk, reg := fakeLeaseCatalog(t, time.Second)
+
+	res := elect(t, cat, clk, reg, claimant{"127.0.0.1:1111", 5, 0})["127.0.0.1:1111"]
+	if !res.Granted || res.Epoch == 0 || res.TTL != time.Second {
+		t.Fatalf("first claim = %+v", res)
 	}
 	epoch := res.Epoch
 
-	res, err = claimCatalog(cat, "127.0.0.1:1111", 9, epoch)
+	// A renewal late in the term extends it by a whole term.
+	clk.advance(900 * time.Millisecond)
+	res, err := claimCatalog(cat, "127.0.0.1:1111", 9, epoch)
 	if err != nil || !res.Granted || res.Epoch != epoch {
 		t.Fatalf("renewal = %+v, %v", res, err)
 	}
+	clk.advance(900 * time.Millisecond)
 
 	res, err = claimCatalog(cat, "127.0.0.1:2222", 100, 0)
 	if err != nil || res.Granted {
@@ -134,6 +274,10 @@ func TestLeaseGrantRenewDeny(t *testing.T) {
 	if holder, e := cat.LeaseHolder("vol"); holder != "127.0.0.1:1111" || e != epoch {
 		t.Fatalf("LeaseHolder = %s/%d", holder, e)
 	}
+	clk.advance(100 * time.Millisecond)
+	if holder, _ := cat.LeaseHolder("vol"); holder != "" {
+		t.Fatalf("LeaseHolder = %s a whole term after the last renewal, want none", holder)
+	}
 }
 
 // TestLeaseElectionPicksHighestLSN: after expiry, concurrent claims
@@ -141,138 +285,87 @@ func TestLeaseGrantRenewDeny(t *testing.T) {
 // highest applied LSN) takes the next epoch; the loser is denied and
 // told who won.
 func TestLeaseElectionPicksHighestLSN(t *testing.T) {
-	cat := NewCatalog()
-	cat.LeaseTTL = 400 * time.Millisecond // election window 100ms
-	clk := newFakeClock()
-	cat.SetClock(clk.now)
-	reg := obs.NewRegistry()
-	cat.SetMetrics(reg)
-	if err := cat.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer cat.Close()
+	cat, clk, reg := fakeLeaseCatalog(t, 400*time.Millisecond)
 
-	res, err := claimCatalog(cat, "127.0.0.1:1111", 50, 0)
-	if err != nil || !res.Granted {
-		t.Fatalf("seed claim = %+v, %v", res, err)
+	res := elect(t, cat, clk, reg, claimant{"127.0.0.1:1111", 50, 0})["127.0.0.1:1111"]
+	if !res.Granted {
+		t.Fatalf("seed claim = %+v", res)
 	}
 	firstEpoch := res.Epoch
 
 	// Kill the primary's renewals: the lease expires on the catalog
 	// clock, and two followers claim inside one election window.
 	clk.advance(cat.LeaseTTL + time.Millisecond)
-	type outcome struct {
-		addr string
-		res  replica.LeaseResult
-		err  error
+	got := elect(t, cat, clk, reg, claimant{"127.0.0.1:3333", 40, firstEpoch}, claimant{"127.0.0.1:4444", 48, firstEpoch})
+	winner, loser := got["127.0.0.1:4444"], got["127.0.0.1:3333"]
+	if !winner.Granted || loser.Granted {
+		t.Fatalf("winner = %+v, loser = %+v; want the higher-LSN claimant 127.0.0.1:4444 granted alone", winner, loser)
 	}
-	results := make(chan outcome, 2)
-	for _, c := range []struct {
-		addr string
-		lsn  uint64
-	}{{"127.0.0.1:3333", 40}, {"127.0.0.1:4444", 48}} {
-		c := c
-		go func() {
-			res, err := claimCatalog(cat, c.addr, c.lsn, firstEpoch)
-			results <- outcome{c.addr, res, err}
-		}()
+	if winner.Epoch <= firstEpoch {
+		t.Fatalf("election did not advance the epoch: %d -> %d", firstEpoch, winner.Epoch)
 	}
-	var winner, loser outcome
-	for i := 0; i < 2; i++ {
-		o := <-results
-		if o.err != nil {
-			t.Fatalf("claim from %s: %v", o.addr, o.err)
-		}
-		if o.res.Granted {
-			winner = o
-		} else {
-			loser = o
-		}
+	if loser.Holder != "127.0.0.1:4444" || loser.Epoch != winner.Epoch {
+		t.Fatalf("loser was not told the winner: %+v", loser)
 	}
-	if winner.addr != "127.0.0.1:4444" {
-		t.Fatalf("winner = %s (want the higher-LSN claimant 127.0.0.1:4444); loser = %+v", winner.addr, loser)
-	}
-	if winner.res.Epoch <= firstEpoch {
-		t.Fatalf("election did not advance the epoch: %d -> %d", firstEpoch, winner.res.Epoch)
-	}
-	if loser.res.Holder != winner.addr || loser.res.Epoch != winner.res.Epoch {
-		t.Fatalf("loser was not told the winner: %+v", loser.res)
-	}
-	if got := reg.Counter(MetricCatalogElections).Value(); got < 1 {
-		t.Fatalf("%s = %d, want >= 1", MetricCatalogElections, got)
+	if got := reg.Counter(MetricCatalogElections).Value(); got != 2 {
+		t.Fatalf("%s = %d, want 2", MetricCatalogElections, got)
 	}
 
 	// The fence holds: the deposed holder claiming with its old epoch is
 	// denied and shown the new term.
-	res, err = claimCatalog(cat, "127.0.0.1:1111", 50, firstEpoch)
+	res, err := claimCatalog(cat, "127.0.0.1:1111", 50, firstEpoch)
 	if err != nil || res.Granted {
 		t.Fatalf("deposed holder reclaimed the lease: %+v, %v", res, err)
 	}
-	if res.Epoch != winner.res.Epoch {
-		t.Fatalf("deny to the deposed holder carries epoch %d, want %d", res.Epoch, winner.res.Epoch)
+	if res.Epoch != winner.Epoch {
+		t.Fatalf("deny to the deposed holder carries epoch %d, want %d", res.Epoch, winner.Epoch)
 	}
 }
 
 // TestLeaseTieBreaksOnAddress: equal LSNs fall back to the smallest
 // address, keeping the election deterministic.
 func TestLeaseTieBreaksOnAddress(t *testing.T) {
-	cat := NewCatalog()
-	cat.LeaseTTL = 400 * time.Millisecond
-	if err := cat.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer cat.Close()
-
-	results := make(chan string, 2)
-	for _, addr := range []string{"127.0.0.1:5555", "127.0.0.1:4444"} {
-		addr := addr
-		go func() {
-			res, err := claimCatalog(cat, addr, 10, 0)
-			if err == nil && res.Granted {
-				results <- addr
-			} else {
-				results <- ""
-			}
-		}()
-	}
-	var granted []string
-	for i := 0; i < 2; i++ {
-		if a := <-results; a != "" {
-			granted = append(granted, a)
-		}
-	}
-	if len(granted) != 1 || granted[0] != "127.0.0.1:4444" {
-		t.Fatalf("granted = %v, want exactly [127.0.0.1:4444]", granted)
+	cat, clk, reg := fakeLeaseCatalog(t, 400*time.Millisecond)
+	got := elect(t, cat, clk, reg, claimant{"127.0.0.1:5555", 10, 0}, claimant{"127.0.0.1:4444", 10, 0})
+	if !got["127.0.0.1:4444"].Granted || got["127.0.0.1:5555"].Granted {
+		t.Fatalf("answers = %+v, want exactly 127.0.0.1:4444 granted", got)
 	}
 }
 
 // TestLeaseSurvivesCatalogRestart: a holder renewing against a fresh
-// catalog (its lease table empty) re-seeds the lease at its own epoch,
-// so a catalog restart cannot hand the lease to a stale claimant at a
-// lower term.
+// catalog (its lease table empty) re-seeds the lease above its own
+// epoch, so a catalog restart cannot hand the lease to a stale
+// claimant at a lower term.
 func TestLeaseSurvivesCatalogRestart(t *testing.T) {
-	cat := NewCatalog()
-	cat.LeaseTTL = 400 * time.Millisecond
-	if err := cat.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer cat.Close()
+	cat, clk, reg := fakeLeaseCatalog(t, 400*time.Millisecond)
 
 	// The holder renews at epoch 7 (adopted from its durable store).
-	res, err := claimCatalog(cat, "127.0.0.1:1111", 50, 7)
-	if err != nil || !res.Granted {
-		t.Fatalf("renewal against a fresh catalog = %+v, %v", res, err)
-	}
-	if res.Epoch < 7 {
-		t.Fatalf("fresh catalog granted epoch %d below the holder's %d", res.Epoch, 7)
+	res := elect(t, cat, clk, reg, claimant{"127.0.0.1:1111", 50, 7})["127.0.0.1:1111"]
+	if !res.Granted || res.Epoch < 7 {
+		t.Fatalf("renewal against a fresh catalog = %+v, want a grant at epoch 7 or above", res)
 	}
 	// A stale rival at a lower epoch stays fenced.
-	res, err = claimCatalog(cat, "127.0.0.1:2222", 999, 2)
+	res, err := claimCatalog(cat, "127.0.0.1:2222", 999, 2)
 	if err != nil || res.Granted {
 		t.Fatalf("stale rival won against the re-seeded lease: %+v, %v", res, err)
 	}
 	if res.Epoch < 7 {
 		t.Fatalf("deny epoch = %d, want >= 7", res.Epoch)
+	}
+}
+
+// TestCatalogCloseStopsWindow: closing a catalog stops the timer of an
+// election window its claims opened.
+func TestCatalogCloseStopsWindow(t *testing.T) {
+	cat, clk, reg := fakeLeaseCatalog(t, 400*time.Millisecond)
+	go claimCatalog(cat, "127.0.0.1:1111", 1, 0)
+	waitFor(t, "the claim", func() bool { return reg.Counter(MetricCatalogClaims).Value() == 1 })
+	if n := clk.pending(); n != 1 {
+		t.Fatalf("%d timers pending, want the election window's", n)
+	}
+	cat.Close()
+	if n := clk.pending(); n != 0 {
+		t.Fatalf("%d timers pending after Close, want none", n)
 	}
 }
 

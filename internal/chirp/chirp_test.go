@@ -400,21 +400,6 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
-func TestCatalogExpiry(t *testing.T) {
-	cat := NewCatalog()
-	base := time.Unix(1000000, 0)
-	now := base
-	cat.SetClock(func() time.Time { return now })
-	cat.Record(`chirp "n1" "1.2.3.4:9094" "alice"`)
-	if len(cat.Entries()) != 1 {
-		t.Fatal("heartbeat not recorded")
-	}
-	now = base.Add(16 * time.Minute)
-	if len(cat.Entries()) != 0 {
-		t.Fatal("stale server not expired")
-	}
-}
-
 func TestSplitFields(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -45,6 +45,7 @@ type Client struct {
 	auths []auth.Authenticator
 	opts  ClientOptions
 
+	clk clock // budgets, backoff sleeps and the breaker's cool-off
 	brk *Breaker
 	m   *clientMetrics
 	rng *mrand.Rand // backoff jitter; guarded by mu
@@ -69,12 +70,18 @@ func Dial(addr string, auths []auth.Authenticator) (*Client, error) {
 
 // DialOpts is Dial with explicit fault-tolerance options.
 func DialOpts(addr string, auths []auth.Authenticator, opts ClientOptions) (*Client, error) {
+	return dialOpts(addr, auths, opts, wallClock{})
+}
+
+// dialOpts is DialOpts on the given clock.
+func dialOpts(addr string, auths []auth.Authenticator, opts ClientOptions, clk clock) (*Client, error) {
 	opts.withDefaults()
 	cl := &Client{
 		addr:  addr,
 		auths: auths,
 		opts:  opts,
-		brk:   newBreaker(opts.BreakerThreshold, opts.BreakerCooloff, opts.Metrics),
+		clk:   clk,
+		brk:   newBreaker(opts.BreakerThreshold, clk, opts.Metrics),
 		m:     newClientMetrics(opts.Metrics),
 		rng:   mrand.New(mrand.NewSource(1)),
 	}
@@ -400,7 +407,7 @@ func (cl *Client) budgetDeadline() time.Time {
 	if cl.opts.DeadlineBudget <= 0 {
 		return time.Time{}
 	}
-	return time.Now().Add(cl.opts.DeadlineBudget)
+	return cl.clk.now().Add(cl.opts.DeadlineBudget)
 }
 
 // pause is the one retry rule, run before every attempt of both retry
@@ -414,7 +421,7 @@ func (cl *Client) pause(attempt int, hint time.Duration, deadline time.Time, las
 		return ErrClientClosed
 	}
 	missed := func(at time.Time) bool { return !deadline.IsZero() && !at.Before(deadline) }
-	if missed(time.Now()) {
+	if missed(cl.clk.now()) {
 		cl.m.deadline.Inc()
 		return deadlineErr(cl.opts.DeadlineBudget, lastErr)
 	}
@@ -423,13 +430,13 @@ func (cl *Client) pause(attempt int, hint time.Duration, deadline time.Time, las
 	}
 	cl.m.retries.Inc()
 	cl.mu.Lock()
-	d := max(backoff(cl.rng, cl.opts.RetryBase, cl.opts.RetryMax, attempt), hint)
+	d := max(backoff(cl.rng, attempt), hint)
 	cl.mu.Unlock()
-	if missed(time.Now().Add(d)) {
+	if missed(cl.clk.now().Add(d)) {
 		cl.m.deadline.Inc()
 		return deadlineErr(cl.opts.DeadlineBudget, lastErr)
 	}
-	cl.opts.Sleep(d)
+	cl.clk.sleep(d)
 	if cl.closing.Load() {
 		return ErrClientClosed
 	}

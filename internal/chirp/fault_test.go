@@ -103,7 +103,13 @@ func (c *lossyConn) Read(p []byte) (int, error) {
 // ends.
 func dialAs(t *testing.T, srv *Server, a auth.Authenticator, opts ClientOptions) *Client {
 	t.Helper()
-	cl, err := DialOpts(srv.Addr(), []auth.Authenticator{a}, opts)
+	return dialOn(t, srv, a, opts, wallClock{})
+}
+
+// dialOn is dialAs with the client on clk.
+func dialOn(t *testing.T, srv *Server, a auth.Authenticator, opts ClientOptions, clk clock) *Client {
+	t.Helper()
+	cl, err := dialOpts(srv.Addr(), []auth.Authenticator{a}, opts, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +121,11 @@ func dialAs(t *testing.T, srv *Server, a auth.Authenticator, opts ClientOptions)
 // auth handshake — fault schedules key on client-written bytes).
 func adminClient(t *testing.T, srv *Server, opts ClientOptions) *Client {
 	return dialAs(t, srv, &auth.UnixClient{User: "admin"}, opts)
+}
+
+// adminClientOn is adminClient with the client on clk.
+func adminClientOn(t *testing.T, srv *Server, opts ClientOptions, clk clock) *Client {
+	return dialOn(t, srv, &auth.UnixClient{User: "admin"}, opts, clk)
 }
 
 // registerSim installs the Figure-3 simulation program: reads its
@@ -369,26 +380,22 @@ func TestRetryTokenDedupe(t *testing.T) {
 
 // TestRetryBackoffSchedule records the sleeps the retry loop takes
 // against a dead server: capped exponential, half fixed + half jitter,
-// so sleep n lands in [d/2, d] for d = min(base<<(n-1), max).
+// so sleep n lands in [d/2, d] for d = min(retryBase<<(n-1), retryMax).
+// Seven retries reach the cap.
 func TestRetryBackoffSchedule(t *testing.T) {
 	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		var sleeps []time.Duration
-		base, max := 100*time.Millisecond, 400*time.Millisecond
-		cl := adminClient(t, srv, ClientOptions{
-			Window:    win,
-			RetryBase: base,
-			RetryMax:  max,
-			Sleep:     func(d time.Duration) { sleeps = append(sleeps, d) },
-		})
+		clk := newFakeClock()
+		cl := adminClientOn(t, srv, ClientOptions{Window: win, MaxRetries: 7}, clk)
 		srv.Close()
 		if _, err := cl.Whoami(); err == nil {
 			t.Fatal("whoami against a closed server should fail")
 		}
-		if len(sleeps) != 3 {
-			t.Fatalf("recorded %d sleeps, want 3 (MaxRetries)", len(sleeps))
+		sleeps := clk.sleeps()
+		want := []time.Duration{retryBase, 2 * retryBase, 4 * retryBase, 8 * retryBase, 16 * retryBase, 32 * retryBase, retryMax}
+		if len(sleeps) != len(want) {
+			t.Fatalf("recorded %d sleeps, want %d (MaxRetries)", len(sleeps), len(want))
 		}
-		want := []time.Duration{base, 2 * base, 4 * base} // 4*base == max
 		for i, d := range sleeps {
 			if d < want[i]/2 || d > want[i] {
 				t.Errorf("sleep %d = %v, want in [%v, %v]", i+1, d, want[i]/2, want[i])
@@ -403,12 +410,9 @@ func TestRetryBackoffSchedule(t *testing.T) {
 func TestRetryBreakerFailsFast(t *testing.T) {
 	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{
-			Window:           win,
-			BreakerThreshold: 2,
-			BreakerCooloff:   time.Hour,
-			Sleep:            func(time.Duration) {},
-		})
+		// The fake clock moves only by the backoff sleeps, well short
+		// of the cool-off.
+		cl := adminClientOn(t, srv, ClientOptions{Window: win, BreakerThreshold: 2}, newFakeClock())
 		srv.Close()
 		if _, err := cl.Whoami(); err == nil {
 			t.Fatal("whoami against a closed server should fail")
@@ -435,11 +439,7 @@ func TestRetryBreakerFailsFast(t *testing.T) {
 func TestRetryCloseAfterFault(t *testing.T) {
 	bothWindows(t, func(t *testing.T, win int) {
 		srv, _, _ := testServer(t)
-		cl := adminClient(t, srv, ClientOptions{
-			Window:     win,
-			MaxRetries: 1,
-			Sleep:      func(time.Duration) {},
-		})
+		cl := adminClientOn(t, srv, ClientOptions{Window: win, MaxRetries: 1}, newFakeClock())
 		srv.Close()
 		if _, err := cl.Whoami(); err == nil {
 			t.Fatal("whoami against a closed server should fail")
@@ -485,15 +485,11 @@ func TestFailoverReadsToReplica(t *testing.T) {
 	bothWindows(t, func(t *testing.T, win int) {
 		srv1, _, _ := testServer(t)
 		srv2, _, _ := testServer(t)
-		fast := ClientOptions{
-			Window:           win,
-			MaxRetries:       1,
-			BreakerThreshold: 1,
-			BreakerCooloff:   time.Hour,
-			Sleep:            func(time.Duration) {},
-		}
-		c1 := adminClient(t, srv1, fast)
-		c2 := adminClient(t, srv2, fast)
+		// Each client's fake clock moves only by its own backoff
+		// sleeps, so an open breaker stays open.
+		fast := ClientOptions{Window: win, MaxRetries: 1, BreakerThreshold: 1}
+		c1 := adminClientOn(t, srv1, fast, newFakeClock())
+		c2 := adminClientOn(t, srv2, fast, newFakeClock())
 		for cl, tag := range map[*Client]string{c1: "from-primary", c2: "from-replica"} {
 			if err := cl.Mkdir("/pub", 0o755); err != nil {
 				t.Fatal(err)
@@ -577,11 +573,11 @@ func TestFailoverReadsToReplica(t *testing.T) {
 // half-open probe; it lands on the primary and closes the breaker.
 func TestFailoverReadRejoinsAfterCooloff(t *testing.T) {
 	bothWindows(t, func(t *testing.T, win int) {
-		const cooloff = 50 * time.Millisecond
 		srv1, _, _ := testServer(t)
 		srv2, _, _ := testServer(t)
-		opts := ClientOptions{Window: win, BreakerThreshold: 1, BreakerCooloff: cooloff}
-		c1 := adminClient(t, srv1, opts)
+		opts := ClientOptions{Window: win, BreakerThreshold: 1}
+		clk := newFakeClock()
+		c1 := adminClientOn(t, srv1, opts, clk)
 		c2 := adminClient(t, srv2, opts)
 		for cl, tag := range map[*Client]string{c1: "from-primary", c2: "from-replica"} {
 			if err := cl.Mkdir("/pub", 0o755); err != nil {
@@ -613,7 +609,11 @@ func TestFailoverReadRejoinsAfterCooloff(t *testing.T) {
 		if got := read(); got != "from-replica" {
 			t.Fatalf("read with the primary's breaker open = %q, want from-replica", got)
 		}
-		time.Sleep(cooloff + 20*time.Millisecond)
+		clk.advance(breakerCooloff - time.Millisecond)
+		if got := read(); got != "from-replica" {
+			t.Fatalf("read just inside the cooloff = %q, want from-replica", got)
+		}
+		clk.advance(time.Millisecond)
 		if got := read(); got != "from-primary" {
 			t.Fatalf("read after the cooloff = %q, want the primary to rejoin", got)
 		}
@@ -654,7 +654,6 @@ func TestFailoverBreakerSkipsHungPrimary(t *testing.T) {
 			Timeout:          timeout,
 			MaxRetries:       -1,
 			BreakerThreshold: 1,
-			BreakerCooloff:   time.Hour,
 		}
 		c2 := adminClient(t, srv2, opts)
 		var muted atomic.Bool
@@ -665,7 +664,9 @@ func TestFailoverBreakerSkipsHungPrimary(t *testing.T) {
 			}
 			return mutedConn{c, &muted}, nil
 		}
-		c1 := adminClient(t, srv1, opts)
+		// The primary's breaker runs on a fake clock that never moves:
+		// it stays open however long the reads take.
+		c1 := adminClientOn(t, srv1, opts, newFakeClock())
 		for cl, tag := range map[*Client]string{c1: "from-primary", c2: "from-replica"} {
 			if err := cl.Mkdir("/pub", 0o755); err != nil {
 				t.Fatal(err)

@@ -153,7 +153,7 @@ func (ms *muxSession) submit(c wireCall) (*muxCall, error) {
 	// rewrites this prefix and never the line.
 	var budgetMS int64
 	if ms.deadlined && !c.deadline.IsZero() {
-		remaining := time.Until(c.deadline)
+		remaining := c.deadline.Sub(ms.cl.clk.now())
 		if remaining <= 0 {
 			return nil, fmt.Errorf("%w before send", ErrDeadline)
 		}

@@ -618,11 +618,10 @@ func TestControlAnswersPastParkedBarriers(t *testing.T) {
 }
 
 // TestIdleSessionFootprint: a session that served lock-step traffic and
-// went idle runs its reader and the one worker that traffic needed. One
-// more may have started when a request's header arrived before the
-// worker that answered the previous one had ended its busy span. The
-// server runs under a goroutine label, and only session goroutines are
-// counted.
+// went idle runs its reader and the one worker that traffic needed: the
+// worker counts as free once its reply is handed to the frame writer,
+// so the next request's header never finds it busy. The server runs
+// under a goroutine label, and only session goroutines are counted.
 func TestIdleSessionFootprint(t *testing.T) {
 	const sessions, calls = 8, 100
 	var srv *Server
@@ -638,12 +637,8 @@ func TestIdleSessionFootprint(t *testing.T) {
 		}
 	}
 	got := labeledGoroutines(t.Name(), "chirp.(*Server).serveConn", "chirp.(*session).worker")
-	if got > 3*sessions {
-		t.Fatalf("%d idle sessions run %d server goroutines, want at most %d: a reader and one worker each, and one more for a reply's race with the next header",
-			sessions, got, 3*sessions)
-	}
-	if got < 2*sessions {
-		t.Fatalf("%d idle sessions run %d server goroutines: the count missed a reader or a worker", sessions, got)
+	if got != 2*sessions {
+		t.Fatalf("%d idle sessions run %d server goroutines, want %d: a reader and one worker each", sessions, got, 2*sessions)
 	}
 }
 

@@ -360,19 +360,18 @@ func TestBusyRetryAfterHintHonored(t *testing.T) {
 		b2dir, b2path := stageWork(t, blocker2, "/blk2", "block")
 		// Stage the patient's files before the slot is hogged: staging
 		// traffic is admission-controlled too.
-		var sleeps []time.Duration
-		var mu sync.Mutex
-		cl := gsiClientOpts(t, srv, ca, "/O=UnivNowhere/CN=Patient", ClientOptions{
-			Window:     win,
-			MaxRetries: 8,
-			Sleep: func(d time.Duration) {
-				mu.Lock()
-				sleeps = append(sleeps, d)
-				mu.Unlock()
-				time.Sleep(d)
-			},
-		})
+		clk := newFakeClock()
+		cred, err := ca.Issue("/O=UnivNowhere/CN=Patient")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := dialOn(t, srv, &auth.GSIClient{Cred: cred}, ClientOptions{Window: win, MaxRetries: 8}, clk)
 		dir, path := stageWork(t, cl, "/pat", "block")
+		// From here the patient's backoff sleeps until both blockers are
+		// done, so its retry finds the capacity free.
+		freed := make(chan struct{})
+		clk.onSleep = func(time.Duration) { <-freed }
+		staged := len(clk.sleeps())
 		// Prime the service-time estimate so the busy hint is meaningful.
 		if _, err := blocker.Exec(bdir, bpath); err != nil {
 			t.Fatal(err)
@@ -389,24 +388,31 @@ func TestBusyRetryAfterHintHonored(t *testing.T) {
 		}()
 		waitFor(t, "second blocker to fill the overflow seat", func() bool { return adm.Stats().Queued == 2 })
 
+		blockErrs := make(chan error, 2)
+		go func() {
+			defer close(freed)
+			for range 2 {
+				blockErrs <- <-done
+			}
+		}()
 		if _, err := cl.Exec(dir, path); err != nil {
 			t.Fatalf("exec after EBUSY retries = %v, want success", err)
 		}
-		for i := 0; i < 2; i++ {
-			if err := <-done; err != nil {
+		<-freed
+		for range 2 {
+			if err := <-blockErrs; err != nil {
 				t.Fatalf("blocker exec = %v", err)
 			}
 		}
 		if got := cl.LocalMetrics().Counter(MetricClientBusy).Value(); got == 0 {
 			t.Fatal("busy counter never advanced; the call was not rejected EBUSY")
 		}
-		mu.Lock()
-		defer mu.Unlock()
+		sleeps := clk.sleeps()[staged:]
 		if len(sleeps) == 0 {
 			t.Fatal("no backoff sleeps recorded")
 		}
 		// The EWMA-primed hint (roughly the 250ms service time) floors the
-		// first backoff far above the 50ms RetryBase schedule.
+		// first backoff far above the 50ms retryBase schedule.
 		var longest time.Duration
 		for _, d := range sleeps {
 			if d > longest {

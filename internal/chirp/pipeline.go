@@ -36,8 +36,10 @@ type stamps struct {
 // serve is the one request pipeline, run for every admitted request:
 // execute produces the reply, serve delivers it and accounts for it.
 // The reply line and a pread body are built in the request's own
-// scratch, which is reused only once the request is recycled.
-func (sess *session) serve(req *request) {
+// scratch, which is reused only once the request is recycled. The
+// worker is free (wk.idle) once it hands its reply to the frame writer,
+// before a lock-step client can send its next request.
+func (sess *session) serve(req *request, wk *workers) {
 	s := sess.s
 	// The admission ticket is released when the reply (or shed) is
 	// written, whatever path the request took; Done on a nil ticket
@@ -45,6 +47,7 @@ func (sess *session) serve(req *request) {
 	defer req.ticket.Done()
 	var st stamps
 	res := sess.execute(req, &st)
+	wk.idle.Add(1)
 	replyStart := time.Now()
 	if err := sess.reply(req.tag, res); errors.Is(err, errFrameShape) {
 		// Nothing of it was written: the refusal answers the tag.

@@ -34,9 +34,10 @@ func chaosSeed(t *testing.T) int64 {
 }
 
 // fastChaosOpts surfaces failures immediately instead of retrying into
-// a dead primary.
+// a dead primary; the client it is given to runs on a fake clock, so its
+// one backoff takes no time.
 func fastChaosOpts() ClientOptions {
-	return ClientOptions{MaxRetries: 1, BreakerThreshold: 1000, Sleep: func(time.Duration) {}}
+	return ClientOptions{MaxRetries: 1, BreakerThreshold: 1000}
 }
 
 // replWorkflow runs the Figure 3 workflow one acked step at a time and
@@ -113,7 +114,7 @@ func TestPromotionChaosMatrix(t *testing.T) {
 		// Count workflow groups only: setup ships its own (the primary's
 		// epoch-adoption record), which are not kill boundaries.
 		base := primary.shipped.Load()
-		cl := adminClient(t, primary.srv, fastChaosOpts())
+		cl := adminClientOn(t, primary.srv, fastChaosOpts(), newFakeClock())
 		if acked, err := replWorkflow(cl, NewRequestToken()); err != nil || acked != 5 {
 			t.Fatalf("clean workflow acked %d/5 steps: %v", acked, err)
 		}
@@ -171,7 +172,7 @@ func TestPromotionChaosMatrix(t *testing.T) {
 				token := NewRequestToken()
 				opts := fastChaosOpts()
 				opts.Window = win
-				cl := adminClient(t, primary.srv, opts)
+				cl := adminClientOn(t, primary.srv, opts, newFakeClock())
 				acked, err := replWorkflow(cl, token)
 				if err != nil {
 					t.Logf("workflow lost the primary at step %d: %v", acked, err)
@@ -235,9 +236,11 @@ func TestFailoverDriverDegradedClears(t *testing.T) {
 	follower := startReplMember(t, "vol", cat.Addr(), primary.addr)
 	pollUntil(t, 2*time.Second, "follower subscription", func() bool { return primary.pub.Subscribers() == 1 })
 
-	fast := ClientOptions{MaxRetries: 1, BreakerThreshold: 1, BreakerCooloff: time.Hour, Sleep: func(time.Duration) {}}
-	c1 := adminClient(t, primary.srv, fast)
-	c2 := adminClient(t, follower.srv, fast)
+	// Each client's fake clock moves only by its own backoff sleeps, so
+	// the dead primary's open breaker stays open.
+	fast := ClientOptions{MaxRetries: 1, BreakerThreshold: 1}
+	c1 := adminClientOn(t, primary.srv, fast, newFakeClock())
+	c2 := adminClientOn(t, follower.srv, fast, newFakeClock())
 	fd := NewFailoverDriver(
 		[]*Driver{NewDriver(c1, vclock.Default()), NewDriver(c2, vclock.Default())}, nil)
 

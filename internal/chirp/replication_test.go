@@ -546,6 +546,45 @@ func TestPromotionOnPrimaryKill(t *testing.T) {
 	}
 }
 
+// TestPromotionAfterCatalogRestart: a follower claims with the epoch
+// its store applied from the primary's stream, not only the one a lease
+// answer told it. After the catalog restarts and forgets the lease, and
+// the primary dies, the follower's grant is therefore above its store's
+// epoch, and it promotes; claiming with its starting epoch would be
+// granted the epoch it already applied, which the store refuses.
+func TestPromotionAfterCatalogRestart(t *testing.T) {
+	cat := NewCatalog()
+	cat.LeaseTTL = replTTL
+	if err := cat.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	addr := cat.Addr()
+	primary := startReplMember(t, "vol", addr, "")
+	follower := startReplMember(t, "vol", addr, primary.addr)
+	pollUntil(t, 10*replTTL, "the follower applying the primary's epoch", func() bool {
+		_, epoch := primary.node.Role()
+		return epoch > 0 && follower.store.Epoch() == epoch
+	})
+	_, oldEpoch := primary.node.Role()
+
+	cat.Close()
+	primary.kill()
+	restarted := NewCatalog()
+	restarted.LeaseTTL = replTTL
+	if err := restarted.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+
+	pollUntil(t, 20*replTTL, "follower promotion", func() bool { return follower.role() == replica.RolePrimary })
+	if _, epoch := follower.node.Role(); epoch <= oldEpoch {
+		t.Fatalf("promoted at epoch %d, want above the old primary's %d", epoch, oldEpoch)
+	}
+	if holder, _ := restarted.LeaseHolder("vol"); holder != follower.addr {
+		t.Fatalf("lease holder = %q, want the follower %s", holder, follower.addr)
+	}
+}
+
 // TestFencingAfterPartitionHeals: a deposed primary coming back finds
 // the lease held at a higher epoch, fences itself (refusing writes and
 // naming the real primary), and its stale stream cannot apply — the

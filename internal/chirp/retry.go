@@ -89,8 +89,9 @@ const (
 
 // ClientOptions tune the client's fault-tolerance layer. The zero value
 // gives sensible production defaults: three retries, no per-call
-// deadline, a 5-failure breaker with a one-second cooloff. Each field
-// names its non-test caller, or says it is a test seam.
+// deadline, a 5-failure breaker. Each field names its non-test caller,
+// or says it is a test seam. The backoff (retryBase, retryMax) and the
+// breaker's cool-off (breakerCooloff) are constants.
 type ClientOptions struct {
 	// Timeout bounds each wire exchange (one request/response, payload
 	// phases included): the request's write, as its connection's write
@@ -106,18 +107,9 @@ type ClientOptions struct {
 	// except EBUSY, which was refused before anything ran. Set by
 	// cmd/chirp -retries.
 	MaxRetries int
-	// RetryBase is the first backoff delay (default 50ms). Retry n
-	// sleeps min(RetryBase<<n, RetryMax), half fixed and half jitter from
-	// a generator seeded with 1. Test seam.
-	RetryBase time.Duration
-	// RetryMax caps the backoff (default 2s). Test seam.
-	RetryMax time.Duration
 	// BreakerThreshold is the consecutive transport failures that open
 	// the circuit breaker (default 5). Test seam.
 	BreakerThreshold int
-	// BreakerCooloff is how long the breaker stays open before letting
-	// a probe through (default 1s). Test seam.
-	BreakerCooloff time.Duration
 	// Metrics, when set, receives the client's retry/redial/breaker
 	// counters. When nil the client keeps a private registry, reachable
 	// via LocalMetrics. Set by benchmark/cluster.go.
@@ -125,9 +117,6 @@ type ClientOptions struct {
 	// Dialer replaces net.Dial("tcp", addr): benchmark/cluster.go counts
 	// wire bytes through it, and the fault-injection tests use it.
 	Dialer func(addr string) (net.Conn, error)
-	// Sleep replaces time.Sleep for backoff waits, letting tests record
-	// the schedule instead of waiting it out. Test seam.
-	Sleep func(time.Duration)
 	// Window is the credit window this client advertises during v2
 	// negotiation: the most tags it will keep in flight on one session
 	// (default DefaultWindow). The server advertises its own cap and the
@@ -173,26 +162,14 @@ func (o *ClientOptions) withDefaults() {
 	case o.MaxRetries < 0:
 		o.MaxRetries = 0
 	}
-	if o.RetryBase == 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.RetryMax == 0 {
-		o.RetryMax = 2 * time.Second
-	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooloff == 0 {
-		o.BreakerCooloff = time.Second
 	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewRegistry()
 	}
 	if o.Dialer == nil {
 		o.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	if o.Sleep == nil {
-		o.Sleep = time.Sleep
 	}
 	if o.Window == 0 {
 		o.Window = DefaultWindow
@@ -255,20 +232,22 @@ func requestLatencyBuckets() []float64 {
 		25000, 50000, 100000, 250000, 500000, 1e6, 4e6}
 }
 
-// backoff computes the nth retry's delay (n is 1-based): capped
-// exponential, half fixed plus half jitter from the seeded rng.
-func backoff(rng *mrand.Rand, base, max time.Duration, n int) time.Duration {
-	d := base
-	for i := 1; i < n && d < max; i++ {
+// The retry and breaker timings.
+const (
+	retryBase      = 50 * time.Millisecond // the first backoff
+	retryMax       = 2 * time.Second       // the backoff's cap
+	breakerCooloff = time.Second           // how long an open breaker refuses calls
+)
+
+// backoff computes the nth retry's delay (n is 1-based):
+// min(retryBase<<(n-1), retryMax), half fixed plus half jitter from the
+// seeded rng.
+func backoff(rng *mrand.Rand, n int) time.Duration {
+	d := retryBase
+	for i := 1; i < n && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
+	half := min(d, retryMax) / 2
 	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
 

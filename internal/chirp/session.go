@@ -6,6 +6,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"identitybox/internal/admission"
@@ -315,14 +316,14 @@ func (sess *session) step(wk *workers) bool {
 		}
 		req.ticket = tk
 	}
-	busy, ok := sess.acquireSlot(sess.conf.window)
-	if !ok {
+	if !sess.acquireSlot(sess.conf.window) {
 		req.ticket.Done()
 		return false // server severing this session: stop reading
 	}
 	queued = true
-	if busy > wk.n { // every worker started is busy: start one more
-		wk.n++
+	if wk.idle.Load() > 0 {
+		wk.idle.Add(-1) // only the reader takes from idle: it is still positive
+	} else { // every worker started is busy: start one more
 		wk.wg.Add(1)
 		go sess.worker(wk)
 	}
@@ -529,7 +530,10 @@ var errSevered = errors.New("chirp: session severed")
 // requests in flight so far (step starts them), until the session ends.
 type workers struct {
 	pool chan *request
-	n    int // workers started; the reader's alone
+	// idle counts the workers that have handed their last reply to the
+	// frame writer and that the reader has not taken since: it takes one
+	// for each request it queues, and starts a worker when none is free.
+	idle atomic.Int32
 	wg   sync.WaitGroup
 	once sync.Once
 }
@@ -552,8 +556,9 @@ func (sess *session) worker(wk *workers) {
 			// Severed: the socket is gone, no reply can reach the
 			// client — drop queued work instead of executing it.
 			req.ticket.Done()
+			wk.idle.Add(1)
 		} else {
-			sess.serve(req)
+			sess.serve(req, wk)
 		}
 		req.recycle()
 		sess.releaseSlot()
@@ -562,9 +567,10 @@ func (sess *session) worker(wk *workers) {
 
 // acquireSlot blocks until the session's credit window has room for
 // the request the reader holds, which is busy already, then claims a
-// slot for it and reports busy. Called only by the frame reader, so
-// blocking here is the backpressure: the next frame waits for a slot.
-func (sess *session) acquireSlot(window int) (busy int, ok bool) {
+// slot for it; false means the server is severing the session. Called
+// only by the frame reader, so blocking here is the backpressure: the
+// next frame waits for a slot.
+func (sess *session) acquireSlot(window int) bool {
 	sess.slotMu.Lock()
 	defer sess.slotMu.Unlock()
 	for sess.busy > window && !sess.isStopping() {
@@ -572,11 +578,11 @@ func (sess *session) acquireSlot(window int) (busy int, ok bool) {
 		sess.slotCond.Wait()
 	}
 	if sess.isStopping() {
-		return 0, false
+		return false
 	}
 	sess.s.metrics.occupancy.Observe(float64(sess.busy))
 	sess.s.metrics.tagsInFlight.Inc()
-	return sess.busy, true
+	return true
 }
 
 // abort wakes a frame reader parked on the credit window. severAll

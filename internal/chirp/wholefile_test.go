@@ -165,47 +165,53 @@ func TestReplyBodySkipsScratch(t *testing.T) {
 	})
 }
 
-// pwriteLoserConn loses the reply that follows the first pwrite it
-// carries: the request runs on the server and the connection dies.
+// pwriteLoserConn runs lose, once, as it carries the first pwrite;
+// lose arms a replyLoser, so the request runs on the server and the
+// connection dies.
 type pwriteLoserConn struct {
 	net.Conn
-	l    *replyLoser
+	lose func()
 	once *sync.Once
 }
 
 func (c *pwriteLoserConn) Write(p []byte) (int, error) {
 	if bytes.Contains(p, []byte("pwrite")) {
-		c.once.Do(c.l.loseNext)
+		c.once.Do(c.lose)
 	}
 	return c.Conn.Write(p)
 }
 
 // TestChunkTransferOneDeadline: a chunked transfer spends one deadline
 // budget, stamped at its start, and its restarts obey the same retry
-// rule as a single call's. With a backoff longer than the budget, a
-// transfer whose pwrite reply is lost fails with EDEADLINE at once: it
-// neither sleeps toward a certain miss nor restarts under a fresh budget.
+// rule as a single call's. When its pwrite reply is lost with less of
+// the budget left than the shortest backoff, the transfer fails with
+// EDEADLINE at once: it neither sleeps toward a certain miss nor
+// restarts under a fresh budget.
 func TestChunkTransferOneDeadline(t *testing.T) {
+	const budget = 2 * time.Second
 	srv, _, _ := testServer(t)
 	var loser replyLoser
+	clk := newFakeClock()
+	spend := func() {
+		loser.loseNext()
+		clk.advance(budget - retryBase/4) // the backoff is at least retryBase/2
+	}
 	var once sync.Once
-	var slept []time.Duration
-	cl := adminClient(t, srv, ClientOptions{
-		DeadlineBudget: 2 * time.Second, RetryBase: 5 * time.Second, RetryMax: 5 * time.Second,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
+	cl := adminClientOn(t, srv, ClientOptions{
+		DeadlineBudget: budget,
 		Dialer: func(addr string) (net.Conn, error) {
 			c, err := loser.dial(addr)
 			if err != nil {
 				return nil, err
 			}
-			return &pwriteLoserConn{Conn: c, l: &loser, once: &once}, nil
+			return &pwriteLoserConn{Conn: c, lose: spend, once: &once}, nil
 		},
-	})
+	}, clk)
 	err := cl.PutFile("/huge", patterned(MaxPayload+1), 0o644)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("chunked putfile after a lost pwrite reply = %v, want EDEADLINE", err)
 	}
-	if len(slept) != 0 {
+	if slept := clk.sleeps(); len(slept) != 0 {
 		t.Fatalf("the transfer slept %v, want no sleep past its budget", slept)
 	}
 }

@@ -58,10 +58,8 @@ type Node struct {
 	cfg   Config
 	lease *LeaseClient
 
-	mu          sync.Mutex
-	role        string
-	epoch       uint64
-	primaryAddr string
+	mu sync.Mutex
+	lv leaseView // the role, the epoch the lease last answered, and the upstream
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -78,18 +76,15 @@ func Start(cfg Config) (*Node, error) {
 		return nil, errors.New("replica: node needs a store and a publisher")
 	}
 	if cfg.TTL <= 0 {
-		cfg.TTL = 3 * time.Second
+		cfg.TTL = DefaultLeaseTTL
 	}
 	n := &Node{
-		cfg:         cfg,
-		role:        RolePrimary,
-		epoch:       cfg.Store.Epoch(),
-		primaryAddr: cfg.Addr,
-		stop:        make(chan struct{}),
+		cfg:  cfg,
+		lv:   leaseView{role: RolePrimary, epoch: cfg.Store.Epoch(), upstream: cfg.Addr},
+		stop: make(chan struct{}),
 	}
 	if cfg.Store.IsReplica() {
-		n.role = RoleFollower
-		n.primaryAddr = cfg.PrimaryAddr
+		n.lv.role, n.lv.upstream = RoleFollower, cfg.PrimaryAddr
 	}
 	if cfg.CatalogAddr != "" {
 		n.lease = &LeaseClient{
@@ -110,16 +105,11 @@ func Start(cfg Config) (*Node, error) {
 	n.promotions = reg.Counter(MetricPromotions)
 	reg.GaugeFunc(MetricAppliedLSN, func() int64 { return int64(cfg.Store.AppliedLSN()) })
 
-	if n.role == RoleFollower {
-		if cfg.Dial == nil {
-			return nil, errors.New("replica: follower needs a Dial function")
-		}
-		n.wg.Add(1)
-		go n.followerLoop()
-	} else {
-		n.wg.Add(1)
-		go n.primaryLoop()
+	if n.lv.role == RoleFollower && cfg.Dial == nil {
+		return nil, errors.New("replica: follower needs a Dial function")
 	}
+	n.wg.Add(1)
+	go n.run()
 	return n, nil
 }
 
@@ -139,9 +129,8 @@ func (n *Node) logf(format string, args ...any) {
 
 // Role reports the node's role and fencing epoch (chirp.RoleSource).
 func (n *Node) Role() (string, uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.role, n.epoch
+	v := n.view()
+	return v.role, v.epoch
 }
 
 // AppliedLSN reports the highest LSN applied to this node's state
@@ -162,7 +151,7 @@ func (n *Node) WaitApplied(lsn uint64, timeout time.Duration) error {
 func (n *Node) PrimaryAddr() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.primaryAddr
+	return n.lv.upstream
 }
 
 // Barrier implements the chirp server's Durability hook: local
@@ -208,123 +197,101 @@ func (n *Node) AppendDedupe(key string, reply []string) error {
 	return n.shipped(n.cfg.Store.AppendDedupe(key, reply))
 }
 
-// --- primary ------------------------------------------------------------
-
-// primaryLoop claims the lease immediately, then renews every TTL/3.
-// A denial naming a higher epoch fences this node: it stops accepting
-// writes (Role reports fenced; the server refuses mutating commands)
-// and keeps claiming only to track who the holder is.
-func (n *Node) primaryLoop() {
+// run is the node's lease state machine, one loop for every role. A
+// follower streams from its upstream and, once it has followed a primary
+// in this process (before, its state may be stale), claims whenever its
+// stream ends; it re-dials TTL/4 later unless promoted. A primary, or a
+// fenced node tracking the holder, claims at once and then every TTL/3.
+func (n *Node) run() {
 	defer n.wg.Done()
-	if n.lease == nil {
-		return // no catalog: static solo primary
-	}
-	n.claimAsPrimary()
-	t := time.NewTicker(n.cfg.TTL / 3)
-	defer t.Stop()
+	var followed bool
+	var dials dialLog
+	var wait time.Duration
 	for {
 		select {
 		case <-n.stop:
 			return
-		case <-t.C:
-			n.claimAsPrimary()
+		case <-time.After(wait):
 		}
-	}
-}
-
-// claimAsPrimary sends one claim/renewal and folds the answer into the
-// node's state.
-func (n *Node) claimAsPrimary() {
-	n.mu.Lock()
-	epoch := n.epoch
-	fenced := n.role == RoleFenced
-	n.mu.Unlock()
-	res, err := n.lease.Claim(n.cfg.Store.AppliedLSN(), epoch)
-	if err != nil {
-		n.logf("replica: lease renewal: %v", err)
-		return
-	}
-	if res.Granted {
-		if fenced {
-			// A deposed primary must not resume on a re-grant: its log may
-			// have diverged from the epoch that fenced it. Operators
-			// restart it as a follower (-replica-of the new primary).
-			n.logf("replica: fenced node offered epoch %d; refusing (restart as follower to rejoin)", res.Epoch)
-			return
-		}
-		if res.Epoch > epoch {
-			if err := n.cfg.Store.SetEpochDurable(res.Epoch); err != nil {
-				n.logf("replica: persisting epoch %d: %v", res.Epoch, err)
+		v := n.view()
+		if v.role != RoleFollower {
+			if n.lease == nil {
 				return
 			}
-			n.cfg.Publisher.SetEpoch(res.Epoch)
-			n.mu.Lock()
-			n.epoch = res.Epoch
-			n.mu.Unlock()
-			n.logf("replica: holding lease %q at epoch %d", n.cfg.Name, res.Epoch)
+			n.claim()
+			wait = n.cfg.TTL / 3
+			continue
 		}
-		return
-	}
-	// Denied: someone else holds the lease. A higher epoch is the fence.
-	n.mu.Lock()
-	if res.Epoch > n.epoch || (res.Holder != "" && res.Holder != n.cfg.Addr) {
-		if n.role == RolePrimary {
-			n.role = RoleFenced
-			n.mu.Unlock()
-			n.logf("replica: fenced at epoch %d (lease held by %s)", res.Epoch, res.Holder)
-			if n.cfg.OnFenced != nil {
-				n.cfg.OnFenced(res.Epoch, res.Holder)
-			}
-			n.mu.Lock()
+		if v.upstream != "" && v.upstream != n.cfg.Addr {
+			followed = n.streamFrom(v.upstream, &dials) || followed
 		}
-		n.epoch = res.Epoch
-		n.primaryAddr = res.Holder
+		select {
+		case <-n.stop:
+			return
+		default:
+		}
+		wait = n.cfg.TTL / 4
+		if followed && n.lease != nil && n.claim() {
+			wait = 0 // promoted: renew at once
+		}
 	}
-	n.mu.Unlock()
 }
 
-// --- follower -----------------------------------------------------------
+// claim sends one claim (a renewal, for a primary) and folds the answer
+// into the node, once the store agrees: a promotion starts the store
+// accepting writes under the new epoch, continuing the primary's LSN
+// sequence, and a primary's higher epoch is made durable first. A
+// fenced node refuses writes (the server answers ENOTPRIMARY). Reports
+// whether this node is now the primary.
+func (n *Node) claim() bool {
+	was := n.view()
+	res, err := n.lease.Claim(n.cfg.Store.AppliedLSN(), was.epoch)
+	if err != nil {
+		n.logf("replica: lease claim as %s: %v", was.role, err)
+		return was.role == RolePrimary
+	}
+	next := was.fold(n.cfg.Addr, res)
+	switch {
+	case was.role == RoleFenced && res.Granted:
+		// Operators restart a deposed primary as a follower
+		// (-replica-of the new primary) to rejoin.
+		n.logf("replica: fenced node offered epoch %d; refusing (restart as follower to rejoin)", res.Epoch)
+	case was.role == RoleFollower && next.role == RolePrimary:
+		if err = n.cfg.Store.Promote(next.epoch); err == nil {
+			n.promotions.Inc()
+		}
+	case next.role == RolePrimary && next.epoch > was.epoch:
+		err = n.cfg.Store.SetEpochDurable(next.epoch)
+	}
+	if err != nil {
+		n.logf("replica: taking epoch %d as %s: %v", next.epoch, next.role, err)
+		return was.role == RolePrimary
+	}
+	if next.role == RolePrimary && next.epoch > was.epoch {
+		n.cfg.Publisher.SetEpoch(next.epoch)
+		n.logf("replica: %s primary of %q at epoch %d (applied lsn %d)", was.role, n.cfg.Name, next.epoch, n.cfg.Store.AppliedLSN())
+	}
+	n.mu.Lock()
+	n.lv = next
+	n.mu.Unlock()
+	if was.role == RolePrimary && next.role == RoleFenced {
+		n.logf("replica: fenced at epoch %d (lease held by %s)", res.Epoch, res.Holder)
+		if n.cfg.OnFenced != nil {
+			n.cfg.OnFenced(res.Epoch, res.Holder)
+		}
+	}
+	return next.role == RolePrimary
+}
 
-// followerLoop streams from the primary and applies every batch; when
-// the stream dies it stands for election, promoting on a grant and
-// re-targeting the new holder on a denial. Until it has followed a
-// primary in this process it only re-dials: its state may be stale.
-func (n *Node) followerLoop() {
-	defer n.wg.Done()
-	retry := n.cfg.TTL / 4
-	if retry <= 0 {
-		retry = 100 * time.Millisecond
+// view is the node's lease state as it claims with it.
+func (n *Node) view() leaseView {
+	n.mu.Lock()
+	v := n.lv
+	n.mu.Unlock()
+	if v.role != RoleFollower {
+		return v // the store's epoch is the node's
 	}
-	followed := false
-	var dials dialLog
-	for {
-		select {
-		case <-n.stop:
-			return
-		default:
-		}
-		n.mu.Lock()
-		upstream := n.primaryAddr
-		n.mu.Unlock()
-		if upstream != "" && upstream != n.cfg.Addr {
-			followed = n.streamFrom(upstream, &dials) || followed
-		}
-		select {
-		case <-n.stop:
-			return
-		default:
-		}
-		if followed && n.standForElection() {
-			n.wg.Add(1)
-			go n.primaryLoop()
-			return
-		}
-		select {
-		case <-n.stop:
-			return
-		case <-time.After(retry):
-		}
-	}
+	return v.withStore(n.cfg.Store.Epoch())
 }
 
 // dialLog keeps a follower's re-dials of a primary it cannot reach to
@@ -392,47 +359,4 @@ func (n *Node) streamFrom(addr string, dials *dialLog) (followed bool) {
 			return
 		}
 	}
-}
-
-// standForElection claims the lease once. A grant promotes this node:
-// the store starts accepting writes under the new epoch (continuing
-// the primary's LSN sequence) and the publisher stamps the new term.
-// A denial names the winner, which becomes the new upstream. Reports
-// whether this node is now the primary.
-func (n *Node) standForElection() bool {
-	if n.lease == nil {
-		return false
-	}
-	n.mu.Lock()
-	epoch := n.epoch
-	n.mu.Unlock()
-	res, err := n.lease.Claim(n.cfg.Store.AppliedLSN(), epoch)
-	if err != nil {
-		n.logf("replica: election claim: %v", err)
-		return false
-	}
-	if !res.Granted {
-		n.mu.Lock()
-		if res.Epoch > n.epoch {
-			n.epoch = res.Epoch
-		}
-		if res.Holder != "" {
-			n.primaryAddr = res.Holder
-		}
-		n.mu.Unlock()
-		return false
-	}
-	if err := n.cfg.Store.Promote(res.Epoch); err != nil {
-		n.logf("replica: promotion to epoch %d failed: %v", res.Epoch, err)
-		return false
-	}
-	n.cfg.Publisher.SetEpoch(res.Epoch)
-	n.mu.Lock()
-	n.role = RolePrimary
-	n.epoch = res.Epoch
-	n.primaryAddr = n.cfg.Addr
-	n.mu.Unlock()
-	n.promotions.Inc()
-	n.logf("replica: promoted to primary at epoch %d (applied lsn %d)", res.Epoch, n.cfg.Store.AppliedLSN())
-	return true
 }
