@@ -107,15 +107,14 @@ func (f *fakeClock) sleeps() []time.Duration {
 	return append([]time.Duration(nil), f.slept...)
 }
 
-// TestCatalogStalenessExpiry: entries age against the catalog's clock
-// and vanish from Entries once past the Expiry budget, the default 15
-// minutes included; a fresh heartbeat brings one back.
-func TestCatalogStalenessExpiry(t *testing.T) {
+const expiryHeartbeat = `chirp "fileserver" "127.0.0.1:9094" "fred"`
+
+// TestCatalogExpiry: under the default 15-minute Expiry a server is
+// still listed, aged 15m, at the budget and gone a minute past it.
+func TestCatalogExpiry(t *testing.T) {
 	clk := newFakeClock()
 	cat := newCatalog(clk)
-	const hb = `chirp "fileserver" "127.0.0.1:9094" "fred"`
-
-	cat.Record(hb)
+	cat.Record(expiryHeartbeat)
 	clk.advance(15 * time.Minute)
 	if entries := cat.Entries(); len(entries) != 1 || entries[0].Age != 15*time.Minute {
 		t.Fatalf("entries at the default expiry = %+v, want the server aged 15m", entries)
@@ -124,9 +123,16 @@ func TestCatalogStalenessExpiry(t *testing.T) {
 	if entries := cat.Entries(); len(entries) != 0 {
 		t.Fatalf("server silent 16m still listed: %v", entries)
 	}
+}
 
+// TestCatalogStalenessExpiry: with a custom Expiry, entries age against
+// the catalog's clock and vanish from Entries once past the budget; a
+// fresh heartbeat brings one back.
+func TestCatalogStalenessExpiry(t *testing.T) {
+	clk := newFakeClock()
+	cat := newCatalog(clk)
 	cat.Expiry = time.Minute
-	cat.Record(hb)
+	cat.Record(expiryHeartbeat)
 	clk.advance(30 * time.Second)
 	entries := cat.Entries()
 	if len(entries) != 1 {
@@ -140,7 +146,7 @@ func TestCatalogStalenessExpiry(t *testing.T) {
 		t.Fatalf("stale server still listed: %v", entries)
 	}
 	// A fresh heartbeat resurrects it.
-	cat.Record(hb)
+	cat.Record(expiryHeartbeat)
 	if entries := cat.Entries(); len(entries) != 1 {
 		t.Fatalf("re-announced server missing: %v", entries)
 	}
